@@ -22,18 +22,30 @@
 //!
 //! Costs are estimated, not measured: the law prices each worm's solo
 //! flight and the home's `dc_send` serialization, ignoring contention.
-//! The adaptive variant ([`MiMaAdaptive`]) layers a measured per-link
-//! penalty on top via the [`HopPenalty`] hook.
+//! The adaptive variant ([`MiMaAdaptive`]) adds a measured per-link
+//! penalty from a committed [`LinkLoadMeter`] window.
+//!
+//! Planning cost: [`worm_cost`] walks each destination segment in closed
+//! form (no path materialization), and the greedy loop caches the
+//! realization of every adjacent pair, re-realizing only the two pairs a
+//! merge touches. A plan over `P` column partitions therefore realizes
+//! `O(P)` serpentines instead of `O(P²)`. The straightforward
+//! formulations (an `expand_path` hop walk and a loop that re-realizes
+//! every candidate each iteration) live on as reference oracles in
+//! `crates/core/tests/scheme_properties.rs`, which pins both outputs
+//! equal to them.
 //!
 //! [`MiMaAdaptive`]: super::MiMaAdaptive
 //! [`column_groups`]: super::grouping::column_groups
 
-use super::grouping::{column_groups, serpentine, SerpentineWorm};
+use super::grouping::{column_groups, serpentine, Group, SerpentineWorm};
+use super::mi_ma_adaptive::hop_penalty;
 use super::two_phase_acks::two_phase_acks;
 use super::{InvalidationScheme, SchemeKind};
 use crate::plan::{InvalPlan, PlannedWorm};
-use wormdsm_mesh::routing::{expand_path, BaseRouting, PathRule};
-use wormdsm_mesh::topology::{Mesh2D, NodeId};
+use wormdsm_mesh::network::LinkLoadMeter;
+use wormdsm_mesh::routing::BaseRouting;
+use wormdsm_mesh::topology::{Direction, Mesh2D, NodeId};
 use wormdsm_mesh::worm::WormKind;
 
 /// Router pipeline delay, cycles (mirrors `NetParams::router_delay`).
@@ -49,34 +61,101 @@ pub(crate) const CONTROL_FLITS: u64 = 8;
 /// (`MsgSizes::per_extra_dest_x4`).
 pub(crate) const PER_EXTRA_DEST_X4: u64 = 1;
 
-/// Extra cost (cycles) a congestion-aware caller charges for one hop
-/// `a -> b`; the pure DPM scheme passes `None` everywhere.
-pub(crate) type HopPenalty<'a> = &'a dyn Fn(NodeId, NodeId) -> u64;
+/// The canonical west-first hop walk of one worm, one straight run at a
+/// time: hop count plus the summed load penalty of the crossed links.
+struct HopWalk<'a> {
+    width: isize,
+    load: Option<&'a LinkLoadMeter>,
+    /// Node index the walk is at.
+    at: usize,
+    last: Option<Direction>,
+    /// A non-west hop was taken (west hops are illegal from here on).
+    turned: bool,
+    hops: u64,
+    penalty: u64,
+}
+
+impl HopWalk<'_> {
+    /// Take `n` hops in `dir`, checking west-first legality once per run
+    /// (every hop of a run after the first repeats `dir`, which is legal
+    /// whenever the first hop was).
+    fn run(&mut self, dir: Direction, n: usize) {
+        if n == 0 {
+            return;
+        }
+        assert!(
+            self.last != Some(dir.opposite()) && !(dir == Direction::West && self.turned),
+            "serpentine worms are west-first conformant"
+        );
+        let stride = match dir {
+            Direction::East => 1,
+            Direction::West => -1,
+            Direction::North => -self.width,
+            Direction::South => self.width,
+        };
+        match self.load {
+            Some(load) => {
+                for _ in 0..n {
+                    self.penalty += hop_penalty(load, self.at, dir);
+                    self.at = (self.at as isize + stride) as usize;
+                }
+            }
+            None => self.at = (self.at as isize + stride * n as isize) as usize,
+        }
+        self.hops += n as u64;
+        self.last = Some(dir);
+        self.turned |= dir != Direction::West;
+    }
+}
 
 /// Closed-form completion estimate of one serpentine worm injected at the
-/// home: head latency over the expanded west-first path, strip delays at
-/// every visited destination (waypoints included), plus the tail drain.
-/// With no penalty this equals the last entry of
-/// `analytic::solo_flight_latencies` for the same worm, cycle-for-cycle.
-pub(crate) fn worm_cost(
+/// home: head latency over the canonical west-first path, strip delays at
+/// every visited destination (waypoints included), plus the tail drain,
+/// plus the committed per-hop load penalty when `load` is given. With no
+/// load this equals the last entry of `analytic::solo_flight_latencies`
+/// for the same worm, cycle-for-cycle.
+///
+/// The path is the one `expand_path` picks, walked segment by segment
+/// without materializing it: the X run, then the Y run. The one exception
+/// is an eastward segment entered right after a west hop, where the X hop
+/// would be a reversal: the walk then takes one Y hop first, exactly as
+/// the canonical expansion falls back to its second option.
+pub fn worm_cost(
     mesh: &Mesh2D,
     home: NodeId,
     w: &SerpentineWorm,
-    penalty: Option<HopPenalty<'_>>,
+    load: Option<&LinkLoadMeter>,
 ) -> u64 {
-    let path = expand_path(PathRule::WestFirst, mesh, home, &w.dests)
-        .expect("serpentine worms are west-first conformant");
-    let hops = (path.len() - 1) as u64;
+    let mut walk = HopWalk {
+        width: mesh.width() as isize,
+        load,
+        at: home.idx(),
+        last: None,
+        turned: false,
+        hops: 0,
+        penalty: 0,
+    };
+    let mut cur = mesh.coord(home);
+    for &d in &w.dests {
+        let to = mesh.coord(d);
+        let ydir = if to.y > cur.y { Direction::South } else { Direction::North };
+        let mut dy = to.y.abs_diff(cur.y) as usize;
+        if to.x < cur.x {
+            walk.run(Direction::West, (cur.x - to.x) as usize);
+        } else if to.x > cur.x {
+            if walk.last == Some(Direction::West) && dy > 0 {
+                walk.run(ydir, 1);
+                dy -= 1;
+            }
+            walk.run(Direction::East, (to.x - cur.x) as usize);
+        }
+        walk.run(ydir, dy);
+        cur = to;
+    }
     let strips = (w.dests.len() as u64).saturating_sub(1);
     let delivering = w.deliver.iter().filter(|&&d| d).count() as u64;
     let len_flits = CONTROL_FLITS + delivering.saturating_sub(1).div_ceil(4) * PER_EXTRA_DEST_X4;
-    let mut cost = (hops + 1) * ROUTER_DELAY + strips * STRIP_DELAY + len_flits;
-    if let Some(p) = penalty {
-        for hop in path.windows(2) {
-            cost += p(hop[0], hop[1]);
-        }
-    }
-    cost
+    (walk.hops + 1) * ROUTER_DELAY + strips * STRIP_DELAY + len_flits + walk.penalty
 }
 
 /// Realize one partition (a sharer subset) as serpentine worms with their
@@ -85,12 +164,12 @@ fn realize(
     mesh: &Mesh2D,
     home: NodeId,
     members: &[NodeId],
-    penalty: Option<HopPenalty<'_>>,
+    load: Option<&LinkLoadMeter>,
 ) -> Vec<(SerpentineWorm, u64)> {
     serpentine(mesh, home, members)
         .into_iter()
         .map(|w| {
-            let c = worm_cost(mesh, home, &w, penalty);
+            let c = worm_cost(mesh, home, &w, load);
             (w, c)
         })
         .collect()
@@ -110,65 +189,126 @@ struct Partition {
     realized: Vec<(SerpentineWorm, u64)>,
 }
 
+impl Partition {
+    fn new(
+        mesh: &Mesh2D,
+        home: NodeId,
+        members: Vec<NodeId>,
+        load: Option<&LinkLoadMeter>,
+    ) -> Self {
+        Partition { realized: realize(mesh, home, &members, load), members }
+    }
+
+    /// The partition `a ∪ b`, members in `a`-then-`b` order.
+    fn merged(
+        mesh: &Mesh2D,
+        home: NodeId,
+        a: &Partition,
+        b: &Partition,
+        load: Option<&LinkLoadMeter>,
+    ) -> Self {
+        let mut members = Vec::with_capacity(a.members.len() + b.members.len());
+        members.extend_from_slice(&a.members);
+        members.extend_from_slice(&b.members);
+        Partition::new(mesh, home, members, load)
+    }
+
+    /// Latest completion among this partition's worms when its first worm
+    /// is the plan's `first`-th injection (the [`makespan`] terms).
+    fn finish(&self, first: usize) -> u64 {
+        self.realized
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, c))| (first + k + 1) as u64 * DC_SEND + c)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// Greedy adjacent partition merging. Starts from the [`column_groups`]
 /// partitions (in their deterministic emission order) and repeatedly
 /// applies the adjacent merge with the largest strict improvement in
 /// [`makespan`] (ties broken toward the lowest index) until no merge
 /// improves. Deterministic: pure function of the mesh geometry, the
-/// sharer set, and the (optional) penalty.
+/// groups, and the (optional) load window.
+///
+/// Incremental: `pairs[i]` caches the realization of merge candidate `i`
+/// (`parts[i] ∪ parts[i+1]`), so applying merge `i` re-realizes only the
+/// candidates `i-1` and `i` that now border the merged partition. Each
+/// candidate's makespan is the max of three terms — the untouched prefix,
+/// the merged worms at their injection slots, and the untouched suffix
+/// shifted by the change in worm count — so no cost vector is rebuilt.
 fn merge_partitions(
     mesh: &Mesh2D,
     home: NodeId,
-    sharers: &[NodeId],
-    penalty: Option<HopPenalty<'_>>,
+    groups: &[Group],
+    load: Option<&LinkLoadMeter>,
 ) -> Vec<Partition> {
-    let mut parts: Vec<Partition> = column_groups(mesh, home, sharers)
-        .into_iter()
-        .map(|g| Partition {
-            realized: realize(mesh, home, &g.members, penalty),
-            members: g.members,
-        })
-        .collect();
+    let mut parts: Vec<Partition> =
+        groups.iter().map(|g| Partition::new(mesh, home, g.members.clone(), load)).collect();
+    let mut pairs: Vec<Partition> =
+        parts.windows(2).map(|w| Partition::merged(mesh, home, &w[0], &w[1], load)).collect();
+    // starts[i]: injection slot of parts[i]'s first worm; suffix[i]:
+    // latest completion among parts[i..] at their current slots.
+    let mut starts: Vec<usize> = Vec::with_capacity(parts.len());
+    let mut suffix: Vec<u64> = Vec::with_capacity(parts.len() + 1);
     loop {
-        let flat_cost = |ps: &[Partition]| -> u64 {
-            let costs: Vec<u64> =
-                ps.iter().flat_map(|p| p.realized.iter().map(|&(_, c)| c)).collect();
-            makespan(&costs)
-        };
-        let current = flat_cost(&parts);
-        let mut best: Option<(usize, u64, Partition)> = None;
-        for i in 0..parts.len().saturating_sub(1) {
-            let mut members = parts[i].members.clone();
-            members.extend_from_slice(&parts[i + 1].members);
-            let merged = Partition { realized: realize(mesh, home, &members, penalty), members };
-            // Evaluate the whole plan with i and i+1 replaced by the merge.
-            let costs: Vec<u64> = parts[..i]
-                .iter()
-                .chain(std::iter::once(&merged))
-                .chain(parts[i + 2..].iter())
-                .flat_map(|p| p.realized.iter().map(|&(_, c)| c))
-                .collect();
-            let candidate = makespan(&costs);
-            if candidate < current && best.as_ref().is_none_or(|&(_, b, _)| candidate < b) {
-                best = Some((i, candidate, merged));
-            }
+        starts.clear();
+        let mut slot = 0;
+        for p in &parts {
+            starts.push(slot);
+            slot += p.realized.len();
         }
-        match best {
-            Some((i, _, merged)) => {
-                parts[i] = merged;
-                parts.remove(i + 1);
+        suffix.clear();
+        suffix.resize(parts.len() + 1, 0);
+        for i in (0..parts.len()).rev() {
+            suffix[i] = suffix[i + 1].max(parts[i].finish(starts[i]));
+        }
+        let current = suffix[0];
+        let mut best: Option<(usize, u64)> = None;
+        let mut prefix = 0;
+        for (i, merged) in pairs.iter().enumerate() {
+            let replaced = (parts[i].realized.len() + parts[i + 1].realized.len()) as u64;
+            let added = merged.realized.len() as u64;
+            // Every worm after the pair moves by `added - replaced` slots.
+            // The subtraction cannot underflow: a suffix term is at least
+            // `(starts[i] + replaced + 1) * DC_SEND`.
+            let rest = if i + 2 < parts.len() {
+                suffix[i + 2] + added * DC_SEND - replaced * DC_SEND
+            } else {
+                0
+            };
+            let candidate = prefix.max(merged.finish(starts[i])).max(rest);
+            if candidate < current && best.is_none_or(|(_, b)| candidate < b) {
+                best = Some((i, candidate));
             }
-            None => return parts,
+            prefix = prefix.max(parts[i].finish(starts[i]));
+        }
+        let Some((i, _)) = best else { return parts };
+        parts[i] = pairs.remove(i);
+        parts.remove(i + 1);
+        if i > 0 {
+            pairs[i - 1] = Partition::merged(mesh, home, &parts[i - 1], &parts[i], load);
+        }
+        if i + 1 < parts.len() {
+            pairs[i] = Partition::merged(mesh, home, &parts[i], &parts[i + 1], load);
         }
     }
 }
 
 /// The merged partitions DPM would use for `(home, sharers)`, as ordered
-/// member lists. Exposed for the property tests: feeding these (or the raw
+/// member lists, priced against `load` when given (MI-MA(ada)'s view).
+/// Exposed for the property tests: feeding these (or the raw
 /// [`column_groups`] member lists) to [`partition_plan_cost`] reproduces
 /// the costs the greedy loop compared.
-pub fn dpm_partitions(mesh: &Mesh2D, home: NodeId, sharers: &[NodeId]) -> Vec<Vec<NodeId>> {
-    merge_partitions(mesh, home, sharers, None).into_iter().map(|p| p.members).collect()
+pub fn dpm_partitions(
+    mesh: &Mesh2D,
+    home: NodeId,
+    sharers: &[NodeId],
+    load: Option<&LinkLoadMeter>,
+) -> Vec<Vec<NodeId>> {
+    let groups = column_groups(mesh, home, sharers);
+    merge_partitions(mesh, home, &groups, load).into_iter().map(|p| p.members).collect()
 }
 
 /// Closed-form completion estimate ([`makespan`] of solo-flight costs) of
@@ -186,10 +326,11 @@ pub(crate) fn assemble_plan(
     mesh: &Mesh2D,
     home: NodeId,
     sharers: &[NodeId],
-    penalty: Option<HopPenalty<'_>>,
+    load: Option<&LinkLoadMeter>,
     order_by_cost_desc: bool,
 ) -> InvalPlan {
-    let parts = merge_partitions(mesh, home, sharers, penalty);
+    let groups = column_groups(mesh, home, sharers);
+    let parts = merge_partitions(mesh, home, &groups, load);
     let mut worms: Vec<(SerpentineWorm, u64)> =
         parts.into_iter().flat_map(|p| p.realized).collect();
     if order_by_cost_desc {
@@ -199,7 +340,6 @@ pub(crate) fn assemble_plan(
         // (determinism).
         worms.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
     }
-    let groups = column_groups(mesh, home, sharers);
     let acks = two_phase_acks(mesh, home, &groups);
     let unique: usize = groups.iter().map(|g| g.members.len()).sum();
     InvalPlan {
@@ -254,7 +394,7 @@ impl InvalidationScheme for Dpm {
 mod tests {
     use super::*;
     use crate::plan::validate_plan;
-    use wormdsm_mesh::routing::is_conformant;
+    use wormdsm_mesh::routing::{is_conformant, PathRule};
 
     fn m8() -> Mesh2D {
         Mesh2D::square(8)
@@ -291,7 +431,7 @@ mod tests {
         ] {
             let initial: Vec<Vec<NodeId>> =
                 column_groups(&m, home, &sharers).into_iter().map(|g| g.members).collect();
-            let merged = dpm_partitions(&m, home, &sharers);
+            let merged = dpm_partitions(&m, home, &sharers, None);
             assert!(
                 partition_plan_cost(&m, home, &merged) <= partition_plan_cost(&m, home, &initial),
                 "merge made {sharers:?} worse"

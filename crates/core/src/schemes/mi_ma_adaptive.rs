@@ -26,12 +26,12 @@
 //! penalty is zero and the scheme degenerates to exactly [`Dpm`] plus the
 //! (then no-op) injection re-ordering.
 
-use super::dpm::{assemble_plan, HopPenalty};
+use super::dpm::assemble_plan;
 use super::{InvalidationScheme, SchemeKind};
 use crate::plan::InvalPlan;
 use wormdsm_mesh::network::LinkLoadMeter;
 use wormdsm_mesh::routing::BaseRouting;
-use wormdsm_mesh::topology::{Mesh2D, NodeId};
+use wormdsm_mesh::topology::{Direction, Mesh2D, NodeId};
 use wormdsm_sim::Cycle;
 
 /// Link-load summary window the scheme asks the system to attach, cycles.
@@ -45,10 +45,9 @@ pub(crate) const FEEDBACK_WINDOW: Cycle = 1024;
 pub(crate) const LOAD_PENALTY: u64 = 8;
 
 /// Per-hop penalty from the committed window: milli-occupancy of the
-/// crossed link, scaled to cycles.
-fn hop_penalty(mesh: &Mesh2D, load: &LinkLoadMeter, a: NodeId, b: NodeId) -> u64 {
-    let link = a.idx() * 4 + mesh.hop_direction(a, b).index();
-    load.load_milli(link) * LOAD_PENALTY / 1000
+/// link leaving node index `from` in direction `dir`, scaled to cycles.
+pub(crate) fn hop_penalty(load: &LinkLoadMeter, from: usize, dir: Direction) -> u64 {
+    load.load_milli(from * 4 + dir.index()) * LOAD_PENALTY / 1000
 }
 
 /// Contention-adaptive Multidestination Invalidation, two-phase
@@ -86,9 +85,7 @@ impl InvalidationScheme for MiMaAdaptive {
     ) -> InvalPlan {
         match load {
             Some(meter) if meter.commits() > 0 => {
-                let pen = |a: NodeId, b: NodeId| hop_penalty(mesh, meter, a, b);
-                let pen: HopPenalty<'_> = &pen;
-                assemble_plan(mesh, home, sharers, Some(pen), true)
+                assemble_plan(mesh, home, sharers, Some(meter), true)
             }
             _ => self.plan(mesh, home, sharers),
         }

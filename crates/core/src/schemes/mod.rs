@@ -29,7 +29,7 @@ mod mi_ua_wf;
 mod two_phase_acks;
 mod ui_ua;
 
-pub use dpm::{dpm_partitions, partition_plan_cost, Dpm};
+pub use dpm::{dpm_partitions, partition_plan_cost, worm_cost, Dpm};
 pub use mi_ma_adaptive::MiMaAdaptive;
 pub use mi_ma_col::MiMaCol;
 pub use mi_ma_tree::MiMaTree;

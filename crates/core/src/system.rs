@@ -1226,6 +1226,10 @@ impl DsmSystem {
     /// Seed `block` as Shared at `sharers` (directory + caches), bypassing
     /// the protocol — used by single-transaction experiments to set up an
     /// invalidation pattern directly.
+    ///
+    /// Panics if installing the line would evict a Modified line: the
+    /// seam bypasses the protocol, so there is no writeback to carry the
+    /// dirty data home and the system would silently lose it.
     pub fn seed_shared(&mut self, block: BlockId, sharers: &[NodeId]) {
         let home = self.geom.home_of(block);
         let entry = self.dirs[home.idx()].entry_mut(block);
@@ -1233,7 +1237,14 @@ impl DsmSystem {
         entry.state = DirState::Shared;
         for &s in sharers {
             entry.set_presence(s);
-            self.nodes[s.idx()].cache.insert(block, LineState::Shared);
+            if let Evicted::Dirty(victim) =
+                self.nodes[s.idx()].cache.insert(block, LineState::Shared)
+            {
+                panic!(
+                    "seed_shared: installing block {block} at node {s} would drop Modified \
+                     block {victim} without a writeback"
+                );
+            }
         }
     }
 

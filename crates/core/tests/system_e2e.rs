@@ -538,3 +538,25 @@ fn rectangular_mesh_works_end_to_end() {
         sys.verify_coherence().unwrap_or_else(|e| panic!("{scheme}: {e}"));
     }
 }
+
+/// Regression: seeding a shared line over a Modified line in the same
+/// cache set used to drop the dirty line without a writeback, and
+/// `verify_coherence` failed much later. The seam must refuse, naming the
+/// blocks and the node.
+#[test]
+#[should_panic(
+    expected = "seed_shared: installing block b0x807 at node n2 would drop Modified block b0x7"
+)]
+fn seed_shared_refuses_to_drop_a_modified_line() {
+    let mut sys = system(4, SchemeKind::UiUa);
+    let sets = sys.config().cache_sets as u64;
+    let a = addr_of_block(&sys, 7);
+    let writer = NodeId(2);
+    sys.issue(writer, MemOp::Write(a));
+    sys.run_until_idle(50_000).unwrap();
+    let b = sys.geometry().block_of(a);
+    assert_eq!(sys.cache_state(writer, b), Some(LineState::Modified));
+    // Same cache set, and homed at the same node as block 7.
+    let conflict = sys.geometry().block_of(addr_of_block(&sys, 7 + sets));
+    sys.seed_shared(conflict, &[writer]);
+}
