@@ -212,11 +212,11 @@ impl RunMeta {
 /// and must be ignored by determinism fingerprints / diffs: flight-
 /// recorder lifetime counters (differ by trace level), [`RunMeta`]
 /// provenance (differ by host and wall clock), and engine-execution
-/// bookkeeping — speculative-window, express-fast-path, and scratch
-/// counters record *how* the tick engine scheduled the run (tile count,
-/// probe-forced serial schedules), never *what* was simulated.
-pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 5] =
-    ["trace_events_", "run_", "net_spec_", "net_express_", "net_scratch_grows"];
+/// bookkeeping — speculation and scratch counters record *how* the tick
+/// engine scheduled the run (tile count, probe-forced serial schedules),
+/// never *what* was simulated.
+pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 4] =
+    ["trace_events_", "run_", "net_spec_", "net_scratch_grows"];
 
 fn prom_name(name: &str) -> String {
     let mut s = String::with_capacity(name.len());

@@ -26,7 +26,7 @@ use wormdsm_coherence::{
 use wormdsm_mesh::nic::{Delivery, DeliveryKind};
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
-use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network, SpecMode};
+use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network};
 use wormdsm_sim::profile::TxnProfiler;
 use wormdsm_sim::snap::{Fnv64, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::stats::BusyTime;
@@ -464,49 +464,6 @@ impl DsmSystem {
         self.net.tiles()
     }
 
-    /// Select how the parallel tick engine handles cross-tile credit
-    /// speculation (see [`SpecMode`]). Optimistic (the default) and
-    /// Pessimistic are bit-identical to the serial schedule on their own;
-    /// Detect requires a driver that rolls poisoned windows back (see
-    /// [`DsmSystem::spec_poisoned`]).
-    pub fn set_spec_mode(&mut self, mode: SpecMode) {
-        self.net.set_spec_mode(mode);
-    }
-
-    /// Enable or disable the mesh's express fast path (contention-free
-    /// flights reserved at inject and played back from memoized
-    /// profiles instead of stepped flit-by-flit; see
-    /// `wormdsm_mesh::reserve`). Bit-identical to stepped execution by
-    /// construction; off by default. Disabling mid-run materializes any
-    /// live reservations first.
-    pub fn set_express(&mut self, on: bool) {
-        self.net.set_express(on);
-    }
-
-    /// True when the express fast path is enabled.
-    pub fn express_enabled(&self) -> bool {
-        self.net.express_enabled()
-    }
-
-    /// Current speculation mode of the parallel tick engine.
-    pub fn spec_mode(&self) -> SpecMode {
-        self.net.spec_mode()
-    }
-
-    /// True when a Detect-mode parallel pass committed a cycle whose
-    /// speculation assumptions were violated since the last
-    /// [`DsmSystem::clear_spec_poisoned`] — the state may have diverged
-    /// from the serial schedule and the window must be rolled back.
-    pub fn spec_poisoned(&self) -> bool {
-        self.net.spec_poisoned()
-    }
-
-    /// Reset the sticky Detect-mode poison latch (called at a window
-    /// boundary once the window is committed or rolled back).
-    pub fn clear_spec_poisoned(&mut self) {
-        self.net.clear_spec_poisoned();
-    }
-
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -738,24 +695,13 @@ impl DsmSystem {
     /// boundary and no horizon, fall back to per-cycle stepping so
     /// `run_until_idle` timeouts still fire on genuine deadlocks.
     fn skip_dead_cycles(&mut self, horizon: Option<Cycle>) {
-        // A network whose only activity is live express reservations is
-        // dead until their next scheduled event, so that event joins the
-        // wake-up boundaries below. Any other pending network work
-        // forbids jumping.
-        let express_due = if self.net.fully_idle() {
-            None
-        } else {
-            match self.net.express_next_due() {
-                due @ Some(_) => due,
-                None => return,
-            }
-        };
+        // Any pending network work forbids jumping.
+        if !self.net.fully_idle() {
+            return;
+        }
         // Non-mutating earliest-event peek: single heap peek in the
         // cancel-free common case, tombstone-aware scan otherwise.
         let mut target = self.cal.peek_next_at();
-        if let Some(due) = express_due {
-            target = Some(target.map_or(due, |x| x.min(due)));
-        }
         for n in &self.nodes {
             if let ProcState::BusyUntil(t) = n.proc {
                 if t > self.now {
@@ -858,12 +804,8 @@ impl DsmSystem {
     /// probe) are deliberately excluded: they never influence results and
     /// restart empty after a restore. The link-load meter is **not** an
     /// observer — its committed windows feed adaptive plans — so it
-    /// travels inside the network state. Live express reservations are
-    /// materialized back into stepped state first (their profile cache
-    /// is a pure memo and does not travel), which is why saving takes
-    /// `&mut self`.
-    pub fn save_snapshot(&mut self) -> Vec<u8> {
-        self.net.materialize_all();
+    /// travels inside the network state.
+    pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u64(Self::config_fingerprint(&self.cfg, self.scheme.name()));
         w.put_str(self.scheme.name());
@@ -904,12 +846,10 @@ impl DsmSystem {
 
     /// Overwrite this system's state with a snapshot taken on the same
     /// configuration and scheme (the recorded fingerprint is enforced, so
-    /// a foreign snapshot cannot be applied by mistake). The windowed
-    /// speculative driver uses this to roll a poisoned window back
-    /// without rebuilding the system.
+    /// a foreign snapshot cannot be applied by mistake).
     ///
-    /// Runtime tile count and speculation mode survive the restore (they
-    /// are execution-strategy knobs, not simulated state). Observers do
+    /// The runtime tile count survives the restore (it is an
+    /// execution-strategy knob, not simulated state). Observers do
     /// not: the flight recorder restarts empty at its default level, and
     /// any contention probe or profiler is dropped with the old network.
     /// On error the system is left unusable for further stepping (state
@@ -921,8 +861,6 @@ impl DsmSystem {
         }
         let sys = self;
         let tiles = sys.net.tiles();
-        let spec = sys.net.spec_mode();
-        let express = sys.net.express_enabled();
         let mut r = SnapReader::new(bytes).map_err(snap_err)?;
         let fp = r.get_u64().map_err(snap_err)?;
         let scheme_name = r.get_str().map_err(snap_err)?;
@@ -977,11 +915,6 @@ impl DsmSystem {
             )));
         }
         sys.net.set_tiles(tiles);
-        sys.net.set_spec_mode(spec);
-        // Like tiles and speculation, the express fast path is an
-        // execution-strategy knob: it survives the restore (with a fresh
-        // profile cache — a pure memo that rebuilds on demand).
-        sys.net.set_express(express);
         sys.violation = None;
         sys.delivery_scratch.clear();
         Ok(())

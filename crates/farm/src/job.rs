@@ -101,6 +101,11 @@ impl JobSpec {
         if self.k < 2 {
             return Err(format!("k={} too small (need a 2x2 mesh or larger)", self.k));
         }
+        // Checked before any `k * k` below, which overflows for huge `k`.
+        if self.k > Mesh2D::MAX_DIM {
+            let max = Mesh2D::MAX_DIM;
+            return Err(format!("k={} too large (the mesh side is at most {max})", self.k));
+        }
         if self.tiles < 1 {
             return Err("tiles must be >= 1".to_string());
         }
@@ -334,6 +339,18 @@ mod tests {
         assert!(JobSpec::parse_query("app=synth&pattern=cluster&d=4").is_err(), "corner cluster");
         assert!(JobSpec::parse_query("app=synth&episodes=0").is_err());
         assert!(JobSpec::parse_query("seed=%zz").is_err(), "bad escape");
+    }
+
+    #[test]
+    fn mesh_side_is_bounded_by_the_simulator() {
+        let k = Mesh2D::MAX_DIM;
+        assert!(JobSpec::parse_query(&format!("app=lu&k={k}")).is_ok(), "largest mesh");
+        for k in [k + 1, usize::MAX] {
+            for app in ["lu", "synth&pattern=uniform"] {
+                let e = JobSpec::parse_query(&format!("app={app}&k={k}")).unwrap_err();
+                assert!(e.contains("too large"), "k={k} app={app}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 pub mod network;
 pub mod nic;
 pub mod render;
-pub mod reserve;
 pub mod router;
 pub mod routing;
 pub mod topology;
@@ -32,7 +31,6 @@ pub mod worm;
 
 pub use network::{
     ContentionProbe, ContentionWindow, Hierarchy, LinkLoadMeter, MeshConfig, NetStats, Network,
-    SpecMode,
 };
 pub use nic::{Delivery, DeliveryKind, IackMode};
 pub use routing::{BaseRouting, PathRule};

@@ -49,44 +49,31 @@
 //!   boundary could consume, in the same cycle, a credit returned by the
 //!   downstream router in the tile above. All other cross-tile credits
 //!   are returned to routers the serial sweep has already passed, so
-//!   deferring them to the barrier is exact. Under the default
-//!   [`SpecMode::Optimistic`] engine, tiles run *optimistically* with
-//!   **virtual credits**: at the one arbitration point where the
-//!   divergence can matter (`pick_link_winner` on a credit-starved
-//!   northbound first-row output), the starved candidate competes as if
-//!   one credit were available — betting the same-cycle boundary credit
-//!   *does* arrive, which under sustained streaming it almost always
-//!   does (the downstream channel drains one flit per cycle). If it wins,
-//!   the forward proceeds without decrementing the (zero) credit counter
-//!   and the borrow is recorded as a [`SpecAssume`]. At the barrier,
-//!   *before* any deferred work is applied, per-tile FNV-64 digests over
-//!   the assumed credits and the deferred credits that actually landed
-//!   on an assumed slot are compared. On a match the cycle commits
-//!   ([`NetStats::spec_commits`]) and each matched credit is swallowed —
-//!   the forward already spent it, so also returning it would mint one.
-//!   On a mismatch (the bet credit never came) the engine restores a
-//!   pre-dispatch checkpoint of every node a tile could have touched
-//!   (worklists plus their in-tile neighbors) and replays the cycle on
-//!   the single-tile serial schedule ([`NetStats::spec_rollbacks`],
-//!   [`NetStats::spec_replayed_cycles`]), which is exact by construction.
-//!   Exactness of a commit: the tiled candidate set is a superset of the
-//!   serial one, and RR arbitration picks the minimum-key candidate, so
-//!   non-winning virtual candidates can never change the winner; if the
-//!   winner's credit did arrive, the serial sweep had the identical
-//!   candidate (credit applied before `r` was swept) and made the
-//!   identical move. [`SpecMode::Pessimistic`] keeps the legacy
-//!   behaviour: a pre-tick scan (`boundary_credit_hazard`) that follows
-//!   the downstream blocking chain (`vc_could_pop`) and falls back to
-//!   the serial schedule for the whole cycle when a credit *could* be
-//!   produced (counted in [`NetStats::hazard_fallbacks`]) — pessimistic
-//!   because it surrenders the entire cycle even though the arrival
-//!   almost always matches the virtual-credit bet. [`SpecMode::Detect`]
-//!   runs optimistically without checkpoints, *skips* starved candidates
-//!   (betting no credit arrives — a mid-window virtual mis-forward could
-//!   not be undone without one), and latches a sticky poison flag on
-//!   mismatch, for drivers that speculate whole multi-cycle windows
-//!   under an external snapshot/restore (see `wormdsm-core`'s snapshot
-//!   support).
+//!   deferring them to the barrier is exact. Tiles therefore run
+//!   *optimistically* with **virtual credits**: at the one arbitration
+//!   point where the divergence can matter (`pick_link_winner` on a
+//!   credit-starved northbound first-row output), the starved candidate
+//!   competes as if one credit were available — betting the same-cycle
+//!   boundary credit *does* arrive, which under sustained streaming it
+//!   almost always does (the downstream channel drains one flit per
+//!   cycle). If it wins, the forward proceeds without decrementing the
+//!   (zero) credit counter and the borrow is recorded as a
+//!   [`SpecAssume`]. At the barrier, *before* any deferred work is
+//!   applied, per-tile FNV-64 digests over the assumed credits and the
+//!   deferred credits that actually landed on an assumed slot are
+//!   compared. On a match the cycle commits ([`NetStats::spec_commits`])
+//!   and each matched credit is swallowed — the forward already spent it,
+//!   so also returning it would mint one. On a mismatch (the bet credit
+//!   never came) the engine restores a pre-dispatch checkpoint of every
+//!   node a tile could have touched (worklists plus their in-tile
+//!   neighbors) and replays the cycle on the single-tile serial schedule
+//!   ([`NetStats::spec_rollbacks`], [`NetStats::spec_replayed_cycles`]),
+//!   which is exact by construction. Exactness of a commit: the tiled
+//!   candidate set is a superset of the serial one, and RR arbitration
+//!   picks the minimum-key candidate, so non-winning virtual candidates
+//!   can never change the winner; if the winner's credit did arrive, the
+//!   serial sweep had the identical candidate (credit applied before `r`
+//!   was swept) and made the identical move.
 //! * **Ordered replay.** Worm-table mutations from phase 3 (copy counts,
 //!   delivery state, retire order, f64 latency accumulation) are recorded
 //!   as per-tile event lists and replayed at the barrier in tile order —
@@ -97,9 +84,6 @@
 use crate::nic::{
     Delivery, DeliveryKind, GatherCheck, IackMode, NicNodeCk, NicSlab, NicTile, StreamState,
 };
-use crate::reserve::{
-    CachedProfile, ExpressEvent, ExpressProfile, ProfileKey, Reservation, ReservationTable,
-};
 use crate::router::{BufFlit, RouterNodeCk, RouterSlab, RouterTile, VcMode};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, Port, NUM_PORTS};
@@ -107,7 +91,7 @@ use crate::worm::{
     Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormRt, WormSpec, WormState, WormTable,
     NUM_VNETS,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use wormdsm_sim::trace::{FlightRecorder, TraceClass, TraceKind, TraceLevel};
@@ -323,43 +307,22 @@ pub struct NetStats {
     /// state this stays at its warm-up value: the per-cycle hot loop
     /// reuses the same buffers and allocates nothing.
     pub scratch_grows: u64,
-    /// Cycles the partitioned engine fell back to the single-tile schedule
-    /// because a northbound boundary VC could have consumed a same-cycle
-    /// credit (see the module docs). Zero when `tiles = 1` or under the
-    /// optimistic speculation engine.
-    pub hazard_fallbacks: u64,
     /// Speculative multi-tile cycles whose boundary-credit validation
     /// digests matched and committed (see the module docs). Zero when
-    /// `tiles = 1` or under [`SpecMode::Pessimistic`].
+    /// `tiles = 1`.
     pub spec_commits: u64,
     /// Speculative multi-tile cycles rolled back to the pre-dispatch
     /// checkpoint because a validation digest mismatched.
     pub spec_rollbacks: u64,
     /// Cycles re-executed on the serial schedule after a rollback. The
-    /// per-cycle engine replays exactly the mis-speculated cycle, so this
-    /// equals [`NetStats::spec_rollbacks`]; window-mode drivers that
-    /// replay whole windows add their own accounting on top.
+    /// engine replays exactly the mis-speculated cycle, so this equals
+    /// [`NetStats::spec_rollbacks`].
     pub spec_replayed_cycles: u64,
     /// Rollback causes by tile: `spec_rollback_by_tile[t]` counts the
     /// rollbacks in which tile `t`'s validation digest mismatched (a
     /// single rollback can charge several tiles). Sized by
     /// [`Network::set_tiles`].
     pub spec_rollback_by_tile: Vec<u64>,
-    /// Detect-mode digest mismatches ([`SpecMode::Detect`] latches the
-    /// poison flag instead of rolling back; this counts every latch).
-    pub spec_detect_violations: u64,
-    /// Worms whose whole flight ran on the express fast path: path
-    /// reserved at inject, deliveries fired from the memoized profile,
-    /// never stepped flit-by-flit. See [`crate::reserve`].
-    pub express_hits: u64,
-    /// Express reservations aborted by a conflicting inject or i-ack
-    /// post: the worm was rewound to its inject cycle and re-stepped
-    /// cycle-accurately to the abort point.
-    pub express_aborts: u64,
-    /// Flit-cycles of router stepping the express hits avoided
-    /// (`flight_latency x len_flits` per hit) — a throughput diagnostic,
-    /// not a simulated quantity.
-    pub express_skipped_flit_cycles: u64,
 }
 
 impl NetStats {
@@ -383,15 +346,10 @@ impl NetStats {
             gather_latency: Summary::new(),
             worm_slots_reused: 0,
             scratch_grows: 0,
-            hazard_fallbacks: 0,
             spec_commits: 0,
             spec_rollbacks: 0,
             spec_replayed_cycles: 0,
             spec_rollback_by_tile: Vec::new(),
-            spec_detect_violations: 0,
-            express_hits: 0,
-            express_aborts: 0,
-            express_skipped_flit_cycles: 0,
         }
     }
 
@@ -422,14 +380,9 @@ impl NetStats {
         r.counter("deposit_retries", self.deposit_retries);
         r.counter("worm_slots_reused", self.worm_slots_reused);
         r.counter("scratch_grows", self.scratch_grows);
-        r.counter("hazard_fallbacks", self.hazard_fallbacks);
         r.counter("spec_commits", self.spec_commits);
         r.counter("spec_rollbacks", self.spec_rollbacks);
         r.counter("spec_replayed_cycles", self.spec_replayed_cycles);
-        r.counter("spec_detect_violations", self.spec_detect_violations);
-        r.counter("express_hits", self.express_hits);
-        r.counter("express_aborts", self.express_aborts);
-        r.counter("express_skipped_flit_cycles", self.express_skipped_flit_cycles);
         for (t, &n) in self.spec_rollback_by_tile.iter().enumerate() {
             r.counter(&format!("spec_rollback_tile{t}"), n);
         }
@@ -599,16 +552,9 @@ impl ContentionProbe {
 /// row-band slice), so the committed summaries — and any plan decisions
 /// derived from them — are identical under any tiling.
 ///
-/// Two consequences follow from "deterministic given the same sim
-/// history":
-///
-/// * consumers only ever see **committed** (completed-window) data, never
-///   the in-progress window, so a plan built at cycle `t` depends only on
-///   traffic from cycles `< t - (t mod window)`;
-/// * the express fast path is refused while a meter is attached
-///   ([`Network::express_admit`]): express elides per-cycle ticks at
-///   `tiles == 1` only, which would change *when* commits happen relative
-///   to plan construction between tile counts.
+/// Consumers only ever see **committed** (completed-window) data, never
+/// the in-progress window, so a plan built at cycle `t` depends only on
+/// traffic from cycles `< t - (t mod window)`.
 ///
 /// Fast-forward stays observationally invisible too: cycles are only ever
 /// jumped over while the network is idle, so when a tick lands several
@@ -659,9 +605,8 @@ impl LinkLoadMeter {
     /// committed summary is the `link_busy` delta (that window's
     /// traffic). When several completed at once — possible only when
     /// intervening ticks were elided, which the simulator does only
-    /// across *idle* stretches (fast-forward; express is refused while a
-    /// meter is attached) — every completed window after the first was
-    /// dead, so the most recent one is all zeros. Both cases reproduce,
+    /// across *idle* stretches (fast-forward) — every completed window
+    /// after the first was dead, so the most recent one is all zeros. Both cases reproduce,
     /// bit for bit, the summary a cycle-stepped schedule would show at
     /// `now`, which keeps fast-forward invisible to adaptive consumers.
     ///
@@ -720,40 +665,14 @@ const LOCAL8: u8 = LOCAL as u8;
 /// wall-time heuristic — both paths compute bit-identical state.
 const PARALLEL_WORK_PER_TILE: usize = 12;
 
-/// How the partitioned engine resolves the one cross-tile effect the
-/// serial sweep makes observable (the same-cycle northbound boundary
-/// credit — see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpecMode {
-    /// Legacy engine: a pre-tick hazard scan falls the whole cycle back to
-    /// the serial schedule whenever a boundary credit *could* arrive.
-    Pessimistic,
-    /// Optimistic engine (default): tiles run speculatively, boundary
-    /// credit assumptions are hash-validated at the barrier, and only
-    /// mis-speculated cycles are rolled back and replayed serially.
-    #[default]
-    Optimistic,
-    /// Optimistic execution without checkpoints: a digest mismatch latches
-    /// a sticky poison flag ([`Network::spec_poisoned`]) instead of
-    /// rolling back. For drivers speculating whole multi-cycle windows
-    /// under an external snapshot/restore.
-    Detect,
-}
-
 /// One recorded speculation assumption about the same-cycle northbound
 /// boundary credit at `node`'s north output VC `vc`, validated at the
-/// barrier against the deferred [`XCredit`] traffic. The two optimistic
-/// engines bet in opposite directions:
-///
-/// * [`SpecMode::Optimistic`] records one of these when a credit-starved
-///   candidate **won** arbitration on a *virtual credit* — the bet is
-///   that the matching credit **does** arrive (it almost always does
-///   under sustained streaming, where the downstream channel drains one
-///   flit per cycle). Commit requires a matching deferred credit, which
-///   the barrier then swallows (the forward already spent it).
-/// * [`SpecMode::Detect`] records one when such a candidate was
-///   *skipped* — the bet is that no credit arrives, and any matching
-///   deferred credit poisons the window.
+/// barrier against the deferred [`XCredit`] traffic. Recorded when a
+/// credit-starved candidate **won** arbitration on a *virtual credit* —
+/// the bet is that the matching credit **does** arrive (it almost always
+/// does under sustained streaming, where the downstream channel drains
+/// one flit per cycle). Commit requires a matching deferred credit, which
+/// the barrier then swallows (the forward already spent it).
 #[derive(Debug, Clone, Copy)]
 struct SpecAssume {
     node: u32,
@@ -1056,14 +975,10 @@ struct TileView<'a> {
     /// only the single-tile schedule carries it, and an enabled probe
     /// forces that schedule.
     probe: Option<&'a mut ContentionProbe>,
-    /// Which speculation protocol governs credit-starved northbound
-    /// first-row candidates (see [`SpecAssume`]). Irrelevant when
-    /// `base == 0` (serial / first tile: no upstream boundary).
-    spec: SpecMode,
     /// Read-only borrow-eligibility stamps from
     /// [`Network::spec_borrow_scan`] (`node * vcs + vc == now` ⇒ a
     /// virtual-credit borrow is worth betting on). Empty on schedules
-    /// that never consult it (serial, rollback replay, non-optimistic).
+    /// that never consult it (serial, rollback replay).
     borrow_marks: &'a [Cycle],
 }
 
@@ -1477,15 +1392,10 @@ impl<'a> TileView<'a> {
     /// starvation on a northbound first-row output of a non-first tile is
     /// exactly the case where a same-cycle boundary credit (deferred to
     /// the barrier by the tile above) could have changed the serial
-    /// outcome. Under [`SpecMode::Optimistic`] such a candidate competes
-    /// with a borrowed *virtual credit* — betting the credit arrives; the
-    /// caller records the borrow as a [`SpecAssume`] iff the candidate
-    /// wins, and the barrier validates the bet. Under
-    /// [`SpecMode::Detect`] it is skipped and the skip recorded (betting
-    /// no credit arrives), since without a checkpoint a mis-forward could
-    /// not be undone. Under [`SpecMode::Pessimistic`] the pre-tick hazard
-    /// scan already proved no boundary credit can arrive, so the skip is
-    /// exact and needs no record. Candidates skipped for any other reason
+    /// outcome. Such a candidate competes with a borrowed *virtual
+    /// credit* — betting the credit arrives; the caller records the
+    /// borrow as a [`SpecAssume`] iff the candidate wins, and the barrier
+    /// validates the bet. Candidates skipped for any other reason
     /// (input already used, flit not ready, absorb channel full) lose
     /// identically under both schedules — those checks read state only
     /// this tile writes — and need no record; and because arbitration
@@ -1523,28 +1433,13 @@ impl<'a> TileView<'a> {
                     continue;
                 }
             }
-            if starved {
-                match self.spec {
-                    // Borrow a virtual credit and compete normally — but
-                    // only where the pre-dispatch chain scan stamped the
-                    // slot as able to receive the same-cycle credit; an
-                    // unstamped slot provably cannot (`vc_could_pop`
-                    // false is exact), so the skip needs no validation.
-                    SpecMode::Optimistic => {
-                        if self.borrow_marks.get(r * vcs + out_vc).copied() != Some(now) {
-                            continue;
-                        }
-                    }
-                    // Record the skip for window-poison validation.
-                    SpecMode::Detect => {
-                        self.scratch
-                            .assumptions
-                            .push(SpecAssume { node: r as u32, vc: out_vc as u8 });
-                        continue;
-                    }
-                    // The hazard scan guaranteed no credit arrives.
-                    SpecMode::Pessimistic => continue,
-                }
+            // Borrow a virtual credit and compete normally — but only
+            // where the pre-dispatch chain scan stamped the slot as able
+            // to receive the same-cycle credit; an unstamped slot provably
+            // cannot (`vc_could_pop` false is exact), so the skip needs no
+            // validation.
+            if starved && self.borrow_marks.get(r * vcs + out_vc).copied() != Some(now) {
+                continue;
             }
             let key = (in_port * vcs + in_vc + total - rr % total) % total;
             if best.is_none_or(|(bk, _)| key < bk) {
@@ -1663,9 +1558,8 @@ impl<'a> TileView<'a> {
     }
 
     /// Return one credit to the upstream router for the vacated slot. A
-    /// boundary crossing defers to the barrier; the pre-tick hazard scan
-    /// guarantees the upstream router cannot observe the difference (see
-    /// the module docs).
+    /// boundary crossing defers to the barrier; the barrier's speculation
+    /// settlement makes the deferral exact (see the module docs).
     fn return_credit(&mut self, r: usize, in_port: usize, in_vc: usize) {
         if in_port == LOCAL {
             return; // NIC injection checks buffer space directly.
@@ -1920,84 +1814,6 @@ fn build_link_extra(cfg: &MeshConfig) -> Vec<Cycle> {
     extra
 }
 
-/// Bit-packed delivery mask for the express-cache key. All-ones (with
-/// the high sentinel bits a real <= 16-entry mask can never set)
-/// distinguishes "no mask" from an all-true mask.
-fn spec_deliver_bits(spec: &WormSpec) -> u32 {
-    match &spec.deliver {
-        None => u32::MAX,
-        Some(mask) => {
-            let mut bits = 0u32;
-            for i in 0..mask.len() {
-                bits |= (mask[i] as u32) << i;
-            }
-            bits
-        }
-    }
-}
-
-/// [`WormKind`] discriminant for the express-cache key.
-fn spec_kind_bits(spec: &WormSpec) -> u8 {
-    match spec.kind {
-        WormKind::Unicast => 0,
-        WormKind::Multicast => 1,
-        WormKind::Gather => 2,
-    }
-}
-
-/// Hash of `spec`'s flight shape — the same fields [`profile_key`]
-/// copies, folded without allocating, so the admission hot path can
-/// probe the cache key-free. `deliver_bits` is passed in (the caller
-/// needs it again for the full-key match on a bucket hit).
-fn spec_shape_hash(spec: &WormSpec, deliver_bits: u32) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(spec.src.0 as u64);
-    h.write_u64(spec.vnet.index() as u64);
-    h.write_u64(spec_kind_bits(spec) as u64);
-    h.write_u64(spec.len_flits as u64);
-    h.write_u64(spec.reserve_iack as u64);
-    h.write_u64(spec.initial_acks as u64);
-    h.write_u64(deliver_bits as u64);
-    h.write_u64(spec.dests.len() as u64);
-    for d in &spec.dests {
-        h.write_u64(d.0 as u64);
-    }
-    h.finish()
-}
-
-/// Full-key comparison of `spec` against a stored [`ProfileKey`] (bucket
-/// probes verify the whole shape, so hash collisions stay correct).
-fn spec_matches_key(spec: &WormSpec, deliver_bits: u32, k: &ProfileKey) -> bool {
-    k.src == spec.src.0
-        && k.vnet == spec.vnet.index() as u8
-        && k.kind == spec_kind_bits(spec)
-        && k.len_flits == spec.len_flits
-        && k.reserve_iack == spec.reserve_iack
-        && k.initial_acks == spec.initial_acks
-        && k.deliver_bits == deliver_bits
-        && k.dests.len() == spec.dests.len()
-        && k.dests.iter().zip(&spec.dests).all(|(a, b)| *a == b.0)
-}
-
-/// Express-cache key for `spec`'s flight shape: everything that can
-/// influence an uncontended flight through a pristine network of a fixed
-/// configuration. Payload and transaction id are deliberately absent —
-/// they ride through deliveries untouched and never steer a flit. Built
-/// only on cache misses; hot-path probes hash and compare the spec
-/// directly ([`spec_shape_hash`], [`spec_matches_key`]).
-fn profile_key(spec: &WormSpec) -> ProfileKey {
-    ProfileKey {
-        src: spec.src.0,
-        dests: spec.dests.iter().map(|d| d.0).collect(),
-        vnet: spec.vnet.index() as u8,
-        kind: spec_kind_bits(spec),
-        len_flits: spec.len_flits,
-        reserve_iack: spec.reserve_iack,
-        initial_acks: spec.initial_acks,
-        deliver_bits: spec_deliver_bits(spec),
-    }
-}
-
 /// The whole wormhole-routed mesh: routers, NICs, worms, clock.
 ///
 /// `tick` iterates *worklists* rather than sweeping every node: a router
@@ -2057,16 +1873,14 @@ pub struct Network {
     /// Optional windowed link-load summary (None unless enabled via
     /// [`Network::enable_link_load`]). Fed from `NetStats::link_busy`
     /// deltas at window boundaries, so it does *not* force the serial
-    /// tick schedule. Plan-affecting state: snapshotted, and its presence
-    /// refuses express admissions (see [`LinkLoadMeter`]).
+    /// tick schedule. Plan-affecting state: snapshotted (see
+    /// [`LinkLoadMeter`]).
     link_load: Option<Box<LinkLoadMeter>>,
     /// First mesh-level invariant violation (sticky). The protocol layer
     /// polls this each step and converts it into a structured error.
     violation: Option<String>,
-    /// Boundary-credit resolution strategy for the multi-tile schedule.
-    spec: SpecMode,
-    /// Pre-dispatch checkpoint for the optimistic engine (pooled buffers;
-    /// unused in the other modes).
+    /// Pre-dispatch checkpoint for the multi-tile schedule (pooled
+    /// buffers).
     spec_ck: SpecCheckpoint,
     /// Per-`(node, vc)` borrow-eligibility stamps written by
     /// [`Network::spec_borrow_scan`]: slot `n * vcs + vc` equals the
@@ -2075,16 +1889,6 @@ pub struct Network {
     /// snapshotted (stale stamps can only change *which bet* a future
     /// cycle makes, and both bet outcomes are exact).
     borrow_marks: Vec<Cycle>,
-    /// Sticky [`SpecMode::Detect`] poison flag: a speculative cycle since
-    /// the last [`Network::clear_spec_poisoned`] mismatched its
-    /// validation digest, so the state may differ from the serial
-    /// schedule's and the driver must restore its window snapshot.
-    spec_poisoned: bool,
-    /// Express fast-path state: memoized flight profiles plus the live
-    /// path reservations (see [`crate::reserve`]). `None` unless enabled
-    /// via [`Network::set_express`]; never snapshotted (the cache is a
-    /// pure memo and reservations are materialized before saving).
-    express: Option<Box<ReservationTable>>,
 }
 
 impl Network {
@@ -2131,11 +1935,8 @@ impl Network {
             probe: None,
             link_load: None,
             violation: None,
-            spec: SpecMode::default(),
             spec_ck: SpecCheckpoint::default(),
             borrow_marks: Vec::new(),
-            spec_poisoned: false,
-            express: None,
         };
         net.set_tiles(tiles);
         net
@@ -2174,30 +1975,6 @@ impl Network {
     /// Current tile count of the partitioned tick engine (1 = serial).
     pub fn tiles(&self) -> usize {
         self.cfg.tiles
-    }
-
-    /// Select the boundary-credit resolution strategy (see [`SpecMode`]).
-    /// Takes effect from the next tick; every mode computes bit-identical
-    /// state except [`SpecMode::Detect`], whose divergence is reported
-    /// through [`Network::spec_poisoned`] for the driver to undo.
-    pub fn set_spec_mode(&mut self, mode: SpecMode) {
-        self.spec = mode;
-    }
-
-    /// Current boundary-credit resolution strategy.
-    pub fn spec_mode(&self) -> SpecMode {
-        self.spec
-    }
-
-    /// True when a [`SpecMode::Detect`] cycle mismatched its validation
-    /// digest since the last [`Network::clear_spec_poisoned`].
-    pub fn spec_poisoned(&self) -> bool {
-        self.spec_poisoned
-    }
-
-    /// Reset the detect-mode poison flag (window committed or restored).
-    pub fn clear_spec_poisoned(&mut self) {
-        self.spec_poisoned = false;
     }
 
     /// Enable worm-table slot recycling: retired worms (delivered, all
@@ -2308,8 +2085,7 @@ impl Network {
     /// Enable the windowed link-load summary with `window`-cycle commits
     /// (replaces any previous meter). Unlike the contention probe this
     /// does not force the serial tick schedule — see [`LinkLoadMeter`]
-    /// for the determinism argument — but it does refuse express
-    /// admissions while attached.
+    /// for the determinism argument.
     pub fn enable_link_load(&mut self, window: Cycle) {
         self.link_load = Some(Box::new(LinkLoadMeter::new(self.cfg.mesh.nodes(), window)));
     }
@@ -2377,17 +2153,6 @@ impl Network {
             spec.src,
             spec.dests,
         );
-        // Express fast path: admit the worm as a path reservation if its
-        // whole flight is determined at this cycle (otherwise-idle
-        // network, memoizable profile, no conflict with live
-        // reservations). An inject that cannot join the express schedule
-        // materializes every live reservation back into stepped state
-        // first — a stepped worm and a reserved flight must never
-        // coexist.
-        let express = self.express_admit(&spec);
-        if express.is_none() {
-            self.materialize_all();
-        }
         let vnet = spec.vnet;
         let src = spec.src;
         let tr = self
@@ -2408,20 +2173,8 @@ impl Network {
             };
             self.trace.push(self.now, ev);
         }
-        match express {
-            Some((profile, cache_ref)) => {
-                // The stepped schedule would enqueue here (depth 1: the
-                // admission invariant guarantees an empty queue); keep
-                // the backlog high-water mark in step.
-                self.nics.note_inject_backlog(src.idx(), 1);
-                let ex = self.express.as_mut().expect("admission implies express enabled");
-                ex.live.push(Reservation { wid: id, at: self.now, profile, fired: 0, cache_ref });
-            }
-            None => {
-                self.nics.enqueue(src.idx(), vnet, id);
-                self.activate_nic(src.idx());
-            }
-        }
+        self.nics.enqueue(src.idx(), vnet, id);
+        self.activate_nic(src.idx());
         self.stats.worms_injected[vnet.index()] += 1;
         self.live_worms += 1;
         id
@@ -2437,14 +2190,6 @@ impl Network {
 
     /// Post `count` acks worth for `txn` at `node`.
     pub fn post_iack_count(&mut self, node: NodeId, txn: TxnId, count: u32) -> bool {
-        // A post into a node covered by a live express reservation could
-        // change which i-ack entry the reserved flight's deferred
-        // i-reserve lands in: materialize first, so the reservation's
-        // worm interleaves with the post exactly as the stepped schedule
-        // would.
-        if self.express.as_ref().is_some_and(|e| e.covers(node.idx())) {
-            self.materialize_all();
-        }
         // A post can resolve a parked worm onto the resume queue.
         self.activate_nic(node.idx());
         !self.nics.post_iack_count(node.idx(), txn, count).is_no_space()
@@ -2485,52 +2230,7 @@ impl Network {
         self.nics.delivered_mut(node.idx()).pop_front()
     }
 
-    /// True when a first-row router of any tile but the first could send
-    /// north across its tile boundary this cycle if the downstream router
-    /// returned a credit mid-cycle — the one cross-tile effect the serial
-    /// ascending sweep makes observable (see the module docs).
-    ///
-    /// The scan is precise in the direction that matters: it flags a
-    /// hazard only when (a) the boundary output VC is allocated, starved,
-    /// and fed by a ready flit, *and* (b) [`Self::vc_could_pop`] says the
-    /// downstream router could actually vacate the matching input slot
-    /// this cycle under the serial schedule. Without (b), every cycle of
-    /// sustained congestion at a boundary (starved upstream, but the
-    /// downstream chain blocked too, so no credit moves anywhere) would
-    /// fall back to the serial schedule and erase the parallel win — the
-    /// common case in the busy-cycle regime. Remaining approximations
-    /// (arbitration could still pick another input) are one-sided: false
-    /// positives cost one serial-schedule cycle, never accuracy.
-    fn boundary_credit_hazard(&self, now: Cycle) -> bool {
-        let vcs = self.cfg.vcs_total();
-        let width = self.cfg.mesh.width();
-        let north = Direction::North.index();
-        let south = Direction::South.index();
-        for b in &self.tile_bounds[1..] {
-            for u in b.start..b.start + width {
-                if self.routers.flits(u) == 0 {
-                    continue;
-                }
-                for vc in 0..vcs {
-                    let Some((ip, iv)) = self.routers.alloc(u, north, vc) else { continue };
-                    if self.routers.credit(u, north, vc) != 0 {
-                        continue;
-                    }
-                    // `front_ready` is `Cycle::MAX` when empty, so one
-                    // comparison covers "no flit" and "not ready".
-                    if self.routers.front_ready(u, ip, iv) <= now
-                        && self.vc_could_pop(now, u - width, south, vc)
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Pre-dispatch borrow-eligibility scan for the optimistic engine:
-    /// the per-slot refinement of [`Network::boundary_credit_hazard`].
+    /// Pre-dispatch borrow-eligibility scan for the multi-tile schedule.
     /// For every starved, ready northbound first-row candidate, follow
     /// the downstream blocking chain ([`Network::vc_could_pop`]) and
     /// stamp the slot with `now` when the same-cycle boundary credit is
@@ -2711,20 +2411,16 @@ impl Network {
     /// the assumed slots. Deposits need no digesting: the lookahead
     /// invariant makes a deposited flit invisible in the cycle it is
     /// made, assumed and actual alike. Returns true when any tile's
-    /// digests differ; charges [`NetStats::spec_rollback_by_tile`] under
-    /// the optimistic engine.
+    /// digests differ, charging [`NetStats::spec_rollback_by_tile`].
     ///
-    /// * [`SpecMode::Optimistic`]: each assumption is a virtual credit a
-    ///   winning forward already spent, so the assumed digest covers the
-    ///   recorded `(node, vc)` borrows and the actual digest covers the
-    ///   distinct matching deferred north credits. When *every* tile
-    ///   matches, the matched credits are swallowed before the barrier
-    ///   applies the rest — returning a spent credit would mint one.
-    ///   (At most one north winner per node per cycle and at most one
-    ///   credit per `(node, vc)` per cycle, so matching is 1:1.)
-    /// * [`SpecMode::Detect`]: each assumption is a *skipped* starved
-    ///   candidate, the assumed digest is the empty sequence, and any
-    ///   deferred credit landing on an assumed slot is a mismatch.
+    /// Each assumption is a virtual credit a winning forward already
+    /// spent, so the assumed digest covers the recorded `(node, vc)`
+    /// borrows and the actual digest covers the distinct matching
+    /// deferred north credits. When *every* tile matches, the matched
+    /// credits are swallowed before the barrier applies the rest —
+    /// returning a spent credit would mint one. (At most one north winner
+    /// per node per cycle and at most one credit per `(node, vc)` per
+    /// cycle, so matching is 1:1.)
     fn spec_validate(&mut self) -> bool {
         let total: usize = self.tile_scratch.iter().map(|s| s.assumptions.len()).sum();
         if total == 0 {
@@ -2732,86 +2428,56 @@ impl Network {
         }
         let north = Direction::North.index();
         let mut any = false;
-        if self.spec == SpecMode::Optimistic {
-            // (scratch index, credit index) of credits consumed by a
-            // virtual forward, pending swallow on commit.
-            let mut matched: Vec<(usize, usize)> = Vec::new();
-            for t in 0..self.tile_scratch.len() {
-                let n_assume = self.tile_scratch[t].assumptions.len();
-                if n_assume == 0 {
-                    continue;
-                }
-                let mut assumed = Fnv64::new();
-                let mut actual = Fnv64::new();
-                let before = matched.len();
-                for i in 0..n_assume {
-                    let a = self.tile_scratch[t].assumptions[i];
-                    assumed.write_u64(a.node as u64);
-                    assumed.write_u32(a.vc as u32);
-                    'search: for (si, s) in self.tile_scratch.iter().enumerate() {
-                        for (ci, c) in s.credits.iter().enumerate() {
-                            if c.port == north
-                                && c.node == a.node as usize
-                                && c.vc == a.vc as usize
-                                && !matched.contains(&(si, ci))
-                            {
-                                actual.write_u64(c.node as u64);
-                                actual.write_u32(c.vc as u32);
-                                matched.push((si, ci));
-                                break 'search;
-                            }
-                        }
-                    }
-                }
-                let mismatch = assumed.finish() != actual.finish();
-                debug_assert_eq!(
-                    mismatch,
-                    matched.len() - before < n_assume,
-                    "validation digest must track unmatched borrows"
-                );
-                if mismatch {
-                    any = true;
-                    self.stats.spec_rollback_by_tile[t] += 1;
-                }
+        // (scratch index, credit index) of credits consumed by a virtual
+        // forward, pending swallow on commit.
+        let mut matched: Vec<(usize, usize)> = Vec::new();
+        for t in 0..self.tile_scratch.len() {
+            let n_assume = self.tile_scratch[t].assumptions.len();
+            if n_assume == 0 {
+                continue;
             }
-            if !any {
-                // Commit: swallow each borrowed credit. Descending index
-                // per scratch keeps `swap_remove` targets valid (every
-                // matched index above the current one is already gone);
-                // credit application is commutative, so order of the
-                // survivors is irrelevant.
-                matched.sort_unstable_by(|a, b| b.cmp(a));
-                for (si, ci) in matched {
-                    self.tile_scratch[si].credits.swap_remove(ci);
-                }
-            }
-        } else {
-            let assumed = Fnv64::new().finish();
-            for t in 0..self.tile_scratch.len() {
-                let assumptions = &self.tile_scratch[t].assumptions;
-                if assumptions.is_empty() {
-                    continue;
-                }
-                let mut actual = Fnv64::new();
-                let mut matches = 0u32;
-                for s in &self.tile_scratch {
-                    for c in &s.credits {
+            let mut assumed = Fnv64::new();
+            let mut actual = Fnv64::new();
+            let before = matched.len();
+            for i in 0..n_assume {
+                let a = self.tile_scratch[t].assumptions[i];
+                assumed.write_u64(a.node as u64);
+                assumed.write_u32(a.vc as u32);
+                'search: for (si, s) in self.tile_scratch.iter().enumerate() {
+                    for (ci, c) in s.credits.iter().enumerate() {
                         if c.port == north
-                            && assumptions
-                                .iter()
-                                .any(|a| a.node as usize == c.node && a.vc as usize == c.vc)
+                            && c.node == a.node as usize
+                            && c.vc == a.vc as usize
+                            && !matched.contains(&(si, ci))
                         {
                             actual.write_u64(c.node as u64);
                             actual.write_u32(c.vc as u32);
-                            matches += 1;
+                            matched.push((si, ci));
+                            break 'search;
                         }
                     }
                 }
-                let mismatch = actual.finish() != assumed;
-                debug_assert_eq!(mismatch, matches > 0, "validation digest must track matches");
-                if mismatch {
-                    any = true;
-                }
+            }
+            let mismatch = assumed.finish() != actual.finish();
+            debug_assert_eq!(
+                mismatch,
+                matched.len() - before < n_assume,
+                "validation digest must track unmatched borrows"
+            );
+            if mismatch {
+                any = true;
+                self.stats.spec_rollback_by_tile[t] += 1;
+            }
+        }
+        if !any {
+            // Commit: swallow each borrowed credit. Descending index per
+            // scratch keeps `swap_remove` targets valid (every matched
+            // index above the current one is already gone); credit
+            // application is commutative, so order of the survivors is
+            // irrelevant.
+            matched.sort_unstable_by(|a, b| b.cmp(a));
+            for (si, ci) in matched {
+                self.tile_scratch[si].credits.swap_remove(ci);
             }
         }
         any
@@ -2855,7 +2521,6 @@ impl Network {
             tile_scratch,
             trace,
             probe,
-            spec,
             ..
         } = self;
         let shared = SharedWorms::new(worms);
@@ -2877,7 +2542,6 @@ impl Network {
             probe: probe.as_deref_mut(),
             // `base == 0` disables speculation, so the replay is the
             // exact serial reference schedule.
-            spec: *spec,
             borrow_marks: &[],
         };
         view.run_pass(now, router_work, nic_work);
@@ -2886,13 +2550,6 @@ impl Network {
     /// Advance one cycle.
     pub fn tick(&mut self) {
         self.now += 1;
-        // Express deliveries scheduled for this cycle fire before the
-        // phases run, mirroring where the stepped schedule would produce
-        // them (inside this tick): the system observes them after the
-        // tick either way. One branch when no reservation is live.
-        if self.express.as_ref().is_some_and(|e| !e.live.is_empty()) {
-            self.express_fire_due();
-        }
         let now = self.now;
         // Commit completed link-load windows before any of this cycle's
         // traffic is stepped: the meter's committed summaries then depend
@@ -2931,24 +2588,11 @@ impl Network {
         // tile pass, and only the serial view carries the recorder and
         // probe. Bit-identical either way.
         let trace_serial = self.trace.wants(TraceClass::Flit) || self.probe.is_some();
-        let multi = configured > 1 && enough_work && !trace_serial;
-        let parallel = multi
-            && match self.spec {
-                // Legacy engine: give the whole cycle up whenever a
-                // boundary credit *could* arrive.
-                SpecMode::Pessimistic => !self.boundary_credit_hazard(now),
-                // Optimistic engines run the tiles unconditionally and
-                // settle up at the barrier.
-                SpecMode::Optimistic | SpecMode::Detect => true,
-            };
-        if multi && !parallel {
-            self.stats.hazard_fallbacks += 1;
-        }
-        // Optimistic engine: stamp the slots where a virtual-credit
-        // borrow is worth betting on, then checkpoint everything this
-        // cycle's tile pass could write, so a validation mismatch can
-        // roll the cycle back.
-        if parallel && self.spec == SpecMode::Optimistic {
+        let parallel = configured > 1 && enough_work && !trace_serial;
+        // Stamp the slots where a virtual-credit borrow is worth betting
+        // on, then checkpoint everything this cycle's tile pass could
+        // write, so a validation mismatch can roll the cycle back.
+        if parallel {
             self.spec_borrow_scan(now);
             self.spec_capture(&router_work, &nic_work);
         }
@@ -2971,7 +2615,6 @@ impl Network {
                 pool,
                 trace,
                 probe,
-                spec,
                 borrow_marks,
                 ..
             } = self;
@@ -2980,8 +2623,8 @@ impl Network {
             let shared = SharedWorms::new(worms);
 
             if bounds.len() == 1 {
-                // Single-tile schedule (T = 1, thin cycles, hazard
-                // fallback): the whole mesh is one view — no slice
+                // Single-tile schedule (T = 1, thin cycles, forced
+                // serial): the whole mesh is one view — no slice
                 // carving, no job vector, no per-tick allocation.
                 let mut view = TileView {
                     base: 0,
@@ -2999,7 +2642,6 @@ impl Network {
                     scratch: &mut tile_scratch[0],
                     trace: Some(trace),
                     probe: probe.as_deref_mut(),
-                    spec: *spec,
                     borrow_marks: &[],
                 };
                 view.run_pass(now, &router_work, &nic_work);
@@ -3021,7 +2663,6 @@ impl Network {
                     &router_work,
                     &nic_work,
                     pool.as_ref().expect("pool exists when tiles > 1"),
-                    *spec,
                     borrow_marks.as_slice(),
                 );
             }
@@ -3031,19 +2672,11 @@ impl Network {
         // compare each tile's assumed and actual boundary-credit digests.
         // A mismatch means the serial schedule might have moved a flit
         // this cycle that the speculative pass did not (or vice versa):
-        // roll back and replay serially (optimistic) or latch the poison
-        // flag for the window driver (detect).
-        if parallel && self.spec != SpecMode::Pessimistic {
+        // roll back and replay serially.
+        if parallel {
             if self.spec_validate() {
-                match self.spec {
-                    SpecMode::Optimistic => self.spec_rollback(now, &router_work, &nic_work),
-                    SpecMode::Detect => {
-                        self.spec_poisoned = true;
-                        self.stats.spec_detect_violations += 1;
-                    }
-                    SpecMode::Pessimistic => unreachable!("excluded above"),
-                }
-            } else if self.spec == SpecMode::Optimistic {
+                self.spec_rollback(now, &router_work, &nic_work);
+            } else {
                 self.stats.spec_commits += 1;
             }
         }
@@ -3106,7 +2739,6 @@ fn run_tiles<'a>(
     router_work: &'a [usize],
     nic_work: &'a [usize],
     pool: &WorkerPool,
-    spec: SpecMode,
     borrow_marks: &'a [Cycle],
 ) {
     let mut routers_rest = routers;
@@ -3151,7 +2783,6 @@ fn run_tiles<'a>(
             scratch: scratch_iter.next().expect("scratch per tile"),
             trace: None,
             probe: None,
-            spec,
             borrow_marks,
         };
         jobs.push(Mutex::new((view, rw, nw)));
@@ -3205,505 +2836,6 @@ impl Network {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Express fast path: profile-memoized contention-free flights (see
-    // `crate::reserve` for the data structures and the protocol
-    // overview). All methods here preserve bit-identity with the pure
-    // stepped schedule; the only excluded counter is `scratch_grows`
-    // (allocator warm-up, the same class the snapshot path documents).
-    // ------------------------------------------------------------------
-
-    /// Enable or disable the express fast path. Off by default; enabling
-    /// is bit-identical by construction, trading per-inject admission
-    /// checks for skipped busy cycles — a win in the sparse
-    /// request/reply regime the paper's applications spend most of their
-    /// post-fast-forward cycles in. Disabling materializes any live
-    /// reservations first, so it is safe mid-run.
-    pub fn set_express(&mut self, on: bool) {
-        if on {
-            if self.express.is_none() {
-                self.express = Some(Box::default());
-            }
-        } else {
-            self.materialize_all();
-            self.express = None;
-        }
-    }
-
-    /// True when the express fast path is enabled.
-    pub fn express_enabled(&self) -> bool {
-        self.express.is_some()
-    }
-
-    /// Number of worms currently in flight on the fast path.
-    pub fn express_live(&self) -> usize {
-        self.express.as_ref().map_or(0, |e| e.live.len())
-    }
-
-    /// Try to admit `spec` to the express fast path at the current
-    /// cycle. Returns the flight profile to reserve, or `None` when the
-    /// worm must step — in which case the caller materializes every live
-    /// reservation first, because a stepped worm and a reserved flight
-    /// must never coexist.
-    fn express_admit(&mut self, spec: &WormSpec) -> Option<(Arc<ExpressProfile>, (u64, u32))> {
-        self.express.as_ref()?;
-        // Observers and the tiled schedule need real per-cycle stepping;
-        // gather worms interact with i-ack arrival order in ways a
-        // pre-committed schedule cannot model (parks, bounces).
-        // The link-load meter additionally pins the per-cycle tick
-        // sequence: express elides ticks at `tiles == 1` only, which
-        // would let window commits land differently relative to plan
-        // construction between tile counts.
-        if self.cfg.tiles != 1
-            || self.trace.level() != TraceLevel::Off
-            || self.probe.is_some()
-            || self.link_load.is_some()
-            || self.violation.is_some()
-            || spec.kind == WormKind::Gather
-            || spec.gather_deposit
-        {
-            return None;
-        }
-        // The whole flight is determined at inject only when nothing
-        // else is stepping: every live worm must itself be reserved and
-        // no node may hold deferred phase work.
-        let ex = self.express.as_ref().expect("checked above");
-        if self.live_worms != ex.live.len()
-            || !self.active_routers.is_empty()
-            || !self.active_nics.is_empty()
-        {
-            return None;
-        }
-        // Every flight's node set contains its source, so a live
-        // reservation covering the source already dooms the disjointness
-        // check — bail before touching the cache at all.
-        if !ex.live.is_empty() && ex.covers(spec.src.idx()) {
-            return None;
-        }
-        let deliver_bits = spec_deliver_bits(spec);
-        let hash = spec_shape_hash(spec, deliver_bits);
-        let ex = self.express.as_mut().expect("checked above");
-        let (profile, cache_ref) =
-            match ex.cache.lookup_mut(hash, |k| spec_matches_key(spec, deliver_bits, k)) {
-                Some((idx, entry)) => match &entry.profile {
-                    CachedProfile::Refused => return None,
-                    CachedProfile::Usable(p) => {
-                        let p = Arc::clone(p);
-                        if entry.penalty_refuses() {
-                            return None;
-                        }
-                        (p, (hash, idx))
-                    }
-                },
-                None => {
-                    let mut scratch = ex.scratch.take();
-                    let entry = self.express_extract(spec, &mut scratch);
-                    let ex = self.express.as_mut().expect("checked above");
-                    ex.scratch = scratch;
-                    ex.cache.misses += 1;
-                    let idx = ex.cache.insert(hash, profile_key(spec), entry.clone());
-                    match entry {
-                        CachedProfile::Usable(p) => (p, (hash, idx)),
-                        CachedProfile::Refused => return None,
-                    }
-                }
-            };
-        let ex = self.express.as_ref().expect("checked above");
-        if !ex.admits(&profile, self.now) {
-            return None;
-        }
-        // The profile was extracted against pristine NICs; the real ones
-        // must look identical everywhere the flight touches them: all
-        // consumption channels free at every delivery node, and an i-ack
-        // entry free wherever the head reserves one (the first-free slot
-        // the completion writes then matches the stepped head's pick,
-        // because nothing can mutate those rows mid-reservation — posts
-        // to covered nodes materialize, and other reservations are
-        // node-disjoint).
-        for ev in &profile.events {
-            if self.nics.free_cons_count(ev.node) != self.cfg.cons_channels {
-                return None;
-            }
-        }
-        for &n in &profile.iack_nodes {
-            if self.nics.count_free_iack(n) == 0 {
-                return None;
-            }
-        }
-        Some((profile, cache_ref))
-    }
-
-    /// Step `spec` through a pristine single-tile scratch network of the
-    /// same configuration and record its flight profile — or a memoized
-    /// refusal when the flight violates an express invariant (post-final
-    /// residual drain, blocking, parking: anything whose replay is not a
-    /// pure delivery schedule plus a final-state write).
-    ///
-    /// The scratch network is reused across extractions through `slot`:
-    /// offsets are recorded relative to the scratch clock at entry, and a
-    /// usable extraction resets every piece of state the flight is known
-    /// to have touched (exactly the profile's own residue lists) before
-    /// handing the network back. A refusal leaves the scratch mid-flight
-    /// in an unknown state, so the slot stays empty and the next miss
-    /// allocates fresh — memoization makes that a once-per-shape cost.
-    fn express_extract(&self, spec: &WormSpec, slot: &mut Option<Box<Network>>) -> CachedProfile {
-        let mut scratch = slot.take().unwrap_or_else(|| {
-            let mut cfg = self.cfg.clone();
-            cfg.tiles = 1;
-            Box::new(Network::new(cfg))
-        });
-        let base = scratch.now;
-        let id = scratch.inject(spec.clone());
-        let mut events = Vec::new();
-        let mut node_buf: Vec<NodeId> = Vec::new();
-        // A contention-free flight is bounded by path hops x per-hop
-        // delay + serialization; a flight blowing through this generous
-        // cap is wedged, not expressible.
-        let dims = (self.cfg.mesh.width() + self.cfg.mesh.height()) as u64;
-        let cap = base + 4096 + 64 * (dims + spec.len_flits as u64);
-        while !scratch.fully_idle() {
-            if scratch.now >= cap {
-                return CachedProfile::Refused;
-            }
-            scratch.tick();
-            scratch.take_delivery_nodes(&mut node_buf);
-            for &n in &node_buf {
-                while let Some(d) = scratch.pop_delivery(n) {
-                    events.push(ExpressEvent {
-                        rel: scratch.now - base,
-                        node: n.idx(),
-                        kind: d.kind,
-                    });
-                }
-            }
-        }
-        let w = scratch.worms.get(id);
-        if w.state != WormState::Delivered || w.copies != 0 {
-            return CachedProfile::Refused;
-        }
-        // The final consumption must be the last thing the flight does:
-        // a flight with absorb copies still draining after its tail
-        // (possible when a copy waits on a slow consumption FIFO) would
-        // need post-final events, which the completion path doesn't
-        // model — refuse and always step those shapes.
-        let final_rel = match w.delivered_at {
-            Some(t) if t == scratch.now => t - base,
-            _ => return CachedProfile::Refused,
-        };
-        let injected_at_rel = match w.injected_at {
-            Some(t) => t - base,
-            None => return CachedProfile::Refused,
-        };
-        let (turned, dest_idx, acks) = (w.turned, w.dest_idx, w.acks);
-        let s = &scratch.stats;
-        if s.gather_blocked_cycles != 0
-            || s.multicast_blocked_cycles != 0
-            || s.parks != 0
-            || s.bounces != 0
-            || s.resumes != 0
-            || s.deposits != 0
-            || s.deposit_retries != 0
-            || s.hazard_fallbacks != 0
-        {
-            return CachedProfile::Refused;
-        }
-        let finals = events.iter().filter(|e| e.kind == DeliveryKind::Final).count();
-        match events.last() {
-            Some(last) if finals == 1 && last.kind == DeliveryKind::Final => {
-                if last.rel != final_rel {
-                    return CachedProfile::Refused;
-                }
-            }
-            _ => return CachedProfile::Refused,
-        }
-        let link_busy: Vec<(usize, u64)> = s
-            .link_busy
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b != 0)
-            .map(|(l, &b)| (l, b))
-            .collect();
-        let nnodes = self.cfg.mesh.nodes();
-        let mut rr = Vec::new();
-        for n in 0..nnodes {
-            for port in 0..NUM_PORTS {
-                let v = scratch.routers.rr(n, port);
-                if v != 0 {
-                    rr.push((n, port, v));
-                }
-            }
-        }
-        let mut iack_nodes = Vec::new();
-        for n in 0..nnodes {
-            if scratch.nics.count_free_iack(n) < self.cfg.iack_buffers {
-                iack_nodes.push(n);
-            }
-        }
-        // Every node the flight touches: the source, every router that
-        // granted a link or moved a flit, every delivery node, every
-        // i-ack reservation site. Routers traversed without a grant
-        // residue still busy a link, so the union is complete.
-        let mut nodes: Vec<usize> = Vec::with_capacity(rr.len() + events.len() + 1);
-        nodes.push(spec.src.idx());
-        nodes.extend(link_busy.iter().map(|&(l, _)| l / 4));
-        nodes.extend(rr.iter().map(|&(n, _, _)| n));
-        nodes.extend(events.iter().map(|e| e.node));
-        nodes.extend(iack_nodes.iter().copied());
-        nodes.sort_unstable();
-        nodes.dedup();
-        let (flit_hops, flits_injected, flits_consumed, deliveries) =
-            (s.flit_hops, s.flits_injected, s.flits_consumed, s.deliveries);
-        // Reset exactly the residue this flight left behind — the
-        // profile's own lists enumerate every piece of state it touched
-        // (a usable flight proved all the blocking/parking counters
-        // stayed zero) — so the scratch handed back through the slot is
-        // pristine-equivalent apart from its clock, and offsets are
-        // base-relative.
-        for &(l, _) in &link_busy {
-            scratch.stats.link_busy[l] = 0;
-        }
-        {
-            let st = &mut scratch.stats;
-            st.flit_hops = 0;
-            st.flits_injected = 0;
-            st.flits_consumed = 0;
-            st.deliveries = 0;
-        }
-        for &(n, port, _) in &rr {
-            scratch.routers.set_rr(n, port, 0);
-        }
-        for &n in &iack_nodes {
-            scratch.nics.clear_iack(n);
-        }
-        *slot = Some(scratch);
-        CachedProfile::Usable(Arc::new(ExpressProfile {
-            events,
-            final_rel,
-            injected_at_rel,
-            turned,
-            dest_idx,
-            acks,
-            flit_hops,
-            flits_injected,
-            flits_consumed,
-            deliveries,
-            link_busy,
-            rr,
-            iack_nodes,
-            nodes,
-        }))
-    }
-
-    /// Fire every express delivery event due at the current cycle, in
-    /// ascending node order per pass (matching the serial NIC sweep;
-    /// same-cycle events within one reservation are profile-ordered by
-    /// node already), completing reservations whose final consumption
-    /// fires. Called from the top of `tick` once the clock has advanced.
-    fn express_fire_due(&mut self) {
-        let now = self.now;
-        let mut ex = self.express.take().expect("caller checked");
-        loop {
-            // (node, live index) of every reservation whose *next*
-            // unfired event is due now — one event per reservation per
-            // pass, so a reservation with several same-cycle events
-            // loops.
-            let mut due: Vec<(usize, usize)> = Vec::new();
-            for (i, r) in ex.live.iter().enumerate() {
-                if r.fired < r.profile.events.len() && r.next_due() == now {
-                    due.push((r.profile.events[r.fired].node, i));
-                }
-            }
-            if due.is_empty() {
-                break;
-            }
-            due.sort_unstable();
-            let mut finished: Vec<usize> = Vec::new();
-            for &(node, i) in &due {
-                let r = &mut ex.live[i];
-                let ev = r.profile.events[r.fired];
-                debug_assert_eq!(ev.node, node);
-                let (src, payload, txn) = {
-                    let w = self.worms.get(r.wid);
-                    (w.spec.src, w.spec.payload, w.spec.txn)
-                };
-                let acks = if ev.kind == DeliveryKind::Final { r.profile.acks } else { 0 };
-                self.nics.delivered_mut(node).push_back(Delivery {
-                    node: NodeId(node as u16),
-                    worm: r.wid,
-                    src,
-                    payload,
-                    kind: ev.kind,
-                    acks,
-                    at: now,
-                    txn,
-                });
-                if !self.delivered_flag[node] {
-                    self.delivered_flag[node] = true;
-                    self.delivered_nodes.push(node);
-                }
-                r.fired += 1;
-                if ev.kind == DeliveryKind::Final {
-                    finished.push(i);
-                }
-            }
-            // Remove finished reservations back-to-front (stable
-            // indices) and apply their terminal effects.
-            finished.sort_unstable_by(|a, b| b.cmp(a));
-            for i in finished {
-                let r = ex.live.remove(i);
-                let (h, idx) = r.cache_ref;
-                self.express_complete(r);
-                ex.cache.entry_mut(h, idx).hits += 1;
-            }
-        }
-        self.express = Some(ex);
-    }
-
-    /// Apply the terminal effect of a completed express flight:
-    /// the whole stats delta, the router/NIC residue (link busy cycles,
-    /// round-robin pointers, i-ack reservations) and the worm's final
-    /// record — everything the stepped schedule would have written by
-    /// this cycle.
-    fn express_complete(&mut self, r: Reservation) {
-        let p = &r.profile;
-        debug_assert_eq!(self.now, r.at + p.final_rel, "completion fires at the profiled cycle");
-        self.stats.flit_hops += p.flit_hops;
-        self.stats.flits_injected += p.flits_injected;
-        self.stats.flits_consumed += p.flits_consumed;
-        self.stats.deliveries += p.deliveries;
-        for &(l, b) in &p.link_busy {
-            self.stats.link_busy[l] += b;
-        }
-        for &(n, port, v) in &p.rr {
-            self.routers.set_rr(n, port, v);
-        }
-        let (txn, kind, len) = {
-            let w = self.worms.get(r.wid);
-            (w.spec.txn, w.spec.kind, w.spec.len_flits)
-        };
-        for &n in &p.iack_nodes {
-            let ok = self.nics.reserve_iack(n, txn);
-            debug_assert!(ok, "admission verified a free i-ack entry at node {n}");
-        }
-        let now = self.now;
-        let w = self.worms.get_mut(r.wid);
-        w.state = WormState::Delivered;
-        w.delivered_at = Some(now);
-        w.injected_at = Some(r.at + p.injected_at_rel);
-        w.turned = p.turned;
-        w.dest_idx = p.dest_idx;
-        w.acks = p.acks;
-        // Stepped latency is `now - queued_at`; the worm was queued at
-        // the reservation cycle, so that is exactly `final_rel`.
-        let latency = p.final_rel as f64;
-        match kind {
-            WormKind::Unicast => self.stats.unicast_latency.record(latency),
-            WormKind::Multicast => self.stats.multicast_latency.record(latency),
-            WormKind::Gather => self.stats.gather_latency.record(latency),
-        }
-        self.live_worms -= 1;
-        self.maybe_retire(r.wid);
-        self.stats.express_hits += 1;
-        self.stats.express_skipped_flit_cycles += p.final_rel * len as u64;
-    }
-
-    /// Abort every live express reservation: rewind the clock to the
-    /// earliest reserved inject cycle, re-enqueue the reserved worms and
-    /// re-step the elapsed window cycle-accurately. Exact because the
-    /// window held nothing but the reserved flights (the admission
-    /// invariant) and the express schedule wrote no state before their
-    /// finals beyond already-fired deliveries — which the replay
-    /// regenerates byte-identically and the tail trim below
-    /// deduplicates.
-    pub fn materialize_all(&mut self) {
-        let Some(ex) = self.express.as_mut() else {
-            return;
-        };
-        if ex.live.is_empty() {
-            return;
-        }
-        let resvs = std::mem::take(&mut ex.live);
-        for r in &resvs {
-            let (h, idx) = r.cache_ref;
-            ex.cache.entry_mut(h, idx).aborts += 1;
-        }
-        self.stats.express_aborts += resvs.len() as u64;
-        let target = self.now;
-        self.now = resvs[0].at;
-        let mut i = 0;
-        loop {
-            while i < resvs.len() && resvs[i].at == self.now {
-                let r = &resvs[i];
-                let (src, vnet) = {
-                    let w = self.worms.get(r.wid);
-                    (w.spec.src.idx(), w.spec.vnet)
-                };
-                self.nics.enqueue(src, vnet, r.wid);
-                self.activate_nic(src);
-                i += 1;
-            }
-            if self.now == target {
-                break;
-            }
-            // Once every re-enqueued flight has drained and the worklists
-            // are empty, the only remaining live worms are reservations
-            // whose inject cycle is still ahead: every tick until the
-            // next enqueue point (or the abort cycle) is a provable
-            // no-op, so jump straight there. Without this, an abort
-            // whose window spans a long fast-forwarded idle gap would
-            // re-step the gap cycle by cycle — the express window
-            // jumped it, the replay must too.
-            if self.active_routers.is_empty()
-                && self.active_nics.is_empty()
-                && self.live_worms == resvs.len() - i
-            {
-                self.now = resvs.get(i).map_or(target, |r| r.at.min(target));
-                continue;
-            }
-            // Re-entrant ticks: the fire hook no-ops (the live set was
-            // taken above), so these are exactly the stepped cycles the
-            // express window skipped.
-            self.tick();
-        }
-        debug_assert_eq!(i, resvs.len(), "every reservation re-enqueued");
-        // The replay regenerated every delivery the express schedule had
-        // already fired (their due cycles are all <= the abort cycle),
-        // appended after the originals on each per-node queue. Trim the
-        // duplicates from the back; node sets are disjoint across
-        // reservations, so per node only one reservation's events exist
-        // and both copies were pushed in the same (profile) order.
-        for r in &resvs {
-            for ev in &r.profile.events[..r.fired] {
-                let trimmed = self.nics.delivered_mut(ev.node).pop_back();
-                debug_assert!(trimmed.is_some(), "replay regenerates every fired delivery");
-            }
-        }
-    }
-
-    /// Earliest cycle at which a live express reservation fires its next
-    /// event, provided express flights are the *only* activity (empty
-    /// worklists, every live worm reserved) — `None` otherwise. Callers
-    /// use this to bound dead-cycle jumps: every tick strictly before
-    /// the returned cycle is a provable no-op.
-    pub fn express_next_due(&self) -> Option<Cycle> {
-        let ex = self.express.as_ref()?;
-        if ex.live.is_empty()
-            || self.live_worms != ex.live.len()
-            || !self.active_routers.is_empty()
-            || !self.active_nics.is_empty()
-        {
-            return None;
-        }
-        ex.next_due()
-    }
-
-    /// True when the network's only activity is live express
-    /// reservations and `t` lies strictly before their next scheduled
-    /// event.
-    fn express_only_pending(&self, t: Cycle) -> bool {
-        self.express_next_due().is_some_and(|due| t < due)
-    }
-
     /// True when ticking would be a complete no-op: no worms live anywhere
     /// and no NIC has queued work (deposit retries included). Undrained
     /// `delivered` queues don't matter — `tick` never touches them.
@@ -3720,7 +2852,7 @@ impl Network {
     /// `debug_assert!` so release runs fail loudly instead of silently
     /// teleporting in-flight flits through time.
     pub fn advance_to(&mut self, t: Cycle) {
-        if !self.fully_idle() && !self.express_only_pending(t) {
+        if !self.fully_idle() {
             self.violation.get_or_insert_with(|| {
                 format!(
                     "advance_to({t}) on a non-idle network at cycle {} ({} live worms)",
@@ -3740,16 +2872,12 @@ impl Network {
     /// Serialize the network's full dynamic state: routers, NICs, worm
     /// table, clock, live-worm count, worklists, delivery flags,
     /// statistics and the sticky violation. Configuration, routing
-    /// tables, tiling, speculation mode and observers (flight recorder,
-    /// contention probe) are *not* saved — the loader rebuilds them from
+    /// tables, tiling and observers (flight recorder, contention probe)
+    /// are *not* saved — the loader rebuilds them from
     /// its own [`MeshConfig`], which must match the saving side's
     /// (validated by the caller; `DsmSystem` gates on a config
     /// fingerprint).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        debug_assert!(
-            self.express.as_ref().is_none_or(|e| e.live.is_empty()),
-            "save_state with live express reservations (materialize first)"
-        );
         w.put_u64(self.now);
         self.routers.save(w);
         self.nics.save(w);
@@ -3785,8 +2913,8 @@ impl Network {
 
     /// Rebuild a network from `cfg` and a [`Network::save_state`] stream,
     /// cross-validating the stream's geometry against the configuration.
-    /// The worm-recycling flag travels with the worm table; speculation
-    /// mode and trace/probe state are fresh (callers re-apply).
+    /// The worm-recycling flag travels with the worm table; tiling and
+    /// trace/probe state are fresh (callers re-apply).
     pub fn load_state(cfg: MeshConfig, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut net = Network::new(cfg);
         let nodes = net.cfg.mesh.nodes();
@@ -3930,15 +3058,10 @@ impl Snap for NetStats {
         self.gather_latency.save(w);
         w.put_u64(self.worm_slots_reused);
         w.put_u64(self.scratch_grows);
-        w.put_u64(self.hazard_fallbacks);
         w.put_u64(self.spec_commits);
         w.put_u64(self.spec_rollbacks);
         w.put_u64(self.spec_replayed_cycles);
         self.spec_rollback_by_tile.save(w);
-        w.put_u64(self.spec_detect_violations);
-        w.put_u64(self.express_hits);
-        w.put_u64(self.express_aborts);
-        w.put_u64(self.express_skipped_flit_cycles);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -3961,15 +3084,10 @@ impl Snap for NetStats {
             gather_latency: Summary::load(r)?,
             worm_slots_reused: r.get_u64()?,
             scratch_grows: r.get_u64()?,
-            hazard_fallbacks: r.get_u64()?,
             spec_commits: r.get_u64()?,
             spec_rollbacks: r.get_u64()?,
             spec_replayed_cycles: r.get_u64()?,
             spec_rollback_by_tile: Vec::load(r)?,
-            spec_detect_violations: r.get_u64()?,
-            express_hits: r.get_u64()?,
-            express_aborts: r.get_u64()?,
-            express_skipped_flit_cycles: r.get_u64()?,
         })
     }
 }

@@ -365,31 +365,9 @@ impl NicSlab {
         self.inject_backlog_hwm.iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Record an injection-queue depth observation without enqueueing.
-    /// Express fast path: a reserved worm bypasses the queue, but the
-    /// backlog high-water mark must still see the depth-1 residency the
-    /// stepped schedule would have charged at its source.
-    pub fn note_inject_backlog(&mut self, n: usize, depth: u32) {
-        if depth > self.inject_backlog_hwm[n] {
-            self.inject_backlog_hwm[n] = depth;
-        }
-    }
-
-    /// Reserve an i-ack entry for `txn` at node `n` (express fast path
-    /// applying a profiled i-reserve worm's reservations; idempotent,
-    /// first-free slot — exactly what the stepped head would have done).
-    pub fn reserve_iack(&mut self, n: usize, txn: TxnId) -> bool {
-        reserve_in(self.iack.row_mut(n), txn)
-    }
-
     /// Index of a free consumption channel at node `n`, if any.
     pub fn free_cons(&self, n: usize) -> Option<usize> {
         (0..self.cons_owner.stride()).find(|&c| self.cons_is_free(n, c))
-    }
-
-    /// Number of free consumption channels at node `n`.
-    pub fn free_cons_count(&self, n: usize) -> usize {
-        (0..self.cons_owner.stride()).filter(|&c| self.cons_is_free(n, c)).count()
     }
 
     /// Channel `cc` of node `n` is free and able to accept a new worm.
@@ -407,18 +385,6 @@ impl NicSlab {
     /// Post `count` acks worth for `txn` at node `n`.
     pub fn post_iack_count(&mut self, n: usize, txn: TxnId, count: u32) -> PostOutcome {
         post_count_in(self.iack.row_mut(n), &mut self.resume_q[n], txn, count)
-    }
-
-    /// Number of free i-ack buffer entries at node `n`.
-    pub fn count_free_iack(&self, n: usize) -> usize {
-        self.iack.row(n).iter().filter(|e| e.is_none()).count()
-    }
-
-    /// Free every i-ack entry at node `n`. Express scratch-network reset
-    /// between profile extractions only — a live network releases entries
-    /// one transaction at a time through the i-ack post path.
-    pub fn clear_iack(&mut self, n: usize) {
-        self.iack.row_mut(n).fill(None);
     }
 
     /// The delivered-message queue of node `n`.

@@ -260,21 +260,6 @@ impl RouterSlab {
         self.vc_cap - self.buf.at(n, self.slot(port, vc)).len()
     }
 
-    /// Round-robin arbitration pointer of output `port` at node `n`.
-    #[inline]
-    pub fn rr(&self, n: usize, port: usize) -> usize {
-        *self.rr.at(n, port) as usize
-    }
-
-    /// Set the round-robin pointer of output `port` at node `n` (express
-    /// fast path applying a profiled flight's grant residue; a solo
-    /// flight's grant winners — and therefore the written values — are
-    /// independent of the prior pointer state).
-    #[inline]
-    pub fn set_rr(&mut self, n: usize, port: usize, v: usize) {
-        *self.rr.at_mut(n, port) = v as u32;
-    }
-
     /// Find a free, credited output VC on `port` within the VC index range
     /// `lo..hi` (the worm's virtual-network class).
     pub fn best_free_out_vc(

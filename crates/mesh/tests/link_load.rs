@@ -1,7 +1,7 @@
 //! The always-on link-load summary ([`LinkLoadMeter`]) and the
 //! contention-probe end-of-run flush: commit timing, fast-forward span
-//! commits, tile-count bit-identity, snapshot round trips, the express
-//! interlock, and the partial-window regression for
+//! commits, tile-count bit-identity, snapshot round trips, and the
+//! partial-window regression for
 //! [`Network::finish_contention_probe`].
 
 use wormdsm_mesh::network::{MeshConfig, Network};
@@ -156,22 +156,6 @@ fn meter_survives_snapshot_round_trip() {
     let mut r = SnapReader::new(&bytes).unwrap();
     let restored = Network::load_state(cfg(4), &mut r).unwrap();
     assert!(restored.link_load().is_none());
-}
-
-#[test]
-fn meter_blocks_express_admissions() {
-    // Express elides per-cycle ticks at tiles == 1 only, which would
-    // change when meter commits happen relative to plan construction
-    // between tile counts — so admissions are refused while a meter is
-    // attached (same interlock as flit tracing and the probe).
-    let m = Mesh2D::square(4);
-    let mut net = Network::new(cfg(4));
-    net.set_express(true);
-    net.enable_link_load(16);
-    net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(3, 2), VNet::Req, 6, 0));
-    net.run_until_quiescent(10_000).unwrap();
-    assert_eq!(net.stats().express_hits, 0, "no express flights under a meter");
-    assert!(net.link_load().unwrap().commits() > 0, "meter saw the stepped run");
 }
 
 /// Regression for the end-of-run flush: a run whose length is not a

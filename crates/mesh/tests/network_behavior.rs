@@ -358,6 +358,36 @@ fn quiescence_and_live_worm_accounting() {
     assert_eq!(net.live_worms(), 0);
 }
 
+/// `advance_to` jumps the clock only across provably dead cycles: on a
+/// fully idle network it lands exactly on the target, while a jump over a
+/// live worm or into the past is refused, leaves the clock alone and
+/// records a sticky violation instead.
+#[test]
+fn advance_to_refuses_a_live_network_and_the_past() {
+    let m = Mesh2D::square(4);
+
+    let mut net = Network::new(cfg(4));
+    net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(3, 3), VNet::Req, 8, 0));
+    net.tick();
+    let now = net.now();
+    net.advance_to(now + 100);
+    assert_eq!(net.now(), now, "refused jump must not move the clock");
+    let v = net.violation().expect("jump over a live worm is a violation");
+    assert!(v.contains("non-idle"), "{v}");
+
+    let mut net = Network::new(cfg(4));
+    net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(3, 3), VNet::Req, 8, 0));
+    let end = net.run_until_quiescent(10_000).unwrap();
+    assert!(net.fully_idle());
+    net.advance_to(end + 50);
+    assert_eq!(net.now(), end + 50, "idle jump lands on the target");
+    assert!(net.violation().is_none());
+    net.advance_to(end);
+    assert_eq!(net.now(), end + 50, "backward jump must not move the clock");
+    let v = net.violation().expect("jump into the past is a violation");
+    assert!(v.contains("backwards"), "{v}");
+}
+
 #[test]
 fn many_random_unicasts_all_deliver() {
     let mut net = Network::new(cfg(8));

@@ -32,8 +32,9 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. Version 2 appended the
-/// network's optional link-load meter to `Network::save_state`.
-pub const SNAP_VERSION: u32 = 2;
+/// network's optional link-load meter to `Network::save_state`; version 3
+/// dropped the removed engines' counters from the `NetStats` layout.
+pub const SNAP_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

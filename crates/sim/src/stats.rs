@@ -593,9 +593,8 @@ impl Registry {
     /// Names whose values differ between `self` and `other` — the union of
     /// both registries' names, where a name present on only one side counts
     /// as different. Names starting with any prefix in `ignore` are
-    /// skipped. Used by the express bit-identity asserts (tests and
-    /// `exp_express`), which compare full metric exports modulo a small
-    /// documented exclusion list.
+    /// skipped, so bit-identity asserts can compare full metric exports
+    /// modulo a small documented exclusion list.
     pub fn diff_names(&self, other: &Registry, ignore: &[&str]) -> Vec<String> {
         let mut names: Vec<&str> = self.iter().map(|(n, _)| n).collect();
         for (n, _) in other.iter() {

@@ -20,5 +20,5 @@ pub mod apps;
 pub mod driver;
 pub mod synthetic;
 
-pub use driver::{IssueState, RunResult, WindowStats, Workload};
+pub use driver::{IssueState, RunResult, Workload};
 pub use synthetic::{gen_pattern, Pattern, PatternKind};

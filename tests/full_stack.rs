@@ -304,92 +304,13 @@ fn analytic_tracks_simulation_on_idle_transactions() {
     }
 }
 
-/// The express fast path must be invisible in every exported metric: an
-/// express-enabled run must match the stepped run of the same app on the
-/// full metrics registry, modulo the documented exclusions —
-/// `net_scratch_grows` (allocator warm-up differs when cycles are not
-/// stepped) and the `net_express_*` diagnostics themselves.
-#[test]
-fn express_runs_are_bit_identical_to_stepped_runs() {
-    type Gen = fn() -> Workload;
-    let apps: Vec<(&str, Gen)> = vec![
-        ("bh", || {
-            barnes_hut::generate(&BarnesHutConfig {
-                procs: 16,
-                bodies: 32,
-                steps: 2,
-                ..Default::default()
-            })
-        }),
-        ("lu", || lu::generate(&LuConfig { n: 32, block: 8, procs: 16, flop_cost: 16 })),
-        ("apsp", || apsp::generate(&ApspConfig { n: 16, procs: 16, relax_cost: 16 })),
-    ];
-    let mut hits = 0u64;
-    let mut aborts = 0u64;
-    for (name, gen) in apps {
-        for scheme in [SchemeKind::UiUa, SchemeKind::MiMaCol] {
-            let (c_off, off) = run_app(scheme, 4, gen());
-            assert_eq!(off.net_stats().express_hits, 0, "{name}/{scheme}: express defaults off");
-
-            let mut sys = DsmSystem::new(SystemConfig::for_scheme(4, scheme), scheme.build());
-            sys.set_fast_forward(true);
-            sys.set_express(true);
-            let r = gen().run(&mut sys, 50_000_000).unwrap_or_else(|e| panic!("{scheme}: {e}"));
-
-            assert_eq!(c_off, r.cycles, "{name}/{scheme}: cycle count diverged");
-            let diff = off
-                .export_metrics()
-                .diff_names(&sys.export_metrics(), &["net_scratch_grows", "net_express_"]);
-            assert!(diff.is_empty(), "{name}/{scheme}: metrics diverged under express: {diff:?}");
-            hits += sys.net_stats().express_hits;
-            aborts += sys.net_stats().express_aborts;
-        }
-    }
-    assert!(hits > 0, "the fast path must engage somewhere across the app matrix");
-    assert!(aborts > 0, "at least one reservation must abort and replay across the matrix");
-}
-
-/// Flit tracing and the contention probe force the express path off — and
-/// the observability surfaces (per-hop event stream, probe heatmap
-/// windows, phase attribution) are unchanged by merely *enabling* express.
-#[test]
-fn express_defers_to_tracing_and_probes() {
-    let cfg = BarnesHutConfig { procs: 16, bodies: 32, steps: 2, ..Default::default() };
-    let run = |express: bool| {
-        let mut sys = DsmSystem::new(
-            SystemConfig::for_scheme(4, SchemeKind::MiMaCol),
-            SchemeKind::MiMaCol.build(),
-        );
-        sys.set_fast_forward(true);
-        sys.set_express(express);
-        sys.enable_profiling();
-        sys.enable_contention_probe(256);
-        barnes_hut::generate(&cfg).run(&mut sys, 50_000_000).expect("bh completes");
-        sys
-    };
-    let mut base = run(false);
-    let mut sys = run(true);
-    // The probe is active, so every admission was refused.
-    assert_eq!(sys.net_stats().express_hits, 0, "probe must force stepping");
-    assert_eq!(sys.net_stats().express_aborts, 0);
-    // Event stream and probe windows match the express-off profiling run.
-    assert_eq!(sys.recorder().recorded(), base.recorder().recorded(), "event counts diverged");
-    let (pb, ps) = (base.take_contention_probe().unwrap(), sys.take_contention_probe().unwrap());
-    assert_eq!(ps.busy_total(), pb.busy_total(), "probe heatmap totals diverged");
-    let (fb, fs) = (base.take_profiler().unwrap(), sys.take_profiler().unwrap());
-    assert_eq!(fs.closed(), fb.closed());
-    assert_eq!(fs.latency_total(), fb.latency_total());
-}
-
 #[test]
 fn solo_flights_match_analytic_closed_form() {
     // The analytic model's contention-free flight law must match the
     // simulator *exactly* — not within a tolerance — for solo worms on an
     // idle mesh: final consumption latency and every intermediate absorb
     // timestamp, for unicasts and the planned invalidation worms of all
-    // nine grouping schemes. Each flight runs express-off and express-on,
-    // so the closed form is simultaneously cross-validated against the
-    // stepped engine and the reservation fast path.
+    // nine grouping schemes, cross-validated against the stepped engine.
     use wormdsm::analytic::solo_flight_latencies;
     use wormdsm::core::plan::PlannedWorm;
     use wormdsm::mesh::network::{MeshConfig, Network};
@@ -404,48 +325,38 @@ fn solo_flights_match_analytic_closed_form() {
     let check = |routing: BaseRouting, src: NodeId, w: &PlannedWorm, len: u16| {
         let model =
             solo_flight_latencies(&p, &mesh, routing.request_rule(), src, &w.dests, len as u64);
-        for express in [false, true] {
-            let mut cfg = MeshConfig::paper_defaults(k);
-            cfg.routing = routing;
-            let mut net = Network::new(cfg);
-            net.set_express(express);
-            let id = net.inject(WormSpec {
-                src,
-                vnet: VNet::Req,
-                kind: w.kind,
-                dests: w.dests.clone().into(),
-                len_flits: len,
-                payload: 0,
-                reserve_iack: w.reserve_iack,
-                txn: TxnId(1),
-                initial_acks: w.initial_acks,
-                gather_deposit: w.gather_deposit,
-                deliver: w.deliver.clone().map(Into::into),
-            });
-            net.run_until_quiescent(100_000).unwrap();
-            let q = net.worm(id).queued_at;
-            let lat = net.worm(id).delivered_at.expect("solo flight completes") - q;
-            assert_eq!(
-                lat,
-                *model.last().unwrap(),
-                "final latency: src {src} dests {:?} len {len} express {express}",
-                w.dests
-            );
-            for (j, &d) in w.dests.iter().enumerate() {
-                if !w.deliver.as_ref().is_none_or(|m| m[j]) {
-                    continue;
-                }
-                let ds = net.take_deliveries(d);
-                assert_eq!(ds.len(), 1, "exactly one delivery at {d}");
-                assert_eq!(
-                    ds[0].at - q,
-                    model[j],
-                    "delivery time at dest {j} ({d}): src {src} express {express}"
-                );
+        let mut cfg = MeshConfig::paper_defaults(k);
+        cfg.routing = routing;
+        let mut net = Network::new(cfg);
+        let id = net.inject(WormSpec {
+            src,
+            vnet: VNet::Req,
+            kind: w.kind,
+            dests: w.dests.clone().into(),
+            len_flits: len,
+            payload: 0,
+            reserve_iack: w.reserve_iack,
+            txn: TxnId(1),
+            initial_acks: w.initial_acks,
+            gather_deposit: w.gather_deposit,
+            deliver: w.deliver.clone().map(Into::into),
+        });
+        net.run_until_quiescent(100_000).unwrap();
+        let q = net.worm(id).queued_at;
+        let lat = net.worm(id).delivered_at.expect("solo flight completes") - q;
+        assert_eq!(
+            lat,
+            *model.last().unwrap(),
+            "final latency: src {src} dests {:?} len {len}",
+            w.dests
+        );
+        for (j, &d) in w.dests.iter().enumerate() {
+            if !w.deliver.as_ref().is_none_or(|m| m[j]) {
+                continue;
             }
-            if express {
-                assert_eq!(net.stats().express_hits, 1, "solo flight must take the fast path");
-            }
+            let ds = net.take_deliveries(d);
+            assert_eq!(ds.len(), 1, "exactly one delivery at {d}");
+            assert_eq!(ds[0].at - q, model[j], "delivery time at dest {j} ({d}): src {src}");
         }
     };
 
