@@ -15,12 +15,6 @@
 //! writes a busy-cycle report to `BENCH_busycycle.json` comparing
 //! against the recorded pre-optimization baseline throughput.
 //!
-//! With `--partick`, additionally sweeps the space-partitioned tick
-//! engine (`MeshConfig::tiles`) over T ∈ {1, 2, 4, 8} at k ∈ {8, 16} in
-//! the busy-cycle regime, asserts every partitioned run bit-identical to
-//! the serial T=1 schedule, and writes per-T throughput rows to
-//! `BENCH_partick.json`.
-//!
 //! With `--trace`, additionally measures flight-recorder overhead on the
 //! busy arm (tracing off vs `txn` vs `flit` level, asserting all three
 //! bit-identical), reconstructs one invalidation transaction's timeline,
@@ -33,7 +27,6 @@
 //!
 //! Usage: `exp_hotloop [--k 4] [--scheme "MI-MA(col)"] [--compute-scale 256]
 //!                     [--out BENCH_hotloop.json] [--busy-out BENCH_busycycle.json]
-//!                     [--partick] [--partick-out BENCH_partick.json]
 //!                     [--trace] [--trace-out BENCH_trace.json]
 //!                     [--app bh] [--snapshot-every N] [--snapshot-out FILE]
 //!                     [--resume FILE]`
@@ -57,15 +50,6 @@ struct Arm {
     skipped: u64,
     worm_slots_reused: u64,
     scratch_grows: u64,
-    /// Speculative cycles validated and committed by the optimistic tick.
-    spec_commits: u64,
-    /// Cycles whose boundary-credit digest mismatched and were replayed.
-    spec_rollbacks: u64,
-    /// Cycles re-executed on the serial schedule by those rollbacks.
-    spec_replayed_cycles: u64,
-    /// Worker threads the pool actually got (0 when serial); may be less
-    /// than `tiles - 1` on a small host or under `WORMDSM_POOL_WORKERS`.
-    effective_workers: usize,
     /// Full metrics registry (protocol + `net_`-prefixed mesh counters)
     /// as a JSON object, embedded verbatim in the BENCH rows.
     metrics_json: String,
@@ -112,36 +96,21 @@ const BUSY_GOLDEN: [BusyGolden; 3] = [
 ];
 
 fn run_arm(app: &str, scheme: SchemeKind, k: usize, scale: u64, fast_forward: bool) -> Arm {
-    run_arm_tiled(app, scheme, k, scale, fast_forward, 1)
-}
-
-fn run_arm_tiled(
-    app: &str,
-    scheme: SchemeKind,
-    k: usize,
-    scale: u64,
-    fast_forward: bool,
-    tiles: usize,
-) -> Arm {
-    let (arm, _) = run_arm_traced(app, scheme, k, scale, fast_forward, tiles, TraceLevel::Off);
+    let (arm, _) = run_arm_traced(app, scheme, k, scale, fast_forward, TraceLevel::Off);
     arm
 }
 
 /// Run one arm with the flight recorder at `level`, auditing coherence at
 /// the end, and hand back the finished system for trace inspection.
-#[allow(clippy::too_many_arguments)]
 fn run_arm_traced(
     app: &str,
     scheme: SchemeKind,
     k: usize,
     scale: u64,
     fast_forward: bool,
-    tiles: usize,
     level: TraceLevel,
 ) -> (Arm, DsmSystem) {
-    let mut cfg = SystemConfig::for_scheme(k, scheme);
-    cfg.mesh.tiles = tiles;
-    let mut sys = DsmSystem::new(cfg, scheme.build());
+    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
     sys.set_fast_forward(fast_forward);
     sys.set_trace_level(level);
     if level > TraceLevel::Off {
@@ -150,7 +119,7 @@ fn run_arm_traced(
     }
     let w = seeded_workload(app, k * k, scale);
     let (r, wall_s) = timed(|| w.run(&mut sys, 500_000_000).expect("application completes"));
-    assert_coherent(&sys, &format!("{app} k={k} T={tiles}"));
+    assert_coherent(&sys, &format!("{app} k={k}"));
     (finish_arm(&sys, r.cycles, wall_s), sys)
 }
 
@@ -165,140 +134,8 @@ fn finish_arm(sys: &DsmSystem, cycles: u64, wall_s: f64) -> Arm {
         skipped: sys.skipped_cycles(),
         worm_slots_reused: sys.net_stats().worm_slots_reused,
         scratch_grows: sys.net_stats().scratch_grows,
-        spec_commits: sys.net_stats().spec_commits,
-        spec_rollbacks: sys.net_stats().spec_rollbacks,
-        spec_replayed_cycles: sys.net_stats().spec_replayed_cycles,
-        effective_workers: sys.effective_workers(),
         metrics_json: sys.export_metrics().to_json(),
     }
-}
-
-/// Sweep the space-partitioned tick engine over tile counts at busy-cycle
-/// compute scale: every T must reproduce the serial T=1 run bit for bit,
-/// and the JSON rows record cycles/s per T plus the speedup over T=1 (the
-/// single-thread schedule, measured by the same binary on the same host).
-fn partick_sweep(scheme: SchemeKind, out: &str) {
-    let t0 = Instant::now();
-    const TILE_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut rows = Vec::new();
-    println!(
-        "\n== partitioned tick sweep, {} (compute scale 1, {} host core{}) ==",
-        scheme.name(),
-        host_cores,
-        if host_cores == 1 { "" } else { "s" }
-    );
-    println!(
-        "{:>4} {:>6} {:>3} {:>12} {:>12} {:>14} {:>8} {:>9} {:>9}",
-        "k", "app", "T", "cycles", "wall s", "cycles/s", "speedup", "rollback", "replayed"
-    );
-    // k = 16 sweeps Barnes-Hut only: APSP's smallest valid problem at 256
-    // processors (n = 256) simulates an order of magnitude more cycles per
-    // arm than everything else in the sweep combined — more wall time than
-    // a CI run can spend on one table row.
-    let sweep: [(usize, &[&str]); 2] = [(8, &["bh", "apsp"]), (16, &["bh"])];
-    for (k, apps) in sweep {
-        for &app in apps {
-            let mut serial: Option<Arm> = None;
-            for tiles in TILE_COUNTS {
-                let mut best = run_arm_tiled(app, scheme, k, 1, true, tiles);
-                // Best of two: parallel wall times are noisier than serial.
-                let rerun = run_arm_tiled(app, scheme, k, 1, true, tiles);
-                if rerun.wall_s < best.wall_s {
-                    best = rerun;
-                }
-                if let Some(s) = &serial {
-                    assert_eq!(best.cycles, s.cycles, "{app} k={k} T={tiles}: cycles diverged");
-                    assert_eq!(
-                        best.flit_hops, s.flit_hops,
-                        "{app} k={k} T={tiles}: flit hops diverged"
-                    );
-                    assert_eq!(
-                        best.inval_lat_sum, s.inval_lat_sum,
-                        "{app} k={k} T={tiles}: inval latency diverged"
-                    );
-                    assert_eq!(
-                        best.inval_lat_count, s.inval_lat_count,
-                        "{app} k={k} T={tiles}: txn count diverged"
-                    );
-                }
-                // The whole point of the optimistic engine: mis-speculated
-                // cycles replayed serially must be a tiny fraction of the
-                // hazard-driven serial surrenders the pessimistic scan
-                // used to take on this workload (149,343 on apsp k=8).
-                if app == "apsp" && k == 8 && tiles > 1 {
-                    assert!(
-                        best.spec_replayed_cycles <= 15_000,
-                        "apsp k=8 T={tiles}: {} replayed cycles, expected <= 15000",
-                        best.spec_replayed_cycles
-                    );
-                }
-                let cps = best.cycles as f64 / best.wall_s;
-                let speedup = match &serial {
-                    Some(s) => s.wall_s / best.wall_s,
-                    None => 1.0,
-                };
-                println!(
-                    "{:>4} {:>6} {:>3} {:>12} {:>12.3} {:>14.0} {:>7.2}x {:>9} {:>9}",
-                    k,
-                    app,
-                    tiles,
-                    best.cycles,
-                    best.wall_s,
-                    cps,
-                    speedup,
-                    best.spec_rollbacks,
-                    best.spec_replayed_cycles
-                );
-                rows.push(format!(
-                    concat!(
-                        "    {{\"k\": {}, \"app\": \"{}\", \"tiles\": {}, ",
-                        "\"pool_workers_requested\": {}, ",
-                        "\"pool_workers_effective\": {}, \"cycles\": {}, ",
-                        "\"wall_s\": {:.6}, \"cycles_per_s\": {:.0}, ",
-                        "\"speedup_vs_serial\": {:.3}, ",
-                        "\"spec_commits\": {}, \"spec_rollbacks\": {}, ",
-                        "\"spec_replayed_cycles\": {}, ",
-                        "\"bit_identical_to_serial\": true}}"
-                    ),
-                    k,
-                    app,
-                    tiles,
-                    tiles - 1,
-                    best.effective_workers,
-                    best.cycles,
-                    best.wall_s,
-                    cps,
-                    speedup,
-                    best.spec_commits,
-                    best.spec_rollbacks,
-                    best.spec_replayed_cycles
-                ));
-                if serial.is_none() {
-                    serial = Some(best);
-                }
-            }
-        }
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"scheme\": \"{}\",\n  \"compute_scale\": 1,\n",
-            "  \"host_cores\": {},\n",
-            "  \"run_meta\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n}}\n"
-        ),
-        scheme.name(),
-        host_cores,
-        RunMeta::capture(wormdsm_sim::pool::WorkerPool::sized_workers(
-            TILE_COUNTS[TILE_COUNTS.len() - 1] - 1,
-        ))
-        .with_wall_s(t0.elapsed().as_secs_f64())
-        .to_json(),
-        rows.join(",\n")
-    );
-    std::fs::write(out, json).expect("write partitioned-tick results");
-    println!("\nwrote {out}");
 }
 
 /// H4: flight-recorder overhead and timeline reconstruction on the busy
@@ -320,8 +157,8 @@ fn trace_mode(scheme: SchemeKind, k: usize, out: &str) {
     let mut timeline = None;
     for app in ["bh", "lu", "apsp"] {
         let off = run_arm(app, scheme, k, 1, true);
-        let (txn_arm, tsys) = run_arm_traced(app, scheme, k, 1, true, 1, TraceLevel::Txn);
-        let (flit_arm, fsys) = run_arm_traced(app, scheme, k, 1, true, 1, TraceLevel::Flit);
+        let (txn_arm, tsys) = run_arm_traced(app, scheme, k, 1, true, TraceLevel::Txn);
+        let (flit_arm, fsys) = run_arm_traced(app, scheme, k, 1, true, TraceLevel::Flit);
         for (label, arm) in [("txn", &txn_arm), ("flit", &flit_arm)] {
             assert_eq!(off.cycles, arm.cycles, "{app} {label}: cycles diverged under tracing");
             assert_eq!(
@@ -524,8 +361,6 @@ fn main() {
     let scheme_name: String = arg("--scheme", "MI-MA(col)".to_string());
     let out: String = arg("--out", "BENCH_hotloop.json".to_string());
     let busy_out: String = arg("--busy-out", "BENCH_busycycle.json".to_string());
-    let partick = flag("--partick");
-    let partick_out: String = arg("--partick-out", "BENCH_partick.json".to_string());
     let trace = flag("--trace");
     let trace_out: String = arg("--trace-out", "BENCH_trace.json".to_string());
     let app_arg: String = arg("--app", "bh".to_string());
@@ -581,20 +416,6 @@ fn main() {
             assert_eq!(
                 fast.inval_lat_sum, g.inval_lat_sum,
                 "{app}: inval latency diverged from golden"
-            );
-            // The partitioned engine must reproduce the same golden run:
-            // step the mesh as 4 concurrent row-band tiles and hold it to
-            // the pre-optimization numbers bit for bit.
-            let tiled = run_arm_tiled(app, scheme, k, scale, true, 4);
-            assert_eq!(tiled.cycles, g.cycles, "{app} T=4: cycles diverged from golden");
-            assert_eq!(tiled.flit_hops, g.flit_hops, "{app} T=4: flit hops diverged from golden");
-            assert_eq!(
-                tiled.inval_lat_count, g.inval_lat_count,
-                "{app} T=4: txn count diverged from golden"
-            );
-            assert_eq!(
-                tiled.inval_lat_sum, g.inval_lat_sum,
-                "{app} T=4: inval latency diverged from golden"
             );
             let cps = fast.cycles as f64 / fast.wall_s;
             busy_rows.push(format!(
@@ -666,10 +487,6 @@ fn main() {
         );
         std::fs::write(&busy_out, json).expect("write busy-cycle results");
         println!("wrote {busy_out}");
-    }
-
-    if partick {
-        partick_sweep(scheme, &partick_out);
     }
 
     if trace {

@@ -17,7 +17,7 @@
 //! everything else is deterministic.
 //!
 //! Usage: `exp_scale [--ks 8,16,32,64,128] [--txns 64] [--trials 3]
-//!                   [--seed 1] [--tiles 1] [--max-cycles 50000000]
+//!                   [--seed 1] [--max-cycles 50000000]
 //!                   [--out BENCH_scale.json]`
 
 use std::time::Instant;
@@ -53,10 +53,9 @@ fn cache_sets_for(k: usize) -> usize {
     }
 }
 
-fn build_system(k: usize, scheme: SchemeKind, tiles: usize) -> DsmSystem {
+fn build_system(k: usize, scheme: SchemeKind) -> DsmSystem {
     let mut cfg = SystemConfig::for_scheme(k, scheme);
     cfg.cache_sets = cache_sets_for(k);
-    cfg.mesh.tiles = tiles;
     DsmSystem::new(cfg, scheme.build())
 }
 
@@ -102,12 +101,11 @@ fn run_throughput(
     scheme: SchemeKind,
     txns: usize,
     d: usize,
-    tiles: usize,
     seed: u64,
     max_cycles: u64,
 ) -> ThroughputPoint {
     let rss0 = resident_kib();
-    let mut sys = build_system(k, scheme, tiles);
+    let mut sys = build_system(k, scheme);
     let rss_build = resident_kib().saturating_sub(rss0);
 
     let mesh = Mesh2D::square(k);
@@ -166,7 +164,6 @@ fn main() {
     let txns_arg: usize = arg("--txns", 64);
     let trials: usize = arg("--trials", 3);
     let seed: u64 = arg("--seed", 1);
-    let tiles: usize = arg("--tiles", 1);
     let max_cycles: u64 = arg("--max-cycles", 50_000_000);
     let out: String = arg("--out", "BENCH_scale.json".to_string());
     let ks: Vec<usize> = ks_arg
@@ -186,7 +183,7 @@ fn main() {
         let txns = txns_arg.min(nodes / 4).max(1);
         let d = (2 * k).min(nodes - 2);
         for scheme in SCHEMES {
-            let p = run_throughput(k, scheme, txns, d, tiles, seed, max_cycles);
+            let p = run_throughput(k, scheme, txns, d, seed, max_cycles);
             println!(
                 "{:>6} {:>12} {:>8} {:>12} {:>10.3} {:>14.0} {:>12} {:>12}",
                 format!("{k}x{k}"),
@@ -209,8 +206,7 @@ fn main() {
     println!("\n== invalidation latency (cycles) vs sharers ==");
     let mut lat_rows: Vec<(usize, usize, Vec<f64>)> = Vec::new(); // (k, d, per-scheme latency)
     for &k in &ks {
-        let mut systems: Vec<DsmSystem> =
-            SCHEMES.iter().map(|&s| build_system(k, s, tiles)).collect();
+        let mut systems: Vec<DsmSystem> = SCHEMES.iter().map(|&s| build_system(k, s)).collect();
         let mesh = Mesh2D::square(k);
         println!("\n-- {k}x{k} --");
         wormdsm_bench::header(
@@ -276,17 +272,14 @@ fn main() {
         .collect();
     let json = format!(
         concat!(
-            "{{\n  \"ks\": {:?},\n  \"tiles\": {},\n  \"seed\": {},\n",
+            "{{\n  \"ks\": {:?},\n  \"seed\": {},\n",
             "  \"run_meta\": {},\n",
             "  \"throughput\": [\n{}\n  ],\n",
             "  \"latency_vs_sharers\": [\n{}\n  ]\n}}\n"
         ),
         ks,
-        tiles,
         seed,
-        RunMeta::capture(wormdsm_sim::pool::WorkerPool::sized_workers(tiles.saturating_sub(1)))
-            .with_wall_s(main_t0.elapsed().as_secs_f64())
-            .to_json(),
+        RunMeta::capture(0).with_wall_s(main_t0.elapsed().as_secs_f64()).to_json(),
         throughput_json.join(",\n"),
         latency_json.join(",\n")
     );

@@ -15,9 +15,8 @@
 //!   the one gating the makespan.
 //!
 //! Determinism: the scheme reads only *committed* meter windows — deltas
-//! of the bit-identical `NetStats::link_busy` counters taken at fixed
-//! window boundaries of the serial-equivalent tick order. Tile count
-//! (T=1 vs T=4), fast-forward, and snapshot/resume all preserve those
+//! of the `NetStats::link_busy` counters taken at fixed window
+//! boundaries. Fast-forward and snapshot/resume both preserve those
 //! counters cycle-for-cycle, so the same run history always yields the
 //! same plans (asserted end-to-end in `tests/full_stack.rs` and the
 //! `exp_adaptive` bench).

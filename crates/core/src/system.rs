@@ -445,25 +445,6 @@ impl DsmSystem {
         self.skipped_cycles
     }
 
-    /// Re-partition the network tick engine into `tiles` row bands at
-    /// runtime (see `Network::set_tiles`). Results are bit-identical for
-    /// any tile count; only wall time changes.
-    pub fn set_tiles(&mut self, tiles: usize) {
-        self.net.set_tiles(tiles);
-    }
-
-    /// Worker threads the parallel tick pool actually holds (0 when the
-    /// engine runs serially). May be fewer than `tiles - 1` on hosts with
-    /// little spare parallelism; see `WORMDSM_POOL_WORKERS`.
-    pub fn effective_workers(&self) -> usize {
-        self.net.effective_workers()
-    }
-
-    /// Current tile count of the network tick engine (1 = serial).
-    pub fn tiles(&self) -> usize {
-        self.net.tiles()
-    }
-
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -483,10 +464,8 @@ impl DsmSystem {
     // Tracing and invariant auditing.
     // ------------------------------------------------------------------
 
-    /// Set the flight recorder's runtime level. [`TraceLevel::Flit`]
-    /// forces the network onto its serial tick schedule so per-hop events
-    /// are never lost — results stay bit-identical, only wall time
-    /// changes.
+    /// Set the flight recorder's runtime level. Tracing is a pure
+    /// observer: results are bit-identical at every level.
     pub fn set_trace_level(&mut self, level: TraceLevel) {
         self.net.set_trace_level(level);
     }
@@ -528,8 +507,8 @@ impl DsmSystem {
     }
 
     /// Enable the mesh contention probe: per-link/VC occupancy and
-    /// credit-stall accounting in `window`-cycle buckets. Pure observer;
-    /// forces the serial network tick schedule while enabled.
+    /// credit-stall accounting in `window`-cycle buckets. Pure observer:
+    /// results are bit-identical with the probe on or off.
     pub fn enable_contention_probe(&mut self, window: Cycle) {
         self.net.enable_contention_probe(window);
     }
@@ -848,9 +827,8 @@ impl DsmSystem {
     /// configuration and scheme (the recorded fingerprint is enforced, so
     /// a foreign snapshot cannot be applied by mistake).
     ///
-    /// The runtime tile count survives the restore (it is an
-    /// execution-strategy knob, not simulated state). Observers do
-    /// not: the flight recorder restarts empty at its default level, and
+    /// Observers do not survive the restore: the flight recorder restarts
+    /// empty at its default level, and
     /// any contention probe or profiler is dropped with the old network.
     /// On error the system is left unusable for further stepping (state
     /// may be partially overwritten) — callers must treat a failed
@@ -860,7 +838,6 @@ impl DsmSystem {
             SimError::Snapshot(e.to_string())
         }
         let sys = self;
-        let tiles = sys.net.tiles();
         let mut r = SnapReader::new(bytes).map_err(snap_err)?;
         let fp = r.get_u64().map_err(snap_err)?;
         let scheme_name = r.get_str().map_err(snap_err)?;
@@ -914,7 +891,6 @@ impl DsmSystem {
                 r.remaining()
             )));
         }
-        sys.net.set_tiles(tiles);
         sys.violation = None;
         sys.delivery_scratch.clear();
         Ok(())

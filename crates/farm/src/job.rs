@@ -30,8 +30,6 @@ pub struct JobSpec {
     pub app: String,
     /// Mesh side (k x k processors).
     pub k: usize,
-    /// Partitioned-tick tile count (1 = serial engine).
-    pub tiles: usize,
     /// Synthetic pattern kind: `"uniform"`, `"col"`, `"row"`,
     /// `"cluster"`. Ignored (but still hashed) for application jobs.
     pub pattern: String,
@@ -46,8 +44,8 @@ pub struct JobSpec {
     pub compute_scale: u64,
     /// Completion deadline in cycles.
     pub max_cycles: Cycle,
-    /// Attach the latency-attribution profiler (forces flit tracing and
-    /// the serial tick; results stay bit-identical).
+    /// Attach the latency-attribution profiler (forces flit tracing;
+    /// results stay bit-identical).
     pub profile: bool,
 }
 
@@ -57,7 +55,6 @@ impl Default for JobSpec {
             scheme: SchemeKind::UiUa,
             app: "bh".to_string(),
             k: 4,
-            tiles: 1,
             pattern: "uniform".to_string(),
             d: 4,
             episodes: SYNTH_EPISODES,
@@ -70,16 +67,15 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Canonical identity string. Versioned so a future field addition
+    /// Canonical identity string. Versioned so a future field change
     /// re-keys the dedup space instead of silently colliding with
-    /// pre-existing hashes.
+    /// pre-existing hashes (v2 dropped the tile count).
     pub fn canonical(&self) -> String {
         format!(
-            "v1;scheme={};app={};k={};tiles={};pattern={};d={};eps={};seed={};scale={};max={};profile={}",
+            "v2;scheme={};app={};k={};pattern={};d={};eps={};seed={};scale={};max={};profile={}",
             self.scheme.name(),
             self.app,
             self.k,
-            self.tiles,
             self.pattern,
             self.d,
             self.episodes,
@@ -105,9 +101,6 @@ impl JobSpec {
         if self.k > Mesh2D::MAX_DIM {
             let max = Mesh2D::MAX_DIM;
             return Err(format!("k={} too large (the mesh side is at most {max})", self.k));
-        }
-        if self.tiles < 1 {
-            return Err("tiles must be >= 1".to_string());
         }
         if self.max_cycles < 1 {
             return Err("max_cycles must be >= 1".to_string());
@@ -209,7 +202,6 @@ impl JobSpec {
                 }
                 "app" => spec.app = v,
                 "k" => spec.k = parse_num(k, &v)?,
-                "tiles" => spec.tiles = parse_num(k, &v)?,
                 "pattern" => spec.pattern = v,
                 "d" => spec.d = parse_num(k, &v)?,
                 "episodes" => spec.episodes = parse_num(k, &v)?,
@@ -229,13 +221,12 @@ impl JobSpec {
     /// Render as a JSON object (embedded in `/jobs` rows).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"scheme\":\"{}\",\"app\":\"{}\",\"k\":{},\"tiles\":{},\"pattern\":\"{}\",\
-             \"d\":{},\"episodes\":{},\"seed\":{},\"compute_scale\":{},\"max_cycles\":{},\
+            "{{\"scheme\":\"{}\",\"app\":\"{}\",\"k\":{},\"pattern\":\"{}\",\"d\":{},\
+             \"episodes\":{},\"seed\":{},\"compute_scale\":{},\"max_cycles\":{},\
              \"profile\":{}}}",
             self.scheme.name(),
             self.app,
             self.k,
-            self.tiles,
             self.pattern,
             self.d,
             self.episodes,
@@ -288,7 +279,6 @@ mod tests {
             scheme: SchemeKind::MiMaTree,
             app: "synth".into(),
             k: 8,
-            tiles: 2,
             pattern: "col".into(),
             d: 6,
             episodes: 5,
@@ -297,7 +287,7 @@ mod tests {
             max_cycles: 1_000_000,
             profile: true,
         };
-        let q = "scheme=MI-MA%28tree%29&app=synth&k=8&tiles=2&pattern=col&d=6&episodes=5&seed=42\
+        let q = "scheme=MI-MA%28tree%29&app=synth&k=8&pattern=col&d=6&episodes=5&seed=42\
                  &compute_scale=3&max_cycles=1000000&profile=true";
         let parsed = JobSpec::parse_query(q).unwrap();
         assert_eq!(parsed, spec);
@@ -311,7 +301,6 @@ mod tests {
             JobSpec { scheme: SchemeKind::Dpm, ..base.clone() },
             JobSpec { app: "lu".into(), ..base.clone() },
             JobSpec { k: 8, ..base.clone() },
-            JobSpec { tiles: 4, ..base.clone() },
             JobSpec { pattern: "row".into(), ..base.clone() },
             JobSpec { d: 5, ..base.clone() },
             JobSpec { episodes: 9, ..base.clone() },
@@ -332,6 +321,7 @@ mod tests {
         assert!(JobSpec::parse_query("app=quake").is_err());
         assert!(JobSpec::parse_query("k=1").is_err());
         assert!(JobSpec::parse_query("nope=1").is_err());
+        assert!(JobSpec::parse_query("tiles=2").unwrap_err().contains("unknown key"));
         assert!(JobSpec::parse_query("k=abc").is_err());
         assert!(JobSpec::parse_query("app=synth&pattern=zigzag").is_err());
         assert!(JobSpec::parse_query("app=synth&k=2&d=9").is_err(), "d+2 > k*k");

@@ -12,19 +12,18 @@ use std::time::{Duration, Instant};
 use wormdsm_core::{to_prometheus, DsmSystem, RunMeta, SystemConfig, TraceLevel};
 use wormdsm_sim::snap::{SnapReader, SnapWriter};
 use wormdsm_sim::trace::{EventTap, TraceKind};
-use wormdsm_sim::{BoundedRing, Cycle, Phase, Registry, WorkerPool};
+use wormdsm_sim::{BoundedRing, Cycle, Phase, Registry};
 use wormdsm_workloads::Workload;
 
 /// Tunables of a farm instance.
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
-    /// Jobs executed concurrently (each on its own pool lane).
+    /// Jobs executed concurrently (each on its own thread).
     pub workers: usize,
     /// Observation-window size in cycles: how often running jobs report
     /// progress, drain telemetry, and poll for shutdown.
     pub progress_every: Cycle,
-    /// Contention-probe window in cycles; 0 disables the probe (it
-    /// forces the serial tile schedule).
+    /// Contention-probe window in cycles; 0 disables the probe.
     pub probe_window: Cycle,
     /// Per-subscriber SSE ring capacity (frames).
     pub event_ring: usize,
@@ -39,7 +38,7 @@ pub struct FarmConfig {
 impl Default for FarmConfig {
     fn default() -> Self {
         Self {
-            workers: WorkerPool::sized_workers(0).max(1),
+            workers: 1,
             progress_every: 4096,
             probe_window: 0,
             event_ring: 256,
@@ -61,14 +60,12 @@ struct HeatSnapshot {
     busy: Vec<u64>,
 }
 
-/// The shared farm service: job table, event bus, executor pool, and
-/// shutdown flag. Wrap in an [`Arc`] and share between the executor and
-/// HTTP threads.
+/// The shared farm service: job table, event bus, and shutdown flag.
+/// Wrap in an [`Arc`] and share between the executor and HTTP threads.
 pub struct Farm {
     cfg: FarmConfig,
     table: Mutex<JobTable>,
     bus: Arc<EventBus>,
-    pool: WorkerPool,
     stop: AtomicBool,
     heat: Mutex<Option<HeatSnapshot>>,
 }
@@ -93,12 +90,10 @@ enum RunEnd {
 impl Farm {
     /// New farm with `cfg`.
     pub fn new(cfg: FarmConfig) -> Self {
-        let workers = cfg.workers.max(1);
         Self {
             cfg,
             table: Mutex::new(JobTable::new()),
             bus: Arc::new(EventBus::new()),
-            pool: WorkerPool::new(workers),
             stop: AtomicBool::new(false),
             heat: Mutex::new(None),
         }
@@ -174,14 +169,16 @@ impl Farm {
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
-            let ends: Vec<Mutex<Option<RunEnd>>> = batch.iter().map(|_| Mutex::new(None)).collect();
-            self.pool.run(batch.len(), &|i| {
-                let (id, spec, ckpt) = &batch[i];
-                let end = execute(self, *id, spec, ckpt.clone());
-                *ends[i].lock().expect("job result slot") = Some(end);
+            // One scoped thread per claimed job; `execute` turns a job
+            // panic into a failure, so every thread returns a result.
+            let ends: Vec<RunEnd> = std::thread::scope(|s| {
+                let lanes: Vec<_> = batch
+                    .iter()
+                    .map(|(id, spec, ckpt)| s.spawn(move || execute(self, *id, spec, ckpt.clone())))
+                    .collect();
+                lanes.into_iter().map(|l| l.join().expect("execute catches job panics")).collect()
             });
-            for ((id, spec, _), slot) in batch.iter().zip(ends) {
-                let end = slot.into_inner().expect("job result slot").expect("pool ran the job");
+            for ((id, spec, _), end) in batch.iter().zip(ends) {
                 let mut table = self.table.lock().expect("job table");
                 match end {
                     RunEnd::Done(outcome) => {
@@ -359,9 +356,8 @@ impl EventTap for FarmTap {
 }
 
 /// Execute one job to completion, pause, or failure. Panics are caught
-/// and become failures: a panicking job must never take down its pool
-/// lane, which would leave the executor's dispatch barrier waiting
-/// forever.
+/// and become failures, so one bad job fails alone instead of taking
+/// down the executor.
 fn execute(farm: &Farm, id: u64, spec: &JobSpec, checkpoint: Option<Vec<u8>>) -> RunEnd {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_job(farm, id, spec, checkpoint)
@@ -392,7 +388,6 @@ fn run_job(
         Some(bytes) => workload.resume(sys_cfg, spec.scheme.build(), &bytes)?,
         None => (DsmSystem::new(sys_cfg, spec.scheme.build()), workload.start()),
     };
-    sys.set_tiles(spec.tiles);
     if spec.profile {
         sys.enable_profiling();
     } else {

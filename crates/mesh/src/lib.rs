@@ -19,6 +19,7 @@
 //!
 //! Entry point: [`network::Network`] with a [`network::MeshConfig`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod network;

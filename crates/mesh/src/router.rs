@@ -14,14 +14,11 @@
 //! per-cycle scan over the active worklist therefore walks dense,
 //! same-typed memory instead of chasing per-node struct pointers — at a
 //! 4096-node (k=64) mesh the tick-hot credit/occupancy/head state stays
-//! cache-resident. [`RouterTile`] is the borrowed window the
-//! space-partitioned parallel tick carves per tile; it indexes by *global*
-//! node id, so the phase logic is written once for both the serial and
-//! partitioned schedules.
+//! cache-resident.
 
 use crate::worm::Flit;
 use std::collections::VecDeque;
-use wormdsm_sim::{BitSet128, Cycle, Strided, StridedView};
+use wormdsm_sim::{BitSet128, Cycle, Strided};
 
 /// A flit sitting in a router buffer, with the cycle at which it becomes
 /// eligible to move (head flits pay the router pipeline delay, body flits
@@ -63,73 +60,6 @@ pub enum VcMode {
 
 /// `head_ready` value of an empty input VC: never eligible.
 const EMPTY_READY: Cycle = Cycle::MAX;
-
-/// Deposit `bf` into one input VC's FIFO, maintaining the head-ready
-/// mirror, occupancy bit, and flit count. Shared by the slab and tile
-/// views so the invariants live in one place.
-#[inline]
-fn deposit_into(
-    buf: &mut VecDeque<BufFlit>,
-    head_ready: &mut Cycle,
-    occ: &mut BitSet128,
-    flits: &mut u32,
-    slot: usize,
-    cap: usize,
-    bf: BufFlit,
-) {
-    assert!(buf.len() < cap, "input buffer overflow at slot {slot}");
-    if buf.is_empty() {
-        *head_ready = bf.ready_at;
-    }
-    buf.push_back(bf);
-    *flits += 1;
-    occ.set(slot);
-}
-
-/// Pop the front flit of one input VC, maintaining the same invariants.
-#[inline]
-fn pop_from(
-    buf: &mut VecDeque<BufFlit>,
-    head_ready: &mut Cycle,
-    occ: &mut BitSet128,
-    flits: &mut u32,
-    slot: usize,
-) -> BufFlit {
-    let bf = buf.pop_front().expect("pop from empty input VC");
-    debug_assert_eq!(*head_ready, bf.ready_at, "head-ready mirror out of sync");
-    *head_ready = buf.front().map_or(EMPTY_READY, |f| f.ready_at);
-    *flits -= 1;
-    if buf.is_empty() {
-        occ.clear(slot);
-    }
-    bf
-}
-
-/// Find a free, credited output VC on `port` within `lo..hi`, given one
-/// node's credit and allocation rows (stride `vcs` per port). Returns the
-/// VC with the most credits (head-of-line freedom), ties to the lowest
-/// index.
-#[inline]
-fn best_free_out_vc_in(
-    credit: &[u32],
-    alloc: &[Option<(u8, u8)>],
-    vcs: usize,
-    port: usize,
-    lo: usize,
-    hi: usize,
-) -> Option<(usize, usize)> {
-    let mut best: Option<(usize, usize)> = None;
-    for vc in lo..hi {
-        let s = port * vcs + vc;
-        if alloc[s].is_none() && credit[s] > 0 {
-            let cr = credit[s] as usize;
-            if best.is_none_or(|(_, bc)| cr > bc) {
-                best = Some((vc, cr));
-            }
-        }
-    }
-    best
-}
 
 /// Router state for every node, field-major. All indices are global node
 /// ids; the `(port, vc)` pair maps to slot `port * vcs + vc`, matching the
@@ -260,8 +190,72 @@ impl RouterSlab {
         self.vc_cap - self.buf.at(n, self.slot(port, vc)).len()
     }
 
+    /// Re-arm the front flit's eligibility time (header strip / i-ack
+    /// check delays).
+    #[inline]
+    pub fn set_front_ready(&mut self, n: usize, port: usize, vc: usize, at: Cycle) {
+        let s = self.slot(port, vc);
+        self.buf.at_mut(n, s).front_mut().expect("head present").ready_at = at;
+        *self.head_ready.at_mut(n, s) = at;
+    }
+
+    /// Set the allocation state of input `(port, vc)`.
+    #[inline]
+    pub fn set_mode(&mut self, n: usize, port: usize, vc: usize, m: VcMode) {
+        let s = self.slot(port, vc);
+        *self.mode.at_mut(n, s) = m;
+    }
+
+    /// Stash an absorb channel pending route allocation.
+    #[inline]
+    pub fn set_pending_absorb(&mut self, n: usize, port: usize, vc: usize, cc: usize) {
+        let s = self.slot(port, vc);
+        *self.pending_absorb.at_mut(n, s) = Some(cc as u8);
+    }
+
+    /// Take the pending absorb channel (route allocation consumes it).
+    #[inline]
+    pub fn take_pending_absorb(&mut self, n: usize, port: usize, vc: usize) -> Option<u8> {
+        let s = self.slot(port, vc);
+        self.pending_absorb.at_mut(n, s).take()
+    }
+
+    /// Set or clear an output VC allocation.
+    #[inline]
+    pub fn set_alloc(&mut self, n: usize, port: usize, vc: usize, a: Option<(usize, usize)>) {
+        let s = self.slot(port, vc);
+        *self.alloc.at_mut(n, s) = a.map(|(p, v)| (p as u8, v as u8));
+    }
+
+    /// Consume one downstream credit (a flit crossed the link).
+    #[inline]
+    pub fn take_credit(&mut self, n: usize, port: usize, vc: usize) {
+        let s = self.slot(port, vc);
+        *self.credit.at_mut(n, s) -= 1;
+    }
+
+    /// Return one credit (downstream buffer slot vacated).
+    #[inline]
+    pub fn add_credit(&mut self, n: usize, port: usize, vc: usize) {
+        let s = self.slot(port, vc);
+        *self.credit.at_mut(n, s) += 1;
+    }
+
+    /// Round-robin pointer of output `port`.
+    #[inline]
+    pub fn rr(&self, n: usize, port: usize) -> usize {
+        *self.rr.at(n, port) as usize
+    }
+
+    /// Set the round-robin pointer of output `port`.
+    #[inline]
+    pub fn set_rr(&mut self, n: usize, port: usize, v: usize) {
+        *self.rr.at_mut(n, port) = v as u32;
+    }
+
     /// Find a free, credited output VC on `port` within the VC index range
-    /// `lo..hi` (the worm's virtual-network class).
+    /// `lo..hi` (the worm's virtual-network class). Returns the VC with
+    /// the most credits (head-of-line freedom), ties to the lowest index.
     pub fn best_free_out_vc(
         &self,
         n: usize,
@@ -269,7 +263,18 @@ impl RouterSlab {
         lo: usize,
         hi: usize,
     ) -> Option<(usize, usize)> {
-        best_free_out_vc_in(self.credit.row(n), self.alloc.row(n), self.vcs, port, lo, hi)
+        let (credit, alloc) = (self.credit.row(n), self.alloc.row(n));
+        let mut best: Option<(usize, usize)> = None;
+        for vc in lo..hi {
+            let s = self.slot(port, vc);
+            if alloc[s].is_none() && credit[s] > 0 {
+                let cr = credit[s] as usize;
+                if best.is_none_or(|(_, bc)| cr > bc) {
+                    best = Some((vc, cr));
+                }
+            }
+        }
+        best
     }
 
     /// True when output `(port, vc)` is credit-starved this cycle: it is
@@ -283,121 +288,37 @@ impl RouterSlab {
         self.front_ready(n, in_port, in_vc) <= now
     }
 
-    /// Deposit a flit into input `(port, vc)` of node `n`. Panics on
+    /// Deposit a flit into input `(port, vc)` of node `n`, maintaining the
+    /// head-ready mirror, occupancy bit, and flit count. Panics on
     /// overflow (credit discipline must prevent it).
     pub fn deposit(&mut self, n: usize, port: usize, vc: usize, bf: BufFlit) {
         let s = self.slot(port, vc);
-        deposit_into(
-            self.buf.at_mut(n, s),
-            self.head_ready.at_mut(n, s),
-            &mut self.occ[n],
-            &mut self.flits[n],
-            s,
-            self.vc_cap,
-            bf,
-        );
+        let buf = self.buf.at_mut(n, s);
+        assert!(buf.len() < self.vc_cap, "input buffer overflow at slot {s}");
+        if buf.is_empty() {
+            *self.head_ready.at_mut(n, s) = bf.ready_at;
+        }
+        buf.push_back(bf);
+        self.flits[n] += 1;
+        self.occ[n].set(s);
     }
 
-    /// Pop the front flit of input `(port, vc)` of node `n`.
+    /// Pop the front flit of input `(port, vc)` of node `n`, maintaining
+    /// the same invariants.
     pub fn pop(&mut self, n: usize, port: usize, vc: usize) -> BufFlit {
         let s = self.slot(port, vc);
-        pop_from(
-            self.buf.at_mut(n, s),
-            self.head_ready.at_mut(n, s),
-            &mut self.occ[n],
-            &mut self.flits[n],
-            s,
-        )
-    }
-
-    /// Return one credit to output `(port, vc)` of node `n` (barrier-time
-    /// cross-tile credit application).
-    pub fn add_credit(&mut self, n: usize, port: usize, vc: usize) {
-        let s = self.slot(port, vc);
-        *self.credit.at_mut(n, s) += 1;
-    }
-
-    /// Borrow the whole slab as a single tile (global indices 0..nodes).
-    pub fn view_mut(&mut self) -> RouterTile<'_> {
-        RouterTile {
-            base: 0,
-            ports: self.ports,
-            vcs: self.vcs,
-            vc_cap: self.vc_cap,
-            buf: self.buf.view_mut(),
-            head_ready: self.head_ready.view_mut(),
-            mode: self.mode.view_mut(),
-            pending_absorb: self.pending_absorb.view_mut(),
-            credit: self.credit.view_mut(),
-            alloc: self.alloc.view_mut(),
-            rr: self.rr.view_mut(),
-            occ: &mut self.occ,
-            flits: &mut self.flits,
+        let buf = self.buf.at_mut(n, s);
+        let bf = buf.pop_front().expect("pop from empty input VC");
+        let next_ready = buf.front().map_or(EMPTY_READY, |f| f.ready_at);
+        let empty = buf.is_empty();
+        let head_ready = self.head_ready.at_mut(n, s);
+        debug_assert_eq!(*head_ready, bf.ready_at, "head-ready mirror out of sync");
+        *head_ready = next_ready;
+        self.flits[n] -= 1;
+        if empty {
+            self.occ[n].clear(s);
         }
-    }
-}
-
-/// Reusable capture of one router's complete state, used by the
-/// speculative tick engine to roll a mis-speculated cycle back. All
-/// buffers are pooled: [`RouterSlab::capture_node`] clears and refills
-/// them in place, so a checkpoint that is reused across cycles stops
-/// allocating once it has warmed up.
-#[derive(Debug, Default, Clone)]
-pub struct RouterNodeCk {
-    buf_lens: Vec<u32>,
-    buf_flits: Vec<BufFlit>,
-    head_ready: Vec<Cycle>,
-    mode: Vec<VcMode>,
-    pending_absorb: Vec<Option<u8>>,
-    credit: Vec<u32>,
-    alloc: Vec<Option<(u8, u8)>>,
-    rr: Vec<u32>,
-    occ: BitSet128,
-    flits: u32,
-}
-
-impl RouterSlab {
-    /// Capture node `n`'s full router state into `ck` (pooled buffers).
-    pub fn capture_node(&self, n: usize, ck: &mut RouterNodeCk) {
-        ck.buf_lens.clear();
-        ck.buf_flits.clear();
-        for q in self.buf.row(n) {
-            ck.buf_lens.push(q.len() as u32);
-            ck.buf_flits.extend(q.iter().copied());
-        }
-        ck.head_ready.clear();
-        ck.head_ready.extend_from_slice(self.head_ready.row(n));
-        ck.mode.clear();
-        ck.mode.extend_from_slice(self.mode.row(n));
-        ck.pending_absorb.clear();
-        ck.pending_absorb.extend_from_slice(self.pending_absorb.row(n));
-        ck.credit.clear();
-        ck.credit.extend_from_slice(self.credit.row(n));
-        ck.alloc.clear();
-        ck.alloc.extend_from_slice(self.alloc.row(n));
-        ck.rr.clear();
-        ck.rr.extend_from_slice(self.rr.row(n));
-        ck.occ = self.occ[n];
-        ck.flits = self.flits[n];
-    }
-
-    /// Restore node `n` to the state captured in `ck`.
-    pub fn restore_node(&mut self, n: usize, ck: &RouterNodeCk) {
-        let mut off = 0usize;
-        for (q, &len) in self.buf.row_mut(n).iter_mut().zip(&ck.buf_lens) {
-            q.clear();
-            let end = off + len as usize;
-            q.extend(ck.buf_flits[off..end].iter().copied());
-            off = end;
-        }
-        self.head_ready.row_mut(n).copy_from_slice(&ck.head_ready);
-        self.mode.row_mut(n).copy_from_slice(&ck.mode);
-        self.pending_absorb.row_mut(n).copy_from_slice(&ck.pending_absorb);
-        self.credit.row_mut(n).copy_from_slice(&ck.credit);
-        self.alloc.row_mut(n).copy_from_slice(&ck.alloc);
-        self.rr.row_mut(n).copy_from_slice(&ck.rr);
-        self.occ[n] = ck.occ;
-        self.flits[n] = ck.flits;
+        bf
     }
 }
 
@@ -509,237 +430,6 @@ mod snap_impls {
     }
 }
 
-/// A contiguous-node window of a [`RouterSlab`]. All methods take *global*
-/// node ids (`base..base + rows`); [`RouterTile::split_at`] carves the
-/// window into disjoint halves for the partitioned tick.
-#[derive(Debug)]
-pub struct RouterTile<'a> {
-    base: usize,
-    ports: usize,
-    vcs: usize,
-    vc_cap: usize,
-    buf: StridedView<'a, VecDeque<BufFlit>>,
-    head_ready: StridedView<'a, Cycle>,
-    mode: StridedView<'a, VcMode>,
-    pending_absorb: StridedView<'a, Option<u8>>,
-    credit: StridedView<'a, u32>,
-    alloc: StridedView<'a, Option<(u8, u8)>>,
-    rr: StridedView<'a, u32>,
-    occ: &'a mut [BitSet128],
-    flits: &'a mut [u32],
-}
-
-impl<'a> RouterTile<'a> {
-    /// Split into windows of the first `nodes` nodes and the rest.
-    pub fn split_at(self, nodes: usize) -> (Self, Self) {
-        let (buf_l, buf_r) = self.buf.split_at_row(nodes);
-        let (hr_l, hr_r) = self.head_ready.split_at_row(nodes);
-        let (mode_l, mode_r) = self.mode.split_at_row(nodes);
-        let (pa_l, pa_r) = self.pending_absorb.split_at_row(nodes);
-        let (cr_l, cr_r) = self.credit.split_at_row(nodes);
-        let (al_l, al_r) = self.alloc.split_at_row(nodes);
-        let (rr_l, rr_r) = self.rr.split_at_row(nodes);
-        let (occ_l, occ_r) = self.occ.split_at_mut(nodes);
-        let (fl_l, fl_r) = self.flits.split_at_mut(nodes);
-        (
-            RouterTile {
-                base: self.base,
-                ports: self.ports,
-                vcs: self.vcs,
-                vc_cap: self.vc_cap,
-                buf: buf_l,
-                head_ready: hr_l,
-                mode: mode_l,
-                pending_absorb: pa_l,
-                credit: cr_l,
-                alloc: al_l,
-                rr: rr_l,
-                occ: occ_l,
-                flits: fl_l,
-            },
-            RouterTile {
-                base: self.base + nodes,
-                ports: self.ports,
-                vcs: self.vcs,
-                vc_cap: self.vc_cap,
-                buf: buf_r,
-                head_ready: hr_r,
-                mode: mode_r,
-                pending_absorb: pa_r,
-                credit: cr_r,
-                alloc: al_r,
-                rr: rr_r,
-                occ: occ_r,
-                flits: fl_r,
-            },
-        )
-    }
-
-    #[inline]
-    fn local(&self, n: usize) -> usize {
-        debug_assert!(n >= self.base && n - self.base < self.flits.len());
-        n - self.base
-    }
-
-    #[inline]
-    fn slot(&self, port: usize, vc: usize) -> usize {
-        debug_assert!(port < self.ports && vc < self.vcs);
-        port * self.vcs + vc
-    }
-
-    /// Flits buffered at node `n`.
-    #[inline]
-    pub fn flits(&self, n: usize) -> usize {
-        self.flits[self.local(n)] as usize
-    }
-
-    /// Occupancy bitset of node `n`.
-    #[inline]
-    pub fn occ(&self, n: usize) -> BitSet128 {
-        self.occ[self.local(n)]
-    }
-
-    /// Front flit of input `(port, vc)`.
-    #[inline]
-    pub fn front(&self, n: usize, port: usize, vc: usize) -> Option<BufFlit> {
-        self.buf.at(self.local(n), self.slot(port, vc)).front().copied()
-    }
-
-    /// `ready_at` of the front flit ([`Cycle::MAX`] when empty).
-    #[inline]
-    pub fn front_ready(&self, n: usize, port: usize, vc: usize) -> Cycle {
-        *self.head_ready.at(self.local(n), self.slot(port, vc))
-    }
-
-    /// Re-arm the front flit's eligibility time (header strip / i-ack
-    /// check delays).
-    #[inline]
-    pub fn set_front_ready(&mut self, n: usize, port: usize, vc: usize, at: Cycle) {
-        let (l, s) = (self.local(n), self.slot(port, vc));
-        self.buf.at_mut(l, s).front_mut().expect("head present").ready_at = at;
-        *self.head_ready.at_mut(l, s) = at;
-    }
-
-    /// Allocation state of input `(port, vc)`.
-    #[inline]
-    pub fn mode(&self, n: usize, port: usize, vc: usize) -> VcMode {
-        *self.mode.at(self.local(n), self.slot(port, vc))
-    }
-
-    /// Set the allocation state of input `(port, vc)`.
-    #[inline]
-    pub fn set_mode(&mut self, n: usize, port: usize, vc: usize, m: VcMode) {
-        *self.mode.at_mut(self.local(n), self.slot(port, vc)) = m;
-    }
-
-    /// Stash an absorb channel pending route allocation.
-    #[inline]
-    pub fn set_pending_absorb(&mut self, n: usize, port: usize, vc: usize, cc: usize) {
-        *self.pending_absorb.at_mut(self.local(n), self.slot(port, vc)) = Some(cc as u8);
-    }
-
-    /// Take the pending absorb channel (route allocation consumes it).
-    #[inline]
-    pub fn take_pending_absorb(&mut self, n: usize, port: usize, vc: usize) -> Option<u8> {
-        self.pending_absorb.at_mut(self.local(n), self.slot(port, vc)).take()
-    }
-
-    /// Output VC allocation `-> (in_port, in_vc)`.
-    #[inline]
-    pub fn alloc(&self, n: usize, port: usize, vc: usize) -> Option<(usize, usize)> {
-        self.alloc.at(self.local(n), self.slot(port, vc)).map(|(p, v)| (p as usize, v as usize))
-    }
-
-    /// Set or clear an output VC allocation.
-    #[inline]
-    pub fn set_alloc(&mut self, n: usize, port: usize, vc: usize, a: Option<(usize, usize)>) {
-        *self.alloc.at_mut(self.local(n), self.slot(port, vc)) = a.map(|(p, v)| (p as u8, v as u8));
-    }
-
-    /// Credits toward the downstream buffer of output `(port, vc)`.
-    #[inline]
-    pub fn credit(&self, n: usize, port: usize, vc: usize) -> usize {
-        *self.credit.at(self.local(n), self.slot(port, vc)) as usize
-    }
-
-    /// Consume one downstream credit (a flit crossed the link).
-    #[inline]
-    pub fn take_credit(&mut self, n: usize, port: usize, vc: usize) {
-        *self.credit.at_mut(self.local(n), self.slot(port, vc)) -= 1;
-    }
-
-    /// Return one credit (downstream buffer slot vacated).
-    #[inline]
-    pub fn add_credit(&mut self, n: usize, port: usize, vc: usize) {
-        *self.credit.at_mut(self.local(n), self.slot(port, vc)) += 1;
-    }
-
-    /// Round-robin pointer of output `port`.
-    #[inline]
-    pub fn rr(&self, n: usize, port: usize) -> usize {
-        *self.rr.at(self.local(n), port) as usize
-    }
-
-    /// Set the round-robin pointer of output `port`.
-    #[inline]
-    pub fn set_rr(&mut self, n: usize, port: usize, v: usize) {
-        *self.rr.at_mut(self.local(n), port) = v as u32;
-    }
-
-    /// Free buffer slots of input `(port, vc)`.
-    #[inline]
-    pub fn space(&self, n: usize, port: usize, vc: usize) -> usize {
-        self.vc_cap - self.buf.at(self.local(n), self.slot(port, vc)).len()
-    }
-
-    /// Find a free, credited output VC on `port` within `lo..hi`.
-    pub fn best_free_out_vc(
-        &self,
-        n: usize,
-        port: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Option<(usize, usize)> {
-        let l = self.local(n);
-        best_free_out_vc_in(self.credit.row(l), self.alloc.row(l), self.vcs, port, lo, hi)
-    }
-
-    /// See [`RouterSlab::credit_starved`].
-    pub fn credit_starved(&self, now: Cycle, n: usize, port: usize, vc: usize) -> bool {
-        let Some((in_port, in_vc)) = self.alloc(n, port, vc) else { return false };
-        if self.credit(n, port, vc) > 0 {
-            return false;
-        }
-        self.front_ready(n, in_port, in_vc) <= now
-    }
-
-    /// Deposit a flit into input `(port, vc)` of node `n`.
-    pub fn deposit(&mut self, n: usize, port: usize, vc: usize, bf: BufFlit) {
-        let (l, s) = (self.local(n), self.slot(port, vc));
-        deposit_into(
-            self.buf.at_mut(l, s),
-            self.head_ready.at_mut(l, s),
-            &mut self.occ[l],
-            &mut self.flits[l],
-            s,
-            self.vc_cap,
-            bf,
-        );
-    }
-
-    /// Pop the front flit of input `(port, vc)` of node `n`.
-    pub fn pop(&mut self, n: usize, port: usize, vc: usize) -> BufFlit {
-        let (l, s) = (self.local(n), self.slot(port, vc));
-        pop_from(
-            self.buf.at_mut(l, s),
-            self.head_ready.at_mut(l, s),
-            &mut self.occ[l],
-            &mut self.flits[l],
-            s,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,39 +510,16 @@ mod tests {
     #[test]
     fn best_free_out_vc_prefers_credits() {
         let mut r = RouterSlab::new(1, 5, 4, 4);
-        {
-            let mut t = r.view_mut();
-            // Drain credits: vc0 -> 1, vc1 -> 3 on port 2.
-            for _ in 0..3 {
-                t.take_credit(0, 2, 0);
-            }
-            t.take_credit(0, 2, 1);
+        // Drain credits: vc0 -> 1, vc1 -> 3 on port 2.
+        for _ in 0..3 {
+            r.take_credit(0, 2, 0);
         }
+        r.take_credit(0, 2, 1);
         // vcs 2..4 belong to the other vnet; restrict to 0..2.
         assert_eq!(r.best_free_out_vc(0, 2, 0, 2), Some((1, 3)));
-        let mut t = r.view_mut();
-        t.set_alloc(0, 2, 1, Some((0, 0)));
-        assert_eq!(t.best_free_out_vc(0, 2, 0, 2), Some((0, 1)));
-        t.take_credit(0, 2, 0);
-        assert_eq!(t.best_free_out_vc(0, 2, 0, 2), None);
-    }
-
-    #[test]
-    fn tile_split_indexes_globally() {
-        let mut r = RouterSlab::new(4, 5, 2, 4);
-        {
-            let t = r.view_mut();
-            let (mut lo, mut hi) = t.split_at(2);
-            lo.deposit(1, 0, 0, bf(0));
-            hi.deposit(3, 1, 1, bf_at(0, 5));
-            assert_eq!(lo.flits(1), 1);
-            assert_eq!(hi.flits(3), 1);
-            assert_eq!(hi.front_ready(3, 1, 1), 5);
-            hi.set_mode(2, 0, 0, VcMode::DrainPark { entry: 1 });
-        }
-        assert_eq!(r.flits(1), 1);
-        assert_eq!(r.flits(3), 1);
-        assert_eq!(r.mode(2, 0, 0), VcMode::DrainPark { entry: 1 });
-        assert_eq!(r.front_ready(3, 1, 1), 5);
+        r.set_alloc(0, 2, 1, Some((0, 0)));
+        assert_eq!(r.best_free_out_vc(0, 2, 0, 2), Some((0, 1)));
+        r.take_credit(0, 2, 0);
+        assert_eq!(r.best_free_out_vc(0, 2, 0, 2), None);
     }
 }

@@ -14,18 +14,15 @@
 //! * **Cycle-level.** The network model advances in fixed 5 ns cycles
 //!   ([`NS_PER_CYCLE`]); node-level activity uses the event calendar. Both
 //!   share the same `Cycle` timebase.
-//! * **Zero deps, near-zero unsafe.** The kernel is plain safe Rust, with
-//!   one audited exception: the worker pool's lifetime erasure (see
-//!   [`pool`]), which the partitioned network tick needs to reuse parked
-//!   threads instead of spawning per cycle.
+//! * **Zero deps, no unsafe.** The kernel is plain safe Rust.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
 pub mod calendar;
 pub mod flat;
 pub mod inline_vec;
-pub mod pool;
 pub mod profile;
 pub mod ring;
 pub mod rng;
@@ -38,11 +35,10 @@ pub use bitset::BitSet128;
 pub use calendar::{Calendar, EventHandle};
 pub use flat::FlatMap;
 pub use inline_vec::InlineVec;
-pub use pool::WorkerPool;
 pub use profile::{Phase, TxnProfiler, TxnRecord};
 pub use ring::BoundedRing;
 pub use rng::Rng;
-pub use slab::{Strided, StridedView};
+pub use slab::Strided;
 pub use snap::{fnv64, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
 pub use stats::{Counter, Histogram, Metric, Registry, Summary, TimeWeighted};
 pub use trace::{

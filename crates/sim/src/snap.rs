@@ -1,6 +1,6 @@
 //! Versioned binary snapshots: save/restore of simulator state.
 //!
-//! The speculative tick engine and the resumable bench driver both need to
+//! Resumable runs and the farm's pause/restart path need to
 //! capture simulator state and put it back *bit-exactly*: a restored run
 //! must produce the same observable results as one that never stopped.
 //! This module provides the shared plumbing — a little-endian byte-stream
@@ -21,26 +21,20 @@
 //! - **Fail closed.** Every read is bounds-checked; a truncated, corrupt,
 //!   or version-skewed stream yields a [`SnapError`], never a panic or a
 //!   silently wrong value.
-//!
-//! The same [`Fnv64`] hasher doubles as the speculative engine's
-//! boundary-interaction validator: each tile hashes the cross-tile credit
-//! traffic it *assumed* and the barrier compares it against a hash of
-//! what its neighbor tiles actually *did* (see `wormdsm-mesh`).
 
 /// Stream magic: `"WDSM"` in ASCII, little-endian.
 pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. Version 2 appended the
-/// network's optional link-load meter to `Network::save_state`; version 3
-/// dropped the removed engines' counters from the `NetStats` layout.
-pub const SNAP_VERSION: u32 = 3;
+/// network's optional link-load meter to `Network::save_state`; versions 3
+/// and 4 dropped the removed engines' counters from the `NetStats` layout.
+pub const SNAP_VERSION: u32 = 4;
 
 /// FNV-1a 64-bit incremental hasher.
 ///
-/// Used for snapshot payload integrity and for the speculative engine's
-/// boundary-interaction hashes. Not cryptographic — it guards against
-/// truncation, bit rot, and mismatched speculation assumptions, not
+/// Used for snapshot payload integrity and config hashing. Not
+/// cryptographic — it guards against truncation and bit rot, not
 /// adversaries.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
