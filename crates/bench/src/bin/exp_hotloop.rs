@@ -2,18 +2,18 @@
 //! three seeded applications, with dead-cycle fast-forwarding off
 //! (control: per-cycle stepping) vs on (event-driven stepping).
 //!
-//! Verifies the two arms are bit-identical (cycles, flit hops,
-//! invalidation-latency distribution) and writes the measurements to
+//! Verifies the two arms are bit-identical (equal metrics fingerprints
+//! over the full registry) and writes the measurements to
 //! `BENCH_hotloop.json`.
 //!
 //! At `--compute-scale 1` the workloads are communication-dominated and
 //! nearly every cycle is *busy*, so fast-forwarding has nothing to elide
 //! — throughput there measures the raw per-cycle simulation cost. For
 //! the reference configuration (4x4, MI-MA(col)) this binary also checks
-//! the run against golden pre-optimization metrics (H2: the
-//! allocation-free flit path must not change results, only speed) and
-//! writes a busy-cycle report to `BENCH_busycycle.json` comparing
-//! against the recorded pre-optimization baseline throughput.
+//! every run against the golden pre-optimization metrics
+//! ([`wormdsm_bench::BUSY_GOLDEN`]; H2: the allocation-free flit path
+//! must not change results, only speed) and writes a busy-cycle report
+//! to `BENCH_busycycle.json`. Speed comparisons belong to `exp_perf`.
 //!
 //! With `--trace`, additionally measures flight-recorder overhead on the
 //! busy arm (tracing off vs `txn` vs `flit` level, asserting all three
@@ -21,9 +21,9 @@
 //! checks every recorded `txn_close` latency against the metrics summary,
 //! prints the metrics registry, and writes it all to `BENCH_trace.json`.
 //!
-//! Every arm ends with a coherence audit: `verify_coherence` plus the
-//! sticky invariant-violation slot, so a bench run can no longer report
-//! numbers from a corrupted machine.
+//! Every arm is one `Scenario::run`, which ends with a coherence audit
+//! (`verify_coherence` plus the sticky invariant-violation slot), so a
+//! bench run cannot report numbers from a corrupted machine.
 //!
 //! Usage: `exp_hotloop [--k 4] [--scheme "MI-MA(col)"] [--compute-scale 256]
 //!                     [--out BENCH_hotloop.json] [--busy-out BENCH_busycycle.json]
@@ -31,111 +31,25 @@
 //!                     [--app bh] [--snapshot-every N] [--snapshot-out FILE]
 //!                     [--resume FILE]`
 //!
-//! `--snapshot-every N` runs one app arm (`--app`) writing a resumable
-//! checkpoint every N cycles and keeps the last at `--snapshot-out`;
-//! `--resume FILE` picks such a run back up and proves the rejoined run
-//! bit-identical to one that was never interrupted.
+//! `--snapshot-every N` runs one app (`--app`) writing a resumable
+//! scenario checkpoint every N cycles and keeps the last at
+//! `--snapshot-out`; `--resume FILE` picks such a run back up and proves
+//! the rejoined run bit-identical to one that was never interrupted. A
+//! checkpoint names its scenario: resuming it under any other `--app`,
+//! `--k`, `--scheme` or `--compute-scale` exits with an error that names
+//! both.
 
 use std::time::Instant;
-use wormdsm_bench::{arg, assert_coherent, flag, seeded_workload, timed, warn_on_trace_drops};
-use wormdsm_core::{DsmSystem, RunMeta, SchemeKind, SystemConfig, TraceLevel};
+use wormdsm_bench::{arg, check_busy_golden, fingerprint, flag, run_scenario, warn_on_trace_drops};
+use wormdsm_core::{RunMeta, SchemeKind, TraceLevel};
 use wormdsm_sim::trace::TraceKind;
+use wormdsm_sim::Cycle;
+use wormdsm_workloads::{Observe, Scenario};
 
-struct Arm {
-    cycles: u64,
-    flit_hops: u64,
-    inval_lat_sum: f64,
-    inval_lat_count: u64,
-    wall_s: f64,
-    skipped: u64,
-    worm_slots_reused: u64,
-    scratch_grows: u64,
-    /// Full metrics registry (protocol + `net_`-prefixed mesh counters)
-    /// as a JSON object, embedded verbatim in the BENCH rows.
-    metrics_json: String,
-}
-
-/// Golden busy-cycle reference for 4x4 MI-MA(col) at `--compute-scale 1`,
-/// recorded on the pre-optimization tree (commit f102984): exact simulated
-/// results (any optimized run must reproduce them bit for bit) plus the
-/// baseline throughput the allocation-free flit path is measured against.
-struct BusyGolden {
-    app: &'static str,
-    cycles: u64,
-    flit_hops: u64,
-    inval_lat_count: u64,
-    inval_lat_sum: f64,
-    baseline_cps: f64,
-}
-
-const BUSY_GOLDEN: [BusyGolden; 3] = [
-    BusyGolden {
-        app: "bh",
-        cycles: 93_882,
-        flit_hops: 347_892,
-        inval_lat_count: 142,
-        inval_lat_sum: 27_230.0,
-        baseline_cps: 997_241.0,
-    },
-    BusyGolden {
-        app: "lu",
-        cycles: 142_273,
-        flit_hops: 651_056,
-        inval_lat_count: 24,
-        inval_lat_sum: 3_675.0,
-        baseline_cps: 776_613.0,
-    },
-    BusyGolden {
-        app: "apsp",
-        cycles: 306_859,
-        flit_hops: 1_480_233,
-        inval_lat_count: 881,
-        inval_lat_sum: 130_394.0,
-        baseline_cps: 584_421.0,
-    },
-];
-
-fn run_arm(app: &str, scheme: SchemeKind, k: usize, scale: u64, fast_forward: bool) -> Arm {
-    let (arm, _) = run_arm_traced(app, scheme, k, scale, fast_forward, TraceLevel::Off);
-    arm
-}
-
-/// Run one arm with the flight recorder at `level`, auditing coherence at
-/// the end, and hand back the finished system for trace inspection.
-fn run_arm_traced(
-    app: &str,
-    scheme: SchemeKind,
-    k: usize,
-    scale: u64,
-    fast_forward: bool,
-    level: TraceLevel,
-) -> (Arm, DsmSystem) {
-    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_fast_forward(fast_forward);
-    sys.set_trace_level(level);
-    if level > TraceLevel::Off {
-        // Large enough to keep a busy-arm run's full transaction history.
-        sys.recorder_mut().set_capacity(1 << 20);
-    }
-    let w = seeded_workload(app, k * k, scale);
-    let (r, wall_s) = timed(|| w.run(&mut sys, 500_000_000).expect("application completes"));
-    assert_coherent(&sys, &format!("{app} k={k}"));
-    (finish_arm(&sys, r.cycles, wall_s), sys)
-}
-
-/// Collect an [`Arm`] from a finished system.
-fn finish_arm(sys: &DsmSystem, cycles: u64, wall_s: f64) -> Arm {
-    Arm {
-        cycles,
-        flit_hops: sys.net_stats().flit_hops,
-        inval_lat_sum: sys.metrics().inval_latency.sum(),
-        inval_lat_count: sys.metrics().inval_latency.count(),
-        wall_s,
-        skipped: sys.skipped_cycles(),
-        worm_slots_reused: sys.net_stats().worm_slots_reused,
-        scratch_grows: sys.net_stats().scratch_grows,
-        metrics_json: sys.export_metrics().to_json(),
-    }
+/// An observation that traces at `level` into a ring large enough to
+/// keep a busy-arm run's full transaction history.
+fn traced(level: TraceLevel) -> Observe<'static> {
+    Observe { trace_level: level, ring: Some(1 << 20), ..Observe::default() }
 }
 
 /// H4: flight-recorder overhead and timeline reconstruction on the busy
@@ -156,30 +70,24 @@ fn trace_mode(scheme: SchemeKind, k: usize, out: &str) {
     let mut rows = Vec::new();
     let mut timeline = None;
     for app in ["bh", "lu", "apsp"] {
-        let off = run_arm(app, scheme, k, 1, true);
-        let (txn_arm, tsys) = run_arm_traced(app, scheme, k, 1, true, TraceLevel::Txn);
-        let (flit_arm, fsys) = run_arm_traced(app, scheme, k, 1, true, TraceLevel::Flit);
-        for (label, arm) in [("txn", &txn_arm), ("flit", &flit_arm)] {
-            assert_eq!(off.cycles, arm.cycles, "{app} {label}: cycles diverged under tracing");
+        let s = Scenario { scheme, app: app.into(), k, ..Scenario::default() };
+        let off = run_scenario(&s, Observe::default());
+        let txn = run_scenario(&s, traced(TraceLevel::Txn));
+        let flit = run_scenario(&s, traced(TraceLevel::Flit));
+        for (label, arm) in [("txn", &txn), ("flit", &flit)] {
             assert_eq!(
-                off.flit_hops, arm.flit_hops,
-                "{app} {label}: flit hops diverged under tracing"
-            );
-            assert_eq!(
-                off.inval_lat_sum, arm.inval_lat_sum,
-                "{app} {label}: inval latency diverged under tracing"
-            );
-            assert_eq!(
-                off.inval_lat_count, arm.inval_lat_count,
-                "{app} {label}: txn count diverged under tracing"
+                fingerprint(&off),
+                fingerprint(arm),
+                "{app} {label}: tracing changed the run"
             );
         }
+        let fsys = &flit.sys;
         // The recorded transaction closes must agree with the metrics the
         // run reported: one close per completed transaction, and the close
         // latencies summing to the latency summary. A ring overflow makes
         // those dumps incomplete: warn loudly and skip the ring-derived
         // cross-checks rather than asserting on truncated data.
-        let ring_complete = warn_on_trace_drops(&format!("{app} flit arm"), &fsys);
+        let ring_complete = warn_on_trace_drops(&format!("{app} flit arm"), fsys);
         let closes: Vec<(u64, u64)> = fsys
             .recorder()
             .events()
@@ -223,15 +131,15 @@ fn trace_mode(scheme: SchemeKind, k: usize, out: &str) {
             timeline =
                 Some((id, wormdsm_sim::trace::events_json(tl.iter()), fsys.export_metrics()));
         }
-        let t_ovh = txn_arm.wall_s / off.wall_s - 1.0;
-        let f_ovh = flit_arm.wall_s / off.wall_s - 1.0;
+        let t_ovh = txn.wall_s / off.wall_s - 1.0;
+        let f_ovh = flit.wall_s / off.wall_s - 1.0;
         println!(
             "{:>6} {:>12} {:>10.3} {:>10.3} {:>10.3} {:>8.1}% {:>8.1}%",
             app,
-            off.cycles,
+            off.result.cycles,
             off.wall_s,
-            txn_arm.wall_s,
-            flit_arm.wall_s,
+            txn.wall_s,
+            flit.wall_s,
             100.0 * t_ovh,
             100.0 * f_ovh
         );
@@ -243,13 +151,13 @@ fn trace_mode(scheme: SchemeKind, k: usize, out: &str) {
                 "\"events_txn\": {}, \"events_flit\": {}, \"bit_identical\": true}}"
             ),
             app,
-            off.cycles,
+            off.result.cycles,
             off.wall_s,
-            txn_arm.wall_s,
-            flit_arm.wall_s,
+            txn.wall_s,
+            flit.wall_s,
             t_ovh,
             f_ovh,
-            tsys.recorder().recorded(),
+            txn.sys.recorder().recorded(),
             fsys.recorder().recorded(),
         ));
     }
@@ -278,80 +186,75 @@ fn trace_mode(scheme: SchemeKind, k: usize, out: &str) {
     println!("\nwrote {out}");
 }
 
-/// `--snapshot-every N`: run one app arm writing a resumable checkpoint
-/// every N cycles, keep the last one at `path`, and verify checkpointing
-/// was invisible (final state bit-identical to an uninterrupted run).
-fn checkpoint_mode(app: &str, scheme: SchemeKind, k: usize, scale: u64, every: u64, path: &str) {
-    println!("\n== checkpointed run: {app} on {k}x{k} {}, every {every} cycles ==", scheme.name());
-    let w = seeded_workload(app, k * k, scale);
-    let mut reference = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    reference.set_fast_forward(true);
-    w.run(&mut reference, 500_000_000).expect("application completes");
-
-    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_fast_forward(true);
-    let mut last: Option<(u64, Vec<u8>)> = None;
-    let mut taken = 0u64;
-    w.run_checkpointed(&mut sys, 500_000_000, every, |at, bytes| {
-        taken += 1;
-        last = Some((at, bytes));
-    })
-    .expect("application completes");
-    assert_coherent(&sys, &format!("{app} k={k} checkpointed"));
-    assert_eq!(
-        sys.export_metrics().to_json(),
-        reference.export_metrics().to_json(),
-        "checkpointing changed the run"
+/// `--snapshot-every N`: run `s` writing a resumable checkpoint every N
+/// cycles, keep the last one at `path`, and verify checkpointing was
+/// invisible (final state bit-identical to an uninterrupted run).
+fn write_snapshots(s: &Scenario, every: Cycle, path: &str) {
+    println!("\n== checkpointed run: {}, every {every} cycles ==", s.canonical());
+    let reference = run_scenario(s, Observe::default());
+    let mut last: Option<(Cycle, Vec<u8>)> = None;
+    let snapshotting = Observe {
+        observer: Some((
+            every,
+            Box::new(|sys, st| {
+                last = Some((sys.now(), s.checkpoint(sys, st)));
+                true
+            }),
+        )),
+        ..Observe::default()
+    };
+    let r = run_scenario(s, snapshotting);
+    assert_eq!(fingerprint(&r), fingerprint(&reference), "checkpointing changed the run");
+    let (at, bytes) = last.expect("the observer sees the start of the run");
+    std::fs::write(path, &bytes).expect("write checkpoint");
+    println!(
+        "finished at cycle {} bit-identical to the uninterrupted run; \
+         kept the cycle-{at} checkpoint at {path} ({} bytes)",
+        r.sys.now(),
+        bytes.len()
     );
-    match last {
-        Some((at, bytes)) => {
-            std::fs::write(path, &bytes).expect("write checkpoint");
-            println!(
-                "{taken} checkpoints; finished at cycle {} bit-identical to the \
-                 uninterrupted run; kept the cycle-{at} checkpoint at {path} ({} bytes)",
-                sys.now(),
-                bytes.len()
-            );
-            println!(
-                "resume with: exp_hotloop --resume {path} --app {app} --k {k} \
-                 --scheme \"{}\" --compute-scale {scale}",
-                scheme.name()
-            );
-        }
-        None => println!(
-            "run finished at cycle {} before the first {every}-cycle boundary; nothing written",
-            sys.now()
-        ),
-    }
+    println!("resume with the same --app/--k/--scheme/--compute-scale plus --resume {path}");
 }
 
-/// `--resume <file>`: rebuild system + issue cursors from a
-/// [`checkpoint_mode`] file, run the remainder, and verify the final
-/// state is bit-identical to a run that was never interrupted.
-fn resume_mode(app: &str, scheme: SchemeKind, k: usize, scale: u64, path: &str) {
-    println!("\n== resumed run: {app} on {k}x{k} {}, from {path} ==", scheme.name());
-    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let w = seeded_workload(app, k * k, scale);
-    let (mut sys, mut st) = w
-        .resume(SystemConfig::for_scheme(k, scheme), scheme.build(), &bytes)
-        .unwrap_or_else(|e| panic!("resume {path}: {e}"));
-    let from = sys.now();
-    w.run_from(&mut sys, &mut st, 500_000_000).expect("application completes");
-    assert_coherent(&sys, &format!("{app} k={k} resumed"));
-
-    let mut reference = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    reference.set_fast_forward(true);
-    let r_ref = w.run(&mut reference, 500_000_000).expect("application completes");
-    assert_eq!(st.issued(), r_ref.issued, "resumed run issued a different op count");
+/// `--resume <file>`: continue `s` from a checkpoint written by
+/// `--snapshot-every`, and verify the final state is bit-identical to a
+/// run that was never interrupted. A checkpoint of any other scenario is
+/// an error.
+fn resume_from(s: &Scenario, path: &str) -> Result<(), String> {
+    println!("\n== resumed run: {}, from {path} ==", s.canonical());
+    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
+    let resumed = s.finish(Observe { resume: Some(&bytes), ..Observe::default() })?;
+    let reference = run_scenario(s, Observe::default());
     assert_eq!(
-        sys.export_metrics().to_json(),
-        reference.export_metrics().to_json(),
+        resumed.result.issued, reference.result.issued,
+        "resumed run issued a different count"
+    );
+    assert_eq!(
+        fingerprint(&resumed),
+        fingerprint(&reference),
         "resumed run diverged from the uninterrupted run"
     );
     println!(
-        "resumed at cycle {from}, finished at {}; bit-identical to the uninterrupted run",
-        sys.now()
+        "resumed at cycle {}, finished at {}; bit-identical to the uninterrupted run",
+        resumed.sys.now() - resumed.result.cycles,
+        resumed.sys.now()
     );
+    Ok(())
+}
+
+/// Write a throughput report: the scenario's mesh, scheme and compute
+/// scale, the run metadata, and one JSON row per app.
+fn write_report(path: &str, s: &Scenario, rows: &[String], t0: Instant) {
+    let json = format!(
+        "{{\n  \"k\": {},\n  \"scheme\": \"{}\",\n  \"compute_scale\": {},\n  \"run_meta\": {},\n  \"apps\": [\n{}\n  ]\n}}\n",
+        s.k,
+        s.scheme.name(),
+        s.compute_scale,
+        RunMeta::capture(0).with_wall_s(t0.elapsed().as_secs_f64()).to_json(),
+        rows.join(",\n")
+    );
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 fn main() {
@@ -371,16 +274,18 @@ fn main() {
         .into_iter()
         .find(|s| s.name() == scheme_name)
         .unwrap_or_else(|| panic!("unknown scheme {scheme_name}"));
+    let one_app = Scenario { scheme, app: app_arg, k, compute_scale: scale, ..Scenario::default() };
     if !resume.is_empty() {
-        resume_mode(&app_arg, scheme, k, scale, &resume);
+        if let Err(e) = resume_from(&one_app, &resume) {
+            eprintln!("exp_hotloop: cannot resume {resume}: {e}");
+            std::process::exit(1);
+        }
         return;
     }
     if snapshot_every > 0 {
-        checkpoint_mode(&app_arg, scheme, k, scale, snapshot_every, &snapshot_out);
+        write_snapshots(&one_app, snapshot_every, &snapshot_out);
         return;
     }
-    // The golden busy-cycle reference applies only to its recorded config.
-    let busy_ref = scale == 1 && k == 4 && scheme == SchemeKind::MiMaCol;
 
     println!("\n== hot-loop throughput on {0}x{0}, {1} ==", k, scheme.name());
     println!(
@@ -391,61 +296,42 @@ fn main() {
     let mut rows = Vec::new();
     let mut busy_rows = Vec::new();
     for app in ["bh", "lu", "apsp"] {
-        let control = run_arm(app, scheme, k, scale, false);
-        let mut fast = run_arm(app, scheme, k, scale, true);
-        assert_eq!(control.cycles, fast.cycles, "{app}: cycle count diverged");
-        assert_eq!(control.flit_hops, fast.flit_hops, "{app}: flit hops diverged");
-        assert_eq!(control.inval_lat_sum, fast.inval_lat_sum, "{app}: inval latency diverged");
-        assert_eq!(control.inval_lat_count, fast.inval_lat_count, "{app}: txn count diverged");
-        if busy_ref {
-            // Two extra fast passes: report the best wall time, so the
-            // busy-cycle speedup is not hostage to one noisy sample.
-            for _ in 0..2 {
-                let rerun = run_arm(app, scheme, k, scale, true);
-                if rerun.wall_s < fast.wall_s {
-                    fast = rerun;
-                }
-            }
-            let g = BUSY_GOLDEN.iter().find(|g| g.app == app).expect("golden app");
-            assert_eq!(fast.cycles, g.cycles, "{app}: cycles diverged from golden");
-            assert_eq!(fast.flit_hops, g.flit_hops, "{app}: flit hops diverged from golden");
-            assert_eq!(
-                fast.inval_lat_count, g.inval_lat_count,
-                "{app}: txn count diverged from golden"
-            );
-            assert_eq!(
-                fast.inval_lat_sum, g.inval_lat_sum,
-                "{app}: inval latency diverged from golden"
-            );
-            let cps = fast.cycles as f64 / fast.wall_s;
+        let s = Scenario { app: app.into(), ..one_app.clone() };
+        let control = run_scenario(&s, Observe { fast_forward: false, ..Observe::default() });
+        let fast = run_scenario(&s, Observe::default());
+        assert_eq!(
+            fingerprint(&control),
+            fingerprint(&fast),
+            "{app}: fast-forward changed the run"
+        );
+        let cycles = fast.result.cycles;
+        let net = fast.sys.net_stats();
+        if check_busy_golden(&s, &fast) {
             busy_rows.push(format!(
                 concat!(
                     "    {{\"app\": \"{}\", \"cycles\": {}, \"flit_hops\": {}, ",
-                    "\"baseline_cycles_per_s\": {:.0}, \"cycles_per_s\": {:.0}, ",
-                    "\"speedup_vs_baseline\": {:.3}, \"worm_slots_reused\": {}, ",
+                    "\"cycles_per_s\": {:.0}, \"worm_slots_reused\": {}, ",
                     "\"scratch_grows\": {}, \"bit_identical_to_golden\": true}}"
                 ),
                 app,
-                fast.cycles,
-                fast.flit_hops,
-                g.baseline_cps,
-                cps,
-                cps / g.baseline_cps,
-                fast.worm_slots_reused,
-                fast.scratch_grows,
+                cycles,
+                net.flit_hops,
+                cycles as f64 / fast.wall_s,
+                net.worm_slots_reused,
+                net.scratch_grows,
             ));
         }
-        let control_cps = control.cycles as f64 / control.wall_s;
-        let fast_cps = fast.cycles as f64 / fast.wall_s;
+        let control_cps = cycles as f64 / control.wall_s;
+        let fast_cps = cycles as f64 / fast.wall_s;
         let speedup = control.wall_s / fast.wall_s;
-        let dead = 100.0 * fast.skipped as f64 / fast.cycles as f64;
+        let dead = 100.0 * fast.sys.skipped_cycles() as f64 / cycles as f64;
         println!(
             "{:>6} {:>12} {:>14.3} {:>14.3} {:>14.0} {:>14.0} {:>7.2}x  ({dead:.1}% dead)",
-            app, control.cycles, control.wall_s, fast.wall_s, control_cps, fast_cps, speedup
+            app, cycles, control.wall_s, fast.wall_s, control_cps, fast_cps, speedup
         );
         println!(
             "       worm slots reused {:>9}   scratch regrows {:>3}",
-            fast.worm_slots_reused, fast.scratch_grows
+            net.worm_slots_reused, net.scratch_grows
         );
         rows.push(format!(
             concat!(
@@ -456,37 +342,23 @@ fn main() {
                 "\"speedup\": {:.3}, \"bit_identical\": true, \"metrics\": {}}}"
             ),
             app,
-            control.cycles,
-            control.flit_hops,
-            fast.skipped,
+            cycles,
+            net.flit_hops,
+            fast.sys.skipped_cycles(),
             dead / 100.0,
             control.wall_s,
             fast.wall_s,
             control_cps,
             fast_cps,
             speedup,
-            fast.metrics_json
+            fast.sys.export_metrics().to_json()
         ));
     }
 
-    let json = format!(
-        "{{\n  \"k\": {k},\n  \"scheme\": \"{}\",\n  \"compute_scale\": {scale},\n  \"run_meta\": {},\n  \"apps\": [\n{}\n  ]\n}}\n",
-        scheme.name(),
-        RunMeta::capture(0).with_wall_s(main_t0.elapsed().as_secs_f64()).to_json(),
-        rows.join(",\n")
-    );
-    std::fs::write(&out, json).expect("write results");
-    println!("\nwrote {out}");
-
-    if busy_ref {
-        let json = format!(
-            "{{\n  \"k\": {k},\n  \"scheme\": \"{}\",\n  \"compute_scale\": 1,\n  \"run_meta\": {},\n  \"apps\": [\n{}\n  ]\n}}\n",
-            scheme.name(),
-            RunMeta::capture(0).with_wall_s(main_t0.elapsed().as_secs_f64()).to_json(),
-            busy_rows.join(",\n")
-        );
-        std::fs::write(&busy_out, json).expect("write busy-cycle results");
-        println!("wrote {busy_out}");
+    println!();
+    write_report(&out, &one_app, &rows, main_t0);
+    if !busy_rows.is_empty() {
+        write_report(&busy_out, &one_app, &busy_rows, main_t0);
     }
 
     if trace {

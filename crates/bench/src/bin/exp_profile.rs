@@ -4,8 +4,8 @@
 //!
 //! For each scheme × app the harness runs two arms — profiling off vs
 //! profiling on (streaming `TxnProfiler` + mesh `ContentionProbe` at
-//! `TraceLevel::Flit`) — and asserts them bit-identical: the profiler is
-//! a pure observer and must not perturb a single cycle. The profiled arm
+//! `TraceLevel::Flit`) — and asserts their metrics fingerprints equal:
+//! the profiler is a pure observer and must not perturb a single cycle. The profiled arm
 //! is then checked for internal consistency:
 //!
 //! * every closed transaction's six phase widths sum *bit-exactly* to its
@@ -22,8 +22,8 @@
 //!
 //! For the reference configuration (4x4, compute scale 1, MI-MA(col))
 //! the profiled arm is additionally held to the golden busy-cycle
-//! numbers recorded on the pre-optimization tree (the same reference
-//! `exp_hotloop` uses).
+//! numbers recorded on the pre-optimization tree
+//! ([`wormdsm_bench::BUSY_GOLDEN`], the reference `exp_hotloop` uses).
 //!
 //! Output: per-scheme phase tables and apsp link heatmaps on stdout,
 //! machine-readable rows in `BENCH_profile.json`, and a Chrome
@@ -36,76 +36,16 @@
 //!                     [--probe-window 1024] [--out BENCH_profile.json]
 //!                     [--trace-out BENCH_profile.trace.json]`
 
-use wormdsm_bench::{arg, assert_coherent, phases_json, seeded_workload};
-use wormdsm_core::{ContentionProbe, DsmSystem, RunMeta, SchemeKind, SystemConfig, TxnProfiler};
+use wormdsm_bench::{arg, check_busy_golden, fingerprint, phases_json, run_scenario};
+use wormdsm_core::{ContentionProbe, RunMeta, SchemeKind};
 use wormdsm_mesh::render::link_heatmap;
 use wormdsm_mesh::topology::Mesh2D;
 use wormdsm_sim::profile::chrome_trace::{self, CounterPoint, CounterTrack};
 use wormdsm_sim::profile::{validate_json, Phase};
 use wormdsm_sim::Cycle;
+use wormdsm_workloads::{Observe, Scenario};
 
 const APPS: [&str; 3] = ["bh", "lu", "apsp"];
-
-/// Golden busy-cycle reference for 4x4 MI-MA(col) at compute scale 1
-/// (app, cycles, flit_hops, inval_lat_count, inval_lat_sum), recorded on
-/// the pre-optimization tree at commit f102984 — the same numbers
-/// `exp_hotloop` holds its arms to. The profiled arm must reproduce them
-/// bit for bit.
-const GOLDEN: [(&str, u64, u64, u64, f64); 3] = [
-    ("bh", 93_882, 347_892, 142, 27_230.0),
-    ("lu", 142_273, 651_056, 24, 3_675.0),
-    ("apsp", 306_859, 1_480_233, 881, 130_394.0),
-];
-
-/// The simulated results one arm reports (everything bit-identity is
-/// asserted over).
-struct ArmOut {
-    cycles: u64,
-    flit_hops: u64,
-    lat_sum: f64,
-    lat_count: u64,
-}
-
-fn arm_out(sys: &DsmSystem, cycles: u64) -> ArmOut {
-    ArmOut {
-        cycles,
-        flit_hops: sys.net_stats().flit_hops,
-        lat_sum: sys.metrics().inval_latency.sum(),
-        lat_count: sys.metrics().inval_latency.count(),
-    }
-}
-
-fn run_off(app: &str, scheme: SchemeKind, k: usize, scale: u64) -> ArmOut {
-    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_fast_forward(true);
-    let r = seeded_workload(app, k * k, scale).run(&mut sys, 500_000_000).expect("app completes");
-    assert_coherent(&sys, &format!("{app} {} off-arm", scheme.name()));
-    arm_out(&sys, r.cycles)
-}
-
-/// Profiled arm: streaming profiler + contention probe + a deliberately
-/// small trace ring. Returns the detached profiler and probe alongside
-/// the system (for metrics cross-checks).
-fn run_profiled(
-    app: &str,
-    scheme: SchemeKind,
-    k: usize,
-    scale: u64,
-    ring: usize,
-    probe_window: Cycle,
-) -> (ArmOut, DsmSystem, TxnProfiler, ContentionProbe) {
-    let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
-    sys.set_fast_forward(true);
-    sys.enable_profiling();
-    sys.recorder_mut().set_capacity(ring);
-    sys.enable_contention_probe(probe_window);
-    let r = seeded_workload(app, k * k, scale).run(&mut sys, 500_000_000).expect("app completes");
-    assert_coherent(&sys, &format!("{app} {} profiled arm", scheme.name()));
-    let out = arm_out(&sys, r.cycles);
-    let p = sys.take_profiler().expect("profiler attached");
-    let probe = sys.take_contention_probe().expect("probe enabled");
-    (out, sys, p, probe)
-}
 
 fn main() {
     let main_t0 = std::time::Instant::now();
@@ -116,7 +56,7 @@ fn main() {
     let out: String = arg("--out", "BENCH_profile.json".to_string());
     let trace_out: String = arg("--trace-out", "BENCH_profile.trace.json".to_string());
     let mesh = Mesh2D::square(k);
-    let golden_cfg = k == 4 && scale == 1;
+    let base = Scenario { k, compute_scale: scale, ..Scenario::default() };
 
     let mut rows = Vec::new();
     let mut trace_file: Option<String> = None;
@@ -132,22 +72,21 @@ fn main() {
         );
         let mut apsp_probe: Option<(ContentionProbe, u64)> = None;
         for app in APPS {
-            let off = run_off(app, scheme, k, scale);
-            let (on, sys, p, probe) = run_profiled(app, scheme, k, scale, ring, probe_window);
+            let off_arm = Scenario { scheme, app: app.into(), ..base.clone() };
+            let on_arm = Scenario { profile: true, ..off_arm.clone() };
+            let off = run_scenario(&off_arm, Observe::default());
+            let mut on = run_scenario(
+                &on_arm,
+                Observe { ring: Some(ring), probe_window, ..Observe::default() },
+            );
+            let p = on.sys.take_profiler().expect("profiled scenario attaches a profiler");
+            let probe = on.sys.take_contention_probe().expect("probe enabled");
+            let (sys, cycles) = (&on.sys, on.result.cycles);
 
             // Profiling must be invisible: bit-identical simulated results.
             let ctx = format!("{app} {}", scheme.name());
-            assert_eq!(off.cycles, on.cycles, "{ctx}: cycles diverged under profiling");
-            assert_eq!(off.flit_hops, on.flit_hops, "{ctx}: flit hops diverged under profiling");
-            assert_eq!(off.lat_sum, on.lat_sum, "{ctx}: inval latency diverged under profiling");
-            assert_eq!(off.lat_count, on.lat_count, "{ctx}: txn count diverged under profiling");
-            if golden_cfg && scheme == SchemeKind::MiMaCol {
-                let g = GOLDEN.iter().find(|g| g.0 == app).expect("golden app");
-                assert_eq!(on.cycles, g.1, "{ctx}: cycles diverged from golden");
-                assert_eq!(on.flit_hops, g.2, "{ctx}: flit hops diverged from golden");
-                assert_eq!(on.lat_count, g.3, "{ctx}: txn count diverged from golden");
-                assert_eq!(on.lat_sum, g.4, "{ctx}: inval latency diverged from golden");
-            }
+            assert_eq!(fingerprint(&off), fingerprint(&on), "{ctx}: profiling changed the run");
+            check_busy_golden(&on_arm, &on);
 
             // The profiler must agree with Metrics' independent accounting
             // and satisfy the exact-sum invariant on every transaction —
@@ -198,7 +137,7 @@ fn main() {
                 ),
                 scheme.name(),
                 app,
-                on.cycles,
+                cycles,
                 p.closed(),
                 p.latency_total(),
                 phases_json(|ph| totals[ph.index()].to_string()),
@@ -235,7 +174,7 @@ fn main() {
                     validate_json(&j).expect("chrome trace is well-formed JSON");
                     trace_file = Some(j);
                 }
-                apsp_probe = Some((probe, on.cycles));
+                apsp_probe = Some((probe, cycles));
             }
         }
         let (probe, elapsed) = apsp_probe.expect("apsp ran");

@@ -9,9 +9,10 @@
 
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SystemConfig};
+use wormdsm_farm::metrics_fingerprint;
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_sim::Rng;
-use wormdsm_workloads::{gen_pattern, Pattern, PatternKind, Workload};
+use wormdsm_workloads::{gen_pattern, Observe, Pattern, PatternKind, RunReport, Scenario};
 
 /// Measured outcome of one seeded invalidation transaction.
 #[derive(Debug, Clone, Copy)]
@@ -47,13 +48,6 @@ pub fn assert_coherent(sys: &DsmSystem, context: &str) {
     }
 }
 
-/// Time one invocation of `f`: `(result, wall_seconds)`.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = std::time::Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
 /// `"name": value` pairs for a phase breakdown, in attribution order —
 /// the JSON shape shared by every `BENCH_*.json` phase field.
 pub fn phases_json(vals: impl Fn(wormdsm_core::Phase) -> String) -> String {
@@ -64,11 +58,43 @@ pub fn phases_json(vals: impl Fn(wormdsm_core::Phase) -> String) -> String {
     format!("{{{}}}", pairs.join(", "))
 }
 
-/// Panicking convenience wrapper over [`wormdsm_workloads::apps::seeded`]
-/// (the canonical generator; see its docs for costs and size policy) for
-/// the `exp_*` binaries, whose app names come from trusted CLI defaults.
-pub fn seeded_workload(app: &str, procs: usize, scale: u64) -> Workload {
-    wormdsm_workloads::apps::seeded(app, procs, scale).unwrap_or_else(|e| panic!("{e}"))
+/// Golden busy-cycle reference for 4x4 MI-MA(col) at compute scale 1
+/// — (app, cycles, flit_hops, inval_lat_count, inval_lat_sum) — recorded
+/// on the pre-optimization tree (commit f102984). Every run of that
+/// configuration must reproduce it bit for bit.
+pub const BUSY_GOLDEN: [(&str, u64, u64, u64, f64); 3] = [
+    ("bh", 93_882, 347_892, 142, 27_230.0),
+    ("lu", 142_273, 651_056, 24, 3_675.0),
+    ("apsp", 306_859, 1_480_233, 881, 130_394.0),
+];
+
+/// When `s` is the configuration [`BUSY_GOLDEN`] was recorded in, assert
+/// that its finished run `r` reproduces the golden row field by field and
+/// return `true`; otherwise return `false`.
+pub fn check_busy_golden(s: &Scenario, r: &RunReport) -> bool {
+    if (s.k, s.compute_scale, s.scheme) != (4, 1, SchemeKind::MiMaCol) {
+        return false;
+    }
+    let g = BUSY_GOLDEN.iter().find(|g| g.0 == s.app).expect("golden app");
+    let (m, ctx) = (r.sys.metrics(), s.canonical());
+    assert_eq!(r.result.cycles, g.1, "{ctx}: cycles diverged from golden");
+    assert_eq!(r.sys.net_stats().flit_hops, g.2, "{ctx}: flit hops diverged from golden");
+    assert_eq!(m.inval_latency.count(), g.3, "{ctx}: txn count diverged from golden");
+    assert_eq!(m.inval_latency.sum(), g.4, "{ctx}: inval latency diverged from golden");
+    true
+}
+
+/// Run `s` to completion under `obs` and return the audited report.
+/// Panics, naming the scenario, if the run fails or an observer pauses
+/// it: the `exp_*` binaries' scenarios come from trusted CLI defaults.
+pub fn run_scenario(s: &Scenario, obs: Observe<'_>) -> RunReport {
+    s.finish(obs).unwrap_or_else(|e| panic!("{}: {e}", s.canonical()))
+}
+
+/// [`metrics_fingerprint`] of a finished run: equal fingerprints mean
+/// bit-identical simulated results.
+pub fn fingerprint(r: &RunReport) -> u64 {
+    metrics_fingerprint(&r.sys.export_metrics())
 }
 
 /// Check the flight-recorder ring for overflow after a traced run.

@@ -154,7 +154,8 @@ fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
 }
 
 fn submit(farm: &Arc<Farm>, stream: &mut TcpStream, encoded: &str) -> std::io::Result<()> {
-    let parsed = crate::job::JobSpec::parse_query(encoded).and_then(|spec| farm.submit(spec));
+    let parsed =
+        wormdsm_workloads::Scenario::parse_query(encoded).and_then(|spec| farm.submit(spec));
     match parsed {
         Ok((id, fresh)) => respond(
             stream,

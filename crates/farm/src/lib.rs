@@ -13,10 +13,12 @@
 //! The three moving parts:
 //!
 //! * [`queue::JobTable`] — submissions, FNV-64 config dedup, FIFO
-//!   scheduling, pause checkpoints ([`job::JobSpec`] describes one run).
-//! * [`runner::Farm`] — executor workers driving
-//!   `Workload::run_observed`, telemetry taps, graceful shutdown
-//!   ([`signal`]), and state-dir persistence.
+//!   scheduling, pause checkpoints. A job is a
+//!   [`wormdsm_workloads::Scenario`]; its canonical string is the dedup
+//!   key and names every checkpoint it writes.
+//! * [`runner::Farm`] — executor workers running each job through
+//!   `Scenario::run` with the farm's telemetry observer, graceful
+//!   shutdown ([`signal`]), and state-dir persistence.
 //! * [`http`] — the `TcpListener` front end: `/metrics`, `/jobs`,
 //!   `/events` (SSE), `/heatmap`, job submission, and the dashboard.
 
@@ -24,13 +26,11 @@
 
 pub mod events;
 pub mod http;
-pub mod job;
 pub mod queue;
 pub mod runner;
 pub mod signal;
 
 pub use events::{EventBus, Subscription};
-pub use job::JobSpec;
 pub use queue::{Job, JobOutcome, JobStatus, JobTable};
 pub use runner::{Farm, FarmConfig};
 

@@ -1,9 +1,9 @@
 //! The job table: submission with config-hash dedup, FIFO scheduling,
 //! progress tracking, and pause checkpoints.
 
-use crate::job::JobSpec;
 use std::collections::{HashMap, VecDeque};
 use wormdsm_sim::{Cycle, Registry};
+use wormdsm_workloads::Scenario;
 
 /// Lifecycle state of one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +59,8 @@ pub struct Job {
     /// Dense submission id (0, 1, ...).
     pub id: u64,
     /// Configuration.
-    pub spec: JobSpec,
-    /// Cached [`JobSpec::config_hash`].
+    pub spec: Scenario,
+    /// Cached [`Scenario::config_hash`].
     pub hash: u64,
     /// Lifecycle state.
     pub status: JobStatus,
@@ -132,7 +132,7 @@ impl JobTable {
     /// job's id with `fresh = false` and counts a dedup hit instead of
     /// queueing a duplicate. `checkpoint` preloads a resume snapshot
     /// (state-dir restart path).
-    pub fn submit(&mut self, spec: JobSpec, checkpoint: Option<Vec<u8>>) -> (u64, bool) {
+    pub fn submit(&mut self, spec: Scenario, checkpoint: Option<Vec<u8>>) -> (u64, bool) {
         let hash = spec.config_hash();
         if let Some(&id) = self.by_hash.get(&hash) {
             self.dedup_hits += 1;
@@ -157,7 +157,7 @@ impl JobTable {
     /// Claim up to `n` queued jobs for execution (FIFO), marking them
     /// Running. Returns `(id, spec, checkpoint)` triples; a checkpoint
     /// is present when the job resumes from a pause.
-    pub fn claim(&mut self, n: usize) -> Vec<(u64, JobSpec, Option<Vec<u8>>)> {
+    pub fn claim(&mut self, n: usize) -> Vec<(u64, Scenario, Option<Vec<u8>>)> {
         let mut batch = Vec::new();
         while batch.len() < n {
             let Some(id) = self.queue.pop_front() else { break };
@@ -256,8 +256,8 @@ impl JobTable {
 mod tests {
     use super::*;
 
-    fn spec(seed: u64) -> JobSpec {
-        JobSpec { app: "synth".into(), seed, ..JobSpec::default() }
+    fn spec(seed: u64) -> Scenario {
+        Scenario { app: "synth".into(), seed, ..Scenario::default() }
     }
 
     #[test]

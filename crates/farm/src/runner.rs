@@ -1,19 +1,17 @@
 //! The farm service: executor workers that drain the job queue through
-//! the simulator, live telemetry taps, and checkpointed shutdown.
+//! `Scenario::run`, live telemetry taps, and checkpointed shutdown.
 
 use crate::events::EventBus;
-use crate::job::JobSpec;
 use crate::queue::{JobOutcome, JobStatus, JobTable};
 use crate::{metrics_fingerprint, signal};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-use wormdsm_core::{to_prometheus, DsmSystem, RunMeta, SystemConfig, TraceLevel};
-use wormdsm_sim::snap::{SnapReader, SnapWriter};
+use std::time::Duration;
+use wormdsm_core::{to_prometheus, DsmSystem, RunMeta, TraceLevel};
 use wormdsm_sim::trace::{EventTap, TraceKind};
 use wormdsm_sim::{BoundedRing, Cycle, Phase, Registry};
-use wormdsm_workloads::Workload;
+use wormdsm_workloads::{IssueState, Observe, RunEnd, Scenario};
 
 /// Tunables of a farm instance.
 #[derive(Debug, Clone)]
@@ -81,7 +79,7 @@ impl std::fmt::Debug for Farm {
 }
 
 /// How one executed job ended.
-enum RunEnd {
+enum JobEnd {
     Done(Box<JobOutcome>),
     Paused(Vec<u8>),
     Failed(String),
@@ -114,7 +112,7 @@ impl Farm {
     /// instead (dedup hit). When a state dir holds a checkpoint for this
     /// config (from an interrupted previous process), the job resumes
     /// from it instead of starting over.
-    pub fn submit(&self, spec: JobSpec) -> Result<(u64, bool), String> {
+    pub fn submit(&self, spec: Scenario) -> Result<(u64, bool), String> {
         spec.validate()?;
         let ckpt = self.load_state_checkpoint(&spec);
         let resumed = ckpt.is_some();
@@ -171,7 +169,7 @@ impl Farm {
             }
             // One scoped thread per claimed job; `execute` turns a job
             // panic into a failure, so every thread returns a result.
-            let ends: Vec<RunEnd> = std::thread::scope(|s| {
+            let ends: Vec<JobEnd> = std::thread::scope(|s| {
                 let lanes: Vec<_> = batch
                     .iter()
                     .map(|(id, spec, ckpt)| s.spawn(move || execute(self, *id, spec, ckpt.clone())))
@@ -181,7 +179,7 @@ impl Farm {
             for ((id, spec, _), end) in batch.iter().zip(ends) {
                 let mut table = self.table.lock().expect("job table");
                 match end {
-                    RunEnd::Done(outcome) => {
+                    JobEnd::Done(outcome) => {
                         self.remove_state_checkpoint(spec);
                         self.bus.publish(
                             "job",
@@ -192,12 +190,12 @@ impl Farm {
                         );
                         table.complete(*id, *outcome);
                     }
-                    RunEnd::Paused(ckpt) => {
+                    JobEnd::Paused(ckpt) => {
                         self.save_state_checkpoint(spec, &ckpt);
                         self.bus.publish("job", &format!("{{\"id\":{id},\"state\":\"paused\"}}"));
                         table.pause(*id, ckpt);
                     }
-                    RunEnd::Failed(e) => {
+                    JobEnd::Failed(e) => {
                         self.bus.publish(
                             "job",
                             &format!("{{\"id\":{id},\"state\":\"failed\",\"error\":\"{}\"}}", {
@@ -274,40 +272,30 @@ impl Farm {
         out
     }
 
-    fn state_path(&self, spec: &JobSpec) -> Option<PathBuf> {
+    fn state_path(&self, spec: &Scenario) -> Option<PathBuf> {
         self.cfg.state_dir.as_ref().map(|d| d.join(format!("{:016x}.ckpt", spec.config_hash())))
     }
 
-    /// Persist a pause checkpoint, prefixed with the canonical config
-    /// string so a restart can verify it resumes the same experiment.
-    fn save_state_checkpoint(&self, spec: &JobSpec, ckpt: &[u8]) {
+    /// Persist a pause checkpoint. It names its scenario, so a restart
+    /// can verify it resumes the same experiment.
+    fn save_state_checkpoint(&self, spec: &Scenario, ckpt: &[u8]) {
         let Some(path) = self.state_path(spec) else { return };
-        let mut w = SnapWriter::new();
-        w.put_str(&spec.canonical());
-        w.put_usize(ckpt.len());
-        w.put_bytes(ckpt);
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        if let Err(e) = std::fs::write(&path, w.finish()) {
+        if let Err(e) = std::fs::write(&path, ckpt) {
             eprintln!("farm: failed to persist checkpoint {}: {e}", path.display());
         }
     }
 
-    fn load_state_checkpoint(&self, spec: &JobSpec) -> Option<Vec<u8>> {
+    /// The state-dir checkpoint for `spec`, if there is one that names
+    /// it. A truncated or corrupt file, or one left by a colliding
+    /// scenario, is ignored (and kept), and the job runs afresh.
+    fn load_state_checkpoint(&self, spec: &Scenario) -> Option<Vec<u8>> {
         let path = self.state_path(spec)?;
         let bytes = std::fs::read(&path).ok()?;
-        let parse = || -> Result<Vec<u8>, String> {
-            let mut r = SnapReader::new(&bytes).map_err(|e| e.to_string())?;
-            let canonical = r.get_str().map_err(|e| e.to_string())?;
-            if canonical != spec.canonical() {
-                return Err("config hash collision or stale file".to_string());
-            }
-            let n = r.get_len().map_err(|e| e.to_string())?;
-            Ok(r.get_bytes(n).map_err(|e| e.to_string())?.to_vec())
-        };
-        match parse() {
-            Ok(ckpt) => Some(ckpt),
+        match spec.check_checkpoint(&bytes) {
+            Ok(()) => Some(bytes),
             Err(e) => {
                 eprintln!("farm: ignoring checkpoint {}: {e}", path.display());
                 None
@@ -315,7 +303,7 @@ impl Farm {
         }
     }
 
-    fn remove_state_checkpoint(&self, spec: &JobSpec) {
+    fn remove_state_checkpoint(&self, spec: &Scenario) {
         if let Some(path) = self.state_path(spec) {
             let _ = std::fs::remove_file(path);
         }
@@ -358,20 +346,20 @@ impl EventTap for FarmTap {
 /// Execute one job to completion, pause, or failure. Panics are caught
 /// and become failures, so one bad job fails alone instead of taking
 /// down the executor.
-fn execute(farm: &Farm, id: u64, spec: &JobSpec, checkpoint: Option<Vec<u8>>) -> RunEnd {
+fn execute(farm: &Farm, id: u64, spec: &Scenario, checkpoint: Option<Vec<u8>>) -> JobEnd {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_job(farm, id, spec, checkpoint)
     }));
     match run {
         Ok(Ok(end)) => end,
-        Ok(Err(e)) => RunEnd::Failed(e),
+        Ok(Err(e)) => JobEnd::Failed(e),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "job panicked".to_string());
-            RunEnd::Failed(format!("panic: {msg}"))
+            JobEnd::Failed(format!("panic: {msg}"))
         }
     }
 }
@@ -379,85 +367,51 @@ fn execute(farm: &Farm, id: u64, spec: &JobSpec, checkpoint: Option<Vec<u8>>) ->
 fn run_job(
     farm: &Farm,
     id: u64,
-    spec: &JobSpec,
+    spec: &Scenario,
     checkpoint: Option<Vec<u8>>,
-) -> Result<RunEnd, String> {
-    let workload = spec.workload()?;
-    let sys_cfg = SystemConfig::for_scheme(spec.k, spec.scheme);
-    let (mut sys, mut st) = match checkpoint {
-        Some(bytes) => workload.resume(sys_cfg, spec.scheme.build(), &bytes)?,
-        None => (DsmSystem::new(sys_cfg, spec.scheme.build()), workload.start()),
+) -> Result<JobEnd, String> {
+    let staging = Arc::new(Mutex::new(BoundedRing::new(farm.cfg.event_ring)));
+    let tap = FarmTap { job: id, every: farm.cfg.txn_throttle.max(1), seen: 0, staging };
+    let mut probe_seen = 0usize;
+    let observer = |sys: &mut DsmSystem, st: &IssueState| {
+        // Fresh and restored systems start without taps; results never
+        // depend on them.
+        if sys.recorder().taps_attached() == 0 {
+            sys.recorder_mut().attach_tap(Box::new(tap.clone()));
+        }
+        observe_boundary(farm, id, spec, sys, st, &tap.staging, &mut probe_seen);
+        !farm.shutdown_requested()
     };
-    if spec.profile {
-        sys.enable_profiling();
-    } else {
+    let obs = Observe {
         // Txn-level tracing feeds the tap; pure observation, results are
         // bit-identical to an untraced run (fingerprints exclude the
         // recorder's lifetime counters).
-        sys.set_trace_level(TraceLevel::Txn);
-    }
-    let staging = Arc::new(Mutex::new(BoundedRing::new(farm.cfg.event_ring)));
-    let tap =
-        FarmTap { job: id, every: farm.cfg.txn_throttle.max(1), seen: 0, staging: staging.clone() };
-    sys.recorder_mut().attach_tap(Box::new(tap.clone()));
-    if farm.cfg.probe_window > 0 {
-        sys.enable_contention_probe(farm.cfg.probe_window);
-    }
-    let mut probe_seen = 0usize;
-    let total_ops = workload.total_ops() as u64;
-    let t0 = Instant::now();
-    let res = workload.run_observed(
-        &mut sys,
-        &mut st,
-        spec.max_cycles,
-        farm.cfg.progress_every,
-        |sys, st| {
-            observe_boundary(
-                farm,
-                id,
-                spec,
-                sys,
-                st.issued(),
-                total_ops,
-                &staging,
-                &mut probe_seen,
-            );
-            // Snapshot restores rebuild the recorder without its taps;
-            // re-attach so telemetry survives (results never depend on it).
-            if sys.recorder().taps_attached() == 0 {
-                sys.recorder_mut().attach_tap(Box::new(tap.clone()));
-            }
-            !farm.shutdown_requested()
-        },
-    )?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    let Some(result) = res else {
-        // Paused by shutdown: checkpoint at the boundary cycle.
-        return Ok(RunEnd::Paused(Workload::checkpoint(&mut sys, &st)));
+        trace_level: TraceLevel::Txn,
+        probe_window: farm.cfg.probe_window,
+        observer: Some((farm.cfg.progress_every, Box::new(observer))),
+        resume: checkpoint.as_deref(),
+        ..Observe::default()
     };
-    if farm.cfg.probe_window > 0 {
-        sys.finish_contention_probe();
-    }
-    if let Some(v) = sys.invariant_violation() {
-        return Err(format!("protocol invariant fired: {v}"));
-    }
-    sys.verify_coherence().map_err(|e| format!("coherence audit failed: {e}"))?;
-    let mut registry = sys.export_metrics();
+    let mut report = match spec.run(obs)? {
+        RunEnd::Done(report) => report,
+        RunEnd::Paused(ckpt) => return Ok(JobEnd::Paused(ckpt)),
+    };
+    let mut registry = report.sys.export_metrics();
     let fingerprint = metrics_fingerprint(&registry);
-    RunMeta::capture(farm.cfg.workers).with_wall_s(wall_s).stamp(&mut registry);
+    RunMeta::capture(farm.cfg.workers).with_wall_s(report.wall_s).stamp(&mut registry);
     let phases_json = spec.profile.then(|| {
-        let p = sys.take_profiler().expect("profiler attached for profiled job");
+        let p = report.sys.take_profiler().expect("profiler attached for profiled job");
         let pairs: Vec<String> = Phase::ALL
             .iter()
             .map(|ph| format!("\"{}\":{}", ph.name(), p.mean_phase(*ph)))
             .collect();
         format!("{{{}}}", pairs.join(","))
     });
-    Ok(RunEnd::Done(Box::new(JobOutcome {
+    Ok(JobEnd::Done(Box::new(JobOutcome {
         fingerprint,
-        cycles: result.cycles,
-        issued: result.issued,
-        wall_s,
+        cycles: report.result.cycles,
+        issued: report.result.issued,
+        wall_s: report.wall_s,
         registry,
         phases_json,
     })))
@@ -467,18 +421,16 @@ fn run_job(
 /// table's live progress, flush staged trace events, stream new probe
 /// windows, and refresh the heatmap snapshot. All reads plus pure-
 /// observer drains — simulated state is never touched.
-#[allow(clippy::too_many_arguments)]
 fn observe_boundary(
     farm: &Farm,
     id: u64,
-    spec: &JobSpec,
+    spec: &Scenario,
     sys: &mut DsmSystem,
-    issued: u64,
-    total_ops: u64,
-    staging: &Arc<Mutex<BoundedRing<String>>>,
+    st: &IssueState,
+    staging: &Mutex<BoundedRing<String>>,
     probe_seen: &mut usize,
 ) {
-    let now = sys.now();
+    let (now, issued, total_ops) = (sys.now(), st.issued(), st.total());
     farm.table.lock().expect("job table").progress(id, now, issued, total_ops);
     let (events, dropped) = {
         let mut ring = staging.lock().expect("tap staging ring");

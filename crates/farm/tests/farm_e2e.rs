@@ -7,11 +7,12 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-use wormdsm_core::{DsmSystem, SchemeKind, SystemConfig};
-use wormdsm_farm::{http, metrics_fingerprint, Farm, FarmConfig, JobSpec, JobStatus};
+use wormdsm_core::SchemeKind;
+use wormdsm_farm::{http, metrics_fingerprint, Farm, FarmConfig, JobStatus};
+use wormdsm_workloads::{Observe, RunEnd, Scenario};
 
-fn synth_spec(seed: u64) -> JobSpec {
-    JobSpec { app: "synth".into(), seed, ..JobSpec::default() }
+fn synth_spec(seed: u64) -> Scenario {
+    Scenario { app: "synth".into(), seed, ..Scenario::default() }
 }
 
 fn outcome_fingerprint(farm: &Farm, id: u64) -> u64 {
@@ -23,12 +24,8 @@ fn outcome_fingerprint(farm: &Farm, id: u64) -> u64 {
 
 /// Run `spec` outside the farm — no taps, no probes, no observation
 /// windows — and fingerprint the result.
-fn standalone_fingerprint(spec: &JobSpec) -> u64 {
-    let workload = spec.workload().unwrap();
-    let mut sys =
-        DsmSystem::new(SystemConfig::for_scheme(spec.k, spec.scheme), spec.scheme.build());
-    workload.run(&mut sys, spec.max_cycles).unwrap();
-    metrics_fingerprint(&sys.export_metrics())
+fn standalone_fingerprint(spec: &Scenario) -> u64 {
+    metrics_fingerprint(&spec.finish(Observe::default()).unwrap().sys.export_metrics())
 }
 
 /// The headline invariant: a farm-executed job — telemetry taps, tiny
@@ -41,8 +38,8 @@ fn standalone_fingerprint(spec: &JobSpec) -> u64 {
 fn farm_job_fingerprints_bit_identical_to_standalone() {
     let specs = [
         synth_spec(7),
-        JobSpec { scheme: SchemeKind::MiMaCol, pattern: "col".into(), d: 2, ..synth_spec(7) },
-        JobSpec { scheme: SchemeKind::MiMaTree, d: 8, episodes: 8, ..synth_spec(7) },
+        Scenario { scheme: SchemeKind::MiMaCol, pattern: "col".into(), d: 2, ..synth_spec(7) },
+        Scenario { scheme: SchemeKind::MiMaTree, d: 8, episodes: 8, ..synth_spec(7) },
     ];
     let farm = Farm::new(FarmConfig {
         workers: 2,
@@ -76,7 +73,7 @@ fn shutdown_pauses_then_state_dir_resume_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     // A long synthetic job (hundreds of episodes) with tight observation
     // windows, so shutdown lands well before completion.
-    let spec = JobSpec { episodes: 400, ..synth_spec(3) };
+    let spec = Scenario { episodes: 400, ..synth_spec(3) };
     let cfg = FarmConfig {
         workers: 1,
         progress_every: 64,
@@ -126,6 +123,32 @@ fn shutdown_pauses_then_state_dir_resume_is_bit_identical() {
         "kill + state-dir resume changed the result"
     );
     assert!(!ckpt.exists(), "completion cleaned up the checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state-dir file the job cannot resume from — cut short (as by a
+/// shutdown that died mid-write) or written by another scenario under a
+/// colliding hash — is ignored: the job runs afresh and finishes
+/// bit-identical to a standalone run.
+#[test]
+fn unusable_state_dir_checkpoint_runs_afresh() {
+    let dir = std::env::temp_dir().join(format!("wormdsm-farm-stale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = synth_spec(5);
+    let pause = || Observe { observer: Some((64, Box::new(|_, _| false))), ..Observe::default() };
+    let (Ok(RunEnd::Paused(own)), Ok(RunEnd::Paused(other))) =
+        (spec.run(pause()), synth_spec(6).run(pause()))
+    else {
+        panic!("the observer pauses before the first issue");
+    };
+    let cfg = FarmConfig { workers: 1, state_dir: Some(dir.clone()), ..FarmConfig::default() };
+    for bytes in [&own[..own.len() / 2], &other[..]] {
+        std::fs::write(dir.join(format!("{:016x}.ckpt", spec.config_hash())), bytes).unwrap();
+        let farm = Farm::new(cfg.clone());
+        let (id, _) = farm.submit(spec.clone()).unwrap();
+        farm.run_executor(true);
+        assert_eq!(outcome_fingerprint(&farm, id), standalone_fingerprint(&spec));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -237,7 +260,7 @@ fn config_hashes_do_not_collide_across_seed_sweep() {
     }
     for scheme in SchemeKind::ALL {
         for app in ["bh", "lu", "apsp", "synth"] {
-            let spec = JobSpec { scheme, app: app.into(), seed: 5000, ..JobSpec::default() };
+            let spec = Scenario { scheme, app: app.into(), seed: 5000, ..Scenario::default() };
             assert!(seen.insert(spec.config_hash()), "{} collided", spec.canonical());
         }
     }

@@ -37,22 +37,30 @@ pub const APP_NAMES: [&str; 3] = ["bh", "lu", "apsp"];
 /// byte-identical to the historical fixed-size runs while larger meshes
 /// stay valid (`bodies >= procs`, `n >= procs`).
 ///
-/// Errors (rather than panics) on an unknown name: this is the parse
-/// point for externally submitted app strings (CLI flags, farm jobs).
+/// Errors (rather than panics) on an unknown name or a scale whose op
+/// costs overflow: this is the parse point for externally submitted app
+/// strings and scales (CLI flags, farm jobs).
 pub fn seeded(app: &str, procs: usize, scale: u64) -> Result<Workload, String> {
+    // A scaled cost must fit in 32 bits, so neither the generators' own
+    // multipliers nor the simulated clock that adds it can overflow.
+    let cost = |base: u64| {
+        base.checked_mul(scale).filter(|&c| c <= u64::from(u32::MAX)).ok_or_else(|| {
+            format!("compute_scale={scale} takes {app}'s {base}-cycle op cost past 32 bits")
+        })
+    };
     match app {
         "bh" => Ok(barnes_hut::generate(&barnes_hut::BarnesHutConfig {
             procs,
             bodies: 64.max(procs),
             steps: 2,
-            force_cost: 200 * scale,
+            force_cost: cost(200)?,
             ..Default::default()
         })),
-        "lu" => Ok(lu::generate(&lu::LuConfig { n: 64, block: 8, procs, flop_cost: 1024 * scale })),
+        "lu" => Ok(lu::generate(&lu::LuConfig { n: 64, block: 8, procs, flop_cost: cost(1024)? })),
         "apsp" => Ok(apsp::generate(&apsp::ApspConfig {
             n: 64.max(procs),
             procs,
-            relax_cost: 256 * scale,
+            relax_cost: cost(256)?,
         })),
         other => Err(format!("unknown app {other:?} (expected one of {APP_NAMES:?})")),
     }

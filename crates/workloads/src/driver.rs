@@ -2,13 +2,14 @@
 //!
 //! Issuance is cursor-based: a [`Workload`] is an immutable set of op
 //! streams, and all run progress lives in an [`IssueState`] (per-processor
-//! cursors + issued count). That split is what makes runs *resumable* and
-//! *replayable*: an `IssueState` plus a [`wormdsm_core::DsmSystem`]
-//! snapshot is a complete checkpoint ([`Workload::checkpoint`] /
-//! [`Workload::resume`]).
+//! cursors + issued count). That split is what makes runs *resumable*: an
+//! `IssueState` plus a [`wormdsm_core::DsmSystem`] snapshot is a complete
+//! checkpoint. Checkpoints are taken and resumed through
+//! [`crate::Scenario`], which prefixes them with the scenario they belong
+//! to.
 
 use std::collections::VecDeque;
-use wormdsm_core::{DsmSystem, InvalidationScheme, MemOp, SystemConfig, TxnProfiler};
+use wormdsm_core::{DsmSystem, InvalidationScheme, MemOp, SystemConfig};
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_sim::snap::{SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::Cycle;
@@ -22,13 +23,15 @@ pub struct Workload {
 
 /// Issue-side progress of a run: how far into each processor's op stream
 /// the driver has issued. Together with a [`DsmSystem::save_snapshot`]
-/// stream this is everything needed to resume or replay a run.
+/// stream this is everything needed to resume a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IssueState {
     /// Next un-issued op per processor (index = node id).
     cursors: Vec<usize>,
     /// Operations issued so far.
     issued: u64,
+    /// Operations in the workload (not serialized: it is the workload's).
+    total: u64,
 }
 
 impl IssueState {
@@ -37,23 +40,9 @@ impl IssueState {
         self.issued
     }
 
-    /// Serialize into a snapshot stream.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.cursors.len());
-        for &c in &self.cursors {
-            w.put_usize(c);
-        }
-        w.put_u64(self.issued);
-    }
-
-    /// Rebuild from a snapshot stream.
-    pub fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_len()?;
-        let mut cursors = Vec::with_capacity(n);
-        for _ in 0..n {
-            cursors.push(r.get_usize()?);
-        }
-        Ok(Self { cursors, issued: r.get_u64()? })
+    /// Operations in the whole workload.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 }
 
@@ -84,26 +73,48 @@ impl Workload {
 
     /// Fresh issue state: nothing issued yet.
     pub fn start(&self) -> IssueState {
-        IssueState { cursors: vec![0; self.ops.len()], issued: 0 }
+        IssueState { cursors: vec![0; self.ops.len()], issued: 0, total: self.total_ops() as u64 }
     }
 
-    /// Drive the system until the workload completes or the clock passes
-    /// `stop_at` (inclusive: the issue pass at cycle `stop_at` still
-    /// runs, then one step carries the clock past it).
+    /// Run this workload to completion on `sys`.
     ///
-    /// Exactly one issue pass runs per simulated cycle no matter how the
-    /// run is sliced into `advance` calls — re-entering at the cycle a
-    /// previous call stopped on does not re-issue — so a run chopped into
-    /// windows is bit-identical to one uninterrupted call. Returns `true`
-    /// when every op has issued and the system is idle.
-    fn advance(
+    /// Every cycle, each idle processor issues its next op. Returns the
+    /// completion cycle and counts, or an error if `max_cycles` pass
+    /// without finishing (deadlock / lost message).
+    pub fn run(&self, sys: &mut DsmSystem, max_cycles: Cycle) -> Result<RunResult, String> {
+        let r = self.drive(sys, &mut self.start(), max_cycles, Cycle::MAX, &mut |_, _| true)?;
+        Ok(r.expect("an observer that never pauses"))
+    }
+
+    /// The one run loop: drive toward completion, handing `observer`
+    /// control before the first issue pass and then whenever `every`
+    /// cycles have passed since it last ran.
+    ///
+    /// The observer sees the system *before* that cycle's issue pass —
+    /// the point [`Workload::checkpoint`] captures — and returns `true`
+    /// to keep running or `false` to pause. A pause returns `Ok(None)`
+    /// with `st` holding exactly the progress an uninterrupted run would
+    /// have at that cycle: exactly one issue pass runs per simulated
+    /// cycle however the run is paused and resumed, so a sliced run is
+    /// bit-identical to an uninterrupted one. Completion (every op issued
+    /// and the system idle) returns `Ok(Some(result))` with `cycles`
+    /// counting this call only and `issued` the state's lifetime total.
+    /// The deadline is `max_cycles` past the cycle this call starts on,
+    /// saturating at the end of time.
+    pub(crate) fn drive(
         &self,
         sys: &mut DsmSystem,
         st: &mut IssueState,
-        stop_at: Cycle,
-    ) -> Result<bool, String> {
+        max_cycles: Cycle,
+        every: Cycle,
+        observer: &mut dyn FnMut(&mut DsmSystem, &IssueState) -> bool,
+    ) -> Result<Option<RunResult>, String> {
+        assert!(every >= 1, "observation interval must be at least one cycle");
         assert_eq!(self.ops.len(), sys.config().nodes(), "one op stream per node");
         assert_eq!(st.cursors.len(), self.ops.len(), "issue state matches this workload");
+        let start = sys.now();
+        let deadline = start.saturating_add(max_cycles);
+        let mut boundary = start;
         // Poll only processors that still have queued ops. The set is kept
         // in ascending node order and only ever shrinks, so issue order is
         // identical to sweeping every node each cycle.
@@ -115,8 +126,18 @@ impl Workload {
             if let Some(v) = sys.invariant_violation() {
                 return Err(format!("workload aborted: {v}"));
             }
-            if sys.now() > stop_at {
-                return Ok(false);
+            if sys.now() > deadline {
+                let left = st.total - st.issued;
+                return Err(format!(
+                    "workload incomplete after {max_cycles} cycles: {} issued, {left} queued",
+                    st.issued
+                ));
+            }
+            if sys.now() >= boundary {
+                if !observer(sys, st) {
+                    return Ok(None);
+                }
+                boundary = sys.now().saturating_add(every);
             }
             runnable.retain(|&p| {
                 let node = NodeId(p as u16);
@@ -129,179 +150,65 @@ impl Workload {
                 st.cursors[p] < self.ops[p].len()
             });
             if runnable.is_empty() && sys.idle() {
-                return Ok(true);
+                return Ok(Some(RunResult { cycles: sys.now() - start, issued: st.issued }));
             }
             sys.step();
         }
     }
 
-    /// Run this workload to completion on `sys`.
-    ///
-    /// Every cycle, each idle processor issues its next op. Returns the
-    /// completion cycle and counts, or an error if `max_cycles` pass
-    /// without finishing (deadlock / lost message).
-    pub fn run(&self, sys: &mut DsmSystem, max_cycles: Cycle) -> Result<RunResult, String> {
-        let mut st = self.start();
-        self.run_from(sys, &mut st, max_cycles)
-    }
-
-    /// Continue a run from an existing [`IssueState`] (fresh from
-    /// [`Workload::start`], or restored by [`Workload::resume`]).
-    ///
-    /// `RunResult::cycles` counts cycles spent in *this* call;
-    /// `RunResult::issued` is the state's lifetime total, so a resumed
-    /// run reports the same count the uninterrupted run would.
-    pub fn run_from(
-        &self,
-        sys: &mut DsmSystem,
-        st: &mut IssueState,
-        max_cycles: Cycle,
-    ) -> Result<RunResult, String> {
-        let start = sys.now();
-        if self.advance(sys, st, start + max_cycles)? {
-            Ok(RunResult { cycles: sys.now() - start, issued: st.issued })
-        } else {
-            let left = self.total_ops() as u64 - st.issued;
-            Err(format!(
-                "workload incomplete after {max_cycles} cycles: {} issued, {left} queued",
-                st.issued
-            ))
-        }
-    }
-
-    /// Run toward completion in `every`-cycle observation windows, giving
-    /// `observer` control at each window boundary — the driver hook for
-    /// live telemetry (progress reporting, event draining, shutdown
-    /// polling) that must not touch the issue path.
-    ///
-    /// At each boundary the observer sees the system *before* that
-    /// cycle's issue pass — the same point [`Workload::checkpoint`]
-    /// captures — and returns `true` to keep running or `false` to pause;
-    /// a pause returns `Ok(None)` with `st` holding exactly the progress
-    /// an uninterrupted run would have at that cycle, so the caller can
-    /// checkpoint and later continue with [`Workload::run_from`] (or
-    /// another `run_observed`) bit-identically. Completion returns
-    /// `Ok(Some(result))` with `cycles` counting this call only and
-    /// `issued` the state's lifetime total, matching
-    /// [`Workload::run_from`].
-    ///
-    /// The observer may read anything (metrics, probes, the recorder) and
-    /// may mutate pure observation layers — attach taps, drain probe
-    /// windows — but must leave simulated state alone; the determinism
-    /// tests pin that contract.
-    pub fn run_observed(
-        &self,
-        sys: &mut DsmSystem,
-        st: &mut IssueState,
-        max_cycles: Cycle,
-        every: Cycle,
-        mut observer: impl FnMut(&mut DsmSystem, &IssueState) -> bool,
-    ) -> Result<Option<RunResult>, String> {
-        assert!(every >= 1, "observation interval must be at least one cycle");
-        let start = sys.now();
-        let deadline = start + max_cycles;
-        loop {
-            let stop = (sys.now() + every - 1).min(deadline);
-            if self.advance(sys, st, stop)? {
-                return Ok(Some(RunResult { cycles: sys.now() - start, issued: st.issued }));
-            }
-            if sys.now() > deadline {
-                let left = self.total_ops() as u64 - st.issued;
-                return Err(format!(
-                    "workload incomplete after {max_cycles} cycles: {} issued, {left} queued",
-                    st.issued
-                ));
-            }
-            if !observer(sys, st) {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Run to completion, handing a resumable checkpoint to `sink` every
-    /// `every` cycles (the bench driver's `--snapshot-every`). The
-    /// checkpoint at a boundary captures the state *before* that cycle's
-    /// issue pass, so resuming it replays the remainder bit-identically.
-    /// A thin wrapper over [`Workload::run_observed`] whose observer
-    /// always continues.
-    pub fn run_checkpointed(
-        &self,
-        sys: &mut DsmSystem,
-        max_cycles: Cycle,
-        every: Cycle,
-        mut sink: impl FnMut(Cycle, Vec<u8>),
-    ) -> Result<RunResult, String> {
-        assert!(every >= 1, "checkpoint interval must be at least one cycle");
-        let mut st = self.start();
-        let r = self.run_observed(sys, &mut st, max_cycles, every, |sys, st| {
-            sink(sys.now(), Self::checkpoint(sys, st));
-            true
-        })?;
-        Ok(r.expect("observer never pauses"))
-    }
-
     /// Serialize a resumable checkpoint: the full system snapshot plus
     /// the run's issue state, one sealed stream.
-    pub fn checkpoint(sys: &mut DsmSystem, st: &IssueState) -> Vec<u8> {
+    pub(crate) fn checkpoint(sys: &DsmSystem, st: &IssueState) -> Vec<u8> {
         let mut w = SnapWriter::new();
         let sys_bytes = sys.save_snapshot();
         w.put_usize(sys_bytes.len());
         w.put_bytes(&sys_bytes);
-        st.save(&mut w);
+        w.put_usize(st.cursors.len());
+        for &c in &st.cursors {
+            w.put_usize(c);
+        }
+        w.put_u64(st.issued);
         w.finish()
     }
 
     /// Rebuild a system and issue state from [`Workload::checkpoint`]
     /// bytes. `cfg` and `scheme` must match the checkpointing run (the
     /// system snapshot's fingerprint enforces it), and the checkpoint's
-    /// cursors must fit this workload's op streams. Continue with
-    /// [`Workload::run_from`].
-    pub fn resume(
+    /// cursors must fit this workload's op streams.
+    pub(crate) fn resume(
         &self,
         cfg: SystemConfig,
         scheme: Box<dyn InvalidationScheme>,
         bytes: &[u8],
     ) -> Result<(DsmSystem, IssueState), String> {
-        let mut r = SnapReader::new(bytes).map_err(|e| e.to_string())?;
-        let n = r.get_len().map_err(|e| e.to_string())?;
-        let sys_bytes = r.get_bytes(n).map_err(|e| e.to_string())?.to_vec();
-        let st = IssueState::load(&mut r).map_err(|e| e.to_string())?;
-        let sys =
-            DsmSystem::restore_snapshot(cfg, scheme, &sys_bytes).map_err(|e| e.to_string())?;
-        if st.cursors.len() != self.ops.len() {
+        let err = |e: SnapError| e.to_string();
+        let mut r = SnapReader::new(bytes).map_err(err)?;
+        let n = r.get_len().map_err(err)?;
+        let sys_bytes = r.get_bytes(n).map_err(err)?;
+        let streams = r.get_len().map_err(err)?;
+        if streams != self.ops.len() {
             return Err(format!(
-                "checkpoint has {} op streams, workload has {}",
-                st.cursors.len(),
+                "checkpoint has {streams} op streams, workload has {}",
                 self.ops.len()
             ));
         }
-        for (p, (&c, q)) in st.cursors.iter().zip(&self.ops).enumerate() {
+        let mut cursors = Vec::with_capacity(streams);
+        for (p, q) in self.ops.iter().enumerate() {
+            let c = r.get_usize().map_err(err)?;
             if c > q.len() {
                 return Err(format!(
                     "checkpoint cursor {c} exceeds processor {p}'s {} ops",
                     q.len()
                 ));
             }
+            cursors.push(c);
         }
-        Ok((sys, st))
-    }
-
-    /// [`Workload::run`] with latency-attribution profiling enabled for
-    /// the duration of the run: attaches a record-keeping `TxnProfiler`
-    /// (raising the trace level to `Flit`), runs to completion, and hands
-    /// the detached profiler back alongside the result.
-    ///
-    /// Profiling is a pure observation layer, so the [`RunResult`] and
-    /// every metric are bit-identical to an unprofiled run.
-    pub fn run_profiled(
-        &self,
-        sys: &mut DsmSystem,
-        max_cycles: Cycle,
-    ) -> Result<(RunResult, TxnProfiler), String> {
-        sys.enable_profiling();
-        let r = self.run(sys, max_cycles)?;
-        let p = sys.take_profiler().expect("profiler attached above");
-        Ok((r, p))
+        let issued = r.get_u64().map_err(err)?;
+        if issued != cursors.iter().map(|&c| c as u64).sum::<u64>() {
+            return Err(format!("checkpoint issued count {issued} disagrees with its cursors"));
+        }
+        let sys = DsmSystem::restore_snapshot(cfg, scheme, sys_bytes).map_err(|e| e.to_string())?;
+        Ok((sys, IssueState { cursors, issued, total: self.total_ops() as u64 }))
     }
 }
 
@@ -365,19 +272,8 @@ mod tests {
         assert_eq!(s.metrics().inval_set_size.summary().mean(), 14.0);
     }
 
-    #[test]
-    fn run_profiled_attributes_every_invalidation() {
-        let w = sharing_workload();
-        let mut s = sys();
-        let (_, p) = w.run_profiled(&mut s, 500_000).unwrap();
-        assert_eq!(p.closed(), s.metrics().inval_txns);
-        assert_eq!(p.latency_total() as f64, s.metrics().inval_latency.sum());
-        p.verify_exact().unwrap();
-        assert!(s.profiler().is_none(), "profiler is handed back, not left attached");
-    }
-
-    /// Chopping a run into many tiny `advance` windows must not change a
-    /// single result: exactly one issue pass per simulated cycle.
+    /// Chopping a run into many tiny observation windows must not change
+    /// a single result: exactly one issue pass per simulated cycle.
     #[test]
     fn sliced_run_is_bit_identical_to_uninterrupted() {
         let w = sharing_workload();
@@ -385,15 +281,23 @@ mod tests {
         let r_whole = w.run(&mut whole, 500_000).unwrap();
 
         let mut sliced = sys();
-        let mut st = w.start();
-        let mut done = false;
-        while !done {
-            let stop = sliced.now() + 6; // awkward non-divisor slice width
-            done = w.advance(&mut sliced, &mut st, stop).unwrap();
-        }
-        assert_eq!(st.issued, r_whole.issued);
+        let mut windows = 0;
+        // An awkward non-divisor window width.
+        let r = w
+            .drive(&mut sliced, &mut w.start(), 500_000, 6, &mut |_, _| {
+                windows += 1;
+                true
+            })
+            .unwrap();
+        assert!(windows > 10, "many windows");
+        assert_eq!(r, Some(r_whole));
         assert_eq!(sliced.now(), whole.now());
         assert_eq!(sliced.export_metrics().to_json(), whole.export_metrics().to_json());
+    }
+
+    fn resume(w: &Workload, bytes: &[u8]) -> (DsmSystem, IssueState) {
+        let cfg = SystemConfig::for_scheme(4, SchemeKind::UiUa);
+        w.resume(cfg, SchemeKind::UiUa.build(), bytes).unwrap()
     }
 
     /// A run paused by the observer and continued — in the same process
@@ -406,48 +310,49 @@ mod tests {
         let mut whole = sys();
         let r_whole = w.run(&mut whole, 500_000).unwrap();
 
-        // Pause after 3 boundaries, checkpoint, then finish both the
-        // live system and a system rebuilt from the checkpoint.
+        // The observer runs once before the first window, then pauses at
+        // the third boundary; checkpoint there and finish both the live
+        // system and a system rebuilt from the checkpoint.
         let mut live = sys();
         let mut st = w.start();
-        let mut boundaries = 0;
+        let mut calls = 0;
         let paused = w
-            .run_observed(&mut live, &mut st, 500_000, 50, |_, _| {
-                boundaries += 1;
-                boundaries < 3
+            .drive(&mut live, &mut st, 500_000, 50, &mut |_, _| {
+                calls += 1;
+                calls <= 3
             })
             .unwrap();
         assert!(paused.is_none(), "observer paused the run");
-        assert_eq!(boundaries, 3);
+        assert_eq!(live.now(), 150, "paused at the third 50-cycle boundary");
         assert!(st.issued() > 0 && st.issued() < r_whole.issued, "paused mid-run");
-        let bytes = Workload::checkpoint(&mut live, &st);
+        let bytes = Workload::checkpoint(&live, &st);
 
-        let r_live = w.run_from(&mut live, &mut st, 500_000).unwrap();
-        assert_eq!(r_live.issued, r_whole.issued);
+        let r_live = w.drive(&mut live, &mut st, 500_000, Cycle::MAX, &mut |_, _| true).unwrap();
+        assert_eq!(r_live.expect("runs to completion").issued, r_whole.issued);
         assert_eq!(live.export_metrics().to_json(), whole.export_metrics().to_json());
 
-        let cfg = SystemConfig::for_scheme(4, SchemeKind::UiUa);
-        let (mut rebuilt, mut st2) = w.resume(cfg, SchemeKind::UiUa.build(), &bytes).unwrap();
+        let (mut rebuilt, mut st2) = resume(&w, &bytes);
+        assert_eq!(rebuilt.now(), 150);
         let mut observed = 0;
         let r2 = w
-            .run_observed(&mut rebuilt, &mut st2, 500_000, 50, |sys, st| {
+            .drive(&mut rebuilt, &mut st2, 500_000, 50, &mut |sys, st| {
                 // Observer reads are free; progress is monotone.
-                assert!(st.issued() <= w.total_ops() as u64);
+                assert!(st.issued() <= st.total());
                 assert!(sys.now() > 0);
                 observed += 1;
                 true
             })
             .unwrap()
             .expect("runs to completion");
-        assert!(observed >= 1, "completion crossed at least one boundary");
+        assert!(observed >= 2, "completion crossed at least one boundary");
         assert_eq!(r2.issued, r_whole.issued);
         assert_eq!(rebuilt.now(), whole.now());
         assert_eq!(rebuilt.export_metrics().to_json(), whole.export_metrics().to_json());
     }
 
-    /// The checkpoint/resume pair must reproduce the uninterrupted run's
-    /// final state bit for bit, including metrics accumulated before the
-    /// checkpoint.
+    /// Checkpoints taken at every boundary of a run that keeps going
+    /// must each resume to the uninterrupted run's final state bit for
+    /// bit, including metrics accumulated before the checkpoint.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let w = sharing_workload();
@@ -455,19 +360,27 @@ mod tests {
         let r_whole = w.run(&mut whole, 500_000).unwrap();
 
         let mut first = sys();
+        let mut st = w.start();
         let mut taken = Vec::new();
         let r = w
-            .run_checkpointed(&mut first, 500_000, 100, |at, bytes| taken.push((at, bytes)))
-            .unwrap();
+            .drive(&mut first, &mut st, 500_000, 100, &mut |sys, st| {
+                taken.push((sys.now(), Workload::checkpoint(sys, st)));
+                true
+            })
+            .unwrap()
+            .expect("runs to completion");
         assert_eq!(r.cycles, r_whole.cycles);
-        assert!(!taken.is_empty(), "run long enough to checkpoint");
+        assert!(taken.len() > 2, "run long enough to checkpoint");
 
         let (at, bytes) = &taken[taken.len() / 2];
-        let cfg = SystemConfig::for_scheme(4, SchemeKind::UiUa);
-        let (mut resumed, mut st) = w.resume(cfg, SchemeKind::UiUa.build(), bytes).unwrap();
+        let (mut resumed, mut st) = resume(&w, bytes);
         assert_eq!(resumed.now(), *at);
-        let rr = w.run_from(&mut resumed, &mut st, 500_000).unwrap();
-        assert_eq!(rr.issued, r_whole.issued);
+        let rr = w
+            .drive(&mut resumed, &mut st, 500_000, Cycle::MAX, &mut |_, _| true)
+            .unwrap()
+            .expect("runs to completion");
+        assert_eq!(rr.cycles, r_whole.cycles - at, "cycles count the resumed part");
+        assert_eq!(rr.issued, r_whole.issued, "issued counts the whole run");
         assert_eq!(resumed.now(), whole.now());
         assert_eq!(resumed.export_metrics().to_json(), whole.export_metrics().to_json());
     }

@@ -8,6 +8,9 @@
 //! * a [`driver::Workload`] model — one deterministic `MemOp` stream per
 //!   processor — and the loop that feeds it to a
 //!   [`wormdsm_core::DsmSystem`];
+//! * [`scenario::Scenario`], the one description of a seeded run (scheme,
+//!   workload, mesh side, compute scale, deadline, profiling) and the one
+//!   place a run is built, observed, checkpointed, resumed and audited;
 //! * [`synthetic`] invalidation-pattern and background-traffic generators;
 //! * [`apps`]: faithful *kernel* re-implementations of the three
 //!   applications as op-stream generators (same data layout, partitioning
@@ -18,7 +21,9 @@
 
 pub mod apps;
 pub mod driver;
+pub mod scenario;
 pub mod synthetic;
 
 pub use driver::{IssueState, RunResult, Workload};
+pub use scenario::{Observe, RunEnd, RunReport, Scenario};
 pub use synthetic::{gen_pattern, Pattern, PatternKind};
