@@ -311,14 +311,13 @@ fn main() {
                 concat!(
                     "    {{\"app\": \"{}\", \"cycles\": {}, \"flit_hops\": {}, ",
                     "\"cycles_per_s\": {:.0}, \"worm_slots_reused\": {}, ",
-                    "\"scratch_grows\": {}, \"bit_identical_to_golden\": true}}"
+                    "\"bit_identical_to_golden\": true}}"
                 ),
                 app,
                 cycles,
                 net.flit_hops,
                 cycles as f64 / fast.wall_s,
                 net.worm_slots_reused,
-                net.scratch_grows,
             ));
         }
         let control_cps = cycles as f64 / control.wall_s;
@@ -329,10 +328,7 @@ fn main() {
             "{:>6} {:>12} {:>14.3} {:>14.3} {:>14.0} {:>14.0} {:>7.2}x  ({dead:.1}% dead)",
             app, cycles, control.wall_s, fast.wall_s, control_cps, fast_cps, speedup
         );
-        println!(
-            "       worm slots reused {:>9}   scratch regrows {:>3}",
-            net.worm_slots_reused, net.scratch_grows
-        );
+        println!("       worm slots reused {:>9}", net.worm_slots_reused);
         rows.push(format!(
             concat!(
                 "    {{\"app\": \"{}\", \"cycles\": {}, \"flit_hops\": {}, ",

@@ -75,7 +75,8 @@ impl SystemConfig {
     /// of mid-simulation.
     ///
     /// Delegates the network-level limits (occupancy-bitset capacity,
-    /// u8-encoded channel/entry indices, hierarchy divisibility) to
+    /// FIFO ring depth and slab size, u8-encoded channel/entry indices,
+    /// hierarchy divisibility) to
     /// [`MeshConfig::validate`] and adds the system-level ones: `NodeId`
     /// is a `u16`, so a mesh may not exceed 65536 nodes, and the
     /// per-node cache must have at least one set.
@@ -133,6 +134,18 @@ mod tests {
         let mut c = SystemConfig::paper_defaults(4);
         c.mesh.vcs_per_vnet = 64;
         assert!(c.validate().unwrap_err().contains("occupancy bitset"));
+    }
+
+    /// A FIFO depth the router's ring index cannot address surfaces
+    /// through the system-level validate instead of a panic when the
+    /// router slab allocates.
+    #[test]
+    fn validate_rejects_fifo_depth_beyond_the_ring_index() {
+        let mut c = SystemConfig::paper_defaults(4);
+        c.mesh.vc_buf_flits = 1 << 20;
+        assert!(c.validate().unwrap_err().contains("vc_buf_flits"));
+        c.mesh.vc_buf_flits = usize::MAX;
+        assert!(c.validate().unwrap_err().contains("overflows"));
     }
 
     #[test]

@@ -210,12 +210,9 @@ impl RunMeta {
 
 /// Metric-name prefixes that vary between otherwise bit-identical runs
 /// and must be ignored by determinism fingerprints / diffs: flight-
-/// recorder lifetime counters (differ by trace level), [`RunMeta`]
-/// provenance (differ by host and wall clock), and the tick engine's
-/// worklist-growth counter, which records host allocator warm-up, never
-/// *what* was simulated.
-pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 3] =
-    ["trace_events_", "run_", "net_scratch_grows"];
+/// recorder lifetime counters (differ by trace level) and [`RunMeta`]
+/// provenance (differ by host and wall clock).
+pub const NONDETERMINISTIC_METRIC_PREFIXES: [&str; 2] = ["trace_events_", "run_"];
 
 fn prom_name(name: &str) -> String {
     let mut s = String::with_capacity(name.len());

@@ -25,15 +25,18 @@
 //! one link cycle; the simplification affects back-to-back worm reuse of a
 //! VC by at most one cycle).
 //!
-//! Every phase visits its worklist in ascending node order, one node at a
-//! time, so a run is a pure function of its inputs. A credit returned
+//! The worklists are node bitsets (one `u64` word per 64 nodes), so every
+//! phase visits them in ascending node order by construction, one node at
+//! a time, and a run is a pure function of its inputs. A credit returned
 //! during movement is visible to the upstream router in the same cycle
-//! only if the sweep has not passed that router yet.
+//! only if the sweep has not passed that router yet. Within a router the
+//! phases iterate the set bits of its slot-class masks (see
+//! [`crate::router`]) instead of filtering every `(port, vc)` slot.
 
 use crate::nic::{Delivery, DeliveryKind, GatherCheck, IackMode, NicSlab, StreamState};
-use crate::router::{BufFlit, RouterSlab, VcMode};
+use crate::router::{BufFlit, RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
-use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, Port, NUM_PORTS};
+use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
     Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormSpec, WormState, WormTable, NUM_VNETS,
 };
@@ -148,7 +151,8 @@ impl MeshConfig {
     /// [`Network::new`] panics on an invalid config; layers above call
     /// this first to surface a structured error instead of a panic deep
     /// inside construction (important at large `k`, where an over-wide VC
-    /// or channel count would otherwise only fail once slabs allocate).
+    /// or channel count, or a FIFO depth beyond the ring's `u16` index,
+    /// would otherwise only fail once slabs allocate).
     pub fn validate(&self) -> Result<(), String> {
         if self.vcs_per_vnet < 1 {
             return Err("vcs_per_vnet must be >= 1".into());
@@ -159,13 +163,26 @@ impl MeshConfig {
         if self.router_delay < 1 || self.strip_delay < 1 || self.iack_check_delay < 1 {
             return Err("router_delay, strip_delay and iack_check_delay must all be >= 1".into());
         }
-        let slots = NUM_PORTS * self.vcs_total();
+        let vcs = self.vcs_per_vnet.saturating_mul(NUM_VNETS);
+        let slots = vcs.saturating_mul(NUM_PORTS);
         if slots > BitSet128::CAPACITY {
             return Err(format!(
-                "router occupancy bitset limits ports * vcs to {} (got {} * {})",
+                "router occupancy bitset limits ports * vcs to {} (got {NUM_PORTS} * {vcs})",
                 BitSet128::CAPACITY,
-                NUM_PORTS,
-                self.vcs_total()
+            ));
+        }
+        let nodes = self.mesh.nodes();
+        if RouterSlab::fifo_entries(nodes, slots, self.vc_buf_flits).is_none() {
+            return Err(format!(
+                "router FIFO slab of {nodes} nodes x {slots} VCs x {} flits overflows",
+                self.vc_buf_flits
+            ));
+        }
+        if self.vc_buf_flits > RouterSlab::MAX_VC_CAP {
+            return Err(format!(
+                "vc_buf_flits must be <= {} (got {}); FIFO ring indices are u16-encoded",
+                RouterSlab::MAX_VC_CAP,
+                self.vc_buf_flits
             ));
         }
         if self.cons_channels < 1 || self.cons_channels > 255 {
@@ -244,10 +261,6 @@ pub struct NetStats {
     /// the table (allocation-avoidance diagnostic; zero unless recycling
     /// is enabled via [`Network::set_worm_recycling`]).
     pub worm_slots_reused: u64,
-    /// Times a per-tick worklist scratch buffer had to grow. In steady
-    /// state this stays at its warm-up value: the per-cycle hot loop
-    /// reuses the same buffers and allocates nothing.
-    pub scratch_grows: u64,
 }
 
 impl NetStats {
@@ -270,7 +283,6 @@ impl NetStats {
             multicast_latency: Summary::new(),
             gather_latency: Summary::new(),
             worm_slots_reused: 0,
-            scratch_grows: 0,
         }
     }
 
@@ -300,7 +312,6 @@ impl NetStats {
         r.counter("deposits", self.deposits);
         r.counter("deposit_retries", self.deposit_retries);
         r.counter("worm_slots_reused", self.worm_slots_reused);
-        r.counter("scratch_grows", self.scratch_grows);
         r.gauge("max_link_utilization", self.max_link_utilization(elapsed));
         r.summary("unicast_latency", &self.unicast_latency);
         r.summary("multicast_latency", &self.multicast_latency);
@@ -563,10 +574,72 @@ impl LinkLoadMeter {
     }
 }
 
-const LOCAL: usize = 4;
-/// [`LOCAL`] as the `u8` stored in [`VcMode`] fields (constant patterns
-/// must match the field type exactly).
-const LOCAL8: u8 = LOCAL as u8;
+/// Neighbour-table entry of a link port at the mesh edge.
+const NO_NEIGHBOR: u32 = u32::MAX;
+
+/// Per-node neighbour table, indexed by direction ([`NO_NEIGHBOR`] at the
+/// mesh edge). Built once per network, so the tick never decodes
+/// coordinates.
+fn build_neighbors(mesh: &Mesh2D) -> Vec<[u32; 4]> {
+    mesh.iter_nodes()
+        .map(|n| {
+            Direction::ALL.map(|d| mesh.neighbor(n, d).map_or(NO_NEIGHBOR, |m| m.idx() as u32))
+        })
+        .collect()
+}
+
+/// Set bit `n` of a node bitset.
+#[inline]
+fn mark(set: &mut [u64], n: usize) {
+    set[n >> 6] |= 1 << (n & 63);
+}
+
+/// Members of a node bitset, ascending.
+#[inline]
+fn members(set: &[u64]) -> Members<'_> {
+    Members { set, word: 0, bits: set.first().copied().unwrap_or(0) }
+}
+
+/// Ascending iterator over a node bitset (see [`members`]).
+struct Members<'a> {
+    set: &'a [u64],
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// Members of that word not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.set.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.word * 64 + bit)
+    }
+}
+
+/// Load a node bitset for `nodes` nodes, rejecting a wrong word count or
+/// a member `>= nodes`.
+fn load_node_set(r: &mut SnapReader<'_>, nodes: usize, what: &str) -> Result<Vec<u64>, SnapError> {
+    let set = Vec::<u64>::load(r)?;
+    if set.len() != nodes.div_ceil(64) {
+        return Err(SnapError::Mismatch(format!(
+            "{what} worklist has {} words, {nodes} nodes need {}",
+            set.len(),
+            nodes.div_ceil(64)
+        )));
+    }
+    if members(&set).any(|n| n >= nodes) {
+        return Err(SnapError::Corrupt(format!("{what} worklist names a node >= {nodes}")));
+    }
+    Ok(set)
+}
 
 /// Per-link extra delays implied by the hierarchy: `node * 4 + dir`,
 /// zero everywhere on a flat mesh, `inter_chip_extra` on every link that
@@ -589,11 +662,12 @@ fn build_link_extra(cfg: &MeshConfig) -> Vec<Cycle> {
 /// The whole wormhole-routed mesh: routers, NICs, worms, clock.
 ///
 /// `tick` iterates *worklists* rather than sweeping every node: a router
-/// is on the active list whenever it holds buffered flits, and a NIC
+/// is in the active set whenever it holds buffered flits, and a NIC
 /// whenever it has phase-3 work (queued injections, streaming, consumption
-/// FIFO contents, resumes, or deposit retries). Nodes off both lists are
-/// provably no-ops in every phase, so skipping them is bit-identical to
-/// the full sweep.
+/// FIFO contents, resumes, or deposit retries). Nodes outside both sets
+/// are provably no-ops in every phase, so skipping them is bit-identical
+/// to the full sweep. Each set is a node bitset, iterated in ascending
+/// node order.
 #[derive(Debug)]
 pub struct Network {
     cfg: MeshConfig,
@@ -605,26 +679,21 @@ pub struct Network {
     /// Extra per-link delay from the hierarchy (`node * 4 + dir`); all
     /// zeros on a flat mesh. See [`build_link_extra`].
     link_extra: Vec<Cycle>,
+    /// Neighbour of each node per direction (see [`build_neighbors`]).
+    neighbors: Vec<[u32; 4]>,
     /// Worms not yet fully delivered (fast quiescence check).
     live_worms: usize,
-    /// Membership flags for `active_routers` (one per node).
-    router_active: Vec<bool>,
-    /// Routers that may hold flits; superset of `{r : flits > 0}`.
-    active_routers: Vec<usize>,
-    /// Membership flags for `active_nics` (one per node).
-    nic_active: Vec<bool>,
-    /// NICs that may have phase-3 work.
-    active_nics: Vec<usize>,
-    /// Recycled worklist buffer for `tick`'s router snapshot (capacity
-    /// persists across cycles so the hot loop never reallocates).
-    router_scratch: Vec<usize>,
-    /// Recycled worklist buffer for `tick`'s NIC snapshot.
-    nic_scratch: Vec<usize>,
-    /// Membership flags for `delivered_nodes`.
-    delivered_flag: Vec<bool>,
-    /// Nodes holding undrained deliveries (fed by the NIC phase, drained
-    /// by [`Network::take_delivery_nodes`]).
-    delivered_nodes: Vec<usize>,
+    /// Routers that may hold flits, a node bitset; superset of
+    /// `{r : flits > 0}`.
+    router_active: Vec<u64>,
+    /// NICs that may have phase-3 work, a node bitset.
+    nic_active: Vec<u64>,
+    /// Nodes holding undrained deliveries, a node bitset (fed by the NIC
+    /// phase, drained by [`Network::take_delivery_nodes`]).
+    delivered: Vec<u64>,
+    /// `tick`'s snapshot of a worklist, all zero between phases, so the
+    /// hot loop never allocates.
+    work: Vec<u64>,
     /// Precomputed next-hop tables, indexed by `VNet::index()`, built once
     /// per network so the tick never recomputes routes.
     tables: [RouteTable; NUM_VNETS],
@@ -658,7 +727,9 @@ impl Network {
         let nics =
             NicSlab::new(nodes, cfg.cons_channels, cfg.cons_buf_flits, cfg.iack_buffers, vcs);
         let link_extra = build_link_extra(&cfg);
+        let neighbors = build_neighbors(&cfg.mesh);
         let stats = NetStats::new(nodes);
+        let words = nodes.div_ceil(64);
         let tables = [
             RouteTable::build(cfg.rule_for(VNet::Req), &cfg.mesh),
             RouteTable::build(cfg.rule_for(VNet::Reply), &cfg.mesh),
@@ -671,15 +742,12 @@ impl Network {
             now: 0,
             stats,
             link_extra,
+            neighbors,
             live_worms: 0,
-            router_active: vec![false; nodes],
-            active_routers: Vec::new(),
-            nic_active: vec![false; nodes],
-            active_nics: Vec::new(),
-            router_scratch: Vec::new(),
-            nic_scratch: Vec::new(),
-            delivered_flag: vec![false; nodes],
-            delivered_nodes: Vec::new(),
+            router_active: vec![0; words],
+            nic_active: vec![0; words],
+            delivered: vec![0; words],
+            work: vec![0; words],
             tables,
             trace: FlightRecorder::default(),
             probe: None,
@@ -699,22 +767,18 @@ impl Network {
         self.worms.set_recycle(on);
     }
 
-    /// Put router `r` on the next cycle's worklist.
+    /// Put router `r` in the next cycle's worklist.
+    #[inline]
     fn activate_router(&mut self, r: usize) {
-        if !self.router_active[r] {
-            self.router_active[r] = true;
-            self.active_routers.push(r);
-        }
+        mark(&mut self.router_active, r);
     }
 
-    /// Put NIC `n` on the NIC worklist. Between ticks that is the next
-    /// cycle's list; during phases 1-2 of a tick, the activations are
-    /// merged into the same cycle's phase-3 pass (see [`Network::tick`]).
+    /// Put NIC `n` in the NIC worklist. Between ticks that is the next
+    /// cycle's set; during phases 1-2 of a tick, the activations join the
+    /// same cycle's phase-3 pass (see [`Network::tick`]).
+    #[inline]
     fn activate_nic(&mut self, n: usize) {
-        if !self.nic_active[n] {
-            self.nic_active[n] = true;
-            self.active_nics.push(n);
-        }
+        mark(&mut self.nic_active, n);
     }
 
     /// Current simulated cycle.
@@ -808,6 +872,14 @@ impl Network {
     /// Sticky: once set, the simulation's state is no longer trusted.
     pub fn violation(&self) -> Option<&str> {
         self.violation.as_deref()
+    }
+
+    /// Recompute the router slab's derived state (flit counts, head-ready
+    /// mirror, slot-class masks) from its FIFOs, modes and allocations,
+    /// and report the first disagreement. `O(nodes * slots)`: a check for
+    /// tests and debugging, not for every tick of a long run.
+    pub fn check_router_slab(&self) -> Result<(), String> {
+        self.routers.check_consistency()
     }
 
     /// Access a worm record.
@@ -916,21 +988,15 @@ impl Network {
         !self.nics.delivered(node.idx()).is_empty()
     }
 
-    /// Drain the list of nodes with undrained deliveries into `buf`
+    /// Drain the set of nodes with undrained deliveries into `buf`
     /// (ascending node order), reusing the caller's buffer. Callers should
     /// then [`Network::pop_delivery`] each listed node dry; a node whose
     /// deliveries are left undrained is only re-listed when its next
     /// delivery arrives.
     pub fn take_delivery_nodes(&mut self, buf: &mut Vec<NodeId>) {
         buf.clear();
-        for n in self.delivered_nodes.drain(..) {
-            self.delivered_flag[n] = false;
-            buf.push(NodeId(n as u16));
-        }
-        // Worklist pushes occur in sorted phase-3 order within one tick,
-        // but deliveries can straddle ticks; sort to keep the handoff
-        // order identical to the historical ascending full sweep.
-        buf.sort_unstable();
+        buf.extend(members(&self.delivered).map(|n| NodeId(n as u16)));
+        self.delivered.fill(0);
     }
 
     /// Pop the oldest undrained delivery at `node`, if any.
@@ -949,81 +1015,54 @@ impl Network {
             m.observe(now, &self.stats.link_busy);
         }
 
-        // Snapshot the worklists for this cycle by swapping them with
-        // persistent scratch buffers (both keep their capacity, so the
-        // steady-state hot loop allocates nothing). Sorting restores the
-        // ascending node order of the historical full sweep, keeping runs
-        // bit-identical.
-        let mut router_work = std::mem::take(&mut self.router_scratch);
-        router_work.clear();
-        std::mem::swap(&mut router_work, &mut self.active_routers);
-        let router_cap = self.active_routers.capacity();
-        router_work.sort_unstable();
-
-        let mut nic_work = std::mem::take(&mut self.nic_scratch);
-        nic_work.clear();
-        std::mem::swap(&mut nic_work, &mut self.active_nics);
-        let nic_cap = self.active_nics.capacity();
-
-        // Phases 1-2. Clearing the membership flags first lets same-cycle
-        // deposits put a receiver on the fresh list.
-        for &r in &router_work {
-            self.router_active[r] = false;
-        }
-        self.phase_heads(now, &router_work);
-        self.phase_movement(now, &router_work);
-        for &r in &router_work {
+        // Phases 1-2 run over the routers active at the start of the
+        // tick. Swapping the set with the all-zero scratch empties it, so
+        // same-cycle deposits put a receiver in next cycle's set.
+        std::mem::swap(&mut self.router_active, &mut self.work);
+        let mut work = std::mem::take(&mut self.work);
+        self.phase_heads(now, &work);
+        self.phase_movement(now, &work);
+        for r in members(&work) {
             if self.routers.flits(r) > 0 {
                 self.activate_router(r);
             }
         }
+        work.fill(0);
 
-        // Phase 3 runs over the pre-tick NIC snapshot plus the NICs that
-        // phases 1-2 activated (which landed on `active_nics`); the flags
-        // dedupe the union, and sorting restores ascending node order.
-        nic_work.append(&mut self.active_nics);
-        nic_work.sort_unstable();
-        for &n in &nic_work {
-            self.nic_active[n] = false;
-        }
-        self.phase_nic(now, &nic_work);
-        for &n in &nic_work {
+        // Phase 3 runs over the NICs active before the tick plus those
+        // phases 1-2 activated; NICs activated during phase 3 land in
+        // next cycle's set.
+        std::mem::swap(&mut self.nic_active, &mut work);
+        self.phase_nic(now, &work);
+        for n in members(&work) {
             if self.nics.has_work(n) {
                 self.activate_nic(n);
             }
         }
-
-        if self.active_routers.capacity() != router_cap {
-            self.stats.scratch_grows += 1;
-        }
-        self.router_scratch = router_work;
-        if self.active_nics.capacity() != nic_cap {
-            self.stats.scratch_grows += 1;
-        }
-        self.nic_scratch = nic_work;
+        work.fill(0);
+        self.work = work;
     }
 
     // ------------------------------------------------------------------
     // Phase 1: head processing.
     // ------------------------------------------------------------------
 
-    fn phase_heads(&mut self, now: Cycle, work: &[usize]) {
-        let vcs = self.cfg.vcs_total();
-        for &r in work {
-            // Walk only occupied VC slots, ascending `(port, vc)` exactly
-            // like a full sweep. Head processing never moves flits, so the
-            // snapshot stays exact for the whole walk.
-            let occ = self.routers.occ(r);
-            for slot in occ.iter() {
-                self.process_head(now, r, slot / vcs, slot % vcs);
+    fn phase_heads(&mut self, now: Cycle, work: &[u64]) {
+        for r in members(work) {
+            // Walk only occupied slots in `Normal` mode, ascending
+            // `(port, vc)` exactly like a full sweep. Processing a head
+            // changes only its own slot's mode and moves no flit, so the
+            // mask snapshot stays exact for the whole walk.
+            let m = self.routers.masks(r);
+            for slot in m.occ.and_not(m.busy).iter() {
+                let (port, vc) = self.routers.port_vc(slot);
+                self.process_head(now, r, port, vc);
             }
         }
     }
 
     fn process_head(&mut self, now: Cycle, r: usize, port: usize, vc: usize) {
-        if self.routers.mode(r, port, vc) != VcMode::Normal {
-            return;
-        }
+        debug_assert_eq!(self.routers.mode(r, port, vc), VcMode::Normal);
         // `front_ready` is `Cycle::MAX` when the buffer is empty, so one
         // comparison covers both "nothing there" and "not eligible yet".
         if self.routers.front_ready(r, port, vc) > now {
@@ -1235,10 +1274,8 @@ impl Network {
     // Phase 2: movement.
     // ------------------------------------------------------------------
 
-    #[allow(clippy::needless_range_loop)]
-    fn phase_movement(&mut self, now: Cycle, work: &[usize]) {
-        let vcs = self.cfg.vcs_total();
-        for &r in work {
+    fn phase_movement(&mut self, now: Cycle, work: &[u64]) {
+        for r in members(work) {
             if self.routers.flits(r) == 0 {
                 continue;
             }
@@ -1248,39 +1285,43 @@ impl Network {
             // allocated output VC whose ready flit cannot move for lack of
             // downstream credits books one stall cycle this cycle.
             if self.probe.is_some() {
-                for out_port in 0..4 {
-                    for vc in 0..vcs {
-                        if self.routers.credit_starved(now, r, out_port, vc) {
-                            let link = r * 4 + out_port;
-                            self.probe.as_deref_mut().expect("checked").record_stall(now, link, vc);
-                        }
+                for slot in self.routers.masks(r).alloc.iter() {
+                    let (out_port, vc) = self.routers.port_vc(slot);
+                    if self.routers.credit_starved(now, r, out_port, vc) {
+                        let link = r * 4 + out_port;
+                        self.probe.as_deref_mut().expect("checked").record_stall(now, link, vc);
                     }
                 }
             }
 
-            // Link outputs (E, W, N, S): one flit per port per cycle.
+            // Link outputs (E, W, N, S): one flit per port per cycle, among
+            // the port's allocated output VCs only.
             for out_port in 0..4 {
-                let winner = self.pick_link_winner(now, r, out_port, vcs, &used_in_port);
+                let cand = self.routers.masks(r).alloc.and(self.routers.port_mask(out_port));
+                if cand.is_empty() {
+                    continue;
+                }
+                let winner = self.pick_link_winner(now, r, out_port, cand, &used_in_port);
                 if let Some((in_port, in_vc, out_vc)) = winner {
                     used_in_port[in_port] = true;
-                    self.routers.set_rr(r, out_port, in_port * vcs + in_vc + 1);
+                    let in_slot = in_port * self.routers.vcs() + in_vc;
+                    self.routers.set_rr_after(r, out_port, in_slot);
                     self.apply_forward(now, r, in_port, in_vc, out_port, out_vc);
                 }
             }
 
             // Local consumption: one flit per consumption channel per
-            // cycle. Occupancy bits ascend `(port, vc)` like the full
-            // sweep; the used-port flag keeps one consume per input port.
-            let occ = self.routers.occ(r);
-            for slot in occ.iter() {
-                let (in_port, in_vc) = (slot / vcs, slot % vcs);
+            // cycle, over the occupied slots that drain to the local port.
+            // The mask ascends `(port, vc)` like the full sweep; the
+            // used-port flag keeps one consume per input port.
+            let m = self.routers.masks(r);
+            for slot in m.occ.and(m.local).iter() {
+                let (in_port, in_vc) = self.routers.port_vc(slot);
                 if used_in_port[in_port] {
                     continue;
                 }
-                let VcMode::Active { out_port: LOCAL8, out_vc: cc, absorb: _ } =
-                    self.routers.mode(r, in_port, in_vc)
-                else {
-                    continue;
+                let VcMode::Active { out_vc: cc, .. } = self.routers.mode(r, in_port, in_vc) else {
+                    unreachable!("local mask marks an input not Active toward LOCAL")
                 };
                 let cc = cc as usize;
                 if self.routers.front_ready(r, in_port, in_vc) > now
@@ -1294,11 +1335,11 @@ impl Network {
 
             // Parked gather drains: absorbed at the router interface, no
             // crossbar involvement.
-            let occ = self.routers.occ(r);
-            for slot in occ.iter() {
-                let (in_port, in_vc) = (slot / vcs, slot % vcs);
+            let m = self.routers.masks(r);
+            for slot in m.occ.and(m.park).iter() {
+                let (in_port, in_vc) = self.routers.port_vc(slot);
                 let VcMode::DrainPark { entry } = self.routers.mode(r, in_port, in_vc) else {
-                    continue;
+                    unreachable!("park mask marks an input not in DrainPark")
                 };
                 if self.routers.front_ready(r, in_port, in_vc) > now {
                     continue;
@@ -1309,22 +1350,26 @@ impl Network {
     }
 
     /// Round-robin arbitration for a link output port: pick the eligible
-    /// allocated input VC at-or-after the RR pointer. Returns `(in_port,
-    /// in_vc, out_vc)` of the winner.
+    /// input VC at-or-after the RR pointer among the output slots in
+    /// `cand` (the port's allocated VCs). Returns `(in_port, in_vc,
+    /// out_vc)` of the winner.
     fn pick_link_winner(
         &self,
         now: Cycle,
         r: usize,
         out_port: usize,
-        vcs: usize,
+        cand: BitSet128,
         used_in_port: &[bool; NUM_PORTS],
     ) -> Option<(usize, usize, usize)> {
         // (rr-distance key, (in_port, in_vc, out_vc))
         let mut best: Option<(usize, (usize, usize, usize))> = None;
         let rr = self.routers.rr(r, out_port);
-        let total = NUM_PORTS * vcs;
-        for out_vc in 0..vcs {
-            let Some((in_port, in_vc)) = self.routers.alloc(r, out_port, out_vc) else { continue };
+        let total = self.routers.slots();
+        let vcs = self.routers.vcs();
+        for out_slot in cand.iter() {
+            let (_, out_vc) = self.routers.port_vc(out_slot);
+            let (in_port, in_vc) =
+                self.routers.alloc(r, out_port, out_vc).expect("alloc mask marks an allocation");
             if used_in_port[in_port] || self.routers.credit(r, out_port, out_vc) == 0 {
                 continue;
             }
@@ -1336,7 +1381,9 @@ impl Network {
                     continue;
                 }
             }
-            let key = (in_port * vcs + in_vc + total - rr % total) % total;
+            // Distance from the RR pointer, both in `0..total`.
+            let in_slot = in_port * vcs + in_vc;
+            let key = if in_slot >= rr { in_slot - rr } else { in_slot + total - rr };
             if best.is_none_or(|(bk, _)| key < bk) {
                 best = Some((key, (in_port, in_vc, out_vc)));
             }
@@ -1356,11 +1403,7 @@ impl Network {
     ) {
         let bf = self.routers.pop(r, in_port, in_vc);
         let flit = bf.flit;
-        let node = NodeId(r as u16);
-        let dir = match Port::from_index(out_port) {
-            Port::Dir(d) => d,
-            Port::Local => unreachable!("apply_forward is for link ports"),
-        };
+        let dir = Direction::ALL[out_port];
 
         // Absorb copy (forward-and-absorb).
         if let VcMode::Active { absorb: Some(cc), .. } = self.routers.mode(r, in_port, in_vc) {
@@ -1393,14 +1436,15 @@ impl Network {
         // Deposit downstream. The flit becomes eligible after the router
         // delay (heads) or one link cycle (bodies), so it never moves
         // again this cycle; hierarchy boundary links add their extra delay.
-        let nb =
-            self.cfg.mesh.neighbor(node, dir).expect("route computation never leaves the mesh");
-        let in_port_nb = Port::Dir(dir.opposite()).index();
+        let nb = self.neighbors[r][out_port];
+        assert!(nb != NO_NEIGHBOR, "route computation never leaves the mesh");
+        let nb = nb as usize;
+        let in_port_nb = dir.opposite().index();
         let ready = now
             + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 }
             + self.link_extra[r * 4 + out_port];
-        self.routers.deposit(nb.idx(), in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
-        self.activate_router(nb.idx());
+        self.routers.deposit(nb, in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
+        self.activate_router(nb);
 
         // Tail releases allocations.
         if flit.kind == FlitKind::Tail {
@@ -1439,22 +1483,18 @@ impl Network {
         if in_port == LOCAL {
             return; // NIC injection checks buffer space directly.
         }
-        let dir = match Port::from_index(in_port) {
-            Port::Dir(d) => d,
-            Port::Local => unreachable!(),
-        };
-        let node = NodeId(r as u16);
-        let up = self.cfg.mesh.neighbor(node, dir).expect("input port faces a neighbor");
-        let up_out = Port::Dir(dir.opposite()).index();
-        self.routers.add_credit(up.idx(), up_out, in_vc);
+        let up = self.neighbors[r][in_port];
+        assert!(up != NO_NEIGHBOR, "input port faces a neighbor");
+        let up_out = Direction::ALL[in_port].opposite().index();
+        self.routers.add_credit(up as usize, up_out, in_vc);
     }
 
     // ------------------------------------------------------------------
     // Phase 3: NIC work.
     // ------------------------------------------------------------------
 
-    fn phase_nic(&mut self, now: Cycle, work: &[usize]) {
-        for &n in work {
+    fn phase_nic(&mut self, now: Cycle, work: &[u64]) {
+        for n in members(work) {
             self.nic_flush_deposits(n);
             self.nic_drain(now, n);
             self.nic_resume(n);
@@ -1617,10 +1657,7 @@ impl Network {
     }
 
     fn note_delivery(&mut self, n: usize) {
-        if !self.delivered_flag[n] {
-            self.delivered_flag[n] = true;
-            self.delivered_nodes.push(n);
-        }
+        mark(&mut self.delivered, n);
     }
 
     /// Re-inject parked gather worms whose ack arrived.
@@ -1691,7 +1728,9 @@ impl Network {
     /// and no NIC has queued work (deposit retries included). Undrained
     /// `delivered` queues don't matter — `tick` never touches them.
     pub fn fully_idle(&self) -> bool {
-        self.live_worms == 0 && self.active_routers.is_empty() && self.active_nics.is_empty()
+        self.live_worms == 0
+            && self.router_active.iter().all(|&w| w == 0)
+            && self.nic_active.iter().all(|&w| w == 0)
     }
 
     /// Jump the clock to `t` without ticking. Only legal when
@@ -1721,7 +1760,7 @@ impl Network {
     }
 
     /// Serialize the network's full dynamic state: routers, NICs, worm
-    /// table, clock, live-worm count, worklists, delivery flags,
+    /// table, clock, live-worm count, worklist and delivery bitsets,
     /// statistics and the sticky violation. Configuration, routing
     /// tables and observers (flight recorder, contention probe) are *not*
     /// saved — the loader rebuilds them from
@@ -1730,24 +1769,13 @@ impl Network {
     /// fingerprint).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.now);
-        self.routers.save(w);
+        self.routers.save_state(w);
         self.nics.save(w);
         self.worms.save(w);
         w.put_usize(self.live_worms);
         self.router_active.save(w);
-        self.active_routers.save(w);
         self.nic_active.save(w);
-        self.active_nics.save(w);
-        // Worklist *capacities* travel too: `scratch_grows` counts
-        // allocator warm-up, so a restored network must start with the
-        // donor's buffer capacities or that counter (and with it
-        // full-registry bit-identity vs the uninterrupted run) diverges.
-        w.put_usize(self.active_routers.capacity());
-        w.put_usize(self.router_scratch.capacity());
-        w.put_usize(self.active_nics.capacity());
-        w.put_usize(self.nic_scratch.capacity());
-        self.delivered_flag.save(w);
-        self.delivered_nodes.save(w);
+        self.delivered.save(w);
         self.stats.save(w);
         self.violation.save(w);
         // The link-load meter is plan-affecting simulated state (adaptive
@@ -1770,24 +1798,13 @@ impl Network {
         let mut net = Network::new(cfg);
         let nodes = net.cfg.mesh.nodes();
         net.now = r.get_u64()?;
-        net.routers = RouterSlab::load(r)?;
+        net.routers.load_state(r)?;
         net.nics = NicSlab::load(r)?;
         net.worms = WormTable::load(r)?;
         net.live_worms = r.get_usize()?;
-        net.router_active = Vec::load(r)?;
-        net.active_routers = Vec::load(r)?;
-        net.nic_active = Vec::load(r)?;
-        net.active_nics = Vec::load(r)?;
-        let ar_cap = r.get_usize()?;
-        let rs_cap = r.get_usize()?;
-        let an_cap = r.get_usize()?;
-        let ns_cap = r.get_usize()?;
-        net.active_routers.reserve_exact(ar_cap.saturating_sub(net.active_routers.len()));
-        net.router_scratch = Vec::with_capacity(rs_cap);
-        net.active_nics.reserve_exact(an_cap.saturating_sub(net.active_nics.len()));
-        net.nic_scratch = Vec::with_capacity(ns_cap);
-        net.delivered_flag = Vec::load(r)?;
-        net.delivered_nodes = Vec::load(r)?;
+        net.router_active = load_node_set(r, nodes, "router")?;
+        net.nic_active = load_node_set(r, nodes, "NIC")?;
+        net.delivered = load_node_set(r, nodes, "delivery")?;
         net.stats = NetStats::load(r)?;
         net.violation = Option::load(r)?;
         net.link_load = if r.get_bool()? {
@@ -1801,34 +1818,8 @@ impl Network {
         } else {
             None
         };
-        if net.routers.nodes() != nodes {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} routers, config wants {nodes}",
-                net.routers.nodes()
-            )));
-        }
-        if net.routers.vcs() != net.cfg.vcs_total() {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot has {} VCs per port, config wants {}",
-                net.routers.vcs(),
-                net.cfg.vcs_total()
-            )));
-        }
-        if net.router_active.len() != nodes
-            || net.nic_active.len() != nodes
-            || net.delivered_flag.len() != nodes
-            || net.stats.link_busy.len() != nodes * 4
-        {
-            return Err(SnapError::Mismatch("snapshot flag/stat slabs mismatch node count".into()));
-        }
-        if net
-            .active_routers
-            .iter()
-            .chain(&net.active_nics)
-            .chain(&net.delivered_nodes)
-            .any(|&n| n >= nodes)
-        {
-            return Err(SnapError::Corrupt("worklist node id out of range".into()));
+        if net.stats.link_busy.len() != nodes * 4 {
+            return Err(SnapError::Mismatch("snapshot link stats mismatch node count".into()));
         }
         if net.live_worms > net.worms.len() {
             return Err(SnapError::Corrupt(format!(
@@ -1907,7 +1898,6 @@ impl Snap for NetStats {
         self.multicast_latency.save(w);
         self.gather_latency.save(w);
         w.put_u64(self.worm_slots_reused);
-        w.put_u64(self.scratch_grows);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -1929,7 +1919,150 @@ impl Snap for NetStats {
             multicast_latency: Summary::load(r)?,
             gather_latency: Summary::load(r)?,
             worm_slots_reused: r.get_u64()?,
-            scratch_grows: r.get_u64()?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wormdsm_sim::Rng;
+
+    #[test]
+    fn validate_rejects_a_fifo_deeper_than_the_ring_index() {
+        let mut cfg = MeshConfig::paper_defaults(4);
+        cfg.vc_buf_flits = RouterSlab::MAX_VC_CAP;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.vc_buf_flits = RouterSlab::MAX_VC_CAP + 1;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("vc_buf_flits must be <="), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_a_vc_count_whose_slot_count_overflows() {
+        let mut cfg = MeshConfig::paper_defaults(4);
+        cfg.vcs_per_vnet = usize::MAX;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("occupancy bitset"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_a_fifo_slab_whose_size_overflows() {
+        let mut cfg = MeshConfig::paper_defaults(64);
+        cfg.vc_buf_flits = usize::MAX / 8;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.contains("FIFO slab") && e.contains("overflows"), "{e}");
+    }
+
+    fn save(net: &Network) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        net.save_state(&mut w);
+        w.finish()
+    }
+
+    fn load(cfg: &MeshConfig, bytes: &[u8]) -> Result<Network, SnapError> {
+        Network::load_state(cfg.clone(), &mut SnapReader::new(bytes)?)
+    }
+
+    /// Unicasts and column multicasts on a 6x6 mesh with 3-flit FIFOs, so
+    /// the rings wrap within a few worms.
+    fn busy_network() -> (MeshConfig, Network) {
+        let k = 6;
+        let cfg = MeshConfig { vc_buf_flits: 3, ..MeshConfig::paper_defaults(k) };
+        let mut net = Network::new(cfg.clone());
+        let mut rng = Rng::new(0x5A0_0005);
+        let mesh = cfg.mesh;
+        for i in 0..60 {
+            if i % 4 == 0 {
+                let col = rng.index(k);
+                let dests: Vec<NodeId> = [2, 3, 5].iter().map(|&y| mesh.node_at(col, y)).collect();
+                net.inject(WormSpec {
+                    src: mesh.node_at(rng.index(k), 0),
+                    vnet: VNet::Req,
+                    kind: WormKind::Multicast,
+                    dests: dests.into(),
+                    len_flits: 9,
+                    payload: i,
+                    reserve_iack: false,
+                    txn: TxnId(0),
+                    initial_acks: 0,
+                    gather_deposit: false,
+                    deliver: None,
+                });
+            } else {
+                let src = rng.below(36) as u16;
+                let dst = (src + 1 + rng.below(35) as u16) % 36;
+                let vnet = if rng.chance(0.5) { VNet::Reply } else { VNet::Req };
+                let len = rng.range(3, 14) as u16;
+                net.inject(WormSpec::unicast(NodeId(src), NodeId(dst), vnet, len, i));
+            }
+        }
+        (cfg, net)
+    }
+
+    fn finish(net: &mut Network) -> (Registry, Vec<Vec<Delivery>>) {
+        net.run_until_quiescent(1_000_000).expect("quiesces");
+        assert!(net.violation().is_none(), "{:?}", net.violation());
+        let nodes = net.cfg.mesh.nodes();
+        let delivered = (0..nodes).map(|n| net.take_deliveries(NodeId(n as u16))).collect();
+        (net.stats().export(net.now()), delivered)
+    }
+
+    /// A snapshot taken while FIFO rings are wrapped and the router, NIC
+    /// and delivery worklists are all non-empty resumes bit-identically.
+    #[test]
+    fn snapshot_with_wrapped_fifos_and_live_worklists_resumes_bit_identically() {
+        let (cfg, mut a) = busy_network();
+        let mut wd = 0;
+        let live = |set: &[u64]| set.iter().any(|&w| w != 0);
+        while !(a.routers.wrapped_fifos() > 0
+            && live(&a.router_active)
+            && live(&a.nic_active)
+            && live(&a.delivered))
+        {
+            a.tick();
+            wd += 1;
+            assert!(wd < 5_000, "traffic never wrapped a FIFO with every worklist live");
+        }
+        let bytes = save(&a);
+        let mut b = load(&cfg, &bytes).expect("loads");
+        b.check_router_slab().expect("rebuilt masks are consistent");
+        assert_eq!(save(&b), bytes, "the restored network saves the same stream");
+        let now = a.now();
+        let (stats_a, del_a) = finish(&mut a);
+        let (stats_b, del_b) = finish(&mut b);
+        assert!(a.now() > now);
+        assert_eq!(a.now(), b.now());
+        assert_eq!(stats_a, stats_b);
+        assert_eq!(del_a, del_b);
+        assert_eq!(save(&a), save(&b));
+    }
+
+    #[test]
+    fn load_rejects_malformed_worklist_bitsets() {
+        let (cfg, mut net) = busy_network();
+        for _ in 0..20 {
+            net.tick();
+        }
+        load(&cfg, &save(&net)).expect("well-formed stream loads");
+
+        // A word too many.
+        let mut long = busy_network().1;
+        long.router_active.push(0);
+        let Err(e) = load(&cfg, &save(&long)) else { panic!("extra word accepted") };
+        assert!(e.to_string().contains("router worklist has 2 words"), "{e}");
+
+        // A member past the last node (36 nodes fill bits 0..36 of one word).
+        for set in 0..3 {
+            let mut bad = busy_network().1;
+            let field = match set {
+                0 => &mut bad.router_active,
+                1 => &mut bad.nic_active,
+                _ => &mut bad.delivered,
+            };
+            field[0] |= 1 << 40;
+            let Err(e) = load(&cfg, &save(&bad)) else { panic!("node 40 of 36 accepted") };
+            assert!(e.to_string().contains("names a node >= 36"), "{e}");
+        }
     }
 }

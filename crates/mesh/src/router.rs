@@ -9,16 +9,37 @@
 //! # Layout
 //!
 //! [`RouterSlab`] holds the state of **every** router, one field per array
-//! (credits, allocations, VC modes, buffer-head ready times, occupancy
-//! bitsets, flit counts), each laid out node-major and contiguous. A
-//! per-cycle scan over the active worklist therefore walks dense,
-//! same-typed memory instead of chasing per-node struct pointers — at a
-//! 4096-node (k=64) mesh the tick-hot credit/occupancy/head state stays
+//! (credits, allocations, VC modes, buffer-head ready times, flit counts),
+//! each laid out node-major and contiguous. A router's `(port, vc)` pair
+//! is slot `port * vcs + vc`, and `node * slots + slot` indexes every
+//! per-slot array. A per-cycle scan over the active worklist therefore
+//! walks dense, same-typed memory instead of chasing per-node struct
+//! pointers — at a 4096-node (k=64) mesh the tick-hot state stays
 //! cache-resident.
+//!
+//! - **Flat FIFO slab.** Every input FIFO lives in one `Vec<BufFlit>`
+//!   holding `vc_cap` entries per (node, slot), used as a ring with a
+//!   `u16` head index and length per slot, so no queue owns a heap
+//!   allocation of its own.
+//! - **Slot-class masks.** Each node keeps a `SlotMasks`: the occupied
+//!   inputs, the allocated outputs, the inputs `Active` toward the local
+//!   port, the inputs in `DrainPark`, and the inputs not in `Normal`.
+//!   [`RouterSlab::deposit`]/[`RouterSlab::pop`] maintain the occupancy
+//!   mask; [`RouterSlab::set_mode`] and [`RouterSlab::set_alloc`] are the
+//!   only writers of the other four. Each phase of the tick intersects
+//!   them and visits only the slots of the class it serves.
+//!   `RouterSlab::check_consistency` recomputes every mask from the
+//!   primary state.
 
-use crate::worm::Flit;
-use std::collections::VecDeque;
+use crate::worm::{Flit, FlitKind, WormId};
+use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::{BitSet128, Cycle, Strided};
+
+/// Index of the local (injection/consumption) port, `Port::Local.index()`.
+pub(crate) const LOCAL: usize = 4;
+/// [`LOCAL`] as the `u8` stored in [`VcMode`] fields (constant patterns
+/// must match the field type exactly).
+pub(crate) const LOCAL8: u8 = LOCAL as u8;
 
 /// A flit sitting in a router buffer, with the cycle at which it becomes
 /// eligible to move (head flits pay the router pipeline delay, body flits
@@ -61,17 +82,74 @@ pub enum VcMode {
 /// `head_ready` value of an empty input VC: never eligible.
 const EMPTY_READY: Cycle = Cycle::MAX;
 
+/// Filler for FIFO ring entries that hold no flit.
+const EMPTY_FLIT: BufFlit =
+    BufFlit { flit: Flit { worm: WormId(0), kind: FlitKind::Head, seq: 0 }, ready_at: EMPTY_READY };
+
+/// Slot-class masks of one router; bit `port * vcs + vc` in each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SlotMasks {
+    /// Input slots holding at least one flit.
+    pub(crate) occ: BitSet128,
+    /// Output slots allocated to an input VC.
+    pub(crate) alloc: BitSet128,
+    /// Input slots `Active` toward the local port (they drain into a
+    /// consumption channel).
+    pub(crate) local: BitSet128,
+    /// Input slots in `DrainPark`.
+    pub(crate) park: BitSet128,
+    /// Input slots not in `Normal` (their front is not a head awaiting
+    /// processing).
+    pub(crate) busy: BitSet128,
+}
+
+impl SlotMasks {
+    /// Make the mode-class bits of input slot `s` match mode `m`.
+    #[inline]
+    fn set_mode_bits(&mut self, s: usize, m: VcMode) {
+        let (busy, local, park) = match m {
+            VcMode::Normal => (false, false, false),
+            VcMode::Active { out_port, .. } => (true, out_port == LOCAL8, false),
+            VcMode::DrainPark { .. } => (true, false, true),
+        };
+        assign(&mut self.busy, s, busy);
+        assign(&mut self.local, s, local);
+        assign(&mut self.park, s, park);
+    }
+}
+
+#[inline]
+fn assign(set: &mut BitSet128, bit: usize, on: bool) {
+    if on {
+        set.set(bit);
+    } else {
+        set.clear(bit);
+    }
+}
+
 /// Router state for every node, field-major. All indices are global node
 /// ids; the `(port, vc)` pair maps to slot `port * vcs + vc`, matching the
-/// occupancy bitset's bit positions.
+/// mask bit positions.
 #[derive(Debug)]
 pub struct RouterSlab {
     nodes: usize,
     ports: usize,
     vcs: usize,
     vc_cap: usize,
-    /// Flit FIFOs, slot-strided.
-    buf: Strided<VecDeque<BufFlit>>,
+    /// `ports * vcs`.
+    slots: usize,
+    /// Slot -> `(port, vc)`, so the sweeps map mask bits back without a
+    /// division.
+    slot_pv: [(u8, u8); BitSet128::CAPACITY],
+    /// The slots of each port, as a mask.
+    port_masks: Vec<BitSet128>,
+    /// Flit FIFO rings: `vc_cap` entries per (node, slot), at
+    /// `(node * slots + slot) * vc_cap`.
+    fifo: Vec<BufFlit>,
+    /// Ring index of each FIFO's front flit, per (node, slot).
+    fifo_head: Vec<u16>,
+    /// Flits in each FIFO, per (node, slot).
+    fifo_len: Vec<u16>,
     /// `ready_at` of each FIFO's front flit ([`EMPTY_READY`] when empty):
     /// the "is the head eligible this cycle" scans read this dense array
     /// instead of dereferencing the FIFO.
@@ -86,17 +164,28 @@ pub struct RouterSlab {
     credit: Strided<u32>,
     /// Output VC allocations `-> (in_port, in_vc)`, slot-strided.
     alloc: Strided<Option<(u8, u8)>>,
-    /// Round-robin arbitration pointer per output port (stride `ports`).
+    /// Round-robin arbitration pointer per output port (stride `ports`):
+    /// the slot just after the last winner, kept in `0..slots`.
     rr: Strided<u32>,
-    /// Occupancy bitset per node: bit `port * vcs + vc` set while that
-    /// input VC holds at least one flit. Two words wide, so up to 128
-    /// slots; the constructor rejects configurations beyond that.
-    occ: Vec<BitSet128>,
+    /// Slot-class masks per node.
+    masks: Vec<SlotMasks>,
     /// Flits currently buffered per node (fast-skip).
     flits: Vec<u32>,
 }
 
 impl RouterSlab {
+    /// Deepest FIFO the ring's `u16` head index and length can address.
+    pub(crate) const MAX_VC_CAP: usize = u16::MAX as usize;
+
+    /// Entries of the FIFO slab for `nodes` routers of `slots` input VCs
+    /// of `vc_cap` flits, or `None` when its size in bytes overflows what
+    /// one allocation can hold (`isize::MAX`).
+    pub(crate) fn fifo_entries(nodes: usize, slots: usize, vc_cap: usize) -> Option<usize> {
+        let entries = nodes.checked_mul(slots)?.checked_mul(vc_cap)?;
+        let bytes = entries.checked_mul(std::mem::size_of::<BufFlit>())?;
+        (bytes <= isize::MAX as usize).then_some(entries)
+    }
+
     /// Build routers for `nodes` nodes with `ports` x `vcs` input VCs of
     /// `vc_cap` flits, and matching output credit counters initialized to
     /// the downstream capacity.
@@ -108,32 +197,52 @@ impl RouterSlab {
             ports,
             vcs
         );
-        let stride = ports * vcs;
+        assert!(
+            (1..=Self::MAX_VC_CAP).contains(&vc_cap),
+            "FIFO depth must be 1..={} (got {vc_cap})",
+            Self::MAX_VC_CAP
+        );
+        let slots = ports * vcs;
+        let entries = Self::fifo_entries(nodes, slots, vc_cap).expect("FIFO slab size overflows");
+        let mut slot_pv = [(0, 0); BitSet128::CAPACITY];
+        let mut port_masks = vec![BitSet128::new(); ports];
+        for port in 0..ports {
+            for vc in 0..vcs {
+                slot_pv[port * vcs + vc] = (port as u8, vc as u8);
+                port_masks[port].set(port * vcs + vc);
+            }
+        }
         Self {
             nodes,
             ports,
             vcs,
             vc_cap,
-            buf: Strided::new(nodes, stride, || VecDeque::with_capacity(vc_cap)),
-            head_ready: Strided::new(nodes, stride, || EMPTY_READY),
-            mode: Strided::new(nodes, stride, || VcMode::Normal),
-            pending_absorb: Strided::new(nodes, stride, || None),
-            credit: Strided::new(nodes, stride, || vc_cap as u32),
-            alloc: Strided::new(nodes, stride, || None),
+            slots,
+            slot_pv,
+            port_masks,
+            fifo: vec![EMPTY_FLIT; entries],
+            fifo_head: vec![0; nodes * slots],
+            fifo_len: vec![0; nodes * slots],
+            head_ready: Strided::new(nodes, slots, || EMPTY_READY),
+            mode: Strided::new(nodes, slots, || VcMode::Normal),
+            pending_absorb: Strided::new(nodes, slots, || None),
+            credit: Strided::new(nodes, slots, || vc_cap as u32),
+            alloc: Strided::new(nodes, slots, || None),
             rr: Strided::new(nodes, ports, || 0),
-            occ: vec![BitSet128::new(); nodes],
+            masks: vec![SlotMasks::default(); nodes],
             flits: vec![0; nodes],
         }
     }
 
-    /// Node count.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// VC count per port (the occupancy bit stride).
+    /// VC count per port (the slot stride).
     pub fn vcs(&self) -> usize {
         self.vcs
+    }
+
+    /// Slots per router, `ports * vcs`.
+    #[inline]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
     }
 
     #[inline]
@@ -142,22 +251,48 @@ impl RouterSlab {
         port * self.vcs + vc
     }
 
+    /// The `(port, vc)` pair of slot `s`.
+    #[inline]
+    pub(crate) fn port_vc(&self, s: usize) -> (usize, usize) {
+        let (p, v) = self.slot_pv[s];
+        (p as usize, v as usize)
+    }
+
+    /// The slots of `port`, as a mask.
+    #[inline]
+    pub(crate) fn port_mask(&self, port: usize) -> BitSet128 {
+        self.port_masks[port]
+    }
+
     /// Flits buffered at node `n`.
     #[inline]
     pub fn flits(&self, n: usize) -> usize {
         self.flits[n] as usize
     }
 
-    /// Occupancy bitset of node `n`.
+    /// Slot-class masks of node `n`.
+    #[inline]
+    pub(crate) fn masks(&self, n: usize) -> SlotMasks {
+        self.masks[n]
+    }
+
+    /// Occupancy mask of node `n`.
     #[inline]
     pub fn occ(&self, n: usize) -> BitSet128 {
-        self.occ[n]
+        self.masks[n].occ
+    }
+
+    /// Ring position of the front flit of FIFO `q` (`node * slots + slot`).
+    #[inline]
+    fn front_pos(&self, q: usize) -> usize {
+        q * self.vc_cap + self.fifo_head[q] as usize
     }
 
     /// Front flit of input `(port, vc)` at node `n`.
     #[inline]
     pub fn front(&self, n: usize, port: usize, vc: usize) -> Option<BufFlit> {
-        self.buf.at(n, self.slot(port, vc)).front().copied()
+        let q = n * self.slots + self.slot(port, vc);
+        (self.fifo_len[q] > 0).then(|| self.fifo[self.front_pos(q)])
     }
 
     /// `ready_at` of the front flit ([`Cycle::MAX`] when empty).
@@ -187,7 +322,7 @@ impl RouterSlab {
     /// Free buffer slots of input `(port, vc)`.
     #[inline]
     pub fn space(&self, n: usize, port: usize, vc: usize) -> usize {
-        self.vc_cap - self.buf.at(n, self.slot(port, vc)).len()
+        self.vc_cap - self.fifo_len[n * self.slots + self.slot(port, vc)] as usize
     }
 
     /// Re-arm the front flit's eligibility time (header strip / i-ack
@@ -195,7 +330,10 @@ impl RouterSlab {
     #[inline]
     pub fn set_front_ready(&mut self, n: usize, port: usize, vc: usize, at: Cycle) {
         let s = self.slot(port, vc);
-        self.buf.at_mut(n, s).front_mut().expect("head present").ready_at = at;
+        let q = n * self.slots + s;
+        assert!(self.fifo_len[q] > 0, "head present");
+        let pos = self.front_pos(q);
+        self.fifo[pos].ready_at = at;
         *self.head_ready.at_mut(n, s) = at;
     }
 
@@ -204,6 +342,7 @@ impl RouterSlab {
     pub fn set_mode(&mut self, n: usize, port: usize, vc: usize, m: VcMode) {
         let s = self.slot(port, vc);
         *self.mode.at_mut(n, s) = m;
+        self.masks[n].set_mode_bits(s, m);
     }
 
     /// Stash an absorb channel pending route allocation.
@@ -225,6 +364,7 @@ impl RouterSlab {
     pub fn set_alloc(&mut self, n: usize, port: usize, vc: usize, a: Option<(usize, usize)>) {
         let s = self.slot(port, vc);
         *self.alloc.at_mut(n, s) = a.map(|(p, v)| (p as u8, v as u8));
+        assign(&mut self.masks[n].alloc, s, a.is_some());
     }
 
     /// Consume one downstream credit (a flit crossed the link).
@@ -241,16 +381,18 @@ impl RouterSlab {
         *self.credit.at_mut(n, s) += 1;
     }
 
-    /// Round-robin pointer of output `port`.
+    /// Round-robin pointer of output `port`: the slot arbitration starts
+    /// from, in `0..slots`.
     #[inline]
     pub fn rr(&self, n: usize, port: usize) -> usize {
         *self.rr.at(n, port) as usize
     }
 
-    /// Set the round-robin pointer of output `port`.
+    /// Point output `port`'s round robin just past input slot `winner`.
     #[inline]
-    pub fn set_rr(&mut self, n: usize, port: usize, v: usize) {
-        *self.rr.at_mut(n, port) = v as u32;
+    pub(crate) fn set_rr_after(&mut self, n: usize, port: usize, winner: usize) {
+        let next = if winner + 1 == self.slots { 0 } else { winner + 1 };
+        *self.rr.at_mut(n, port) = next as u32;
     }
 
     /// Find a free, credited output VC on `port` within the VC index range
@@ -293,37 +435,220 @@ impl RouterSlab {
     /// overflow (credit discipline must prevent it).
     pub fn deposit(&mut self, n: usize, port: usize, vc: usize, bf: BufFlit) {
         let s = self.slot(port, vc);
-        let buf = self.buf.at_mut(n, s);
-        assert!(buf.len() < self.vc_cap, "input buffer overflow at slot {s}");
-        if buf.is_empty() {
+        let q = n * self.slots + s;
+        let len = self.fifo_len[q] as usize;
+        assert!(len < self.vc_cap, "input buffer overflow at slot {s}");
+        if len == 0 {
             *self.head_ready.at_mut(n, s) = bf.ready_at;
         }
-        buf.push_back(bf);
+        let mut tail = self.fifo_head[q] as usize + len;
+        if tail >= self.vc_cap {
+            tail -= self.vc_cap;
+        }
+        self.fifo[q * self.vc_cap + tail] = bf;
+        self.fifo_len[q] = (len + 1) as u16;
         self.flits[n] += 1;
-        self.occ[n].set(s);
+        self.masks[n].occ.set(s);
     }
 
     /// Pop the front flit of input `(port, vc)` of node `n`, maintaining
     /// the same invariants.
     pub fn pop(&mut self, n: usize, port: usize, vc: usize) -> BufFlit {
         let s = self.slot(port, vc);
-        let buf = self.buf.at_mut(n, s);
-        let bf = buf.pop_front().expect("pop from empty input VC");
-        let next_ready = buf.front().map_or(EMPTY_READY, |f| f.ready_at);
-        let empty = buf.is_empty();
+        let q = n * self.slots + s;
+        let len = self.fifo_len[q] as usize;
+        assert!(len > 0, "pop from empty input VC");
+        let bf = self.fifo[self.front_pos(q)];
+        let mut head = self.fifo_head[q] as usize + 1;
+        if head == self.vc_cap {
+            head = 0;
+        }
+        self.fifo_head[q] = head as u16;
+        self.fifo_len[q] = (len - 1) as u16;
+        let next_ready =
+            if len == 1 { EMPTY_READY } else { self.fifo[q * self.vc_cap + head].ready_at };
         let head_ready = self.head_ready.at_mut(n, s);
         debug_assert_eq!(*head_ready, bf.ready_at, "head-ready mirror out of sync");
         *head_ready = next_ready;
         self.flits[n] -= 1;
-        if empty {
-            self.occ[n].clear(s);
+        if len == 1 {
+            self.masks[n].occ.clear(s);
         }
         bf
+    }
+
+    /// Recompute every derived field — the flit counts, the head-ready
+    /// mirror, the occupancy mask and the four mode/allocation masks —
+    /// from the FIFOs, `mode` and `alloc`, and report the first field that
+    /// disagrees with the maintained one. `O(nodes * slots)`: a check for
+    /// tests and debugging, not for the tick.
+    pub(crate) fn check_consistency(&self) -> Result<(), String> {
+        for n in 0..self.nodes {
+            for s in 0..self.slots {
+                let q = n * self.slots + s;
+                let (head, len) = (self.fifo_head[q] as usize, self.fifo_len[q] as usize);
+                if len > self.vc_cap || head >= self.vc_cap {
+                    return Err(format!(
+                        "node {n} slot {s}: FIFO head {head} len {len} outside capacity {}",
+                        self.vc_cap
+                    ));
+                }
+                let ready = self.derived_head_ready(q);
+                if *self.head_ready.at(n, s) != ready {
+                    return Err(format!(
+                        "node {n} slot {s}: head_ready {} but front is ready at {ready}",
+                        self.head_ready.at(n, s)
+                    ));
+                }
+            }
+            let (want, flits) = self.derived_masks(n);
+            if flits != self.flits[n] {
+                return Err(format!(
+                    "node {n}: flit count {} but FIFOs hold {flits}",
+                    self.flits[n]
+                ));
+            }
+            if want != self.masks[n] {
+                return Err(format!("node {n}: masks {:?} but recomputed {want:?}", self.masks[n]));
+            }
+        }
+        Ok(())
+    }
+
+    /// The `head_ready` value FIFO `q`'s front implies.
+    fn derived_head_ready(&self, q: usize) -> Cycle {
+        if self.fifo_len[q] == 0 {
+            EMPTY_READY
+        } else {
+            self.fifo[self.front_pos(q)].ready_at
+        }
+    }
+
+    /// The slot-class masks and flit count node `n`'s FIFO lengths, modes
+    /// and allocations imply.
+    fn derived_masks(&self, n: usize) -> (SlotMasks, u32) {
+        let mut masks = SlotMasks::default();
+        let mut flits = 0;
+        for s in 0..self.slots {
+            let len = self.fifo_len[n * self.slots + s];
+            if len > 0 {
+                masks.occ.set(s);
+            }
+            flits += u32::from(len);
+            masks.set_mode_bits(s, *self.mode.at(n, s));
+            if self.alloc.at(n, s).is_some() {
+                masks.alloc.set(s);
+            }
+        }
+        (masks, flits)
+    }
+
+    /// FIFOs whose live flits straddle the ring's end.
+    #[cfg(test)]
+    pub(crate) fn wrapped_fifos(&self) -> usize {
+        (0..self.nodes * self.slots)
+            .filter(|&q| self.fifo_head[q] as usize + self.fifo_len[q] as usize > self.vc_cap)
+            .count()
+    }
+
+    /// Serialize the slab: geometry, each FIFO's flits front to back,
+    /// and the mode, absorb, credit, allocation and round-robin arrays.
+    /// The derived fields are rebuilt on load, and ring positions are not
+    /// observable, so the stream is canonical.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter) {
+        w.put_usize(self.nodes);
+        w.put_usize(self.ports);
+        w.put_usize(self.vcs);
+        w.put_usize(self.vc_cap);
+        for q in 0..self.nodes * self.slots {
+            let len = self.fifo_len[q] as usize;
+            w.put_u16(len as u16);
+            let head = self.fifo_head[q] as usize;
+            for i in 0..len {
+                let mut pos = head + i;
+                if pos >= self.vc_cap {
+                    pos -= self.vc_cap;
+                }
+                self.fifo[q * self.vc_cap + pos].save(w);
+            }
+        }
+        self.mode.save(w);
+        self.pending_absorb.save(w);
+        self.credit.save(w);
+        self.alloc.save(w);
+        self.rr.save(w);
+    }
+
+    /// Load a [`RouterSlab::save_state`] stream into this slab, which must
+    /// be fresh and have the stream's geometry. FIFOs restart at ring
+    /// position 0; the derived fields are rebuilt from the loaded state.
+    pub(crate) fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let geom = (r.get_usize()?, r.get_usize()?, r.get_usize()?, r.get_usize()?);
+        let want = (self.nodes, self.ports, self.vcs, self.vc_cap);
+        if geom != want {
+            return Err(SnapError::Mismatch(format!(
+                "snapshot router geometry (nodes, ports, vcs, vc_cap) {geom:?}, config wants \
+                 {want:?}"
+            )));
+        }
+        for q in 0..self.nodes * self.slots {
+            let len = r.get_u16()? as usize;
+            if len > self.vc_cap {
+                return Err(SnapError::Corrupt("router FIFO exceeds vc_cap".into()));
+            }
+            for i in 0..len {
+                self.fifo[q * self.vc_cap + i] = BufFlit::load(r)?;
+            }
+            self.fifo_head[q] = 0;
+            self.fifo_len[q] = len as u16;
+        }
+        self.mode = Snap::load(r)?;
+        self.pending_absorb = Snap::load(r)?;
+        self.credit = Snap::load(r)?;
+        self.alloc = Snap::load(r)?;
+        self.rr = Snap::load(r)?;
+        let slabs_ok = [
+            (self.mode.rows(), self.mode.stride()),
+            (self.pending_absorb.rows(), self.pending_absorb.stride()),
+            (self.credit.rows(), self.credit.stride()),
+            (self.alloc.rows(), self.alloc.stride()),
+        ]
+        .iter()
+        .all(|&g| g == (self.nodes, self.slots))
+            && (self.rr.rows(), self.rr.stride()) == (self.nodes, self.ports);
+        if !slabs_ok {
+            return Err(SnapError::Corrupt("router slab geometry mismatch".into()));
+        }
+        let in_range = |p: usize, v: usize| p < self.ports && v < self.vcs;
+        let modes_ok = self.mode.as_slice().iter().all(|m| match *m {
+            VcMode::Active { out_port, out_vc, .. } => {
+                out_port == LOCAL8 || in_range(out_port as usize, out_vc as usize)
+            }
+            _ => true,
+        });
+        let allocs_ok = self
+            .alloc
+            .as_slice()
+            .iter()
+            .all(|a| a.is_none_or(|(p, v)| in_range(p as usize, v as usize)));
+        let rr_ok = self.rr.as_slice().iter().all(|&x| (x as usize) < self.slots);
+        if !(modes_ok && allocs_ok && rr_ok) {
+            return Err(SnapError::Corrupt(
+                "router mode, allocation or arbiter out of range".into(),
+            ));
+        }
+        for n in 0..self.nodes {
+            for s in 0..self.slots {
+                *self.head_ready.at_mut(n, s) = self.derived_head_ready(n * self.slots + s);
+            }
+            (self.masks[n], self.flits[n]) = self.derived_masks(n);
+        }
+        Ok(())
     }
 }
 
 mod snap_impls {
-    use super::{BufFlit, RouterSlab, VcMode};
+    use super::{BufFlit, VcMode};
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     impl Snap for BufFlit {
@@ -365,75 +690,11 @@ mod snap_impls {
             }
         }
     }
-
-    impl Snap for RouterSlab {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_usize(self.nodes);
-            w.put_usize(self.ports);
-            w.put_usize(self.vcs);
-            w.put_usize(self.vc_cap);
-            self.buf.save(w);
-            self.head_ready.save(w);
-            self.mode.save(w);
-            self.pending_absorb.save(w);
-            self.credit.save(w);
-            self.alloc.save(w);
-            self.rr.save(w);
-            self.occ.save(w);
-            self.flits.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let nodes = r.get_len()?;
-            let ports = r.get_len()?;
-            let vcs = r.get_len()?;
-            let vc_cap = r.get_len()?;
-            let s = Self {
-                nodes,
-                ports,
-                vcs,
-                vc_cap,
-                buf: Snap::load(r)?,
-                head_ready: Snap::load(r)?,
-                mode: Snap::load(r)?,
-                pending_absorb: Snap::load(r)?,
-                credit: Snap::load(r)?,
-                alloc: Snap::load(r)?,
-                rr: Snap::load(r)?,
-                occ: Snap::load(r)?,
-                flits: Snap::load(r)?,
-            };
-            let stride = ports * vcs;
-            let slabs_ok = s.buf.rows() == nodes
-                && s.buf.stride() == stride
-                && s.head_ready.rows() == nodes
-                && s.head_ready.stride() == stride
-                && s.mode.rows() == nodes
-                && s.mode.stride() == stride
-                && s.pending_absorb.rows() == nodes
-                && s.pending_absorb.stride() == stride
-                && s.credit.rows() == nodes
-                && s.credit.stride() == stride
-                && s.alloc.rows() == nodes
-                && s.alloc.stride() == stride
-                && s.rr.rows() == nodes
-                && s.rr.stride() == ports
-                && s.occ.len() == nodes
-                && s.flits.len() == nodes;
-            if !slabs_ok {
-                return Err(SnapError::Corrupt("router slab geometry mismatch".into()));
-            }
-            if s.buf.as_slice().iter().any(|q| q.len() > vc_cap) {
-                return Err(SnapError::Corrupt("router FIFO exceeds vc_cap".into()));
-            }
-            Ok(s)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worm::{FlitKind, WormId};
 
     fn bf(seq: u16) -> BufFlit {
         BufFlit {
@@ -474,6 +735,111 @@ mod tests {
         assert_eq!(r.front_ready(0, 2, 0), 9);
         r.pop(0, 2, 0);
         assert_eq!(r.front_ready(0, 2, 0), Cycle::MAX);
+    }
+
+    /// More than `3 * cap` deposit/pop cycles walk the ring's head and
+    /// tail around it several times; the live flits then straddle the
+    /// ring's end, and re-arming the wrapped front keeps the mirror exact.
+    #[test]
+    fn fifo_ring_wraps_and_keeps_the_head_ready_mirror() {
+        let cap = 4;
+        let mut r = RouterSlab::new(2, 5, 2, cap);
+        let q = r.slots() + 3; // node 1, slot (1, 1)
+        r.deposit(1, 1, 1, bf_at(0, 100));
+        r.deposit(1, 1, 1, bf_at(1, 101));
+        let cycles = 3 * cap as u16 + 3;
+        for seq in 2..2 + cycles {
+            r.deposit(1, 1, 1, bf_at(seq, 100 + u64::from(seq)));
+            assert_eq!(r.pop(1, 1, 1).flit.seq, seq - 2, "FIFO order");
+            assert_eq!(r.front_ready(1, 1, 1), 100 + u64::from(seq) - 1);
+            r.check_consistency().expect("consistent after every cycle");
+        }
+        assert_eq!(usize::from(r.fifo_head[q]), cap - 1, "front at the ring's last entry");
+        assert_eq!(r.fifo_len[q], 2, "so the second flit wrapped to entry 0");
+        r.set_front_ready(1, 1, 1, 7);
+        assert_eq!(r.front_ready(1, 1, 1), 7);
+        assert_eq!(r.front(1, 1, 1).map(|f| f.ready_at), Some(7));
+        r.check_consistency().expect("re-armed front mirrored");
+        assert_eq!(r.pop(1, 1, 1).ready_at, 7);
+        let last = 100 + u64::from(cycles) + 1;
+        assert_eq!(r.front_ready(1, 1, 1), last, "the wrapped flit is the new front");
+        assert_eq!(r.pop(1, 1, 1).ready_at, last);
+        assert_eq!(r.front_ready(1, 1, 1), Cycle::MAX);
+        assert!(r.occ(1).is_empty() && r.flits(1) == 0);
+        r.check_consistency().expect("empty again");
+    }
+
+    #[test]
+    fn set_mode_and_set_alloc_maintain_the_slot_class_masks() {
+        // 5 ports x 24 vcs = 120 slots; port 4's slots live in word 1.
+        let mut r = RouterSlab::new(1, 5, 24, 2);
+        let active = |out_port: u8| VcMode::Active { out_port, out_vc: 3, absorb: None };
+        r.set_mode(0, 4, 20, active(LOCAL8)); // slot 116
+        r.set_mode(0, 0, 1, active(2)); // slot 1
+        r.set_mode(0, 2, 0, VcMode::DrainPark { entry: 0 }); // slot 48
+        r.set_alloc(0, 3, 23, Some((4, 20))); // slot 95
+        let m = r.masks(0);
+        assert_eq!(m.busy.iter().collect::<Vec<_>>(), vec![1, 48, 116]);
+        assert_eq!(m.local.iter().collect::<Vec<_>>(), vec![116]);
+        assert_eq!(m.park.iter().collect::<Vec<_>>(), vec![48]);
+        assert_eq!(m.alloc.iter().collect::<Vec<_>>(), vec![95]);
+        assert_eq!(r.port_vc(116), (4, 20));
+        assert_eq!(r.port_mask(4).iter().next(), Some(96));
+        r.check_consistency().expect("masks match modes and allocations");
+
+        // Re-moding a slot moves it between classes.
+        r.set_mode(0, 4, 20, VcMode::DrainPark { entry: 1 });
+        r.set_mode(0, 0, 1, VcMode::Normal);
+        r.set_alloc(0, 3, 23, None);
+        let m = r.masks(0);
+        assert_eq!(m.busy.iter().collect::<Vec<_>>(), vec![48, 116]);
+        assert!(m.local.is_empty() && m.alloc.is_empty());
+        assert_eq!(m.park.iter().collect::<Vec<_>>(), vec![48, 116]);
+        r.check_consistency().expect("still consistent");
+    }
+
+    #[test]
+    fn check_consistency_reports_a_stale_mask() {
+        let mut r = RouterSlab::new(2, 5, 2, 4);
+        r.deposit(1, 0, 1, bf(0));
+        r.check_consistency().expect("consistent");
+        r.masks[1].park.set(3);
+        let e = r.check_consistency().unwrap_err();
+        assert!(e.contains("node 1"), "{e}");
+    }
+
+    #[test]
+    fn save_load_round_trips_wrapped_fifos_canonically() {
+        let mut a = RouterSlab::new(1, 5, 2, 3);
+        for seq in 0..5 {
+            a.deposit(0, 2, 1, bf_at(seq, u64::from(seq)));
+            if seq < 3 {
+                a.pop(0, 2, 1);
+            }
+        }
+        a.set_mode(0, 2, 1, VcMode::Active { out_port: 0, out_vc: 1, absorb: Some(2) });
+        a.set_alloc(0, 0, 1, Some((2, 1)));
+        a.set_rr_after(0, 0, 9);
+        let mut w = SnapWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.finish();
+        let mut b = RouterSlab::new(1, 5, 2, 3);
+        b.load_state(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+        b.check_consistency().expect("derived state rebuilt");
+        assert_eq!(b.masks(0), a.masks(0));
+        assert_eq!(b.rr(0, 0), 0, "pointer past the last slot wraps to 0");
+        for _ in 0..2 {
+            assert_eq!(b.pop(0, 2, 1).flit.seq, a.pop(0, 2, 1).flit.seq);
+        }
+        // The same FIFO contents at another ring position save the same.
+        let mut w = SnapWriter::new();
+        let mut c = RouterSlab::new(1, 5, 2, 3);
+        c.load_state(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+        c.save_state(&mut w);
+        assert_eq!(w.finish(), bytes);
+        // A slab of another geometry refuses the stream.
+        let mut d = RouterSlab::new(1, 5, 2, 4);
+        assert!(d.load_state(&mut SnapReader::new(&bytes).unwrap()).is_err());
     }
 
     #[test]

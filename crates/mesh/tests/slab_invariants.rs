@@ -1,0 +1,181 @@
+//! The router slab's derived state — flit counts, the head-ready mirror,
+//! the occupancy mask and the four slot-class masks (allocated outputs,
+//! inputs draining to the local port, parked inputs, inputs not in
+//! `Normal`) — must equal what its FIFOs, modes and allocations imply
+//! after every tick. The scenarios drive every writer of that state:
+//! unicast, multicast with absorb and i-reserve, gathers that park, bounce
+//! and block, at 1, 2 and 12 VCs per virtual network (12 gives 120 slots
+//! per router, so the masks reach their second word).
+
+use wormdsm_mesh::network::{MeshConfig, Network};
+use wormdsm_mesh::nic::IackMode;
+use wormdsm_mesh::topology::{Mesh2D, NodeId};
+use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
+use wormdsm_sim::Rng;
+
+const VCS_PER_VNET: [usize; 3] = [1, 2, 12];
+
+fn config(k: usize, vcs_per_vnet: usize) -> MeshConfig {
+    MeshConfig { vcs_per_vnet, ..MeshConfig::paper_defaults(k) }
+}
+
+/// Tick `cycles` times (or until quiescent when `None`), checking the
+/// slab after every tick.
+fn tick_checked(net: &mut Network, cycles: Option<u64>) {
+    let deadline = net.now() + cycles.unwrap_or(200_000);
+    while net.now() < deadline && (cycles.is_some() || !net.quiescent()) {
+        net.tick();
+        if let Err(e) = net.check_router_slab() {
+            panic!("cycle {}: {e}", net.now());
+        }
+        assert!(net.violation().is_none(), "{:?}", net.violation());
+    }
+    assert!(cycles.is_some() || net.quiescent(), "network did not quiesce");
+}
+
+fn gather(src: NodeId, dests: Vec<NodeId>, txn: TxnId) -> WormSpec {
+    WormSpec {
+        src,
+        vnet: VNet::Reply,
+        kind: WormKind::Gather,
+        dests: dests.into(),
+        len_flits: 6,
+        payload: 2,
+        reserve_iack: false,
+        txn,
+        initial_acks: 1,
+        gather_deposit: false,
+        deliver: None,
+    }
+}
+
+#[test]
+fn unicast_traffic_keeps_the_slab_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mut net = Network::new(config(k, vcs));
+        let mut rng = Rng::new(0x51AB_0001);
+        let n = (k * k) as u64;
+        for i in 0..80 {
+            let src = rng.below(n) as u16;
+            let dst = (src + 1 + rng.below(n - 1) as u16) % n as u16;
+            let vnet = if rng.chance(0.5) { VNet::Reply } else { VNet::Req };
+            let len = rng.range(2, 20) as u16;
+            net.inject(WormSpec::unicast(NodeId(src), NodeId(dst), vnet, len, i));
+        }
+        tick_checked(&mut net, None);
+        assert_eq!(net.stats().deliveries, 80, "vcs_per_vnet {vcs}");
+    }
+}
+
+#[test]
+fn multicast_absorb_ireserve_and_gather_keep_the_slab_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let home = mesh.node_at(0, 0);
+        let dests: Vec<NodeId> = [1, 3, 4].iter().map(|&y| mesh.node_at(3, y)).collect();
+        let txn = TxnId(7);
+        let mut net = Network::new(config(k, vcs));
+        net.inject(WormSpec {
+            src: home,
+            vnet: VNet::Req,
+            kind: WormKind::Multicast,
+            dests: dests.clone().into(),
+            len_flits: 8,
+            payload: 1,
+            reserve_iack: true,
+            txn,
+            initial_acks: 0,
+            gather_deposit: false,
+            deliver: None,
+        });
+        tick_checked(&mut net, None);
+        for d in &dests[..dests.len() - 1] {
+            assert!(net.post_iack(*d, txn));
+        }
+        let mut gd: Vec<NodeId> = dests.iter().rev().skip(1).copied().collect();
+        gd.push(home);
+        net.inject(gather(dests[dests.len() - 1], gd, txn));
+        tick_checked(&mut net, None);
+        let ds = net.take_deliveries(home);
+        assert_eq!(ds.len(), 1, "vcs_per_vnet {vcs}");
+        assert_eq!(ds[0].acks as usize, dests.len());
+    }
+}
+
+/// A gather reaches its intermediate destinations before their acks are
+/// posted, so it parks in an i-ack entry (VCT deferred delivery); the
+/// late posts resume it.
+#[test]
+fn parked_gathers_keep_the_slab_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let home = mesh.node_at(0, 0);
+        let mids = [mesh.node_at(2, 4), mesh.node_at(2, 2)];
+        let txn = TxnId(11);
+        let mut net = Network::new(config(k, vcs));
+        net.inject(gather(mesh.node_at(2, 5), vec![mids[0], mids[1], home], txn));
+        tick_checked(&mut net, Some(200));
+        assert!(net.stats().parks > 0, "vcs_per_vnet {vcs}: gather never parked");
+        for m in mids {
+            assert!(net.post_iack(m, txn));
+        }
+        tick_checked(&mut net, None);
+        assert_eq!(net.take_deliveries(home)[0].acks, 3);
+    }
+}
+
+/// With a single i-ack entry already taken by another transaction, a
+/// gather that finds no posted ack cannot park and bounces through the
+/// local node until the entry frees.
+#[test]
+fn bounced_gathers_keep_the_slab_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let home = mesh.node_at(0, 0);
+        let mid = mesh.node_at(2, 3);
+        let (txn, other) = (TxnId(21), TxnId(22));
+        let mut net = Network::new(MeshConfig { iack_buffers: 1, ..config(k, vcs) });
+        assert!(net.post_iack(mid, other), "the entry holds the other transaction's ack");
+        net.inject(gather(mesh.node_at(2, 5), vec![mid, home], txn));
+        tick_checked(&mut net, Some(300));
+        assert!(net.stats().bounces > 0, "vcs_per_vnet {vcs}: gather never bounced");
+        // The other transaction's gather consumes the entry; then the
+        // first gather's ack can be posted.
+        net.inject(gather(mesh.node_at(2, 4), vec![mid, home], other));
+        tick_checked(&mut net, Some(300));
+        assert!(net.post_iack(mid, txn));
+        tick_checked(&mut net, None);
+        assert_eq!(net.take_deliveries(home).len(), 2, "vcs_per_vnet {vcs}");
+    }
+}
+
+/// Under `IackMode::Block` a gather waits at the router, holding its
+/// channels, until the ack is posted.
+#[test]
+fn blocked_gathers_keep_the_slab_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let home = mesh.node_at(0, 0);
+        let mid = mesh.node_at(4, 3);
+        let txn = TxnId(31);
+        let mut net = Network::new(MeshConfig { iack_mode: IackMode::Block, ..config(k, vcs) });
+        net.inject(gather(mesh.node_at(4, 5), vec![mid, home], txn));
+        // Unrelated unicasts share the mesh while the gather blocks.
+        for i in 0..12u16 {
+            let src = NodeId(i * 3);
+            let dst = NodeId(35 - i);
+            net.inject(WormSpec::unicast(src, dst, VNet::Req, 6, u64::from(i)));
+        }
+        tick_checked(&mut net, Some(200));
+        assert!(net.stats().gather_blocked_cycles > 0, "vcs_per_vnet {vcs}: never blocked");
+        assert_eq!(net.stats().parks, 0);
+        assert!(net.post_iack(mid, txn));
+        tick_checked(&mut net, None);
+        assert_eq!(net.take_deliveries(home)[0].acks, 2);
+    }
+}

@@ -4,7 +4,9 @@
 //! words of storage, so a router with up to 128 `(port, vc)` slots can
 //! track which input FIFOs are non-empty without aliasing. Iteration
 //! yields set bits in ascending order via `trailing_zeros`, which is what
-//! keeps the phase sweeps deterministic.
+//! keeps the phase sweeps deterministic. [`BitSet128::and`] and
+//! [`BitSet128::and_not`] combine the router's slot-class masks, so a
+//! sweep visits only the slots of the class it serves.
 
 /// A set of up to 128 small indices, stored as two `u64` words.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,6 +55,18 @@ impl BitSet128 {
     #[inline]
     pub fn count(&self) -> usize {
         (self.words[0].count_ones() + self.words[1].count_ones()) as usize
+    }
+
+    /// Bits set in both `self` and `other`.
+    #[inline]
+    pub fn and(self, other: Self) -> Self {
+        Self { words: [self.words[0] & other.words[0], self.words[1] & other.words[1]] }
+    }
+
+    /// Bits set in `self` but not in `other`.
+    #[inline]
+    pub fn and_not(self, other: Self) -> Self {
+        Self { words: [self.words[0] & !other.words[0], self.words[1] & !other.words[1]] }
     }
 
     /// Iterate set bits in ascending order.
@@ -133,6 +147,21 @@ mod tests {
             s.set(bit);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 3, 63, 64, 100, 127]);
+    }
+
+    #[test]
+    fn and_and_not_combine_both_words() {
+        let mut a = BitSet128::new();
+        let mut b = BitSet128::new();
+        for bit in [1, 63, 64, 100] {
+            a.set(bit);
+        }
+        for bit in [63, 100, 127] {
+            b.set(bit);
+        }
+        assert_eq!(a.and(b).iter().collect::<Vec<_>>(), vec![63, 100]);
+        assert_eq!(a.and_not(b).iter().collect::<Vec<_>>(), vec![1, 64]);
+        assert!(a.and_not(a).is_empty());
     }
 
     #[test]

@@ -28,8 +28,10 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing. Version 2 appended the
 /// network's optional link-load meter to `Network::save_state`; versions 3
-/// and 4 dropped the removed engines' counters from the `NetStats` layout.
-pub const SNAP_VERSION: u32 = 4;
+/// and 4 dropped the removed engines' counters from the `NetStats` layout;
+/// version 5 stores the network's worklists as node bitsets and each
+/// router FIFO as its live flits only.
+pub const SNAP_VERSION: u32 = 5;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

@@ -794,16 +794,16 @@ mod tests {
     fn diff_names_finds_divergence_and_honors_ignores() {
         let mut a = Registry::new();
         a.counter("cycles", 100);
-        a.counter("scratch_grows", 3);
+        a.counter("host_allocs", 3);
         a.gauge("util", 0.5);
         let mut b = a.clone();
         assert!(a.diff_names(&b, &[]).is_empty());
         b.counter("cycles", 101);
-        b.counter("scratch_grows", 9);
+        b.counter("host_allocs", 9);
         b.counter("only_b", 1);
         let d = a.diff_names(&b, &[]);
-        assert_eq!(d, vec!["cycles", "scratch_grows", "only_b"]);
-        let d = a.diff_names(&b, &["scratch_", "only_"]);
+        assert_eq!(d, vec!["cycles", "host_allocs", "only_b"]);
+        let d = a.diff_names(&b, &["host_", "only_"]);
         assert_eq!(d, vec!["cycles"]);
         assert_eq!(a.get("cycles").unwrap().as_counter(), Some(100));
         assert_eq!(a.get("util").unwrap().as_counter(), None);
