@@ -5,7 +5,7 @@
 //!
 //! 1. **Pattern table** — extends H5's latency attribution to all nine
 //!    schemes on seeded single-transaction patterns (uniform, same-row,
-//!    cluster, same-column; the `exp_inval_patterns` generators). Every
+//!    cluster, same-column; the `PatternKind` generators). Every
 //!    row runs twice — profiled and unprofiled — and the two arms are
 //!    asserted bit-identical per trial, so the table doubles as a
 //!    regression net for the adaptive feedback loop (the plan depends on
@@ -28,7 +28,9 @@
 //!                      [--quick] [--out BENCH_adaptive.json]`
 
 use std::collections::VecDeque;
-use wormdsm_bench::{arg, assert_coherent, flag, measure_txn_on, phases_json, TxnResult};
+use wormdsm_bench::{
+    arg, assert_coherent, flag, measure_txn_on, phases_json, probes_under_load, TxnResult,
+};
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, RunMeta, SchemeKind, SystemConfig, TxnProfiler};
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
@@ -127,41 +129,13 @@ fn run_hot(
     }
 
     let pat = hot_pattern(&mesh, k, d);
-    let mut latencies = Vec::new();
-    let mut next_probe_block = 1u64;
-    let mut pending: Option<u64> = None; // latency sum (bits) to wait past
-
-    // Long enough for the adaptive scheme's 1024-cycle feedback window
-    // to commit several hot windows before the first probe.
-    let mut warmup = 4_000u64;
-    while latencies.len() < probes && sys.now() < 2_000_000 {
-        for (p, ops) in bg.iter_mut().enumerate() {
-            let node = NodeId(p as u16);
-            if !ops.is_empty() && sys.proc_idle(node) {
-                let op = ops.pop_front().expect("non-empty");
-                sys.issue(node, op);
-            }
-        }
-        if warmup == 0 && pending.is_none() && sys.proc_idle(pat.writer) {
-            let block = next_probe_block * nodes as u64 + pat.home.idx() as u64;
-            next_probe_block += 7;
-            let addr = Addr(block * bb);
-            sys.seed_shared(sys.geometry().block_of(addr), &pat.sharers);
-            let before = sys.metrics().inval_latency.sum();
-            sys.issue(pat.writer, MemOp::Write(addr));
-            pending = Some(before.to_bits());
-        }
-        if let Some(before_bits) = pending {
-            let before = f64::from_bits(before_bits);
-            let sum = sys.metrics().inval_latency.sum();
-            if sum > before {
-                latencies.push(sum - before);
-                pending = None;
-            }
-        }
-        sys.step();
-        warmup = warmup.saturating_sub(1);
-    }
+    // A 4,000-cycle warmup: long enough for the adaptive scheme's
+    // 1024-cycle feedback window to commit several hot windows before the
+    // first probe.
+    let latencies =
+        probes_under_load(&mut sys, &mut bg, pat.writer, (4_000, 2_000_000), probes, || {
+            Some(pat.clone())
+        });
     assert_eq!(latencies.len(), probes, "{}: hot-column run hit the deadline", scheme.name());
     let util = sys.net_stats().max_link_utilization(sys.now());
     let profiler =

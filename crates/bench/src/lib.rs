@@ -1,11 +1,18 @@
-//! # wormdsm-bench — shared experiment harness
+//! # wormdsm-bench — experiment harness
 //!
-//! Helpers used by the `exp_*` binaries in `src/bin/`, each of which
-//! regenerates one of the paper's tables or figures (see DESIGN.md's
-//! experiment index). Simulation instances are single-threaded and
-//! deterministic; sweeps fan out across OS threads.
+//! [`repro`] holds the paper's evaluation as one experiment table with
+//! its claims as checked predicates; the `repro` binary runs it (see
+//! DESIGN.md's experiment index). The other binaries in `src/bin/`
+//! measure the simulator itself (`exp_hotloop`, `exp_profile`,
+//! `exp_scale`, `exp_perf`), study the adaptive schemes (`exp_adaptive`)
+//! or serve the farm (`farm`). Simulation instances are single-threaded
+//! and deterministic; sweeps fan out across OS threads.
 
 #![warn(missing_docs)]
+
+pub mod repro;
+
+use std::collections::VecDeque;
 
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SystemConfig};
@@ -165,6 +172,53 @@ pub fn measure_txn_on(sys: &mut DsmSystem, pattern: &Pattern) -> TxnResult {
     }
 }
 
+/// Measure `probes` sequential invalidations under background load.
+///
+/// Every cycle each idle processor with ops left in `bg` issues its next
+/// one. After `warmup` cycles, whenever `writer` is idle and no probe is
+/// in flight, `next` draws the next probe's pattern (`None` skips the
+/// cycle): a fresh block homed at the pattern's home is seeded with its
+/// sharers and `writer` writes it. Stops after `probes` probes or at
+/// cycle `deadline`; returns each probe's invalidation latency.
+pub fn probes_under_load(
+    sys: &mut DsmSystem,
+    bg: &mut [VecDeque<MemOp>],
+    writer: NodeId,
+    (warmup, deadline): (u64, u64),
+    probes: usize,
+    mut next: impl FnMut() -> Option<Pattern>,
+) -> Vec<f64> {
+    let nodes = sys.config().nodes() as u64;
+    let (mut lats, mut block, mut warmup) = (Vec::new(), 1u64, warmup);
+    let mut pending: Option<f64> = None; // latency sum before the probe
+    while lats.len() < probes && sys.now() < deadline {
+        for (p, ops) in bg.iter_mut().enumerate() {
+            if !ops.is_empty() && sys.proc_idle(NodeId(p as u16)) {
+                sys.issue(NodeId(p as u16), ops.pop_front().expect("non-empty"));
+            }
+        }
+        if warmup == 0 && pending.is_none() && sys.proc_idle(writer) {
+            if let Some(pat) = next() {
+                let addr = Addr((block * nodes + pat.home.0 as u64) * sys.config().block_bytes);
+                block += 7;
+                sys.seed_shared(sys.geometry().block_of(addr), &pat.sharers);
+                pending = Some(sys.metrics().inval_latency.sum());
+                sys.issue(writer, MemOp::Write(addr));
+            }
+        }
+        if let Some(before) = pending {
+            let sum = sys.metrics().inval_latency.sum();
+            if sum > before {
+                lats.push(sum - before);
+                pending = None;
+            }
+        }
+        sys.step();
+        warmup = warmup.saturating_sub(1);
+    }
+    lats
+}
+
 /// Pick a block id homed at `home` that this system has not used yet.
 fn fresh_block(sys: &DsmSystem, home: NodeId, nodes: u64) -> u64 {
     // Blocks are home-interleaved: block % nodes == home. Derive a unique
@@ -208,7 +262,7 @@ pub fn mean_over_patterns(
     trials: usize,
     seed: u64,
 ) -> MeanTxn {
-    assert!(trials >= 1, "--trials must be >= 1");
+    assert!(trials >= 1, "trials must be >= 1");
     let mesh = Mesh2D::square(k);
     let mut rng = Rng::new(seed);
     let patterns: Vec<Pattern> =
@@ -299,7 +353,7 @@ pub fn flag(name: &str) -> bool {
 
 /// The standard sharer-count sweep used by the figures.
 pub fn d_sweep(k: usize) -> Vec<usize> {
-    assert!(k >= 2, "--k must be >= 2 (a 1x1 mesh has no sharers)");
+    assert!(k >= 2, "k must be >= 2 (a 1x1 mesh has no sharers)");
     let max = (k * k).saturating_sub(2);
     [1, 2, 4, 6, 8, 12, 16, 24, 32, 48].iter().copied().filter(|&d| d <= max).collect()
 }
@@ -397,13 +451,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--k must be >= 2")]
+    #[should_panic(expected = "k must be >= 2")]
     fn d_sweep_rejects_degenerate_mesh() {
         d_sweep(1);
     }
 
     #[test]
-    #[should_panic(expected = "--trials must be >= 1")]
+    #[should_panic(expected = "trials must be >= 1")]
     fn zero_trials_rejected() {
         mean_over_patterns(SchemeKind::UiUa, 4, PatternKind::UniformRandom, 2, 0, 1);
     }
