@@ -14,31 +14,58 @@
 //! `--smoke` runs a self-contained end-to-end check on an ephemeral
 //! port (submit two jobs plus a duplicate, scrape every endpoint,
 //! stream SSE, shut down cleanly) and prints PASS — the CI arm.
+//!
+//! An unknown flag, a missing or unparsable value, or a configuration
+//! `FarmConfig::validate` refuses exits 2 with a message naming it.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use wormdsm_bench::{arg, flag};
 use wormdsm_farm::{http, signal, Farm, FarmConfig};
 
-fn main() {
-    let cfg = FarmConfig {
-        workers: arg("--workers", FarmConfig::default().workers),
-        progress_every: arg("--progress-every", 4096),
-        probe_window: arg("--probe-window", 0),
-        event_ring: arg("--event-ring", 256),
-        txn_throttle: arg("--txn-throttle", 64),
-        state_dir: {
-            let dir: String = arg("--state-dir", String::new());
-            (!dir.is_empty()).then(|| dir.into())
-        },
-    };
-    if flag("--smoke") {
-        smoke(cfg);
-        return;
+const USAGE: &str = "usage: farm [--port 8080] [--workers N] [--progress-every CYCLES] \
+                     [--probe-window CYCLES] [--event-ring FRAMES] [--txn-throttle N] \
+                     [--state-dir PATH] | farm --smoke";
+
+/// The command line as `(config, port, smoke)`; `Err` names the flag at
+/// fault.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(FarmConfig, u16, bool), String> {
+    fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
+        v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
     }
-    let port: u16 = arg("--port", 8080);
+    let (mut cfg, mut port, mut smoke) = (FarmConfig::default(), 8080, false);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--port" => port = num(&flag, value()?)?,
+            "--workers" => cfg.workers = num(&flag, value()?)?,
+            "--progress-every" => cfg.progress_every = num(&flag, value()?)?,
+            "--probe-window" => cfg.probe_window = num(&flag, value()?)?,
+            "--event-ring" => cfg.event_ring = num(&flag, value()?)?,
+            "--txn-throttle" => cfg.txn_throttle = num(&flag, value()?)?,
+            "--state-dir" => cfg.state_dir = Some(value()?.into()),
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
+    }
+    cfg.validate()?;
+    Ok((cfg, port, smoke))
+}
+
+fn main() -> ExitCode {
+    let (cfg, port, smoke) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("farm: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    if smoke {
+        self::smoke(cfg);
+        return ExitCode::SUCCESS;
+    }
     signal::install();
     let listener =
         TcpListener::bind(("0.0.0.0", port)).unwrap_or_else(|e| panic!("bind port {port}: {e}"));
@@ -64,6 +91,7 @@ fn main() {
         "farm: shut down cleanly ({queued} queued, {running} running, {paused} paused, \
          {done} done, {failed} failed)"
     );
+    ExitCode::SUCCESS
 }
 
 /// One scripted HTTP request against the smoke server; returns the body.

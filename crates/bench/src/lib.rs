@@ -1,12 +1,12 @@
 //! # wormdsm-bench — experiment harness
 //!
-//! [`repro`] holds the paper's evaluation as one experiment table with
-//! its claims as checked predicates; the `repro` binary runs it (see
-//! DESIGN.md's experiment index). The other binaries in `src/bin/`
-//! measure the simulator itself (`exp_hotloop`, `exp_profile`,
-//! `exp_scale`, `exp_perf`), study the adaptive schemes (`exp_adaptive`)
-//! or serve the farm (`farm`). Simulation instances are single-threaded
-//! and deterministic; sweeps fan out across OS threads.
+//! [`repro`] holds the paper's evaluation and its extension studies as
+//! one experiment table with their claims as checked predicates; the
+//! `repro` binary runs it (see DESIGN.md's experiment index). The other
+//! binaries in `src/bin/` serve the farm (`farm`) and measure the
+//! simulator's own host cost (`exp_perf`, a package of its own).
+//! Simulation instances are single-threaded and deterministic; sweeps
+//! fan out across OS threads.
 
 #![warn(missing_docs)]
 
@@ -16,13 +16,12 @@ use std::collections::VecDeque;
 
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SystemConfig};
-use wormdsm_farm::metrics_fingerprint;
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_sim::Rng;
-use wormdsm_workloads::{gen_pattern, Observe, Pattern, PatternKind, RunReport, Scenario};
+use wormdsm_workloads::{gen_pattern, Pattern, PatternKind};
 
 /// Measured outcome of one seeded invalidation transaction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnResult {
     /// Home-observed invalidation latency, cycles.
     pub inval_latency: f64,
@@ -53,79 +52,6 @@ pub fn assert_coherent(sys: &DsmSystem, context: &str) {
     if let Err(e) = sys.verify_coherence() {
         panic!("{context}: coherence audit failed: {e}");
     }
-}
-
-/// `"name": value` pairs for a phase breakdown, in attribution order —
-/// the JSON shape shared by every `BENCH_*.json` phase field.
-pub fn phases_json(vals: impl Fn(wormdsm_core::Phase) -> String) -> String {
-    let pairs: Vec<String> = wormdsm_core::Phase::ALL
-        .iter()
-        .map(|p| format!("\"{}\": {}", p.name(), vals(*p)))
-        .collect();
-    format!("{{{}}}", pairs.join(", "))
-}
-
-/// Golden busy-cycle reference for 4x4 MI-MA(col) at compute scale 1
-/// — (app, cycles, flit_hops, inval_lat_count, inval_lat_sum) — recorded
-/// on the pre-optimization tree (commit f102984). Every run of that
-/// configuration must reproduce it bit for bit.
-pub const BUSY_GOLDEN: [(&str, u64, u64, u64, f64); 3] = [
-    ("bh", 93_882, 347_892, 142, 27_230.0),
-    ("lu", 142_273, 651_056, 24, 3_675.0),
-    ("apsp", 306_859, 1_480_233, 881, 130_394.0),
-];
-
-/// When `s` is the configuration [`BUSY_GOLDEN`] was recorded in, assert
-/// that its finished run `r` reproduces the golden row field by field and
-/// return `true`; otherwise return `false`.
-pub fn check_busy_golden(s: &Scenario, r: &RunReport) -> bool {
-    if (s.k, s.compute_scale, s.scheme) != (4, 1, SchemeKind::MiMaCol) {
-        return false;
-    }
-    let g = BUSY_GOLDEN.iter().find(|g| g.0 == s.app).expect("golden app");
-    let (m, ctx) = (r.sys.metrics(), s.canonical());
-    assert_eq!(r.result.cycles, g.1, "{ctx}: cycles diverged from golden");
-    assert_eq!(r.sys.net_stats().flit_hops, g.2, "{ctx}: flit hops diverged from golden");
-    assert_eq!(m.inval_latency.count(), g.3, "{ctx}: txn count diverged from golden");
-    assert_eq!(m.inval_latency.sum(), g.4, "{ctx}: inval latency diverged from golden");
-    true
-}
-
-/// Run `s` to completion under `obs` and return the audited report.
-/// Panics, naming the scenario, if the run fails or an observer pauses
-/// it: the `exp_*` binaries' scenarios come from trusted CLI defaults.
-pub fn run_scenario(s: &Scenario, obs: Observe<'_>) -> RunReport {
-    s.finish(obs).unwrap_or_else(|e| panic!("{}: {e}", s.canonical()))
-}
-
-/// [`metrics_fingerprint`] of a finished run: equal fingerprints mean
-/// bit-identical simulated results.
-pub fn fingerprint(r: &RunReport) -> u64 {
-    metrics_fingerprint(&r.sys.export_metrics())
-}
-
-/// Check the flight-recorder ring for overflow after a traced run.
-///
-/// Returns `true` when the ring kept every recorded event. On overflow
-/// prints a loud warning (ring-derived event dumps and `timeline()`
-/// reconstructions are incomplete; streaming consumers attached to the
-/// push path — the `TxnProfiler` — saw every event regardless) so a
-/// bench harness can skip ring-derived cross-checks instead of asserting
-/// on truncated data.
-pub fn warn_on_trace_drops(context: &str, sys: &DsmSystem) -> bool {
-    let dropped = sys.recorder().dropped();
-    if dropped == 0 {
-        return true;
-    }
-    println!(
-        "\nWARNING: {context}: flight-recorder ring overflowed — {dropped} of {} events \
-         dropped.\n         Ring-derived timelines/dumps are incomplete; raise the ring \
-         capacity\n         (FlightRecorder::set_capacity) to restore them. Streaming \
-         consumers on the\n         push path (TxnProfiler) saw every event and are \
-         unaffected.",
-        sys.recorder().recorded()
-    );
-    false
 }
 
 /// Run one seeded invalidation transaction of `pattern` under `scheme` on
@@ -336,44 +262,11 @@ pub fn time_it<R>(name: &str, iters: usize, mut f: impl FnMut() -> R) {
     );
 }
 
-/// Parse a simple `--key value` command line.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// True when `--flag` is present.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// The standard sharer-count sweep used by the figures.
 pub fn d_sweep(k: usize) -> Vec<usize> {
     assert!(k >= 2, "k must be >= 2 (a 1x1 mesh has no sharers)");
     let max = (k * k).saturating_sub(2);
     [1, 2, 4, 6, 8, 12, 16, 24, 32, 48].iter().copied().filter(|&d| d <= max).collect()
-}
-
-/// Print a table row of f64 cells after a label.
-pub fn row(label: &str, cells: &[f64]) {
-    print!("{label:>12}");
-    for c in cells {
-        print!(" {c:>10.1}");
-    }
-    println!();
-}
-
-/// Print a table header.
-pub fn header(first: &str, cols: &[String]) {
-    print!("{first:>12}");
-    for c in cols {
-        print!(" {c:>10}");
-    }
-    println!();
 }
 
 #[cfg(test)]

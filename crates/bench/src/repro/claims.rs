@@ -10,6 +10,7 @@
 
 use std::ops::RangeInclusive;
 
+use super::studies::PHASE_COLS;
 use super::{Arm, Table};
 
 /// What a claim is expected to do on the current build.
@@ -267,11 +268,16 @@ fn e10_breakdown(t: &Table) -> Result<(), String> {
     fails([(sum == miss, format!("the terms sum to {sum} cycles, the miss measures {miss}"))])
 }
 
+/// The distinct first-key cells of a table, in row order.
+fn groups(t: &Table) -> Vec<&str> {
+    let mut g: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+    g.dedup();
+    g
+}
+
 fn e11_order(t: &Table) -> Result<(), String> {
-    let mut apps: Vec<&String> = t.rows.iter().map(|r| &r[0]).collect();
-    apps.dedup();
-    fails(apps.into_iter().map(|app| {
-        let rows = || t.rows.iter().filter(move |r| &r[0] == app);
+    fails(groups(t).into_iter().map(|app| {
+        let rows = || t.rows.iter().filter(move |r| r[0] == app);
         let norms = |f: fn(&str) -> bool| rows().filter(move |r| f(&r[1])).map(|r| t.at(r, "norm"));
         let ma = norms(is_mi_ma).fold(f64::MIN, f64::max);
         let ua = norms(|s| s.starts_with("MI-UA"))
@@ -281,10 +287,120 @@ fn e11_order(t: &Table) -> Result<(), String> {
     }))
 }
 
+/// The phase of H5 row `app`/`scheme` that takes the most cycles.
+fn largest_phase<'a>(t: &'a Table, app: &str, scheme: &str) -> &'a str {
+    let phase = |c: &&'a str| t.num(&[app, scheme], c);
+    PHASE_COLS.iter().max_by(|a, b| phase(a).total_cmp(&phase(b))).copied().unwrap_or("")
+}
+
+fn h5_ui_ua_body(t: &Table) -> Result<(), String> {
+    fails(groups(t).into_iter().map(|app| {
+        let big = largest_phase(t, app, "UI-UA");
+        (big == "body", format!("{app}: UI-UA's largest phase is {big}"))
+    }))
+}
+
+fn h5_mi_ua_ack(t: &Table) -> Result<(), String> {
+    let cases = groups(t).into_iter().flat_map(|app| {
+        let v = move |s: &str, c: &str| t.num(&[app, s], c);
+        ["MI-UA(col)", "MI-UA(wf)"].map(|s| {
+            let (cut, big) = (v("UI-UA", "body") / v(s, "body"), largest_phase(t, app, s));
+            let ok = round(cut, 0) == 2.0 && big == "ack" && v(s, "ack") > v("UI-UA", "ack");
+            let why = format!(
+                "{app}: UI-UA/{s} body {cut:.2}x, {s}'s largest phase {big}, ack {:.1} vs UI-UA {:.1}",
+                v(s, "ack"),
+                v("UI-UA", "ack")
+            );
+            (ok, why)
+        })
+    });
+    fails(cases)
+}
+
+fn h5_only_mi_ma(t: &Table) -> Result<(), String> {
+    fails(t.rows.iter().filter(|r| r[1] != "UI-UA").map(|r| {
+        let ui = |c: &str| t.num(&[&r[0], "UI-UA"], c);
+        let (body, ack) = (t.at(r, "body"), t.at(r, "ack"));
+        let both = body < ui("body") && ack < ui("ack");
+        (both == is_mi_ma(&r[1]), format!("{} {}: body {body:.1}, ack {ack:.1}", r[0], r[1]))
+    }))
+}
+
+fn h5_tree(t: &Table) -> Result<(), String> {
+    fails(groups(t).into_iter().map(|app| {
+        let v = |s: &str, c: &str| t.num(&[app, s], c);
+        let (tb, cb, td, cd) = (
+            v("MI-MA(tree)", "body"),
+            v("MI-MA(col)", "body"),
+            v("MI-MA(tree)", "dest"),
+            v("MI-MA(col)", "dest"),
+        );
+        let why = format!("{app}: tree body {tb:.1} vs col {cb:.1}, dest {td:.1} vs {cd:.1}");
+        (tb < cb && td > cd, why)
+    }))
+}
+
+/// UI-UA over MI-MA(col) latency at each mesh's largest sharer count,
+/// by mesh side.
+fn h6_ratios(t: &Table) -> Vec<(usize, f64)> {
+    let ratio = |m: &str| {
+        let r = t.rows.iter().rev().find(|r| r[0] == m)?;
+        let k = m.split('x').next()?.parse().ok()?;
+        Some((k, t.at(r, "UI-UA") / t.at(r, "MI-MA(col)")))
+    };
+    groups(t).into_iter().filter_map(ratio).collect()
+}
+
+fn h6_widens(t: &Table) -> Result<(), String> {
+    let r: Vec<_> = h6_ratios(t).into_iter().filter(|&(k, _)| k <= 64).collect();
+    let mut cases = vec![(r.len() >= 2, format!("{} meshes up to k=64", r.len()))];
+    cases.extend(r.windows(2).map(|w| {
+        (w[1].1 > w[0].1, format!("k={}: {:.2}x, k={}: {:.2}x", w[0].0, w[0].1, w[1].0, w[1].1))
+    }));
+    fails(cases)
+}
+
+fn h6_dips(t: &Table) -> Result<(), String> {
+    let r = h6_ratios(t);
+    let at = |k| r.iter().find(|x| x.0 == k).map(|x| x.1);
+    match (at(64), at(128)) {
+        (Some(a), Some(b)) => fails([(b < a, format!("k=64: {a:.2}x, k=128: {b:.2}x"))]),
+        _ => Err("no k=64 and k=128 rows".to_string()),
+    }
+}
+
+fn h9_ada_wins(t: &Table) -> Result<(), String> {
+    let lat = |p: &str, s: &str| t.num(&[p, s], "mean lat");
+    let wins =
+        ["row", "cluster", "hot-column"].map(|p| (p, lat(p, "MI-MA(ada)"), lat(p, "MI-MA(col)")));
+    if wins.iter().any(|w| w.1 < w.2) {
+        Ok(())
+    } else {
+        Err(format!("MI-MA(ada) vs MI-MA(col): {wins:?}"))
+    }
+}
+
+fn h9_row_body(t: &Table) -> Result<(), String> {
+    let col = t.num(&["row", "MI-MA(col)"], "body");
+    fails(["DPM", "MI-MA(ada)"].map(|s| {
+        let b = t.num(&["row", s], "body");
+        (b < col, format!("row: {s} body {b:.1} vs MI-MA(col) {col:.1}"))
+    }))
+}
+
+fn h9_hot(t: &Table) -> Result<(), String> {
+    let lat = |s: &str| t.num(&["hot-column", s], "mean lat");
+    let (ada, col, dpm) = (lat("MI-MA(ada)"), lat("MI-MA(col)"), lat("DPM"));
+    fails([
+        (ada < col, format!("MI-MA(ada) {ada:.1} vs MI-MA(col) {col:.1}")),
+        (round(dpm / ada, 1) == 1.4, format!("DPM {dpm:.1}/{ada:.1} = {:.2}x", dpm / ada)),
+    ])
+}
+
 const HOLDS: [Expect; 2] = [Expect::Holds; 2];
 
 /// Every claim, in experiment order.
-pub static CLAIMS: [Claim; 16] = [
+pub static CLAIMS: [Claim; 25] = [
     Claim {
         id: "E1.messages",
         text: "\"`2d` messages for UI-UA vs. `O(groups)` for MI-MA\": UI-UA sends d and receives d; MI-MA(col) receives one gather per column group it sends to, at most 2k groups on a k x k mesh (a column splits at most once, at the home row).",
@@ -389,5 +505,59 @@ pub static CLAIMS: [Claim; 16] = [
         text: "\"MI-MA > MI-UA > UI-UA ordering holds in every app\": every MI-MA scheme's (and DPM's) normalized time below every MI-UA scheme's, and both below 1.0, in all three apps.",
         check: e11_order,
         expect: HOLDS,
+    },
+    Claim {
+        id: "H5.ui-ua-body",
+        text: "\"UI-UA's cost is **body serialization**\": body serialization is UI-UA's largest phase in every application.",
+        check: h5_ui_ua_body,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H5.mi-ua-ack",
+        text: "\"MI-UA halves that with multidestination i-reserve worms but the saving is eaten by **ack return**\": UI-UA's body phase over each MI-UA scheme's rounds to 2x, and the MI-UA scheme's largest phase is an ack return longer than UI-UA's, in every application.",
+        check: h5_mi_ua_ack,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H5.only-mi-ma",
+        text: "\"Only MI-MA — multidestination both ways — shrinks both\": a scheme has both its body and its ack phase below UI-UA's exactly when it is an MI-MA scheme or DPM, in every application.",
+        check: h5_only_mi_ma,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H5.tree",
+        text: "\"The tree variant pushes serialization lower still ... but pays in destination-side stall\": MI-MA(tree)'s body phase below MI-MA(col)'s and its dest phase above, in every application.",
+        check: h5_tree,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H6.widens",
+        text: "\"the gap widens with sharer count exactly as the paper projects: 1.27x on the paper-era 8x8 mesh, 5.72x at k=64\": UI-UA over MI-MA(col) latency at each mesh's largest sharer count grows with every mesh size up to k=64.",
+        check: h6_widens,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H6.dips-at-128",
+        text: "\"The k=128 row dips back\": that ratio is lower at k=128 than at k=64.",
+        check: h6_dips,
+        expect: [Expect::Holds, Expect::Diverges("the quick arm stops at k=32, so it has no k=64 or k=128 row")],
+    },
+    Claim {
+        id: "H9.ada-beats-col",
+        text: "\"MI-MA(ada) beats MI-MA(col) on at least one skewed or hot-column pattern\": lower mean latency on the row, cluster or hot-column rows.",
+        check: h9_ada_wins,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H9.row-body",
+        text: "\"merging drains the body-serialization phase\" on row patterns: DPM's and MI-MA(ada)'s body phase below MI-MA(col)'s.",
+        check: h9_row_body,
+        expect: HOLDS,
+    },
+    Claim {
+        id: "H9.hot-column",
+        text: "\"Adaptive beats not just the static baseline but load-blind DPM by 1.4x\" on the hot column: MI-MA(ada) below MI-MA(col), and DPM over MI-MA(ada) rounds to 1.4x.",
+        check: h9_hot,
+        expect: [Expect::Holds, Expect::Diverges("2 probes: MI-MA(ada) 130.5 vs MI-MA(col) 128.5, and DPM 201.0/130.5 = 1.54x")],
     },
 ];

@@ -1,9 +1,10 @@
 //! The paper's evaluation as one experiment table, [`EXPERIMENTS`]:
-//! E1–E13 (E7b is E7's application arm), the A1/A2 ablations and the C1
-//! sharing-class control. Each entry runs one fixed configuration per
-//! [`Arm`] and returns one [`Table`] whose title is built from that
-//! configuration; [`claims`] checks the paper's claims against the
-//! tables. Every run is deterministic.
+//! E1–E13 (E7b is E7's application arm), the A1/A2 ablations, the C1
+//! sharing-class control and the H5/H6/H9 extension [`studies`]. Each
+//! entry runs one fixed configuration per [`Arm`] and returns one
+//! [`Table`] whose title is built from that configuration; [`claims`]
+//! checks the paper's claims against the tables. Every run is
+//! deterministic.
 
 use std::sync::OnceLock;
 
@@ -51,7 +52,8 @@ impl Arm {
 /// first `keys` cells of a row name it; the rest are values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
-    /// Experiment id (`E1` … `E13`, `E7b`, `A1`, `A2`, `C1`).
+    /// Experiment id (`E1` … `E13`, `E7b`, `A1`, `A2`, `C1`, `H5`, `H6`,
+    /// `H9`).
     pub id: &'static str,
     /// Title, built from the configuration that was run.
     pub title: String,
@@ -68,6 +70,8 @@ pub struct Table {
 macro_rules! key {
     ($($k:expr),*) => { vec![$($k.to_string()),*] };
 }
+
+pub mod studies;
 
 impl Table {
     fn new(id: &'static str, title: String, keys: &[&str], vals: &[(&str, usize)]) -> Self {
@@ -153,7 +157,7 @@ pub type Run = fn(Arm) -> Table;
 
 /// Every experiment, in report order, with its id as `repro --only`
 /// takes it.
-pub const EXPERIMENTS: [(&str, Run); 17] = [
+pub const EXPERIMENTS: [(&str, Run); 20] = [
     ("E1", e1),
     ("E2", |arm| sweep8(arm, "E2")),
     ("E3", |arm| sweep8(arm, "E3")),
@@ -171,6 +175,9 @@ pub const EXPERIMENTS: [(&str, Run); 17] = [
     ("A1", a1),
     ("A2", a2),
     ("C1", c1),
+    ("H5", studies::h5),
+    ("H6", studies::h6),
+    ("H9", studies::h9),
 ];
 
 /// Run the experiments named in `only` (all when empty) in parallel and

@@ -10,7 +10,7 @@ use wormdsm_sim::profile::validate_json;
 /// their claims must come out as expected.
 #[test]
 fn quick_arm_claims_match_their_expectations() {
-    let ids = ["E1", "E4", "E5", "E8", "E10"];
+    let ids = ["E1", "E4", "E5", "E8", "E10", "H9"];
     let tables = repro::run(Arm::Quick, &ids).expect("known ids");
     let verdicts = claims::check(Arm::Quick, &tables);
     for id in ids {

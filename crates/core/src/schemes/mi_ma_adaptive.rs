@@ -19,7 +19,7 @@
 //! boundaries. Fast-forward and snapshot/resume both preserve those
 //! counters cycle-for-cycle, so the same run history always yields the
 //! same plans (asserted end-to-end in `tests/full_stack.rs` and the
-//! `exp_adaptive` bench).
+//! `repro` H9 study).
 //!
 //! With no meter attached (or before the first window commits) every
 //! penalty is zero and the scheme degenerates to exactly [`Dpm`] plus the

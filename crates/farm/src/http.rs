@@ -60,12 +60,13 @@ struct Request {
     body: String,
 }
 
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+/// Read and parse one request. The head (request line plus headers)
+/// is read through a budget of [`MAX_HEAD`] bytes, so a line that never
+/// ends cannot grow memory past it.
+fn read_request<R: Read>(stream: R) -> std::io::Result<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut head_bytes = 0;
+    let line = head_line(&mut reader, &mut head_bytes)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?.to_string();
     let target = parts.next().ok_or_else(|| bad("missing request target"))?;
@@ -74,14 +75,8 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
         None => (target.to_string(), String::new()),
     };
     let mut content_len = 0usize;
-    let mut head_bytes = line.len();
     loop {
-        let mut h = String::new();
-        reader.read_line(&mut h)?;
-        head_bytes += h.len();
-        if head_bytes > MAX_HEAD {
-            return Err(bad("request head too large"));
-        }
+        let h = head_line(&mut reader, &mut head_bytes)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -101,6 +96,25 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
     Ok(Request { method, path, query, body })
 }
 
+/// One head line, read through what is left of the head budget
+/// (`used` bytes of [`MAX_HEAD`] spent so far). A line that fills the
+/// budget without ending is an error; at end of input the line is
+/// returned as read.
+fn head_line<R: BufRead>(reader: &mut R, used: &mut usize) -> std::io::Result<String> {
+    let left = MAX_HEAD - *used;
+    let mut line = String::new();
+    reader.take(left as u64).read_line(&mut line)?;
+    *used += line.len();
+    if line.len() == left && !line.ends_with('\n') {
+        return Err(bad("request head too large"));
+    }
+    Ok(line)
+}
+
+fn bad(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
+}
+
 fn respond(
     stream: &mut TcpStream,
     status: &str,
@@ -116,6 +130,7 @@ fn respond(
 }
 
 fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let req = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -210,5 +225,60 @@ fn stream_events(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()>
             stream.write_all(frame.as_bytes())?;
         }
         stream.flush()?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(raw: &[u8]) -> std::io::Result<Request> {
+        read_request(raw)
+    }
+
+    fn error(raw: &[u8]) -> String {
+        parse(raw).err().expect("request must be refused").to_string()
+    }
+
+    #[test]
+    fn well_formed_requests_parse() {
+        let r = parse(b"GET /submit?app=lu&k=4 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        assert_eq!(
+            (r.method.as_str(), r.path.as_str(), r.query.as_str()),
+            ("GET", "/submit", "app=lu&k=4")
+        );
+        let r = parse(b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\napp=").unwrap();
+        assert_eq!((r.method.as_str(), r.body.as_str()), ("POST", "app="));
+    }
+
+    #[test]
+    fn endless_request_line_is_refused_within_the_head_budget() {
+        let raw = vec![b'a'; 1 << 20];
+        assert_eq!(error(&raw), "request head too large");
+    }
+
+    #[test]
+    fn header_block_over_the_head_budget_is_refused() {
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        while raw.len() <= MAX_HEAD {
+            raw.extend_from_slice(b"X-Filler: 0123456789abcdef0123456789abcdef\r\n");
+        }
+        raw.extend_from_slice(b"\r\n");
+        assert_eq!(error(&raw), "request head too large");
+    }
+
+    #[test]
+    fn bad_bodies_are_refused() {
+        let post = |len: &str, body: &[u8]| {
+            let mut raw =
+                format!("POST /jobs HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").into_bytes();
+            raw.extend_from_slice(body);
+            parse(&raw).err().expect("request must be refused")
+        };
+        assert_eq!(post("ten", b"").to_string(), "bad content-length");
+        assert_eq!(post("99999999999999999999999", b"").to_string(), "bad content-length");
+        assert_eq!(post("999999999", b"").to_string(), "request body too large");
+        assert_eq!(post("10", b"abc").kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(post("2", b"\xff\xfe").to_string(), "body is not utf-8");
     }
 }

@@ -46,6 +46,17 @@ impl Default for FarmConfig {
     }
 }
 
+impl FarmConfig {
+    /// Refuse a configuration no job can run under: observation windows
+    /// must be at least one cycle long.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.progress_every < 1 {
+            return Err("progress_every (--progress-every) must be at least 1 cycle".to_string());
+        }
+        Ok(())
+    }
+}
+
 /// Snapshot of per-link busy counters for the dashboard heatmap,
 /// refreshed at every observation boundary of whichever job reported
 /// last (links indexed `node * 4 + dir`, matching `NetStats::link_busy`
@@ -390,7 +401,6 @@ fn run_job(
         probe_window: farm.cfg.probe_window,
         observer: Some((farm.cfg.progress_every, Box::new(observer))),
         resume: checkpoint.as_deref(),
-        ..Observe::default()
     };
     let mut report = match spec.run(obs)? {
         RunEnd::Done(report) => report,

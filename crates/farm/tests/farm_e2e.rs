@@ -152,6 +152,15 @@ fn unusable_state_dir_checkpoint_runs_afresh() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A zero-cycle observation interval would fail every job; the config
+/// check refuses it up front, naming the setting.
+#[test]
+fn config_validation_refuses_zero_progress_interval() {
+    FarmConfig::default().validate().unwrap();
+    let e = FarmConfig { progress_every: 0, ..FarmConfig::default() }.validate().unwrap_err();
+    assert!(e.contains("progress_every"), "{e}");
+}
+
 /// Minimal HTTP/1.1 client for the tests: one request, read to EOF
 /// (the server closes), return the body.
 fn get(port: u16, target: &str) -> String {

@@ -341,8 +341,8 @@ pub struct ContentionWindow {
 /// Links are directed router outputs indexed `node * 4 + dir`
 /// (matching [`NetStats::link_busy`]); each link has `vcs_total` VC
 /// slots. The probe is a pure observer fed from the movement phase, so it
-/// cannot perturb results. Consumed by `exp_profile` for per-scheme
-/// contention heatmaps and Chrome-trace counter tracks.
+/// cannot perturb results. Consumed by the `profile_trace` example for
+/// link heatmaps and Chrome-trace counter tracks.
 #[derive(Debug, Clone)]
 pub struct ContentionProbe {
     window: Cycle,

@@ -32,7 +32,7 @@
 //! phase widths telescope: their sum is *bit-exactly* `close - open`,
 //! which is bit-exactly the latency `Metrics` records. This invariant is
 //! checked by [`TxnProfiler::verify_exact`] and asserted for every
-//! transaction of every `exp_profile` arm.
+//! transaction of every profiled golden run and `repro` H5 row.
 //!
 //! A worm is **outbound** when it was injected at the transaction's home
 //! node (the invalidation worm(s) fanning out to sharers) and
@@ -47,7 +47,7 @@
 //! At [`TraceLevel::Txn`](crate::trace::TraceLevel::Txn) no worm events
 //! exist; phases 0–3 collapse to zero and the whole latency lands in
 //! `ack_return`. Exact-sum still holds, but the breakdown is only
-//! meaningful at `TraceLevel::Flit` (which `exp_profile` uses).
+//! meaningful at `TraceLevel::Flit` (which profiling turns on).
 //!
 //! [`chrome_trace`] renders profiler records as a Chrome trace-event /
 //! Perfetto-loadable JSON file (hand-rolled, zero deps) and
@@ -185,7 +185,7 @@ struct WormBind {
 /// it observes every pushed event *before* the ring write, so its
 /// attribution does not depend on ring capacity. The profiler is a pure
 /// observer: it never feeds back into the simulation, so enabling it
-/// cannot perturb results (asserted bit-exactly by `exp_profile` and
+/// cannot perturb results (asserted bit-exactly by `repro` H9 and
 /// `tests/full_stack.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct TxnProfiler {

@@ -491,7 +491,7 @@ impl Metric {
 }
 
 /// Ordered name → [`Metric`] registry, exported per-run into the
-/// `BENCH_*.json` files and printable from `exp_hotloop --trace`.
+/// farm's `/jobs` rows and printable as JSON ([`Registry::to_json`]).
 ///
 /// Insertion order is preserved (deterministic output); re-registering a
 /// name overwrites its value in place.

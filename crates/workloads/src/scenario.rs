@@ -24,6 +24,11 @@ const SYNTH_BASE_BLOCK: u64 = 0x10_0000;
 /// Default episode count for synthetic scenarios.
 const SYNTH_EPISODES: usize = 4;
 
+/// Most ops a synthetic scenario may generate (2^24, about 256 MiB of
+/// `MemOp`s): [`Scenario::validate`] refuses a larger run before
+/// [`Scenario::workload`] allocates it.
+const SYNTH_OP_BUDGET: usize = 1 << 24;
+
 /// Complete configuration of one seeded run.
 ///
 /// The canonical string form ([`Scenario::canonical`]) defines identity:
@@ -77,20 +82,13 @@ impl Default for Scenario {
 }
 
 /// How a [`Scenario::run`] is watched. No setting changes a simulated
-/// result: each is a pure observer or, for `fast_forward`, a stepping
-/// strategy that is bit-identical either way. Every field stands for one
+/// result: each is a pure observer. Every field stands for one
 /// `DsmSystem` call, which `run` makes after the system is built or
 /// restored (a restore drops observers, so they must come after it).
 pub struct Observe<'a> {
-    /// Dead-cycle fast-forwarding (`DsmSystem::set_fast_forward`); on by
-    /// default.
-    pub fast_forward: bool,
     /// Flight-recorder level (`DsmSystem::set_trace_level`). A profiled
     /// scenario raises it to `Flit`.
     pub trace_level: TraceLevel,
-    /// Flight-recorder ring capacity (`FlightRecorder::set_capacity`);
-    /// `None` keeps the default.
-    pub ring: Option<usize>,
     /// Contention-probe window in cycles
     /// (`DsmSystem::enable_contention_probe`); 0 leaves the probe off.
     pub probe_window: Cycle,
@@ -111,14 +109,7 @@ pub type Observer<'a> = dyn FnMut(&mut DsmSystem, &IssueState) -> bool + 'a;
 
 impl Default for Observe<'_> {
     fn default() -> Self {
-        Self {
-            fast_forward: true,
-            trace_level: TraceLevel::Off,
-            ring: None,
-            probe_window: 0,
-            observer: None,
-            resume: None,
-        }
+        Self { trace_level: TraceLevel::Off, probe_window: 0, observer: None, resume: None }
     }
 }
 
@@ -206,7 +197,17 @@ impl Scenario {
                         k = self.k
                     ));
                 }
-                Ok(())
+                // Each episode is d reads, a barrier op per processor and
+                // one write.
+                let ops = (self.d + self.k * self.k + 1).checked_mul(self.episodes);
+                match ops {
+                    Some(ops) if ops <= SYNTH_OP_BUDGET => Ok(()),
+                    _ => Err(format!(
+                        "episodes={} x (d + k*k + 1) ops exceeds the synthetic op budget of \
+                         {SYNTH_OP_BUDGET}",
+                        self.episodes
+                    )),
+                }
             }
             app if apps::APP_NAMES.contains(&app) => Ok(()),
             other => Err(format!("unknown app {other:?} (expected one of {:?} or \"synth\")", {
@@ -324,7 +325,7 @@ impl Scenario {
     /// never interrupted; its `result.cycles` counts the resumed part
     /// only and `result.issued` the whole run.
     pub fn run(&self, obs: Observe<'_>) -> Result<RunEnd, String> {
-        let Observe { fast_forward, trace_level, ring, probe_window, observer, resume } = obs;
+        let Observe { trace_level, probe_window, observer, resume } = obs;
         let resume = resume.map(|bytes| self.open_checkpoint(bytes)).transpose()?;
         let workload = self.workload()?;
         let cfg = SystemConfig::for_scheme(self.k, self.scheme);
@@ -332,13 +333,9 @@ impl Scenario {
             Some(bytes) => workload.resume(cfg, self.scheme.build(), bytes)?,
             None => (DsmSystem::new(cfg, self.scheme.build()), workload.start()),
         };
-        sys.set_fast_forward(fast_forward);
         sys.set_trace_level(trace_level);
         if self.profile {
             sys.enable_profiling();
-        }
-        if let Some(capacity) = ring {
-            sys.recorder_mut().set_capacity(capacity);
         }
         if probe_window > 0 {
             sys.enable_contention_probe(probe_window);
@@ -504,6 +501,15 @@ mod tests {
         assert!(Scenario::parse_query("app=synth&pattern=col&d=3").is_err(), "column pool is k");
         assert!(Scenario::parse_query("app=synth&pattern=cluster&d=4").is_err(), "corner cluster");
         assert!(Scenario::parse_query("app=synth&episodes=0").is_err());
+        for eps in ["1000000000000", "18446744073709551615"] {
+            let e = Scenario::parse_query(&format!("app=synth&episodes={eps}")).unwrap_err();
+            assert!(e.contains(&SYNTH_OP_BUDGET.to_string()), "episodes={eps}: {e}");
+        }
+        // The largest run inside the budget on a 4x4 mesh: d + 16 + 1 = 21
+        // ops an episode.
+        let most = SYNTH_OP_BUDGET / 21;
+        assert!(Scenario::parse_query(&format!("app=synth&episodes={most}")).is_ok());
+        assert!(Scenario::parse_query(&format!("app=synth&episodes={}", most + 1)).is_err());
         assert!(Scenario::parse_query("seed=%zz").is_err(), "bad escape");
         let e = Scenario::parse_query("app=synth&d=18446744073709551615").unwrap_err();
         assert!(e.contains("does not fit"), "d+2 must not overflow: {e}");

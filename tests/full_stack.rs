@@ -3,13 +3,19 @@
 //! cross-scheme invariants.
 
 use wormdsm::analytic::{estimate_invalidation, NetParams};
-use wormdsm::core::{DsmSystem, SchemeKind, SystemConfig};
+use wormdsm::core::{DsmSystem, SchemeKind, SystemConfig, TraceLevel};
 use wormdsm::mesh::topology::Mesh2D;
+use wormdsm::sim::profile::{chrome_trace, validate_json};
+use wormdsm::sim::trace::TraceKind;
 use wormdsm::sim::Rng;
-use wormdsm::workloads::apps::apsp::{self, ApspConfig};
 use wormdsm::workloads::apps::barnes_hut::{self, BarnesHutConfig};
 use wormdsm::workloads::apps::lu::{self, LuConfig};
+use wormdsm::workloads::apps::{
+    self,
+    apsp::{self, ApspConfig},
+};
 use wormdsm::workloads::{gen_pattern, PatternKind, Workload};
+use wormdsm_farm::metrics_fingerprint;
 
 fn run_app(scheme: SchemeKind, k: usize, w: Workload) -> (u64, DsmSystem) {
     run_app_ff(scheme, k, w, true)
@@ -71,62 +77,112 @@ fn lu_small_runs_everywhere() {
     }
 }
 
-/// Golden end-to-end metrics for the three small app configs on a 4x4
-/// mesh, recorded on the pre-optimization tree (commit f102984). The
-/// allocation-free flit path, flat directory/txn state, and occupancy
-/// masks are required to be *observationally invisible*: any divergence
-/// in these numbers is a behavior change, not an optimization. The APSP
-/// rows for MI-MA(2ph), DPM and MI-MA(ada) were recorded later, on the
-/// tree that still had the partitioned parallel tick, and pin the
-/// dynamic schemes across its removal.
-#[test]
-fn golden_small_config_metrics_are_bit_identical_to_pre_optimization_tree() {
-    struct Golden {
-        app: &'static str,
-        scheme: SchemeKind,
-        cycles: u64,
-        flit_hops: u64,
-        flits_injected: u64,
-        inval_txns: u64,
-        lat_count: u64,
-        lat_sum: f64,
-        lat_min: f64,
-        lat_max: f64,
-        lat_stddev: f64,
-        stall: u64,
+/// One golden row: a 4x4 configuration and ten end-to-end metrics it
+/// must reproduce bit for bit. `busy` rows run the seeded application
+/// at compute scale 1 (`apps::seeded(app, 16, 1)`, the busy-cycle regime
+/// of `exp_perf`'s `apsp-busy-k8` at k = 4); the others run the small
+/// configs of [`small_workload`].
+struct Golden {
+    app: &'static str,
+    busy: bool,
+    scheme: SchemeKind,
+    cycles: u64,
+    flit_hops: u64,
+    flits_injected: u64,
+    inval_txns: u64,
+    lat_count: u64,
+    lat_sum: f64,
+    lat_min: f64,
+    lat_max: f64,
+    lat_stddev: f64,
+    stall: u64,
+}
+
+/// The golden list. The first six rows were recorded on the
+/// pre-optimization tree (commit f102984): the allocation-free flit
+/// path, flat directory/txn state and occupancy masks must be
+/// *observationally invisible*, so any divergence is a behavior change,
+/// not an optimization. The APSP rows for MI-MA(2ph), DPM and MI-MA(ada)
+/// were recorded on the tree that still had the partitioned parallel
+/// tick and pin the dynamic schemes across its removal. The remaining
+/// APSP schemes and the three busy rows were recorded when the busy
+/// rows moved here from the bench harness; their cycles, flit hops,
+/// transaction count and latency sum are the pre-optimization busy-cycle
+/// reference of that harness.
+#[rustfmt::skip]
+const GOLDEN: [Golden; 16] = [
+    Golden { app: "bh",   busy: false, scheme: SchemeKind::UiUa,    cycles: 34994, flit_hops: 221816, flits_injected: 82352, inval_txns: 78, lat_count: 78, lat_sum: 26038.0, lat_min: 158.0, lat_max: 698.0, lat_stddev: 150.6781034565921,   stall: 286673 },
+    Golden { app: "bh",   busy: false, scheme: SchemeKind::MiMaCol, cycles: 33714, flit_hops: 200918, flits_injected: 73289, inval_txns: 78, lat_count: 78, lat_sum: 14789.0, lat_min: 115.0, lat_max: 494.0, lat_stddev: 90.03907125464889,   stall: 272503 },
+    Golden { app: "lu",   busy: false, scheme: SchemeKind::UiUa,    cycles: 35911, flit_hops: 162432, flits_injected: 67080, inval_txns: 12, lat_count: 12, lat_sum: 2658.0,  lat_min: 181.0, lat_max: 262.0, lat_stddev: 28.10842103949158,   stall: 227374 },
+    Golden { app: "lu",   busy: false, scheme: SchemeKind::MiMaCol, cycles: 35175, flit_hops: 158898, flits_injected: 65496, inval_txns: 12, lat_count: 12, lat_sum: 1886.0,  lat_min: 126.0, lat_max: 203.0, lat_stddev: 24.569063655110856,  stall: 221887 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::UiUa,    cycles: 33396, flit_hops: 140288, flits_injected: 53720, inval_txns: 47, lat_count: 47, lat_sum: 12190.0, lat_min: 160.0, lat_max: 436.0, lat_stddev: 70.33579807409441,   stall: 337359 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiMaCol, cycles: 31978, flit_hops: 125854, flits_injected: 47403, inval_txns: 47, lat_count: 47, lat_sum: 7655.0,  lat_min: 118.0, lat_max: 327.0, lat_stddev: 46.92484576257612,   stall: 329309 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiMaTwoPhase, cycles: 31978, flit_hops: 125854, flits_injected: 47403, inval_txns: 47, lat_count: 47, lat_sum: 7655.0, lat_min: 118.0, lat_max: 327.0, lat_stddev: 46.92484576257612, stall: 329309 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::Dpm,     cycles: 31738, flit_hops: 126262, flits_injected: 47007, inval_txns: 47, lat_count: 47, lat_sum: 7357.0,  lat_min: 118.0, lat_max: 340.0, lat_stddev: 48.59115192367179,   stall: 328989 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiMaAdaptive, cycles: 31684, flit_hops: 125944, flits_injected: 47091, inval_txns: 47, lat_count: 47, lat_sum: 7166.0, lat_min: 113.0, lat_max: 353.0, lat_stddev: 50.82127677389586, stall: 329114 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiUaCol, cycles: 32712, flit_hops: 134330, flits_injected: 50939, inval_txns: 47, lat_count: 47, lat_sum: 11286.0, lat_min: 155.0, lat_max: 376.0, lat_stddev: 67.34750055267546,   stall: 331914 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiMaTree, cycles: 32029, flit_hops: 124114, flits_injected: 47971, inval_txns: 47, lat_count: 47, lat_sum: 8591.0,  lat_min: 133.0, lat_max: 347.0, lat_stddev: 58.47310207965339,  stall: 329000 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiUaWf,  cycles: 32774, flit_hops: 135537, flits_injected: 49246, inval_txns: 47, lat_count: 47, lat_sum: 11779.0, lat_min: 133.0, lat_max: 400.0, lat_stddev: 73.01604405197222,   stall: 331086 },
+    Golden { app: "apsp", busy: false, scheme: SchemeKind::MiMaWf,  cycles: 31932, flit_hops: 126981, flits_injected: 45728, inval_txns: 47, lat_count: 47, lat_sum: 7746.0,  lat_min: 117.0, lat_max: 370.0, lat_stddev: 49.47367161317406,   stall: 327831 },
+    Golden { app: "bh",   busy: true,  scheme: SchemeKind::MiMaCol, cycles: 93882, flit_hops: 347892, flits_injected: 125653, inval_txns: 142, lat_count: 142, lat_sum: 27230.0, lat_min: 119.0, lat_max: 536.0, lat_stddev: 74.13282042706413, stall: 427705 },
+    Golden { app: "lu",   busy: true,  scheme: SchemeKind::MiMaCol, cycles: 142273, flit_hops: 651056, flits_injected: 261495, inval_txns: 24, lat_count: 24, lat_sum: 3675.0, lat_min: 120.0, lat_max: 237.0, lat_stddev: 26.610324594036808, stall: 842899 },
+    Golden { app: "apsp", busy: true,  scheme: SchemeKind::MiMaCol, cycles: 306859, flit_hops: 1480233, flits_injected: 551301, inval_txns: 881, lat_count: 881, lat_sum: 130394.0, lat_min: 54.0, lat_max: 368.0, lat_stddev: 46.01171887365951, stall: 2727169 },
+];
+
+/// The small app configs the non-busy golden rows run on 16 processors.
+fn small_workload(app: &str) -> Workload {
+    match app {
+        "bh" => barnes_hut::generate(&BarnesHutConfig {
+            procs: 16,
+            bodies: 32,
+            steps: 2,
+            ..Default::default()
+        }),
+        "lu" => lu::generate(&LuConfig { n: 32, block: 8, procs: 16, flop_cost: 16 }),
+        "apsp" => apsp::generate(&ApspConfig { n: 16, procs: 16, relax_cost: 16 }),
+        other => panic!("unknown app {other}"),
     }
-    #[rustfmt::skip]
-    let golden = [
-        Golden { app: "bh",   scheme: SchemeKind::UiUa,    cycles: 34994, flit_hops: 221816, flits_injected: 82352, inval_txns: 78, lat_count: 78, lat_sum: 26038.0, lat_min: 158.0, lat_max: 698.0, lat_stddev: 150.6781034565921,   stall: 286673 },
-        Golden { app: "bh",   scheme: SchemeKind::MiMaCol, cycles: 33714, flit_hops: 200918, flits_injected: 73289, inval_txns: 78, lat_count: 78, lat_sum: 14789.0, lat_min: 115.0, lat_max: 494.0, lat_stddev: 90.03907125464889,   stall: 272503 },
-        Golden { app: "lu",   scheme: SchemeKind::UiUa,    cycles: 35911, flit_hops: 162432, flits_injected: 67080, inval_txns: 12, lat_count: 12, lat_sum: 2658.0,  lat_min: 181.0, lat_max: 262.0, lat_stddev: 28.10842103949158,   stall: 227374 },
-        Golden { app: "lu",   scheme: SchemeKind::MiMaCol, cycles: 35175, flit_hops: 158898, flits_injected: 65496, inval_txns: 12, lat_count: 12, lat_sum: 1886.0,  lat_min: 126.0, lat_max: 203.0, lat_stddev: 24.569063655110856,  stall: 221887 },
-        Golden { app: "apsp", scheme: SchemeKind::UiUa,    cycles: 33396, flit_hops: 140288, flits_injected: 53720, inval_txns: 47, lat_count: 47, lat_sum: 12190.0, lat_min: 160.0, lat_max: 436.0, lat_stddev: 70.33579807409441,   stall: 337359 },
-        Golden { app: "apsp", scheme: SchemeKind::MiMaCol, cycles: 31978, flit_hops: 125854, flits_injected: 47403, inval_txns: 47, lat_count: 47, lat_sum: 7655.0,  lat_min: 118.0, lat_max: 327.0, lat_stddev: 46.92484576257612,   stall: 329309 },
-        Golden { app: "apsp", scheme: SchemeKind::MiMaTwoPhase, cycles: 31978, flit_hops: 125854, flits_injected: 47403, inval_txns: 47, lat_count: 47, lat_sum: 7655.0, lat_min: 118.0, lat_max: 327.0, lat_stddev: 46.92484576257612, stall: 329309 },
-        Golden { app: "apsp", scheme: SchemeKind::Dpm,     cycles: 31738, flit_hops: 126262, flits_injected: 47007, inval_txns: 47, lat_count: 47, lat_sum: 7357.0,  lat_min: 118.0, lat_max: 340.0, lat_stddev: 48.59115192367179,   stall: 328989 },
-        Golden { app: "apsp", scheme: SchemeKind::MiMaAdaptive, cycles: 31684, flit_hops: 125944, flits_injected: 47091, inval_txns: 47, lat_count: 47, lat_sum: 7166.0, lat_min: 113.0, lat_max: 353.0, lat_stddev: 50.82127677389586, stall: 329114 },
-    ];
-    let gen = |app: &str| -> Workload {
-        match app {
-            "bh" => barnes_hut::generate(&BarnesHutConfig {
-                procs: 16,
-                bodies: 32,
-                steps: 2,
-                ..Default::default()
-            }),
-            "lu" => lu::generate(&LuConfig { n: 32, block: 8, procs: 16, flop_cost: 16 }),
-            "apsp" => apsp::generate(&ApspConfig { n: 16, procs: 16, relax_cost: 16 }),
-            other => panic!("unknown app {other}"),
-        }
-    };
-    for g in &golden {
-        let (cycles, sys) = run_app(g.scheme, 4, gen(g.app));
-        let tag = format!("{}/{}", g.app, g.scheme);
+}
+
+/// How a golden row is run: `Plain` as an ordinary simulation, or
+/// `Observed` — latency profiler on (which raises tracing to `Flit`),
+/// contention probe on, and a 64-slot flight-recorder ring that is bound
+/// to overflow.
+#[derive(Clone, Copy, Debug)]
+enum Arm {
+    Plain,
+    Observed,
+}
+
+/// Run every row on a 4x4 mesh in `arm` and hold it to its ten golden
+/// values. Observation must not move a number. An observed run must also
+/// attribute every transaction exactly whatever the ring dropped (the
+/// profiler is hooked ahead of the ring write), its probe must mirror
+/// the network's own link accounting, and its exports must be
+/// well-formed JSON.
+fn check_golden(rows: impl Iterator<Item = &'static Golden>, arm: Arm) {
+    for g in rows {
+        let workload = match g.busy {
+            true => apps::seeded(g.app, 16, 1).expect("seeded app"),
+            false => small_workload(g.app),
+        };
+        let tag = format!("{}{}/{} {arm:?}", g.app, if g.busy { " (busy)" } else { "" }, g.scheme);
+        let (cycles, mut sys) = match arm {
+            Arm::Plain => run_app(g.scheme, 4, workload),
+            Arm::Observed => {
+                let mut sys =
+                    DsmSystem::new(SystemConfig::for_scheme(4, g.scheme), g.scheme.build());
+                sys.enable_profiling();
+                sys.enable_contention_probe(256);
+                sys.recorder_mut().set_capacity(64);
+                let r = workload.run(&mut sys, 50_000_000).expect("observed run completes");
+                (r.cycles, sys)
+            }
+        };
+        let (n, m) = (sys.net_stats(), sys.metrics());
         assert_eq!(cycles, g.cycles, "{tag}: cycles");
-        assert_eq!(sys.net_stats().flit_hops, g.flit_hops, "{tag}: flit hops");
-        assert_eq!(sys.net_stats().flits_injected, g.flits_injected, "{tag}: flits injected");
-        let m = sys.metrics();
+        assert_eq!(n.flit_hops, g.flit_hops, "{tag}: flit hops");
+        assert_eq!(n.flits_injected, g.flits_injected, "{tag}: flits injected");
         assert_eq!(m.inval_txns, g.inval_txns, "{tag}: inval txns");
         assert_eq!(m.inval_latency.count(), g.lat_count, "{tag}: latency count");
         assert_eq!(m.inval_latency.sum(), g.lat_sum, "{tag}: latency sum");
@@ -134,7 +190,99 @@ fn golden_small_config_metrics_are_bit_identical_to_pre_optimization_tree() {
         assert_eq!(m.inval_latency.max(), g.lat_max, "{tag}: latency max");
         assert_eq!(m.inval_latency.stddev(), g.lat_stddev, "{tag}: latency stddev");
         assert_eq!(m.stall_cycles, g.stall, "{tag}: stall cycles");
+        if let Arm::Plain = arm {
+            continue;
+        }
+        assert!(sys.recorder().dropped() > 0, "{tag}: a 64-slot ring must overflow");
+        let p = sys.take_profiler().expect("profiler attached");
+        assert_eq!(p.closed(), g.inval_txns, "{tag}: profiler closes");
+        assert_eq!(p.open_txns(), 0, "{tag}: transactions left open");
+        assert_eq!(p.latency_total() as f64, g.lat_sum, "{tag}: profiler latency total");
+        p.verify_exact().unwrap_or_else(|e| panic!("{tag}: phases must sum exactly: {e}"));
+        assert!(p.records().iter().all(|t| t.phase_sum() == t.latency), "{tag}: phase sums");
+        let probe = sys.take_contention_probe().expect("probe enabled");
+        assert_eq!(
+            probe.busy_total().iter().sum::<u64>(),
+            sys.net_stats().link_busy.iter().sum::<u64>(),
+            "{tag}: probe busy totals disagree with NetStats::link_busy"
+        );
+        validate_json(&chrome_trace::trace_json(p.records(), &[])).expect("chrome trace JSON");
+        validate_json(&sys.export_metrics().to_json()).expect("metrics registry JSON");
     }
+}
+
+#[test]
+fn golden_small_config_metrics_are_bit_identical_to_pre_optimization_tree() {
+    check_golden(GOLDEN.iter().filter(|g| !g.busy), Arm::Plain);
+}
+
+/// Profiling is a pure observer: every small golden row (bh under
+/// MI-MA(col) among them), run with the profiler and contention probe
+/// attached on a ring so small it is guaranteed to overflow, reproduces
+/// its golden values bit for bit, and the profiler's attribution does
+/// not depend on ring capacity.
+#[test]
+fn profiling_is_bit_identical_and_survives_ring_overflow() {
+    check_golden(GOLDEN.iter().filter(|g| !g.busy), Arm::Observed);
+}
+
+/// The busy rows, in both arms, in a test of their own so they run
+/// beside the rest.
+#[test]
+fn golden_busy_config_metrics_are_bit_identical() {
+    check_golden(GOLDEN.iter().filter(|g| g.busy), Arm::Plain);
+    check_golden(GOLDEN.iter().filter(|g| g.busy), Arm::Observed);
+}
+
+/// The flight recorder is a pure observer whose record agrees with the
+/// metrics: busy bh under MI-MA(col), traced at `Txn` and at `Flit`
+/// level into a ring large enough to keep everything, fingerprints like
+/// the untraced run, records one `txn_close` per transaction whose
+/// latencies sum to the latency summary, and reconstructs a sampled
+/// transaction whose open-to-close distance is its latency.
+#[test]
+fn traced_runs_are_bit_identical_and_agree_with_metrics() {
+    let run = |level: TraceLevel| {
+        let scheme = SchemeKind::MiMaCol;
+        let mut sys = DsmSystem::new(SystemConfig::for_scheme(4, scheme), scheme.build());
+        sys.set_trace_level(level);
+        sys.recorder_mut().set_capacity(1 << 20);
+        apps::seeded("bh", 16, 1).unwrap().run(&mut sys, 50_000_000).expect("bh completes");
+        sys
+    };
+    let fingerprint = |sys: &DsmSystem| metrics_fingerprint(&sys.export_metrics());
+    let off = fingerprint(&run(TraceLevel::Off));
+    assert_eq!(fingerprint(&run(TraceLevel::Txn)), off, "txn-level tracing changed the run");
+    let sys = run(TraceLevel::Flit);
+    assert_eq!(fingerprint(&sys), off, "flit-level tracing changed the run");
+
+    let rec = sys.recorder();
+    assert_eq!(rec.dropped(), 0, "a 2^20 ring keeps the whole run");
+    let closes: Vec<(u64, u64)> = rec
+        .events()
+        .filter_map(|e| match e.kind {
+            TraceKind::TxnClose { txn, latency, .. } => Some((txn, latency)),
+            _ => None,
+        })
+        .collect();
+    let m = sys.metrics();
+    assert_eq!(closes.len() as u64, m.inval_txns, "one txn_close per transaction");
+    let sum: u64 = closes.iter().map(|c| c.1).sum();
+    assert_eq!(sum as f64, m.inval_latency.sum(), "close latencies sum to the summary");
+
+    let &(id, latency) = closes.last().expect("bh invalidates");
+    let tl = rec.timeline(id);
+    let at = |open: bool| {
+        tl.iter()
+            .find(|e| match e.kind {
+                TraceKind::TxnOpen { .. } => open,
+                TraceKind::TxnClose { .. } => !open,
+                _ => false,
+            })
+            .map(|e| e.at)
+            .expect("the timeline holds its open and close")
+    };
+    assert_eq!(at(false) - at(true), latency, "timeline disagrees with its close event");
 }
 
 #[test]
@@ -362,52 +510,4 @@ fn traffic_ordering_holds_for_column_patterns() {
     let ui = wormdsm_bench_shim::measure_traffic(SchemeKind::UiUa, k, &p);
     let mi = wormdsm_bench_shim::measure_traffic(SchemeKind::MiUaCol, k, &p);
     assert!(mi < ui, "multicast traffic {mi} >= unicast {ui}");
-}
-
-/// PR 5: profiling is a pure observer. Running with the streaming
-/// profiler + contention probe attached (which forces flit-level tracing
-/// and the serial tick schedule) must reproduce the unprofiled run bit
-/// for bit — on a trace ring so small it is guaranteed to overflow,
-/// proving the profiler's attribution does not depend on ring capacity.
-#[test]
-fn profiling_is_bit_identical_and_survives_ring_overflow() {
-    use wormdsm::sim::profile::{chrome_trace, validate_json};
-    let cfg = BarnesHutConfig { procs: 16, bodies: 32, steps: 2, ..Default::default() };
-    let (off_cycles, off) = run_app(SchemeKind::MiMaCol, 4, barnes_hut::generate(&cfg));
-
-    let mut sys = DsmSystem::new(
-        SystemConfig::for_scheme(4, SchemeKind::MiMaCol),
-        SchemeKind::MiMaCol.build(),
-    );
-    sys.set_fast_forward(true);
-    sys.enable_profiling();
-    sys.recorder_mut().set_capacity(64); // guaranteed to overflow at flit level
-    sys.enable_contention_probe(256);
-    let r = barnes_hut::generate(&cfg).run(&mut sys, 50_000_000).expect("bh completes");
-
-    // Bit-identity off vs on.
-    assert_eq!(r.cycles, off_cycles, "cycles diverged under profiling");
-    assert_eq!(sys.net_stats().flit_hops, off.net_stats().flit_hops);
-    assert_eq!(sys.metrics().inval_txns, off.metrics().inval_txns);
-    assert_eq!(sys.metrics().inval_latency.sum(), off.metrics().inval_latency.sum());
-
-    // The ring overflowed, yet the profiler (hooked ahead of the ring
-    // write) attributed every transaction with exact phase sums.
-    assert!(sys.recorder().dropped() > 0, "a 64-slot ring must overflow this run");
-    let p = sys.take_profiler().expect("profiler attached");
-    assert_eq!(p.closed(), sys.metrics().inval_txns);
-    assert_eq!(p.open_txns(), 0);
-    assert_eq!(p.latency_total() as f64, sys.metrics().inval_latency.sum());
-    p.verify_exact().expect("phases sum bit-exactly to every reported latency");
-    assert!(p.records().iter().all(|t| t.phase_sum() == t.latency));
-
-    // The probe mirrors the network's link accounting, and both exported
-    // JSON artifacts are well-formed.
-    let probe = sys.take_contention_probe().expect("probe enabled");
-    assert_eq!(
-        probe.busy_total().iter().sum::<u64>(),
-        off.net_stats().link_busy.iter().sum::<u64>()
-    );
-    validate_json(&chrome_trace::trace_json(p.records(), &[])).expect("chrome trace JSON");
-    validate_json(&sys.export_metrics().to_json()).expect("metrics registry JSON");
 }
