@@ -15,6 +15,7 @@ use wormdsm_mesh::network::{MeshConfig, Network};
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_mesh::worm::{VNet, WormKind, WormSpec};
 use wormdsm_mesh::IackMode;
+use wormdsm_sim::profile::json_str;
 use wormdsm_sim::Rng;
 use wormdsm_workloads::apps::{apsp, apsp::ApspConfig, barnes_hut, barnes_hut::BarnesHutConfig};
 use wormdsm_workloads::apps::{lu, lu::LuConfig};
@@ -137,19 +138,6 @@ impl Table {
             rows.join(",\n")
         )
     }
-}
-
-/// `s` as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => out.extend(['\\', c]),
-            c if (c as u32) < 0x20 => out += &format!("\\u{:04x}", c as u32),
-            c => out.push(c),
-        }
-    }
-    out + "\""
 }
 
 /// Runs one experiment's fixed configuration for an arm.

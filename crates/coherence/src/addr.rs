@@ -1,6 +1,7 @@
 //! Addresses, blocks, and home mapping.
 
 use wormdsm_mesh::topology::NodeId;
+use wormdsm_sim::snap::snap_struct;
 
 /// A byte address in the shared space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,28 +57,8 @@ impl MemGeometry {
     }
 }
 
-mod snap_impls {
-    use super::{Addr, BlockId};
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for Addr {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u64(self.0);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Addr(r.get_u64()?))
-        }
-    }
-
-    impl Snap for BlockId {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u64(self.0);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BlockId(r.get_u64()?))
-        }
-    }
-}
+snap_struct!(Addr(0));
+snap_struct!(BlockId(0));
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! Per-node processor cache: direct-mapped, write-back, MSI line states.
 
 use crate::addr::BlockId;
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 
 /// Line state in a processor cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,35 +140,12 @@ impl Cache {
     }
 }
 
+snap_enum!(LineState { 0 => Shared, 1 => Modified });
+snap_struct!(Line { block, state });
+
 mod snap_impls {
-    use super::{Cache, Line, LineState};
+    use super::{Cache, Line};
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for LineState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u8(match self {
-                LineState::Shared => 0,
-                LineState::Modified => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(LineState::Shared),
-                1 => Ok(LineState::Modified),
-                t => Err(SnapError::Corrupt(format!("bad LineState tag {t}"))),
-            }
-        }
-    }
-
-    impl Snap for Line {
-        fn save(&self, w: &mut SnapWriter) {
-            self.block.save(w);
-            self.state.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Line { block: Snap::load(r)?, state: Snap::load(r)? })
-        }
-    }
 
     impl Snap for Cache {
         fn save(&self, w: &mut SnapWriter) {

@@ -8,6 +8,7 @@
 use crate::addr::BlockId;
 use std::collections::VecDeque;
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 use wormdsm_sim::FlatMap;
 
 /// Directory entry state.
@@ -169,53 +170,13 @@ impl Directory {
     }
 }
 
+snap_enum!(DirState { 0 => Uncached, 1 => Shared, 2 => Exclusive(owner), 3 => Waiting });
+snap_struct!(QueuedReq { node, msg_key });
+snap_struct!(DirEntry { state, presence, queue });
+
 mod snap_impls {
-    use super::{DirEntry, DirState, Directory, QueuedReq};
+    use super::{DirEntry, Directory};
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for DirState {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                DirState::Uncached => w.put_u8(0),
-                DirState::Shared => w.put_u8(1),
-                DirState::Exclusive(owner) => {
-                    w.put_u8(2);
-                    owner.save(w);
-                }
-                DirState::Waiting => w.put_u8(3),
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(DirState::Uncached),
-                1 => Ok(DirState::Shared),
-                2 => Ok(DirState::Exclusive(Snap::load(r)?)),
-                3 => Ok(DirState::Waiting),
-                t => Err(SnapError::Corrupt(format!("bad DirState tag {t}"))),
-            }
-        }
-    }
-
-    impl Snap for QueuedReq {
-        fn save(&self, w: &mut SnapWriter) {
-            self.node.save(w);
-            w.put_u64(self.msg_key);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(QueuedReq { node: Snap::load(r)?, msg_key: r.get_u64()? })
-        }
-    }
-
-    impl Snap for DirEntry {
-        fn save(&self, w: &mut SnapWriter) {
-            self.state.save(w);
-            self.presence.save(w);
-            self.queue.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(DirEntry { state: Snap::load(r)?, presence: Snap::load(r)?, queue: Snap::load(r)? })
-        }
-    }
 
     impl Snap for Directory {
         fn save(&self, w: &mut SnapWriter) {

@@ -9,6 +9,7 @@
 use crate::addr::BlockId;
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::TxnId;
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 
 /// Coherence protocol message types.
 ///
@@ -220,171 +221,29 @@ impl MsgTable {
     }
 }
 
-mod snap_impls {
-    use super::{MsgTable, ProtoMsg};
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for ProtoMsg {
-        fn save(&self, w: &mut SnapWriter) {
-            match *self {
-                ProtoMsg::ReadReq { block, requester } => {
-                    w.put_u8(0);
-                    block.save(w);
-                    requester.save(w);
-                }
-                ProtoMsg::ReadReply { block } => {
-                    w.put_u8(1);
-                    block.save(w);
-                }
-                ProtoMsg::WriteReq { block, requester } => {
-                    w.put_u8(2);
-                    block.save(w);
-                    requester.save(w);
-                }
-                ProtoMsg::UpgradeReq { block, requester } => {
-                    w.put_u8(3);
-                    block.save(w);
-                    requester.save(w);
-                }
-                ProtoMsg::Inval { block, txn, home } => {
-                    w.put_u8(4);
-                    block.save(w);
-                    txn.save(w);
-                    home.save(w);
-                }
-                ProtoMsg::InvAck { block, txn, count } => {
-                    w.put_u8(5);
-                    block.save(w);
-                    txn.save(w);
-                    w.put_u32(count);
-                }
-                ProtoMsg::RelayInval { block, txn, home } => {
-                    w.put_u8(6);
-                    block.save(w);
-                    txn.save(w);
-                    home.save(w);
-                }
-                ProtoMsg::SweepTrigger { block, txn } => {
-                    w.put_u8(7);
-                    block.save(w);
-                    txn.save(w);
-                }
-                ProtoMsg::GatherAck { block, txn } => {
-                    w.put_u8(8);
-                    block.save(w);
-                    txn.save(w);
-                }
-                ProtoMsg::WriteGrant { block, with_data } => {
-                    w.put_u8(9);
-                    block.save(w);
-                    w.put_bool(with_data);
-                }
-                ProtoMsg::Fetch { block, requester, for_write } => {
-                    w.put_u8(10);
-                    block.save(w);
-                    requester.save(w);
-                    w.put_bool(for_write);
-                }
-                ProtoMsg::OwnerData { block, exclusive } => {
-                    w.put_u8(11);
-                    block.save(w);
-                    w.put_bool(exclusive);
-                }
-                ProtoMsg::FetchWb { block, requester, was_write } => {
-                    w.put_u8(12);
-                    block.save(w);
-                    requester.save(w);
-                    w.put_bool(was_write);
-                }
-                ProtoMsg::Writeback { block, owner } => {
-                    w.put_u8(13);
-                    block.save(w);
-                    owner.save(w);
-                }
-                ProtoMsg::WritebackAck { block } => {
-                    w.put_u8(14);
-                    block.save(w);
-                }
-                ProtoMsg::BarrierArrive { barrier, participants } => {
-                    w.put_u8(15);
-                    w.put_u16(barrier);
-                    w.put_u32(participants);
-                }
-                ProtoMsg::BarrierRelease { barrier } => {
-                    w.put_u8(16);
-                    w.put_u16(barrier);
-                }
-                ProtoMsg::LockReq { lock, requester } => {
-                    w.put_u8(17);
-                    w.put_u16(lock);
-                    requester.save(w);
-                }
-                ProtoMsg::LockGrant { lock } => {
-                    w.put_u8(18);
-                    w.put_u16(lock);
-                }
-                ProtoMsg::LockRelease { lock } => {
-                    w.put_u8(19);
-                    w.put_u16(lock);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => ProtoMsg::ReadReq { block: Snap::load(r)?, requester: Snap::load(r)? },
-                1 => ProtoMsg::ReadReply { block: Snap::load(r)? },
-                2 => ProtoMsg::WriteReq { block: Snap::load(r)?, requester: Snap::load(r)? },
-                3 => ProtoMsg::UpgradeReq { block: Snap::load(r)?, requester: Snap::load(r)? },
-                4 => ProtoMsg::Inval {
-                    block: Snap::load(r)?,
-                    txn: Snap::load(r)?,
-                    home: Snap::load(r)?,
-                },
-                5 => ProtoMsg::InvAck {
-                    block: Snap::load(r)?,
-                    txn: Snap::load(r)?,
-                    count: r.get_u32()?,
-                },
-                6 => ProtoMsg::RelayInval {
-                    block: Snap::load(r)?,
-                    txn: Snap::load(r)?,
-                    home: Snap::load(r)?,
-                },
-                7 => ProtoMsg::SweepTrigger { block: Snap::load(r)?, txn: Snap::load(r)? },
-                8 => ProtoMsg::GatherAck { block: Snap::load(r)?, txn: Snap::load(r)? },
-                9 => ProtoMsg::WriteGrant { block: Snap::load(r)?, with_data: r.get_bool()? },
-                10 => ProtoMsg::Fetch {
-                    block: Snap::load(r)?,
-                    requester: Snap::load(r)?,
-                    for_write: r.get_bool()?,
-                },
-                11 => ProtoMsg::OwnerData { block: Snap::load(r)?, exclusive: r.get_bool()? },
-                12 => ProtoMsg::FetchWb {
-                    block: Snap::load(r)?,
-                    requester: Snap::load(r)?,
-                    was_write: r.get_bool()?,
-                },
-                13 => ProtoMsg::Writeback { block: Snap::load(r)?, owner: Snap::load(r)? },
-                14 => ProtoMsg::WritebackAck { block: Snap::load(r)? },
-                15 => ProtoMsg::BarrierArrive { barrier: r.get_u16()?, participants: r.get_u32()? },
-                16 => ProtoMsg::BarrierRelease { barrier: r.get_u16()? },
-                17 => ProtoMsg::LockReq { lock: r.get_u16()?, requester: Snap::load(r)? },
-                18 => ProtoMsg::LockGrant { lock: r.get_u16()? },
-                19 => ProtoMsg::LockRelease { lock: r.get_u16()? },
-                t => return Err(SnapError::Corrupt(format!("bad ProtoMsg tag {t}"))),
-            })
-        }
-    }
-
-    impl Snap for MsgTable {
-        fn save(&self, w: &mut SnapWriter) {
-            self.msgs.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MsgTable { msgs: Snap::load(r)? })
-        }
-    }
-}
+snap_enum!(ProtoMsg {
+    0 => ReadReq { block, requester },
+    1 => ReadReply { block },
+    2 => WriteReq { block, requester },
+    3 => UpgradeReq { block, requester },
+    4 => Inval { block, txn, home },
+    5 => InvAck { block, txn, count },
+    6 => RelayInval { block, txn, home },
+    7 => SweepTrigger { block, txn },
+    8 => GatherAck { block, txn },
+    9 => WriteGrant { block, with_data },
+    10 => Fetch { block, requester, for_write },
+    11 => OwnerData { block, exclusive },
+    12 => FetchWb { block, requester, was_write },
+    13 => Writeback { block, owner },
+    14 => WritebackAck { block },
+    15 => BarrierArrive { barrier, participants },
+    16 => BarrierRelease { barrier },
+    17 => LockReq { lock, requester },
+    18 => LockGrant { lock },
+    19 => LockRelease { lock },
+});
+snap_struct!(MsgTable { msgs });
 
 #[cfg(test)]
 mod tests {

@@ -6,6 +6,7 @@
 //! from this buffer instead of failing.
 
 use crate::addr::BlockId;
+use wormdsm_sim::snap::snap_struct;
 
 /// Per-node writeback buffer: blocks with a `Writeback` in flight.
 #[derive(Debug, Default, Clone)]
@@ -53,19 +54,7 @@ impl WbBuffer {
     }
 }
 
-mod snap_impls {
-    use super::WbBuffer;
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for WbBuffer {
-        fn save(&self, w: &mut SnapWriter) {
-            self.pending.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(WbBuffer { pending: Snap::load(r)? })
-        }
-    }
-}
+snap_struct!(WbBuffer { pending });
 
 #[cfg(test)]
 mod tests {

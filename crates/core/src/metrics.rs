@@ -2,6 +2,7 @@
 //! (invalidation latency, home-node occupancy via message counts and busy
 //! time, message counts, network traffic) plus processor-visible latencies.
 
+use wormdsm_sim::snap::snap_struct;
 use wormdsm_sim::{Histogram, Metric, Registry, Summary};
 
 /// Aggregated run metrics. Network-level counters (flit-hops, link
@@ -306,59 +307,28 @@ pub fn to_prometheus(reg: &Registry, labels: &[(&str, &str)]) -> String {
     out
 }
 
-mod snap_impls {
-    use super::*;
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for Metrics {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u64(self.inval_txns);
-            self.inval_latency.save(w);
-            self.inval_home_msgs.save(w);
-            self.inval_set_size.save(w);
-            self.write_latency.save(w);
-            self.read_latency.save(w);
-            w.put_u64(self.read_hits);
-            w.put_u64(self.write_hits);
-            w.put_u64(self.read_misses);
-            w.put_u64(self.write_misses);
-            w.put_u64(self.spurious_invals);
-            w.put_u64(self.poisoned_fills);
-            w.put_u64(self.iack_fallbacks);
-            w.put_u64(self.writebacks);
-            w.put_u64(self.fetch_retries);
-            w.put_u64(self.wb_retries);
-            w.put_u64(self.barriers);
-            w.put_u64(self.stall_cycles);
-            w.put_u64(self.sync_stall_cycles);
-            w.put_u64(self.invariant_failures);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                inval_txns: r.get_u64()?,
-                inval_latency: Snap::load(r)?,
-                inval_home_msgs: Snap::load(r)?,
-                inval_set_size: Snap::load(r)?,
-                write_latency: Snap::load(r)?,
-                read_latency: Snap::load(r)?,
-                read_hits: r.get_u64()?,
-                write_hits: r.get_u64()?,
-                read_misses: r.get_u64()?,
-                write_misses: r.get_u64()?,
-                spurious_invals: r.get_u64()?,
-                poisoned_fills: r.get_u64()?,
-                iack_fallbacks: r.get_u64()?,
-                writebacks: r.get_u64()?,
-                fetch_retries: r.get_u64()?,
-                wb_retries: r.get_u64()?,
-                barriers: r.get_u64()?,
-                stall_cycles: r.get_u64()?,
-                sync_stall_cycles: r.get_u64()?,
-                invariant_failures: r.get_u64()?,
-            })
-        }
-    }
-}
+snap_struct!(Metrics {
+    inval_txns,
+    inval_latency,
+    inval_home_msgs,
+    inval_set_size,
+    write_latency,
+    read_latency,
+    read_hits,
+    write_hits,
+    read_misses,
+    write_misses,
+    spurious_invals,
+    poisoned_fills,
+    iack_fallbacks,
+    writebacks,
+    fetch_retries,
+    wb_retries,
+    barriers,
+    stall_cycles,
+    sync_stall_cycles,
+    invariant_failures,
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,6 +8,7 @@
 
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::WormKind;
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 
 /// A worm a scheme wants injected, before the system fills in payload,
 /// transaction id, lengths, and virtual network.
@@ -158,73 +159,17 @@ pub fn validate_plan(plan: &InvalPlan, sharers: &[NodeId]) -> Result<(), String>
     Ok(())
 }
 
-mod snap_impls {
-    use super::*;
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for PlannedWorm {
-        fn save(&self, w: &mut SnapWriter) {
-            self.kind.save(w);
-            self.dests.save(w);
-            self.deliver.save(w);
-            w.put_bool(self.reserve_iack);
-            w.put_bool(self.gather_deposit);
-            w.put_u32(self.initial_acks);
-            w.put_bool(self.relay);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                kind: Snap::load(r)?,
-                dests: Snap::load(r)?,
-                deliver: Snap::load(r)?,
-                reserve_iack: r.get_bool()?,
-                gather_deposit: r.get_bool()?,
-                initial_acks: r.get_u32()?,
-                relay: r.get_bool()?,
-            })
-        }
-    }
-
-    impl Snap for AckAction {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                AckAction::Unicast => w.put_u8(0),
-                AckAction::Post => w.put_u8(1),
-                AckAction::InitGather(worm) => {
-                    w.put_u8(2);
-                    worm.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => AckAction::Unicast,
-                1 => AckAction::Post,
-                2 => AckAction::InitGather(Snap::load(r)?),
-                t => return Err(SnapError::Corrupt(format!("AckAction tag {t}"))),
-            })
-        }
-    }
-
-    impl Snap for InvalPlan {
-        fn save(&self, w: &mut SnapWriter) {
-            self.request_worms.save(w);
-            self.actions.save(w);
-            self.relays.save(w);
-            self.triggers.save(w);
-            w.put_u32(self.needed);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                request_worms: Snap::load(r)?,
-                actions: Snap::load(r)?,
-                relays: Snap::load(r)?,
-                triggers: Snap::load(r)?,
-                needed: r.get_u32()?,
-            })
-        }
-    }
-}
+snap_struct!(PlannedWorm {
+    kind,
+    dests,
+    deliver,
+    reserve_iack,
+    gather_deposit,
+    initial_acks,
+    relay,
+});
+snap_enum!(AckAction { 0 => Unicast, 1 => Post, 2 => InitGather(worm) });
+snap_struct!(InvalPlan { request_worms, actions, relays, triggers, needed });
 
 #[cfg(test)]
 mod tests {

@@ -28,7 +28,7 @@ use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
 use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network};
 use wormdsm_sim::profile::TxnProfiler;
-use wormdsm_sim::snap::{Fnv64, Snap, SnapError, SnapReader, SnapWriter};
+use wormdsm_sim::snap::{snap_enum, snap_struct, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::stats::BusyTime;
 use wormdsm_sim::trace::{FlightRecorder, InvariantViolation, TraceClass, TraceKind, TraceLevel};
 use wormdsm_sim::{trace_event, Calendar, Cycle, Registry};
@@ -812,32 +812,18 @@ impl DsmSystem {
     /// with the original: stepping both from the snapshot point produces
     /// the same metrics, cycle for cycle. Snapshots of runs that already
     /// tripped a protocol invariant are refused — their state is
-    /// untrustworthy by definition.
+    /// untrustworthy by definition. Observers do not survive: the flight
+    /// recorder starts empty at its default level, with no contention
+    /// probe or profiler attached. A failed restore returns no system.
     pub fn restore_snapshot(
         cfg: SystemConfig,
         scheme: Box<dyn InvalidationScheme>,
         bytes: &[u8],
     ) -> Result<Self, SimError> {
-        let mut sys = Self::try_new(cfg, scheme)?;
-        sys.restore_snapshot_in_place(bytes)?;
-        Ok(sys)
-    }
-
-    /// Overwrite this system's state with a snapshot taken on the same
-    /// configuration and scheme (the recorded fingerprint is enforced, so
-    /// a foreign snapshot cannot be applied by mistake).
-    ///
-    /// Observers do not survive the restore: the flight recorder restarts
-    /// empty at its default level, and
-    /// any contention probe or profiler is dropped with the old network.
-    /// On error the system is left unusable for further stepping (state
-    /// may be partially overwritten) — callers must treat a failed
-    /// restore as fatal for this instance.
-    pub fn restore_snapshot_in_place(&mut self, bytes: &[u8]) -> Result<(), SimError> {
         fn snap_err(e: SnapError) -> SimError {
             SimError::Snapshot(e.to_string())
         }
-        let sys = self;
+        let mut sys = Self::try_new(cfg, scheme)?;
         let mut r = SnapReader::new(bytes).map_err(snap_err)?;
         let fp = r.get_u64().map_err(snap_err)?;
         let scheme_name = r.get_str().map_err(snap_err)?;
@@ -891,9 +877,7 @@ impl DsmSystem {
                 r.remaining()
             )));
         }
-        sys.violation = None;
-        sys.delivery_scratch.clear();
-        Ok(())
+        Ok(sys)
     }
 
     // ------------------------------------------------------------------
@@ -2149,289 +2133,82 @@ impl DsmSystem {
     }
 }
 
-mod snap_impls {
-    use super::*;
+snap_enum!(MemOp {
+    0 => Compute(cycles),
+    1 => Read(addr),
+    2 => Write(addr),
+    3 => Barrier { id, participants },
+    4 => Lock(lock),
+    5 => Unlock(lock),
+});
+snap_enum!(StallKind {
+    0 => Read(block),
+    1 => Write(block),
+    2 => Barrier(id),
+    3 => Lock(id),
+    4 => Deferred(op),
+});
+snap_enum!(ProcState { 0 => Idle, 1 => BusyUntil(until), 2 => Stalled { kind, since } });
+snap_struct!(NodeCtx { cache, wb, dc, cc, mem, proc, pending_writes, poisoned_fill });
+snap_struct!(TxnState { block, home, writer, needed, got, plan, with_data, started, home_msgs });
+snap_struct!(BarrierState { expected, arrived });
+snap_struct!(LockState { holder, queue });
+snap_enum!(Ev {
+    0 => Recv { node, key, acks, kind, src },
+    1 => Handle { node, key, acks, kind, src },
+    2 => Inject(spec),
+    3 => PostIack { node, txn },
+});
 
-    impl Snap for MemOp {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                MemOp::Compute(c) => {
-                    w.put_u8(0);
-                    w.put_u64(*c);
-                }
-                MemOp::Read(a) => {
-                    w.put_u8(1);
-                    a.save(w);
-                }
-                MemOp::Write(a) => {
-                    w.put_u8(2);
-                    a.save(w);
-                }
-                MemOp::Barrier { id, participants } => {
-                    w.put_u8(3);
-                    w.put_u16(*id);
-                    w.put_u32(*participants);
-                }
-                MemOp::Lock(l) => {
-                    w.put_u8(4);
-                    w.put_u16(*l);
-                }
-                MemOp::Unlock(l) => {
-                    w.put_u8(5);
-                    w.put_u16(*l);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => MemOp::Compute(r.get_u64()?),
-                1 => MemOp::Read(Snap::load(r)?),
-                2 => MemOp::Write(Snap::load(r)?),
-                3 => MemOp::Barrier { id: r.get_u16()?, participants: r.get_u32()? },
-                4 => MemOp::Lock(r.get_u16()?),
-                5 => MemOp::Unlock(r.get_u16()?),
-                t => return Err(SnapError::Corrupt(format!("MemOp tag {t}"))),
-            })
-        }
+impl Snap for TxnSlab {
+    fn save(&self, w: &mut SnapWriter) {
+        self.slots.save(w);
+        self.ids.save(w);
+        self.free.save(w);
+        w.put_u64(self.seq);
     }
-
-    impl Snap for StallKind {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                StallKind::Read(b) => {
-                    w.put_u8(0);
-                    b.save(w);
-                }
-                StallKind::Write(b) => {
-                    w.put_u8(1);
-                    b.save(w);
-                }
-                StallKind::Barrier(id) => {
-                    w.put_u8(2);
-                    w.put_u16(*id);
-                }
-                StallKind::Lock(id) => {
-                    w.put_u8(3);
-                    w.put_u16(*id);
-                }
-                StallKind::Deferred(op) => {
-                    w.put_u8(4);
-                    op.save(w);
-                }
-            }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let slots: Vec<Option<TxnState>> = Snap::load(r)?;
+        let ids: Vec<u64> = Snap::load(r)?;
+        let free: Vec<u32> = Snap::load(r)?;
+        let seq = r.get_u64()?;
+        if ids.len() != slots.len() {
+            return Err(SnapError::Corrupt(format!(
+                "txn slab: {} ids for {} slots",
+                ids.len(),
+                slots.len()
+            )));
         }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => StallKind::Read(Snap::load(r)?),
-                1 => StallKind::Write(Snap::load(r)?),
-                2 => StallKind::Barrier(r.get_u16()?),
-                3 => StallKind::Lock(r.get_u16()?),
-                4 => StallKind::Deferred(Snap::load(r)?),
-                t => return Err(SnapError::Corrupt(format!("StallKind tag {t}"))),
-            })
-        }
-    }
-
-    impl Snap for ProcState {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                ProcState::Idle => w.put_u8(0),
-                ProcState::BusyUntil(t) => {
-                    w.put_u8(1);
-                    w.put_u64(*t);
-                }
-                ProcState::Stalled { kind, since } => {
-                    w.put_u8(2);
-                    kind.save(w);
-                    w.put_u64(*since);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => ProcState::Idle,
-                1 => ProcState::BusyUntil(r.get_u64()?),
-                2 => ProcState::Stalled { kind: Snap::load(r)?, since: r.get_u64()? },
-                t => return Err(SnapError::Corrupt(format!("ProcState tag {t}"))),
-            })
-        }
-    }
-
-    impl Snap for NodeCtx {
-        fn save(&self, w: &mut SnapWriter) {
-            self.cache.save(w);
-            self.wb.save(w);
-            self.dc.save(w);
-            self.cc.save(w);
-            self.mem.save(w);
-            self.proc.save(w);
-            self.pending_writes.save(w);
-            self.poisoned_fill.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                cache: Snap::load(r)?,
-                wb: Snap::load(r)?,
-                dc: Snap::load(r)?,
-                cc: Snap::load(r)?,
-                mem: Snap::load(r)?,
-                proc: Snap::load(r)?,
-                pending_writes: Snap::load(r)?,
-                poisoned_fill: Snap::load(r)?,
-            })
-        }
-    }
-
-    impl Snap for TxnState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.block.save(w);
-            self.home.save(w);
-            self.writer.save(w);
-            w.put_u32(self.needed);
-            w.put_u32(self.got);
-            self.plan.save(w);
-            w.put_bool(self.with_data);
-            w.put_u64(self.started);
-            w.put_u32(self.home_msgs);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                block: Snap::load(r)?,
-                home: Snap::load(r)?,
-                writer: Snap::load(r)?,
-                needed: r.get_u32()?,
-                got: r.get_u32()?,
-                plan: Snap::load(r)?,
-                with_data: r.get_bool()?,
-                started: r.get_u64()?,
-                home_msgs: r.get_u32()?,
-            })
-        }
-    }
-
-    impl Snap for BarrierState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u32(self.expected);
-            self.arrived.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self { expected: r.get_u32()?, arrived: Snap::load(r)? })
-        }
-    }
-
-    impl Snap for LockState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.holder.save(w);
-            self.queue.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self { holder: Snap::load(r)?, queue: Snap::load(r)? })
-        }
-    }
-
-    impl Snap for TxnSlab {
-        fn save(&self, w: &mut SnapWriter) {
-            self.slots.save(w);
-            self.ids.save(w);
-            self.free.save(w);
-            w.put_u64(self.seq);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let slots: Vec<Option<TxnState>> = Snap::load(r)?;
-            let ids: Vec<u64> = Snap::load(r)?;
-            let free: Vec<u32> = Snap::load(r)?;
-            let seq = r.get_u64()?;
-            if ids.len() != slots.len() {
+        for (slot, (s, &id)) in slots.iter().zip(&ids).enumerate() {
+            if s.is_some() != (id != 0) {
                 return Err(SnapError::Corrupt(format!(
-                    "txn slab: {} ids for {} slots",
-                    ids.len(),
-                    slots.len()
+                    "txn slab: slot {slot} occupancy disagrees with its id"
                 )));
             }
-            for (slot, (s, &id)) in slots.iter().zip(&ids).enumerate() {
-                if s.is_some() != (id != 0) {
-                    return Err(SnapError::Corrupt(format!(
-                        "txn slab: slot {slot} occupancy disagrees with its id"
-                    )));
-                }
-                if id != 0 && (id & ((1 << TXN_SLOT_BITS) - 1)) as usize != slot {
-                    return Err(SnapError::Corrupt(format!(
-                        "txn slab: id {id:#x} stored in slot {slot}"
-                    )));
-                }
-            }
-            let mut vacant_seen = vec![false; slots.len()];
-            for &f in &free {
-                let f = f as usize;
-                if f >= slots.len()
-                    || slots[f].is_some()
-                    || std::mem::replace(&mut vacant_seen[f], true)
-                {
-                    return Err(SnapError::Corrupt(format!("txn slab: bad free-list entry {f}")));
-                }
-            }
-            let live = slots.iter().filter(|s| s.is_some()).count();
-            if free.len() + live != slots.len() {
+            if id != 0 && (id & ((1 << TXN_SLOT_BITS) - 1)) as usize != slot {
                 return Err(SnapError::Corrupt(format!(
-                    "txn slab: {} free + {live} live != {} slots",
-                    free.len(),
-                    slots.len()
+                    "txn slab: id {id:#x} stored in slot {slot}"
                 )));
             }
-            Ok(Self { slots, ids, free, seq, live })
         }
-    }
-
-    impl Snap for Ev {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Ev::Recv { node, key, acks, kind, src } => {
-                    w.put_u8(0);
-                    node.save(w);
-                    w.put_u64(*key);
-                    w.put_u32(*acks);
-                    kind.save(w);
-                    src.save(w);
-                }
-                Ev::Handle { node, key, acks, kind, src } => {
-                    w.put_u8(1);
-                    node.save(w);
-                    w.put_u64(*key);
-                    w.put_u32(*acks);
-                    kind.save(w);
-                    src.save(w);
-                }
-                Ev::Inject(spec) => {
-                    w.put_u8(2);
-                    spec.save(w);
-                }
-                Ev::PostIack { node, txn } => {
-                    w.put_u8(3);
-                    node.save(w);
-                    txn.save(w);
-                }
+        let mut vacant_seen = vec![false; slots.len()];
+        for &f in &free {
+            let f = f as usize;
+            if f >= slots.len()
+                || slots[f].is_some()
+                || std::mem::replace(&mut vacant_seen[f], true)
+            {
+                return Err(SnapError::Corrupt(format!("txn slab: bad free-list entry {f}")));
             }
         }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.get_u8()? {
-                0 => Ev::Recv {
-                    node: Snap::load(r)?,
-                    key: r.get_u64()?,
-                    acks: r.get_u32()?,
-                    kind: Snap::load(r)?,
-                    src: Snap::load(r)?,
-                },
-                1 => Ev::Handle {
-                    node: Snap::load(r)?,
-                    key: r.get_u64()?,
-                    acks: r.get_u32()?,
-                    kind: Snap::load(r)?,
-                    src: Snap::load(r)?,
-                },
-                2 => Ev::Inject(Snap::load(r)?),
-                3 => Ev::PostIack { node: Snap::load(r)?, txn: Snap::load(r)? },
-                t => return Err(SnapError::Corrupt(format!("Ev tag {t}"))),
-            })
+        let live = slots.iter().filter(|s| s.is_some()).count();
+        if free.len() + live != slots.len() {
+            return Err(SnapError::Corrupt(format!(
+                "txn slab: {} free + {live} live != {} slots",
+                free.len(),
+                slots.len()
+            )));
         }
+        Ok(Self { slots, ids, free, seq, live })
     }
 }

@@ -21,6 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
+use wormdsm_sim::profile::json_str;
 
 /// Longest request head (request line + headers) we accept.
 const MAX_HEAD: usize = 16 * 1024;
@@ -134,7 +135,7 @@ fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
     let req = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
-            let msg = format!("{{\"error\":\"{}\"}}", e.to_string().replace('"', "'"));
+            let msg = format!("{{\"error\":{}}}", json_str(&e.to_string()));
             return respond(&mut stream, "400 Bad Request", "application/json", &msg);
         }
     };
@@ -169,21 +170,17 @@ fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
 }
 
 fn submit(farm: &Arc<Farm>, stream: &mut TcpStream, encoded: &str) -> std::io::Result<()> {
+    let (status, body) = submit_reply(farm, encoded);
+    respond(stream, status, "application/json", &body)
+}
+
+/// Status line and JSON body answering a submission.
+fn submit_reply(farm: &Farm, encoded: &str) -> (&'static str, String) {
     let parsed =
         wormdsm_workloads::Scenario::parse_query(encoded).and_then(|spec| farm.submit(spec));
     match parsed {
-        Ok((id, fresh)) => respond(
-            stream,
-            "200 OK",
-            "application/json",
-            &format!("{{\"id\":{id},\"fresh\":{fresh}}}"),
-        ),
-        Err(e) => respond(
-            stream,
-            "400 Bad Request",
-            "application/json",
-            &format!("{{\"error\":\"{}\"}}", e.replace('"', "'")),
-        ),
+        Ok((id, fresh)) => ("200 OK", format!("{{\"id\":{id},\"fresh\":{fresh}}}")),
+        Err(e) => ("400 Bad Request", format!("{{\"error\":{}}}", json_str(&e))),
     }
 }
 
@@ -280,5 +277,21 @@ mod tests {
         assert_eq!(post("999999999", b"").to_string(), "request body too large");
         assert_eq!(post("10", b"abc").kind(), std::io::ErrorKind::UnexpectedEof);
         assert_eq!(post("2", b"\xff\xfe").to_string(), "body is not utf-8");
+    }
+
+    /// A refused submission echoes the offending value; the echo is
+    /// escaped, so the 400 body stays valid JSON even for control
+    /// characters.
+    #[test]
+    fn refused_submission_body_is_valid_json() {
+        let farm = Farm::new(crate::FarmConfig::default());
+        for query in ["app=%01", "app=%22%5C", "app=bh&pattern=%0A"] {
+            let (status, body) = submit_reply(&farm, query);
+            assert_eq!(status, "400 Bad Request", "{query}");
+            wormdsm_sim::profile::validate_json(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+        }
+        // The error quotes the app with `{:?}`, whose `\u{1}` escape is
+        // itself escaped.
+        assert!(submit_reply(&farm, "app=%01").1.contains(r"\\u{1}"));
     }
 }

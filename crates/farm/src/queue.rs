@@ -2,6 +2,7 @@
 //! progress tracking, and pause checkpoints.
 
 use std::collections::{HashMap, VecDeque};
+use wormdsm_sim::profile::json_str;
 use wormdsm_sim::{Cycle, Registry};
 use wormdsm_workloads::Scenario;
 
@@ -103,7 +104,7 @@ impl Job {
                 }
             }
             JobStatus::Failed(e) => {
-                s.push_str(&format!(",\"error\":\"{}\"", e.replace('"', "'")));
+                s.push_str(&format!(",\"error\":{}", json_str(e)));
             }
             _ => {}
         }
@@ -289,6 +290,23 @@ mod tests {
         assert_eq!(again, a);
         assert!(!fresh);
         assert_eq!(t.dedup_hits(), 2);
+    }
+
+    /// A failed job's error text may hold anything; `/jobs` stays valid
+    /// JSON and carries it verbatim.
+    #[test]
+    fn failed_row_error_is_escaped() {
+        let mut t = JobTable::new();
+        let (id, _) = t.submit(spec(1), None);
+        t.claim(1);
+        let err = "bad \"spec\" at C:\\dir\nnext\u{1}line";
+        t.fail(id, err.to_string());
+        let json = t.to_json();
+        wormdsm_sim::profile::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        assert!(
+            json.contains(r#""error":"bad \"spec\" at C:\\dir\u000anext\u0001line""#),
+            "{json}"
+        );
     }
 
     #[test]

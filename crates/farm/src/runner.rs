@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wormdsm_core::{to_prometheus, DsmSystem, RunMeta, TraceLevel};
+use wormdsm_sim::profile::json_str;
 use wormdsm_sim::trace::{EventTap, TraceKind};
 use wormdsm_sim::{BoundedRing, Cycle, Phase, Registry};
 use wormdsm_workloads::{IssueState, Observe, RunEnd, Scenario};
@@ -153,13 +154,6 @@ impl Farm {
         self.stop.load(Ordering::Relaxed) || signal::requested()
     }
 
-    /// Drop this instance's shutdown request (an in-process restart:
-    /// re-arm, requeue paused jobs, call [`Farm::run_executor`] again).
-    /// Does not clear the process-wide signal flag.
-    pub fn clear_shutdown(&self) {
-        self.stop.store(false, Ordering::Relaxed);
-    }
-
     /// Run the executor until shutdown is requested — or, with
     /// `exit_when_settled`, until no job is queued or running (batch
     /// mode / tests). Paused jobs are requeued on entry, so a restarted
@@ -209,9 +203,10 @@ impl Farm {
                     JobEnd::Failed(e) => {
                         self.bus.publish(
                             "job",
-                            &format!("{{\"id\":{id},\"state\":\"failed\",\"error\":\"{}\"}}", {
-                                e.replace('"', "'")
-                            }),
+                            &format!(
+                                "{{\"id\":{id},\"state\":\"failed\",\"error\":{}}}",
+                                json_str(&e)
+                            ),
                         );
                         table.fail(*id, e);
                     }

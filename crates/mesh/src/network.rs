@@ -40,7 +40,7 @@ use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
     Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormSpec, WormState, WormTable, NUM_VNETS,
 };
-use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use wormdsm_sim::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 use wormdsm_sim::trace::{FlightRecorder, TraceClass, TraceKind, TraceLevel};
 use wormdsm_sim::{BitSet128, Cycle, NoProgress, Registry, Summary, Watchdog};
@@ -983,11 +983,6 @@ impl Network {
         self.nics.delivered_mut(node.idx()).drain(..).collect()
     }
 
-    /// True if `node` has pending deliveries.
-    pub fn has_deliveries(&self, node: NodeId) -> bool {
-        !self.nics.delivered(node.idx()).is_empty()
-    }
-
     /// Drain the set of nodes with undrained deliveries into `buf`
     /// (ascending node order), reusing the caller's buffer. Callers should
     /// then [`Network::pop_delivery`] each listed node dry; a node whose
@@ -1878,50 +1873,25 @@ impl Snap for LinkLoadMeter {
     }
 }
 
-impl Snap for NetStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.flit_hops);
-        w.put_u64(self.flits_injected);
-        w.put_u64(self.flits_consumed);
-        w.put_u64(self.worms_injected[0]);
-        w.put_u64(self.worms_injected[1]);
-        w.put_u64(self.deliveries);
-        w.put_u64(self.gather_blocked_cycles);
-        w.put_u64(self.multicast_blocked_cycles);
-        w.put_u64(self.parks);
-        w.put_u64(self.bounces);
-        w.put_u64(self.resumes);
-        w.put_u64(self.deposits);
-        w.put_u64(self.deposit_retries);
-        self.link_busy.save(w);
-        self.unicast_latency.save(w);
-        self.multicast_latency.save(w);
-        self.gather_latency.save(w);
-        w.put_u64(self.worm_slots_reused);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            flit_hops: r.get_u64()?,
-            flits_injected: r.get_u64()?,
-            flits_consumed: r.get_u64()?,
-            worms_injected: [r.get_u64()?, r.get_u64()?],
-            deliveries: r.get_u64()?,
-            gather_blocked_cycles: r.get_u64()?,
-            multicast_blocked_cycles: r.get_u64()?,
-            parks: r.get_u64()?,
-            bounces: r.get_u64()?,
-            resumes: r.get_u64()?,
-            deposits: r.get_u64()?,
-            deposit_retries: r.get_u64()?,
-            link_busy: Vec::load(r)?,
-            unicast_latency: Summary::load(r)?,
-            multicast_latency: Summary::load(r)?,
-            gather_latency: Summary::load(r)?,
-            worm_slots_reused: r.get_u64()?,
-        })
-    }
-}
+snap_struct!(NetStats {
+    flit_hops,
+    flits_injected,
+    flits_consumed,
+    worms_injected,
+    deliveries,
+    gather_blocked_cycles,
+    multicast_blocked_cycles,
+    parks,
+    bounces,
+    resumes,
+    deposits,
+    deposit_retries,
+    link_busy,
+    unicast_latency,
+    multicast_latency,
+    gather_latency,
+    worm_slots_reused,
+});
 
 #[cfg(test)]
 mod tests {

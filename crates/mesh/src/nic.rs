@@ -20,6 +20,7 @@
 use crate::topology::NodeId;
 use crate::worm::{Flit, TxnId, VNet, WormId, NUM_VNETS};
 use std::collections::VecDeque;
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 use wormdsm_sim::{Cycle, Strided};
 
 /// How a gather worm behaves when it reaches a router interface whose i-ack
@@ -505,103 +506,19 @@ impl NicSlab {
     }
 }
 
+snap_enum!(IackState {
+    0 => Reserved,
+    1 => Posted { count },
+    2 => Parked { worm, drained, total, posted },
+});
+snap_struct!(IackEntry { txn, state });
+snap_enum!(DeliveryKind { 0 => Final, 1 => Absorb });
+snap_struct!(Delivery { node, worm, src, payload, kind, acks, at, txn });
+snap_struct!(StreamState { worm, next_seq, len });
+
 mod snap_impls {
-    use super::{Delivery, DeliveryKind, IackEntry, IackState, NicSlab, StreamState, NUM_VNETS};
+    use super::{NicSlab, NUM_VNETS};
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for IackState {
-        fn save(&self, w: &mut SnapWriter) {
-            match *self {
-                IackState::Reserved => w.put_u8(0),
-                IackState::Posted { count } => {
-                    w.put_u8(1);
-                    w.put_u32(count);
-                }
-                IackState::Parked { worm, drained, total, posted } => {
-                    w.put_u8(2);
-                    worm.save(w);
-                    w.put_u16(drained);
-                    w.put_u16(total);
-                    posted.save(w);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(IackState::Reserved),
-                1 => Ok(IackState::Posted { count: r.get_u32()? }),
-                2 => Ok(IackState::Parked {
-                    worm: Snap::load(r)?,
-                    drained: r.get_u16()?,
-                    total: r.get_u16()?,
-                    posted: Snap::load(r)?,
-                }),
-                t => Err(SnapError::Corrupt(format!("bad IackState tag {t}"))),
-            }
-        }
-    }
-
-    impl Snap for IackEntry {
-        fn save(&self, w: &mut SnapWriter) {
-            self.txn.save(w);
-            self.state.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(IackEntry { txn: Snap::load(r)?, state: Snap::load(r)? })
-        }
-    }
-
-    impl Snap for DeliveryKind {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u8(match self {
-                DeliveryKind::Final => 0,
-                DeliveryKind::Absorb => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(DeliveryKind::Final),
-                1 => Ok(DeliveryKind::Absorb),
-                t => Err(SnapError::Corrupt(format!("bad DeliveryKind tag {t}"))),
-            }
-        }
-    }
-
-    impl Snap for Delivery {
-        fn save(&self, w: &mut SnapWriter) {
-            self.node.save(w);
-            self.worm.save(w);
-            self.src.save(w);
-            w.put_u64(self.payload);
-            self.kind.save(w);
-            w.put_u32(self.acks);
-            w.put_u64(self.at);
-            self.txn.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Delivery {
-                node: Snap::load(r)?,
-                worm: Snap::load(r)?,
-                src: Snap::load(r)?,
-                payload: r.get_u64()?,
-                kind: Snap::load(r)?,
-                acks: r.get_u32()?,
-                at: r.get_u64()?,
-                txn: Snap::load(r)?,
-            })
-        }
-    }
-
-    impl Snap for StreamState {
-        fn save(&self, w: &mut SnapWriter) {
-            self.worm.save(w);
-            w.put_u16(self.next_seq);
-            w.put_u16(self.len);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(StreamState { worm: Snap::load(r)?, next_seq: r.get_u16()?, len: r.get_u16()? })
-        }
-    }
 
     impl Snap for NicSlab {
         fn save(&self, w: &mut SnapWriter) {

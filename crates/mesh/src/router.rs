@@ -32,7 +32,7 @@
 //!   primary state.
 
 use crate::worm::{Flit, FlitKind, WormId};
-use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use wormdsm_sim::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::{BitSet128, Cycle, Strided};
 
 /// Index of the local (injection/consumption) port, `Port::Local.index()`.
@@ -647,50 +647,12 @@ impl RouterSlab {
     }
 }
 
-mod snap_impls {
-    use super::{BufFlit, VcMode};
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for BufFlit {
-        fn save(&self, w: &mut SnapWriter) {
-            self.flit.save(w);
-            w.put_u64(self.ready_at);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BufFlit { flit: Snap::load(r)?, ready_at: r.get_u64()? })
-        }
-    }
-
-    impl Snap for VcMode {
-        fn save(&self, w: &mut SnapWriter) {
-            match *self {
-                VcMode::Normal => w.put_u8(0),
-                VcMode::Active { out_port, out_vc, absorb } => {
-                    w.put_u8(1);
-                    w.put_u8(out_port);
-                    w.put_u8(out_vc);
-                    absorb.save(w);
-                }
-                VcMode::DrainPark { entry } => {
-                    w.put_u8(2);
-                    w.put_u8(entry);
-                }
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(VcMode::Normal),
-                1 => Ok(VcMode::Active {
-                    out_port: r.get_u8()?,
-                    out_vc: r.get_u8()?,
-                    absorb: Snap::load(r)?,
-                }),
-                2 => Ok(VcMode::DrainPark { entry: r.get_u8()? }),
-                t => Err(SnapError::Corrupt(format!("bad VcMode tag {t}"))),
-            }
-        }
-    }
-}
+snap_struct!(BufFlit { flit, ready_at });
+snap_enum!(VcMode {
+    0 => Normal,
+    1 => Active { out_port, out_vc, absorb },
+    2 => DrainPark { entry },
+});
 
 #[cfg(test)]
 mod tests {

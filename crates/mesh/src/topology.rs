@@ -20,16 +20,7 @@ impl core::fmt::Display for NodeId {
     }
 }
 
-impl wormdsm_sim::snap::Snap for NodeId {
-    fn save(&self, w: &mut wormdsm_sim::snap::SnapWriter) {
-        w.put_u16(self.0);
-    }
-    fn load(
-        r: &mut wormdsm_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, wormdsm_sim::snap::SnapError> {
-        Ok(Self(r.get_u16()?))
-    }
-}
+wormdsm_sim::snap_struct!(NodeId(0));
 
 /// Coordinates in the mesh; `x` grows eastward, `y` grows southward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

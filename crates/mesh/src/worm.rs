@@ -10,6 +10,7 @@
 //! [`WormTable`] so flits stay two words.
 
 use crate::topology::NodeId;
+use wormdsm_sim::snap::{snap_enum, snap_struct};
 use wormdsm_sim::{Cycle, InlineVec};
 
 /// Destination list of one worm. Inline up to 16 destinations — one full
@@ -331,172 +332,43 @@ impl WormTable {
     }
 }
 
+snap_struct!(WormId(0));
+snap_struct!(TxnId(0));
+snap_enum!(VNet { 0 => Req, 1 => Reply });
+snap_enum!(WormKind { 0 => Unicast, 1 => Multicast, 2 => Gather });
+snap_enum!(FlitKind { 0 => Head, 1 => Body, 2 => Tail });
+snap_struct!(Flit { worm, kind, seq });
+snap_enum!(WormState { 0 => Queued, 1 => InFlight, 2 => Parked(node), 3 => Delivered });
+snap_struct!(WormSpec {
+    src,
+    vnet,
+    kind,
+    dests,
+    len_flits,
+    payload,
+    reserve_iack,
+    txn,
+    initial_acks,
+    gather_deposit,
+    deliver,
+});
+snap_struct!(Worm {
+    spec,
+    id,
+    dest_idx,
+    acks,
+    state,
+    queued_at,
+    injected_at,
+    delivered_at,
+    turned,
+    bounced,
+    copies,
+});
+
 mod snap_impls {
     use super::*;
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for WormId {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u32(self.0);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self(r.get_u32()?))
-        }
-    }
-
-    impl Snap for TxnId {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u64(self.0);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self(r.get_u64()?))
-        }
-    }
-
-    impl Snap for VNet {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u8(self.index() as u8);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(VNet::Req),
-                1 => Ok(VNet::Reply),
-                b => Err(SnapError::Corrupt(format!("VNet tag {b}"))),
-            }
-        }
-    }
-
-    impl Snap for WormKind {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u8(match self {
-                WormKind::Unicast => 0,
-                WormKind::Multicast => 1,
-                WormKind::Gather => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(WormKind::Unicast),
-                1 => Ok(WormKind::Multicast),
-                2 => Ok(WormKind::Gather),
-                b => Err(SnapError::Corrupt(format!("WormKind tag {b}"))),
-            }
-        }
-    }
-
-    impl Snap for FlitKind {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_u8(match self {
-                FlitKind::Head => 0,
-                FlitKind::Body => 1,
-                FlitKind::Tail => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(FlitKind::Head),
-                1 => Ok(FlitKind::Body),
-                2 => Ok(FlitKind::Tail),
-                b => Err(SnapError::Corrupt(format!("FlitKind tag {b}"))),
-            }
-        }
-    }
-
-    impl Snap for Flit {
-        fn save(&self, w: &mut SnapWriter) {
-            self.worm.save(w);
-            self.kind.save(w);
-            w.put_u16(self.seq);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self { worm: WormId::load(r)?, kind: FlitKind::load(r)?, seq: r.get_u16()? })
-        }
-    }
-
-    impl Snap for WormState {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                WormState::Queued => w.put_u8(0),
-                WormState::InFlight => w.put_u8(1),
-                WormState::Parked(n) => {
-                    w.put_u8(2);
-                    n.save(w);
-                }
-                WormState::Delivered => w.put_u8(3),
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.get_u8()? {
-                0 => Ok(WormState::Queued),
-                1 => Ok(WormState::InFlight),
-                2 => Ok(WormState::Parked(NodeId::load(r)?)),
-                3 => Ok(WormState::Delivered),
-                b => Err(SnapError::Corrupt(format!("WormState tag {b}"))),
-            }
-        }
-    }
-
-    impl Snap for WormSpec {
-        fn save(&self, w: &mut SnapWriter) {
-            self.src.save(w);
-            self.vnet.save(w);
-            self.kind.save(w);
-            self.dests.save(w);
-            w.put_u16(self.len_flits);
-            w.put_u64(self.payload);
-            w.put_bool(self.reserve_iack);
-            self.txn.save(w);
-            w.put_u32(self.initial_acks);
-            w.put_bool(self.gather_deposit);
-            self.deliver.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                src: NodeId::load(r)?,
-                vnet: VNet::load(r)?,
-                kind: WormKind::load(r)?,
-                dests: DestVec::load(r)?,
-                len_flits: r.get_u16()?,
-                payload: r.get_u64()?,
-                reserve_iack: r.get_bool()?,
-                txn: TxnId::load(r)?,
-                initial_acks: r.get_u32()?,
-                gather_deposit: r.get_bool()?,
-                deliver: Option::<DeliverMask>::load(r)?,
-            })
-        }
-    }
-
-    impl Snap for Worm {
-        fn save(&self, w: &mut SnapWriter) {
-            self.spec.save(w);
-            self.id.save(w);
-            w.put_usize(self.dest_idx);
-            w.put_u32(self.acks);
-            self.state.save(w);
-            w.put_u64(self.queued_at);
-            self.injected_at.save(w);
-            self.delivered_at.save(w);
-            w.put_bool(self.turned);
-            w.put_bool(self.bounced);
-            w.put_u32(self.copies);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Self {
-                spec: WormSpec::load(r)?,
-                id: WormId::load(r)?,
-                dest_idx: r.get_usize()?,
-                acks: r.get_u32()?,
-                state: WormState::load(r)?,
-                queued_at: r.get_u64()?,
-                injected_at: Option::<Cycle>::load(r)?,
-                delivered_at: Option::<Cycle>::load(r)?,
-                turned: r.get_bool()?,
-                bounced: r.get_bool()?,
-                copies: r.get_u32()?,
-            })
-        }
-    }
 
     impl Snap for WormTable {
         fn save(&self, w: &mut SnapWriter) {

@@ -103,15 +103,7 @@ impl Iterator for BitIter {
     }
 }
 
-impl crate::snap::Snap for BitSet128 {
-    fn save(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.words[0]);
-        w.put_u64(self.words[1]);
-    }
-    fn load(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Self { words: [r.get_u64()?, r.get_u64()?] })
-    }
-}
+crate::snap_struct!(BitSet128 { words });
 
 impl IntoIterator for &BitSet128 {
     type Item = usize;

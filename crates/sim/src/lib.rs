@@ -3,7 +3,7 @@
 //! A small, dependency-free discrete-event / cycle-level simulation kernel.
 //! It plays the role CSIM played for the original paper: a clock, an event
 //! calendar, deterministic pseudo-randomness, and statistics collection
-//! (counters, histograms, time-weighted utilization) used by every other
+//! (counters, histograms, busy-time utilization) used by every other
 //! crate in the workspace.
 //!
 //! Design goals:
@@ -40,7 +40,7 @@ pub use ring::BoundedRing;
 pub use rng::Rng;
 pub use slab::Strided;
 pub use snap::{fnv64, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
-pub use stats::{Counter, Histogram, Metric, Registry, Summary, TimeWeighted};
+pub use stats::{Counter, Histogram, Metric, Registry, Summary};
 pub use trace::{
     EventTap, FlightRecorder, InvariantViolation, TraceClass, TraceEvent, TraceKind, TraceLevel,
 };

@@ -599,6 +599,20 @@ pub mod chrome_trace {
     }
 }
 
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if (c as u32) < 0x20 => out += &format!("\\u{:04x}", c as u32),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
 /// Minimal JSON well-formedness checker (recursive descent, zero deps).
 ///
 /// Used by the test suite to validate the hand-rolled Chrome trace and

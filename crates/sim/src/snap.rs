@@ -8,11 +8,16 @@
 //! FNV-1a 64 integrity hash over the payload — plus the [`Snap`] trait
 //! that every snapshottable type implements.
 //!
-//! Design rules, enforced by the impls throughout the workspace:
+//! Design rules:
 //!
+//! - **One codec rule.** A struct is its fields in listed order; an enum
+//!   is an explicit `u8` tag followed by its variant's fields. Every type
+//!   whose `save`/`load` only walks fields states that list once, through
+//!   [`snap_struct!`] or [`snap_enum!`]; each field is written at its own
+//!   type's width. A `load` that checks its input stays hand-written.
 //! - **Bit-exact floats.** `f64` fields round-trip through `to_bits`, so
-//!   Welford summaries and time-weighted integrals restore to the exact
-//!   bit pattern (the golden-metrics tests compare them with `==`).
+//!   Welford summaries restore to the exact bit pattern (the
+//!   golden-metrics tests compare them with `==`).
 //! - **Deterministic rebuild of derived state.** Hash-table probe arrays,
 //!   binary-heap layouts, and free lists are either serialized verbatim
 //!   (when their order is observable, e.g. LIFO slot reuse) or rebuilt
@@ -65,12 +70,6 @@ impl Fnv64 {
     /// Absorb a `u64` (little-endian bytes).
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorb a `u32` (little-endian bytes).
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
         self.write(&v.to_le_bytes());
     }
 
@@ -200,11 +199,6 @@ impl SnapWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.put_bytes(s.as_bytes());
-    }
-
-    /// Payload bytes written so far (past the header).
-    pub fn payload_len(&self) -> usize {
-        self.buf.len() - 8
     }
 
     /// Seal the stream: append the payload hash and return the bytes.
@@ -347,6 +341,139 @@ pub trait Snap: Sized {
     /// Reconstruct a value from the stream.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 }
+
+/// Implement [`Snap`] for a struct as its fields in the listed order.
+///
+/// The listed order is the byte order, and each field is written at its
+/// own type's width (`u16` through `put_u16`, `[T; N]` with no length
+/// prefix). Named structs list field names, tuple structs list indices:
+///
+/// ```
+/// use wormdsm_sim::snap::{Snap, SnapReader, SnapWriter};
+/// use wormdsm_sim::snap_struct;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Id(u32);
+/// #[derive(Debug, PartialEq)]
+/// struct Hop { id: Id, at: u64, seq: u16 }
+/// snap_struct!(Id(0));
+/// snap_struct!(Hop { at, id, seq }); // bytes: at, id, seq
+///
+/// let hop = Hop { id: Id(7), at: 9, seq: 2 };
+/// let mut w = SnapWriter::new();
+/// hop.save(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes.len(), 8 + 8 + 4 + 2 + 8);
+/// assert_eq!(Hop::load(&mut SnapReader::new(&bytes).unwrap()).unwrap(), hop);
+/// ```
+///
+/// Both halves name every field (`save` destructures without `..`,
+/// `load` builds the struct in full), so a field left out of the list is
+/// a compile error rather than a snapshot that silently drops it:
+///
+/// ```compile_fail
+/// use wormdsm_sim::snap_struct;
+///
+/// struct Hop { at: u64, seq: u16 }
+/// snap_struct!(Hop { at }); // error: `seq` is missing
+/// ```
+///
+/// A `load` that checks its input (lengths, ranges, free lists) is not a
+/// field walk and stays a hand-written impl.
+#[macro_export]
+macro_rules! snap_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($field),+ } = self;
+                $($crate::snap::Snap::save($field, w);)+
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                Ok(Self { $($field: $crate::snap::Snap::load(r)?),+ })
+            }
+        }
+    };
+    ($ty:ident ( $($idx:tt),+ $(,)? )) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($idx: _),+ } = self;
+                $($crate::snap::Snap::save(&self.$idx, w);)+
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                Ok(Self { $($idx: $crate::snap::Snap::load(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implement [`Snap`] for an enum as an explicit `u8` tag followed by the
+/// variant's fields in the listed order.
+///
+/// Tags are written out, so reordering variants in the source cannot
+/// shift the format; `save` matches exhaustively, and an unknown tag
+/// loads as [`SnapError::Corrupt`]. Tuple variants list bindings in
+/// parentheses, struct variants list field names in braces:
+///
+/// ```
+/// use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+/// use wormdsm_sim::snap_enum;
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Slot { Free, Held(u32), Parked { at: u64, seq: u16 } }
+/// snap_enum!(Slot { 0 => Free, 1 => Held(owner), 2 => Parked { at, seq } });
+///
+/// let mut w = SnapWriter::new();
+/// Slot::Parked { at: 3, seq: 4 }.save(&mut w);
+/// let bytes = w.finish();
+/// let back = Slot::load(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+/// assert_eq!(back, Slot::Parked { at: 3, seq: 4 });
+///
+/// let mut w = SnapWriter::new();
+/// w.put_u8(9);
+/// let bytes = w.finish();
+/// let err = Slot::load(&mut SnapReader::new(&bytes).unwrap()).unwrap_err();
+/// assert_eq!(err, SnapError::Corrupt("Slot tag 9".to_string()));
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident {
+        $($tag:literal => $var:ident $(( $($tf:ident),+ $(,)? ))? $({ $($sf:ident),+ $(,)? })?),+
+        $(,)?
+    }) => {
+        impl $crate::snap::Snap for $ty {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$var $(( $($tf),+ ))? $({ $($sf),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::snap::Snap::save($tf, w);)+)?
+                        $($($crate::snap::Snap::save($sf, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snap::SnapError> {
+                match r.get_u8()? {
+                    $($tag => {
+                        $($(let $tf = $crate::snap::Snap::load(r)?;)+)?
+                        $($(let $sf = $crate::snap::Snap::load(r)?;)+)?
+                        Ok(Self::$var $(( $($tf),+ ))? $({ $($sf),+ })?)
+                    })+
+                    t => Err($crate::snap::SnapError::Corrupt(format!(
+                        concat!(stringify!($ty), " tag {}"),
+                        t
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+pub use crate::{snap_enum, snap_struct};
 
 macro_rules! snap_prim {
     ($ty:ty, $put:ident, $get:ident) => {

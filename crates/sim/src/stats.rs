@@ -1,7 +1,7 @@
-//! Statistics collection: counters, running summaries, histograms, and
-//! time-weighted averages (for occupancy / queue-length style metrics).
+//! Statistics collection: counters, running summaries, histograms and
+//! busy-time accumulators.
 
-use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use crate::Cycle;
 
 /// A simple monotonically increasing event counter.
@@ -62,11 +62,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Record an integer observation (convenience for cycle counts).
-    pub fn record_u64(&mut self, x: u64) {
-        self.record(x as f64);
     }
 
     /// Number of observations.
@@ -137,38 +132,11 @@ impl Summary {
     }
 }
 
-impl Snap for Counter {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.count);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self { count: r.get_u64()? })
-    }
-}
-
-impl Snap for Summary {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.n);
-        // Bit patterns, not values: Welford state must restore exactly
-        // (±∞ sentinels of an empty summary included) so post-restore
-        // records continue the identical numeric trajectory.
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-        w.put_f64(self.sum);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            n: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
-            sum: r.get_f64()?,
-        })
-    }
-}
+snap_struct!(Counter { count });
+// Welford state travels as `f64` bit patterns (±∞ sentinels of an empty
+// summary included), so post-restore records continue the identical
+// numeric trajectory.
+snap_struct!(Summary { n, mean, m2, min, max, sum });
 
 /// Fixed-bucket histogram over `u64` values with an overflow bucket.
 ///
@@ -273,79 +241,6 @@ impl Snap for Histogram {
     }
 }
 
-/// Time-weighted value tracker: integrates `value x time` so that
-/// `average()` is the time average — used for home-node occupancy, queue
-/// lengths, and link utilization.
-#[derive(Debug, Clone, Default)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: Cycle,
-    integral: f64,
-    start: Cycle,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at time 0 with value 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the tracked value at time `now`.
-    pub fn set(&mut self, now: Cycle, value: f64) {
-        debug_assert!(now >= self.last_change, "time went backwards");
-        self.integral += self.value * (now - self.last_change) as f64;
-        self.last_change = now;
-        self.value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Adjust the tracked value by `delta` at time `now`.
-    pub fn add(&mut self, now: Cycle, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
-    }
-
-    /// Current instantaneous value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Maximum value seen so far.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time average over `[start, now]`. Returns 0 over an empty interval.
-    pub fn average(&self, now: Cycle) -> f64 {
-        let span = now.saturating_sub(self.start);
-        if span == 0 {
-            return 0.0;
-        }
-        let integral = self.integral + self.value * (now - self.last_change) as f64;
-        integral / span as f64
-    }
-}
-
-impl Snap for TimeWeighted {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_f64(self.value);
-        w.put_u64(self.last_change);
-        w.put_f64(self.integral);
-        w.put_u64(self.start);
-        w.put_f64(self.max);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self {
-            value: r.get_f64()?,
-            last_change: r.get_u64()?,
-            integral: r.get_f64()?,
-            start: r.get_u64()?,
-            max: r.get_f64()?,
-        })
-    }
-}
-
 /// Busy-time accumulator: tracks the total cycles a resource was busy, for
 /// utilization and occupancy metrics where the resource is either busy or
 /// idle (e.g. the directory controller).
@@ -391,15 +286,7 @@ impl BusyTime {
     }
 }
 
-impl Snap for BusyTime {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.total_busy);
-        w.put_u64(self.busy_until);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self { total_busy: r.get_u64()?, busy_until: r.get_u64()? })
-    }
-}
+snap_struct!(BusyTime { total_busy, busy_until });
 
 /// One exported metric value — a snapshot, detached from the live tracker.
 #[derive(Debug, Clone, PartialEq)]
@@ -820,31 +707,6 @@ mod tests {
         assert!(q50 <= q90);
         assert!((45..=55).contains(&q50), "median {q50}");
         assert!((85..=95).contains(&q90), "p90 {q90}");
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut t = TimeWeighted::new();
-        t.set(0, 0.0);
-        t.set(10, 2.0); // value 0 for [0,10)
-        t.set(30, 4.0); // value 2 for [10,30)
-                        // value 4 for [30,40)
-        let avg = t.average(40);
-        // (0*10 + 2*20 + 4*10) / 40 = 80/40 = 2
-        assert!((avg - 2.0).abs() < 1e-12);
-        assert_eq!(t.max(), 4.0);
-        assert_eq!(t.current(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut t = TimeWeighted::new();
-        t.add(0, 1.0);
-        t.add(10, 1.0);
-        t.add(20, -2.0);
-        // 1 for [0,10), 2 for [10,20), 0 after
-        assert!((t.average(20) - 1.5).abs() < 1e-12);
-        assert_eq!(t.current(), 0.0);
     }
 
     #[test]

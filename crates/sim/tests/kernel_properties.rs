@@ -5,7 +5,7 @@
 //! (fixed seeds, fixed trial counts) so the suite is reproducible and
 //! dependency-free.
 
-use wormdsm_sim::{Calendar, Histogram, Rng, Summary, TimeWeighted};
+use wormdsm_sim::{Calendar, Histogram, Rng, Summary};
 
 #[test]
 fn calendar_pops_sorted_stable() {
@@ -120,30 +120,5 @@ fn rng_sample_distinct_contract() {
         let set: std::collections::HashSet<_> = s.iter().collect();
         assert_eq!(set.len(), k);
         assert!(s.iter().all(|&v| v < n));
-    }
-}
-
-#[test]
-fn time_weighted_piecewise_reference() {
-    let mut rng = Rng::new(0x5EED_0007);
-    for _ in 0..64 {
-        let n = rng.range(1, 50) as usize;
-        let steps: Vec<(u64, i32)> =
-            (0..n).map(|_| (rng.range(1, 49), rng.range(0, 199) as i32 - 100)).collect();
-        let mut tw = TimeWeighted::new();
-        let mut t = 0u64;
-        let mut integral = 0f64;
-        let mut value = 0f64;
-        for (dt, v) in steps {
-            integral += value * dt as f64;
-            t += dt;
-            value = v as f64;
-            tw.set(t, value);
-        }
-        // Advance a final interval.
-        integral += value * 10.0;
-        let avg = tw.average(t + 10);
-        let want = integral / (t + 10) as f64;
-        assert!((avg - want).abs() < 1e-9 * (1.0 + want.abs()), "{avg} vs {want}");
     }
 }

@@ -14,6 +14,7 @@ use std::time::Instant;
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SystemConfig, TraceLevel};
 use wormdsm_mesh::topology::Mesh2D;
+use wormdsm_sim::profile::json_str;
 use wormdsm_sim::snap::{fnv64, SnapReader, SnapWriter};
 use wormdsm_sim::{Cycle, Rng};
 
@@ -45,7 +46,8 @@ pub struct Scenario {
     /// Mesh side (k x k processors).
     pub k: usize,
     /// Synthetic pattern kind: `"uniform"`, `"col"`, `"row"`,
-    /// `"cluster"`. Ignored (but still hashed) for applications.
+    /// `"cluster"`. Validated and hashed for every app; applications
+    /// ignore it.
     pub pattern: String,
     /// Sharers per synthetic episode. Ignored for applications.
     pub d: usize,
@@ -172,9 +174,11 @@ impl Scenario {
         if self.max_cycles < 1 {
             return Err("max_cycles must be >= 1".to_string());
         }
+        // Checked for every app: the pattern is part of the scenario's
+        // identity even where the workload ignores it.
+        let kind = self.pattern_kind()?;
         match self.app.as_str() {
             "synth" => {
-                let kind = self.pattern_kind()?;
                 if self.episodes < 1 {
                     return Err("episodes must be >= 1".to_string());
                 }
@@ -298,13 +302,13 @@ impl Scenario {
     /// Render as a JSON object (embedded in the farm's `/jobs` rows).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"scheme\":\"{}\",\"app\":\"{}\",\"k\":{},\"pattern\":\"{}\",\"d\":{},\
+            "{{\"scheme\":\"{}\",\"app\":{},\"k\":{},\"pattern\":{},\"d\":{},\
              \"episodes\":{},\"seed\":{},\"compute_scale\":{},\"max_cycles\":{},\
              \"profile\":{}}}",
             self.scheme.name(),
-            self.app,
+            json_str(&self.app),
             self.k,
-            self.pattern,
+            json_str(&self.pattern),
             self.d,
             self.episodes,
             self.seed,
@@ -486,6 +490,20 @@ mod tests {
         for v in &variants {
             assert_ne!(v.config_hash(), h0, "field change invisible to hash: {v:?}");
         }
+    }
+
+    /// Every app validates its pattern (it is hashed into the identity),
+    /// and the JSON row escapes whatever a hand-built scenario holds.
+    #[test]
+    fn pattern_is_validated_for_every_app() {
+        for app in ["bh", "lu", "apsp", "synth"] {
+            let e = Scenario::parse_query(&format!("app={app}&pattern=%22")).unwrap_err();
+            assert!(e.contains("unknown pattern"), "{app}: {e}");
+            assert!(Scenario::parse_query(&format!("app={app}&pattern=uniform")).is_ok(), "{app}");
+        }
+        let odd = Scenario { app: "a\"\\".into(), pattern: "\"\n".into(), ..Scenario::default() };
+        let json = odd.to_json();
+        wormdsm_sim::profile::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //! [`DsmSystem`]: wormdsm_core::DsmSystem
 
 use wormdsm_core::{DsmSystem, SchemeKind, SystemConfig};
-use wormdsm_workloads::{Observe, RunReport, Scenario};
+use wormdsm_mesh::topology::NodeId;
+use wormdsm_sim::snap::{fnv64, Fnv64, SnapWriter};
+use wormdsm_sim::Rng;
+use wormdsm_workloads::synthetic::migratory_workload;
+use wormdsm_workloads::{Observe, RunEnd, RunReport, Scenario};
 
 /// The busy-cycle (compute scale 1) application scenario on a 4x4 mesh,
 /// so the matrix stays debug-test fast.
@@ -148,4 +152,194 @@ fn system_restore_checks_scheme_and_config() {
 #[test]
 fn bh_mimacol_unbounded_deadline_roundtrip() {
     roundtrip(Scenario { max_cycles: u64::MAX, ..scenario("bh", SchemeKind::MiMaCol) });
+}
+
+/// Folds `fnv64` of `sys.save_snapshot()` into one running hash.
+fn fold(h: &mut Fnv64, sys: &DsmSystem) {
+    h.write_u64(fnv64(&sys.save_snapshot()));
+}
+
+/// One value per run: the hash of a snapshot taken every 1,000 cycles
+/// over the whole scenario, plus its final state.
+fn scenario_format_hash(s: &Scenario) -> (u64, DsmSystem) {
+    let mut h = Fnv64::new();
+    let r = s
+        .finish(Observe {
+            observer: Some((
+                1_000,
+                Box::new(|sys, _| {
+                    fold(&mut h, sys);
+                    true
+                }),
+            )),
+            ..Observe::default()
+        })
+        .unwrap();
+    fold(&mut h, &r.sys);
+    (h.finish(), r.sys)
+}
+
+/// The lock workload: per-block lock-protected read-modify-writes,
+/// driven by a plain loop that hands out ops and steps the system,
+/// snapshotted every 1,000 cycles.
+fn lock_format_hash() -> (u64, DsmSystem) {
+    let scheme = SchemeKind::MiMaCol;
+    let mut sys = DsmSystem::new(SystemConfig::for_scheme(4, scheme), scheme.build());
+    let mut w = migratory_workload(16, 4, 3, 40);
+    let mut h = Fnv64::new();
+    let mut boundary = 0;
+    loop {
+        if sys.now() >= boundary {
+            fold(&mut h, &sys);
+            boundary = sys.now() + 1_000;
+        }
+        for (p, ops) in w.ops.iter_mut().enumerate() {
+            let node = NodeId(p as u16);
+            if !ops.is_empty() && sys.proc_idle(node) {
+                sys.issue(node, ops.pop_front().expect("non-empty"));
+            }
+        }
+        if w.ops.iter().all(|q| q.is_empty()) && sys.idle() {
+            break;
+        }
+        assert!(sys.now() < 10_000_000, "lock workload wedged");
+        sys.step();
+    }
+    fold(&mut h, &sys);
+    (h.finish(), sys)
+}
+
+/// A synthetic scenario under `scheme` on a 6x6 mesh, wide enough that
+/// two-phase gathers deposit and park.
+fn synth(scheme: SchemeKind) -> Scenario {
+    Scenario {
+        scheme,
+        app: "synth".into(),
+        k: 6,
+        pattern: "uniform".into(),
+        d: 6,
+        episodes: 24,
+        seed: 7,
+        ..Scenario::default()
+    }
+}
+
+/// Pins the snapshot byte format: every per-run hash below was recorded
+/// before the `Snap` impls moved onto `snap_struct!`/`snap_enum!`, so a
+/// codec change that moves one byte of any snapshot fails here. The runs
+/// cover the busy applications under MI-MA(col), gather deposits and
+/// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
+/// lock state.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let mut got = Vec::new();
+    for app in ["bh", "lu", "apsp"] {
+        got.push((app, scenario_format_hash(&scenario(app, SchemeKind::MiMaCol)).0));
+    }
+    let (h, sys) = scenario_format_hash(&synth(SchemeKind::MiMaTwoPhase));
+    assert!(sys.net_stats().deposits > 0 && sys.net_stats().parks > 0, "{:?}", sys.net_stats());
+    got.push(("synth 2ph", h));
+    got.push(("synth ada", scenario_format_hash(&synth(SchemeKind::MiMaAdaptive)).0));
+    let (h, sys) = lock_format_hash();
+    assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
+    got.push(("locks", h));
+    let want = [
+        ("bh", 0xd71f_854b_65af_e2b7),
+        ("lu", 0x2c8e_c816_98ca_f3c9),
+        ("apsp", 0x555c_5419_dff9_4a6c),
+        ("synth 2ph", 0xb4a1_c3ac_c7a8_5485),
+        ("synth ada", 0x6fcd_53e1_e445_894c),
+        ("locks", 0x8f4b_c69c_55fb_d0cf),
+    ];
+    let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
+    assert_eq!(got, want, "snapshot format moved: {got_hex:?}");
+}
+
+/// `save_snapshot()` bytes of `s` at its first observation at or past
+/// cycle `at`; the run stops there.
+fn snapshot_at(s: &Scenario, at: u64) -> Vec<u8> {
+    let mut bytes = None;
+    let end = s
+        .run(Observe {
+            observer: Some((
+                at,
+                Box::new(|sys, _| {
+                    if sys.now() < at {
+                        return true;
+                    }
+                    bytes = Some(sys.save_snapshot());
+                    false
+                }),
+            )),
+            ..Observe::default()
+        })
+        .unwrap();
+    assert!(matches!(end, RunEnd::Paused(_)), "{} ended before cycle {at}", s.canonical());
+    bytes.expect("observer fired")
+}
+
+/// One seeded mutation of a snapshot payload (the bytes between the
+/// 8-byte header and the 8-byte hash trailer).
+fn mutate(payload: &[u8], case: usize, rng: &mut Rng) -> Vec<u8> {
+    let mut p = payload.to_vec();
+    let at = rng.index(p.len());
+    match case % 5 {
+        0 => p[at] ^= 1 << rng.index(8),
+        1 => p[at] = 0x00,
+        2 => p[at] = 0xFF,
+        3 => p.truncate(at),
+        _ => {
+            // A plausible length prefix (a small little-endian u64) is
+            // set to u64::MAX; the scan starts at a random offset so the
+            // cases spread over the whole payload.
+            let word = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().expect("8 bytes"));
+            let last = p.len() - 8;
+            let i = (at..=last)
+                .chain(0..at.min(last))
+                .find(|&i| (1..=4096).contains(&word(i)))
+                .unwrap_or(at.min(last));
+            p[i..i + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
+    }
+    p
+}
+
+/// Restores 1,000 seeded mutations of the payload of `s` snapshotted at
+/// cycle `at`, each re-sealed so the integrity hash passes. Every one
+/// must come back `Ok` or `Err`; a panic fails the test naming its case.
+fn restore_mutations(s: &Scenario, at: u64, seed: u64) {
+    let bytes = snapshot_at(s, at);
+    let payload = &bytes[8..bytes.len() - 8];
+    let cfg = SystemConfig::for_scheme(s.k, s.scheme);
+    let mut rng = Rng::new(seed);
+    let mut panics = Vec::new();
+    let mut refused = 0;
+    for case in 0..1_000 {
+        let mut w = SnapWriter::new();
+        w.put_bytes(&mutate(payload, case, &mut rng));
+        let sealed = w.finish();
+        let restore = || DsmSystem::restore_snapshot(cfg.clone(), s.scheme.build(), &sealed);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(restore)) {
+            Ok(Ok(_)) => {}
+            Ok(Err(_)) => refused += 1,
+            Err(_) => panics.push(case),
+        }
+    }
+    assert!(panics.is_empty(), "{}: restore panicked on mutation cases {panics:?}", s.app);
+    assert!(refused > 300, "{}: only {refused} of 1000 mutations refused", s.app);
+}
+
+/// Garbage below the seal (ROADMAP 3b) from a busy application under
+/// MI-MA(col): bit flips, zeroed and saturated bytes, truncations and
+/// oversized length prefixes spread over the whole payload.
+#[test]
+fn mutated_app_snapshot_payloads_are_refused_not_panicked() {
+    restore_mutations(&scenario("apsp", SchemeKind::MiMaCol), 40_000, 0x5EED_F022);
+}
+
+/// The same over a synthetic MI-MA(2ph) run, whose state holds i-ack
+/// deposits and parked gathers.
+#[test]
+fn mutated_2ph_snapshot_payloads_are_refused_not_panicked() {
+    restore_mutations(&synth(SchemeKind::MiMaTwoPhase), 6_000, 0x5EED_F023);
 }
