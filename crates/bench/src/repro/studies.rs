@@ -69,17 +69,6 @@ pub fn h5(arm: Arm) -> Table {
 /// invalidation and the full MI-MA scheme.
 const H6_SCHEMES: [SchemeKind; 3] = [SchemeKind::UiUa, SchemeKind::MiUaCol, SchemeKind::MiMaCol];
 
-/// Cache sets per node on a k x k mesh. H6 seeds its sharer sets, so
-/// capacity only has to hold them; a smaller cache keeps the k=128
-/// (16384-node) system from spending half a gigabyte on idle tags.
-fn cache_sets_for(k: usize) -> usize {
-    if k >= 64 {
-        256
-    } else {
-        2048
-    }
-}
-
 /// Sharer counts probed on a k x k mesh: powers of two from 4 up to a
 /// quarter of the mesh, capped at 1024.
 fn d_values(k: usize) -> Vec<usize> {
@@ -99,9 +88,8 @@ pub fn h6(arm: Arm) -> Table {
     let mut t = Table::new("H6", title, &["mesh", "d"], &H6_SCHEMES.map(|s| (s.name(), 1)));
     let jobs: Vec<_> = ks.iter().flat_map(|&k| H6_SCHEMES.map(|s| (k, s))).collect();
     let lats = par_map(jobs, |(k, scheme)| {
-        let cfg =
-            SystemConfig { cache_sets: cache_sets_for(k), ..SystemConfig::for_scheme(k, scheme) };
-        let (mut sys, mesh) = (DsmSystem::new(cfg, scheme.build()), Mesh2D::square(k));
+        let mut sys = DsmSystem::new(SystemConfig::for_scheme(k, scheme), scheme.build());
+        let mesh = Mesh2D::square(k);
         let point = |d: usize| {
             let mut rng = Rng::new(SEED + d as u64);
             let patterns: Vec<Pattern> = (0..trials)

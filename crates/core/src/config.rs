@@ -78,8 +78,11 @@ impl SystemConfig {
     /// FIFO ring depth and slab size, u8-encoded channel/entry indices,
     /// hierarchy divisibility) to
     /// [`MeshConfig::validate`] and adds the system-level ones: `NodeId`
-    /// is a `u16`, so a mesh may not exceed 65536 nodes, and the
-    /// per-node cache must have at least one set.
+    /// is a `u16`, so a mesh may not exceed 65536 nodes; the cache set
+    /// count and block size must be powers of two (blocks of at least 4
+    /// bytes); control and gather messages need a head and a tail flit,
+    /// and the longest worm must fit its `u16` length; and a
+    /// release-consistency write buffer must hold a write.
     pub fn validate(&self) -> Result<(), String> {
         self.mesh.validate()?;
         if self.nodes() > usize::from(u16::MAX) + 1 {
@@ -88,11 +91,33 @@ impl SystemConfig {
                 self.nodes()
             ));
         }
-        if self.cache_sets == 0 {
-            return Err("cache_sets must be at least 1".to_string());
+        if !self.cache_sets.is_power_of_two() {
+            return Err(format!("cache_sets must be a power of two, not {}", self.cache_sets));
         }
-        if self.block_bytes == 0 {
-            return Err("block_bytes must be at least 1".to_string());
+        if !self.block_bytes.is_power_of_two() || self.block_bytes < 4 {
+            return Err(format!(
+                "block_bytes must be a power of two of at least 4, not {}",
+                self.block_bytes
+            ));
+        }
+        // Every worm carries a head and a tail flit.
+        for (field, flits) in [("control", self.sizes.control), ("gather", self.sizes.gather)] {
+            if flits < 2 {
+                return Err(format!("sizes.{field} must be at least 2 flits, not {flits}"));
+            }
+        }
+        let extra_dests = (self.nodes() as u64 - 1).div_ceil(4);
+        let longest = u64::from(self.sizes.control)
+            + u64::from(self.sizes.data)
+            + extra_dests * u64::from(self.sizes.per_extra_dest_x4);
+        if longest > u64::from(u16::MAX) {
+            return Err(format!(
+                "sizes: a worm of {longest} flits (control + data + per_extra_dest_x4 per 4 \
+                 extra destinations) exceeds the u16 length limit"
+            ));
+        }
+        if self.consistency == (ConsistencyModel::Release { write_buffer: 0 }) {
+            return Err("Release write_buffer must hold at least 1 write".to_string());
         }
         Ok(())
     }

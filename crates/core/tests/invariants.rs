@@ -9,7 +9,7 @@
 //! controller as if the network had delivered it.
 
 use wormdsm_coherence::{Addr, BlockId, ProtoMsg};
-use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SimError, SystemConfig};
+use wormdsm_core::{ConsistencyModel, DsmSystem, MemOp, SchemeKind, SimError, SystemConfig};
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_mesh::TxnId;
 use wormdsm_sim::trace::TraceKind;
@@ -216,4 +216,61 @@ fn try_new_rejects_bad_configs_before_any_cycle() {
     // A valid config still constructs.
     let cfg = SystemConfig::for_scheme(4, SchemeKind::UiUa);
     assert!(DsmSystem::try_new(cfg, SchemeKind::UiUa.build()).is_ok());
+}
+
+/// The message `try_new` refuses `scheme` with once `edit` has been
+/// applied to its paper-default 4x4 config; panics unless it is a
+/// [`SimError::Config`].
+fn config_error(scheme: SchemeKind, edit: impl FnOnce(&mut SystemConfig)) -> String {
+    let mut cfg = SystemConfig::for_scheme(4, scheme);
+    edit(&mut cfg);
+    match DsmSystem::try_new(cfg, scheme.build()) {
+        Err(SimError::Config(msg)) => msg,
+        Err(e) => panic!("expected config error, got {e}"),
+        Ok(_) => panic!("config must be refused"),
+    }
+}
+
+/// `Cache::new` asserts a power-of-two set count.
+#[test]
+fn try_new_rejects_a_cache_set_count_that_is_not_a_power_of_two() {
+    let msg = config_error(SchemeKind::UiUa, |c| c.cache_sets = 3);
+    assert!(msg.contains("cache_sets"), "{msg}");
+}
+
+/// `MemGeometry::new` asserts a power-of-two block of at least 4 bytes.
+#[test]
+fn try_new_rejects_bad_block_sizes() {
+    for bytes in [48, 2] {
+        let msg = config_error(SchemeKind::UiUa, |c| c.block_bytes = bytes);
+        assert!(msg.contains("block_bytes"), "{bytes}: {msg}");
+    }
+}
+
+/// A worm needs a head and a tail flit: zero-flit control messages
+/// panicked on the first send, zero-flit gathers on the first i-gather
+/// worm of MI-MA(col) and MI-MA(2ph).
+#[test]
+fn try_new_rejects_message_sizes_without_head_and_tail_flits() {
+    let msg = config_error(SchemeKind::UiUa, |c| c.sizes.control = 0);
+    assert!(msg.contains("sizes.control"), "{msg}");
+    for scheme in [SchemeKind::MiMaCol, SchemeKind::MiMaTwoPhase] {
+        let msg = config_error(scheme, |c| c.sizes.gather = 0);
+        assert!(msg.contains("sizes.gather"), "{scheme:?}: {msg}");
+    }
+    let msg = config_error(SchemeKind::MiMaCol, |c| c.sizes.per_extra_dest_x4 = u16::MAX);
+    assert!(msg.contains("u16 length limit"), "{msg}");
+    let mut cfg = SystemConfig::for_scheme(4, SchemeKind::MiMaCol);
+    (cfg.sizes.control, cfg.sizes.gather) = (2, 2);
+    assert!(DsmSystem::try_new(cfg, SchemeKind::MiMaCol.build()).is_ok());
+}
+
+/// A release-consistency write buffer of depth 0 deferred the first
+/// write forever.
+#[test]
+fn try_new_rejects_an_empty_release_write_buffer() {
+    let msg = config_error(SchemeKind::UiUa, |c| {
+        c.consistency = ConsistencyModel::Release { write_buffer: 0 }
+    });
+    assert!(msg.contains("write_buffer"), "{msg}");
 }

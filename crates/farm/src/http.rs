@@ -279,6 +279,56 @@ mod tests {
         assert_eq!(post("2", b"\xff\xfe").to_string(), "body is not utf-8");
     }
 
+    /// Random bytes: 2,000 strings of 0-20 KiB, half over every byte
+    /// value and half over the bytes an HTTP head is made of (so request
+    /// lines, headers and bodies actually get parsed). Every one must
+    /// return, `Ok` or `Err`, without a panic.
+    #[test]
+    fn random_bytes_never_panic_the_parser() {
+        const HTTP_BYTES: &[u8] = b"GET POST /jobs?=&: \r\n\r\nContent-Length 0123456789\xff";
+        let mut rng = wormdsm_sim::Rng::new(0x4854_5450);
+        let mut parsed = 0;
+        for i in 0..2000 {
+            let len = rng.index(20 * 1024 + 1);
+            let raw: Vec<u8> = (0..len)
+                .map(|_| match i % 2 {
+                    0 => rng.below(256) as u8,
+                    _ => HTTP_BYTES[rng.index(HTTP_BYTES.len())],
+                })
+                .collect();
+            if let Ok(r) = parse(&raw) {
+                assert!(r.body.len() <= MAX_BODY);
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 0, "no random input parsed: the corpus never reached the body");
+    }
+
+    /// 2,000 single-byte mutations and truncations of a valid `POST
+    /// /jobs` request with a body: each returns `Ok` or `Err`, and some
+    /// of each, without a panic.
+    #[test]
+    fn mutated_submissions_never_panic_the_parser() {
+        let valid: &[u8] =
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 19\r\n\r\napp=lu&k=4&scheme=1";
+        assert_eq!(parse(valid).unwrap().body, "app=lu&k=4&scheme=1");
+        let mut rng = wormdsm_sim::Rng::new(0x4d55_5441);
+        let (mut ok, mut err) = (0, 0);
+        for i in 0..2000 {
+            let mut raw = valid.to_vec();
+            let at = rng.index(raw.len());
+            match i % 2 {
+                0 => raw[at] = rng.below(256) as u8,
+                _ => raw.truncate(at),
+            }
+            match parse(&raw) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} parsed, {err} refused");
+    }
+
     /// A refused submission echoes the offending value; the echo is
     /// escaped, so the 400 body stays valid JSON even for control
     /// characters.
