@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use wormdsm_bench::repro::{self, claims, Arm};
 use wormdsm_core::RunMeta;
+use wormdsm_sim::json::{self, Layout, ToJson};
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}\nusage: repro [--quick] [--only E7,E8] [--out REPRO.json]");
@@ -52,14 +53,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = out {
-        let tables: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
-        let verdicts: Vec<String> = verdicts.iter().map(|v| v.to_json()).collect();
-        let meta = RunMeta::capture(0).with_wall_s(t0.elapsed().as_secs_f64()).to_json();
-        let (arm, tables, verdicts) = (arm.name(), tables.join(",\n"), verdicts.join(",\n"));
-        let json = format!(
-            "{{\n\"arm\": \"{arm}\",\n\"tables\": [\n{tables}\n],\n\"claims\": [\n{verdicts}\n],\n\"run_meta\": {meta}\n}}\n"
-        );
-        if let Err(e) = std::fs::write(&path, json) {
+        let meta = RunMeta::capture(0).with_wall_s(t0.elapsed().as_secs_f64());
+        let lines = Layout::Lines("");
+        let report = json::obj(lines, |o| {
+            o.field("arm", arm.name()).field("tables", json::each(lines, &tables));
+            o.field("claims", json::each(lines, &verdicts)).field("run_meta", &meta);
+        });
+        if let Err(e) = std::fs::write(&path, report.to_json() + "\n") {
             return usage(&format!("writing {path}: {e}"));
         }
         eprintln!("wrote {path}");

@@ -12,6 +12,7 @@ use std::ops::RangeInclusive;
 
 use super::studies::PHASE_COLS;
 use super::{Arm, Table};
+use wormdsm_sim::json::{self, ToJson};
 
 /// What a claim is expected to do on the current build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,21 +62,20 @@ impl Verdict {
     pub fn outcome_name(&self) -> &'static str {
         ["diverges", "holds"][self.outcome.is_ok() as usize]
     }
+}
 
-    /// One JSON object.
-    pub fn to_json(&self) -> String {
-        let j = super::json_str;
+/// One JSON object.
+impl ToJson for Verdict {
+    fn write_json(&self, out: &mut String) {
         let (expect, evidence) = match self.expect {
-            Expect::Holds => ("holds", "null".into()),
-            Expect::Diverges(e) => ("diverges", j(e)),
+            Expect::Holds => ("holds", None),
+            Expect::Diverges(e) => ("diverges", Some(e)),
         };
-        let detail = self.outcome.as_ref().err().map_or("null".into(), |e| j(e));
-        format!(
-            "{{\"id\":{},\"text\":{},\"expect\":\"{expect}\",\"evidence\":{evidence},\"outcome\":\"{}\",\"detail\":{detail}}}",
-            j(self.claim.id),
-            j(self.claim.text),
-            self.outcome_name()
-        )
+        json::object(out, |o| {
+            o.field("id", self.claim.id).field("text", self.claim.text).field("expect", expect);
+            o.field("evidence", evidence).field("outcome", self.outcome_name());
+            o.field("detail", self.outcome.as_ref().err());
+        });
     }
 }
 

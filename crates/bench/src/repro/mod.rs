@@ -15,7 +15,7 @@ use wormdsm_mesh::network::{MeshConfig, Network};
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_mesh::worm::{VNet, WormKind, WormSpec};
 use wormdsm_mesh::IackMode;
-use wormdsm_sim::profile::json_str;
+use wormdsm_sim::json::{self, Layout, Raw, ToJson};
 use wormdsm_sim::Rng;
 use wormdsm_workloads::apps::{apsp, apsp::ApspConfig, barnes_hut, barnes_hut::BarnesHutConfig};
 use wormdsm_workloads::apps::{lu, lu::LuConfig};
@@ -116,27 +116,28 @@ impl Table {
         s += &format!("|{}\n", "---|".repeat(self.cols.len()));
         s + &self.rows.iter().map(|r| line(r)).collect::<String>()
     }
+}
 
-    /// The table as one JSON object, one row per line: value cells that
-    /// are finite numbers are JSON numbers, every other cell a string.
-    pub fn to_json(&self) -> String {
-        let line = |r: &[String], keys: usize| {
-            let cell = |(i, c): (usize, &String)| match c.parse::<f64>() {
-                Ok(v) if i >= keys && v.is_finite() => c.clone(),
-                _ => json_str(c),
-            };
-            format!("[{}]", r.iter().enumerate().map(cell).collect::<Vec<_>>().join(","))
-        };
-        let rows: Vec<String> =
-            self.rows.iter().map(|r| format!("  {}", line(r, self.keys))).collect();
-        format!(
-            "{{\"id\":{},\"title\":{},\"keys\":{},\"cols\":{},\"rows\":[\n{}\n]}}",
-            json_str(self.id),
-            json_str(&self.title),
-            self.keys,
-            line(&self.cols, self.cols.len()),
-            rows.join(",\n")
-        )
+/// The table as one JSON object, one row per line: value cells that are
+/// finite numbers are JSON numbers, every other cell a string.
+impl ToJson for Table {
+    fn write_json(&self, out: &mut String) {
+        let rows = json::arr(Layout::Lines("  "), |a| {
+            for r in &self.rows {
+                a.item(json::arr(Layout::Compact, |cells| {
+                    for (i, c) in r.iter().enumerate() {
+                        match c.parse::<f64>() {
+                            Ok(v) if i >= self.keys && v.is_finite() => cells.item(Raw(c)),
+                            _ => cells.item(c),
+                        };
+                    }
+                }));
+            }
+        });
+        json::object(out, |o| {
+            o.field("id", self.id).field("title", &self.title).field("keys", self.keys);
+            o.field("cols", &self.cols).field("rows", &rows);
+        });
     }
 }
 

@@ -4,7 +4,7 @@ use std::process::Command;
 
 use wormdsm_bench::repro::claims::{self, Expect};
 use wormdsm_bench::repro::{self, Arm};
-use wormdsm_sim::profile::validate_json;
+use wormdsm_sim::json::validate_json;
 
 /// The quick-arm experiments cheap enough for every test run: each of
 /// their claims must come out as expected.

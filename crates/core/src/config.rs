@@ -3,6 +3,7 @@
 use crate::schemes::SchemeKind;
 use wormdsm_coherence::{CostModel, MsgSizes};
 use wormdsm_mesh::network::MeshConfig;
+use wormdsm_sim::Cycle;
 
 /// Memory consistency model the processors obey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +22,13 @@ pub enum ConsistencyModel {
         write_buffer: usize,
     },
 }
+
+/// The largest delay or cost, in cycles, a configuration may set. The
+/// engine adds delays and costs to the current cycle unchecked; with
+/// each at most `u32::MAX`, `now + value` stays far inside a `u64` over
+/// any run, while a value near `u64::MAX` wrapped into wrong results
+/// (or panicked in debug builds).
+pub const MAX_TIMING_CYCLES: Cycle = u32::MAX as Cycle;
 
 /// Configuration of a full DSM system instance.
 #[derive(Debug, Clone)]
@@ -75,16 +83,35 @@ impl SystemConfig {
     /// of mid-simulation.
     ///
     /// Delegates the network-level limits (occupancy-bitset capacity,
-    /// FIFO ring depth and slab size, u8-encoded channel/entry indices,
-    /// hierarchy divisibility) to
-    /// [`MeshConfig::validate`] and adds the system-level ones: `NodeId`
-    /// is a `u16`, so a mesh may not exceed 65536 nodes; the cache set
-    /// count and block size must be powers of two (blocks of at least 4
-    /// bytes); control and gather messages need a head and a tail flit,
-    /// and the longest worm must fit its `u16` length; and a
-    /// release-consistency write buffer must hold a write.
+    /// FIFO ring depth and slab size, u8-encoded channel/entry indices)
+    /// to [`MeshConfig::validate`] and adds the system-level ones: every
+    /// router delay and controller cost is at most
+    /// [`MAX_TIMING_CYCLES`]; `NodeId` is a `u16`, so a mesh may not
+    /// exceed 65536 nodes; the cache set count and block size must be
+    /// powers of two (blocks of at least 4 bytes); control and gather
+    /// messages need a head and a tail flit, and the longest worm must
+    /// fit its `u16` length; and a release-consistency write buffer must
+    /// hold a write.
     pub fn validate(&self) -> Result<(), String> {
         self.mesh.validate()?;
+        let (m, c) = (&self.mesh, &self.costs);
+        let timing = [
+            ("mesh.router_delay", m.router_delay),
+            ("mesh.strip_delay", m.strip_delay),
+            ("mesh.iack_check_delay", m.iack_check_delay),
+            ("costs.dc_proc", c.dc_proc),
+            ("costs.dc_send", c.dc_send),
+            ("costs.cc_proc", c.cc_proc),
+            ("costs.cc_send", c.cc_send),
+            ("costs.cache_access", c.cache_access),
+            ("costs.mem_access", c.mem_access),
+            ("costs.iack_post", c.iack_post),
+        ];
+        if let Some((field, v)) = timing.into_iter().find(|t| t.1 > MAX_TIMING_CYCLES) {
+            return Err(format!(
+                "{field} = {v} cycles exceeds the {MAX_TIMING_CYCLES}-cycle limit on a delay or cost"
+            ));
+        }
         if self.nodes() > usize::from(u16::MAX) + 1 {
             return Err(format!(
                 "NodeId is a u16: {} nodes exceeds the 65536-node limit",

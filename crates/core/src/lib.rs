@@ -32,7 +32,7 @@ pub mod plan;
 pub mod schemes;
 pub mod system;
 
-pub use config::{ConsistencyModel, SystemConfig};
+pub use config::{ConsistencyModel, SystemConfig, MAX_TIMING_CYCLES};
 pub use metrics::{
     to_prometheus, Metrics, RunMeta, NONDETERMINISTIC_METRIC_PREFIXES, RUN_SCHEMA_VERSION,
 };

@@ -2,6 +2,7 @@
 //! (invalidation latency, home-node occupancy via message counts and busy
 //! time, message counts, network traffic) plus processor-visible latencies.
 
+use wormdsm_sim::json::{self, ToJson};
 use wormdsm_sim::snap::snap_struct;
 use wormdsm_sim::{Histogram, Metric, Registry, Summary};
 
@@ -196,16 +197,15 @@ impl RunMeta {
         r.counter("run_pool_workers", self.pool_workers);
         r.gauge("run_wall_s", self.wall_s);
     }
+}
 
-    /// Render as a small JSON object (for embedding in `BENCH_*.json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{},\"host_cores\":{},\"pool_workers\":{},\"wall_s\":{}}}",
-            self.schema_version,
-            self.host_cores,
-            self.pool_workers,
-            if self.wall_s.is_finite() { format!("{}", self.wall_s) } else { "null".into() }
-        )
+/// A small JSON object (the `run_meta` row of `REPRO.json`).
+impl ToJson for RunMeta {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("schema_version", self.schema_version).field("host_cores", self.host_cores);
+            o.field("pool_workers", self.pool_workers).field("wall_s", self.wall_s);
+        });
     }
 }
 

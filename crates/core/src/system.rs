@@ -53,7 +53,7 @@ const INVARIANT_DUMP_EVENTS: usize = 64;
 pub enum SimError {
     /// The configuration exceeds a hard limit of the implementation
     /// (mesh larger than `NodeId` can address, VC count beyond the
-    /// occupancy bitset, a hierarchy that does not tile the mesh, ...).
+    /// occupancy bitset, a delay or cost that overflows the clock, ...).
     /// Rejected up front by [`DsmSystem::try_new`], before any cycle
     /// runs, so a 16k-node sweep fails in milliseconds instead of
     /// mid-simulation.
@@ -491,9 +491,7 @@ impl DsmSystem {
     /// observer: results are bit-identical with profiling on or off.
     pub fn enable_profiling(&mut self) {
         self.net.set_trace_level(TraceLevel::Flit);
-        let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
-        self.net.recorder_mut().attach_profiler(p);
+        self.net.recorder_mut().attach_profiler(TxnProfiler::new());
     }
 
     /// The attached profiler, if any.

@@ -274,3 +274,48 @@ fn try_new_rejects_an_empty_release_write_buffer() {
     });
     assert!(msg.contains("write_buffer"), "{msg}");
 }
+
+/// One edit of a paper-default config.
+type Edit = fn(&mut SystemConfig);
+
+/// A router delay near `u64::MAX` overflowed `now + delay`: a panic in
+/// debug builds, a wrapped clock and a wrong cycle count in release.
+#[test]
+fn try_new_rejects_mesh_delays_that_overflow_the_clock() {
+    const MAX: u64 = wormdsm_core::MAX_TIMING_CYCLES;
+    let cases: [(&str, Edit); 3] = [
+        ("mesh.router_delay", |c| c.mesh.router_delay = MAX + 1),
+        ("mesh.strip_delay", |c| c.mesh.strip_delay = u64::MAX / 2),
+        ("mesh.iack_check_delay", |c| c.mesh.iack_check_delay = u64::MAX),
+    ];
+    for (field, edit) in cases {
+        let msg = config_error(SchemeKind::MiMaCol, edit);
+        assert!(msg.contains(field), "{msg}");
+    }
+    let mut cfg = SystemConfig::for_scheme(4, SchemeKind::MiMaCol);
+    cfg.mesh.router_delay = MAX;
+    assert!(DsmSystem::try_new(cfg, SchemeKind::MiMaCol.build()).is_ok());
+}
+
+/// The same for every controller and memory cost (`dc_proc`,
+/// `mem_access` and `iack_post` overflowed at `u64::MAX`).
+#[test]
+fn try_new_rejects_costs_that_overflow_the_clock() {
+    const MAX: u64 = wormdsm_core::MAX_TIMING_CYCLES;
+    let cases: [(&str, Edit); 7] = [
+        ("costs.dc_proc", |c| c.costs.dc_proc = u64::MAX),
+        ("costs.dc_send", |c| c.costs.dc_send = MAX + 1),
+        ("costs.cc_proc", |c| c.costs.cc_proc = u64::MAX / 2),
+        ("costs.cc_send", |c| c.costs.cc_send = MAX + 1),
+        ("costs.cache_access", |c| c.costs.cache_access = MAX + 1),
+        ("costs.mem_access", |c| c.costs.mem_access = u64::MAX),
+        ("costs.iack_post", |c| c.costs.iack_post = u64::MAX),
+    ];
+    for (field, edit) in cases {
+        let msg = config_error(SchemeKind::MiMaCol, edit);
+        assert!(msg.contains(field), "{msg}");
+    }
+    let mut cfg = SystemConfig::for_scheme(4, SchemeKind::MiMaCol);
+    cfg.costs.mem_access = MAX;
+    assert!(DsmSystem::try_new(cfg, SchemeKind::MiMaCol.build()).is_ok());
+}

@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-use wormdsm_sim::profile::json_str;
+use wormdsm_sim::json::{self, ToJson};
 
 /// Longest request head (request line + headers) we accept.
 const MAX_HEAD: usize = 16 * 1024;
@@ -135,8 +135,8 @@ fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
     let req = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
-            let msg = format!("{{\"error\":{}}}", json_str(&e.to_string()));
-            return respond(&mut stream, "400 Bad Request", "application/json", &msg);
+            let body = error(&e.to_string());
+            return respond(&mut stream, "400 Bad Request", "application/json", &body);
         }
     };
     match (req.method.as_str(), req.path.as_str()) {
@@ -158,15 +158,16 @@ fn handle(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()> {
         ("GET", "/events") => stream_events(farm, stream),
         ("POST", "/shutdown") | ("GET", "/shutdown") => {
             farm.request_shutdown();
-            respond(&mut stream, "200 OK", "application/json", "{\"shutdown\":true}")
+            let body = json::flat(&[("shutdown", &true)]).to_json();
+            respond(&mut stream, "200 OK", "application/json", &body)
         }
-        _ => respond(
-            &mut stream,
-            "404 Not Found",
-            "application/json",
-            "{\"error\":\"no such route\"}",
-        ),
+        _ => respond(&mut stream, "404 Not Found", "application/json", &error("no such route")),
     }
+}
+
+/// The JSON body of an error reply.
+fn error(msg: &str) -> String {
+    json::flat(&[("error", &msg)]).to_json()
 }
 
 fn submit(farm: &Arc<Farm>, stream: &mut TcpStream, encoded: &str) -> std::io::Result<()> {
@@ -179,8 +180,8 @@ fn submit_reply(farm: &Farm, encoded: &str) -> (&'static str, String) {
     let parsed =
         wormdsm_workloads::Scenario::parse_query(encoded).and_then(|spec| farm.submit(spec));
     match parsed {
-        Ok((id, fresh)) => ("200 OK", format!("{{\"id\":{id},\"fresh\":{fresh}}}")),
-        Err(e) => ("400 Bad Request", format!("{{\"error\":{}}}", json_str(&e))),
+        Ok((id, fresh)) => ("200 OK", json::flat(&[("id", &id), ("fresh", &fresh)]).to_json()),
+        Err(e) => ("400 Bad Request", error(&e)),
     }
 }
 
@@ -197,15 +198,18 @@ fn stream_events(farm: &Arc<Farm>, mut stream: TcpStream) -> std::io::Result<()>
     let sub = farm.bus().subscribe(farm.config().event_ring);
     // First frame: a hello carrying the ring capacity, so clients (and
     // the smoke test) see traffic immediately.
-    write!(stream, "event: hello\ndata: {{\"ring\":{}}}\n\n", farm.config().event_ring)?;
+    let hello = json::flat(&[("ring", &farm.config().event_ring)]).to_json();
+    write!(stream, "event: hello\ndata: {hello}\n\n")?;
     let mut quiet = 0u32;
     loop {
         if farm.shutdown_requested() {
-            return write!(stream, "event: bye\ndata: {{\"reason\":\"shutdown\"}}\n\n");
+            let bye = json::flat(&[("reason", &"shutdown")]).to_json();
+            return write!(stream, "event: bye\ndata: {bye}\n\n");
         }
         let (frames, dropped) = sub.drain(Duration::from_millis(250));
         if dropped > 0 {
-            write!(stream, "event: dropped\ndata: {{\"frames\":{dropped}}}\n\n")?;
+            let frame = json::flat(&[("frames", &dropped)]).to_json();
+            write!(stream, "event: dropped\ndata: {frame}\n\n")?;
         }
         if frames.is_empty() {
             quiet += 1;
@@ -338,7 +342,7 @@ mod tests {
         for query in ["app=%01", "app=%22%5C", "app=bh&pattern=%0A"] {
             let (status, body) = submit_reply(&farm, query);
             assert_eq!(status, "400 Bad Request", "{query}");
-            wormdsm_sim::profile::validate_json(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
+            json::validate_json(&body).unwrap_or_else(|e| panic!("{body}: {e}"));
         }
         // The error quotes the app with `{:?}`, whose `\u{1}` escape is
         // itself escaped.

@@ -36,7 +36,7 @@ pub use runner::{Farm, FarmConfig};
 
 use wormdsm_core::NONDETERMINISTIC_METRIC_PREFIXES;
 use wormdsm_sim::snap::Fnv64;
-use wormdsm_sim::Registry;
+use wormdsm_sim::{Registry, ToJson};
 
 /// The single-page dashboard served at `GET /`.
 pub const DASHBOARD_HTML: &str = include_str!("dashboard.html");

@@ -2,7 +2,7 @@
 //! progress tracking, and pause checkpoints.
 
 use std::collections::{HashMap, VecDeque};
-use wormdsm_sim::profile::json_str;
+use wormdsm_sim::json::{self, Raw, ToJson};
 use wormdsm_sim::{Cycle, Registry};
 use wormdsm_workloads::Scenario;
 
@@ -76,40 +76,29 @@ pub struct Job {
     pub checkpoint: Option<Vec<u8>>,
 }
 
-impl Job {
-    /// Render as a JSON object for `/jobs`.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"id\":{},\"hash\":\"{:016x}\",\"status\":\"{}\",\"spec\":{},\
-             \"now_cycle\":{},\"issued\":{},\"total_ops\":{}",
-            self.id,
-            self.hash,
-            self.status.word(),
-            self.spec.to_json(),
-            self.now_cycle,
-            self.issued,
-            self.total_ops
-        );
-        match &self.status {
-            JobStatus::Done(o) => {
-                s.push_str(&format!(
-                    ",\"fingerprint\":\"{:016x}\",\"cycles\":{},\"wall_s\":{},\"metrics\":{}",
-                    o.fingerprint,
-                    o.cycles,
-                    o.wall_s,
-                    o.registry.to_json()
-                ));
-                if let Some(p) = &o.phases_json {
-                    s.push_str(&format!(",\"phases\":{p}"));
+/// A `/jobs` row.
+impl ToJson for Job {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("id", self.id).field("hash", format!("{:016x}", self.hash));
+            o.field("status", self.status.word()).field("spec", &self.spec);
+            o.field("now_cycle", self.now_cycle).field("issued", self.issued);
+            o.field("total_ops", self.total_ops);
+            match &self.status {
+                JobStatus::Done(d) => {
+                    o.field("fingerprint", format!("{:016x}", d.fingerprint));
+                    o.field("cycles", d.cycles).field("wall_s", d.wall_s);
+                    o.field("metrics", &d.registry);
+                    if let Some(p) = &d.phases_json {
+                        o.field("phases", Raw(p));
+                    }
                 }
+                JobStatus::Failed(e) => {
+                    o.field("error", e);
+                }
+                _ => {}
             }
-            JobStatus::Failed(e) => {
-                s.push_str(&format!(",\"error\":{}", json_str(e)));
-            }
-            _ => {}
-        }
-        s.push('}');
-        s
+        });
     }
 }
 
@@ -245,11 +234,14 @@ impl JobTable {
         let (queued, running, _, _, _) = self.counts();
         queued == 0 && running == 0
     }
+}
 
-    /// Render the whole table for `GET /jobs`.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.jobs.iter().map(Job::to_json).collect();
-        format!("{{\"dedup_hits\":{},\"jobs\":[{}]}}", self.dedup_hits, rows.join(","))
+/// The whole table, for `GET /jobs`.
+impl ToJson for JobTable {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("dedup_hits", self.dedup_hits).field("jobs", &self.jobs);
+        });
     }
 }
 
@@ -302,7 +294,7 @@ mod tests {
         let err = "bad \"spec\" at C:\\dir\nnext\u{1}line";
         t.fail(id, err.to_string());
         let json = t.to_json();
-        wormdsm_sim::profile::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        json::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
         assert!(
             json.contains(r#""error":"bad \"spec\" at C:\\dir\u000anext\u0001line""#),
             "{json}"

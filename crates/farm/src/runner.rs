@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use wormdsm_core::{to_prometheus, DsmSystem, RunMeta, TraceLevel};
-use wormdsm_sim::profile::json_str;
+use wormdsm_sim::json::{self, Layout::Compact, ToJson};
 use wormdsm_sim::trace::{EventTap, TraceKind};
 use wormdsm_sim::{BoundedRing, Cycle, Phase, Registry};
 use wormdsm_workloads::{IssueState, Observe, RunEnd, Scenario};
@@ -130,13 +130,7 @@ impl Farm {
         let resumed = ckpt.is_some();
         let (id, fresh) = self.table.lock().expect("job table").submit(spec, ckpt);
         if fresh {
-            self.bus.publish(
-                "job",
-                &format!(
-                    "{{\"id\":{id},\"state\":\"{}\"}}",
-                    if resumed { "queued-resume" } else { "queued" }
-                ),
-            );
+            self.publish_job(id, if resumed { "queued-resume" } else { "queued" }, None);
         }
         Ok((id, fresh))
     }
@@ -186,33 +180,34 @@ impl Farm {
                 match end {
                     JobEnd::Done(outcome) => {
                         self.remove_state_checkpoint(spec);
-                        self.bus.publish(
-                            "job",
-                            &format!(
-                                "{{\"id\":{id},\"state\":\"done\",\"fingerprint\":\"{:016x}\"}}",
-                                outcome.fingerprint
-                            ),
-                        );
+                        let fingerprint = format!("{:016x}", outcome.fingerprint);
+                        self.publish_job(*id, "done", Some(("fingerprint", &fingerprint)));
                         table.complete(*id, *outcome);
                     }
                     JobEnd::Paused(ckpt) => {
                         self.save_state_checkpoint(spec, &ckpt);
-                        self.bus.publish("job", &format!("{{\"id\":{id},\"state\":\"paused\"}}"));
+                        self.publish_job(*id, "paused", None);
                         table.pause(*id, ckpt);
                     }
                     JobEnd::Failed(e) => {
-                        self.bus.publish(
-                            "job",
-                            &format!(
-                                "{{\"id\":{id},\"state\":\"failed\",\"error\":{}}}",
-                                json_str(&e)
-                            ),
-                        );
+                        self.publish_job(*id, "failed", Some(("error", &e)));
                         table.fail(*id, e);
                     }
                 }
             }
         }
+    }
+
+    /// Publish a `job` lifecycle frame: the job's id and new state, then
+    /// the `extra` field, if any.
+    fn publish_job(&self, id: u64, state: &str, extra: Option<(&str, &str)>) {
+        let frame = json::obj(Compact, |o| {
+            o.field("id", id).field("state", state);
+            if let Some((key, value)) = extra {
+                o.field(key, value);
+            }
+        });
+        self.bus.publish("job", &frame.to_json());
     }
 
     /// Snapshot of one job's current state.
@@ -230,21 +225,16 @@ impl Farm {
         self.table.lock().expect("job table").dedup_hits()
     }
 
-    /// `GET /heatmap` payload: the most recent per-link busy snapshot.
+    /// `GET /heatmap` payload: the most recent per-link busy snapshot
+    /// (`{}` before any job reported).
     pub fn heatmap_json(&self) -> String {
-        match &*self.heat.lock().expect("heat snapshot") {
-            None => "{}".to_string(),
-            Some(h) => {
-                let busy: Vec<String> = h.busy.iter().map(u64::to_string).collect();
-                format!(
-                    "{{\"job\":{},\"k\":{},\"at\":{},\"busy\":[{}]}}",
-                    h.job,
-                    h.k,
-                    h.at,
-                    busy.join(",")
-                )
+        let heat = self.heat.lock().expect("heat snapshot");
+        let snapshot = json::obj(Compact, |o| {
+            if let Some(h) = &*heat {
+                o.field("job", h.job).field("k", h.k).field("at", h.at).field("busy", &h.busy);
             }
-        }
+        });
+        snapshot.to_json()
     }
 
     /// `GET /metrics` payload: farm-level gauges plus the full metric
@@ -335,13 +325,11 @@ impl EventTap for FarmTap {
         if !self.seen.is_multiple_of(self.every) {
             return;
         }
-        let txn = kind.txn().map_or("null".to_string(), |t| t.to_string());
-        self.staging.lock().expect("tap staging ring").push(format!(
-            "{{\"job\":{},\"at\":{at},\"kind\":\"{}\",\"txn\":{txn},\"seq\":{}}}",
-            self.job,
-            kind.name(),
-            self.seen
-        ));
+        let frame = json::obj(Compact, |o| {
+            o.field("job", self.job).field("at", at).field("kind", kind.name());
+            o.field("txn", kind.txn()).field("seq", self.seen);
+        });
+        self.staging.lock().expect("tap staging ring").push(frame.to_json());
     }
 
     fn box_clone(&self) -> Box<dyn EventTap> {
@@ -406,11 +394,12 @@ fn run_job(
     RunMeta::capture(farm.cfg.workers).with_wall_s(report.wall_s).stamp(&mut registry);
     let phases_json = spec.profile.then(|| {
         let p = report.sys.take_profiler().expect("profiler attached for profiled job");
-        let pairs: Vec<String> = Phase::ALL
-            .iter()
-            .map(|ph| format!("\"{}\":{}", ph.name(), p.mean_phase(*ph)))
-            .collect();
-        format!("{{{}}}", pairs.join(","))
+        let means = json::obj(Compact, |o| {
+            for ph in Phase::ALL {
+                o.field(ph.name(), p.mean_phase(ph));
+            }
+        });
+        means.to_json()
     });
     Ok(JobEnd::Done(Box::new(JobOutcome {
         fingerprint,
@@ -442,7 +431,7 @@ fn observe_boundary(
         (ring.drain(), ring.take_dropped())
     };
     if dropped > 0 {
-        farm.bus.publish("dropped", &format!("{{\"job\":{id},\"count\":{dropped}}}"));
+        farm.bus.publish("dropped", &json::flat(&[("job", &id), ("count", &dropped)]).to_json());
     }
     for ev in events {
         farm.bus.publish("txn", &ev);
@@ -452,20 +441,18 @@ fn observe_boundary(
         for w in probe.windows_since(*probe_seen) {
             let flits: u64 = w.flits.iter().map(|&v| u64::from(v)).sum();
             let stalls: u64 = w.stalls.iter().map(|&v| u64::from(v)).sum();
-            farm.bus.publish(
-                "window",
-                &format!(
-                    "{{\"job\":{id},\"start\":{},\"flits\":{flits},\"stalls\":{stalls}}}",
-                    w.start
-                ),
-            );
+            let frame = json::obj(Compact, |o| {
+                o.field("job", id).field("start", w.start).field("flits", flits);
+                o.field("stalls", stalls);
+            });
+            farm.bus.publish("window", &frame.to_json());
         }
         *probe_seen = windows.len();
     }
     *farm.heat.lock().expect("heat snapshot") =
         Some(HeatSnapshot { job: id, k: spec.k, at: now, busy: sys.net_stats().link_busy.clone() });
-    farm.bus.publish(
-        "progress",
-        &format!("{{\"job\":{id},\"at\":{now},\"issued\":{issued},\"total_ops\":{total_ops}}}"),
-    );
+    let frame = json::obj(Compact, |o| {
+        o.field("job", id).field("at", now).field("issued", issued).field("total_ops", total_ops);
+    });
+    farm.bus.publish("progress", &frame.to_json());
 }

@@ -31,9 +31,9 @@ pub mod topology;
 pub mod worm;
 
 pub use network::{
-    ContentionProbe, ContentionWindow, Hierarchy, LinkLoadMeter, MeshConfig, NetStats, Network,
+    ContentionProbe, ContentionWindow, LinkLoadMeter, MeshConfig, NetStats, Network,
 };
 pub use nic::{Delivery, DeliveryKind, IackMode};
 pub use routing::{BaseRouting, PathRule};
-pub use topology::{ChipGrid, Coord, Direction, Mesh2D, NodeId, Port};
+pub use topology::{Coord, Direction, Mesh2D, NodeId, Port};
 pub use worm::{TxnId, VNet, WormId, WormKind, WormSpec, WormState};

@@ -19,9 +19,7 @@
 //! Timing: a head flit pays `router_delay` cycles at every router
 //! (including intermediate-destination reprocessing charged at
 //! `strip_delay`/`iack_check_delay`); body flits stream at one flit per
-//! cycle per link. Links crossing a chip boundary of an optional two-level
-//! [`Hierarchy`] add `inter_chip_extra` cycles to every traversal. Credit
-//! return is same-cycle (documented idealization: real credit return takes
+//! cycle per link. Credit return is same-cycle (documented idealization: real credit return takes
 //! one link cycle; the simplification affects back-to-back worm reuse of a
 //! VC by at most one cycle).
 //!
@@ -36,7 +34,7 @@
 use crate::nic::{Delivery, DeliveryKind, GatherCheck, IackMode, NicSlab, StreamState};
 use crate::router::{BufFlit, RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
-use crate::topology::{ChipGrid, Direction, Mesh2D, NodeId, NUM_PORTS};
+use crate::topology::{Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
     Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormSpec, WormState, WormTable, NUM_VNETS,
 };
@@ -52,20 +50,6 @@ fn worm_kind_label(kind: WormKind) -> &'static str {
         WormKind::Multicast => "multicast",
         WormKind::Gather => "gather",
     }
-}
-
-/// Two-level mesh-of-meshes topology: the flat mesh is grouped into
-/// `chip_w x chip_h` chips, and every link crossing a chip boundary (an
-/// inter-chip express link) pays [`Hierarchy::inter_chip_extra`] additional
-/// cycles per traversal. Routing and worm conformance are untouched — the
-/// hierarchy only stretches boundary-link timing — so `inter_chip_extra =
-/// 0` reproduces the flat mesh bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hierarchy {
-    /// Chip tiling of the mesh (must evenly divide both dimensions).
-    pub chip: ChipGrid,
-    /// Extra cycles added to every boundary-crossing link traversal.
-    pub inter_chip_extra: Cycle,
 }
 
 /// Configuration of the wormhole mesh.
@@ -95,8 +79,6 @@ pub struct MeshConfig {
     pub iack_buffers: usize,
     /// Behaviour of gather worms whose ack has not been posted.
     pub iack_mode: IackMode,
-    /// Optional two-level mesh-of-meshes grouping (None = flat mesh).
-    pub hierarchy: Option<Hierarchy>,
 }
 
 impl MeshConfig {
@@ -114,7 +96,6 @@ impl MeshConfig {
             cons_buf_flits: 8,
             iack_buffers: 4,
             iack_mode: IackMode::VctDefer,
-            hierarchy: None,
         }
     }
 
@@ -199,21 +180,6 @@ impl MeshConfig {
                 "iack_buffers must be 1..=255 (got {}); entry indices are u8-encoded",
                 self.iack_buffers
             ));
-        }
-        if let Some(h) = self.hierarchy {
-            if h.chip.chip_w() == 0
-                || h.chip.chip_h() == 0
-                || !self.mesh.width().is_multiple_of(h.chip.chip_w())
-                || !self.mesh.height().is_multiple_of(h.chip.chip_h())
-            {
-                return Err(format!(
-                    "hierarchy chip tile {}x{} must evenly divide the {}x{} mesh",
-                    h.chip.chip_w(),
-                    h.chip.chip_h(),
-                    self.mesh.width(),
-                    self.mesh.height()
-                ));
-            }
         }
         Ok(())
     }
@@ -641,24 +607,6 @@ fn load_node_set(r: &mut SnapReader<'_>, nodes: usize, what: &str) -> Result<Vec
     Ok(set)
 }
 
-/// Per-link extra delays implied by the hierarchy: `node * 4 + dir`,
-/// zero everywhere on a flat mesh, `inter_chip_extra` on every link that
-/// crosses a chip boundary. Built once per network; the tick only reads.
-fn build_link_extra(cfg: &MeshConfig) -> Vec<Cycle> {
-    let nodes = cfg.mesh.nodes();
-    let mut extra = vec![0; nodes * 4];
-    if let Some(h) = cfg.hierarchy {
-        for n in 0..nodes {
-            for dir in Direction::ALL {
-                if h.chip.crosses_boundary(&cfg.mesh, NodeId(n as u16), dir) {
-                    extra[n * 4 + dir.index()] = h.inter_chip_extra;
-                }
-            }
-        }
-    }
-    extra
-}
-
 /// The whole wormhole-routed mesh: routers, NICs, worms, clock.
 ///
 /// `tick` iterates *worklists* rather than sweeping every node: a router
@@ -676,9 +624,6 @@ pub struct Network {
     worms: WormTable,
     now: Cycle,
     stats: NetStats,
-    /// Extra per-link delay from the hierarchy (`node * 4 + dir`); all
-    /// zeros on a flat mesh. See [`build_link_extra`].
-    link_extra: Vec<Cycle>,
     /// Neighbour of each node per direction (see [`build_neighbors`]).
     neighbors: Vec<[u32; 4]>,
     /// Worms not yet fully delivered (fast quiescence check).
@@ -726,7 +671,6 @@ impl Network {
         let routers = RouterSlab::new(nodes, NUM_PORTS, vcs, cfg.vc_buf_flits);
         let nics =
             NicSlab::new(nodes, cfg.cons_channels, cfg.cons_buf_flits, cfg.iack_buffers, vcs);
-        let link_extra = build_link_extra(&cfg);
         let neighbors = build_neighbors(&cfg.mesh);
         let stats = NetStats::new(nodes);
         let words = nodes.div_ceil(64);
@@ -741,7 +685,6 @@ impl Network {
             worms: WormTable::new(),
             now: 0,
             stats,
-            link_extra,
             neighbors,
             live_worms: 0,
             router_active: vec![0; words],
@@ -1430,14 +1373,12 @@ impl Network {
 
         // Deposit downstream. The flit becomes eligible after the router
         // delay (heads) or one link cycle (bodies), so it never moves
-        // again this cycle; hierarchy boundary links add their extra delay.
+        // again this cycle.
         let nb = self.neighbors[r][out_port];
         assert!(nb != NO_NEIGHBOR, "route computation never leaves the mesh");
         let nb = nb as usize;
         let in_port_nb = dir.opposite().index();
-        let ready = now
-            + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 }
-            + self.link_extra[r * 4 + out_port];
+        let ready = now + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 };
         self.routers.deposit(nb, in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
         self.activate_router(nb);
 

@@ -225,74 +225,6 @@ impl Mesh2D {
     }
 }
 
-/// Two-level mesh-of-meshes overlay: the flat `width x height` mesh is
-/// carved into a grid of `chip_w x chip_h` chips. Links whose endpoints lie
-/// on different chips are *inter-chip* (express) links and may carry an
-/// extra traversal delay; everything else about routing is unchanged, so
-/// BRCP conformance of the grouping schemes is preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChipGrid {
-    chip_w: u8,
-    chip_h: u8,
-}
-
-impl ChipGrid {
-    /// A chip grid of `chip_w x chip_h`-node chips over `mesh`. Both chip
-    /// dimensions must evenly divide the corresponding mesh dimension.
-    pub fn new(mesh: &Mesh2D, chip_w: usize, chip_h: usize) -> Self {
-        assert!(
-            (1..=mesh.width()).contains(&chip_w) && mesh.width().is_multiple_of(chip_w),
-            "chip width {chip_w} must divide mesh width {}",
-            mesh.width()
-        );
-        assert!(
-            (1..=mesh.height()).contains(&chip_h) && mesh.height().is_multiple_of(chip_h),
-            "chip height {chip_h} must divide mesh height {}",
-            mesh.height()
-        );
-        Self { chip_w: chip_w as u8, chip_h: chip_h as u8 }
-    }
-
-    /// Nodes per chip row.
-    pub fn chip_w(&self) -> usize {
-        self.chip_w as usize
-    }
-
-    /// Nodes per chip column.
-    pub fn chip_h(&self) -> usize {
-        self.chip_h as usize
-    }
-
-    /// Chip-grid coordinate `(cx, cy)` of a node.
-    pub fn chip_of(&self, mesh: &Mesh2D, n: NodeId) -> (usize, usize) {
-        let c = mesh.coord(n);
-        (c.x as usize / self.chip_w(), c.y as usize / self.chip_h())
-    }
-
-    /// Linear chip index (row-major over the chip grid).
-    pub fn chip_index(&self, mesh: &Mesh2D, n: NodeId) -> usize {
-        let (cx, cy) = self.chip_of(mesh, n);
-        cy * (mesh.width() / self.chip_w()) + cx
-    }
-
-    /// Number of chips in the grid.
-    pub fn chips(&self, mesh: &Mesh2D) -> usize {
-        (mesh.width() / self.chip_w()) * (mesh.height() / self.chip_h())
-    }
-
-    /// True when both nodes lie on the same chip.
-    pub fn same_chip(&self, mesh: &Mesh2D, a: NodeId, b: NodeId) -> bool {
-        self.chip_of(mesh, a) == self.chip_of(mesh, b)
-    }
-
-    /// True when the link leaving `n` in direction `d` crosses a chip
-    /// boundary (an inter-chip express link). False when the link leaves
-    /// the mesh entirely.
-    pub fn crosses_boundary(&self, mesh: &Mesh2D, n: NodeId, d: Direction) -> bool {
-        mesh.neighbor(n, d).is_some_and(|m| !self.same_chip(mesh, n, m))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,51 +274,6 @@ mod tests {
     #[should_panic(expected = "mesh dimensions must be 1..=255")]
     fn zero_dimension_is_rejected() {
         Mesh2D::new(8, 0);
-    }
-
-    #[test]
-    fn chip_grid_partitions_the_mesh() {
-        let m = Mesh2D::square(8);
-        let g = ChipGrid::new(&m, 4, 4);
-        assert_eq!(g.chips(&m), 4);
-        assert_eq!(g.chip_of(&m, m.node_at(3, 3)), (0, 0));
-        assert_eq!(g.chip_of(&m, m.node_at(4, 3)), (1, 0));
-        assert_eq!(g.chip_index(&m, m.node_at(5, 6)), 3);
-        assert!(g.same_chip(&m, m.node_at(0, 0), m.node_at(3, 3)));
-        assert!(!g.same_chip(&m, m.node_at(3, 3), m.node_at(4, 3)));
-        // Every node belongs to exactly one chip and indices are dense.
-        let mut counts = vec![0usize; g.chips(&m)];
-        for n in m.iter_nodes() {
-            counts[g.chip_index(&m, n)] += 1;
-        }
-        assert!(counts.iter().all(|&c| c == 16));
-    }
-
-    #[test]
-    fn chip_grid_boundary_crossings() {
-        let m = Mesh2D::square(8);
-        let g = ChipGrid::new(&m, 4, 4);
-        // (3,1) -> East crosses the vertical chip seam; (3,1) -> West stays.
-        assert!(g.crosses_boundary(&m, m.node_at(3, 1), Direction::East));
-        assert!(!g.crosses_boundary(&m, m.node_at(3, 1), Direction::West));
-        // (1,3) -> South crosses the horizontal seam.
-        assert!(g.crosses_boundary(&m, m.node_at(1, 3), Direction::South));
-        assert!(!g.crosses_boundary(&m, m.node_at(1, 3), Direction::North));
-        // Mesh-edge links cross nothing.
-        assert!(!g.crosses_boundary(&m, m.node_at(0, 0), Direction::West));
-        // Trivial 1-chip grid: nothing crosses.
-        let whole = ChipGrid::new(&m, 8, 8);
-        for n in m.iter_nodes() {
-            for d in Direction::ALL {
-                assert!(!whole.crosses_boundary(&m, n, d));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide mesh width")]
-    fn chip_grid_rejects_nondividing_chip() {
-        ChipGrid::new(&Mesh2D::square(8), 3, 4);
     }
 
     #[test]

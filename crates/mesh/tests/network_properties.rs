@@ -180,83 +180,6 @@ fn reserve_post_gather_roundtrip() {
     }
 }
 
-/// Run a mixed k=8 batch (unicasts on both vnets plus column multicasts)
-/// on a network built by `cfg_mod` and return a rich stat fingerprint.
-fn k8_mixed_fingerprint(
-    cfg_mod: impl FnOnce(&mut MeshConfig),
-) -> (u64, u64, u64, u64, f64, f64, usize) {
-    use wormdsm_mesh::worm::WormKind;
-    let k = 8;
-    let mesh = Mesh2D::square(k);
-    let mut cfg = MeshConfig::paper_defaults(k);
-    cfg_mod(&mut cfg);
-    let mut net = Network::new(cfg);
-    let mut rng = Rng::new(0x0E57_0010);
-    let mut delivered_expected = 0usize;
-    for i in 0..120u64 {
-        if rng.chance(0.7) {
-            let src = rng.below((k * k) as u64) as u16;
-            let mut dst = rng.below((k * k) as u64) as u16;
-            if dst == src {
-                dst = (dst + 1) % (k * k) as u16;
-            }
-            let vnet = if rng.chance(0.5) { VNet::Reply } else { VNet::Req };
-            net.inject(WormSpec::unicast(
-                NodeId(src),
-                NodeId(dst),
-                vnet,
-                rng.range(4, 24) as u16,
-                i,
-            ));
-            delivered_expected += 1;
-        } else {
-            // Column multicast: source on row 0, monotone-south dests.
-            let col = rng.index(k);
-            let src_x = rng.index(k);
-            let row_count = rng.range(2, 4) as usize;
-            let rows: Vec<usize> = {
-                let mut r: Vec<usize> =
-                    rng.sample_distinct(k - 1, row_count).into_iter().map(|y| y + 1).collect();
-                r.sort_unstable();
-                r
-            };
-            let dests: Vec<NodeId> = rows.iter().map(|&y| mesh.node_at(col, y)).collect();
-            let src = mesh.node_at(src_x, 0);
-            if dests.contains(&src) {
-                continue;
-            }
-            delivered_expected += dests.len();
-            net.inject(WormSpec {
-                src,
-                vnet: VNet::Req,
-                kind: WormKind::Multicast,
-                dests: dests.into(),
-                len_flits: rng.range(6, 18) as u16,
-                payload: i,
-                reserve_iack: false,
-                txn: TxnId(0),
-                initial_acks: 0,
-                gather_deposit: false,
-                deliver: None,
-            });
-        }
-    }
-    net.run_until_quiescent(2_000_000).expect("mixed batch quiesces");
-    assert!(net.violation().is_none(), "{:?}", net.violation());
-    let delivered: usize = (0..k * k).map(|n| net.take_deliveries(NodeId(n as u16)).len()).sum();
-    assert_eq!(delivered, delivered_expected);
-    let s = net.stats();
-    (
-        net.now(),
-        s.flit_hops,
-        s.flits_injected,
-        s.flits_consumed,
-        s.unicast_latency.mean(),
-        s.multicast_latency.mean(),
-        delivered,
-    )
-}
-
 /// Saturating northbound unicast storm with cross traffic: back-to-back
 /// worms climb the same two columns, so followers routinely stall on a
 /// credit the worm ahead frees in the same cycle, and eastbound Req worms
@@ -290,35 +213,4 @@ fn north_storm_under_credit_backpressure_delivers_every_worm() {
     assert!(net.violation().is_none(), "{:?}", net.violation());
     let delivered: usize = (0..k * k).map(|n| net.take_deliveries(NodeId(n as u16)).len()).sum();
     assert_eq!(delivered, expected);
-}
-
-/// A hierarchy with zero inter-chip delay is the flat mesh, bit for bit;
-/// a positive delay only slows worms down, never loses them.
-#[test]
-fn hierarchy_zero_extra_is_flat_and_positive_extra_slows() {
-    use wormdsm_mesh::network::Hierarchy;
-    use wormdsm_mesh::topology::ChipGrid;
-    let mesh = Mesh2D::square(8);
-    let chip = ChipGrid::new(&mesh, 4, 4);
-
-    let flat = k8_mixed_fingerprint(|_| {});
-    let zero = k8_mixed_fingerprint(|cfg| {
-        cfg.hierarchy = Some(Hierarchy { chip, inter_chip_extra: 0 });
-    });
-    assert_eq!(flat, zero, "zero-cost hierarchy must be the flat mesh");
-
-    let slow = k8_mixed_fingerprint(|cfg| {
-        cfg.hierarchy = Some(Hierarchy { chip, inter_chip_extra: 16 });
-    });
-    // Same traffic delivered (fingerprint asserts delivery count), same
-    // flits moved, but boundary-crossing worms take longer.
-    assert_eq!(slow.2, flat.2, "injected flits differ");
-    assert_eq!(slow.3, flat.3, "consumed flits differ");
-    assert!(slow.0 > flat.0, "inter-chip delay should lengthen the run");
-    assert!(
-        slow.4 > flat.4,
-        "unicast latency should rise with inter-chip delay ({} vs {})",
-        slow.4,
-        flat.4
-    );
 }

@@ -23,6 +23,7 @@ pub mod bitset;
 pub mod calendar;
 pub mod flat;
 pub mod inline_vec;
+pub mod json;
 pub mod profile;
 pub mod ring;
 pub mod rng;
@@ -35,6 +36,7 @@ pub use bitset::BitSet128;
 pub use calendar::{Calendar, EventHandle};
 pub use flat::FlatMap;
 pub use inline_vec::InlineVec;
+pub use json::ToJson;
 pub use profile::{Phase, TxnProfiler, TxnRecord};
 pub use ring::BoundedRing;
 pub use rng::Rng;

@@ -50,9 +50,7 @@
 //! meaningful at `TraceLevel::Flit` (which profiling turns on).
 //!
 //! [`chrome_trace`] renders profiler records as a Chrome trace-event /
-//! Perfetto-loadable JSON file (hand-rolled, zero deps) and
-//! [`validate_json`] is a minimal well-formedness checker used by the
-//! test suite on that output.
+//! Perfetto-loadable JSON file through the [`json`](crate::json) writer.
 
 use crate::trace::TraceKind;
 use crate::Cycle;
@@ -191,7 +189,6 @@ struct WormBind {
 pub struct TxnProfiler {
     open: HashMap<u64, OpenTxn>,
     binds: Vec<Option<WormBind>>,
-    keep_records: bool,
     records: Vec<TxnRecord>,
     closed: u64,
     latency_total: u64,
@@ -206,16 +203,11 @@ pub struct TxnProfiler {
 }
 
 impl TxnProfiler {
-    /// New profiler with per-transaction record keeping disabled (only
-    /// aggregates are accumulated).
+    /// New profiler. It keeps a [`TxnRecord`] per closed transaction
+    /// (for [`verify_exact`](Self::verify_exact) and the Chrome trace)
+    /// besides the aggregates.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Keep a [`TxnRecord`] per closed transaction (needed for
-    /// [`verify_exact`](Self::verify_exact) and the Chrome trace).
-    pub fn set_keep_records(&mut self, keep: bool) {
-        self.keep_records = keep;
     }
 
     /// Observe one flight-recorder event. Called by
@@ -347,18 +339,16 @@ impl TxnProfiler {
         for (tot, p) in self.phase_totals.iter_mut().zip(phases) {
             *tot += p;
         }
-        if self.keep_records {
-            self.records.push(TxnRecord {
-                txn,
-                home: t.home,
-                opened_at: t.opened_at,
-                closed_at: at,
-                latency,
-                set_size,
-                hops: t.hops,
-                phases,
-            });
-        }
+        self.records.push(TxnRecord {
+            txn,
+            home: t.home,
+            opened_at: t.opened_at,
+            closed_at: at,
+            latency,
+            set_size,
+            hops: t.hops,
+            phases,
+        });
     }
 
     /// Closed (fully attributed) transactions.
@@ -430,8 +420,7 @@ impl TxnProfiler {
         self.stalls
     }
 
-    /// Per-transaction records (empty unless
-    /// [`set_keep_records`](Self::set_keep_records) was enabled).
+    /// Per-transaction records, in close order.
     pub fn records(&self) -> &[TxnRecord] {
         &self.records
     }
@@ -471,7 +460,7 @@ impl TxnProfiler {
 }
 
 /// Chrome trace-event ("Trace Event Format") export, loadable in
-/// Perfetto / `chrome://tracing`. Hand-rolled JSON, zero dependencies.
+/// Perfetto / `chrome://tracing`.
 ///
 /// * each closed transaction becomes an **async span** (`ph:"b"`/`"e"`,
 ///   `pid` = home node, `id` = txn id);
@@ -486,8 +475,9 @@ impl TxnProfiler {
 /// decimal strings (`ns/1000.ns%1000`), so no float rounding occurs.
 pub mod chrome_trace {
     use super::{Phase, TxnRecord};
+    use crate::json::{self, Layout::Compact, ToJson};
     use crate::{Cycle, NS_PER_CYCLE};
-    use std::fmt::{self, Write};
+    use std::fmt::Write;
 
     /// One sample of a counter track.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -510,282 +500,57 @@ pub mod chrome_trace {
     }
 
     /// Exact microsecond timestamp for a cycle count, as a JSON number
-    /// literal (cycles are 5 ns, so three fractional digits suffice).
-    fn ts(c: Cycle) -> String {
-        let ns = c * NS_PER_CYCLE;
-        format!("{}.{:03}", ns / 1000, ns % 1000)
+    /// (cycles are 5 ns, so three fractional digits suffice).
+    struct Ts(Cycle);
+
+    impl ToJson for Ts {
+        fn write_json(&self, out: &mut String) {
+            let ns = self.0 * NS_PER_CYCLE;
+            let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
+        }
     }
 
-    /// Stream the trace JSON into `out`.
-    pub fn write_trace<W: Write>(
-        out: &mut W,
-        records: &[TxnRecord],
-        counters: &[CounterTrack],
-    ) -> fmt::Result {
-        out.write_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
-        let mut first = true;
-        let sep = |out: &mut W, first: &mut bool| -> fmt::Result {
-            if *first {
-                *first = false;
-                Ok(())
-            } else {
-                out.write_char(',')
-            }
-        };
-        for r in records {
-            sep(out, &mut first)?;
-            write!(
-                out,
-                "{{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"b\",\"id\":{},\"pid\":{},\"tid\":{},\
-                 \"ts\":{},\"args\":{{\"set_size\":{},\"hops\":{}}}}}",
-                r.txn,
-                r.home,
-                r.txn,
-                ts(r.opened_at),
-                r.set_size,
-                r.hops
-            )?;
-            let mut t = r.opened_at;
-            for p in Phase::ALL {
-                let w = r.phases[p.index()];
-                if w > 0 {
-                    sep(out, &mut first)?;
-                    write!(
-                        out,
-                        "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-                         \"ts\":{},\"dur\":{}}}",
-                        p.name(),
-                        r.home,
-                        r.txn,
-                        ts(t),
-                        ts(w)
-                    )?;
-                }
-                t += w;
-            }
-            sep(out, &mut first)?;
-            write!(
-                out,
-                "{{\"name\":\"txn\",\"cat\":\"txn\",\"ph\":\"e\",\"id\":{},\"pid\":{},\"tid\":{},\
-                 \"ts\":{}}}",
-                r.txn,
-                r.home,
-                r.txn,
-                ts(r.closed_at)
-            )?;
-        }
-        for c in counters {
-            for p in &c.points {
-                sep(out, &mut first)?;
-                write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{},\
-                     \"args\":{{\"busy\":{},\"stall\":{}}}}}",
-                    c.name,
-                    ts(p.at),
-                    p.busy,
-                    p.stall
-                )?;
-            }
-        }
-        out.write_str("]}")
-    }
-
-    /// Render the trace JSON into one `String`.
+    /// Render the trace JSON.
     pub fn trace_json(records: &[TxnRecord], counters: &[CounterTrack]) -> String {
-        let mut s = String::with_capacity(256 + records.len() * 512);
-        write_trace(&mut s, records, counters).expect("writing to String cannot fail");
-        s
-    }
-}
-
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => out.extend(['\\', c]),
-            c if (c as u32) < 0x20 => out += &format!("\\u{:04x}", c as u32),
-            c => out.push(c),
-        }
-    }
-    out + "\""
-}
-
-/// Minimal JSON well-formedness checker (recursive descent, zero deps).
-///
-/// Used by the test suite to validate the hand-rolled Chrome trace and
-/// benchmark JSON. Accepts exactly the RFC 8259 grammar (no trailing
-/// commas, no comments); rejects trailing garbage. Returns the byte
-/// offset of the first error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = JsonChecker { b: s.as_bytes(), i: 0 };
-    p.ws();
-    p.value(0)?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
-}
-
-struct JsonChecker<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JsonChecker<'_> {
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.i)
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > 256 {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.lit("true"),
-            Some(b'f') => self.lit("false"),
-            Some(b'n') => self.lit("null"),
-            Some(c) if *c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn lit(&mut self, word: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.i += 1; // '{'
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            if self.b.get(self.i) != Some(&b'"') {
-                return Err(self.err("expected object key"));
-            }
-            self.string()?;
-            self.ws();
-            if self.b.get(self.i) != Some(&b':') {
-                return Err(self.err("expected ':'"));
-            }
-            self.i += 1;
-            self.ws();
-            self.value(depth + 1)?;
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<(), String> {
-        self.i += 1; // '['
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.ws();
-            self.value(depth + 1)?;
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.i += 1; // opening '"'
-        while let Some(&c) = self.b.get(self.i) {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                if !self.b.get(self.i).is_some_and(u8::is_ascii_hexdigit) {
-                                    return Err(self.err("bad \\u escape"));
-                                }
-                                self.i += 1;
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
+        let events = json::arr(Compact, |a| {
+            for r in records {
+                let (id, pid) = (r.txn, r.home);
+                a.item(json::obj(Compact, |e| {
+                    e.field("name", "txn").field("cat", "txn").field("ph", "b").field("id", id);
+                    e.field("pid", pid).field("tid", id).field("ts", Ts(r.opened_at));
+                    e.field("args", json::flat(&[("set_size", &r.set_size), ("hops", &r.hops)]));
+                }));
+                let mut t = r.opened_at;
+                for p in Phase::ALL {
+                    let w = r.phases[p.index()];
+                    if w > 0 {
+                        a.item(json::obj(Compact, |e| {
+                            e.field("name", p.name()).field("cat", "phase").field("ph", "X");
+                            e.field("pid", pid).field("tid", id).field("ts", Ts(t));
+                            e.field("dur", Ts(w));
+                        }));
                     }
+                    t += w;
                 }
-                0x00..=0x1f => return Err(self.err("raw control char in string")),
-                _ => self.i += 1,
+                a.item(json::obj(Compact, |e| {
+                    e.field("name", "txn").field("cat", "txn").field("ph", "e").field("id", id);
+                    e.field("pid", pid).field("tid", id).field("ts", Ts(r.closed_at));
+                }));
             }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| -> Result<(), String> {
-            let start = p.i;
-            while p.b.get(p.i).is_some_and(u8::is_ascii_digit) {
-                p.i += 1;
+            for c in counters {
+                for p in &c.points {
+                    a.item(json::obj(Compact, |e| {
+                        e.field("name", &c.name).field("ph", "C").field("pid", 0u32);
+                        e.field("tid", 0u32).field("ts", Ts(p.at));
+                        e.field("args", json::flat(&[("busy", &p.busy), ("stall", &p.stall)]));
+                    }));
+                }
             }
-            if p.i == start {
-                Err(p.err("expected digits"))
-            } else {
-                Ok(())
-            }
-        };
-        digits(self)?;
-        if self.b.get(self.i) == Some(&b'.') {
-            self.i += 1;
-            digits(self)?;
-        }
-        if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            digits(self)?;
-        }
-        Ok(())
+        });
+        let trace = json::obj(Compact, |o| {
+            o.field("displayTimeUnit", "ns").field("traceEvents", &events);
+        });
+        trace.to_json()
     }
 }
 
@@ -793,6 +558,7 @@ impl JsonChecker<'_> {
 mod tests {
     use super::chrome_trace::{trace_json, CounterPoint, CounterTrack};
     use super::*;
+    use crate::json::validate_json;
 
     fn open(p: &mut TxnProfiler, at: Cycle, txn: u64, home: u32) {
         p.observe(at, &TraceKind::TxnOpen { txn, block: 1, home, writer: 9, needed: 1 });
@@ -821,7 +587,6 @@ mod tests {
     #[test]
     fn phases_sum_exactly_and_attribute_each_milestone() {
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 100, 7, 0);
         inject(&mut p, 100, 5, 7, 0); // outbound: src == home
         route(&mut p, 104, 5); // inject_queue = 4
@@ -842,7 +607,6 @@ mod tests {
     fn missing_milestones_collapse_to_zero_but_still_sum() {
         // Txn-level stream: no worm events at all.
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 50, 3, 2);
         ack(&mut p, 90, 3);
         close(&mut p, 90, 3, 50);
@@ -857,7 +621,6 @@ mod tests {
         // for txn 8 while txn 7 is still open. Hops after the re-inject
         // must credit txn 8, and txn 7's phase milestones must not move.
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 10, 7, 0);
         open(&mut p, 12, 8, 1);
         inject(&mut p, 10, 5, 7, 0);
@@ -890,7 +653,6 @@ mod tests {
         // A barrier worm (txn 0) recycling a slot must sever the old
         // binding: its hops are unattributed, not credited to txn 7.
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 10, 7, 0);
         inject(&mut p, 10, 5, 7, 0);
         route(&mut p, 11, 5);
@@ -910,7 +672,6 @@ mod tests {
         // An ack-side inject *before* the last outbound delivery (a fast
         // first destination) must not produce a negative phase.
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 0, 7, 0);
         inject(&mut p, 0, 1, 7, 0);
         route(&mut p, 2, 1);
@@ -928,7 +689,6 @@ mod tests {
     #[test]
     fn aggregates_match_records_and_mismatch_is_detected() {
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 0, 1, 0);
         close(&mut p, 10, 1, 0);
         open(&mut p, 5, 2, 0);
@@ -954,7 +714,6 @@ mod tests {
     #[test]
     fn chrome_trace_is_wellformed_and_carries_phases() {
         let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
         open(&mut p, 100, 7, 2);
         inject(&mut p, 100, 5, 7, 2);
         route(&mut p, 104, 5);
@@ -979,16 +738,15 @@ mod tests {
         assert!(j.contains("\"ts\":0.500"));
     }
 
+    /// A counter track's name is a run-time string: it is escaped.
     #[test]
-    fn json_validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e2,true,null,\"x\\n\"]}").unwrap();
-        validate_json("[]").unwrap();
-        validate_json("  {\"k\":{}}  ").unwrap();
-        assert!(validate_json("{\"a\":1,}").is_err(), "trailing comma");
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("{'a':1}").is_err(), "single quotes");
-        assert!(validate_json("{\"a\":1} x").is_err(), "trailing garbage");
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("nul").is_err());
+    fn counter_track_names_are_escaped() {
+        let counters = [CounterTrack {
+            name: "router \"5\"\\".into(),
+            points: vec![CounterPoint { at: 0, busy: 1, stall: 0 }],
+        }];
+        let j = trace_json(&[], &counters);
+        validate_json(&j).unwrap_or_else(|e| panic!("{j}: {e}"));
+        assert!(j.contains(r#""name":"router \"5\"\\""#), "{j}");
     }
 }

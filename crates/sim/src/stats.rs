@@ -1,6 +1,7 @@
 //! Statistics collection: counters, running summaries, histograms and
 //! busy-time accumulators.
 
+use crate::json::{self, ToJson};
 use crate::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use crate::Cycle;
 
@@ -329,14 +330,6 @@ pub enum Metric {
     },
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Metric {
     /// The integer value, if this is a [`Metric::Counter`].
     pub fn as_counter(&self) -> Option<u64> {
@@ -345,40 +338,32 @@ impl Metric {
             _ => None,
         }
     }
+}
 
-    /// Render this metric as a JSON value.
-    pub fn to_json(&self) -> String {
+impl ToJson for Metric {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Metric::Counter(v) => format!("{v}"),
-            Metric::Gauge(v) => json_f64(*v),
-            Metric::Summary { count, sum, mean, min, max, stddev } => format!(
-                "{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\"stddev\":{}}}",
-                count,
-                json_f64(*sum),
-                json_f64(*mean),
-                json_f64(*min),
-                json_f64(*max),
-                json_f64(*stddev)
-            ),
+            Metric::Counter(v) => v.write_json(out),
+            Metric::Gauge(v) => v.write_json(out),
+            Metric::Summary { count, sum, mean, min, max, stddev } => {
+                json::object(out, |o| {
+                    o.field("count", count).field("sum", sum).field("mean", mean);
+                    o.field("min", min).field("max", max).field("stddev", stddev);
+                });
+            }
             Metric::Histogram { width, buckets, overflow, p50, p90, p99, max } => {
-                let mut s = format!("{{\"width\":{width},\"buckets\":[");
-                for (i, (lo, c)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!("[{lo},{c}]"));
-                }
-                s.push_str(&format!(
-                    "],\"overflow\":{overflow},\"p50\":{p50},\"p90\":{p90},\"p99\":{p99},\"max\":{max}}}"
-                ));
-                s
+                json::object(out, |o| {
+                    o.field("width", width).field("buckets", buckets).field("overflow", overflow);
+                    o.field("p50", p50).field("p90", p90).field("p99", p99).field("max", max);
+                });
             }
         }
     }
 }
 
 /// Ordered name → [`Metric`] registry, exported per-run into the
-/// farm's `/jobs` rows and printable as JSON ([`Registry::to_json`]).
+/// farm's `/jobs` rows and printable as one JSON object keyed by metric
+/// name ([`ToJson`]).
 ///
 /// Insertion order is preserved (deterministic output); re-registering a
 /// name overwrites its value in place.
@@ -500,22 +485,19 @@ impl Registry {
             .collect()
     }
 
-    /// Render the registry as a single JSON object keyed by metric name.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (name, v)) in self.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{name}\":{}", v.to_json()));
-        }
-        s.push('}');
-        s
-    }
-
     /// Human-readable `name = value` lines, in insertion order.
     pub fn lines(&self) -> Vec<String> {
         self.iter().map(|(name, v)| format!("{name} = {}", v.to_json())).collect()
+    }
+}
+
+impl ToJson for Registry {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            for (name, v) in self.iter() {
+                o.field(name, v);
+            }
+        });
     }
 }
 
@@ -675,6 +657,16 @@ mod tests {
         top.absorb("net.", &r);
         assert!(top.get("net.cycles").is_some());
         assert_eq!(top.lines()[0], "net.cycles = 200");
+    }
+
+    /// A metric name is a run-time string: it is escaped.
+    #[test]
+    fn registry_names_are_escaped() {
+        let mut r = Registry::new();
+        r.counter("a\"b", 1);
+        let j = r.to_json();
+        crate::json::validate_json(&j).unwrap_or_else(|e| panic!("{j}: {e}"));
+        assert_eq!(j, r#"{"a\"b":1}"#);
     }
 
     #[test]

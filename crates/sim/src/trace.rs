@@ -25,9 +25,10 @@
 //! may read it, so enabling or disabling tracing cannot perturb metrics —
 //! the golden bit-identity tests run with tracing both off and on.
 
-use crate::profile::{json_str, TxnProfiler};
+use crate::json::{self, ToJson};
+use crate::profile::TxnProfiler;
 use crate::Cycle;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// Runtime verbosity of the flight recorder.
 ///
@@ -223,50 +224,6 @@ impl TraceKind {
             TraceKind::InvariantFired { .. } => "invariant_fired",
         }
     }
-
-    fn fields_json<W: Write>(&self, out: &mut W) -> fmt::Result {
-        match *self {
-            TraceKind::WormInject { worm, txn, src, kind, dests } => {
-                write!(
-                    out,
-                    "\"worm\":{worm},\"txn\":{txn},\"src\":{src},\"kind\":\"{kind}\",\"dests\":{dests}"
-                )
-            }
-            TraceKind::WormRoute { worm, node, port } => {
-                write!(out, "\"worm\":{worm},\"node\":{node},\"port\":{port}")
-            }
-            TraceKind::WormDeliver { worm, txn, node, is_final, latency } => {
-                write!(
-                    out,
-                    "\"worm\":{worm},\"txn\":{txn},\"node\":{node},\"final\":{is_final},\"latency\":{latency}"
-                )
-            }
-            TraceKind::TxnOpen { txn, block, home, writer, needed } => {
-                write!(
-                    out,
-                    "\"txn\":{txn},\"block\":{block},\"home\":{home},\"writer\":{writer},\"needed\":{needed}"
-                )
-            }
-            TraceKind::TxnAck { txn, count, got, needed } => {
-                write!(out, "\"txn\":{txn},\"count\":{count},\"got\":{got},\"needed\":{needed}")
-            }
-            TraceKind::TxnClose { txn, latency, set_size } => {
-                write!(out, "\"txn\":{txn},\"latency\":{latency},\"set_size\":{set_size}")
-            }
-            TraceKind::StallEnter { node, what } => {
-                write!(out, "\"node\":{node},\"what\":\"{what}\"")
-            }
-            TraceKind::StallExit { node, what, stalled } => {
-                write!(out, "\"node\":{node},\"what\":\"{what}\",\"stalled\":{stalled}")
-            }
-            TraceKind::FastForward { from, to } => {
-                write!(out, "\"from\":{from},\"to\":{to}")
-            }
-            TraceKind::InvariantFired { txn } => {
-                write!(out, "\"txn\":{txn}")
-            }
-        }
-    }
 }
 
 /// A timestamped, sequence-numbered flight-recorder entry.
@@ -280,25 +237,41 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-impl TraceEvent {
-    /// Stream this event as a single JSON object into `out`.
-    pub fn write_json<W: Write>(&self, out: &mut W) -> fmt::Result {
-        write!(
-            out,
-            "{{\"at\":{},\"seq\":{},\"event\":\"{}\",",
-            self.at,
-            self.seq,
-            self.kind.name()
-        )?;
-        self.kind.fields_json(out)?;
-        out.write_char('}')
-    }
-
-    /// Render this event as a single JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_json(&mut s).expect("writing to String cannot fail");
-        s
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("at", self.at).field("seq", self.seq).field("event", self.kind.name());
+            match self.kind {
+                TraceKind::WormInject { worm, txn, src, kind, dests } => {
+                    o.field("worm", worm).field("txn", txn).field("src", src);
+                    o.field("kind", kind).field("dests", dests)
+                }
+                TraceKind::WormRoute { worm, node, port } => {
+                    o.field("worm", worm).field("node", node).field("port", port)
+                }
+                TraceKind::WormDeliver { worm, txn, node, is_final, latency } => {
+                    o.field("worm", worm).field("txn", txn).field("node", node);
+                    o.field("final", is_final).field("latency", latency)
+                }
+                TraceKind::TxnOpen { txn, block, home, writer, needed } => {
+                    o.field("txn", txn).field("block", block).field("home", home);
+                    o.field("writer", writer).field("needed", needed)
+                }
+                TraceKind::TxnAck { txn, count, got, needed } => {
+                    o.field("txn", txn).field("count", count).field("got", got);
+                    o.field("needed", needed)
+                }
+                TraceKind::TxnClose { txn, latency, set_size } => {
+                    o.field("txn", txn).field("latency", latency).field("set_size", set_size)
+                }
+                TraceKind::StallEnter { node, what } => o.field("node", node).field("what", what),
+                TraceKind::StallExit { node, what, stalled } => {
+                    o.field("node", node).field("what", what).field("stalled", stalled)
+                }
+                TraceKind::FastForward { from, to } => o.field("from", from).field("to", to),
+                TraceKind::InvariantFired { txn } => o.field("txn", txn),
+            };
+        });
     }
 }
 
@@ -564,38 +537,13 @@ impl FlightRecorder {
     pub fn clear_taps(&mut self) {
         self.taps.clear();
     }
-
-    /// Dump the full ring as a JSON array of event objects.
-    pub fn to_json(&self) -> String {
-        events_json(self.events())
-    }
 }
 
-/// Stream an event sequence as a JSON array into `out`.
-pub fn write_events_json<'a, W: Write>(
-    out: &mut W,
-    events: impl Iterator<Item = &'a TraceEvent>,
-) -> fmt::Result {
-    out.write_char('[')?;
-    for (i, e) in events.enumerate() {
-        if i > 0 {
-            out.write_char(',')?;
-        }
-        e.write_json(out)?;
+/// The full ring as a JSON array of event objects, oldest first.
+impl ToJson for FlightRecorder {
+    fn write_json(&self, out: &mut String) {
+        self.events().collect::<Vec<_>>().write_json(out);
     }
-    out.write_char(']')
-}
-
-/// Render an event sequence as a JSON array.
-///
-/// This allocates one output buffer and streams into it via
-/// [`write_events_json`]; it no longer builds a per-event `String` and
-/// copies it (the old path allocated ~96 bytes per event plus the
-/// concatenation growth — one short-lived allocation per event).
-pub fn events_json<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> String {
-    let mut s = String::with_capacity(256);
-    write_events_json(&mut s, events).expect("writing to String cannot fail");
-    s
 }
 
 /// Record an event into a [`FlightRecorder`] iff the runtime level wants
@@ -661,33 +609,15 @@ impl InvariantViolation {
             timeline: txn.map(|t| recorder.timeline(t)).unwrap_or_default(),
         }
     }
+}
 
-    /// Stream the violation (message, recent events, timeline) as JSON
-    /// into `out`.
-    pub fn write_json<W: Write>(&self, out: &mut W) -> fmt::Result {
-        write!(out, "{{\"invariant\":{},\"at\":{},", json_str(&self.what), self.at)?;
-        match self.txn {
-            Some(t) => write!(out, "\"txn\":{t},")?,
-            None => out.write_str("\"txn\":null,")?,
-        }
-        out.write_str("\"recent\":")?;
-        write_events_json(out, self.recent.iter())?;
-        out.write_str(",\"timeline\":")?;
-        write_events_json(out, self.timeline.iter())?;
-        out.write_char('}')
-    }
-
-    /// Render the violation (message, recent events, timeline) as JSON.
-    ///
-    /// Streams into a single pre-sized buffer via
-    /// [`write_json`](Self::write_json) — previously this concatenated
-    /// two intermediate `events_json` Strings (each itself built from
-    /// per-event Strings), i.e. `2 + recent + timeline` transient
-    /// allocations per dump; now it makes one.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128 + 96 * (self.recent.len() + self.timeline.len()));
-        self.write_json(&mut s).expect("writing to String cannot fail");
-        s
+/// The violation's message, recent events and timeline.
+impl ToJson for InvariantViolation {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("invariant", &self.what).field("at", self.at).field("txn", self.txn);
+            o.field("recent", &self.recent).field("timeline", &self.timeline);
+        });
     }
 }
 
@@ -862,9 +792,7 @@ mod tests {
         // (hooked ahead of the ring write) attributes every transaction.
         let mut r = FlightRecorder::new(2);
         r.set_level(TraceLevel::Flit);
-        let mut p = TxnProfiler::new();
-        p.set_keep_records(true);
-        r.attach_profiler(p);
+        r.attach_profiler(TxnProfiler::new());
         for i in 0..50u64 {
             let txn = i + 1;
             let t0 = i * 100;
@@ -884,21 +812,6 @@ mod tests {
         assert_eq!(p.latency_total(), 50 * 15);
         p.verify_exact().unwrap();
         assert!(r.profiler().is_none(), "take detaches");
-    }
-
-    #[test]
-    fn streaming_writers_match_to_json() {
-        let mut r = FlightRecorder::new(8);
-        r.set_level(TraceLevel::Flit);
-        r.push(1, TraceKind::WormInject { worm: 3, txn: 7, src: 0, kind: "inv", dests: 2 });
-        r.push(2, TraceKind::TxnClose { txn: 7, latency: 1, set_size: 2 });
-        let mut streamed = String::new();
-        write_events_json(&mut streamed, r.events()).unwrap();
-        assert_eq!(streamed, r.to_json());
-        let v = InvariantViolation::capture("x".into(), 2, Some(7), &r, 4);
-        let mut sv = String::new();
-        v.write_json(&mut sv).unwrap();
-        assert_eq!(sv, v.to_json());
     }
 
     #[test]

@@ -226,6 +226,7 @@ mod tests {
     use super::*;
     use wormdsm_coherence::Addr;
     use wormdsm_core::{SchemeKind, SystemConfig};
+    use wormdsm_sim::ToJson;
 
     fn sys() -> DsmSystem {
         DsmSystem::new(SystemConfig::for_scheme(4, SchemeKind::UiUa), SchemeKind::UiUa.build())

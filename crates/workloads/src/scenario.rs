@@ -14,7 +14,7 @@ use std::time::Instant;
 use wormdsm_coherence::Addr;
 use wormdsm_core::{DsmSystem, MemOp, SchemeKind, SystemConfig, TraceLevel};
 use wormdsm_mesh::topology::Mesh2D;
-use wormdsm_sim::profile::json_str;
+use wormdsm_sim::json::{self, ToJson};
 use wormdsm_sim::snap::{fnv64, SnapReader, SnapWriter};
 use wormdsm_sim::{Cycle, Rng};
 
@@ -64,6 +64,18 @@ pub struct Scenario {
     /// Attach the latency-attribution profiler (forces flit tracing;
     /// results stay bit-identical).
     pub profile: bool,
+}
+
+/// A JSON object (embedded in the farm's `/jobs` rows).
+impl ToJson for Scenario {
+    fn write_json(&self, out: &mut String) {
+        json::object(out, |o| {
+            o.field("scheme", self.scheme.name()).field("app", &self.app).field("k", self.k);
+            o.field("pattern", &self.pattern).field("d", self.d).field("episodes", self.episodes);
+            o.field("seed", self.seed).field("compute_scale", self.compute_scale);
+            o.field("max_cycles", self.max_cycles).field("profile", self.profile);
+        });
+    }
 }
 
 impl Default for Scenario {
@@ -299,25 +311,6 @@ impl Scenario {
         Ok(s)
     }
 
-    /// Render as a JSON object (embedded in the farm's `/jobs` rows).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"scheme\":\"{}\",\"app\":{},\"k\":{},\"pattern\":{},\"d\":{},\
-             \"episodes\":{},\"seed\":{},\"compute_scale\":{},\"max_cycles\":{},\
-             \"profile\":{}}}",
-            self.scheme.name(),
-            json_str(&self.app),
-            self.k,
-            json_str(&self.pattern),
-            self.d,
-            self.episodes,
-            self.seed,
-            self.compute_scale,
-            self.max_cycles,
-            self.profile
-        )
-    }
-
     /// Run this scenario: build the system and workload, or restore both
     /// from `obs.resume`; apply the observation settings; drive the run;
     /// and audit the end state (a fired protocol invariant, then
@@ -503,7 +496,7 @@ mod tests {
         }
         let odd = Scenario { app: "a\"\\".into(), pattern: "\"\n".into(), ..Scenario::default() };
         let json = odd.to_json();
-        wormdsm_sim::profile::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
+        json::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use wormdsm::core::SchemeKind;
 use wormdsm::mesh::render::link_heatmap;
 use wormdsm::mesh::topology::Mesh2D;
+use wormdsm::sim::json::validate_json;
 use wormdsm::sim::profile::chrome_trace::{self, CounterPoint, CounterTrack};
-use wormdsm::sim::profile::validate_json;
 use wormdsm::workloads::{Observe, Scenario};
 
 fn main() {

@@ -5,9 +5,11 @@
 use wormdsm::analytic::{estimate_invalidation, NetParams};
 use wormdsm::core::{DsmSystem, SchemeKind, SystemConfig, TraceLevel};
 use wormdsm::mesh::topology::Mesh2D;
-use wormdsm::sim::profile::{chrome_trace, validate_json};
+use wormdsm::sim::json::validate_json;
+use wormdsm::sim::profile::chrome_trace;
 use wormdsm::sim::trace::TraceKind;
 use wormdsm::sim::Rng;
+use wormdsm::sim::ToJson;
 use wormdsm::workloads::apps::barnes_hut::{self, BarnesHutConfig};
 use wormdsm::workloads::apps::lu::{self, LuConfig};
 use wormdsm::workloads::apps::{
