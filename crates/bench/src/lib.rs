@@ -240,28 +240,6 @@ where
     results.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Minimal wall-clock micro-bench runner used by the `benches/` targets
-/// (self-contained substitute for an external bench harness): runs `f`
-/// for a warmup pass plus `iters` timed passes and prints min/mean per
-/// iteration.
-pub fn time_it<R>(name: &str, iters: usize, mut f: impl FnMut() -> R) {
-    assert!(iters >= 1);
-    std::hint::black_box(f()); // warmup
-    let mut samples: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(f());
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    println!(
-        "{name:<40} min {:>12.3} us   mean {:>12.3} us   ({iters} iters)",
-        min * 1e6,
-        mean * 1e6
-    );
-}
-
 /// The standard sharer-count sweep used by the figures.
 pub fn d_sweep(k: usize) -> Vec<usize> {
     assert!(k >= 2, "k must be >= 2 (a 1x1 mesh has no sharers)");

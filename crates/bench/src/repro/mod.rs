@@ -126,10 +126,16 @@ impl ToJson for Table {
             for r in &self.rows {
                 a.item(json::arr(Layout::Compact, |cells| {
                     for (i, c) in r.iter().enumerate() {
-                        match c.parse::<f64>() {
-                            Ok(v) if i >= self.keys && v.is_finite() => cells.item(Raw(c)),
-                            _ => cells.item(c),
-                        };
+                        // Rust parses `+3`, `.5` and `1.` as numbers; JSON
+                        // does not, so a cell goes out bare only when it
+                        // is already a JSON number.
+                        let number = c.parse::<f64>().is_ok_and(f64::is_finite)
+                            && json::validate_json(c).is_ok();
+                        if i >= self.keys && number {
+                            cells.item(Raw(c));
+                        } else {
+                            cells.item(c);
+                        }
                     }
                 }));
             }
@@ -657,4 +663,27 @@ fn c1(_: Arm) -> Table {
     });
     app_rows(&mut t, jobs.collect(), true);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Cells that Rust parses as numbers but JSON does not are written as
+    /// strings; real JSON numbers stay bare.
+    #[test]
+    fn json_numbers_only_are_written_bare() {
+        let mut t = Table::new("T", "cells".into(), &["key"], &[("v", 0)]);
+        for c in ["+3", ".5", "1.", "01", "-0.5", "1e3", "inf"] {
+            t.rows.push(key!["k", c]);
+        }
+        let j = t.to_json();
+        json::validate_json(&j).unwrap_or_else(|e| panic!("{j}: {e}"));
+        for bare in ["-0.5", "1e3"] {
+            assert!(j.contains(&format!(",{bare}]")), "{bare} bare in {j}");
+        }
+        for quoted in ["+3", ".5", "1.", "01", "inf"] {
+            assert!(j.contains(&format!(",\"{quoted}\"]")), "{quoted} quoted in {j}");
+        }
+    }
 }

@@ -135,30 +135,33 @@ mod snap_impls {
     use super::{Cache, FlatMap, Line};
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-    /// The dense encoding of a `Vec<Option<Line>>` with one entry per set,
-    /// in ascending set order: the set count, then each set's line or its
-    /// absence.
+    /// The set count, then the occupied lines in ascending set order: a
+    /// checkpoint costs bytes in proportion to the lines a cache holds,
+    /// like its memory does. Each line's set is `block & (sets-1)`, so no
+    /// set index is stored, and the map's own layout is not saved.
     impl Snap for Cache {
         fn save(&self, w: &mut SnapWriter) {
             w.put_usize(self.sets);
-            for set in 0..self.sets as u64 {
-                self.lines.get(set).copied().save(w);
-            }
+            let mut lines: Vec<Line> = self.lines.iter().map(|(_, l)| *l).collect();
+            lines.sort_unstable_by_key(|l| self.slot(l.block));
+            lines.save(w);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let sets = r.get_len()?;
+            // Not `get_len`: no per-set bytes follow the count.
+            let sets = r.get_usize()?;
             if !sets.is_power_of_two() {
                 return Err(SnapError::Corrupt(format!(
                     "cache set count {sets} is not a power of two"
                 )));
             }
-            let mut lines = FlatMap::new();
-            for set in 0..sets as u64 {
-                if let Some(l) = Option::<Line>::load(r)? {
-                    lines.insert(set, l);
+            let mut cache = Cache { sets, lines: FlatMap::new() };
+            for l in Vec::<Line>::load(r)? {
+                let set = cache.slot(l.block);
+                if cache.lines.insert(set, l).is_some() {
+                    return Err(SnapError::Corrupt(format!("cache set {set} holds two lines")));
                 }
             }
-            Ok(Cache { sets, lines })
+            Ok(cache)
         }
     }
 }
@@ -246,34 +249,28 @@ mod tests {
     }
 
     /// Lines in set 0, the last set and scattered sets, plus sets emptied
-    /// by `invalidate`: the sparse cache saves exactly the bytes of the
-    /// dense `Vec<Option<Line>>` with one slot per set, and loads
-    /// back into a cache that answers every query the same way.
+    /// by `invalidate`: the saved bytes grow with the lines held, not the
+    /// set count, and load back into a cache that answers every query the
+    /// same way and saves the same bytes.
     #[test]
-    fn save_streams_the_dense_encoding_and_load_restores_it() {
+    fn save_streams_only_occupied_sets_and_load_restores_them() {
         const SETS: u64 = 64;
         let mut c = Cache::new(SETS as usize);
-        let mut dense: Vec<Option<Line>> = vec![None; SETS as usize];
-        let mut put = |c: &mut Cache, b: u64, state| {
-            c.insert(BlockId(b), state);
-            dense[(b % SETS) as usize] = Some(Line { block: BlockId(b), state });
-        };
+        let empty = saved(&c).len();
         for (i, b) in [0, SETS - 1, 5, 3 * SETS + 17, SETS + 40, 9, 3 * SETS + 30, 22, SETS + 5]
             .into_iter()
             .enumerate()
         {
-            put(&mut c, b, if i % 2 == 0 { LineState::Shared } else { LineState::Modified });
+            c.insert(BlockId(b), if i % 2 == 0 { LineState::Shared } else { LineState::Modified });
         }
         // Empty two sets again; block SETS + 5 replaced block 5 above.
         for b in [9, 3 * SETS + 30] {
             assert!(c.invalidate(BlockId(b)).is_some());
-            dense[(b % SETS) as usize] = None;
         }
         assert_eq!(c.occupancy(), 6);
+        assert_eq!(empty, saved(&Cache::new(1 << 20)).len(), "set count costs no bytes");
 
         let bytes = saved(&c);
-        assert_eq!(bytes, saved(&dense));
-
         let back = load(&bytes).unwrap();
         assert_eq!((back.sets(), back.occupancy()), (c.sets(), c.occupancy()));
         for b in 0..4 * SETS {
@@ -282,17 +279,38 @@ mod tests {
         assert_eq!(saved(&back), bytes);
     }
 
+    /// An empty cache saves the same bytes at any set count and loads back
+    /// from them, however few bytes follow the count.
     #[test]
-    fn load_refuses_bad_set_counts_and_option_tags() {
-        let err = load(&saved(&vec![None::<Line>; 3])).unwrap_err().to_string();
-        assert!(err.contains("not a power of two"), "{err}");
-
-        let mut w = SnapWriter::new();
-        w.put_usize(4);
-        for tag in [0, 2, 0, 0] {
-            w.put_u8(tag);
+    fn empty_caches_of_any_size_round_trip() {
+        for sets in [1, 64, 1 << 20, 1 << 40] {
+            let bytes = saved(&Cache::new(sets));
+            let back = load(&bytes).unwrap();
+            assert_eq!((back.sets(), back.occupancy()), (sets, 0));
+            assert_eq!(saved(&back), bytes);
         }
-        let err = load(&w.finish()).unwrap_err().to_string();
-        assert!(err.contains("Option tag 2"), "{err}");
+    }
+
+    /// A stream with `sets` and the given blocks, each held Shared.
+    fn encoded(sets: usize, blocks: &[u64]) -> Vec<u8> {
+        let lines: Vec<Line> =
+            blocks.iter().map(|&b| Line { block: BlockId(b), state: LineState::Shared }).collect();
+        let mut w = SnapWriter::new();
+        w.put_usize(sets);
+        lines.save(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn load_refuses_bad_set_counts_and_doubly_filled_sets() {
+        assert!(load(&encoded(8, &[11, 16])).is_ok());
+        for (bytes, want) in [
+            (encoded(3, &[]), "not a power of two"),
+            (encoded(0, &[]), "not a power of two"),
+            (encoded(8, &[11, 16, 3]), "cache set 3 holds two lines"),
+        ] {
+            let err = load(&bytes).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        }
     }
 }

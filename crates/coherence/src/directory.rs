@@ -7,7 +7,7 @@
 
 use crate::addr::BlockId;
 use std::collections::VecDeque;
-use wormdsm_mesh::topology::{Mesh2D, NodeId};
+use wormdsm_mesh::topology::NodeId;
 use wormdsm_sim::snap::{snap_enum, snap_struct};
 use wormdsm_sim::FlatMap;
 
@@ -98,16 +98,6 @@ impl DirEntry {
     pub fn sharers_except(&self, exclude: NodeId) -> Vec<NodeId> {
         self.sharers().into_iter().filter(|&n| n != exclude).collect()
     }
-
-    /// Sharers grouped by mesh column (the paper's column-organized
-    /// presence-bit view), columns ascending, rows ascending within each.
-    pub fn sharers_by_column(&self, mesh: &Mesh2D, exclude: NodeId) -> Vec<(usize, Vec<NodeId>)> {
-        let mut cols: Vec<Vec<NodeId>> = vec![Vec::new(); mesh.width()];
-        for n in self.sharers_except(exclude) {
-            cols[mesh.coord(n).x as usize].push(n);
-        }
-        cols.into_iter().enumerate().filter(|(_, v)| !v.is_empty()).collect()
-    }
 }
 
 /// The directory of one home node: entries for every block homed there,
@@ -184,7 +174,8 @@ mod snap_impls {
             self.entries.save(w);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let nodes = r.get_len()?;
+            // Not `get_len`: no per-node bytes follow the count.
+            let nodes = r.get_usize()?;
             let entries: wormdsm_sim::FlatMap<DirEntry> = Snap::load(r)?;
             let words = nodes.div_ceil(64);
             for (_, e) in entries.iter() {
@@ -233,20 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn sharers_by_column_groups_and_sorts() {
-        let mesh = Mesh2D::square(4);
-        let mut e = DirEntry::new(16);
-        // (1,0)=n1, (1,2)=n9, (3,1)=n7, (0,3)=n12
-        for n in [1u16, 9, 7, 12] {
-            e.set_presence(NodeId(n));
-        }
-        let cols = e.sharers_by_column(&mesh, NodeId(12)); // exclude (0,3)
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols[0], (1, vec![NodeId(1), NodeId(9)]));
-        assert_eq!(cols[1], (3, vec![NodeId(7)]));
-    }
-
-    #[test]
     fn directory_lazy_entries() {
         let mut d = Directory::new(16);
         assert_eq!(d.state(BlockId(5)), DirState::Uncached);
@@ -266,5 +243,17 @@ mod tests {
         e.queue.push_back(QueuedReq { node: NodeId(1), msg_key: 10 });
         e.queue.push_back(QueuedReq { node: NodeId(2), msg_key: 11 });
         assert_eq!(e.queue.pop_front(), Some(QueuedReq { node: NodeId(1), msg_key: 10 }));
+    }
+
+    /// The node count may exceed the bytes that follow it: an empty
+    /// directory of a large mesh saves a few bytes and loads back.
+    #[test]
+    fn empty_directory_of_many_nodes_round_trips() {
+        use wormdsm_sim::snap::{Snap, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new();
+        Directory::new(1 << 16).save(&mut w);
+        let bytes = w.finish();
+        let back = Directory::load(&mut SnapReader::new(&bytes).unwrap()).unwrap();
+        assert_eq!((back.nodes, back.len()), (1 << 16, 0));
     }
 }

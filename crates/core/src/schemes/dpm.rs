@@ -311,7 +311,7 @@ pub fn dpm_partitions(
     merge_partitions(mesh, home, &groups, load).into_iter().map(|p| p.members).collect()
 }
 
-/// Closed-form completion estimate ([`makespan`] of solo-flight costs) of
+/// Closed-form completion estimate (the makespan of solo-flight costs) of
 /// realizing `partitions` as serpentine worms in order.
 pub fn partition_plan_cost(mesh: &Mesh2D, home: NodeId, partitions: &[Vec<NodeId>]) -> u64 {
     let costs: Vec<u64> =

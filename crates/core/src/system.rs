@@ -23,7 +23,7 @@ use wormdsm_coherence::{
     Addr, BlockId, Cache, DirState, Directory, Evicted, LineState, MemGeometry, MsgTable, ProtoMsg,
     WbBuffer,
 };
-use wormdsm_mesh::nic::{Delivery, DeliveryKind};
+use wormdsm_mesh::nic::Delivery;
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
 use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network};
@@ -312,9 +312,9 @@ impl TxnSlab {
 enum Ev {
     /// A message reached a controller's input; occupy the controller then
     /// handle.
-    Recv { node: NodeId, key: u64, acks: u32, kind: DeliveryKind, src: NodeId },
+    Recv { node: NodeId, key: u64, acks: u32, src: NodeId },
     /// Controller finished processing; run the protocol handler.
-    Handle { node: NodeId, key: u64, acks: u32, kind: DeliveryKind, src: NodeId },
+    Handle { node: NodeId, key: u64, acks: u32, src: NodeId },
     /// Hand a fully built worm to the NIC.
     Inject(WormSpec),
     /// Post an i-ack signal at `node` for `txn`; fall back to a unicast
@@ -676,8 +676,6 @@ impl DsmSystem {
         if !self.net.fully_idle() {
             return;
         }
-        // Non-mutating earliest-event peek: single heap peek in the
-        // cancel-free common case, tombstone-aware scan otherwise.
         let mut target = self.cal.peek_next_at();
         for n in &self.nodes {
             if let ProcState::BusyUntil(t) = n.proc {
@@ -1156,7 +1154,7 @@ impl DsmSystem {
     #[doc(hidden)]
     pub fn debug_deliver(&mut self, node: NodeId, msg: ProtoMsg, acks: u32, src: NodeId) {
         let key = self.msgs.push(msg);
-        self.recv(self.now, node, key, acks, DeliveryKind::Final, src);
+        self.recv(self.now, node, key, acks, src);
     }
 
     /// Ids of the invalidation transactions currently open (tests).
@@ -1210,10 +1208,7 @@ impl DsmSystem {
         if dest == node {
             // Local shortcut: no network, straight to the co-located
             // controller input.
-            self.cal.schedule(
-                t,
-                Ev::Recv { node: dest, key, acks: 0, kind: DeliveryKind::Final, src: node },
-            );
+            self.cal.schedule(t, Ev::Recv { node: dest, key, acks: 0, src: node });
         } else {
             let len = self.cfg.sizes.unicast_len(&msg);
             let spec = WormSpec::unicast(node, dest, vnet, len, key);
@@ -1265,30 +1260,21 @@ impl DsmSystem {
 
     /// Route a network delivery into the right controller.
     fn on_delivery(&mut self, d: Delivery) {
-        self.recv(self.now, d.node, d.payload, d.acks, d.kind, d.src);
+        self.recv(self.now, d.node, d.payload, d.acks, d.src);
     }
 
     /// A message arrived at `node`: occupy the owning controller, then
     /// schedule the protocol handler.
-    fn recv(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        key: u64,
-        acks: u32,
-        kind: DeliveryKind,
-        src: NodeId,
-    ) {
+    fn recv(&mut self, now: Cycle, node: NodeId, key: u64, acks: u32, src: NodeId) {
         let msg = self.msgs.get(key);
         let costs = self.cfg.costs;
-        let _ = kind;
         let is_dc = self.is_dc_message(node, &msg);
         let t = if is_dc {
             self.nodes[node.idx()].dc.occupy(now, costs.dc_proc)
         } else {
             self.nodes[node.idx()].cc.occupy(now, costs.cc_proc)
         };
-        self.cal.schedule(t, Ev::Handle { node, key, acks, kind, src });
+        self.cal.schedule(t, Ev::Handle { node, key, acks, src });
     }
 
     /// Directory-controller messages (home-bound protocol traffic).
@@ -1313,10 +1299,10 @@ impl DsmSystem {
 
     fn handle_event(&mut self, now: Cycle, ev: Ev) {
         match ev {
-            Ev::Recv { node, key, acks, kind, src } => self.recv(now, node, key, acks, kind, src),
-            Ev::Handle { node, key, acks, kind, src } => {
+            Ev::Recv { node, key, acks, src } => self.recv(now, node, key, acks, src),
+            Ev::Handle { node, key, acks, src } => {
                 let msg = self.msgs.get(key);
-                self.dispatch(now, node, msg, key, acks, kind, src);
+                self.dispatch(now, node, msg, key, acks, src);
             }
             Ev::Inject(spec) => {
                 self.net.inject(spec);
@@ -1339,7 +1325,6 @@ impl DsmSystem {
     // Protocol FSM.
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
         now: Cycle,
@@ -1347,7 +1332,6 @@ impl DsmSystem {
         msg: ProtoMsg,
         key: u64,
         acks: u32,
-        _kind: DeliveryKind,
         src: NodeId,
     ) {
         match msg {
@@ -1749,7 +1733,7 @@ impl DsmSystem {
         );
         // Replay queued requests against the settled directory state.
         for q in queued {
-            self.recv(now, t.home, q.msg_key, 0, DeliveryKind::Final, q.node);
+            self.recv(now, t.home, q.msg_key, 0, q.node);
         }
     }
 
@@ -1828,7 +1812,7 @@ impl DsmSystem {
             let key = self.msgs.push(ProtoMsg::Fetch { block, requester, for_write });
             self.cal.schedule(
                 now + FETCH_RETRY_DELAY,
-                Ev::Recv { node: owner, key, acks: 0, kind: DeliveryKind::Final, src: owner },
+                Ev::Recv { node: owner, key, acks: 0, src: owner },
             );
             return;
         }
@@ -1891,7 +1875,7 @@ impl DsmSystem {
         }
         let queued: Vec<wormdsm_coherence::QueuedReq> = entry.queue.drain(..).collect();
         for q in queued {
-            self.recv(now, home, q.msg_key, 0, DeliveryKind::Final, q.node);
+            self.recv(now, home, q.msg_key, 0, q.node);
         }
     }
 
@@ -1913,7 +1897,7 @@ impl DsmSystem {
                 self.metrics.wb_retries += 1;
                 self.cal.schedule(
                     now + WRITEBACK_RETRY_DELAY,
-                    Ev::Recv { node: home, key, acks: 0, kind: DeliveryKind::Final, src: owner },
+                    Ev::Recv { node: home, key, acks: 0, src: owner },
                 );
             }
             _ => {
@@ -1965,10 +1949,7 @@ impl DsmSystem {
             t = self.nodes[home.idx()].dc.occupy(t, self.cfg.costs.dc_send);
             let key = self.msgs.push(ProtoMsg::BarrierRelease { barrier });
             if n == home {
-                self.cal.schedule(
-                    t,
-                    Ev::Recv { node: n, key, acks: 0, kind: DeliveryKind::Final, src: home },
-                );
+                self.cal.schedule(t, Ev::Recv { node: n, key, acks: 0, src: home });
             } else {
                 let len = self.cfg.sizes.control;
                 let spec = WormSpec::unicast(home, n, VNet::Reply, len, key);
@@ -1995,10 +1976,7 @@ impl DsmSystem {
             // The home itself participates: local release.
             let key = self.msgs.push(ProtoMsg::BarrierRelease { barrier });
             t = self.nodes[home.idx()].dc.occupy(t, self.cfg.costs.dc_send);
-            self.cal.schedule(
-                t,
-                Ev::Recv { node: home, key, acks: 0, kind: DeliveryKind::Final, src: home },
-            );
+            self.cal.schedule(t, Ev::Recv { node: home, key, acks: 0, src: home });
         }
         for g in crate::schemes::grouping::row_groups(&mesh, home, &remote) {
             let key = self.msgs.push(ProtoMsg::BarrierRelease { barrier });
@@ -2152,8 +2130,8 @@ snap_struct!(TxnState { block, home, writer, needed, got, plan, with_data, start
 snap_struct!(BarrierState { expected, arrived });
 snap_struct!(LockState { holder, queue });
 snap_enum!(Ev {
-    0 => Recv { node, key, acks, kind, src },
-    1 => Handle { node, key, acks, kind, src },
+    0 => Recv { node, key, acks, src },
+    1 => Handle { node, key, acks, src },
     2 => Inject(spec),
     3 => PostIack { node, txn },
 });

@@ -3,7 +3,7 @@
 //!
 //! The determinism-protecting invariant lives here: **publishing never
 //! waits on a consumer**. Each subscriber owns a
-//! [`BoundedRing`](wormdsm_sim::BoundedRing) of pre-rendered SSE frames;
+//! [`BoundedRing`] of pre-rendered SSE frames;
 //! `publish` pushes into every ring in O(1) (drop-oldest on overflow)
 //! and signals a condvar. A stalled or dead subscriber therefore costs
 //! the simulation a bounded, tiny amount of work per event — never a

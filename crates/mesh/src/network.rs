@@ -739,13 +739,6 @@ impl Network {
         &self.stats
     }
 
-    /// Deepest any NIC's injection backlog (both vnets combined) has ever
-    /// been — upper-bounds the queueing the profiler's `inject_queue`
-    /// phase can attribute to a single home NIC.
-    pub fn inject_backlog_hwm(&self) -> usize {
-        self.nics.max_inject_backlog()
-    }
-
     /// The flight recorder (read side: events, timelines, JSON dump).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.trace
@@ -1633,27 +1626,13 @@ impl Network {
             if self.routers.space(n, LOCAL, vc) == 0 {
                 continue;
             }
-            let flit = Flit {
-                worm: st.worm,
-                kind: if st.next_seq == 0 {
-                    FlitKind::Head
-                } else if st.next_seq + 1 == st.len {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                },
-                seq: st.next_seq,
-            };
+            let flit = Flit::nth(st.worm, st.next_seq, st.len);
             let ready = now + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 };
             self.routers.deposit(n, LOCAL, vc, BufFlit { flit, ready_at: ready });
             self.activate_router(n);
             self.stats.flits_injected += 1;
             if flit.kind == FlitKind::Head {
-                let w = self.worms.get_mut(st.worm);
-                if w.injected_at.is_none() {
-                    w.injected_at = Some(now);
-                }
-                w.state = WormState::InFlight;
+                self.worms.get_mut(st.worm).state = WormState::InFlight;
             }
             st.next_seq += 1;
             self.nics.set_streaming(n, vc, if st.next_seq == st.len { None } else { Some(st) });

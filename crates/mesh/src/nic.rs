@@ -297,10 +297,6 @@ pub struct NicSlab {
     /// (a pending deposit whose sweep has already parked resolves into the
     /// parked entry without needing a free slot, so retries always drain).
     pending_deposits: Vec<VecDeque<(TxnId, u32)>>,
-    /// Deepest the injection queues (both vnets combined) have ever been —
-    /// a home-NIC backlog diagnostic for the profiler's `inject_queue`
-    /// phase (a pure observation, never read by the simulation).
-    inject_backlog_hwm: Vec<u32>,
 }
 
 impl NicSlab {
@@ -326,7 +322,6 @@ impl NicSlab {
             delivered: (0..nodes).map(|_| VecDeque::new()).collect(),
             resume_q: (0..nodes).map(|_| VecDeque::new()).collect(),
             pending_deposits: (0..nodes).map(|_| VecDeque::new()).collect(),
-            inject_backlog_hwm: vec![0; nodes],
         }
     }
 
@@ -338,15 +333,6 @@ impl NicSlab {
     /// Queue a worm for injection at node `n`.
     pub fn enqueue(&mut self, n: usize, vnet: VNet, worm: WormId) {
         self.inject_q.at_mut(n, vnet.index()).push_back(worm);
-        let depth: usize = self.inject_q.row(n).iter().map(VecDeque::len).sum();
-        if depth as u32 > self.inject_backlog_hwm[n] {
-            self.inject_backlog_hwm[n] = depth as u32;
-        }
-    }
-
-    /// Deepest any node's injection queues have ever been.
-    pub fn max_inject_backlog(&self) -> usize {
-        self.inject_backlog_hwm.iter().copied().max().unwrap_or(0) as usize
     }
 
     /// Index of a free consumption channel at node `n`, if any.
@@ -532,7 +518,6 @@ mod snap_impls {
             self.delivered.save(w);
             self.resume_q.save(w);
             self.pending_deposits.save(w);
-            self.inject_backlog_hwm.save(w);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             let cons_cap = r.get_len()?;
@@ -547,7 +532,6 @@ mod snap_impls {
                 delivered: Snap::load(r)?,
                 resume_q: Snap::load(r)?,
                 pending_deposits: Snap::load(r)?,
-                inject_backlog_hwm: Snap::load(r)?,
             };
             let nodes = s.delivered.len();
             let cons = s.cons_owner.stride();
@@ -561,8 +545,7 @@ mod snap_impls {
                 && s.cons_fifo.stride() == cons
                 && s.iack.rows() == nodes
                 && s.resume_q.len() == nodes
-                && s.pending_deposits.len() == nodes
-                && s.inject_backlog_hwm.len() == nodes;
+                && s.pending_deposits.len() == nodes;
             if !rows_ok {
                 return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
             }
@@ -702,11 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn injection_queues_per_vnet_and_hwm() {
+    fn injection_queues_per_vnet() {
         let mut s = slab();
         s.enqueue(0, VNet::Req, WormId(1));
         s.enqueue(0, VNet::Reply, WormId(2));
-        assert_eq!(s.max_inject_backlog(), 2);
         let n = &mut s;
         assert_eq!(n.pop_inject(0, VNet::Req), Some(WormId(1)));
         assert_eq!(n.pop_inject(0, VNet::Req), None);

@@ -457,11 +457,6 @@ pub fn expand_path(
     Ok(path)
 }
 
-/// Total hop count of the canonical path visiting `dests` from `src`.
-pub fn path_hops(rule: PathRule, mesh: &Mesh2D, src: NodeId, dests: &[NodeId]) -> Option<usize> {
-    expand_path(rule, mesh, src, dests).ok().map(|p| p.len() - 1)
-}
-
 /// True when the visit order is conformant under `rule`.
 pub fn is_conformant(rule: PathRule, mesh: &Mesh2D, src: NodeId, dests: &[NodeId]) -> bool {
     expand_path(rule, mesh, src, dests).is_ok()
@@ -603,8 +598,8 @@ mod tests {
     fn path_hops_matches_manhattan_for_unicast() {
         let m = m8();
         for rule in [PathRule::XY, PathRule::YX, PathRule::WestFirst, PathRule::EastFirst] {
-            let h = path_hops(rule, &m, m.node_at(1, 2), &[m.node_at(6, 7)]).unwrap();
-            assert_eq!(h, 5 + 5, "{rule:?}");
+            let p = expand_path(rule, &m, m.node_at(1, 2), &[m.node_at(6, 7)]).unwrap();
+            assert_eq!(p.len() - 1, 5 + 5, "{rule:?}");
         }
     }
 

@@ -102,18 +102,6 @@ impl Port {
             Port::Local => 4,
         }
     }
-
-    /// Inverse of [`Port::index`].
-    pub fn from_index(i: usize) -> Port {
-        match i {
-            0 => Port::Dir(Direction::East),
-            1 => Port::Dir(Direction::West),
-            2 => Port::Dir(Direction::North),
-            3 => Port::Dir(Direction::South),
-            4 => Port::Local,
-            _ => panic!("invalid port index {i}"),
-        }
-    }
 }
 
 /// Number of router ports (4 directions + local).
@@ -317,9 +305,10 @@ mod tests {
 
     #[test]
     fn port_index_roundtrip() {
-        for i in 0..NUM_PORTS {
-            assert_eq!(Port::from_index(i).index(), i);
-        }
+        let mut idx: Vec<usize> = Direction::ALL.iter().map(|&d| Port::Dir(d).index()).collect();
+        idx.push(Port::Local.index());
+        idx.sort_unstable();
+        assert_eq!(idx, (0..NUM_PORTS).collect::<Vec<_>>(), "port indices are dense and distinct");
         for d in Direction::ALL {
             assert_eq!(Port::Dir(d).index(), d.index());
         }

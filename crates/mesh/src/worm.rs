@@ -93,6 +93,21 @@ pub struct Flit {
     pub seq: u16,
 }
 
+impl Flit {
+    /// Flit `seq` of `worm`, a worm of `len` flits.
+    #[inline]
+    pub fn nth(worm: WormId, seq: u16, len: u16) -> Flit {
+        let kind = if seq == 0 {
+            FlitKind::Head
+        } else if seq + 1 == len {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        Flit { worm, kind, seq }
+    }
+}
+
 /// Parameters for injecting a worm into the network.
 #[derive(Debug, Clone)]
 pub struct WormSpec {
@@ -169,8 +184,6 @@ pub enum WormState {
 pub struct Worm {
     /// Immutable injection parameters.
     pub spec: WormSpec,
-    /// Id of this worm.
-    pub id: WormId,
     /// Index of the next destination to reach in `spec.dests`.
     pub dest_idx: usize,
     /// Acks accumulated so far (gather worms).
@@ -179,9 +192,6 @@ pub struct Worm {
     pub state: WormState,
     /// Cycle the worm was handed to the NIC.
     pub queued_at: Cycle,
-    /// Cycle the head flit entered the network (first flit into a router
-    /// input buffer), if it has.
-    pub injected_at: Option<Cycle>,
     /// Cycle the tail drained at the final destination, if delivered.
     pub delivered_at: Option<Cycle>,
     /// For west-first/east-first conformance enforcement: set once the worm
@@ -266,12 +276,10 @@ impl WormTable {
         };
         let worm = Worm {
             spec,
-            id,
             dest_idx: 0,
             acks: initial_acks,
             state: WormState::Queued,
             queued_at: now,
-            injected_at: None,
             delivered_at: None,
             turned: false,
             bounced: false,
@@ -325,11 +333,6 @@ impl WormTable {
     pub fn iter(&self) -> impl Iterator<Item = &Worm> {
         self.worms.iter()
     }
-
-    /// Count of worms not yet delivered (still queued, in flight or parked).
-    pub fn undelivered(&self) -> usize {
-        self.worms.iter().filter(|w| w.state != WormState::Delivered).count()
-    }
 }
 
 snap_struct!(WormId(0));
@@ -354,12 +357,10 @@ snap_struct!(WormSpec {
 });
 snap_struct!(Worm {
     spec,
-    id,
     dest_idx,
     acks,
     state,
     queued_at,
-    injected_at,
     delivered_at,
     turned,
     bounced,
@@ -388,21 +389,6 @@ mod snap_impls {
             Ok(Self { worms, free, recycle: r.get_bool()? })
         }
     }
-}
-
-/// Build the flit sequence for a worm of `len` flits.
-pub fn flits_for(id: WormId, len: u16) -> impl Iterator<Item = Flit> {
-    (0..len).map(move |seq| Flit {
-        worm: id,
-        kind: if seq == 0 {
-            FlitKind::Head
-        } else if seq + 1 == len {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        },
-        seq,
-    })
 }
 
 #[cfg(test)]
@@ -435,7 +421,6 @@ mod tests {
         assert_eq!(w.next_dest(), NodeId(3));
         assert!(w.at_last_dest_idx());
         assert_eq!(t.len(), 1);
-        assert_eq!(t.undelivered(), 1);
     }
 
     #[test]
@@ -452,9 +437,13 @@ mod tests {
         t.insert(spec2(vec![NodeId(1), NodeId(2)], WormKind::Unicast), 0);
     }
 
+    fn flits(worm: WormId, len: u16) -> Vec<Flit> {
+        (0..len).map(|seq| Flit::nth(worm, seq, len)).collect()
+    }
+
     #[test]
     fn flit_sequence_shape() {
-        let fs: Vec<Flit> = flits_for(WormId(5), 4).collect();
+        let fs = flits(WormId(5), 4);
         assert_eq!(fs.len(), 4);
         assert_eq!(fs[0].kind, FlitKind::Head);
         assert_eq!(fs[1].kind, FlitKind::Body);
@@ -466,7 +455,7 @@ mod tests {
 
     #[test]
     fn two_flit_worm_is_head_then_tail() {
-        let fs: Vec<Flit> = flits_for(WormId(0), 2).collect();
+        let fs = flits(WormId(0), 2);
         assert_eq!(fs[0].kind, FlitKind::Head);
         assert_eq!(fs[1].kind, FlitKind::Tail);
     }
@@ -479,7 +468,6 @@ mod tests {
         t.get_mut(id).delivered_at = Some(60);
         t.get_mut(id).state = WormState::Delivered;
         assert_eq!(t.get(id).latency(), Some(50));
-        assert_eq!(t.undelivered(), 0);
     }
 
     #[test]

@@ -3,19 +3,10 @@
 //! A min-heap keyed by `(time, sequence)` so that events scheduled for the
 //! same cycle fire in insertion order — the property that makes whole-system
 //! runs reproducible regardless of heap internals.
-//!
-//! Cancellation is lazy (cancelled entries stay in the heap until they reach
-//! the top), but liveness is tracked eagerly through the `pending` set, so
-//! `len`/`is_empty` are O(1) and cancelling an event that already fired can
-//! never grow internal state.
 
 use crate::Cycle;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Opaque handle identifying a scheduled event; can be used to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+use std::collections::BinaryHeap;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -45,19 +36,11 @@ impl<E> Ord for Entry<E> {
 /// deterministic `(time, insertion-order)` order.
 ///
 /// Schedule and pop are pure heap operations plus a counter — the hot loop
-/// pays no hashing. Cancellation (rare; no production caller today) is the
-/// expensive side instead: a cancel scans the heap to validate the handle,
-/// and its tombstone costs one set lookup per subsequent pop only while
-/// tombstones remain outstanding.
+/// pays no hashing.
 #[derive(Debug)]
 pub struct Calendar<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    /// Live (scheduled, not yet popped or cancelled) event count.
-    live: usize,
-    /// Seqs cancelled while still pending; their heap entries are dropped
-    /// lazily when they surface at the top. Empty in cancel-free runs.
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -69,77 +52,35 @@ impl<E> Default for Calendar<E> {
 impl<E> Calendar<E> {
     /// Create an empty calendar.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0, live: 0, cancelled: HashSet::new() }
+        Self { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedule `payload` to fire at absolute cycle `at`.
-    pub fn schedule(&mut self, at: Cycle, payload: E) -> EventHandle {
+    pub fn schedule(&mut self, at: Cycle, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { at, seq, payload }));
-        self.live += 1;
-        EventHandle(seq)
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op.
-    ///
-    /// O(pending): validating that the handle is still live scans the heap.
-    pub fn cancel(&mut self, h: EventHandle) {
-        if self.cancelled.contains(&h.0) {
-            return;
-        }
-        if self.heap.iter().any(|Reverse(e)| e.seq == h.0) {
-            self.cancelled.insert(h.0);
-            self.live -= 1;
-        }
     }
 
     /// Time of the earliest pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Cycle> {
-        self.skip_cancelled();
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Time of the earliest *live* pending event without mutating the heap.
-    ///
-    /// Fast path: in cancel-free runs (the common case — `cancelled` is
-    /// empty) this is a single heap peek. While tombstones are
-    /// outstanding it falls back to a scan over live entries, so a
-    /// cancelled-then-rescheduled event is always reported at its *new*
-    /// time — fast-forward must never jump past it.
     pub fn peek_next_at(&self) -> Option<Cycle> {
-        if self.cancelled.is_empty() {
-            self.heap.peek().map(|Reverse(e)| e.at)
-        } else {
-            self.heap
-                .iter()
-                .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
-                .map(|Reverse(e)| e.at)
-                .min()
-        }
+        self.heap.peek().map(|Reverse(e)| e.at)
     }
 
     /// Capture the calendar into a snapshot stream.
     ///
-    /// Live entries are emitted sorted by `(at, seq)` — the exact order
-    /// they will pop in — and cancelled tombstones are dropped, so a
-    /// loaded calendar's pop sequence is identical to the original's no
-    /// matter how either heap happens to be arranged internally.
-    /// `next_seq` is preserved (not compacted) so events scheduled after
-    /// a restore tie-break exactly like they would have in the
-    /// uninterrupted run.
+    /// Entries are emitted sorted by `(at, seq)` — the exact order they
+    /// will pop in — so a loaded calendar's pop sequence is identical to
+    /// the original's no matter how either heap happens to be arranged
+    /// internally. `next_seq` is preserved (not compacted) so events
+    /// scheduled after a restore tie-break exactly like they would have
+    /// in the uninterrupted run.
     pub fn save(&self, w: &mut crate::snap::SnapWriter)
     where
         E: crate::snap::Snap,
     {
         w.put_u64(self.next_seq);
-        let mut live: Vec<&Entry<E>> = self
-            .heap
-            .iter()
-            .map(|Reverse(e)| e)
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .collect();
+        let mut live: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
         live.sort_by_key(|e| (e.at, e.seq));
         w.put_usize(live.len());
         for e in live {
@@ -168,51 +109,28 @@ impl<E> Calendar<E> {
             }
             let payload = E::load(r)?;
             cal.heap.push(Reverse(Entry { at, seq, payload }));
-            cal.live += 1;
         }
         Ok(cal)
     }
 
     /// Pop the next event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, E)> {
-        self.skip_cancelled();
         if self.heap.peek().is_some_and(|Reverse(e)| e.at <= now) {
             let Reverse(e) = self.heap.pop().expect("peeked");
-            self.live -= 1;
             Some((e.at, e.payload))
         } else {
             None
         }
     }
 
-    /// Pop the earliest event unconditionally (advancing time), if any.
-    pub fn pop_next(&mut self) -> Option<(Cycle, E)> {
-        self.skip_cancelled();
-        self.heap.pop().map(|Reverse(e)| {
-            self.live -= 1;
-            (e.at, e.payload)
-        })
-    }
-
-    /// Number of live (non-cancelled) pending events. O(1).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// True when no live events remain. O(1).
+    /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    fn skip_cancelled(&mut self) {
-        while !self.cancelled.is_empty() {
-            match self.heap.peek() {
-                Some(Reverse(e)) if self.cancelled.remove(&e.seq) => {
-                    self.heap.pop();
-                }
-                _ => break,
-            }
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -226,10 +144,12 @@ mod tests {
         c.schedule(30, "c");
         c.schedule(10, "a");
         c.schedule(20, "b");
-        assert_eq!(c.pop_next(), Some((10, "a")));
-        assert_eq!(c.pop_next(), Some((20, "b")));
-        assert_eq!(c.pop_next(), Some((30, "c")));
-        assert_eq!(c.pop_next(), None);
+        assert_eq!(c.peek_next_at(), Some(10));
+        assert_eq!(c.pop_due(Cycle::MAX), Some((10, "a")));
+        assert_eq!(c.pop_due(Cycle::MAX), Some((20, "b")));
+        assert_eq!(c.pop_due(Cycle::MAX), Some((30, "c")));
+        assert_eq!(c.pop_due(Cycle::MAX), None);
+        assert_eq!(c.peek_next_at(), None);
     }
 
     #[test]
@@ -239,7 +159,7 @@ mod tests {
             c.schedule(7, i);
         }
         for i in 0..100 {
-            assert_eq!(c.pop_next(), Some((7, i)));
+            assert_eq!(c.pop_due(7), Some((7, i)));
         }
     }
 
@@ -254,129 +174,20 @@ mod tests {
         assert_eq!(c.pop_due(100), Some((10, 'y')));
     }
 
-    #[test]
-    fn cancel_removes_event() {
-        let mut c = Calendar::new();
-        let h = c.schedule(5, 1);
-        c.schedule(6, 2);
-        c.cancel(h);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.pop_next(), Some((6, 2)));
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut c = Calendar::new();
-        let h = c.schedule(5, 1);
-        assert_eq!(c.pop_next(), Some((5, 1)));
-        c.cancel(h);
-        c.schedule(9, 2);
-        assert_eq!(c.pop_next(), Some((9, 2)));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut c = Calendar::new();
-        let h = c.schedule(5, 1);
-        c.schedule(8, 2);
-        c.cancel(h);
-        assert_eq!(c.peek_time(), Some(8));
-    }
-
-    /// Regression: cancelling handles of already-fired events used to insert
-    /// them into the tombstone set where nothing could ever remove them —
-    /// unbounded growth over a long run. A post-fire cancel must leave no
-    /// trace, and lazily-dropped tombstones must be reclaimed when their
-    /// entries surface.
-    #[test]
-    fn cancelled_set_never_leaks() {
-        let mut c = Calendar::new();
-        let mut handles = Vec::new();
-        for i in 0..1000 {
-            handles.push(c.schedule(i, i));
-        }
-        while c.pop_next().is_some() {}
-        for h in handles {
-            c.cancel(h); // all fired: every cancel is a no-op
-        }
-        assert!(c.cancelled.is_empty(), "post-fire cancels must not accumulate");
-        assert!(c.is_empty());
-
-        // Live cancels are reclaimed once their entries are skipped.
-        let hs: Vec<_> = (0..100).map(|i| c.schedule(2000 + i, i)).collect();
-        for h in &hs {
-            c.cancel(*h);
-        }
-        assert!(c.is_empty());
-        assert_eq!(c.pop_next(), None);
-        assert!(c.cancelled.is_empty(), "skipped tombstones must be reclaimed");
-        assert_eq!(c.heap.len(), 0);
-    }
-
-    /// Regression (extends the PR 1 leak fix): a fast-forwarding caller
-    /// asks "when is the next live event?" and jumps the clock there. If
-    /// an event is cancelled and the same logical work rescheduled
-    /// *earlier*, the stale heap entry sits above the new one — the peek
-    /// must report the rescheduled time, never the cancelled original, or
-    /// fast-forward would jump past the new event and fire it late.
-    #[test]
-    fn peek_never_jumps_past_a_cancelled_then_rescheduled_event() {
-        let mut c = Calendar::new();
-        let h = c.schedule(100, "original");
-        c.schedule(200, "later");
-        c.cancel(h);
-        let _ = c.schedule(50, "rescheduled-earlier");
-        assert_eq!(c.peek_next_at(), Some(50), "must see the rescheduled time");
-        assert_eq!(c.peek_time(), Some(50));
-        assert_eq!(c.pop_due(49), None);
-        assert_eq!(c.pop_due(50), Some((50, "rescheduled-earlier")));
-        // The cancelled original must never fire, even once its slot is due.
-        assert_eq!(c.pop_due(150), None);
-        assert_eq!(c.pop_due(200), Some((200, "later")));
-        assert!(c.is_empty());
-    }
-
-    /// The immutable fast path and the mutating peek must agree under
-    /// interleaved schedule/cancel churn, including while tombstones are
-    /// outstanding (where `peek_next_at` takes its scan fallback).
-    #[test]
-    fn peek_next_at_matches_peek_time_under_churn() {
-        let mut c = Calendar::new();
-        let mut handles = Vec::new();
-        for i in 0..50u64 {
-            handles.push(c.schedule(1000 - i * 7, i));
-        }
-        for h in handles.iter().step_by(3) {
-            c.cancel(*h);
-        }
-        while !c.is_empty() {
-            let fast = c.peek_next_at();
-            assert_eq!(fast, c.peek_time(), "fast path diverged from heap peek");
-            let (at, _) = c.pop_next().expect("non-empty");
-            assert_eq!(fast, Some(at));
-        }
-        assert_eq!(c.peek_next_at(), None);
-    }
-
     /// `len`/`is_empty` must agree with a naive recount under interleaved
-    /// schedule/cancel/pop traffic.
+    /// schedule/pop traffic.
     #[test]
     fn live_count_tracks_heap_contents() {
         let mut c = Calendar::new();
-        let h1 = c.schedule(10, 'a');
-        let h2 = c.schedule(20, 'b');
-        c.schedule(30, 'c');
-        assert_eq!(c.len(), 3);
-        c.cancel(h2);
+        c.schedule(10, 'a');
+        c.schedule(20, 'b');
         assert_eq!(c.len(), 2);
-        c.cancel(h2); // double-cancel: no-op
+        assert_eq!(c.pop_due(10), Some((10, 'a')));
+        assert_eq!(c.len(), 1);
+        c.schedule(15, 'c');
         assert_eq!(c.len(), 2);
-        assert_eq!(c.pop_next(), Some((10, 'a')));
-        assert_eq!(c.len(), 1);
-        c.cancel(h1); // fired: no-op
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.pop_next(), Some((30, 'c')));
+        assert_eq!(c.pop_due(20), Some((15, 'c')));
+        assert_eq!(c.pop_due(20), Some((20, 'b')));
         assert!(c.is_empty());
     }
 }

@@ -104,12 +104,6 @@ impl<V> FlatMap<V> {
         self.probe(key).map(|s| self.vals[s].as_mut().expect("indexed slot is live"))
     }
 
-    /// True if `key` is present.
-    #[inline]
-    pub fn contains_key(&self, key: u64) -> bool {
-        self.probe(key).is_some()
-    }
-
     /// Value for `key`, inserting `make()` first if absent.
     #[inline]
     pub fn get_or_insert_with(&mut self, key: u64, make: impl FnOnce() -> V) -> &mut V {
@@ -264,6 +258,11 @@ impl<V: crate::snap::Snap> crate::snap::Snap for FlatMap<V> {
             let cap = ((m.len() + 1) * 8 / 7 + 1).next_power_of_two().max(16);
             m.rebuild(cap);
         }
+        // A repeated live key would shadow its twin: every probe finds
+        // the first, so the second could never be reached or removed.
+        if (0..m.keys.len()).any(|s| m.vals[s].is_some() && m.probe(m.keys[s]) != Some(s)) {
+            return Err(crate::snap::SnapError::Corrupt("flat map: repeated key".to_string()));
+        }
         Ok(m)
     }
 }
@@ -295,7 +294,6 @@ mod tests {
         assert_eq!(m.len(), 1000);
         for &k in &keys {
             assert_eq!(m.get(k), Some(&(k * 3)));
-            assert!(m.contains_key(k));
         }
         assert_eq!(m.get(5), None);
     }
@@ -340,7 +338,6 @@ mod tests {
         assert_eq!(m.remove(10), None, "double remove is a miss");
         assert_eq!(m.remove(99), None, "absent key is a miss");
         assert_eq!(m.get(10), None);
-        assert!(!m.contains_key(10));
         assert_eq!(m.get(20), Some(&200), "neighbors survive removal");
         assert_eq!(m.len(), 1);
         assert_eq!(m.keys().collect::<Vec<_>>(), vec![20]);
@@ -420,5 +417,17 @@ mod tests {
         for k in 100..140u64 {
             assert_eq!(m.get(k), Some(&((k - 100) as u8)));
         }
+    }
+
+    #[test]
+    fn load_refuses_a_repeated_key() {
+        use crate::snap::{Snap, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new();
+        vec![4u64, 9, 4].save(&mut w);
+        vec![Some(1u32), Some(2), Some(3)].save(&mut w);
+        Vec::<u32>::new().save(&mut w);
+        let bytes = w.finish();
+        let err = FlatMap::<u32>::load(&mut SnapReader::new(&bytes).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("repeated key"), "{err}");
     }
 }

@@ -315,7 +315,12 @@ impl JsonChecker<'_> {
                 Ok(())
             }
         };
-        digits(self)?;
+        // No leading zeros: `0` stands alone before any `.` or exponent.
+        if self.b.get(self.i) == Some(&b'0') {
+            self.i += 1;
+        } else {
+            digits(self)?;
+        }
         if self.b.get(self.i) == Some(&b'.') {
             self.i += 1;
             digits(self)?;
@@ -376,6 +381,8 @@ mod tests {
         validate_json("  {\"k\":{}}  ").unwrap();
         assert!(validate_json("{\"a\":1,}").is_err(), "trailing comma");
         assert!(validate_json("[1 2]").is_err());
+        assert!(validate_json("[01]").is_err(), "leading zero");
+        validate_json("[0,-0.5,0e1]").unwrap();
         assert!(validate_json("{'a':1}").is_err(), "single quotes");
         assert!(validate_json("{\"a\":1} x").is_err(), "trailing garbage");
         assert!(validate_json("\"unterminated").is_err());

@@ -33,7 +33,7 @@ pub mod stats;
 pub mod trace;
 
 pub use bitset::BitSet128;
-pub use calendar::{Calendar, EventHandle};
+pub use calendar::Calendar;
 pub use flat::FlatMap;
 pub use inline_vec::InlineVec;
 pub use json::ToJson;
@@ -42,7 +42,7 @@ pub use ring::BoundedRing;
 pub use rng::Rng;
 pub use slab::Strided;
 pub use snap::{fnv64, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
-pub use stats::{Counter, Histogram, Metric, Registry, Summary};
+pub use stats::{Histogram, Metric, Registry, Summary};
 pub use trace::{
     EventTap, FlightRecorder, InvariantViolation, TraceClass, TraceEvent, TraceKind, TraceLevel,
 };
@@ -55,27 +55,6 @@ pub type Cycle = u64;
 
 /// Nanoseconds per simulated network cycle.
 pub const NS_PER_CYCLE: u64 = 5;
-
-/// Network cycles per 100 MHz processor clock (10 ns / 5 ns).
-pub const CYCLES_PER_CPU_CLOCK: u64 = 2;
-
-/// Convert a cycle count to nanoseconds.
-#[inline]
-pub fn cycles_to_ns(c: Cycle) -> u64 {
-    c * NS_PER_CYCLE
-}
-
-/// Convert a nanosecond duration to cycles, rounding up.
-#[inline]
-pub fn ns_to_cycles(ns: u64) -> Cycle {
-    ns.div_ceil(NS_PER_CYCLE)
-}
-
-/// Convert microseconds to cycles.
-#[inline]
-pub fn us_to_cycles(us: u64) -> Cycle {
-    ns_to_cycles(us * 1_000)
-}
 
 /// Watchdog that detects lack of forward progress (e.g. a deadlocked
 /// network or a protocol that lost a message).
@@ -138,21 +117,6 @@ impl std::error::Error for NoProgress {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ns_cycle_roundtrip() {
-        assert_eq!(cycles_to_ns(4), 20);
-        assert_eq!(ns_to_cycles(20), 4);
-        assert_eq!(ns_to_cycles(21), 5, "round up partial cycles");
-        assert_eq!(ns_to_cycles(0), 0);
-        assert_eq!(us_to_cycles(1), 200);
-    }
-
-    #[test]
-    fn cpu_clock_ratio_matches_paper() {
-        // 100 MHz processor = 10 ns period = 2 network cycles.
-        assert_eq!(CYCLES_PER_CPU_CLOCK * NS_PER_CYCLE, 10);
-    }
 
     #[test]
     fn watchdog_trips_only_after_limit() {

@@ -466,9 +466,9 @@ impl TxnProfiler {
 ///   `pid` = home node, `id` = txn id);
 /// * its phases become **complete slices** (`ph:"X"`, one track per
 ///   transaction) nested under the span;
-/// * caller-supplied [`CounterTrack`]s (e.g. per-router link occupancy
-///   from the mesh contention probe) become **counter tracks**
-///   (`ph:"C"`).
+/// * caller-supplied [`CounterTrack`](chrome_trace::CounterTrack)s
+///   (e.g. per-router link occupancy from the mesh contention probe)
+///   become **counter tracks** (`ph:"C"`).
 ///
 /// Timestamps are microseconds; cycles are converted at
 /// [`NS_PER_CYCLE`](crate::NS_PER_CYCLE) (5 ns) and written as exact

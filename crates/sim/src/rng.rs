@@ -106,16 +106,6 @@ impl Rng {
         idx
     }
 
-    /// Geometrically distributed value >= 1 with success probability `p`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0);
-        if p >= 1.0 {
-            return 1;
-        }
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
-    }
-
     /// Fork an independent child stream (e.g. one per node) that will not
     /// correlate with the parent.
     pub fn fork(&mut self) -> Rng {
@@ -198,15 +188,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn geometric_mean_close_to_expectation() {
-        let mut r = Rng::new(3);
-        let p = 0.25;
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.geometric(p) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "geometric mean {mean} vs 4.0");
     }
 
     #[test]

@@ -35,8 +35,11 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// network's optional link-load meter to `Network::save_state`; versions 3
 /// and 4 dropped the removed engines' counters from the `NetStats` layout;
 /// version 5 stores the network's worklists as node bitsets and each
-/// router FIFO as its live flits only.
-pub const SNAP_VERSION: u32 = 5;
+/// router FIFO as its live flits only; version 6 stores each cache's
+/// occupied lines only and drops four fields no run read (a worm's id and
+/// injection cycle, the kind carried by receive/handle events, and the
+/// NICs' injection-backlog high-water marks).
+pub const SNAP_VERSION: u32 = 6;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

@@ -1,40 +1,9 @@
-//! Statistics collection: counters, running summaries, histograms and
-//! busy-time accumulators.
+//! Statistics collection: running summaries, histograms, busy-time
+//! accumulators and the metric registry.
 
 use crate::json::{self, ToJson};
 use crate::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use crate::Cycle;
-
-/// A simple monotonically increasing event counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.count += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
 
 /// Running univariate summary (count / mean / min / max / variance) using
 /// Welford's numerically stable online algorithm.
@@ -110,30 +79,8 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merge another summary into this one (parallel sweeps).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
-snap_struct!(Counter { count });
 // Welford state travels as `f64` bit patterns (±∞ sentinels of an empty
 // summary included), so post-restore records continue the identical
 // numeric trajectory.
@@ -462,29 +409,6 @@ impl Registry {
         }
     }
 
-    /// Names whose values differ between `self` and `other` — the union of
-    /// both registries' names, where a name present on only one side counts
-    /// as different. Names starting with any prefix in `ignore` are
-    /// skipped, so bit-identity asserts can compare full metric exports
-    /// modulo a small documented exclusion list.
-    pub fn diff_names(&self, other: &Registry, ignore: &[&str]) -> Vec<String> {
-        let mut names: Vec<&str> = self.iter().map(|(n, _)| n).collect();
-        for (n, _) in other.iter() {
-            if self.get(n).is_none() {
-                names.push(n);
-            }
-        }
-        names
-            .into_iter()
-            .filter(|n| !ignore.iter().any(|p| n.starts_with(p)))
-            .filter(|n| match (self.get(n), other.get(n)) {
-                (Some(a), Some(b)) => a != b,
-                _ => true,
-            })
-            .map(str::to_string)
-            .collect()
-    }
-
     /// Human-readable `name = value` lines, in insertion order.
     pub fn lines(&self) -> Vec<String> {
         self.iter().map(|(name, v)| format!("{name} = {}", v.to_json())).collect()
@@ -504,14 +428,6 @@ impl ToJson for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn summary_mean_min_max_stddev() {
@@ -534,29 +450,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]
@@ -646,6 +539,8 @@ mod tests {
         let names: Vec<&str> = r.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["cycles", "util", "lat", "dist"]);
         assert_eq!(r.get("cycles"), Some(&Metric::Counter(200)));
+        assert_eq!(r.get("cycles").unwrap().as_counter(), Some(200));
+        assert_eq!(r.get("util").unwrap().as_counter(), None);
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"cycles\":200"));
@@ -667,25 +562,6 @@ mod tests {
         let j = r.to_json();
         crate::json::validate_json(&j).unwrap_or_else(|e| panic!("{j}: {e}"));
         assert_eq!(j, r#"{"a\"b":1}"#);
-    }
-
-    #[test]
-    fn diff_names_finds_divergence_and_honors_ignores() {
-        let mut a = Registry::new();
-        a.counter("cycles", 100);
-        a.counter("host_allocs", 3);
-        a.gauge("util", 0.5);
-        let mut b = a.clone();
-        assert!(a.diff_names(&b, &[]).is_empty());
-        b.counter("cycles", 101);
-        b.counter("host_allocs", 9);
-        b.counter("only_b", 1);
-        let d = a.diff_names(&b, &[]);
-        assert_eq!(d, vec!["cycles", "host_allocs", "only_b"]);
-        let d = a.diff_names(&b, &["host_", "only_"]);
-        assert_eq!(d, vec!["cycles"]);
-        assert_eq!(a.get("cycles").unwrap().as_counter(), Some(100));
-        assert_eq!(a.get("util").unwrap().as_counter(), None);
     }
 
     #[test]

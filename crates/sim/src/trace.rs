@@ -532,11 +532,6 @@ impl FlightRecorder {
     pub fn taps_attached(&self) -> usize {
         self.taps.len()
     }
-
-    /// Detach every tap.
-    pub fn clear_taps(&mut self) {
-        self.taps.clear();
-    }
 }
 
 /// The full ring as a JSON array of event objects, oldest first.
@@ -675,10 +670,6 @@ mod tests {
         assert_eq!(r.dropped(), 8, "ring overflowed");
         assert_eq!(seen.lock().unwrap().len(), 10, "tap saw every event anyway");
         assert_eq!(*seen.lock().unwrap(), (0..10).collect::<Vec<_>>());
-        r.clear_taps();
-        r.push(99, ev(99));
-        assert_eq!(seen.lock().unwrap().len(), 10, "detached tap sees nothing");
-        assert_eq!(r.taps_attached(), 0);
     }
 
     #[test]

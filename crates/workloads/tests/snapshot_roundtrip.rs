@@ -229,10 +229,13 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded once since, when `MeshConfig`
-/// lost its `hierarchy` field: a snapshot opens with a fingerprint of the
-/// config's `Debug` text, and that fingerprint was the only byte range
-/// that moved.
+/// lock state. The hashes were re-recorded twice since: once when
+/// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
+/// fingerprint of the config's `Debug` text, and that fingerprint was the
+/// only byte range that moved), and once for format version 6, which
+/// stores only each cache's occupied lines and drops four fields no run
+/// read (a worm's id and injection cycle, the `kind` of `Ev::Recv` and
+/// `Ev::Handle`, and the NICs' injection-backlog high-water marks).
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -247,15 +250,37 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0x4147_bbfd_548d_01fa),
-        ("lu", 0xc310_d96e_9ec4_08fd),
-        ("apsp", 0xfbc7_5c7e_88e7_b69d),
-        ("synth 2ph", 0x434f_fbeb_0cff_c328),
-        ("synth ada", 0x1fd6_c51b_0ab5_2e5c),
-        ("locks", 0x26f6_7682_84f9_187b),
+        ("bh", 0xfadd_7d8b_6a0f_8f3a),
+        ("lu", 0x9a11_e7dc_392c_8173),
+        ("apsp", 0x91e1_7f2f_2c90_25b6),
+        ("synth 2ph", 0xfa44_79db_db47_4262),
+        ("synth ada", 0xb159_6225_d2c9_bf13),
+        ("locks", 0x60ad_512f_0ed9_821d),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");
+}
+
+/// A checkpoint pays for the cache lines a run holds, not for the sets it
+/// could hold: a fresh system's snapshot is as long at 64 sets a cache as
+/// at 2048, and a fresh k=64 system (4096 caches of 2048 sets) stays small.
+/// Each fresh snapshot restores and saves the same bytes again, also at
+/// 1 << 16 sets, where a cache's set count exceeds the bytes after it.
+#[test]
+fn fresh_snapshots_do_not_grow_with_cache_sets() {
+    let fresh = |k: usize, sets: usize| {
+        let mut cfg = SystemConfig::for_scheme(k, SchemeKind::UiUa);
+        cfg.cache_sets = sets;
+        let bytes = DsmSystem::new(cfg.clone(), SchemeKind::UiUa.build()).save_snapshot();
+        let back = DsmSystem::restore_snapshot(cfg, SchemeKind::UiUa.build(), &bytes)
+            .unwrap_or_else(|e| panic!("k={k}, {sets} sets: {e}"));
+        assert_eq!(back.save_snapshot(), bytes, "k={k}, {sets} sets");
+        bytes.len()
+    };
+    assert_eq!(fresh(4, 1 << 16), fresh(4, 64));
+    assert_eq!(fresh(8, 64), fresh(8, 2048));
+    let k64 = fresh(64, 2048);
+    assert!(k64 < 1_500_000, "fresh k=64 snapshot is {k64} B");
 }
 
 /// `save_snapshot()` bytes of `s` at its first observation at or past
