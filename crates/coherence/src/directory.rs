@@ -149,6 +149,16 @@ impl Directory {
         v
     }
 
+    /// Node count the presence bits cover.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Message key of every queued request, in no particular order.
+    pub fn queued_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().flat_map(|(_, e)| e.queue.iter().map(|q| q.msg_key))
+    }
+
     /// Number of materialized entries (diagnostics).
     pub fn len(&self) -> usize {
         self.entries.len()

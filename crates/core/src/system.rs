@@ -861,6 +861,13 @@ impl DsmSystem {
                 sys.cfg.nodes()
             )));
         }
+        if let Some(d) = dirs.iter().find(|d| d.nodes() != sys.cfg.nodes()) {
+            return Err(SimError::Snapshot(format!(
+                "snapshot directory covers {} nodes, configuration has {}",
+                d.nodes(),
+                sys.cfg.nodes()
+            )));
+        }
         sys.dirs = dirs;
         sys.txns = Snap::load(&mut r).map_err(snap_err)?;
         sys.cal = Calendar::load(&mut r).map_err(snap_err)?;
@@ -873,7 +880,43 @@ impl DsmSystem {
                 r.remaining()
             )));
         }
+        sys.check_references().map_err(SimError::Snapshot)?;
         Ok(sys)
+    }
+
+    /// The first reference in a restored state that stepping it would
+    /// index out of range: a message key past the table (held by a worm,
+    /// an undrained delivery, a queued directory request or an event), a
+    /// node outside the mesh named by an event, or an `Inject` event the
+    /// network could not route.
+    fn check_references(&self) -> Result<(), String> {
+        let msgs = self.msgs.len() as u64;
+        let key_ok = |k: u64| {
+            if k < msgs {
+                Ok(())
+            } else {
+                Err(format!("message key {k} outside a table of {msgs} messages"))
+            }
+        };
+        let node_ok = |n: NodeId| {
+            if n.idx() < self.cfg.nodes() {
+                Ok(())
+            } else {
+                Err(format!("node {} outside the mesh", n.idx()))
+            }
+        };
+        let queued = self.dirs.iter().flat_map(Directory::queued_keys);
+        self.net.payloads().chain(queued).try_for_each(key_ok)?;
+        self.cal.events().try_for_each(|ev| {
+            match ev {
+                Ev::Recv { node, key, src, .. } | Ev::Handle { node, key, src, .. } => {
+                    key_ok(*key).and(node_ok(*node)).and(node_ok(*src))
+                }
+                Ev::PostIack { node, .. } => node_ok(*node),
+                Ev::Inject(spec) => key_ok(spec.payload).and_then(|()| self.net.check_spec(spec)),
+            }
+            .map_err(|e| format!("calendar event {ev:?}: {e}"))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2186,5 +2229,122 @@ impl Snap for TxnSlab {
             )));
         }
         Ok(Self { slots, ids, free, seq, live })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schemes::SchemeKind;
+
+    fn system() -> DsmSystem {
+        DsmSystem::new(SystemConfig::for_scheme(4, SchemeKind::UiUa), SchemeKind::UiUa.build())
+    }
+
+    fn restored(sys: &DsmSystem) -> Result<DsmSystem, SimError> {
+        let cfg = SystemConfig::for_scheme(4, SchemeKind::UiUa);
+        DsmSystem::restore_snapshot(cfg, SchemeKind::UiUa.build(), &sys.save_snapshot())
+    }
+
+    /// A message key past the table, held by a worm, a delivery, a
+    /// calendar event or a queued directory request, is refused at restore
+    /// instead of panicking in `MsgTable::get` once stepped.
+    #[test]
+    fn restore_refuses_a_message_key_past_the_table() {
+        let key = |sys: &mut DsmSystem| sys.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+        let mut ok = system();
+        let k = key(&mut ok);
+        ok.net.inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Reply, 2, k));
+        ok.cal.schedule(9, Ev::Recv { node: NodeId(1), key: k, acks: 0, src: NodeId(2) });
+        restored(&ok).expect("keys inside the table restore");
+
+        let corrupt: [fn(&mut DsmSystem, u64); 4] = [
+            |sys, k| {
+                sys.net.inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Reply, 2, k));
+            },
+            |sys, k| {
+                sys.cal.schedule(9, Ev::Handle { node: NodeId(1), key: k, acks: 0, src: NodeId(2) })
+            },
+            |sys, k| {
+                let spec = WormSpec::unicast(NodeId(3), NodeId(4), VNet::Req, 2, k);
+                sys.cal.schedule(9, Ev::Inject(spec));
+            },
+            |sys, k| {
+                let e = sys.dirs[0].entry_mut(BlockId(0));
+                e.queue.push_back(wormdsm_coherence::QueuedReq { node: NodeId(1), msg_key: k });
+            },
+        ];
+        for (i, corrupt) in corrupt.into_iter().enumerate() {
+            let mut sys = system();
+            let k = key(&mut sys);
+            corrupt(&mut sys, k + 1);
+            let Err(SimError::Snapshot(e)) = restored(&sys) else {
+                panic!("case {i}: a key past the table restored");
+            };
+            assert!(e.contains("message key 1 outside a table of 1"), "case {i}: {e}");
+        }
+    }
+
+    /// A calendar event naming a node outside the mesh, or an `Inject`
+    /// whose worm the network could not inject or route, is refused at
+    /// restore instead of panicking once stepped.
+    #[test]
+    fn restore_refuses_calendar_events_the_mesh_cannot_run() {
+        let mut ok = system();
+        ok.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+        ok.cal.schedule(3, Ev::Inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0)));
+        let mut sys = restored(&ok).expect("a routable worm restores");
+        sys.run_cycles(100);
+
+        type Corrupt = fn(&mut DsmSystem);
+        let corrupt: [(Corrupt, &str); 5] = [
+            (
+                |sys| {
+                    sys.cal
+                        .schedule(3, Ev::Recv { node: NodeId(99), key: 0, acks: 0, src: NodeId(0) })
+                },
+                "node 99 outside the mesh",
+            ),
+            (
+                |sys| sys.cal.schedule(3, Ev::PostIack { node: NodeId(16), txn: TxnId(1) }),
+                "node 16 outside the mesh",
+            ),
+            (
+                |sys| {
+                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0);
+                    spec.dests = Default::default();
+                    sys.cal.schedule(3, Ev::Inject(spec));
+                },
+                "at least one destination",
+            ),
+            (
+                |sys| {
+                    sys.cal.schedule(
+                        3,
+                        Ev::Inject(WormSpec::unicast(NodeId(5), NodeId(5), VNet::Req, 2, 0)),
+                    )
+                },
+                "first destination is its source",
+            ),
+            (
+                |sys| {
+                    // Under XY, a path back west after reaching column 1.
+                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0);
+                    spec.kind = WormKind::Multicast;
+                    spec.dests = [NodeId(5), NodeId(8)].into();
+                    sys.cal.schedule(3, Ev::Inject(spec));
+                },
+                "not conformant",
+            ),
+        ];
+        for (i, (corrupt, want)) in corrupt.into_iter().enumerate() {
+            let mut sys = system();
+            sys.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+            corrupt(&mut sys);
+            let Err(SimError::Snapshot(e)) = restored(&sys) else {
+                panic!("case {i}: an event the mesh cannot run restored");
+            };
+            assert!(e.contains(want), "case {i}: {e}");
+        }
     }
 }

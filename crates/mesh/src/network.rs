@@ -1,6 +1,6 @@
 //! The cycle-level network engine.
 //!
-//! [`Network`] owns every router and NIC (as field-major slabs — see
+//! [`Network`] owns every router and NIC (as flat slabs for all nodes — see
 //! [`crate::router::RouterSlab`] / [`crate::nic::NicSlab`]) plus the worm
 //! table, and advances the whole mesh one cycle at a time in three
 //! deterministic phases:
@@ -36,7 +36,8 @@ use crate::router::{BufFlit, RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
-    Flit, FlitKind, TxnId, VNet, Worm, WormId, WormKind, WormSpec, WormState, WormTable, NUM_VNETS,
+    Flit, FlitKind, TxnId, VNet, Worm, WormHot, WormId, WormKind, WormSpec, WormState, WormTable,
+    NUM_VNETS,
 };
 use wormdsm_sim::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
@@ -810,17 +811,68 @@ impl Network {
         self.violation.as_deref()
     }
 
-    /// Recompute the router slab's derived state (flit counts, head-ready
-    /// mirror, slot-class masks) from its FIFOs, modes and allocations,
-    /// and report the first disagreement. `O(nodes * slots)`: a check for
-    /// tests and debugging, not for every tick of a long run.
+    /// Recompute the router slab's derived state (flit counts, front
+    /// ready times, slot-class masks) from its FIFOs, modes and
+    /// allocations, check that every link's credits plus its downstream
+    /// FIFO's flits make `vc_buf_flits`, and report the first
+    /// disagreement. `O(nodes * slots)`: a check for tests and debugging,
+    /// not for every tick of a long run.
     pub fn check_router_slab(&self) -> Result<(), String> {
-        self.routers.check_consistency()
+        self.routers.check_consistency()?;
+        self.check_credits()
     }
 
-    /// Access a worm record.
+    /// Credits are returned in the cycle a flit leaves the downstream
+    /// FIFO, so each link output's credits plus that FIFO's flits are
+    /// always its depth; an output at the mesh edge never spends one.
+    fn check_credits(&self) -> Result<(), String> {
+        let cap = self.cfg.vc_buf_flits;
+        for (n, nbs) in self.neighbors.iter().enumerate() {
+            for (port, &nb) in nbs.iter().enumerate() {
+                let in_port = Direction::ALL[port].opposite().index();
+                for vc in 0..self.routers.vcs() {
+                    let credit = self.routers.credit(n, port, vc);
+                    let held = if nb == NO_NEIGHBOR {
+                        0
+                    } else {
+                        cap - self.routers.space(nb as usize, in_port, vc)
+                    };
+                    if credit + held != cap {
+                        return Err(format!(
+                            "node {n} output ({port}, {vc}): {credit} credits and {held} flits \
+                             downstream, depth {cap}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Check every worm's hot record against the one its cold record and
+    /// `dest_idx` imply, and every destination against the mesh, and
+    /// report the first disagreement. `O(worms)`: a check for tests and
+    /// debugging, like [`Network::check_router_slab`].
+    pub fn check_worm_table(&self) -> Result<(), String> {
+        self.worms.check(self.cfg.mesh.nodes())
+    }
+
+    /// The payload of every worm in the table and of every delivery not
+    /// yet taken: a superset of the payloads the network may still hand
+    /// to a node.
+    pub fn payloads(&self) -> impl Iterator<Item = u64> + '_ {
+        self.worms.iter().map(|w| w.spec.payload).chain(self.nics.undrained().map(|d| d.payload))
+    }
+
+    /// Access a worm's cold record.
     pub fn worm(&self, id: WormId) -> &Worm {
         self.worms.get(id)
+    }
+
+    /// A worm's hot record: its next destination, `dest_idx` and
+    /// `turned` flag.
+    pub fn worm_hot(&self, id: WormId) -> WormHot {
+        self.worms.hot(id)
     }
 
     /// Number of worms not yet fully delivered.
@@ -831,6 +883,21 @@ impl Network {
     /// True when nothing is queued, streaming, in flight or parked.
     pub fn quiescent(&self) -> bool {
         self.live_worms == 0
+    }
+
+    /// The first reason `spec` cannot be injected and routed: a rule of
+    /// [`WormSpec::check`], a first destination at the source, or a
+    /// destination sequence its virtual network's rule does not allow.
+    pub fn check_spec(&self, spec: &WormSpec) -> Result<(), String> {
+        spec.check(self.cfg.mesh.nodes())?;
+        if spec.dests[0] == spec.src {
+            return Err("worm's first destination is its source".into());
+        }
+        let rule = self.cfg.rule_for(spec.vnet);
+        if !crate::routing::is_conformant(rule, &self.cfg.mesh, spec.src, &spec.dests) {
+            return Err(format!("destination sequence not conformant to {rule:?}"));
+        }
+        Ok(())
     }
 
     /// Hand a worm to its source NIC for injection.
@@ -1003,39 +1070,26 @@ impl Network {
         debug_assert_eq!(front.flit.kind, FlitKind::Head, "non-head at front of unallocated VC");
         let wid = front.flit.worm;
         let here = NodeId(r as u16);
-        let (kind, next_dest, at_last, reserve, txn, len, vnet) = {
-            let w = self.worms.get(wid);
-            (
-                w.spec.kind,
-                w.next_dest(),
-                w.at_last_dest_idx(),
-                w.spec.reserve_iack,
-                w.spec.txn,
-                w.spec.len_flits,
-                w.spec.vnet,
-            )
-        };
+        let hot = self.worms.hot(wid);
 
-        if next_dest == here {
-            if at_last {
+        if hot.next_dest == here {
+            if hot.last {
                 self.process_final_dest(r, port, vc, wid);
-            } else if !self.worms.get(wid).delivers_here() {
+            } else if !hot.delivers {
                 // Pure routing waypoint: strip the header hop and continue.
-                self.worms.get_mut(wid).dest_idx += 1;
+                self.worms.advance(wid);
                 self.routers.set_front_ready(r, port, vc, now + self.cfg.strip_delay);
             } else {
-                match kind {
+                match hot.kind {
                     WormKind::Unicast => unreachable!("unicast has a single destination"),
                     WormKind::Multicast => {
-                        self.process_multicast_intermediate(now, r, port, vc, wid, reserve, txn)
+                        self.process_multicast_intermediate(now, r, port, vc, wid, hot.reserve)
                     }
-                    WormKind::Gather => {
-                        self.process_gather_intermediate(now, r, port, vc, wid, txn, len)
-                    }
+                    WormKind::Gather => self.process_gather_intermediate(now, r, port, vc, wid),
                 }
             }
         } else {
-            self.allocate_route(now, r, port, vc, wid, here, next_dest, vnet);
+            self.allocate_route(now, r, port, vc, wid, here, hot);
         }
     }
 
@@ -1061,7 +1115,6 @@ impl Network {
     /// Intermediate destination of a multicast: acquire the i-ack entry
     /// (i-reserve worms) and an absorb consumption channel, strip the
     /// header, and continue routing next cycle.
-    #[allow(clippy::too_many_arguments)]
     fn process_multicast_intermediate(
         &mut self,
         now: Cycle,
@@ -1070,9 +1123,8 @@ impl Network {
         vc: usize,
         wid: WormId,
         reserve: bool,
-        txn: TxnId,
     ) {
-        if reserve && !self.nics.reserve_iack(r, txn) {
+        if reserve && !self.nics.reserve_iack(r, self.worms.get(wid).spec.txn) {
             self.stats.multicast_blocked_cycles += 1;
             return;
         }
@@ -1083,13 +1135,12 @@ impl Network {
         self.nics.reserve_cons(r, cc, wid, true);
         self.worms.get_mut(wid).copies += 1;
         self.routers.set_pending_absorb(r, port, vc, cc);
-        self.worms.get_mut(wid).dest_idx += 1;
+        self.worms.advance(wid);
         self.routers.set_front_ready(r, port, vc, now + self.cfg.strip_delay);
     }
 
     /// Intermediate destination of a gather: check the i-ack buffer;
     /// absorb-and-go, block, or park.
-    #[allow(clippy::too_many_arguments)]
     fn process_gather_intermediate(
         &mut self,
         now: Cycle,
@@ -1097,14 +1148,15 @@ impl Network {
         port: usize,
         vc: usize,
         wid: WormId,
-        txn: TxnId,
-        len: u16,
     ) {
+        let (txn, len) = {
+            let spec = &self.worms.get(wid).spec;
+            (spec.txn, spec.len_flits)
+        };
         match self.nics.gather_check(r, txn) {
             GatherCheck::Ready(count) => {
-                let w = self.worms.get_mut(wid);
-                w.acks += count;
-                w.dest_idx += 1;
+                self.worms.get_mut(wid).acks += count;
+                self.worms.advance(wid);
                 self.routers.set_front_ready(r, port, vc, now + self.cfg.iack_check_delay);
             }
             GatherCheck::NotReady => match self.cfg.iack_mode {
@@ -1155,10 +1207,9 @@ impl Network {
         vc: usize,
         wid: WormId,
         here: NodeId,
-        dest: NodeId,
-        vnet: VNet,
+        hot: WormHot,
     ) {
-        let turned = self.worms.get(wid).turned;
+        let WormHot { next_dest: dest, vnet, turned, .. } = hot;
         let mask = self.tables[vnet.index()].mask(here, dest, turned);
         assert!(
             mask != 0,
@@ -1354,14 +1405,16 @@ impl Network {
 
         // Head bookkeeping: the worm may enter its "turned" phase.
         if flit.kind == FlitKind::Head {
-            let w = self.worms.get_mut(flit.worm);
-            let rule = self.cfg.rule_for(w.spec.vnet);
-            w.turned |= match rule {
+            let rule = self.cfg.rule_for(self.worms.hot(flit.worm).vnet);
+            let turns = match rule {
                 PathRule::XY => matches!(dir, Direction::North | Direction::South),
                 PathRule::YX => matches!(dir, Direction::East | Direction::West),
                 PathRule::WestFirst => dir != Direction::West,
                 PathRule::EastFirst => dir != Direction::East,
             };
+            if turns {
+                self.worms.set_turned(flit.worm, true);
+            }
         }
 
         // Deposit downstream. The flit becomes eligible after the router
@@ -1507,9 +1560,9 @@ impl Network {
                 let w = self.worms.get_mut(wid);
                 w.copies -= 1;
                 w.bounced = false;
-                w.turned = false;
                 w.state = WormState::Queued;
                 let vnet = w.spec.vnet;
+                self.worms.set_turned(wid, false);
                 self.nics.enqueue(n, vnet, wid);
                 continue;
             }
@@ -1595,11 +1648,11 @@ impl Network {
             let vnet = {
                 let w = self.worms.get_mut(wid);
                 w.acks += count;
-                w.dest_idx += 1;
-                w.turned = false;
                 w.state = WormState::Queued;
                 w.spec.vnet
             };
+            self.worms.advance(wid);
+            self.worms.set_turned(wid, false);
             self.nics.enqueue(n, vnet, wid);
             self.stats.resumes += 1;
         }
@@ -1743,6 +1796,22 @@ impl Network {
                 net.worms.len()
             )));
         }
+        let table = net.worms.len();
+        let dangling =
+            net.routers.worm_ids().chain(net.nics.worm_ids()).find(|id| id.0 as usize >= table);
+        if let Some(id) = dangling {
+            return Err(SnapError::Corrupt(format!(
+                "worm id {} named outside a table of {table}",
+                id.0
+            )));
+        }
+        net.worms.check(nodes).map_err(SnapError::Corrupt)?;
+        if let Some(d) =
+            net.nics.undrained().find(|d| d.node.idx() >= nodes || d.src.idx() >= nodes)
+        {
+            return Err(SnapError::Corrupt(format!("{d:?} names a node outside the mesh")));
+        }
+        net.check_credits().map_err(SnapError::Corrupt)?;
         Ok(net)
     }
 
@@ -1926,6 +1995,57 @@ mod tests {
         assert_eq!(stats_a, stats_b);
         assert_eq!(del_a, del_b);
         assert_eq!(save(&a), save(&b));
+    }
+
+    /// A worm id past the table, named by a buffered flit, a NIC queue or
+    /// a consumption channel, a link whose credits and downstream flits do
+    /// not make its depth, and a delivery to a node outside the mesh are
+    /// refused at load instead of panicking once ticked.
+    #[test]
+    fn load_rejects_dangling_worm_ids_and_unbalanced_credits() {
+        type Corrupt = fn(&mut Network);
+        let corrupt: [(Corrupt, &str); 6] = [
+            (
+                |n| n.nics.enqueue(7, VNet::Req, WormId(60)),
+                "worm id 60 named outside a table of 60",
+            ),
+            (|n| n.nics.reserve_cons(3, 0, WormId(99), false), "worm id 99"),
+            (
+                |n| {
+                    let bf = BufFlit { flit: Flit::nth(WormId(61), 0, 2), ready_at: 0 };
+                    n.routers.deposit(0, LOCAL, 0, bf);
+                },
+                "worm id 61",
+            ),
+            (|n| n.routers.take_credit(0, 0, 0), "node 0 output (0, 0): 2 credits and 0 flits"),
+            (|n| n.routers.add_credit(0, 1, 0), "node 0 output (1, 0): 4 credits and 0 flits"),
+            (
+                |n| {
+                    let d = Delivery {
+                        node: NodeId(40),
+                        worm: WormId(0),
+                        src: NodeId(1),
+                        payload: 0,
+                        kind: DeliveryKind::Final,
+                        acks: 0,
+                        at: 0,
+                        txn: TxnId(0),
+                    };
+                    n.nics.push_delivery(2, d);
+                },
+                "names a node outside the mesh",
+            ),
+        ];
+        for (i, (corrupt, want)) in corrupt.into_iter().enumerate() {
+            let (cfg, mut net) = busy_network();
+            assert_eq!(net.check_router_slab(), Ok(()));
+            load(&cfg, &save(&net)).expect("well-formed stream loads");
+            corrupt(&mut net);
+            let Err(SnapError::Corrupt(e)) = load(&cfg, &save(&net)) else {
+                panic!("case {i}: corrupt network loaded")
+            };
+            assert!(e.contains(want), "case {i}: {e}");
+        }
     }
 
     #[test]

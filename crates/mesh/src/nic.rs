@@ -12,10 +12,10 @@
 //!   park gather worms under virtual cut-through + deferred delivery,
 //! * the **delivered-message queue** consumed by the node model.
 //!
-//! Like the router, NIC state is stored field-major for all nodes at once
-//! ([`NicSlab`]). The i-ack buffer state machine — the trickiest part of
-//! the VCT deferred-delivery protocol — is written as functions over one
-//! node's entry row.
+//! Like the router's, NIC state is stored for all nodes at once
+//! ([`NicSlab`]), one field per slab. The i-ack buffer state machine —
+//! the trickiest part of the VCT deferred-delivery protocol — is written
+//! as functions over one node's entry row.
 
 use crate::topology::NodeId;
 use crate::worm::{Flit, TxnId, VNet, WormId, NUM_VNETS};
@@ -268,7 +268,8 @@ fn park_drain_in(
     None
 }
 
-/// NIC state for every node, field-major. All indices are global node ids.
+/// NIC state for every node, one field per slab. All indices are global
+/// node ids.
 #[derive(Debug)]
 pub struct NicSlab {
     cons_cap: usize,
@@ -479,6 +480,30 @@ impl NicSlab {
     /// Requeue a pending ack deposit at node `n`.
     pub fn push_pending(&mut self, n: usize, txn: TxnId, acks: u32) {
         self.pending_deposits[n].push_back((txn, acks));
+    }
+
+    /// Every worm the NICs name: queued for injection, streaming,
+    /// owning a consumption channel, parked in an i-ack entry, or
+    /// waiting to resume.
+    pub(crate) fn worm_ids(&self) -> impl Iterator<Item = WormId> + '_ {
+        let parked = self.iack.as_slice().iter().filter_map(|e| match e {
+            Some(IackEntry { state: IackState::Parked { worm, .. }, .. }) => Some(*worm),
+            _ => None,
+        });
+        self.inject_q
+            .as_slice()
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.streaming.as_slice().iter().flatten().map(|st| st.worm))
+            .chain(self.cons_owner.as_slice().iter().flatten().copied())
+            .chain(parked)
+            .chain(self.resume_q.iter().flatten().map(|&(w, _)| w))
+    }
+
+    /// Every delivery not yet taken by a node.
+    pub(crate) fn undrained(&self) -> impl Iterator<Item = &Delivery> {
+        self.delivered.iter().flatten()
     }
 
     /// True when node `n` has phase-3 NIC work (queued injections,

@@ -1,4 +1,4 @@
-//! Per-node wormhole router state, stored as structure-of-arrays slabs.
+//! Per-node wormhole router state, stored as flat slabs for all nodes.
 //!
 //! A router has five ports (E, W, N, S, Local); each input port carries
 //! `vcs_per_vnet * NUM_VNETS` virtual channels with small flit FIFOs and
@@ -8,19 +8,25 @@
 //!
 //! # Layout
 //!
-//! [`RouterSlab`] holds the state of **every** router, one field per array
-//! (credits, allocations, VC modes, buffer-head ready times, flit counts),
-//! each laid out node-major and contiguous. A router's `(port, vc)` pair
-//! is slot `port * vcs + vc`, and `node * slots + slot` indexes every
-//! per-slot array. A per-cycle scan over the active worklist therefore
-//! walks dense, same-typed memory instead of chasing per-node struct
-//! pointers — at a 4096-node (k=64) mesh the tick-hot state stays
-//! cache-resident.
+//! [`RouterSlab`] holds the state of **every** router. A router's
+//! `(port, vc)` pair is slot `port * vcs + vc`, and `node * slots + slot`
+//! indexes every per-slot array, node-major and contiguous. What the tick
+//! reads together sits together, one record per slot:
+//!
+//! - **Input-slot record** (`InSlot`, 16 bytes): the front flit's ready
+//!   time, the VC's allocation mode, and the FIFO ring's head index and
+//!   length. A head visit or an arbitration check touches one record.
+//! - **Output-slot record** (`OutSlot`, 8 bytes): the downstream credit
+//!   count and the input VC the output is allocated to.
+//!
+//! Four records share a 64-byte line (eight output records), so at a
+//! 4096-node (k=64) mesh one visit costs one line per slot instead of one
+//! per field.
 //!
 //! - **Flat FIFO slab.** Every input FIFO lives in one `Vec<BufFlit>`
-//!   holding `vc_cap` entries per (node, slot), used as a ring with a
-//!   `u16` head index and length per slot, so no queue owns a heap
-//!   allocation of its own.
+//!   holding `vc_cap` entries per (node, slot), used as a ring with the
+//!   `u16` head index and length of its input-slot record, so no queue
+//!   owns a heap allocation of its own.
 //! - **Slot-class masks.** Each node keeps a `SlotMasks`: the occupied
 //!   inputs, the allocated outputs, the inputs `Active` toward the local
 //!   port, the inputs in `DrainPark`, and the inputs not in `Normal`.
@@ -79,8 +85,39 @@ pub enum VcMode {
     },
 }
 
-/// `head_ready` value of an empty input VC: never eligible.
+/// Front ready time of an empty input VC: never eligible.
 const EMPTY_READY: Cycle = Cycle::MAX;
+
+/// One input VC: what a head visit and an arbitration check read.
+#[derive(Debug, Clone, Copy)]
+struct InSlot {
+    /// `ready_at` of the FIFO's front flit ([`EMPTY_READY`] when empty):
+    /// the "is the head eligible this cycle" checks read this instead of
+    /// dereferencing the FIFO.
+    ready: Cycle,
+    /// Allocation state.
+    mode: VcMode,
+    /// Ring index of the front flit.
+    head: u16,
+    /// Flits in the FIFO.
+    len: u16,
+}
+
+/// An input VC with an empty FIFO and no allocation.
+const IDLE_IN: InSlot = InSlot { ready: EMPTY_READY, mode: VcMode::Normal, head: 0, len: 0 };
+
+/// One output VC.
+#[derive(Debug, Clone, Copy)]
+struct OutSlot {
+    /// Credits toward the downstream input buffer (unused on the `Local`
+    /// port).
+    credit: u32,
+    /// The input VC `(in_port, in_vc)` this output is allocated to.
+    alloc: Option<(u8, u8)>,
+}
+
+const _: () = assert!(std::mem::size_of::<InSlot>() == 16);
+const _: () = assert!(std::mem::size_of::<OutSlot>() == 8);
 
 /// Filler for FIFO ring entries that hold no flit.
 const EMPTY_FLIT: BufFlit =
@@ -127,9 +164,9 @@ fn assign(set: &mut BitSet128, bit: usize, on: bool) {
     }
 }
 
-/// Router state for every node, field-major. All indices are global node
-/// ids; the `(port, vc)` pair maps to slot `port * vcs + vc`, matching the
-/// mask bit positions.
+/// Router state for every node, one record per slot. All indices are
+/// global node ids; the `(port, vc)` pair maps to slot `port * vcs + vc`,
+/// matching the mask bit positions.
 #[derive(Debug)]
 pub struct RouterSlab {
     nodes: usize,
@@ -146,24 +183,13 @@ pub struct RouterSlab {
     /// Flit FIFO rings: `vc_cap` entries per (node, slot), at
     /// `(node * slots + slot) * vc_cap`.
     fifo: Vec<BufFlit>,
-    /// Ring index of each FIFO's front flit, per (node, slot).
-    fifo_head: Vec<u16>,
-    /// Flits in each FIFO, per (node, slot).
-    fifo_len: Vec<u16>,
-    /// `ready_at` of each FIFO's front flit ([`EMPTY_READY`] when empty):
-    /// the "is the head eligible this cycle" scans read this dense array
-    /// instead of dereferencing the FIFO.
-    head_ready: Strided<Cycle>,
-    /// Allocation state per input VC, slot-strided.
-    mode: Strided<VcMode>,
+    /// Input-slot records, per (node, slot).
+    inp: Vec<InSlot>,
+    /// Output-slot records, per (node, slot).
+    out: Vec<OutSlot>,
     /// Absorb channel acquired during destination processing, consumed into
     /// [`VcMode::Active`] when the output VC is allocated.
     pending_absorb: Strided<Option<u8>>,
-    /// Credits toward the downstream input buffer, slot-strided (the
-    /// `Local` port row is unused).
-    credit: Strided<u32>,
-    /// Output VC allocations `-> (in_port, in_vc)`, slot-strided.
-    alloc: Strided<Option<(u8, u8)>>,
     /// Round-robin arbitration pointer per output port (stride `ports`):
     /// the slot just after the last winner, kept in `0..slots`.
     rr: Strided<u32>,
@@ -221,13 +247,9 @@ impl RouterSlab {
             slot_pv,
             port_masks,
             fifo: vec![EMPTY_FLIT; entries],
-            fifo_head: vec![0; nodes * slots],
-            fifo_len: vec![0; nodes * slots],
-            head_ready: Strided::new(nodes, slots, || EMPTY_READY),
-            mode: Strided::new(nodes, slots, || VcMode::Normal),
+            inp: vec![IDLE_IN; nodes * slots],
+            out: vec![OutSlot { credit: vc_cap as u32, alloc: None }; nodes * slots],
             pending_absorb: Strided::new(nodes, slots, || None),
-            credit: Strided::new(nodes, slots, || vc_cap as u32),
-            alloc: Strided::new(nodes, slots, || None),
             rr: Strided::new(nodes, ports, || 0),
             masks: vec![SlotMasks::default(); nodes],
             flits: vec![0; nodes],
@@ -249,6 +271,12 @@ impl RouterSlab {
     fn slot(&self, port: usize, vc: usize) -> usize {
         debug_assert!(port < self.ports && vc < self.vcs);
         port * self.vcs + vc
+    }
+
+    /// Index of `(port, vc)` at node `n` in the per-slot arrays.
+    #[inline]
+    fn q(&self, n: usize, port: usize, vc: usize) -> usize {
+        n * self.slots + self.slot(port, vc)
     }
 
     /// The `(port, vc)` pair of slot `s`.
@@ -285,63 +313,62 @@ impl RouterSlab {
     /// Ring position of the front flit of FIFO `q` (`node * slots + slot`).
     #[inline]
     fn front_pos(&self, q: usize) -> usize {
-        q * self.vc_cap + self.fifo_head[q] as usize
+        q * self.vc_cap + self.inp[q].head as usize
     }
 
     /// Front flit of input `(port, vc)` at node `n`.
     #[inline]
     pub fn front(&self, n: usize, port: usize, vc: usize) -> Option<BufFlit> {
-        let q = n * self.slots + self.slot(port, vc);
-        (self.fifo_len[q] > 0).then(|| self.fifo[self.front_pos(q)])
+        let q = self.q(n, port, vc);
+        (self.inp[q].len > 0).then(|| self.fifo[self.front_pos(q)])
     }
 
     /// `ready_at` of the front flit ([`Cycle::MAX`] when empty).
     #[inline]
     pub fn front_ready(&self, n: usize, port: usize, vc: usize) -> Cycle {
-        *self.head_ready.at(n, self.slot(port, vc))
+        self.inp[self.q(n, port, vc)].ready
     }
 
     /// Allocation state of input `(port, vc)`.
     #[inline]
     pub fn mode(&self, n: usize, port: usize, vc: usize) -> VcMode {
-        *self.mode.at(n, self.slot(port, vc))
+        self.inp[self.q(n, port, vc)].mode
     }
 
     /// Output VC allocation `-> (in_port, in_vc)`.
     #[inline]
     pub fn alloc(&self, n: usize, port: usize, vc: usize) -> Option<(usize, usize)> {
-        self.alloc.at(n, self.slot(port, vc)).map(|(p, v)| (p as usize, v as usize))
+        self.out[self.q(n, port, vc)].alloc.map(|(p, v)| (p as usize, v as usize))
     }
 
     /// Credits toward the downstream buffer of output `(port, vc)`.
     #[inline]
     pub fn credit(&self, n: usize, port: usize, vc: usize) -> usize {
-        *self.credit.at(n, self.slot(port, vc)) as usize
+        self.out[self.q(n, port, vc)].credit as usize
     }
 
     /// Free buffer slots of input `(port, vc)`.
     #[inline]
     pub fn space(&self, n: usize, port: usize, vc: usize) -> usize {
-        self.vc_cap - self.fifo_len[n * self.slots + self.slot(port, vc)] as usize
+        self.vc_cap - self.inp[self.q(n, port, vc)].len as usize
     }
 
     /// Re-arm the front flit's eligibility time (header strip / i-ack
     /// check delays).
     #[inline]
     pub fn set_front_ready(&mut self, n: usize, port: usize, vc: usize, at: Cycle) {
-        let s = self.slot(port, vc);
-        let q = n * self.slots + s;
-        assert!(self.fifo_len[q] > 0, "head present");
+        let q = self.q(n, port, vc);
+        assert!(self.inp[q].len > 0, "head present");
         let pos = self.front_pos(q);
         self.fifo[pos].ready_at = at;
-        *self.head_ready.at_mut(n, s) = at;
+        self.inp[q].ready = at;
     }
 
     /// Set the allocation state of input `(port, vc)`.
     #[inline]
     pub fn set_mode(&mut self, n: usize, port: usize, vc: usize, m: VcMode) {
         let s = self.slot(port, vc);
-        *self.mode.at_mut(n, s) = m;
+        self.inp[n * self.slots + s].mode = m;
         self.masks[n].set_mode_bits(s, m);
     }
 
@@ -363,22 +390,22 @@ impl RouterSlab {
     #[inline]
     pub fn set_alloc(&mut self, n: usize, port: usize, vc: usize, a: Option<(usize, usize)>) {
         let s = self.slot(port, vc);
-        *self.alloc.at_mut(n, s) = a.map(|(p, v)| (p as u8, v as u8));
+        self.out[n * self.slots + s].alloc = a.map(|(p, v)| (p as u8, v as u8));
         assign(&mut self.masks[n].alloc, s, a.is_some());
     }
 
     /// Consume one downstream credit (a flit crossed the link).
     #[inline]
     pub fn take_credit(&mut self, n: usize, port: usize, vc: usize) {
-        let s = self.slot(port, vc);
-        *self.credit.at_mut(n, s) -= 1;
+        let q = self.q(n, port, vc);
+        self.out[q].credit -= 1;
     }
 
     /// Return one credit (downstream buffer slot vacated).
     #[inline]
     pub fn add_credit(&mut self, n: usize, port: usize, vc: usize) {
-        let s = self.slot(port, vc);
-        *self.credit.at_mut(n, s) += 1;
+        let q = self.q(n, port, vc);
+        self.out[q].credit += 1;
     }
 
     /// Round-robin pointer of output `port`: the slot arbitration starts
@@ -405,12 +432,12 @@ impl RouterSlab {
         lo: usize,
         hi: usize,
     ) -> Option<(usize, usize)> {
-        let (credit, alloc) = (self.credit.row(n), self.alloc.row(n));
+        let row = &self.out[n * self.slots..(n + 1) * self.slots];
         let mut best: Option<(usize, usize)> = None;
         for vc in lo..hi {
-            let s = self.slot(port, vc);
-            if alloc[s].is_none() && credit[s] > 0 {
-                let cr = credit[s] as usize;
+            let o = row[self.slot(port, vc)];
+            if o.alloc.is_none() && o.credit > 0 {
+                let cr = o.credit as usize;
                 if best.is_none_or(|(_, bc)| cr > bc) {
                     best = Some((vc, cr));
                 }
@@ -436,17 +463,18 @@ impl RouterSlab {
     pub fn deposit(&mut self, n: usize, port: usize, vc: usize, bf: BufFlit) {
         let s = self.slot(port, vc);
         let q = n * self.slots + s;
-        let len = self.fifo_len[q] as usize;
+        let slot = &mut self.inp[q];
+        let len = slot.len as usize;
         assert!(len < self.vc_cap, "input buffer overflow at slot {s}");
         if len == 0 {
-            *self.head_ready.at_mut(n, s) = bf.ready_at;
+            slot.ready = bf.ready_at;
         }
-        let mut tail = self.fifo_head[q] as usize + len;
+        slot.len = (len + 1) as u16;
+        let mut tail = slot.head as usize + len;
         if tail >= self.vc_cap {
             tail -= self.vc_cap;
         }
         self.fifo[q * self.vc_cap + tail] = bf;
-        self.fifo_len[q] = (len + 1) as u16;
         self.flits[n] += 1;
         self.masks[n].occ.set(s);
     }
@@ -456,20 +484,21 @@ impl RouterSlab {
     pub fn pop(&mut self, n: usize, port: usize, vc: usize) -> BufFlit {
         let s = self.slot(port, vc);
         let q = n * self.slots + s;
-        let len = self.fifo_len[q] as usize;
+        let InSlot { ready, head, len, .. } = self.inp[q];
+        let len = len as usize;
         assert!(len > 0, "pop from empty input VC");
-        let bf = self.fifo[self.front_pos(q)];
-        let mut head = self.fifo_head[q] as usize + 1;
+        let bf = self.fifo[q * self.vc_cap + head as usize];
+        debug_assert_eq!(ready, bf.ready_at, "front ready time out of sync");
+        let mut head = head as usize + 1;
         if head == self.vc_cap {
             head = 0;
         }
-        self.fifo_head[q] = head as u16;
-        self.fifo_len[q] = (len - 1) as u16;
         let next_ready =
             if len == 1 { EMPTY_READY } else { self.fifo[q * self.vc_cap + head].ready_at };
-        let head_ready = self.head_ready.at_mut(n, s);
-        debug_assert_eq!(*head_ready, bf.ready_at, "head-ready mirror out of sync");
-        *head_ready = next_ready;
+        let slot = &mut self.inp[q];
+        slot.head = head as u16;
+        slot.len = (len - 1) as u16;
+        slot.ready = next_ready;
         self.flits[n] -= 1;
         if len == 1 {
             self.masks[n].occ.clear(s);
@@ -477,27 +506,37 @@ impl RouterSlab {
         bf
     }
 
-    /// Recompute every derived field — the flit counts, the head-ready
-    /// mirror, the occupancy mask and the four mode/allocation masks —
-    /// from the FIFOs, `mode` and `alloc`, and report the first field that
-    /// disagrees with the maintained one. `O(nodes * slots)`: a check for
-    /// tests and debugging, not for the tick.
+    /// The worm of every buffered flit.
+    pub(crate) fn worm_ids(&self) -> impl Iterator<Item = WormId> + '_ {
+        self.inp.iter().enumerate().flat_map(move |(q, i)| {
+            (0..i.len as usize).map(move |k| {
+                let pos = (i.head as usize + k) % self.vc_cap;
+                self.fifo[q * self.vc_cap + pos].flit.worm
+            })
+        })
+    }
+
+    /// Recompute every derived field — the flit counts, the front ready
+    /// times, the occupancy mask and the four mode/allocation masks —
+    /// from the FIFOs, modes and allocations, and report the first field
+    /// that disagrees with the maintained one. `O(nodes * slots)`: a
+    /// check for tests and debugging, not for the tick.
     pub(crate) fn check_consistency(&self) -> Result<(), String> {
         for n in 0..self.nodes {
             for s in 0..self.slots {
                 let q = n * self.slots + s;
-                let (head, len) = (self.fifo_head[q] as usize, self.fifo_len[q] as usize);
+                let InSlot { ready, head, len, .. } = self.inp[q];
+                let (head, len) = (head as usize, len as usize);
                 if len > self.vc_cap || head >= self.vc_cap {
                     return Err(format!(
                         "node {n} slot {s}: FIFO head {head} len {len} outside capacity {}",
                         self.vc_cap
                     ));
                 }
-                let ready = self.derived_head_ready(q);
-                if *self.head_ready.at(n, s) != ready {
+                let want = self.derived_ready(q);
+                if ready != want {
                     return Err(format!(
-                        "node {n} slot {s}: head_ready {} but front is ready at {ready}",
-                        self.head_ready.at(n, s)
+                        "node {n} slot {s}: front ready time {ready} but front is ready at {want}"
                     ));
                 }
             }
@@ -515,9 +554,9 @@ impl RouterSlab {
         Ok(())
     }
 
-    /// The `head_ready` value FIFO `q`'s front implies.
-    fn derived_head_ready(&self, q: usize) -> Cycle {
-        if self.fifo_len[q] == 0 {
+    /// The front ready time FIFO `q`'s front implies.
+    fn derived_ready(&self, q: usize) -> Cycle {
+        if self.inp[q].len == 0 {
             EMPTY_READY
         } else {
             self.fifo[self.front_pos(q)].ready_at
@@ -530,13 +569,14 @@ impl RouterSlab {
         let mut masks = SlotMasks::default();
         let mut flits = 0;
         for s in 0..self.slots {
-            let len = self.fifo_len[n * self.slots + s];
+            let q = n * self.slots + s;
+            let len = self.inp[q].len;
             if len > 0 {
                 masks.occ.set(s);
             }
             flits += u32::from(len);
-            masks.set_mode_bits(s, *self.mode.at(n, s));
-            if self.alloc.at(n, s).is_some() {
+            masks.set_mode_bits(s, self.inp[q].mode);
+            if self.out[q].alloc.is_some() {
                 masks.alloc.set(s);
             }
         }
@@ -546,37 +586,44 @@ impl RouterSlab {
     /// FIFOs whose live flits straddle the ring's end.
     #[cfg(test)]
     pub(crate) fn wrapped_fifos(&self) -> usize {
-        (0..self.nodes * self.slots)
-            .filter(|&q| self.fifo_head[q] as usize + self.fifo_len[q] as usize > self.vc_cap)
-            .count()
+        self.inp.iter().filter(|i| i.head as usize + i.len as usize > self.vc_cap).count()
     }
 
     /// Serialize the slab: geometry, each FIFO's flits front to back,
-    /// and the mode, absorb, credit, allocation and round-robin arrays.
-    /// The derived fields are rebuilt on load, and ring positions are not
+    /// and the mode, absorb, credit, allocation and round-robin arrays,
+    /// each in the [`Strided`] encoding (stride, length, elements). The
+    /// derived fields are rebuilt on load, and ring positions are not
     /// observable, so the stream is canonical.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) {
         w.put_usize(self.nodes);
         w.put_usize(self.ports);
         w.put_usize(self.vcs);
         w.put_usize(self.vc_cap);
-        for q in 0..self.nodes * self.slots {
-            let len = self.fifo_len[q] as usize;
-            w.put_u16(len as u16);
-            let head = self.fifo_head[q] as usize;
-            for i in 0..len {
-                let mut pos = head + i;
+        for (q, i) in self.inp.iter().enumerate() {
+            w.put_u16(i.len);
+            for k in 0..i.len as usize {
+                let mut pos = i.head as usize + k;
                 if pos >= self.vc_cap {
                     pos -= self.vc_cap;
                 }
                 self.fifo[q * self.vc_cap + pos].save(w);
             }
         }
-        self.mode.save(w);
+        self.save_column(w, self.inp.iter().map(|i| i.mode));
         self.pending_absorb.save(w);
-        self.credit.save(w);
-        self.alloc.save(w);
+        self.save_column(w, self.out.iter().map(|o| o.credit));
+        self.save_column(w, self.out.iter().map(|o| o.alloc));
         self.rr.save(w);
+    }
+
+    /// One field of every slot record, saved as a `Strided` slab of
+    /// stride `slots` would be.
+    fn save_column<T: Snap>(&self, w: &mut SnapWriter, field: impl ExactSizeIterator<Item = T>) {
+        w.put_usize(self.slots);
+        w.put_usize(field.len());
+        for v in field {
+            v.save(w);
+        }
     }
 
     /// Load a [`RouterSlab::save_state`] stream into this slab, which must
@@ -596,22 +643,21 @@ impl RouterSlab {
             if len > self.vc_cap {
                 return Err(SnapError::Corrupt("router FIFO exceeds vc_cap".into()));
             }
-            for i in 0..len {
-                self.fifo[q * self.vc_cap + i] = BufFlit::load(r)?;
+            for k in 0..len {
+                self.fifo[q * self.vc_cap + k] = BufFlit::load(r)?;
             }
-            self.fifo_head[q] = 0;
-            self.fifo_len[q] = len as u16;
+            self.inp[q].len = len as u16;
         }
-        self.mode = Snap::load(r)?;
+        let mode: Strided<VcMode> = Snap::load(r)?;
         self.pending_absorb = Snap::load(r)?;
-        self.credit = Snap::load(r)?;
-        self.alloc = Snap::load(r)?;
+        let credit: Strided<u32> = Snap::load(r)?;
+        let alloc: Strided<Option<(u8, u8)>> = Snap::load(r)?;
         self.rr = Snap::load(r)?;
         let slabs_ok = [
-            (self.mode.rows(), self.mode.stride()),
+            (mode.rows(), mode.stride()),
             (self.pending_absorb.rows(), self.pending_absorb.stride()),
-            (self.credit.rows(), self.credit.stride()),
-            (self.alloc.rows(), self.alloc.stride()),
+            (credit.rows(), credit.stride()),
+            (alloc.rows(), alloc.stride()),
         ]
         .iter()
         .all(|&g| g == (self.nodes, self.slots))
@@ -620,14 +666,13 @@ impl RouterSlab {
             return Err(SnapError::Corrupt("router slab geometry mismatch".into()));
         }
         let in_range = |p: usize, v: usize| p < self.ports && v < self.vcs;
-        let modes_ok = self.mode.as_slice().iter().all(|m| match *m {
+        let modes_ok = mode.as_slice().iter().all(|m| match *m {
             VcMode::Active { out_port, out_vc, .. } => {
                 out_port == LOCAL8 || in_range(out_port as usize, out_vc as usize)
             }
             _ => true,
         });
-        let allocs_ok = self
-            .alloc
+        let allocs_ok = alloc
             .as_slice()
             .iter()
             .all(|a| a.is_none_or(|(p, v)| in_range(p as usize, v as usize)));
@@ -637,10 +682,16 @@ impl RouterSlab {
                 "router mode, allocation or arbiter out of range".into(),
             ));
         }
+        for (q, i) in self.inp.iter_mut().enumerate() {
+            i.mode = mode.as_slice()[q];
+        }
+        for (q, o) in self.out.iter_mut().enumerate() {
+            *o = OutSlot { credit: credit.as_slice()[q], alloc: alloc.as_slice()[q] };
+        }
+        for q in 0..self.inp.len() {
+            self.inp[q].ready = self.derived_ready(q);
+        }
         for n in 0..self.nodes {
-            for s in 0..self.slots {
-                *self.head_ready.at_mut(n, s) = self.derived_head_ready(n * self.slots + s);
-            }
             (self.masks[n], self.flits[n]) = self.derived_masks(n);
         }
         Ok(())
@@ -716,8 +767,8 @@ mod tests {
             assert_eq!(r.front_ready(1, 1, 1), 100 + u64::from(seq) - 1);
             r.check_consistency().expect("consistent after every cycle");
         }
-        assert_eq!(usize::from(r.fifo_head[q]), cap - 1, "front at the ring's last entry");
-        assert_eq!(r.fifo_len[q], 2, "so the second flit wrapped to entry 0");
+        assert_eq!(usize::from(r.inp[q].head), cap - 1, "front at the ring's last entry");
+        assert_eq!(r.inp[q].len, 2, "so the second flit wrapped to entry 0");
         r.set_front_ready(1, 1, 1, 7);
         assert_eq!(r.front_ready(1, 1, 1), 7);
         assert_eq!(r.front(1, 1, 1).map(|f| f.ready_at), Some(7));

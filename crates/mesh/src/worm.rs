@@ -4,7 +4,7 @@
 //! information, body flits, and a tail flit. Multidestination worms carry an
 //! ordered destination list (the BRCP path); the head is logically
 //! "stripped" as each destination is reached, which the model represents by
-//! advancing [`Worm::dest_idx`].
+//! advancing [`WormHot::dest_idx`].
 //!
 //! Flits reference their worm by id; payload lives in the central
 //! [`WormTable`] so flits stay two words.
@@ -179,13 +179,13 @@ pub enum WormState {
     Delivered,
 }
 
-/// A worm's dynamic record.
+/// A worm's cold record: everything injection, destination processing
+/// and delivery read. The state the head reads on every router visit is
+/// in the worm's [`WormHot`] record instead.
 #[derive(Debug, Clone)]
 pub struct Worm {
     /// Immutable injection parameters.
     pub spec: WormSpec,
-    /// Index of the next destination to reach in `spec.dests`.
-    pub dest_idx: usize,
     /// Acks accumulated so far (gather worms).
     pub acks: u32,
     /// Lifecycle state.
@@ -194,9 +194,6 @@ pub struct Worm {
     pub queued_at: Cycle,
     /// Cycle the tail drained at the final destination, if delivered.
     pub delivered_at: Option<Cycle>,
-    /// For west-first/east-first conformance enforcement: set once the worm
-    /// has taken a hop that forbids further west (resp. east) hops.
-    pub turned: bool,
     /// Gather bounce in progress: the worm could neither collect nor park
     /// (no i-ack entry available), so it is being consumed at the local
     /// node for re-injection instead of holding network channels.
@@ -209,29 +206,99 @@ pub struct Worm {
 }
 
 impl Worm {
-    /// Next destination the head is routing toward.
-    pub fn next_dest(&self) -> NodeId {
-        self.spec.dests[self.dest_idx]
-    }
-
-    /// True when the current destination index is a delivering destination
-    /// (false for pure routing waypoints).
-    pub fn delivers_here(&self) -> bool {
-        self.spec.deliver.as_ref().is_none_or(|m| m[self.dest_idx])
-    }
-
-    /// True if `dest_idx` points at the last destination.
-    pub fn at_last_dest_idx(&self) -> bool {
-        self.dest_idx + 1 == self.spec.dests.len()
-    }
-
     /// End-to-end latency (queue + network), if delivered.
     pub fn latency(&self) -> Option<Cycle> {
         self.delivered_at.map(|d| d - self.queued_at)
     }
 }
 
-/// Central store of all worms injected in a simulation run.
+/// A worm's hot record: the 12 bytes head processing, route allocation
+/// and the head's hop read. `dest_idx` and `turned` live only here; the
+/// other fields are copies of the [`WormSpec`] at `dest_idx`, rewritten
+/// by [`WormTable`] whenever `dest_idx` changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WormHot {
+    /// Index of the next destination to reach in `spec.dests`.
+    pub dest_idx: u32,
+    /// `spec.dests[dest_idx]`: the node the head is routing toward.
+    pub next_dest: NodeId,
+    /// `spec.vnet`.
+    pub vnet: VNet,
+    /// `spec.kind`.
+    pub kind: WormKind,
+    /// For west-first/east-first conformance enforcement: set once the worm
+    /// has taken a hop that forbids further west (resp. east) hops.
+    pub turned: bool,
+    /// `dest_idx` is the last destination.
+    pub last: bool,
+    /// The destination at `dest_idx` delivers (false for a pure routing
+    /// waypoint).
+    pub delivers: bool,
+    /// `spec.reserve_iack`.
+    pub reserve: bool,
+}
+
+impl WormHot {
+    /// The hot record of a worm with `spec` at destination `dest_idx`.
+    fn derive(spec: &WormSpec, dest_idx: u32, turned: bool) -> Self {
+        let i = dest_idx as usize;
+        Self {
+            dest_idx,
+            next_dest: spec.dests[i],
+            vnet: spec.vnet,
+            kind: spec.kind,
+            turned,
+            last: i + 1 == spec.dests.len(),
+            delivers: spec.deliver.as_ref().is_none_or(|m| m[i]),
+            reserve: spec.reserve_iack,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<WormHot>() == 12);
+
+/// The first rule of [`WormTable::insert`]'s contract that `spec` breaks.
+fn spec_error(spec: &WormSpec) -> Option<&'static str> {
+    if spec.dests.is_empty() {
+        return Some("worm must have at least one destination");
+    }
+    if spec.dests.len() > u32::MAX as usize {
+        return Some("worm has more destinations than a u32 indexes");
+    }
+    if spec.len_flits < 2 {
+        return Some("worm needs at least head and tail flits");
+    }
+    if spec.kind == WormKind::Unicast && spec.dests.len() != 1 {
+        return Some("unicast worm must have exactly one destination");
+    }
+    if let Some(mask) = &spec.deliver {
+        if mask.len() != spec.dests.len() {
+            return Some("deliver mask length mismatch");
+        }
+        if mask.last() != Some(&true) {
+            return Some("final destination must deliver");
+        }
+    }
+    None
+}
+
+impl WormSpec {
+    /// The first rule of [`WormTable::insert`]'s contract this spec
+    /// breaks, or a node it names outside a mesh of `nodes` nodes.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        if let Some(e) = spec_error(self) {
+            return Err(e.to_string());
+        }
+        match self.dests.iter().chain([self.src]).find(|d| d.idx() >= nodes) {
+            Some(d) => Err(format!("node {} outside a {nodes}-node mesh", d.idx())),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Central store of all worms injected in a simulation run: one dense
+/// [`WormHot`] record and one cold [`Worm`] record per slot, in two
+/// parallel vectors indexed by [`WormId`].
 ///
 /// With recycling enabled (see [`WormTable::set_recycle`]), slots of fully
 /// retired worms (delivered, all copies drained) are reused by later
@@ -240,6 +307,7 @@ impl Worm {
 /// read a worm's record after delivery, which recycling would invalidate.
 #[derive(Debug, Default)]
 pub struct WormTable {
+    hot: Vec<WormHot>,
     worms: Vec<Worm>,
     /// Retired slots available for reuse (LIFO; deterministic).
     free: Vec<u32>,
@@ -258,36 +326,31 @@ impl WormTable {
     }
 
     /// Register a new worm; returns its id. Reuses a retired slot when
-    /// recycling is enabled, in which case `reused_slot` is set.
+    /// recycling is enabled.
     pub fn insert(&mut self, spec: WormSpec, now: Cycle) -> WormId {
-        assert!(!spec.dests.is_empty(), "worm must have at least one destination");
-        assert!(spec.len_flits >= 2, "worm needs at least head and tail flits");
-        if spec.kind == WormKind::Unicast {
-            assert_eq!(spec.dests.len(), 1, "unicast worm must have exactly one destination");
+        if let Some(e) = spec_error(&spec) {
+            panic!("{e}");
         }
-        if let Some(mask) = &spec.deliver {
-            assert_eq!(mask.len(), spec.dests.len(), "deliver mask length mismatch");
-            assert_eq!(mask.last(), Some(&true), "final destination must deliver");
-        }
-        let initial_acks = spec.initial_acks;
         let id = match self.free.pop() {
             Some(slot) => WormId(slot),
             None => WormId(self.worms.len() as u32),
         };
+        let hot = WormHot::derive(&spec, 0, false);
         let worm = Worm {
+            acks: spec.initial_acks,
             spec,
-            dest_idx: 0,
-            acks: initial_acks,
             state: WormState::Queued,
             queued_at: now,
             delivered_at: None,
-            turned: false,
             bounced: false,
             copies: 0,
         };
-        if (id.0 as usize) < self.worms.len() {
-            self.worms[id.0 as usize] = worm;
+        let i = id.0 as usize;
+        if i < self.worms.len() {
+            self.hot[i] = hot;
+            self.worms[i] = worm;
         } else {
+            self.hot.push(hot);
             self.worms.push(worm);
         }
         id
@@ -309,14 +372,40 @@ impl WormTable {
         }
     }
 
-    /// Immutable access.
+    /// The hot record of `id`.
+    #[inline]
+    pub fn hot(&self, id: WormId) -> WormHot {
+        self.hot[id.0 as usize]
+    }
+
+    /// Strip the header hop: move `id` on to its next destination. Panics
+    /// at the last destination.
+    pub fn advance(&mut self, id: WormId) {
+        let i = id.0 as usize;
+        let h = self.hot[i];
+        assert!(!h.last, "worm {} advanced past its last destination", id.0);
+        self.hot[i] = WormHot::derive(&self.worms[i].spec, h.dest_idx + 1, h.turned);
+    }
+
+    /// Set or clear the `turned` flag of `id`.
+    #[inline]
+    pub fn set_turned(&mut self, id: WormId, turned: bool) {
+        self.hot[id.0 as usize].turned = turned;
+    }
+
+    /// Immutable access to the cold record.
     pub fn get(&self, id: WormId) -> &Worm {
         &self.worms[id.0 as usize]
     }
 
-    /// Mutable access.
+    /// Mutable access to the cold record.
     pub fn get_mut(&mut self, id: WormId) -> &mut Worm {
         &mut self.worms[id.0 as usize]
+    }
+
+    /// Iterate over all worms' cold records.
+    pub fn iter(&self) -> impl Iterator<Item = &Worm> {
+        self.worms.iter()
     }
 
     /// Number of worms registered.
@@ -329,9 +418,28 @@ impl WormTable {
         self.worms.is_empty()
     }
 
-    /// Iterate over all worms.
-    pub fn iter(&self) -> impl Iterator<Item = &Worm> {
-        self.worms.iter()
+    /// Check every slot's hot record against the one its cold record and
+    /// `dest_idx` imply, and every destination and source against a mesh
+    /// of `nodes` nodes; report the first slot that disagrees.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        if self.hot.len() != self.worms.len() {
+            return Err(format!("{} hot records for {} worms", self.hot.len(), self.worms.len()));
+        }
+        for (i, (h, w)) in self.hot.iter().zip(&self.worms).enumerate() {
+            w.spec.check(nodes).map_err(|e| format!("worm {i}: {e}"))?;
+            if h.dest_idx as usize >= w.spec.dests.len() {
+                return Err(format!(
+                    "worm {i}: dest_idx {} of {} destinations",
+                    h.dest_idx,
+                    w.spec.dests.len()
+                ));
+            }
+            let want = WormHot::derive(&w.spec, h.dest_idx, h.turned);
+            if *h != want {
+                return Err(format!("worm {i}: hot record {h:?} but its spec implies {want:?}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -355,38 +463,68 @@ snap_struct!(WormSpec {
     gather_deposit,
     deliver,
 });
-snap_struct!(Worm {
-    spec,
-    dest_idx,
-    acks,
-    state,
-    queued_at,
-    delivered_at,
-    turned,
-    bounced,
-    copies,
-});
 
 mod snap_impls {
     use super::*;
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
+    /// Each worm is one record of spec, dest_idx, acks, state,
+    /// queued_at, delivered_at, turned, bounced and copies, with
+    /// `dest_idx` and `turned` taken from its hot record; the rest of the
+    /// hot record is derived again on load.
     impl Snap for WormTable {
         fn save(&self, w: &mut SnapWriter) {
+            w.put_usize(self.worms.len());
+            for (h, c) in self.hot.iter().zip(&self.worms) {
+                c.spec.save(w);
+                w.put_usize(h.dest_idx as usize);
+                w.put_u32(c.acks);
+                c.state.save(w);
+                w.put_u64(c.queued_at);
+                c.delivered_at.save(w);
+                w.put_bool(h.turned);
+                w.put_bool(c.bounced);
+                w.put_u32(c.copies);
+            }
             // `free` is LIFO slot reuse — its exact order is observable
             // through future worm-id assignment, so it is preserved
             // verbatim.
-            self.worms.save(w);
             self.free.save(w);
             w.put_bool(self.recycle);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let worms: Vec<Worm> = Vec::load(r)?;
+            let n = r.get_len()?;
+            let (mut hot, mut worms) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for i in 0..n {
+                let spec = WormSpec::load(r)?;
+                let dest_idx = r.get_usize()?;
+                let acks = r.get_u32()?;
+                let state = WormState::load(r)?;
+                let queued_at = r.get_u64()?;
+                let delivered_at = Option::load(r)?;
+                let turned = r.get_bool()?;
+                let bounced = r.get_bool()?;
+                let copies = r.get_u32()?;
+                let c = Worm { spec, acks, state, queued_at, delivered_at, bounced, copies };
+                // The rules `insert` asserts, so the hot record can be
+                // derived and the first hop cannot index past the list.
+                if let Some(e) = spec_error(&c.spec) {
+                    return Err(SnapError::Corrupt(format!("worm {i}: {e}")));
+                }
+                if dest_idx >= c.spec.dests.len() {
+                    return Err(SnapError::Corrupt(format!(
+                        "worm {i}: dest_idx {dest_idx} of {} destinations",
+                        c.spec.dests.len()
+                    )));
+                }
+                hot.push(WormHot::derive(&c.spec, dest_idx as u32, turned));
+                worms.push(c);
+            }
             let free: Vec<u32> = Vec::load(r)?;
             if free.iter().any(|&s| s as usize >= worms.len()) {
                 return Err(SnapError::Corrupt("worm free list out of range".to_string()));
             }
-            Ok(Self { worms, free, recycle: r.get_bool()? })
+            Ok(Self { hot, worms, free, recycle: r.get_bool()? })
         }
     }
 }
@@ -394,6 +532,7 @@ mod snap_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     fn spec2(dests: Vec<NodeId>, kind: WormKind) -> WormSpec {
         WormSpec {
@@ -418,9 +557,13 @@ mod tests {
         let w = t.get(id);
         assert_eq!(w.state, WormState::Queued);
         assert_eq!(w.queued_at, 10);
-        assert_eq!(w.next_dest(), NodeId(3));
-        assert!(w.at_last_dest_idx());
+        let h = t.hot(id);
+        assert_eq!(h.next_dest, NodeId(3));
+        assert!(h.last && h.delivers && h.dest_idx == 0 && !h.turned);
+        assert_eq!((h.vnet, h.kind), (VNet::Req, WormKind::Unicast));
         assert_eq!(t.len(), 1);
+        assert_eq!(t.check(4), Ok(()));
+        assert!(t.check(3).unwrap_err().contains("node 3 outside a 3-node mesh"));
     }
 
     #[test]
@@ -476,9 +619,9 @@ mod tests {
         let mut sp = spec2(vec![NodeId(1), NodeId(2), NodeId(3)], WormKind::Multicast);
         sp.deliver = Some([false, true, true].into());
         let id = t.insert(sp, 0);
-        assert!(!t.get(id).delivers_here());
-        t.get_mut(id).dest_idx = 1;
-        assert!(t.get(id).delivers_here());
+        assert!(!t.hot(id).delivers);
+        t.advance(id);
+        assert!(t.hot(id).delivers);
     }
 
     #[test]
@@ -494,10 +637,118 @@ mod tests {
     fn multidest_progression() {
         let mut t = WormTable::new();
         let id = t.insert(spec2(vec![NodeId(1), NodeId(2), NodeId(3)], WormKind::Multicast), 0);
-        assert_eq!(t.get(id).next_dest(), NodeId(1));
-        assert!(!t.get(id).at_last_dest_idx());
-        t.get_mut(id).dest_idx = 2;
-        assert_eq!(t.get(id).next_dest(), NodeId(3));
-        assert!(t.get(id).at_last_dest_idx());
+        assert_eq!(t.hot(id).next_dest, NodeId(1));
+        assert!(!t.hot(id).last);
+        t.set_turned(id, true);
+        t.advance(id);
+        t.advance(id);
+        let h = t.hot(id);
+        assert_eq!((h.dest_idx, h.next_dest), (2, NodeId(3)));
+        assert!(h.last && h.turned, "advancing keeps the turned flag");
+        assert_eq!(t.check(4), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "past its last destination")]
+    fn advance_past_the_last_destination_panics() {
+        let mut t = WormTable::new();
+        let id = t.insert(spec2(vec![NodeId(3)], WormKind::Unicast), 0);
+        t.advance(id);
+    }
+
+    /// `check` names a hot record that no longer matches its spec.
+    #[test]
+    fn check_reports_a_stale_hot_record() {
+        let mut t = WormTable::new();
+        let id = t.insert(spec2(vec![NodeId(1), NodeId(2)], WormKind::Multicast), 0);
+        t.hot[id.0 as usize].dest_idx = 1;
+        let e = t.check(4).unwrap_err();
+        assert!(e.contains("worm 0: hot record"), "{e}");
+    }
+
+    fn saved(t: &WormTable) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.save(&mut w);
+        w.finish()
+    }
+
+    fn loaded(bytes: &[u8]) -> Result<WormTable, SnapError> {
+        WormTable::load(&mut SnapReader::new(bytes)?)
+    }
+
+    /// A table with one three-destination multicast in flight at its
+    /// second destination, turned, and one delivered unicast.
+    fn table() -> WormTable {
+        let mut t = WormTable::new();
+        let mut sp = spec2(vec![NodeId(1), NodeId(2), NodeId(3)], WormKind::Multicast);
+        sp.deliver = Some([true, false, true].into());
+        let id = t.insert(sp, 4);
+        t.advance(id);
+        t.set_turned(id, true);
+        let u = t.insert(spec2(vec![NodeId(3)], WormKind::Unicast), 5);
+        t.get_mut(u).state = WormState::Delivered;
+        t
+    }
+
+    #[test]
+    fn save_load_rebuilds_the_hot_records() {
+        let t = table();
+        let u = loaded(&saved(&t)).expect("loads");
+        assert_eq!(u.hot, t.hot);
+        assert_eq!(saved(&u), saved(&t));
+        assert_eq!(u.check(4), Ok(()));
+    }
+
+    /// Load a table whose first worm `corrupt` has broken, expecting a
+    /// `Corrupt` refusal that contains `want`.
+    fn refused(corrupt: impl FnOnce(&mut WormTable), want: &str) {
+        let mut t = table();
+        corrupt(&mut t);
+        match loaded(&saved(&t)) {
+            Err(SnapError::Corrupt(e)) => assert!(e.contains(want), "{e}"),
+            other => panic!("expected a Corrupt refusal naming {want:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_refuses_a_dest_idx_past_the_destinations() {
+        refused(|t| t.hot[0].dest_idx = 3, "dest_idx 3 of 3 destinations");
+    }
+
+    #[test]
+    fn load_refuses_an_empty_destination_list() {
+        refused(
+            |t| {
+                t.worms[0].spec.dests = DestVec::new();
+                t.worms[0].spec.deliver = None;
+            },
+            "at least one destination",
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_deliver_mask_of_another_length() {
+        refused(|t| t.worms[0].spec.deliver = Some([true, true].into()), "mask length");
+    }
+
+    #[test]
+    fn load_refuses_a_final_waypoint() {
+        refused(
+            |t| t.worms[0].spec.deliver = Some([true, true, false].into()),
+            "final destination must deliver",
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_unicast_with_several_destinations() {
+        refused(
+            |t| t.worms[1].spec.dests = [NodeId(2), NodeId(3)].into(),
+            "exactly one destination",
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_worm_shorter_than_two_flits() {
+        refused(|t| t.worms[1].spec.len_flits = 1, "head and tail flits");
     }
 }

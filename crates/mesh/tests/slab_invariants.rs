@@ -1,14 +1,17 @@
-//! The router slab's derived state — flit counts, the head-ready mirror,
+//! The router slab's derived state — flit counts, the front ready times,
 //! the occupancy mask and the four slot-class masks (allocated outputs,
 //! inputs draining to the local port, parked inputs, inputs not in
 //! `Normal`) — must equal what its FIFOs, modes and allocations imply
-//! after every tick. The scenarios drive every writer of that state:
-//! unicast, multicast with absorb and i-reserve, gathers that park, bounce
-//! and block, at 1, 2 and 12 VCs per virtual network (12 gives 120 slots
-//! per router, so the masks reach their second word).
+//! after every tick, and every worm's hot record must equal the one its
+//! spec and `dest_idx` imply. The scenarios drive every writer of that
+//! state: unicast, multicast with absorb and i-reserve, waypoint strips
+//! and west-first turns, gathers that park, bounce and block, at 1, 2 and
+//! 12 VCs per virtual network (12 gives 120 slots per router, so the masks
+//! reach their second word).
 
 use wormdsm_mesh::network::{MeshConfig, Network};
 use wormdsm_mesh::nic::IackMode;
+use wormdsm_mesh::routing::BaseRouting;
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
 use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
 use wormdsm_sim::Rng;
@@ -20,12 +23,12 @@ fn config(k: usize, vcs_per_vnet: usize) -> MeshConfig {
 }
 
 /// Tick `cycles` times (or until quiescent when `None`), checking the
-/// slab after every tick.
+/// slab and the worm table after every tick.
 fn tick_checked(net: &mut Network, cycles: Option<u64>) {
     let deadline = net.now() + cycles.unwrap_or(200_000);
     while net.now() < deadline && (cycles.is_some() || !net.quiescent()) {
         net.tick();
-        if let Err(e) = net.check_router_slab() {
+        if let Err(e) = net.check_router_slab().and_then(|()| net.check_worm_table()) {
             panic!("cycle {}: {e}", net.now());
         }
         assert!(net.violation().is_none(), "{:?}", net.violation());
@@ -101,6 +104,66 @@ fn multicast_absorb_ireserve_and_gather_keep_the_slab_consistent() {
         let ds = net.take_deliveries(home);
         assert_eq!(ds.len(), 1, "vcs_per_vnet {vcs}");
         assert_eq!(ds[0].acks as usize, dests.len());
+    }
+}
+
+/// West-first routing (`BaseRouting::TurnModel`) with two serpentine
+/// multicasts whose deliver masks hold waypoints, among adaptive unicasts:
+/// each waypoint strips a header hop without absorbing, and each worm's
+/// `turned` flag flips on its first hop that is not west, so the hot
+/// records change mid-flight.
+#[test]
+fn turn_model_waypoints_keep_the_worm_table_consistent() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let cfg = MeshConfig { routing: BaseRouting::TurnModel, ..config(k, vcs) };
+        let mut net = Network::new(cfg);
+        let nodes = |pts: &[(usize, usize)]| -> Vec<NodeId> {
+            pts.iter().map(|&(x, y)| mesh.node_at(x, y)).collect()
+        };
+        // West to a waypoint, along Y (the turn), east to a waypoint,
+        // along Y again, then to the final destination.
+        let serpentines = [
+            (
+                (5, 1),
+                nodes(&[(2, 1), (2, 4), (4, 4), (4, 2), (5, 0)]),
+                vec![false, true, false, true, true],
+            ),
+            ((5, 5), nodes(&[(1, 5), (1, 2), (3, 2), (3, 0)]), vec![false, true, false, true]),
+        ];
+        let mut ids = Vec::new();
+        for (i, ((x, y), dests, mask)) in serpentines.into_iter().enumerate() {
+            ids.push(net.inject(WormSpec {
+                src: mesh.node_at(x, y),
+                vnet: VNet::Req,
+                kind: WormKind::Multicast,
+                dests: dests.into(),
+                len_flits: 7,
+                payload: i as u64,
+                reserve_iack: false,
+                txn: TxnId(0),
+                initial_acks: 0,
+                gather_deposit: false,
+                deliver: Some(mask.into()),
+            }));
+        }
+        let mut rng = Rng::new(0x51AB_0006);
+        let n = (k * k) as u64;
+        for i in 0..30 {
+            let src = rng.below(n) as u16;
+            let dst = (src + 1 + rng.below(n - 1) as u16) % n as u16;
+            net.inject(WormSpec::unicast(NodeId(src), NodeId(dst), VNet::Req, 5, 10 + i));
+        }
+        tick_checked(&mut net, None);
+        // Two absorbed copies and a final delivery for the first
+        // serpentine, one and one for the second, and the unicasts.
+        assert_eq!(net.stats().deliveries, 3 + 2 + 30, "vcs_per_vnet {vcs}");
+        for (id, last) in ids.into_iter().zip([4, 3]) {
+            let hot = net.worm_hot(id);
+            assert_eq!(hot.dest_idx, last, "vcs_per_vnet {vcs}: stripped to the last destination");
+            assert!(hot.turned && hot.last && hot.delivers);
+        }
     }
 }
 

@@ -67,6 +67,11 @@ impl<E> Calendar<E> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 
+    /// Every pending payload, in no particular order.
+    pub fn events(&self) -> impl Iterator<Item = &E> {
+        self.heap.iter().map(|Reverse(e)| &e.payload)
+    }
+
     /// Capture the calendar into a snapshot stream.
     ///
     /// Entries are emitted sorted by `(at, seq)` — the exact order they

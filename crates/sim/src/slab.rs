@@ -1,12 +1,14 @@
-//! Strided structure-of-arrays slabs.
+//! Strided per-node slabs.
 //!
 //! The network model keeps per-node state for thousands of nodes. Storing
-//! it as a `Vec` of fat per-node structs scatters the tick-hot fields
-//! (credits, occupancy bits, buffer heads) across the heap: every node
-//! visit is a pointer chase and most of each cache line is cold padding.
-//! A [`Strided`] slab stores *one field for all nodes* contiguously —
-//! `data[row * stride + i]` is element `i` of row `row` — so a per-cycle
-//! scan over active nodes walks dense, same-typed memory.
+//! it as a `Vec` of fat per-node structs scatters it across the heap:
+//! every node visit is a pointer chase through cold fields. A
+//! [`Strided`] slab stores one `T` per (node, index) pair contiguously —
+//! `data[row * stride + i]` is element `i` of row `row` — in one
+//! allocation. `T` is one field (the NIC's queues and channel owners) or
+//! a small record of the fields a visit reads together; the router keeps
+//! its per-slot input and output records in flat vectors of the same
+//! shape.
 
 /// Owning strided slab: `rows x stride` elements of `T`, row-major.
 #[derive(Debug, Clone)]
