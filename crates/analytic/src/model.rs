@@ -138,9 +138,9 @@ fn dest_latency(p: &NetParams, hops: u64, strips: u64, len_flits: u64, exit: Opt
 /// Exact per-destination solo-flight latencies for an uncontended worm on
 /// an otherwise idle mesh: cycles from injection until each destination's
 /// delivery (absorb at intermediates, tail consumption at the final stop)
-/// completes. The last entry equals the worm's `delivered_at - queued_at`
-/// in the simulator; every entry matches the per-node `Delivery::at`
-/// timestamps cycle-for-cycle. Timing is invariant to `reserve_iack` and
+/// completes. Every entry equals the simulator's per-node `Delivery::at`
+/// minus the worm's `queued_at`, cycle for cycle; the last is the final
+/// consumption. Timing is invariant to `reserve_iack` and
 /// deliver masks (waypoints still pay the strip delay), so neither
 /// appears here.
 pub fn solo_flight_latencies(

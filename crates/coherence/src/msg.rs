@@ -5,11 +5,16 @@
 //! the key on delivery. Multidestination invalidation worms deliver the
 //! *same* message to every sharer; the per-sharer acknowledgement action is
 //! looked up in the transaction table instead.
+//!
+//! The table is bounded by the messages still in use, not by the run's
+//! length: keys carry a generation, and the owner collects every message
+//! no holder names (see [`MsgTable::collect`]), so freed slots are reused
+//! and a stale key is refused rather than aliased.
 
 use crate::addr::BlockId;
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::TxnId;
-use wormdsm_sim::snap::{snap_enum, snap_struct};
+use wormdsm_sim::snap::{snap_enum, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Coherence protocol message types.
 ///
@@ -174,6 +179,32 @@ pub enum ProtoMsg {
 }
 
 impl ProtoMsg {
+    /// The node the message names in its fields, if any (the requester,
+    /// home or owner; no message names more than one).
+    pub fn node(&self) -> Option<NodeId> {
+        match *self {
+            ProtoMsg::ReadReq { requester, .. }
+            | ProtoMsg::WriteReq { requester, .. }
+            | ProtoMsg::UpgradeReq { requester, .. }
+            | ProtoMsg::Fetch { requester, .. }
+            | ProtoMsg::FetchWb { requester, .. }
+            | ProtoMsg::LockReq { requester, .. } => Some(requester),
+            ProtoMsg::Inval { home, .. } | ProtoMsg::RelayInval { home, .. } => Some(home),
+            ProtoMsg::Writeback { owner, .. } => Some(owner),
+            ProtoMsg::ReadReply { .. }
+            | ProtoMsg::InvAck { .. }
+            | ProtoMsg::SweepTrigger { .. }
+            | ProtoMsg::GatherAck { .. }
+            | ProtoMsg::WriteGrant { .. }
+            | ProtoMsg::OwnerData { .. }
+            | ProtoMsg::WritebackAck { .. }
+            | ProtoMsg::BarrierArrive { .. }
+            | ProtoMsg::BarrierRelease { .. }
+            | ProtoMsg::LockGrant { .. }
+            | ProtoMsg::LockRelease { .. } => None,
+        }
+    }
+
     /// True for messages that carry a data block.
     pub fn carries_data(&self) -> bool {
         matches!(
@@ -187,10 +218,56 @@ impl ProtoMsg {
     }
 }
 
-/// Payload table mapping worm payload keys to protocol messages.
-#[derive(Debug, Default)]
+/// Low bits of a payload key that select the table slot; the bits above
+/// hold the push sequence number (the key's generation).
+const SLOT_BITS: u32 = 28;
+
+/// Mask of a key's slot bits.
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// The most pushes a table restores with: half the generations a key
+/// can carry, so a restored run never runs out of them.
+const MAX_RESTORED_SEQ: u64 = u64::MAX >> (SLOT_BITS + 1);
+
+/// Messages the table holds before its first collection, and the floor
+/// of every later collection threshold.
+const MIN_COLLECT: usize = 1024;
+
+/// Payload table mapping worm payload keys to protocol messages: a slab
+/// bounded by the messages still referenced.
+///
+/// Keys follow the transaction slab's id pattern: `key = (seq << 28) |
+/// slot`, where `seq` counts every push and starts at 1, so no key is 0
+/// and a stale key from a collected message never aliases the newer
+/// message in its slot — [`MsgTable::get`] panics on it, naming it, and
+/// [`MsgTable::check`] refuses it.
+///
+/// The table does not know who holds a key. Its owner calls
+/// [`MsgTable::collect`] with every key still held (at a point where no
+/// handler holds one in a local) once [`MsgTable::collect_due`] says the
+/// live count has doubled since the last collection, so collection costs
+/// amortised O(1) per message. Collection vacates every unheld slot,
+/// drops trailing vacancies, and leaves the free list holding every
+/// vacant slot, highest first, so `push` reuses the lowest. Slots are
+/// vacated only by collection, so that rule holds at every point, and a
+/// snapshot needs only the slots' occupancy, `seq` and the threshold to
+/// hand out the same keys after a restore.
+#[derive(Debug)]
 pub struct MsgTable {
-    msgs: Vec<ProtoMsg>,
+    /// Each slot's key and message; `None` = vacant.
+    slots: Vec<Option<(u64, ProtoMsg)>>,
+    /// Vacant slots, highest first (derived from `slots`).
+    free: Vec<u32>,
+    /// Pushes so far: the generation of the latest key.
+    seq: u64,
+    /// `collect_due` once the live count reaches this.
+    collect_at: usize,
+}
+
+impl Default for MsgTable {
+    fn default() -> Self {
+        Self { slots: Vec::new(), free: Vec::new(), seq: 0, collect_at: MIN_COLLECT }
+    }
 }
 
 impl MsgTable {
@@ -199,25 +276,115 @@ impl MsgTable {
         Self::default()
     }
 
-    /// Store a message, returning its payload key.
+    /// Store a message, returning its payload key. Reuses the lowest
+    /// vacant slot.
     pub fn push(&mut self, m: ProtoMsg) -> u64 {
-        self.msgs.push(m);
-        (self.msgs.len() - 1) as u64
+        let slot = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                assert!(
+                    (self.slots.len() as u64) <= SLOT_MASK,
+                    "message table full: {} messages held",
+                    self.len()
+                );
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        self.seq += 1;
+        assert!(
+            self.seq >> (64 - SLOT_BITS) == 0,
+            "message keys exhausted after {} pushes",
+            self.seq
+        );
+        let key = (self.seq << SLOT_BITS) | slot as u64;
+        self.slots[slot] = Some((key, m));
+        key
     }
 
-    /// Decode a payload key.
+    /// Decode a payload key. Panics, naming the key, when it is stale or
+    /// past the table.
     pub fn get(&self, key: u64) -> ProtoMsg {
-        self.msgs[key as usize]
+        match self.slots.get((key & SLOT_MASK) as usize) {
+            Some(&Some((k, m))) if k == key => m,
+            _ => self.refuse(key),
+        }
     }
 
-    /// Number of messages allocated so far.
+    #[cold]
+    fn refuse(&self, key: u64) -> ! {
+        panic!("{}", self.check(key).expect_err("a key that get refuses"))
+    }
+
+    /// Why `key` names no message in the table, if it does not: its slot
+    /// is past the table, or the slot is vacant or holds a newer message.
+    pub fn check(&self, key: u64) -> Result<(), String> {
+        let slot = (key & SLOT_MASK) as usize;
+        match self.slots.get(slot) {
+            None => Err(format!(
+                "message key {key:#x}: slot {slot} past a table of {} slots",
+                self.slots.len()
+            )),
+            Some(Some((k, _))) if *k == key => Ok(()),
+            Some(_) => Err(format!("message key {key:#x} is stale: slot {slot} holds another")),
+        }
+    }
+
+    /// True once the live count has doubled since the last collection
+    /// (or reached the first threshold).
+    pub fn collect_due(&self) -> bool {
+        self.len() >= self.collect_at
+    }
+
+    /// Vacate every slot whose key `held` does not yield. `held` must
+    /// yield every key that may still be decoded; keys the table does not
+    /// hold are ignored.
+    pub fn collect(&mut self, held: impl IntoIterator<Item = u64>) {
+        let mut keep = vec![false; self.slots.len()];
+        for key in held {
+            if self.check(key).is_ok() {
+                keep[(key & SLOT_MASK) as usize] = true;
+            }
+        }
+        for (slot, keep) in self.slots.iter_mut().zip(keep) {
+            if !keep {
+                *slot = None;
+            }
+        }
+        while self.slots.last() == Some(&None) {
+            self.slots.pop();
+        }
+        self.rebuild_free();
+        self.collect_at = (2 * self.len()).max(MIN_COLLECT);
+    }
+
+    /// Derive the free list from the slots' occupancy.
+    fn rebuild_free(&mut self) {
+        self.free.clear();
+        self.free.extend(
+            (0..self.slots.len() as u32).rev().filter(|&s| self.slots[s as usize].is_none()),
+        );
+    }
+
+    /// Number of messages held (pushed and not yet collected): every slot
+    /// the free list does not name.
     pub fn len(&self) -> usize {
-        self.msgs.len()
+        self.slots.len() - self.free.len()
     }
 
-    /// True if no messages were allocated.
+    /// True if no message is held.
     pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+        self.len() == 0
+    }
+
+    /// Every message held, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &ProtoMsg> {
+        self.slots.iter().flatten().map(|(_, m)| m)
+    }
+
+    /// Number of slots, occupied or vacant.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -243,7 +410,50 @@ snap_enum!(ProtoMsg {
     18 => LockGrant { lock },
     19 => LockRelease { lock },
 });
-snap_struct!(MsgTable { msgs });
+
+/// The slots (a vacant one costs one byte), the push count and the
+/// collection threshold; the free list is derived again on load. The
+/// threshold is set by a collection to twice the messages it kept (at
+/// least `MIN_COLLECT`), and only pushes follow until the next one, so a
+/// table that a run produced has `MIN_COLLECT <= collect_at <=
+/// max(MIN_COLLECT, 2 * len)`; the loader refuses any other.
+impl Snap for MsgTable {
+    fn save(&self, w: &mut SnapWriter) {
+        self.slots.save(w);
+        w.put_u64(self.seq);
+        w.put_usize(self.collect_at);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let slots: Vec<Option<(u64, ProtoMsg)>> = Snap::load(r)?;
+        let seq = r.get_u64()?;
+        let collect_at = r.get_usize()?;
+        if seq > MAX_RESTORED_SEQ {
+            return Err(SnapError::Corrupt(format!("message table: {seq} pushes")));
+        }
+        if slots.last() == Some(&None) {
+            return Err(SnapError::Corrupt("message table ends in a vacant slot".to_string()));
+        }
+        for (slot, &(key, _)) in
+            slots.iter().enumerate().filter_map(|(i, s)| Some((i, s.as_ref()?)))
+        {
+            let generation = key >> SLOT_BITS;
+            if (key & SLOT_MASK) as usize != slot || generation == 0 || generation > seq {
+                return Err(SnapError::Corrupt(format!(
+                    "message table: key {key:#x} in slot {slot} after {seq} pushes"
+                )));
+            }
+        }
+        let mut t = Self { slots, free: Vec::new(), seq, collect_at };
+        t.rebuild_free();
+        if collect_at < MIN_COLLECT || collect_at > (2 * t.len()).max(MIN_COLLECT) {
+            return Err(SnapError::Corrupt(format!(
+                "message table: collection threshold {collect_at} with {} messages held",
+                t.len()
+            )));
+        }
+        Ok(t)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -258,6 +468,115 @@ mod tests {
         assert_eq!(t.get(a), ProtoMsg::ReadReq { block: BlockId(1), requester: NodeId(2) });
         assert_eq!(t.get(b), ProtoMsg::WriteGrant { block: BlockId(1), with_data: true });
         assert_eq!(t.len(), 2);
+    }
+
+    /// Collection frees the unheld messages, trims trailing vacancies and
+    /// reuses the lowest vacant slot first; a key from a freed slot is
+    /// refused even once the slot holds a newer message.
+    #[test]
+    fn collection_frees_unheld_messages_and_reuses_the_lowest_slot() {
+        let m = |b| ProtoMsg::ReadReply { block: BlockId(b) };
+        let mut t = MsgTable::new();
+        let k: Vec<u64> = (0..5).map(|b| t.push(m(b))).collect();
+        t.collect([k[1], k[3], k[3], 0, u64::MAX]);
+        assert_eq!((t.len(), t.slots()), (2, 4), "slot 4 is trimmed");
+        assert!(t.check(k[0]).unwrap_err().contains("is stale"));
+        assert!(t.check(k[4]).unwrap_err().contains("past a table of 4 slots"));
+        let reused = t.push(m(9));
+        assert_eq!(reused & SLOT_MASK, 0, "lowest vacant slot first");
+        assert_ne!(reused, k[0], "a new generation");
+        assert!(t.check(k[0]).unwrap_err().contains("is stale"));
+        assert_eq!((t.get(reused), t.get(k[3])), (m(9), m(3)));
+        assert_eq!(t.push(m(8)) & SLOT_MASK, 2);
+        assert_eq!(t.push(m(7)) & SLOT_MASK, 4, "then the table grows");
+    }
+
+    #[test]
+    #[should_panic(expected = "is stale")]
+    fn get_panics_on_a_stale_key() {
+        let mut t = MsgTable::new();
+        let k = t.push(ProtoMsg::ReadReply { block: BlockId(1) });
+        t.push(ProtoMsg::ReadReply { block: BlockId(2) });
+        t.collect([]);
+        t.push(ProtoMsg::ReadReply { block: BlockId(3) });
+        t.get(k);
+    }
+
+    /// Collection runs once the live count has doubled since the last one,
+    /// and never below the first threshold.
+    #[test]
+    fn collection_is_due_when_the_live_count_doubles() {
+        let mut t = MsgTable::new();
+        let keys: Vec<u64> = (0..MIN_COLLECT as u64)
+            .map(|b| t.push(ProtoMsg::ReadReply { block: BlockId(b) }))
+            .collect();
+        assert!(t.collect_due());
+        t.collect(keys.iter().copied().take(MIN_COLLECT / 2 + 10));
+        assert!(!t.collect_due());
+        for b in 0..MIN_COLLECT / 2 + 9 {
+            t.push(ProtoMsg::ReadReply { block: BlockId(b as u64) });
+        }
+        assert!(!t.collect_due());
+        t.push(ProtoMsg::ReadReply { block: BlockId(0) });
+        assert!(
+            t.collect_due(),
+            "{} live, {} after the last collection",
+            t.len(),
+            MIN_COLLECT / 2 + 10
+        );
+    }
+
+    /// A restored table hands out the same keys as the one saved, and the
+    /// loader refuses keys its slots or push count cannot have produced.
+    #[test]
+    fn snapshot_keeps_key_assignment_and_refuses_impossible_keys() {
+        let m = ProtoMsg::LockGrant { lock: 3 };
+        let mut t = MsgTable::new();
+        let k: Vec<u64> = (0..6).map(|_| t.push(m)).collect();
+        t.collect([k[0], k[2], k[5]]);
+        let save = |t: &MsgTable| {
+            let mut w = SnapWriter::new();
+            t.save(&mut w);
+            w.finish()
+        };
+        let bytes = save(&t);
+        let load = |bytes: &[u8]| MsgTable::load(&mut SnapReader::new(bytes).unwrap());
+        let mut back = load(&bytes).unwrap();
+        assert_eq!(save(&back), bytes);
+        for _ in 0..5 {
+            assert_eq!(back.push(m), t.push(m));
+        }
+        assert_eq!(back.collect_due(), t.collect_due());
+
+        let encode = |slots: &[Option<(u64, ProtoMsg)>], seq: u64, collect_at: usize| {
+            let mut w = SnapWriter::new();
+            slots.to_vec().save(&mut w);
+            w.put_u64(seq);
+            w.put_usize(collect_at);
+            w.finish()
+        };
+        let corrupt = |slots: Vec<Option<(u64, ProtoMsg)>>, seq: u64| {
+            load(&encode(&slots, seq, MIN_COLLECT)).unwrap_err().to_string()
+        };
+        let key = |generation: u64, slot: u64| (generation << SLOT_BITS) | slot;
+        assert!(corrupt(vec![Some((key(1, 0), m)), None], 1).contains("vacant slot"));
+        assert!(corrupt(vec![Some((key(1, 1), m))], 1).contains("in slot 0"));
+        assert!(corrupt(vec![Some((key(0, 0), m))], 1).contains("in slot 0"));
+        assert!(corrupt(vec![Some((key(2, 0), m))], 1).contains("after 1 pushes"));
+        assert!(corrupt(vec![], u64::MAX).contains("pushes"));
+
+        // The collection threshold lies in [MIN_COLLECT, max(MIN_COLLECT,
+        // 2 * held)]: a larger one would switch collection off, a smaller
+        // one would collect on every step.
+        let held: Vec<_> = (1..=700).map(|g| Some((key(g, g - 1), m))).collect();
+        let threshold = |collect_at| load(&encode(&held, 700, collect_at)).map(|_| ());
+        assert!(threshold(MIN_COLLECT).is_ok());
+        assert!(threshold(1400).is_ok());
+        for bad in [0, MIN_COLLECT - 1, 1401, usize::MAX] {
+            let err = threshold(bad).unwrap_err().to_string();
+            assert!(err.contains("collection threshold"), "{bad}: {err}");
+        }
+        assert!(load(&encode(&[], 0, MIN_COLLECT + 1)).is_err());
     }
 
     #[test]

@@ -68,6 +68,59 @@ impl Default for Metrics {
 }
 
 impl Metrics {
+    /// The largest counter held, each [`Summary`] and [`Histogram`]
+    /// counting its observations. Every field is listed, so a new one does
+    /// not compile until it is.
+    pub(crate) fn max_count(&self) -> u64 {
+        let Self {
+            inval_txns,
+            inval_latency,
+            inval_home_msgs,
+            inval_set_size,
+            write_latency,
+            read_latency,
+            read_hits,
+            write_hits,
+            read_misses,
+            write_misses,
+            spurious_invals,
+            poisoned_fills,
+            iack_fallbacks,
+            writebacks,
+            fetch_retries,
+            wb_retries,
+            barriers,
+            stall_cycles,
+            sync_stall_cycles,
+            invariant_failures,
+        } = self;
+        [
+            *inval_txns,
+            inval_latency.count(),
+            inval_home_msgs.count(),
+            inval_set_size.max_count(),
+            write_latency.count(),
+            read_latency.count(),
+            *read_hits,
+            *write_hits,
+            *read_misses,
+            *write_misses,
+            *spurious_invals,
+            *poisoned_fills,
+            *iack_fallbacks,
+            *writebacks,
+            *fetch_retries,
+            *wb_retries,
+            *barriers,
+            *stall_cycles,
+            *sync_stall_cycles,
+            *invariant_failures,
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+
     /// Fresh metrics.
     pub fn new() -> Self {
         Self {

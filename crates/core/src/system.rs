@@ -20,10 +20,12 @@ use crate::plan::{AckAction, InvalPlan, PlannedWorm};
 use crate::schemes::InvalidationScheme;
 use std::collections::VecDeque;
 use wormdsm_coherence::{
-    Addr, BlockId, Cache, DirState, Directory, Evicted, LineState, MemGeometry, MsgTable, ProtoMsg,
-    WbBuffer,
+    Addr, BlockId, Cache, CostModel, DirState, Directory, Evicted, LineState, MemGeometry,
+    MsgSizes, MsgTable, ProtoMsg, WbBuffer,
 };
-use wormdsm_mesh::nic::Delivery;
+use wormdsm_mesh::network::MeshConfig;
+use wormdsm_mesh::nic::{Delivery, IackMode};
+use wormdsm_mesh::routing::BaseRouting;
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
 use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network};
@@ -31,7 +33,7 @@ use wormdsm_sim::profile::TxnProfiler;
 use wormdsm_sim::snap::{snap_enum, snap_struct, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::stats::BusyTime;
 use wormdsm_sim::trace::{FlightRecorder, InvariantViolation, TraceClass, TraceKind, TraceLevel};
-use wormdsm_sim::{trace_event, Calendar, Cycle, Registry};
+use wormdsm_sim::{counter_limit, trace_event, Calendar, Cycle, Registry, MAX_CLOCK};
 
 /// Cycles an early fetch waits before retrying at a node whose ownership
 /// grant is still in flight (window-of-vulnerability deferral).
@@ -642,6 +644,11 @@ impl DsmSystem {
     /// One cycle of work: tick the network, route fresh deliveries into
     /// controllers, fire due calendar events.
     fn step_inner(&mut self) {
+        // The tick boundary: every key is in a holder, none in a handler's
+        // local, so the unheld messages are dead.
+        if self.msgs.collect_due() {
+            self.collect_messages();
+        }
         self.net.tick();
         self.now = self.net.now();
         // Drain only the nodes the network flagged this tick (ascending,
@@ -752,14 +759,86 @@ impl DsmSystem {
     // ------------------------------------------------------------------
 
     /// FNV-1a fingerprint of everything a snapshot assumes about the
-    /// machine it is restored into: the full `Debug` rendering of the
-    /// configuration plus the scheme name. Restoring into a system whose
-    /// fingerprint differs is rejected up front — a snapshot encodes slab
-    /// geometries and routing decisions that only replay correctly on the
-    /// exact configuration that produced them.
+    /// machine it is restored into: every configuration field, each as a
+    /// `u64` in the order listed here, plus the scheme name. Restoring into
+    /// a system whose fingerprint differs is rejected up front — a
+    /// snapshot encodes slab geometries and routing decisions that only
+    /// replay correctly on the exact configuration that produced them.
+    ///
+    /// Each struct is destructured without `..` and each enum matched
+    /// without a wildcard, so a new field or variant does not compile
+    /// until it is listed here; renaming a field or changing a `Debug`
+    /// impl moves nothing.
     fn config_fingerprint(cfg: &SystemConfig, scheme: &str) -> u64 {
+        let SystemConfig {
+            mesh,
+            cache_sets,
+            block_bytes,
+            costs,
+            sizes,
+            consistency,
+            multicast_barriers,
+        } = cfg;
+        let MeshConfig {
+            mesh,
+            routing,
+            vcs_per_vnet,
+            vc_buf_flits,
+            router_delay,
+            strip_delay,
+            iack_check_delay,
+            cons_channels,
+            cons_buf_flits,
+            iack_buffers,
+            iack_mode,
+        } = mesh;
+        let CostModel { dc_proc, dc_send, cc_proc, cc_send, cache_access, mem_access, iack_post } =
+            costs;
+        let MsgSizes { control, data, per_extra_dest_x4, gather } = sizes;
+        let routing = match routing {
+            BaseRouting::ECube => 0,
+            BaseRouting::TurnModel => 1,
+        };
+        let iack_mode = match iack_mode {
+            IackMode::Block => 0,
+            IackMode::VctDefer => 1,
+        };
+        let (consistency, write_buffer) = match consistency {
+            ConsistencyModel::Sequential => (0, 0),
+            ConsistencyModel::Release { write_buffer } => (1, *write_buffer),
+        };
+        let fields: [u64; 28] = [
+            mesh.width() as u64,
+            mesh.height() as u64,
+            routing,
+            *vcs_per_vnet as u64,
+            *vc_buf_flits as u64,
+            *router_delay,
+            *strip_delay,
+            *iack_check_delay,
+            *cons_channels as u64,
+            *cons_buf_flits as u64,
+            *iack_buffers as u64,
+            iack_mode,
+            *cache_sets as u64,
+            *block_bytes,
+            *dc_proc,
+            *dc_send,
+            *cc_proc,
+            *cc_send,
+            *cache_access,
+            *mem_access,
+            *iack_post,
+            u64::from(*control),
+            u64::from(*data),
+            u64::from(*per_extra_dest_x4),
+            u64::from(*gather),
+            consistency,
+            write_buffer as u64,
+            u64::from(*multicast_barriers),
+        ];
         let mut h = Fnv64::new();
-        h.write(format!("{cfg:?}").as_bytes());
+        fields.iter().for_each(|&v| h.write_u64(v));
         h.write(scheme.as_bytes());
         h.finish()
     }
@@ -880,24 +959,17 @@ impl DsmSystem {
                 r.remaining()
             )));
         }
-        sys.check_references().map_err(SimError::Snapshot)?;
+        sys.check_references().and_then(|()| sys.check_clocks()).map_err(SimError::Snapshot)?;
         Ok(sys)
     }
 
     /// The first reference in a restored state that stepping it would
-    /// index out of range: a message key past the table (held by a worm,
-    /// an undrained delivery, a queued directory request or an event), a
-    /// node outside the mesh named by an event, or an `Inject` event the
-    /// network could not route.
+    /// index out of range: a message key the table does not hold (past
+    /// it, vacant or stale) named by any holder of
+    /// [`DsmSystem::held_message_keys`], a node outside the mesh named by
+    /// an event, or an `Inject` event the network could not route.
     fn check_references(&self) -> Result<(), String> {
-        let msgs = self.msgs.len() as u64;
-        let key_ok = |k: u64| {
-            if k < msgs {
-                Ok(())
-            } else {
-                Err(format!("message key {k} outside a table of {msgs} messages"))
-            }
-        };
+        self.held_message_keys().try_for_each(|k| self.msgs.check(k))?;
         let node_ok = |n: NodeId| {
             if n.idx() < self.cfg.nodes() {
                 Ok(())
@@ -905,18 +977,98 @@ impl DsmSystem {
                 Err(format!("node {} outside the mesh", n.idx()))
             }
         };
-        let queued = self.dirs.iter().flat_map(Directory::queued_keys);
-        self.net.payloads().chain(queued).try_for_each(key_ok)?;
+        self.msgs.iter().try_for_each(|m| {
+            m.node().map_or(Ok(()), node_ok).map_err(|e| format!("message {m:?}: {e}"))
+        })?;
         self.cal.events().try_for_each(|ev| {
             match ev {
-                Ev::Recv { node, key, src, .. } | Ev::Handle { node, key, src, .. } => {
-                    key_ok(*key).and(node_ok(*node)).and(node_ok(*src))
+                Ev::Recv { node, src, .. } | Ev::Handle { node, src, .. } => {
+                    node_ok(*node).and(node_ok(*src))
                 }
                 Ev::PostIack { node, .. } => node_ok(*node),
-                Ev::Inject(spec) => key_ok(spec.payload).and_then(|()| self.net.check_spec(spec)),
+                Ev::Inject(spec) => self.net.check_spec(spec),
             }
             .map_err(|e| format!("calendar event {ev:?}: {e}"))
         })
+    }
+
+    /// The first clock or counter in a restored state that stepping it
+    /// could overflow: the clock past [`MAX_CLOCK`], a stall, write or
+    /// transaction that started after it, a controller busy past
+    /// [`MAX_CLOCK`] or for more cycles than it has been busy until, or a
+    /// counter (transactions or events so far included) past
+    /// [`counter_limit`]. The network checks its own when it
+    /// loads.
+    fn check_clocks(&self) -> Result<(), String> {
+        let now = self.now;
+        if now > MAX_CLOCK || self.skipped_cycles > now || self.net.now() != now {
+            return Err(format!(
+                "clock {now} (network {}, {} skipped) past the last cycle a run reaches or \
+                 out of step",
+                self.net.now(),
+                self.skipped_cycles
+            ));
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            for (name, b) in [("dc", &n.dc), ("cc", &n.cc), ("mem", &n.mem)] {
+                if b.total() > b.free_at() || b.free_at() > MAX_CLOCK {
+                    return Err(format!(
+                        "node {i} {name}: {} cycles busy, busy until cycle {}",
+                        b.total(),
+                        b.free_at()
+                    ));
+                }
+            }
+            if let ProcState::Stalled { since, .. } = n.proc {
+                if since > now {
+                    return Err(format!("node {i} stalled since cycle {since}, after {now}"));
+                }
+            }
+            if let Some((_, at)) = n.pending_writes.iter().find(|w| w.1 > now) {
+                return Err(format!("node {i} issued a write at cycle {at}, after {now}"));
+            }
+        }
+        if let Some(t) = self.txns.slots.iter().flatten().find(|t| t.started > now) {
+            return Err(format!("a transaction started at cycle {}, after {now}", t.started));
+        }
+        let limit = counter_limit(now, self.cfg.nodes());
+        if self.metrics.max_count().max(self.txns.seq).max(self.cal.scheduled()) > limit {
+            return Err(format!("a protocol counter past {limit} by cycle {now}"));
+        }
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Message lifetime.
+    // ------------------------------------------------------------------
+
+    /// Every message key a holder names (with repeats): worms not yet
+    /// retired and deliveries not yet taken ([`Network::payloads`]),
+    /// requests queued at a directory, and receive, handle and inject
+    /// events. Between steps no handler holds a key in a local, so a
+    /// message no holder names is dead; collection and the restore check
+    /// both read this one list.
+    pub fn held_message_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let events = self.cal.events().filter_map(|ev| match ev {
+            Ev::Recv { key, .. } | Ev::Handle { key, .. } => Some(*key),
+            Ev::Inject(spec) => Some(spec.payload),
+            Ev::PostIack { .. } => None,
+        });
+        self.net.payloads().chain(self.dirs.iter().flat_map(Directory::queued_keys)).chain(events)
+    }
+
+    /// Collect every message [`DsmSystem::held_message_keys`] does not
+    /// name. Steps collect on their own once the message count has
+    /// doubled since the last collection; results are the same whenever
+    /// collection runs.
+    pub fn collect_messages(&mut self) {
+        let held: Vec<u64> = self.held_message_keys().collect();
+        self.msgs.collect(held);
+    }
+
+    /// The message table (read-only; for diagnostics and tests).
+    pub fn message_table(&self) -> &MsgTable {
+        &self.msgs
     }
 
     // ------------------------------------------------------------------
@@ -1311,7 +1463,7 @@ impl DsmSystem {
     fn recv(&mut self, now: Cycle, node: NodeId, key: u64, acks: u32, src: NodeId) {
         let msg = self.msgs.get(key);
         let costs = self.cfg.costs;
-        let is_dc = self.is_dc_message(node, &msg);
+        let is_dc = Self::is_dc_message(&msg);
         let t = if is_dc {
             self.nodes[node.idx()].dc.occupy(now, costs.dc_proc)
         } else {
@@ -1320,24 +1472,23 @@ impl DsmSystem {
         self.cal.schedule(t, Ev::Handle { node, key, acks, src });
     }
 
-    /// Directory-controller messages (home-bound protocol traffic).
-    fn is_dc_message(&self, node: NodeId, msg: &ProtoMsg) -> bool {
-        match msg {
+    /// Directory-controller messages (home-bound protocol traffic). A
+    /// gather ack reaching a node that is not its transaction's home is
+    /// recorded as a violation by [`DsmSystem::h_acks`].
+    fn is_dc_message(msg: &ProtoMsg) -> bool {
+        matches!(
+            msg,
             ProtoMsg::ReadReq { .. }
-            | ProtoMsg::WriteReq { .. }
-            | ProtoMsg::UpgradeReq { .. }
-            | ProtoMsg::InvAck { .. }
-            | ProtoMsg::FetchWb { .. }
-            | ProtoMsg::Writeback { .. }
-            | ProtoMsg::BarrierArrive { .. }
-            | ProtoMsg::LockReq { .. }
-            | ProtoMsg::LockRelease { .. } => true,
-            ProtoMsg::GatherAck { txn, .. } => {
-                debug_assert!(self.txns.get(*txn).is_none_or(|t| t.home == node));
-                true
-            }
-            _ => false,
-        }
+                | ProtoMsg::WriteReq { .. }
+                | ProtoMsg::UpgradeReq { .. }
+                | ProtoMsg::InvAck { .. }
+                | ProtoMsg::GatherAck { .. }
+                | ProtoMsg::FetchWb { .. }
+                | ProtoMsg::Writeback { .. }
+                | ProtoMsg::BarrierArrive { .. }
+                | ProtoMsg::LockReq { .. }
+                | ProtoMsg::LockRelease { .. }
+        )
     }
 
     fn handle_event(&mut self, now: Cycle, ev: Ev) {
@@ -1669,7 +1820,10 @@ impl DsmSystem {
     fn h_relay(&mut self, now: Cycle, node: NodeId, block: BlockId, txn: TxnId, home: NodeId) {
         let costs = self.cfg.costs;
         let (worms, action) = {
-            let t = self.txns.get(txn).expect("txn live");
+            let Some(t) = self.txns.get(txn) else {
+                self.invariant_failed(Some(txn), format!("relay at {node} for a dead transaction"));
+                return;
+            };
             let worms: Vec<PlannedWorm> = t
                 .plan
                 .relays
@@ -1694,9 +1848,14 @@ impl DsmSystem {
 
     fn h_sweep_trigger(&mut self, now: Cycle, node: NodeId, block: BlockId, txn: TxnId, acks: u32) {
         let costs = self.cfg.costs;
-        let (mut sweep, home) = {
-            let t = self.txns.get(txn).expect("txn live");
-            (t.plan.trigger_for(node).cloned().expect("sweep trigger has a planned worm"), t.home)
+        let Some((mut sweep, home)) =
+            self.txns.get(txn).and_then(|t| Some((t.plan.trigger_for(node).cloned()?, t.home)))
+        else {
+            self.invariant_failed(
+                Some(txn),
+                format!("sweep trigger at {node} with no planned sweep gather"),
+            );
+            return;
         };
         sweep.initial_acks += acks;
         let spec = self.build_spec(node, &sweep, txn, block, home);
@@ -2058,11 +2217,10 @@ impl DsmSystem {
     }
 
     fn h_lock_release(&mut self, now: Cycle, home: NodeId, lock: u16) {
-        let st = self
-            .locks
-            .get_mut(lock as usize)
-            .and_then(|s| s.as_mut())
-            .expect("release of unknown lock");
+        let Some(st) = self.locks.get_mut(lock as usize).and_then(|s| s.as_mut()) else {
+            self.invariant_failed(None, format!("release of unknown lock {lock} at {home}"));
+            return;
+        };
         st.holder = None;
         if let Some(next) = st.queue.pop_front() {
             st.holder = Some(next);
@@ -2281,7 +2439,183 @@ mod tests {
             let Err(SimError::Snapshot(e)) = restored(&sys) else {
                 panic!("case {i}: a key past the table restored");
             };
-            assert!(e.contains("message key 1 outside a table of 1"), "case {i}: {e}");
+            assert!(e.contains("slot 1 past a table of 1 slots"), "case {i}: {e}");
+        }
+    }
+
+    /// A clock or counter that stepping could overflow is refused at
+    /// restore: a stall or pending write that starts after `now`, a
+    /// controller busy past the last cycle a run reaches, a counter past
+    /// what `now` allows, and a system clock out of step with the
+    /// network's.
+    #[test]
+    fn restore_refuses_clocks_and_counters_that_could_overflow() {
+        let mut ok = system();
+        ok.run_cycles(10);
+        ok.nodes[1].proc = ProcState::Stalled { kind: StallKind::Read(BlockId(1)), since: 10 };
+        ok.nodes[2].dc.occupy(10, 1_000);
+        ok.metrics.read_hits = counter_limit(10, 16);
+        restored(&ok).expect("clocks at now and counters at the limit restore");
+
+        type Corrupt = fn(&mut DsmSystem);
+        let corrupt: [(Corrupt, &str); 5] = [
+            (
+                |sys| {
+                    let kind = StallKind::Write(BlockId(1));
+                    sys.nodes[1].proc = ProcState::Stalled { kind, since: 11 };
+                },
+                "node 1 stalled since cycle 11, after 10",
+            ),
+            (|sys| sys.nodes[3].pending_writes.push((BlockId(1), 11)), "node 3 issued a write"),
+            (
+                |sys| {
+                    sys.nodes[2].mem.occupy(MAX_CLOCK, 1);
+                },
+                "node 2 mem",
+            ),
+            (|sys| sys.metrics.stall_cycles = counter_limit(10, 16) + 1, "protocol counter"),
+            (|sys| sys.now += 1, "out of step"),
+        ];
+        for (i, (corrupt, want)) in corrupt.into_iter().enumerate() {
+            let mut sys = system();
+            sys.run_cycles(10);
+            corrupt(&mut sys);
+            let Err(SimError::Snapshot(e)) = restored(&sys) else {
+                panic!("case {i}: an overflowing state restored");
+            };
+            assert!(e.contains(want), "case {i}: {e}");
+        }
+    }
+
+    /// Each configuration field moves the fingerprint, every edit to a
+    /// different value, and a snapshot restored under a configuration
+    /// that differs in that one field is refused.
+    #[test]
+    fn config_fingerprint_covers_every_field() {
+        use wormdsm_mesh::topology::Mesh2D;
+        type Edit = fn(&mut SystemConfig);
+        let edits: [(&str, Edit); 30] = [
+            ("mesh width", |c| c.mesh.mesh = Mesh2D::new(5, 4)),
+            ("mesh height", |c| c.mesh.mesh = Mesh2D::new(4, 5)),
+            ("routing", |c| c.mesh.routing = BaseRouting::TurnModel),
+            ("vcs_per_vnet", |c| c.mesh.vcs_per_vnet = 2),
+            ("vc_buf_flits", |c| c.mesh.vc_buf_flits = 6),
+            ("router_delay", |c| c.mesh.router_delay = 5),
+            ("strip_delay", |c| c.mesh.strip_delay = 2),
+            ("iack_check_delay", |c| c.mesh.iack_check_delay = 2),
+            ("cons_channels", |c| c.mesh.cons_channels = 3),
+            ("cons_buf_flits", |c| c.mesh.cons_buf_flits = 9),
+            ("iack_buffers", |c| c.mesh.iack_buffers = 2),
+            ("iack_mode", |c| c.mesh.iack_mode = IackMode::Block),
+            ("cache_sets", |c| c.cache_sets = 1024),
+            ("block_bytes", |c| c.block_bytes = 64),
+            ("dc_proc", |c| c.costs.dc_proc += 1),
+            ("dc_send", |c| c.costs.dc_send += 1),
+            ("cc_proc", |c| c.costs.cc_proc += 1),
+            ("cc_send", |c| c.costs.cc_send += 1),
+            ("cache_access", |c| c.costs.cache_access += 1),
+            ("mem_access", |c| c.costs.mem_access += 1),
+            ("iack_post", |c| c.costs.iack_post += 1),
+            ("sizes.control", |c| c.sizes.control += 1),
+            ("sizes.data", |c| c.sizes.data += 1),
+            ("sizes.per_extra_dest_x4", |c| c.sizes.per_extra_dest_x4 += 1),
+            ("sizes.gather", |c| c.sizes.gather += 1),
+            ("consistency", |c| c.consistency = ConsistencyModel::Release { write_buffer: 2 }),
+            ("write_buffer", |c| c.consistency = ConsistencyModel::Release { write_buffer: 3 }),
+            ("multicast_barriers", |c| c.multicast_barriers = true),
+            // The same fields, other values: no two edits collide.
+            ("mesh 3x8", |c| c.mesh.mesh = Mesh2D::new(3, 8)),
+            ("dc_proc and dc_send swapped", |c| {
+                std::mem::swap(&mut c.costs.dc_proc, &mut c.costs.dc_send)
+            }),
+        ];
+        let base = SystemConfig::for_scheme(4, SchemeKind::UiUa);
+        let name = SchemeKind::UiUa.build().name();
+        let mut seen = vec![("base", DsmSystem::config_fingerprint(&base, name))];
+        let snapshot = system().save_snapshot();
+        for (field, edit) in edits {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            let fp = DsmSystem::config_fingerprint(&cfg, name);
+            if let Some((other, _)) = seen.iter().find(|s| s.1 == fp) {
+                panic!("editing {field} gives the fingerprint of {other}");
+            }
+            seen.push((field, fp));
+            match DsmSystem::restore_snapshot(cfg, SchemeKind::UiUa.build(), &snapshot) {
+                Err(SimError::Snapshot(e)) if e.contains("fingerprint") => {}
+                Err(e) => panic!("{field}: refused for another reason: {e}"),
+                Ok(_) => panic!("{field}: restored under another configuration"),
+            }
+        }
+        assert_ne!(
+            DsmSystem::config_fingerprint(&base, name),
+            DsmSystem::config_fingerprint(&base, SchemeKind::MiMaCol.build().name()),
+            "the scheme name is part of the fingerprint"
+        );
+    }
+
+    /// A key whose slot was collected — vacant, or reused by a newer
+    /// message — held by a worm, a calendar event or a queued directory
+    /// request, is refused at restore: the generation in the key keeps it
+    /// from aliasing the slot's new message.
+    #[test]
+    fn restore_refuses_a_stale_message_key() {
+        let msg = ProtoMsg::ReadReply { block: BlockId(1) };
+        // `stale` names slot 0, now reused; `vacant` names slot 1, now
+        // empty; `live` is the message in slot 0 today.
+        let table = |sys: &mut DsmSystem| {
+            let stale = sys.msgs.push(msg);
+            let vacant = sys.msgs.push(msg);
+            let kept = sys.msgs.push(msg);
+            sys.cal.schedule(50, Ev::Recv { node: NodeId(1), key: kept, acks: 0, src: NodeId(2) });
+            sys.collect_messages();
+            let live = sys.msgs.push(msg);
+            assert_eq!((sys.msgs.len(), sys.msgs.slots()), (2, 3), "slot 0 is reused");
+            (stale, vacant, live)
+        };
+        let holders: [fn(&mut DsmSystem, u64); 6] = [
+            |sys, k| {
+                sys.net.inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Reply, 2, k));
+            },
+            |sys, k| {
+                sys.cal.schedule(9, Ev::Recv { node: NodeId(1), key: k, acks: 0, src: NodeId(2) })
+            },
+            |sys, k| {
+                sys.cal.schedule(9, Ev::Handle { node: NodeId(1), key: k, acks: 0, src: NodeId(2) })
+            },
+            |sys, k| {
+                let spec = WormSpec::unicast(NodeId(3), NodeId(4), VNet::Req, 2, k);
+                sys.cal.schedule(9, Ev::Inject(spec));
+            },
+            |sys, k| {
+                let e = sys.dirs[0].entry_mut(BlockId(0));
+                e.queue.push_back(wormdsm_coherence::QueuedReq { node: NodeId(1), msg_key: k });
+            },
+            |sys, k| {
+                // An undrained delivery: run the worm until the network
+                // logs it.
+                sys.net.inject(WormSpec::unicast(NodeId(0), NodeId(1), VNet::Reply, 2, k));
+                while sys.net.live_worms() > 0 {
+                    sys.net.tick();
+                }
+                sys.now = sys.net.now();
+                assert_eq!(sys.net.payloads().collect::<Vec<_>>(), [k]);
+            },
+        ];
+        for (i, hold) in holders.into_iter().enumerate() {
+            let mut sys = system();
+            let (_, _, live) = table(&mut sys);
+            hold(&mut sys, live);
+            restored(&sys).unwrap_or_else(|e| panic!("holder {i}: the live key refused: {e}"));
+            for which in [0, 1] {
+                let mut sys = system();
+                let (stale, vacant, _) = table(&mut sys);
+                hold(&mut sys, [stale, vacant][which]);
+                let Err(SimError::Snapshot(e)) = restored(&sys) else {
+                    panic!("holder {i}: a stale key restored");
+                };
+                assert!(e.contains("is stale"), "holder {i}: {e}");
+            }
         }
     }
 
@@ -2291,45 +2625,44 @@ mod tests {
     #[test]
     fn restore_refuses_calendar_events_the_mesh_cannot_run() {
         let mut ok = system();
-        ok.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
-        ok.cal.schedule(3, Ev::Inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0)));
+        let k = ok.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+        ok.cal.schedule(3, Ev::Inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, k)));
         let mut sys = restored(&ok).expect("a routable worm restores");
         sys.run_cycles(100);
 
-        type Corrupt = fn(&mut DsmSystem);
+        type Corrupt = fn(&mut DsmSystem, u64);
         let corrupt: [(Corrupt, &str); 5] = [
             (
-                |sys| {
-                    sys.cal
-                        .schedule(3, Ev::Recv { node: NodeId(99), key: 0, acks: 0, src: NodeId(0) })
+                |sys, key| {
+                    sys.cal.schedule(3, Ev::Recv { node: NodeId(99), key, acks: 0, src: NodeId(0) })
                 },
                 "node 99 outside the mesh",
             ),
             (
-                |sys| sys.cal.schedule(3, Ev::PostIack { node: NodeId(16), txn: TxnId(1) }),
+                |sys, _| sys.cal.schedule(3, Ev::PostIack { node: NodeId(16), txn: TxnId(1) }),
                 "node 16 outside the mesh",
             ),
             (
-                |sys| {
-                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0);
+                |sys, key| {
+                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, key);
                     spec.dests = Default::default();
                     sys.cal.schedule(3, Ev::Inject(spec));
                 },
                 "at least one destination",
             ),
             (
-                |sys| {
+                |sys, key| {
                     sys.cal.schedule(
                         3,
-                        Ev::Inject(WormSpec::unicast(NodeId(5), NodeId(5), VNet::Req, 2, 0)),
+                        Ev::Inject(WormSpec::unicast(NodeId(5), NodeId(5), VNet::Req, 2, key)),
                     )
                 },
                 "first destination is its source",
             ),
             (
-                |sys| {
+                |sys, key| {
                     // Under XY, a path back west after reaching column 1.
-                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, 0);
+                    let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, key);
                     spec.kind = WormKind::Multicast;
                     spec.dests = [NodeId(5), NodeId(8)].into();
                     sys.cal.schedule(3, Ev::Inject(spec));
@@ -2339,8 +2672,8 @@ mod tests {
         ];
         for (i, (corrupt, want)) in corrupt.into_iter().enumerate() {
             let mut sys = system();
-            sys.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
-            corrupt(&mut sys);
+            let key = sys.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+            corrupt(&mut sys, key);
             let Err(SimError::Snapshot(e)) = restored(&sys) else {
                 panic!("case {i}: an event the mesh cannot run restored");
             };

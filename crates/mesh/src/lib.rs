@@ -33,7 +33,7 @@ pub mod worm;
 pub use network::{
     ContentionProbe, ContentionWindow, LinkLoadMeter, MeshConfig, NetStats, Network,
 };
-pub use nic::{Delivery, DeliveryKind, IackMode};
+pub use nic::{Delivery, IackMode};
 pub use routing::{BaseRouting, PathRule};
 pub use topology::{Coord, Direction, Mesh2D, NodeId, Port};
 pub use worm::{TxnId, VNet, WormId, WormKind, WormSpec, WormState};

@@ -31,7 +31,7 @@
 //! phases iterate the set bits of its slot-class masks (see
 //! [`crate::router`]) instead of filtering every `(port, vc)` slot.
 
-use crate::nic::{Delivery, DeliveryKind, GatherCheck, IackMode, NicSlab, StreamState};
+use crate::nic::{Delivery, GatherCheck, IackMode, NicSlab, StreamState};
 use crate::router::{BufFlit, RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{Direction, Mesh2D, NodeId, NUM_PORTS};
@@ -42,7 +42,9 @@ use crate::worm::{
 use wormdsm_sim::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 use wormdsm_sim::trace::{FlightRecorder, TraceClass, TraceKind, TraceLevel};
-use wormdsm_sim::{BitSet128, Cycle, NoProgress, Registry, Summary, Watchdog};
+use wormdsm_sim::{
+    counter_limit, BitSet128, Cycle, NoProgress, Registry, Summary, Watchdog, MAX_CLOCK,
+};
 
 /// Flight-recorder label for a worm kind.
 fn worm_kind_label(kind: WormKind) -> &'static str {
@@ -231,6 +233,53 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The largest counter held, each latency [`Summary`] counting its
+    /// observations. Every field is listed, so a new one does not compile
+    /// until it is.
+    fn max_count(&self) -> u64 {
+        let Self {
+            flit_hops,
+            flits_injected,
+            flits_consumed,
+            worms_injected,
+            deliveries,
+            gather_blocked_cycles,
+            multicast_blocked_cycles,
+            parks,
+            bounces,
+            resumes,
+            deposits,
+            deposit_retries,
+            link_busy,
+            unicast_latency,
+            multicast_latency,
+            gather_latency,
+            worm_slots_reused,
+        } = self;
+        [
+            *flit_hops,
+            *flits_injected,
+            *flits_consumed,
+            *deliveries,
+            *gather_blocked_cycles,
+            *multicast_blocked_cycles,
+            *parks,
+            *bounces,
+            *resumes,
+            *deposits,
+            *deposit_retries,
+            unicast_latency.count(),
+            multicast_latency.count(),
+            gather_latency.count(),
+            *worm_slots_reused,
+        ]
+        .into_iter()
+        .chain(worms_injected.iter().copied())
+        .chain(link_busy.iter().copied())
+        .max()
+        .unwrap_or(0)
+    }
+
     fn new(nodes: usize) -> Self {
         Self {
             flit_hops: 0,
@@ -857,11 +906,17 @@ impl Network {
         self.worms.check(self.cfg.mesh.nodes())
     }
 
-    /// The payload of every worm in the table and of every delivery not
-    /// yet taken: a superset of the payloads the network may still hand
-    /// to a node.
+    /// The payload of every worm not yet retired (not delivered, or with
+    /// copies still draining) and of every delivery not yet taken: every
+    /// payload the network may still hand to a node. A retired worm's
+    /// slot keeps its old payload until the slot is reused, so it is left
+    /// out.
     pub fn payloads(&self) -> impl Iterator<Item = u64> + '_ {
-        self.worms.iter().map(|w| w.spec.payload).chain(self.nics.undrained().map(|d| d.payload))
+        self.worms
+            .iter()
+            .filter(|w| w.state != WormState::Delivered || w.copies > 0)
+            .map(|w| w.spec.payload)
+            .chain(self.nics.undrained().map(|d| d.payload))
     }
 
     /// Access a worm's cold record.
@@ -1197,6 +1252,22 @@ impl Network {
         }
     }
 
+    /// Promoted from a panic: a head with no legal direction toward its
+    /// next destination (a non-conformant path) records a violation and
+    /// stays put.
+    #[cold]
+    fn head_has_no_route(&mut self, wid: WormId, here: NodeId, hot: WormHot) {
+        if self.violation.is_none() {
+            self.violation = Some(format!(
+                "worm {} at {here} cannot reach {} under {:?} (turned={}): non-conformant path",
+                wid.0,
+                hot.next_dest,
+                self.cfg.rule_for(hot.vnet),
+                hot.turned
+            ));
+        }
+    }
+
     /// Output VC allocation from the precomputed next-hop table.
     #[allow(clippy::too_many_arguments)]
     fn allocate_route(
@@ -1211,11 +1282,10 @@ impl Network {
     ) {
         let WormHot { next_dest: dest, vnet, turned, .. } = hot;
         let mask = self.tables[vnet.index()].mask(here, dest, turned);
-        assert!(
-            mask != 0,
-            "worm {wid:?} at {here} cannot reach {dest} under {:?} (turned={turned}): scheme constructed a non-conformant path",
-            self.cfg.rule_for(vnet)
-        );
+        if mask == 0 {
+            self.head_has_no_route(wid, here, hot);
+            return;
+        }
         let (lo, hi) = self.cfg.vc_class(vnet);
         // Among legal directions (canonical X-before-Y order), pick the
         // (dir, vc) with the most credits.
@@ -1537,16 +1607,7 @@ impl Network {
                 // Absorbed copy at an intermediate destination.
                 self.nics.push_delivery(
                     n,
-                    Delivery {
-                        node,
-                        worm: wid,
-                        src,
-                        payload,
-                        kind: DeliveryKind::Absorb,
-                        acks: 0,
-                        at: now,
-                        txn,
-                    },
+                    Delivery { node, worm: wid, src, payload, acks: 0, at: now, txn },
                 );
                 self.stats.deliveries += 1;
                 self.note_delivery(n);
@@ -1585,16 +1646,7 @@ impl Network {
             } else {
                 self.nics.push_delivery(
                     n,
-                    Delivery {
-                        node,
-                        worm: wid,
-                        src,
-                        payload,
-                        kind: DeliveryKind::Final,
-                        acks,
-                        at: now,
-                        txn,
-                    },
+                    Delivery { node, worm: wid, src, payload, acks, at: now, txn },
                 );
                 self.stats.deliveries += 1;
                 self.note_delivery(n);
@@ -1625,7 +1677,6 @@ impl Network {
         w.copies -= 1;
         if let Some(latency) = final_latency {
             w.state = WormState::Delivered;
-            w.delivered_at = Some(now);
             self.live_worms -= 1;
             match w.spec.kind {
                 WormKind::Unicast => self.stats.unicast_latency.record(latency),
@@ -1789,13 +1840,6 @@ impl Network {
         if net.stats.link_busy.len() != nodes * 4 {
             return Err(SnapError::Mismatch("snapshot link stats mismatch node count".into()));
         }
-        if net.live_worms > net.worms.len() {
-            return Err(SnapError::Corrupt(format!(
-                "{} live worms exceeds table of {}",
-                net.live_worms,
-                net.worms.len()
-            )));
-        }
         let table = net.worms.len();
         let dangling =
             net.routers.worm_ids().chain(net.nics.worm_ids()).find(|id| id.0 as usize >= table);
@@ -1812,7 +1856,70 @@ impl Network {
             return Err(SnapError::Corrupt(format!("{d:?} names a node outside the mesh")));
         }
         net.check_credits().map_err(SnapError::Corrupt)?;
+        net.check_worm_accounting().map_err(SnapError::Corrupt)?;
+        net.check_clocks().map_err(SnapError::Corrupt)?;
         Ok(net)
+    }
+
+    /// The first worm whose accounting a loaded network breaks: the live
+    /// count must be the number of worms not yet delivered, and each
+    /// worm's `copies` the number of consumption channels it owns (a
+    /// drain releases the one and decrements the other).
+    fn check_worm_accounting(&self) -> Result<(), String> {
+        let live = self.worms.iter().filter(|w| w.state != WormState::Delivered).count();
+        if live != self.live_worms {
+            return Err(format!("{} live worms, {live} not delivered", self.live_worms));
+        }
+        let mut owned = vec![0u32; self.worms.len()];
+        for n in 0..self.cfg.mesh.nodes() {
+            for cc in 0..self.cfg.cons_channels {
+                if let Some(w) = self.nics.cons_owner(n, cc) {
+                    owned[w.0 as usize] += 1;
+                }
+            }
+        }
+        match self.worms.iter().zip(&owned).position(|(w, &o)| w.copies != o) {
+            Some(i) => Err(format!(
+                "worm {i}: {} copies, {} consumption channels",
+                self.worms.get(WormId(i as u32)).copies,
+                owned[i]
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The first clock or counter in a loaded network that stepping it
+    /// could overflow: the clock past [`MAX_CLOCK`], a worm queued after
+    /// it, a statistics counter past [`counter_limit`], or a link-load
+    /// meter whose window boundary lies more than a window ahead or whose
+    /// last reading exceeds the link's busy count.
+    fn check_clocks(&self) -> Result<(), String> {
+        let now = self.now;
+        if now > MAX_CLOCK {
+            return Err(format!("network clock {now} past the last cycle a run reaches"));
+        }
+        if let Some(w) = self.worms.iter().find(|w| w.queued_at > now) {
+            return Err(format!("a worm queued at cycle {}, after cycle {now}", w.queued_at));
+        }
+        let limit = counter_limit(now, self.cfg.mesh.nodes());
+        if self.stats.max_count() > limit {
+            return Err(format!(
+                "a network counter of {} by cycle {now}, past {limit}",
+                self.stats.max_count()
+            ));
+        }
+        if let Some(m) = &self.link_load {
+            if m.next_boundary > now.saturating_add(m.window) || m.commits > limit {
+                return Err(format!(
+                    "link-load meter at boundary {} after {} commits, by cycle {now}",
+                    m.next_boundary, m.commits
+                ));
+            }
+            if m.prev.iter().zip(&self.stats.link_busy).any(|(p, b)| p > b) {
+                return Err("link-load meter read more busy cycles than a link had".to_string());
+            }
+        }
+        Ok(())
     }
 
     /// Run until quiescent or `max` additional cycles elapse; uses a
@@ -2026,7 +2133,6 @@ mod tests {
                         worm: WormId(0),
                         src: NodeId(1),
                         payload: 0,
-                        kind: DeliveryKind::Final,
                         acks: 0,
                         at: 0,
                         txn: TxnId(0),
@@ -2040,6 +2146,29 @@ mod tests {
             let (cfg, mut net) = busy_network();
             assert_eq!(net.check_router_slab(), Ok(()));
             load(&cfg, &save(&net)).expect("well-formed stream loads");
+            corrupt(&mut net);
+            let Err(SnapError::Corrupt(e)) = load(&cfg, &save(&net)) else {
+                panic!("case {i}: corrupt network loaded")
+            };
+            assert!(e.contains(want), "case {i}: {e}");
+        }
+    }
+
+    /// A live-worm count or a worm's copy count that disagrees with the
+    /// worms and consumption channels, and a clock or counter that
+    /// stepping could overflow, are refused at load.
+    #[test]
+    fn load_rejects_broken_worm_accounting_and_overflowing_clocks() {
+        type Corrupt = fn(&mut Network);
+        let corrupt: [(Corrupt, &str); 5] = [
+            (|n| n.live_worms -= 1, "live worms"),
+            (|n| n.worms.get_mut(WormId(0)).copies += 1, "worm 0: 1 copies, 0 consumption"),
+            (|n| n.worms.get_mut(WormId(3)).queued_at = n.now + 1, "queued at cycle"),
+            (|n| n.stats.flit_hops = u64::MAX, "network counter"),
+            (|n| n.now = MAX_CLOCK + 1, "past the last cycle"),
+        ];
+        for (i, (corrupt, want)) in corrupt.into_iter().enumerate() {
+            let (cfg, mut net) = busy_network();
             corrupt(&mut net);
             let Err(SnapError::Corrupt(e)) = load(&cfg, &save(&net)) else {
                 panic!("case {i}: corrupt network loaded")

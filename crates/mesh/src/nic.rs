@@ -99,15 +99,6 @@ pub enum GatherCheck {
     NotReady,
 }
 
-/// How a worm was delivered to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryKind {
-    /// Consumed at its final destination.
-    Final,
-    /// Absorbed copy at an intermediate destination (forward-and-absorb).
-    Absorb,
-}
-
 /// A message handed from the network to a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
@@ -119,8 +110,6 @@ pub struct Delivery {
     pub src: NodeId,
     /// Opaque payload from the [`crate::worm::WormSpec`].
     pub payload: u64,
-    /// Final consumption vs. absorbed copy.
-    pub kind: DeliveryKind,
     /// Accumulated ack count (gather worms; 0 otherwise).
     pub acks: u32,
     /// Cycle the tail drained.
@@ -523,8 +512,7 @@ snap_enum!(IackState {
     2 => Parked { worm, drained, total, posted },
 });
 snap_struct!(IackEntry { txn, state });
-snap_enum!(DeliveryKind { 0 => Final, 1 => Absorb });
-snap_struct!(Delivery { node, worm, src, payload, kind, acks, at, txn });
+snap_struct!(Delivery { node, worm, src, payload, acks, at, txn });
 snap_struct!(StreamState { worm, next_seq, len });
 
 mod snap_impls {

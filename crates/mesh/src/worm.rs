@@ -192,8 +192,6 @@ pub struct Worm {
     pub state: WormState,
     /// Cycle the worm was handed to the NIC.
     pub queued_at: Cycle,
-    /// Cycle the tail drained at the final destination, if delivered.
-    pub delivered_at: Option<Cycle>,
     /// Gather bounce in progress: the worm could neither collect nor park
     /// (no i-ack entry available), so it is being consumed at the local
     /// node for re-injection instead of holding network channels.
@@ -203,13 +201,6 @@ pub struct Worm {
     /// once it is `Delivered` *and* this count is back to zero — absorb
     /// copies at intermediate destinations can drain after the final tail.
     pub copies: u32,
-}
-
-impl Worm {
-    /// End-to-end latency (queue + network), if delivered.
-    pub fn latency(&self) -> Option<Cycle> {
-        self.delivered_at.map(|d| d - self.queued_at)
-    }
 }
 
 /// A worm's hot record: the 12 bytes head processing, route allocation
@@ -341,7 +332,6 @@ impl WormTable {
             spec,
             state: WormState::Queued,
             queued_at: now,
-            delivered_at: None,
             bounced: false,
             copies: 0,
         };
@@ -469,7 +459,7 @@ mod snap_impls {
     use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     /// Each worm is one record of spec, dest_idx, acks, state,
-    /// queued_at, delivered_at, turned, bounced and copies, with
+    /// queued_at, turned, bounced and copies, with
     /// `dest_idx` and `turned` taken from its hot record; the rest of the
     /// hot record is derived again on load.
     impl Snap for WormTable {
@@ -481,7 +471,6 @@ mod snap_impls {
                 w.put_u32(c.acks);
                 c.state.save(w);
                 w.put_u64(c.queued_at);
-                c.delivered_at.save(w);
                 w.put_bool(h.turned);
                 w.put_bool(c.bounced);
                 w.put_u32(c.copies);
@@ -501,11 +490,10 @@ mod snap_impls {
                 let acks = r.get_u32()?;
                 let state = WormState::load(r)?;
                 let queued_at = r.get_u64()?;
-                let delivered_at = Option::load(r)?;
                 let turned = r.get_bool()?;
                 let bounced = r.get_bool()?;
                 let copies = r.get_u32()?;
-                let c = Worm { spec, acks, state, queued_at, delivered_at, bounced, copies };
+                let c = Worm { spec, acks, state, queued_at, bounced, copies };
                 // The rules `insert` asserts, so the hot record can be
                 // derived and the first hop cannot index past the list.
                 if let Some(e) = spec_error(&c.spec) {
@@ -603,14 +591,23 @@ mod tests {
         assert_eq!(fs[1].kind, FlitKind::Tail);
     }
 
+    /// A worm's latency is read off the delivery log: nothing is logged
+    /// until its tail drains, and then one delivery whose `at` is the
+    /// drain cycle, the cycle the worm turned `Delivered`.
     #[test]
     fn latency_requires_delivery() {
-        let mut t = WormTable::new();
-        let id = t.insert(spec2(vec![NodeId(3)], WormKind::Unicast), 10);
-        assert_eq!(t.get(id).latency(), None);
-        t.get_mut(id).delivered_at = Some(60);
-        t.get_mut(id).state = WormState::Delivered;
-        assert_eq!(t.get(id).latency(), Some(50));
+        use crate::network::{MeshConfig, Network};
+        let mut net = Network::new(MeshConfig::paper_defaults(4));
+        let dst = NodeId(6);
+        let id = net.inject(WormSpec::unicast(NodeId(0), dst, VNet::Req, 8, 1));
+        while net.worm(id).state != WormState::Delivered {
+            assert!(net.take_deliveries(dst).is_empty(), "logged before its tail drained");
+            net.tick();
+        }
+        let ds = net.take_deliveries(dst);
+        assert_eq!(ds.len(), 1);
+        assert_eq!((ds[0].worm, ds[0].at), (id, net.now()));
+        assert!(ds[0].at - net.worm(id).queued_at > 8, "a latency of at least the worm's length");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! multidestination mechanics, parking, contention, and determinism.
 
 use wormdsm_mesh::network::{MeshConfig, Network};
-use wormdsm_mesh::nic::DeliveryKind;
 use wormdsm_mesh::topology::{Mesh2D, NodeId};
-use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
+use wormdsm_mesh::worm::{TxnId, VNet, WormId, WormKind, WormSpec};
 use wormdsm_mesh::{BaseRouting, IackMode};
+use wormdsm_sim::Cycle;
 
 fn cfg(k: usize) -> MeshConfig {
     MeshConfig::paper_defaults(k)
@@ -25,6 +25,29 @@ fn multicast(src: NodeId, dests: Vec<NodeId>, reserve: bool, txn: u64) -> WormSp
         gather_deposit: false,
         deliver: None,
     }
+}
+
+/// Take the delivery log at `dst`: each delivered worm with its latency,
+/// the cycle its tail drained minus the cycle it was handed to the NIC.
+fn latencies(net: &mut Network, dst: NodeId) -> Vec<(WormId, Cycle)> {
+    let ds = net.take_deliveries(dst);
+    assert!(ds.iter().all(|d| d.node == dst), "a delivery logged at {dst} names another node");
+    ds.iter().map(|d| (d.worm, d.at - net.worm(d.worm).queued_at)).collect()
+}
+
+/// Take the delivery log at each of `dests`: each must hold exactly one
+/// delivery, of worm `id` carrying `payload`; return the cycles they drained.
+fn one_delivery_each(net: &mut Network, id: WormId, payload: u64, dests: &[NodeId]) -> Vec<Cycle> {
+    dests
+        .iter()
+        .map(|&n| {
+            let ds = net.take_deliveries(n);
+            assert_eq!(ds.len(), 1, "{n} got {} deliveries", ds.len());
+            assert_eq!((ds[0].worm, ds[0].node), (id, n), "at {n}");
+            assert_eq!(ds[0].payload, payload, "at {n}");
+            ds[0].at
+        })
+        .collect()
 }
 
 fn gather(src: NodeId, dests: Vec<NodeId>, txn: u64, initial: u32) -> WormSpec {
@@ -51,19 +74,16 @@ fn unicast_delivers_with_plausible_latency() {
     let dst = m.node_at(2, 1);
     let id = net.inject(WormSpec::unicast(src, dst, VNet::Req, 8, 42));
     let end = net.run_until_quiescent(10_000).expect("quiesces");
-    let w = net.worm(id);
-    let lat = w.latency().expect("delivered");
+    let ds = net.take_deliveries(dst);
+    assert_eq!(ds.len(), 1);
+    assert_eq!((ds[0].worm, ds[0].node, ds[0].src, ds[0].payload), (id, dst, src, 42));
+    let lat = ds[0].at - net.worm(id).queued_at;
     // 3 hops * 4-cycle router delay + 8 flits + injection/drain overheads:
     // must be more than the pure pipeline and far less than a congested
     // bound.
     assert!(lat >= 3 * 4 + 8, "latency {lat} too small");
     assert!(lat <= 60, "latency {lat} too large for an idle 4x4 mesh");
     assert!(end >= lat);
-    let ds = net.take_deliveries(dst);
-    assert_eq!(ds.len(), 1);
-    assert_eq!(ds[0].payload, 42);
-    assert_eq!(ds[0].kind, DeliveryKind::Final);
-    assert_eq!(ds[0].src, src);
 }
 
 #[test]
@@ -101,16 +121,12 @@ fn multicast_absorbs_at_intermediate_and_consumes_at_final() {
     let d1 = m.node_at(3, 3);
     let d2 = m.node_at(5, 3);
     let d3 = m.node_at(7, 3);
-    net.inject(multicast(src, vec![d1, d2, d3], false, 1));
-    net.run_until_quiescent(10_000).unwrap();
-    for (n, expected) in
-        [(d1, DeliveryKind::Absorb), (d2, DeliveryKind::Absorb), (d3, DeliveryKind::Final)]
-    {
-        let ds = net.take_deliveries(n);
-        assert_eq!(ds.len(), 1, "{n} got {} deliveries", ds.len());
-        assert_eq!(ds[0].kind, expected, "at {n}");
-        assert_eq!(ds[0].payload, 0xBEEF);
-    }
+    let id = net.inject(multicast(src, vec![d1, d2, d3], false, 1));
+    let end = net.run_until_quiescent(10_000).unwrap();
+    // The copies absorbed on the way drain before the final consumption,
+    // which is the last thing the network does.
+    let at = one_delivery_each(&mut net, id, 0xBEEF, &[d1, d2, d3]);
+    assert!(at[0] < at[1] && at[1] < at[2] && at[2] == end, "{at:?}, quiescent at {end}");
     // One worm, 7 hops, 8 flits on links; plus 2 absorb copies + 1 final
     // consumption (8 flits each) consumed.
     assert_eq!(net.stats().flit_hops, 7 * 8);
@@ -124,12 +140,10 @@ fn multicast_down_column_after_row() {
     let src = m.node_at(1, 2);
     // Row to column 5, then south monotone.
     let dests = vec![m.node_at(5, 3), m.node_at(5, 5), m.node_at(5, 7)];
-    net.inject(multicast(src, dests.clone(), false, 1));
+    let id = net.inject(multicast(src, dests.clone(), false, 1));
     net.run_until_quiescent(10_000).unwrap();
-    for d in &dests[..2] {
-        assert_eq!(net.take_deliveries(*d)[0].kind, DeliveryKind::Absorb);
-    }
-    assert_eq!(net.take_deliveries(dests[2])[0].kind, DeliveryKind::Final);
+    let at = one_delivery_each(&mut net, id, 0xBEEF, &dests);
+    assert!(at[0] < at[1] && at[1] < at[2], "deliveries follow the path: {at:?}");
 }
 
 #[test]
@@ -154,7 +168,6 @@ fn ireserve_then_posts_then_gather_collects_all_acks() {
     net.run_until_quiescent(10_000).unwrap();
     let ds = net.take_deliveries(home);
     assert_eq!(ds.len(), 1);
-    assert_eq!(ds[0].kind, DeliveryKind::Final);
     assert_eq!(ds[0].acks, 3, "home sees all three acknowledgements");
     assert_eq!(net.stats().parks, 0, "acks were posted before the gather arrived");
 }
@@ -247,11 +260,10 @@ fn west_first_serpentine_multicast() {
     let home = m.node_at(4, 4);
     // West run to column 1, then serpentine east: (1,2), (3,6), (6,1).
     let dests = vec![m.node_at(1, 2), m.node_at(3, 6), m.node_at(6, 1)];
-    net.inject(multicast(home, dests.clone(), false, 1));
+    let id = net.inject(multicast(home, dests.clone(), false, 1));
     net.run_until_quiescent(20_000).unwrap();
-    assert_eq!(net.take_deliveries(dests[0])[0].kind, DeliveryKind::Absorb);
-    assert_eq!(net.take_deliveries(dests[1])[0].kind, DeliveryKind::Absorb);
-    assert_eq!(net.take_deliveries(dests[2])[0].kind, DeliveryKind::Final);
+    let at = one_delivery_each(&mut net, id, 0xBEEF, &dests);
+    assert!(at[0] < at[1] && at[1] < at[2], "deliveries follow the path: {at:?}");
 }
 
 #[test]
@@ -263,7 +275,10 @@ fn contending_worms_serialize_on_a_link_but_both_deliver() {
     let a = net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(6, 0), VNet::Req, 16, 1));
     let b = net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(6, 0), VNet::Req, 16, 2));
     net.run_until_quiescent(20_000).unwrap();
-    let (la, lb) = (net.worm(a).latency().unwrap(), net.worm(b).latency().unwrap());
+    let [(wa, la), (wb, lb)] = latencies(&mut net, m.node_at(6, 0))[..] else {
+        panic!("two deliveries")
+    };
+    assert_eq!((wa, wb), (a, b), "the first worm delivers first");
     assert!(lb > la, "second worm waits behind the first ({la} vs {lb})");
     assert_eq!(net.stats().flit_hops, 2 * 6 * 16);
 }
@@ -275,7 +290,9 @@ fn different_vnets_do_not_serialize() {
     let a = net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(6, 0), VNet::Req, 16, 1));
     let b = net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(6, 0), VNet::Reply, 16, 2));
     net.run_until_quiescent(20_000).unwrap();
-    let (la, lb) = (net.worm(a).latency().unwrap(), net.worm(b).latency().unwrap());
+    let ls = latencies(&mut net, m.node_at(6, 0));
+    let lat = |id| ls.iter().find(|l| l.0 == id).expect("delivered").1;
+    let (la, lb) = (lat(a), lat(b));
     // Reply vnet shares the physical link (both worms still progress, the
     // difference must be far below full serialization).
     let serialized_gap = 16;
@@ -286,22 +303,23 @@ fn different_vnets_do_not_serialize() {
 fn single_consumption_channel_serializes_deliveries() {
     let mut c = cfg(8);
     c.cons_channels = 1;
-    let mut net = Network::new(c);
+    let net = Network::new(c);
     let m = Mesh2D::square(8);
     let hot = m.node_at(4, 4);
-    let a = net.inject(WormSpec::unicast(m.node_at(0, 4), hot, VNet::Req, 16, 1));
-    let b = net.inject(WormSpec::unicast(m.node_at(4, 0), hot, VNet::Reply, 16, 2));
-    net.run_until_quiescent(20_000).unwrap();
-    assert_eq!(net.take_deliveries(hot).len(), 2);
     // With 4 channels the same experiment overlaps ejection; with 1 the
     // later worm's tail waits for the channel.
-    let l1 = net.worm(a).latency().unwrap().max(net.worm(b).latency().unwrap());
-
-    let mut net2 = Network::new(cfg(8));
-    let a2 = net2.inject(WormSpec::unicast(m.node_at(0, 4), hot, VNet::Req, 16, 1));
-    let b2 = net2.inject(WormSpec::unicast(m.node_at(4, 0), hot, VNet::Reply, 16, 2));
-    net2.run_until_quiescent(20_000).unwrap();
-    let l4 = net2.worm(a2).latency().unwrap().max(net2.worm(b2).latency().unwrap());
+    let slowest = |mut net: Network| {
+        let a = net.inject(WormSpec::unicast(m.node_at(0, 4), hot, VNet::Req, 16, 1));
+        let b = net.inject(WormSpec::unicast(m.node_at(4, 0), hot, VNet::Reply, 16, 2));
+        net.run_until_quiescent(20_000).unwrap();
+        let ls = latencies(&mut net, hot);
+        let mut got: Vec<WormId> = ls.iter().map(|l| l.0).collect();
+        got.sort_by_key(|w| w.0);
+        assert_eq!(got, [a, b], "both worms delivered at {hot}");
+        ls.iter().map(|l| l.1).max().unwrap()
+    };
+    let l1 = slowest(net);
+    let l4 = slowest(Network::new(cfg(8)));
     assert!(l1 > l4, "1 consumption channel ({l1}) slower than 4 ({l4})");
 }
 

@@ -62,6 +62,11 @@ impl<E> Calendar<E> {
         self.heap.push(Reverse(Entry { at, seq, payload }));
     }
 
+    /// Events scheduled so far (the next event's sequence number).
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Time of the earliest pending event, if any.
     pub fn peek_next_at(&self) -> Option<Cycle> {
         self.heap.peek().map(|Reverse(e)| e.at)

@@ -56,6 +56,23 @@ pub type Cycle = u64;
 /// Nanoseconds per simulated network cycle.
 pub const NS_PER_CYCLE: u64 = 5;
 
+/// The latest cycle a restored clock may name. No run comes near it
+/// (2^62 cycles of 5 ns is over 700 years), and every delay or cost a
+/// configuration may set is at most `u32::MAX` cycles, so a restored
+/// state whose clocks are all below it can step on without overflowing
+/// one. Snapshot loaders refuse a clock past it.
+pub const MAX_CLOCK: Cycle = 1 << 62;
+
+/// The most a statistics counter can have counted by cycle `now` in a
+/// system of `nodes` nodes: 2^16 events a node a cycle. No counter comes
+/// near it (a node moves at most one flit per port, virtual channel and
+/// consumption channel a cycle, and handles far fewer messages), so a
+/// restored counter past it is corrupt, and refusing it keeps a resumed
+/// run from overflowing the counter.
+pub fn counter_limit(now: Cycle, nodes: usize) -> u64 {
+    now.saturating_add(1).saturating_mul(nodes as u64).saturating_mul(1 << 16)
+}
+
 /// Watchdog that detects lack of forward progress (e.g. a deadlocked
 /// network or a protocol that lost a message).
 ///

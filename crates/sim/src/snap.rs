@@ -38,8 +38,11 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// router FIFO as its live flits only; version 6 stores each cache's
 /// occupied lines only and drops four fields no run read (a worm's id and
 /// injection cycle, the kind carried by receive/handle events, and the
-/// NICs' injection-backlog high-water marks).
-pub const SNAP_VERSION: u32 = 6;
+/// NICs' injection-backlog high-water marks); version 7 stores only the
+/// message-table slots still held (keys carry a generation), hashes the
+/// configuration field by field, and drops a worm's delivery cycle and a
+/// delivery's final/absorb kind, which no run read.
+pub const SNAP_VERSION: u32 = 7;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

@@ -146,6 +146,11 @@ impl Histogram {
         &self.summary
     }
 
+    /// The largest of its counts: buckets, overflow and observations.
+    pub fn max_count(&self) -> u64 {
+        self.counts.iter().copied().chain([self.overflow, self.count()]).max().unwrap_or(0)
+    }
+
     /// Value below which `q` (0..=1) of observations fall, estimated from
     /// bucket midpoints. Returns 0 for an empty histogram.
     ///

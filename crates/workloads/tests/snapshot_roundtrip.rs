@@ -229,13 +229,18 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded twice since: once when
+/// lock state. The hashes were re-recorded three times since: once when
 /// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
 /// fingerprint of the config's `Debug` text, and that fingerprint was the
-/// only byte range that moved), and once for format version 6, which
+/// only byte range that moved), once for format version 6, which
 /// stores only each cache's occupied lines and drops four fields no run
 /// read (a worm's id and injection cycle, the `kind` of `Ev::Recv` and
-/// `Ev::Handle`, and the NICs' injection-backlog high-water marks).
+/// `Ev::Handle`, and the NICs' injection-backlog high-water marks), and
+/// once for format version 7, which stores only the message-table slots
+/// still held (generation-stamped keys, collected at the tick boundary),
+/// fingerprints the configuration field by field instead of by its
+/// `Debug` text, and drops a worm's delivery cycle and a delivery's
+/// final/absorb kind.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -250,12 +255,12 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0xfadd_7d8b_6a0f_8f3a),
-        ("lu", 0x9a11_e7dc_392c_8173),
-        ("apsp", 0x91e1_7f2f_2c90_25b6),
-        ("synth 2ph", 0xfa44_79db_db47_4262),
-        ("synth ada", 0xb159_6225_d2c9_bf13),
-        ("locks", 0x60ad_512f_0ed9_821d),
+        ("bh", 0xb643_e02f_4ef9_23c7),
+        ("lu", 0xef72_60d2_bd4b_3646),
+        ("apsp", 0xf28a_cf00_336e_f08a),
+        ("synth 2ph", 0x28f1_16c1_b39d_9aa0),
+        ("synth ada", 0xecd8_5649_1d89_9f58),
+        ("locks", 0x3263_c212_2b7d_633c),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");
@@ -332,16 +337,16 @@ fn mutate(payload: &[u8], case: usize, rng: &mut Rng) -> Vec<u8> {
     p
 }
 
-/// Cycles each accepted restore is stepped in a release build. Debug
-/// builds only restore: there, saturated counters and clocks in an
-/// accepted state still trip overflow checks once stepped.
+/// Cycles each accepted restore is stepped, in debug and release builds
+/// alike: the loaders refuse clocks past `now` and counters `now` cannot
+/// have reached, so no accepted state trips an overflow check.
 const STEP_AFTER_RESTORE: u64 = 3_000;
 
 /// Restores 1,000 seeded mutations of the payload of `s` snapshotted at
 /// cycle `at`, each re-sealed so the integrity hash passes. Every one
-/// must come back `Ok` or `Err`, and in a release build every restored
-/// system must then step [`STEP_AFTER_RESTORE`] cycles; a panic in either
-/// fails the test naming its case.
+/// must come back `Ok` or `Err`, and every restored system must then step
+/// [`STEP_AFTER_RESTORE`] cycles; a panic in either fails the test naming
+/// its case.
 fn restore_mutations(s: &Scenario, at: u64, seed: u64) {
     let bytes = snapshot_at(s, at);
     let payload = &bytes[8..bytes.len() - 8];
@@ -355,9 +360,7 @@ fn restore_mutations(s: &Scenario, at: u64, seed: u64) {
         let sealed = w.finish();
         let restore = || {
             let mut sys = DsmSystem::restore_snapshot(cfg.clone(), s.scheme.build(), &sealed)?;
-            if cfg!(not(debug_assertions)) {
-                sys.run_cycles(STEP_AFTER_RESTORE);
-            }
+            sys.run_cycles(STEP_AFTER_RESTORE);
             Ok::<_, SimError>(sys)
         };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(restore)) {

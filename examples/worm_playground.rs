@@ -37,7 +37,7 @@ fn main() {
     net.run_until_quiescent(100_000).expect("multicast delivers");
     for s in [s1, s2, s3] {
         for d in net.take_deliveries(s) {
-            println!("  {s} received the invalidation ({:?}, cycle {})", d.kind, d.at);
+            println!("  {s} received the invalidation (cycle {})", d.at);
         }
     }
 

@@ -3,8 +3,9 @@
 //! cross-scheme invariants.
 
 use wormdsm::analytic::{estimate_invalidation, NetParams};
-use wormdsm::core::{DsmSystem, SchemeKind, SystemConfig, TraceLevel};
-use wormdsm::mesh::topology::Mesh2D;
+use wormdsm::coherence::Addr;
+use wormdsm::core::{DsmSystem, MemOp, SchemeKind, SystemConfig, TraceLevel};
+use wormdsm::mesh::topology::{Mesh2D, NodeId};
 use wormdsm::sim::json::validate_json;
 use wormdsm::sim::profile::chrome_trace;
 use wormdsm::sim::trace::TraceKind;
@@ -16,6 +17,7 @@ use wormdsm::workloads::apps::{
     self,
     apsp::{self, ApspConfig},
 };
+use wormdsm::workloads::synthetic::migratory_workload;
 use wormdsm::workloads::{gen_pattern, PatternKind, Workload};
 use wormdsm_farm::metrics_fingerprint;
 
@@ -211,6 +213,98 @@ fn check_golden(rows: impl Iterator<Item = &'static Golden>, arm: Arm) {
         validate_json(&chrome_trace::trace_json(p.records(), &[])).expect("chrome trace JSON");
         validate_json(&sys.export_metrics().to_json()).expect("metrics registry JSON");
     }
+}
+
+/// Slots the message table may span in the 4x4 runs below, far fewer than
+/// the messages those runs send.
+const MSG_SLOT_BOUND: usize = 2048;
+
+/// Run `w` to completion on `sys` as [`Workload::run`] does, each idle
+/// processor issuing its next op every cycle, and every 1,000 cycles hold
+/// the message table to at most [`MSG_SLOT_BOUND`] slots. With `force`,
+/// each check first forces a collection and then holds the table to its
+/// holders: every key a holder names is in the table (nothing dangles),
+/// and the table holds no message beyond those (nothing leaks).
+fn check_message_table(tag: &str, mut sys: DsmSystem, mut w: Workload, force: bool) -> DsmSystem {
+    let mut checks = 0;
+    loop {
+        if sys.now() >= 1_000 * checks {
+            checks += 1;
+            if force {
+                sys.collect_messages();
+                let held: std::collections::BTreeSet<u64> = sys.held_message_keys().collect();
+                let table = sys.message_table();
+                for &k in &held {
+                    table.check(k).unwrap_or_else(|e| panic!("{tag} at {}: {e}", sys.now()));
+                }
+                assert_eq!(table.len(), held.len(), "{tag} at {}: unheld messages", sys.now());
+            }
+            let slots = sys.message_table().slots();
+            assert!(slots <= MSG_SLOT_BOUND, "{tag} at {}: {slots} slots", sys.now());
+        }
+        for (p, ops) in w.ops.iter_mut().enumerate() {
+            let node = NodeId(p as u16);
+            if !ops.is_empty() && sys.proc_idle(node) {
+                sys.issue(node, ops.pop_front().expect("non-empty"));
+            }
+        }
+        if w.ops.iter().all(|q| q.is_empty()) && sys.idle() {
+            assert!(checks > 3, "{tag}: a run of {} cycles checks too little", sys.now());
+            return sys;
+        }
+        assert!(sys.invariant_violation().is_none() && sys.now() < 10_000_000, "{tag} wedged");
+        sys.step();
+    }
+}
+
+fn system(scheme: SchemeKind) -> DsmSystem {
+    DsmSystem::new(SystemConfig::for_scheme(4, scheme), scheme.build())
+}
+
+/// The message table holds exactly the messages something still names —
+/// a worm, an undrained delivery, a queued directory request or a
+/// receive, handle or inject event — in the small golden rows (barriers
+/// included), a randomized protocol-stress stream under MI-MA(2ph) whose
+/// gathers deposit and park, and a lock-handoff run. Forced collections
+/// move no result.
+#[test]
+fn message_table_holds_exactly_the_messages_in_use() {
+    for g in GOLDEN.iter().filter(|g| !g.busy) {
+        let tag = format!("{}/{}", g.app, g.scheme);
+        let sys = check_message_table(&tag, system(g.scheme), small_workload(g.app), true);
+        assert_eq!(sys.now(), g.cycles, "{tag}: cycles");
+        assert_eq!(sys.net_stats().flit_hops, g.flit_hops, "{tag}: flit hops");
+    }
+
+    // A protocol-stress op stream: random reads and writes of 12 blocks
+    // from every node of a 4x4 mesh.
+    let mut rng = Rng::new(0x57E5_0001);
+    let mut w = Workload::new(16);
+    for _ in 0..600 {
+        let (node, block) = (rng.index(16), rng.index(12) as u64);
+        let addr = Addr(block * 32);
+        w.push(node, if rng.chance(0.5) { MemOp::Write(addr) } else { MemOp::Read(addr) });
+    }
+    let sys = check_message_table("stress 2ph", system(SchemeKind::MiMaTwoPhase), w, true);
+    let n = sys.net_stats();
+    assert!(n.deposits > 0 && n.parks > 0, "the stress run deposits and parks: {n:?}");
+
+    let w = migratory_workload(16, 4, 24, 100);
+    let sys = check_message_table("locks", system(SchemeKind::MiMaCol), w, true);
+    assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
+}
+
+/// Left to collect on its own, the table stays within a few collection
+/// thresholds while a long run sends many times more messages than that:
+/// its size follows the messages in flight, not the run's length.
+#[test]
+fn message_table_stays_bounded_over_a_long_run() {
+    let g = GOLDEN.iter().find(|g| g.busy && g.app == "apsp").expect("busy APSP row");
+    let w = apps::seeded(g.app, 16, 1).expect("seeded app");
+    let sys = check_message_table("busy apsp", system(g.scheme), w, false);
+    assert_eq!(sys.now(), g.cycles, "collection moved a result");
+    let worms: u64 = sys.net_stats().worms_injected.iter().sum();
+    assert!(worms > 10 * MSG_SLOT_BOUND as u64, "each worm carries its own message: {worms}");
 }
 
 #[test]
@@ -418,20 +512,16 @@ fn solo_flights_match_analytic_closed_form() {
             deliver: w.deliver.clone().map(Into::into),
         });
         net.run_until_quiescent(100_000).unwrap();
+        // The final destination always delivers, so the loop checks the
+        // final latency too.
         let q = net.worm(id).queued_at;
-        let lat = net.worm(id).delivered_at.expect("solo flight completes") - q;
-        assert_eq!(
-            lat,
-            *model.last().unwrap(),
-            "final latency: src {src} dests {:?} len {len}",
-            w.dests
-        );
         for (j, &d) in w.dests.iter().enumerate() {
             if !w.deliver.as_ref().is_none_or(|m| m[j]) {
                 continue;
             }
             let ds = net.take_deliveries(d);
             assert_eq!(ds.len(), 1, "exactly one delivery at {d}");
+            assert_eq!(ds[0].worm, id, "the delivery at {d} is the solo worm's");
             assert_eq!(ds[0].at - q, model[j], "delivery time at dest {j} ({d}): src {src}");
         }
     };
