@@ -403,9 +403,6 @@ impl DsmSystem {
             .collect();
         let dirs = (0..n).map(|_| Directory::new(n)).collect();
         let mut net = Network::new(cfg.mesh.clone());
-        // The protocol layer never re-reads a worm after its final
-        // delivery, so retired worm slots can be recycled.
-        net.set_worm_recycling(true);
         // Adaptive schemes consume the always-on link-load summary; attach
         // the meter before the first cycle so every plan in the run (and
         // in any snapshot-resumed continuation) sees the same committed
@@ -1442,14 +1439,14 @@ impl DsmSystem {
             src,
             vnet: if w.kind == WormKind::Gather { VNet::Reply } else { VNet::Req },
             kind: w.kind,
-            dests: w.dests.as_slice().into(),
+            dests: w.dests.clone(),
             len_flits: len,
             payload: key,
             reserve_iack: w.reserve_iack,
             txn,
             initial_acks: w.initial_acks,
             gather_deposit: w.gather_deposit,
-            deliver: w.deliver.as_deref().map(Into::into),
+            deliver: w.deliver.clone(),
         }
     }
 
@@ -2189,7 +2186,7 @@ impl DsmSystem {
                 src: home,
                 vnet: VNet::Reply,
                 kind: if g.members.len() == 1 { WormKind::Unicast } else { WormKind::Multicast },
-                dests: g.members.into(),
+                dests: g.members,
                 len_flits: len,
                 payload: key,
                 reserve_iack: false,

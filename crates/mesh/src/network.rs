@@ -3,7 +3,9 @@
 //! [`Network`] owns every router and NIC (as flat slabs for all nodes — see
 //! [`crate::router::RouterSlab`] / [`crate::nic::NicSlab`]) plus the worm
 //! table, and advances the whole mesh one cycle at a time in three
-//! deterministic phases:
+//! deterministic phases. A worm's slot in the table is reused by the next
+//! injection once the worm has retired (see [`crate::worm::WormTable`]).
+//! The phases:
 //!
 //! 1. **Head processing** — head flits at input-VC fronts perform
 //!    destination processing (forward-and-absorb setup, i-ack reservation,
@@ -226,9 +228,8 @@ pub struct NetStats {
     pub multicast_latency: Summary,
     /// Latency of delivered gather worms.
     pub gather_latency: Summary,
-    /// Worm-table inserts served from a recycled slot instead of growing
-    /// the table (allocation-avoidance diagnostic; zero unless recycling
-    /// is enabled via [`Network::set_worm_recycling`]).
+    /// Worm-table inserts served from a retired worm's slot instead of
+    /// growing the table.
     pub worm_slots_reused: u64,
 }
 
@@ -358,7 +359,8 @@ pub struct ContentionWindow {
 /// (matching [`NetStats::link_busy`]); each link has `vcs_total` VC
 /// slots. The probe is a pure observer fed from the movement phase, so it
 /// cannot perturb results. Consumed by the `profile_trace` example for
-/// link heatmaps and Chrome-trace counter tracks.
+/// Chrome-trace counter tracks and by the experiment farm's live
+/// windows; a run's per-link totals are [`NetStats::link_busy`].
 #[derive(Debug, Clone)]
 pub struct ContentionProbe {
     window: Cycle,
@@ -368,8 +370,6 @@ pub struct ContentionProbe {
     cur_flits: Vec<u32>,
     cur_stalls: Vec<u32>,
     windows: Vec<ContentionWindow>,
-    busy_total: Vec<u64>,
-    stall_total: Vec<u64>,
 }
 
 impl ContentionProbe {
@@ -385,8 +385,6 @@ impl ContentionProbe {
             cur_flits: vec![0; slots],
             cur_stalls: vec![0; slots],
             windows: Vec::new(),
-            busy_total: vec![0; nodes * 4],
-            stall_total: vec![0; nodes * 4],
         }
     }
 
@@ -414,7 +412,6 @@ impl ContentionProbe {
     pub fn record_forward(&mut self, now: Cycle, link: usize, vc: usize) {
         self.roll(now);
         self.cur_flits[link * self.vcs + vc] += 1;
-        self.busy_total[link] += 1;
         self.cur_dirty = true;
     }
 
@@ -422,7 +419,6 @@ impl ContentionProbe {
     pub fn record_stall(&mut self, now: Cycle, link: usize, vc: usize) {
         self.roll(now);
         self.cur_stalls[link * self.vcs + vc] += 1;
-        self.stall_total[link] += 1;
         self.cur_dirty = true;
     }
 
@@ -455,16 +451,6 @@ impl ContentionProbe {
     /// surviving a probe reset degrades gracefully.
     pub fn windows_since(&self, seen: usize) -> &[ContentionWindow] {
         &self.windows[seen.min(self.windows.len())..]
-    }
-
-    /// Total flits forwarded per directed link (`node * 4 + dir`).
-    pub fn busy_total(&self) -> &[u64] {
-        &self.busy_total
-    }
-
-    /// Total credit-stall cycles per directed link.
-    pub fn stall_total(&self) -> &[u64] {
-        &self.stall_total
     }
 
     /// Sum a window's flits over `node`'s four outgoing links (counter-
@@ -749,17 +735,6 @@ impl Network {
         }
     }
 
-    /// Enable worm-table slot recycling: retired worms (delivered, all
-    /// copies drained) free their slot for reuse by later injections.
-    ///
-    /// Callers that inspect worm records *after* delivery (diagnostics,
-    /// latency probes) must leave this off — a recycled slot's record is
-    /// overwritten by the next injection. The full-system protocol layer
-    /// only reads [`Delivery`] snapshots, so it opts in.
-    pub fn set_worm_recycling(&mut self, on: bool) {
-        self.worms.set_recycle(on);
-    }
-
     /// Put router `r` in the next cycle's worklist.
     #[inline]
     fn activate_router(&mut self, r: usize) {
@@ -919,7 +894,9 @@ impl Network {
             .chain(self.nics.undrained().map(|d| d.payload))
     }
 
-    /// Access a worm's cold record.
+    /// Access a worm's cold record. A retired worm (delivered, every copy
+    /// drained) frees its slot for the next injection, so its record is
+    /// valid only until the next [`Network::inject`].
     pub fn worm(&self, id: WormId) -> &Worm {
         self.worms.get(id)
     }
@@ -1811,8 +1788,7 @@ impl Network {
 
     /// Rebuild a network from `cfg` and a [`Network::save_state`] stream,
     /// cross-validating the stream's geometry against the configuration.
-    /// The worm-recycling flag travels with the worm table; trace/probe
-    /// state is fresh (callers re-apply).
+    /// Trace and probe state is fresh (callers re-apply).
     pub fn load_state(cfg: MeshConfig, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut net = Network::new(cfg);
         let nodes = net.cfg.mesh.nodes();
@@ -2046,7 +2022,7 @@ mod tests {
                     src: mesh.node_at(rng.index(k), 0),
                     vnet: VNet::Req,
                     kind: WormKind::Multicast,
-                    dests: dests.into(),
+                    dests,
                     len_flits: 9,
                     payload: i,
                     reserve_iack: false,

@@ -115,10 +115,9 @@ pub const HEAT_RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', 
 /// Render per-link busy counts as an ASCII utilization heatmap.
 ///
 /// `busy` is indexed `node * 4 + dir` ([`Direction::index`] order:
-/// E, W, N, S) — the layout of `NetStats::link_busy` and
-/// `ContentionProbe::busy_total`. Each mesh edge renders one
-/// [`HEAT_RAMP`] bucket char for the *busier* of its two directed links,
-/// as a fraction of `elapsed` cycles; nodes render as `o`:
+/// E, W, N, S) — the layout of `NetStats::link_busy`. Each mesh edge
+/// renders one [`HEAT_RAMP`] bucket char for the *busier* of its two
+/// directed links, as a fraction of `elapsed` cycles; nodes render as `o`:
 ///
 /// ```text
 /// o @ o . o   o

@@ -7,19 +7,14 @@
 //! advancing [`WormHot::dest_idx`].
 //!
 //! Flits reference their worm by id; payload lives in the central
-//! [`WormTable`] so flits stay two words.
+//! [`WormTable`] so flits stay two words. Each injected worm allocates
+//! its destination list (and delivery mask, if any) once; the table
+//! reuses the slot of every retired worm, so a run's table stays the
+//! size of its working set.
 
 use crate::topology::NodeId;
 use wormdsm_sim::snap::{snap_enum, snap_struct};
-use wormdsm_sim::{Cycle, InlineVec};
-
-/// Destination list of one worm. Inline up to 16 destinations — one full
-/// mesh column plus slack — so the common invalidation worm never heap-
-/// allocates; serpentine near-broadcast worms spill once.
-pub type DestVec = InlineVec<NodeId, 16>;
-
-/// Per-destination delivery mask (parallel to [`DestVec`]).
-pub type DeliverMask = InlineVec<bool, 16>;
+use wormdsm_sim::Cycle;
 
 /// Worm identifier (index into the [`WormTable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,7 +114,7 @@ pub struct WormSpec {
     pub kind: WormKind,
     /// Ordered destination list (BRCP order). Must be non-empty; a unicast
     /// worm has exactly one destination.
-    pub dests: DestVec,
+    pub dests: Vec<NodeId>,
     /// Total length in flits (head + bodies + tail). Minimum 2.
     pub len_flits: u16,
     /// Opaque payload handed back on delivery (e.g. a protocol-message key).
@@ -142,7 +137,7 @@ pub struct WormSpec {
     /// routing *waypoints* — header hops that pin an adaptive path (e.g.
     /// serpentine corner turns) without absorbing anything. The final
     /// destination must always deliver.
-    pub deliver: Option<DeliverMask>,
+    pub deliver: Option<Vec<bool>>,
 }
 
 impl WormSpec {
@@ -152,7 +147,7 @@ impl WormSpec {
             src,
             vnet,
             kind: WormKind::Unicast,
-            dests: [dst].into(),
+            dests: vec![dst],
             len_flits,
             payload,
             reserve_iack: false,
@@ -280,7 +275,7 @@ impl WormSpec {
         if let Some(e) = spec_error(self) {
             return Err(e.to_string());
         }
-        match self.dests.iter().chain([self.src]).find(|d| d.idx() >= nodes) {
+        match self.dests.iter().copied().chain([self.src]).find(|d| d.idx() >= nodes) {
             Some(d) => Err(format!("node {} outside a {nodes}-node mesh", d.idx())),
             None => Ok(()),
         }
@@ -291,18 +286,16 @@ impl WormSpec {
 /// [`WormHot`] record and one cold [`Worm`] record per slot, in two
 /// parallel vectors indexed by [`WormId`].
 ///
-/// With recycling enabled (see [`WormTable::set_recycle`]), slots of fully
-/// retired worms (delivered, all copies drained) are reused by later
-/// inserts, so long runs stay at a working-set-sized table instead of
-/// growing per message. Off by default: some diagnostics (tests, examples)
-/// read a worm's record after delivery, which recycling would invalidate.
+/// Slots of retired worms (delivered, all copies drained) are reused by
+/// later inserts, so a long run's table stays the size of its working set
+/// instead of growing per message. A retired worm's record is therefore
+/// valid only until the next insert.
 #[derive(Debug, Default)]
 pub struct WormTable {
     hot: Vec<WormHot>,
     worms: Vec<Worm>,
     /// Retired slots available for reuse (LIFO; deterministic).
     free: Vec<u32>,
-    recycle: bool,
 }
 
 impl WormTable {
@@ -311,13 +304,8 @@ impl WormTable {
         Self::default()
     }
 
-    /// Enable or disable slot recycling for retired worms.
-    pub fn set_recycle(&mut self, on: bool) {
-        self.recycle = on;
-    }
-
-    /// Register a new worm; returns its id. Reuses a retired slot when
-    /// recycling is enabled.
+    /// Register a new worm; returns its id. Reuses the most recently
+    /// retired slot, if any.
     pub fn insert(&mut self, spec: WormSpec, now: Cycle) -> WormId {
         if let Some(e) = spec_error(&spec) {
             panic!("{e}");
@@ -351,15 +339,13 @@ impl WormTable {
         !self.free.is_empty()
     }
 
-    /// Hand a fully retired worm's slot back for reuse (no-op unless
-    /// recycling is enabled). Caller guarantees the worm is `Delivered`
-    /// with no outstanding consumption copies and no live references.
+    /// Hand a fully retired worm's slot back for reuse. Caller guarantees
+    /// the worm is `Delivered` with no outstanding consumption copies and
+    /// no live references.
     pub fn retire(&mut self, id: WormId) {
-        if self.recycle {
-            debug_assert_eq!(self.worms[id.0 as usize].state, WormState::Delivered);
-            debug_assert_eq!(self.worms[id.0 as usize].copies, 0);
-            self.free.push(id.0);
-        }
+        debug_assert_eq!(self.worms[id.0 as usize].state, WormState::Delivered);
+        debug_assert_eq!(self.worms[id.0 as usize].copies, 0);
+        self.free.push(id.0);
     }
 
     /// The hot record of `id`.
@@ -479,7 +465,6 @@ mod snap_impls {
             // through future worm-id assignment, so it is preserved
             // verbatim.
             self.free.save(w);
-            w.put_bool(self.recycle);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
             let n = r.get_len()?;
@@ -512,7 +497,7 @@ mod snap_impls {
             if free.iter().any(|&s| s as usize >= worms.len()) {
                 return Err(SnapError::Corrupt("worm free list out of range".to_string()));
             }
-            Ok(Self { hot, worms, free, recycle: r.get_bool()? })
+            Ok(Self { hot, worms, free })
         }
     }
 }
@@ -527,7 +512,7 @@ mod tests {
             src: NodeId(0),
             vnet: VNet::Req,
             kind,
-            dests: dests.into(),
+            dests,
             len_flits: 4,
             payload: 7,
             reserve_iack: false,
@@ -614,7 +599,7 @@ mod tests {
     fn deliver_mask_marks_waypoints() {
         let mut t = WormTable::new();
         let mut sp = spec2(vec![NodeId(1), NodeId(2), NodeId(3)], WormKind::Multicast);
-        sp.deliver = Some([false, true, true].into());
+        sp.deliver = Some(vec![false, true, true]);
         let id = t.insert(sp, 0);
         assert!(!t.hot(id).delivers);
         t.advance(id);
@@ -626,7 +611,7 @@ mod tests {
     fn waypoint_final_dest_rejected() {
         let mut t = WormTable::new();
         let mut sp = spec2(vec![NodeId(1), NodeId(2)], WormKind::Multicast);
-        sp.deliver = Some([true, false].into());
+        sp.deliver = Some(vec![true, false]);
         t.insert(sp, 0);
     }
 
@@ -678,7 +663,7 @@ mod tests {
     fn table() -> WormTable {
         let mut t = WormTable::new();
         let mut sp = spec2(vec![NodeId(1), NodeId(2), NodeId(3)], WormKind::Multicast);
-        sp.deliver = Some([true, false, true].into());
+        sp.deliver = Some(vec![true, false, true]);
         let id = t.insert(sp, 4);
         t.advance(id);
         t.set_turned(id, true);
@@ -716,7 +701,7 @@ mod tests {
     fn load_refuses_an_empty_destination_list() {
         refused(
             |t| {
-                t.worms[0].spec.dests = DestVec::new();
+                t.worms[0].spec.dests = Vec::new();
                 t.worms[0].spec.deliver = None;
             },
             "at least one destination",
@@ -725,23 +710,20 @@ mod tests {
 
     #[test]
     fn load_refuses_a_deliver_mask_of_another_length() {
-        refused(|t| t.worms[0].spec.deliver = Some([true, true].into()), "mask length");
+        refused(|t| t.worms[0].spec.deliver = Some(vec![true, true]), "mask length");
     }
 
     #[test]
     fn load_refuses_a_final_waypoint() {
         refused(
-            |t| t.worms[0].spec.deliver = Some([true, true, false].into()),
+            |t| t.worms[0].spec.deliver = Some(vec![true, true, false]),
             "final destination must deliver",
         );
     }
 
     #[test]
     fn load_refuses_a_unicast_with_several_destinations() {
-        refused(
-            |t| t.worms[1].spec.dests = [NodeId(2), NodeId(3)].into(),
-            "exactly one destination",
-        );
+        refused(|t| t.worms[1].spec.dests = vec![NodeId(2), NodeId(3)], "exactly one destination");
     }
 
     #[test]

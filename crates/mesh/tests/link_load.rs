@@ -19,7 +19,7 @@ fn multicast(src: NodeId, dests: Vec<NodeId>, txn: u64) -> WormSpec {
         src,
         vnet: VNet::Req,
         kind: WormKind::Multicast,
-        dests: dests.into(),
+        dests,
         len_flits: 8,
         payload: 0xBEEF,
         reserve_iack: false,
@@ -146,8 +146,8 @@ fn meter_survives_snapshot_round_trip() {
 /// multiple of the probe window used to leave the final partial window
 /// invisible to `contention_probe()` readers (only
 /// `take_contention_probe` flushed). `finish_contention_probe` flushes in
-/// place; afterwards the windows account for every recorded flit and
-/// `busy_total` matches `NetStats::link_busy` exactly.
+/// place; afterwards the windows account for every forward that
+/// `NetStats::link_busy` counted, link by link.
 #[test]
 fn probe_partial_window_flushes_on_finish() {
     let m = Mesh2D::square(4);
@@ -159,22 +159,21 @@ fn probe_partial_window_flushes_on_finish() {
     assert!(net.now() < 10_000, "run must end mid-window");
     let probe = net.contention_probe().unwrap();
     assert!(probe.windows().is_empty(), "partial window not yet flushed");
-    let busy_total = probe.busy_total().to_vec();
-    assert_eq!(busy_total, net.stats().link_busy, "probe and stats count the same forwards");
+    let link_busy = net.stats().link_busy.clone();
+    assert!(link_busy.iter().any(|&b| b > 0), "the run forwards flits");
 
     net.finish_contention_probe();
     let probe = net.contention_probe().unwrap();
     assert_eq!(probe.windows().len(), 1, "final partial window flushed");
-    assert_eq!(probe.busy_total(), &busy_total[..], "flush does not re-count");
-    // Every recorded flit is now visible through the windows.
+    // Every forward is now visible through the windows, counted once.
     let vcs = probe.vcs();
-    let mut from_windows = vec![0u64; busy_total.len()];
+    let mut from_windows = vec![0u64; link_busy.len()];
     for w in probe.windows() {
         for (slot, &f) in w.flits.iter().enumerate() {
             from_windows[slot / vcs] += u64::from(f);
         }
     }
-    assert_eq!(from_windows, busy_total, "windows account for every flit");
+    assert_eq!(from_windows, link_busy, "windows account for every forward");
     // Idempotent.
     net.finish_contention_probe();
     assert_eq!(net.contention_probe().unwrap().windows().len(), 1);

@@ -16,7 +16,7 @@ fn multicast(src: NodeId, dests: Vec<NodeId>, reserve: bool, txn: u64) -> WormSp
         src,
         vnet: VNet::Req,
         kind: WormKind::Multicast,
-        dests: dests.into(),
+        dests,
         len_flits: 8,
         payload: 0xBEEF,
         reserve_iack: reserve,
@@ -55,7 +55,7 @@ fn gather(src: NodeId, dests: Vec<NodeId>, txn: u64, initial: u32) -> WormSpec {
         src,
         vnet: VNet::Reply,
         kind: WormKind::Gather,
-        dests: dests.into(),
+        dests,
         len_flits: 4,
         payload: 0xACC,
         reserve_iack: false,
@@ -374,6 +374,24 @@ fn quiescence_and_live_worm_accounting() {
     assert!(!net.quiescent());
     net.run_until_quiescent(10_000).unwrap();
     assert_eq!(net.live_worms(), 0);
+}
+
+/// A bare network reuses the slot of a retired worm: the worm injected
+/// after the first one retires gets the first one's id, and the record
+/// read through that id is the new worm's.
+#[test]
+fn retired_worm_slot_is_reused_by_the_next_inject() {
+    let mut net = Network::new(cfg(4));
+    let m = Mesh2D::square(4);
+    let first = net.inject(WormSpec::unicast(m.node_at(0, 0), m.node_at(3, 3), VNet::Req, 8, 1));
+    net.run_until_quiescent(10_000).unwrap();
+    assert_eq!(net.stats().worm_slots_reused, 0);
+    let second = net.inject(WormSpec::unicast(m.node_at(1, 2), m.node_at(2, 0), VNet::Reply, 5, 2));
+    assert_eq!(second, first, "the retired worm's slot is reused");
+    assert_eq!(net.stats().worm_slots_reused, 1);
+    assert_eq!(net.worm(second).spec.payload, 2, "the slot holds the new worm's record");
+    net.run_until_quiescent(10_000).unwrap();
+    assert_eq!(net.take_deliveries(m.node_at(2, 0)).len(), 1);
 }
 
 /// `advance_to` jumps the clock only across provably dead cycles: on a

@@ -104,7 +104,7 @@ fn column_multicasts_deliver_to_every_destination() {
             src,
             vnet: VNet::Req,
             kind: WormKind::Multicast,
-            dests: dests.clone().into(),
+            dests: dests.clone(),
             len_flits: 8,
             payload: 9,
             reserve_iack: reserve,
@@ -142,7 +142,7 @@ fn reserve_post_gather_roundtrip() {
             src: home,
             vnet: VNet::Req,
             kind: WormKind::Multicast,
-            dests: dests.clone().into(),
+            dests: dests.clone(),
             len_flits: 8,
             payload: 1,
             reserve_iack: true,
@@ -164,7 +164,7 @@ fn reserve_post_gather_roundtrip() {
             src: initiator,
             vnet: VNet::Reply,
             kind: WormKind::Gather,
-            dests: gd.into(),
+            dests: gd,
             len_flits: 6,
             payload: 2,
             reserve_iack: false,

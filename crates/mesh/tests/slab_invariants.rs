@@ -41,7 +41,7 @@ fn gather(src: NodeId, dests: Vec<NodeId>, txn: TxnId) -> WormSpec {
         src,
         vnet: VNet::Reply,
         kind: WormKind::Gather,
-        dests: dests.into(),
+        dests,
         len_flits: 6,
         payload: 2,
         reserve_iack: false,
@@ -84,7 +84,7 @@ fn multicast_absorb_ireserve_and_gather_keep_the_slab_consistent() {
             src: home,
             vnet: VNet::Req,
             kind: WormKind::Multicast,
-            dests: dests.clone().into(),
+            dests: dests.clone(),
             len_flits: 8,
             payload: 1,
             reserve_iack: true,
@@ -138,14 +138,14 @@ fn turn_model_waypoints_keep_the_worm_table_consistent() {
                 src: mesh.node_at(x, y),
                 vnet: VNet::Req,
                 kind: WormKind::Multicast,
-                dests: dests.into(),
+                dests,
                 len_flits: 7,
                 payload: i as u64,
                 reserve_iack: false,
                 txn: TxnId(0),
                 initial_acks: 0,
                 gather_deposit: false,
-                deliver: Some(mask.into()),
+                deliver: Some(mask),
             }));
         }
         let mut rng = Rng::new(0x51AB_0006);

@@ -22,7 +22,6 @@
 pub mod bitset;
 pub mod calendar;
 pub mod flat;
-pub mod inline_vec;
 pub mod json;
 pub mod profile;
 pub mod ring;
@@ -35,7 +34,6 @@ pub mod trace;
 pub use bitset::BitSet128;
 pub use calendar::Calendar;
 pub use flat::FlatMap;
-pub use inline_vec::InlineVec;
 pub use json::ToJson;
 pub use profile::{Phase, TxnProfiler, TxnRecord};
 pub use ring::BoundedRing;

@@ -1,4 +1,4 @@
-//! Bounded drop-oldest ring for telemetry fan-out.
+//! Bounded drop-oldest ring.
 //!
 //! The experiment-farm service streams simulator telemetry to an unknown
 //! number of HTTP subscribers, and the one invariant that protects
@@ -8,10 +8,9 @@
 //! the oldest element when full and counting the loss, so the producer's
 //! timing is independent of how fast (or whether) anyone drains.
 //!
-//! Unlike the [`FlightRecorder`](crate::trace::FlightRecorder)'s event
-//! ring (a fixed-capacity inspection buffer), this ring is a *queue*:
-//! elements are removed by [`BoundedRing::drain`] and each element is
-//! observed at most once.
+//! The farm uses it as a queue ([`BoundedRing::drain`] hands each element
+//! out once); the [`FlightRecorder`](crate::trace::FlightRecorder) keeps
+//! its events in one and reads them in place ([`BoundedRing::iter`]).
 
 use std::collections::VecDeque;
 
@@ -28,18 +27,20 @@ pub struct BoundedRing<T> {
 }
 
 impl<T> BoundedRing<T> {
-    /// Ring holding at most `capacity` elements (min 1).
+    /// Ring holding at most `capacity` elements (min 1). The storage is
+    /// allocated on the first push, so an unused ring costs no memory.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self { buf: VecDeque::with_capacity(capacity), capacity, dropped: 0 }
+        Self { buf: VecDeque::new(), capacity: capacity.max(1), dropped: 0 }
     }
 
     /// Append `v`, evicting the oldest element if the ring is full.
-    /// Never fails, never blocks, never reallocates past `capacity`.
+    /// Never fails, never blocks, and allocates only on the first push.
     pub fn push(&mut self, v: T) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
+        } else if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.capacity);
         }
         self.buf.push_back(v);
     }
@@ -47,6 +48,17 @@ impl<T> BoundedRing<T> {
     /// Remove and return every held element, oldest first.
     pub fn drain(&mut self) -> Vec<T> {
         self.buf.drain(..).collect()
+    }
+
+    /// Iterate the held elements, oldest first, without removing them.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.buf.iter()
+    }
+
+    /// Discard every held element and reset the drop count.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.dropped = 0;
     }
 
     /// Elements currently held.
@@ -73,6 +85,13 @@ impl<T> BoundedRing<T> {
     /// it — the "you missed N events" notice for a draining consumer.
     pub fn take_dropped(&mut self) -> u64 {
         std::mem::take(&mut self.dropped)
+    }
+
+    /// Elements the storage has room for without reallocating: zero
+    /// until the first push.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
@@ -113,6 +132,23 @@ mod tests {
         r.push("b");
         assert_eq!(r.drain(), vec!["b"]);
         assert_eq!(r.dropped(), 1);
+    }
+
+    #[test]
+    fn allocates_on_first_push_and_iterates_in_place() {
+        let mut r = BoundedRing::new(3);
+        assert_eq!(r.allocated(), 0, "no storage before the first push");
+        for i in 0..5 {
+            r.push(i);
+        }
+        assert!(r.allocated() >= 3);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(r.len(), 3, "iterating removes nothing");
+        r.clear();
+        assert!(r.is_empty());
+        assert_eq!(r.dropped(), 0, "clear resets the drop count");
+        r.push(9);
+        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]

@@ -41,8 +41,10 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// NICs' injection-backlog high-water marks); version 7 stores only the
 /// message-table slots still held (keys carry a generation), hashes the
 /// configuration field by field, and drops a worm's delivery cycle and a
-/// delivery's final/absorb kind, which no run read.
-pub const SNAP_VERSION: u32 = 7;
+/// delivery's final/absorb kind, which no run read; version 8 drops the
+/// worm table's slot-recycling flag, since every network now reuses the
+/// slots of retired worms.
+pub const SNAP_VERSION: u32 = 8;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

@@ -27,6 +27,7 @@
 
 use crate::json::{self, ToJson};
 use crate::profile::TxnProfiler;
+use crate::ring::BoundedRing;
 use crate::Cycle;
 use std::fmt;
 
@@ -72,7 +73,7 @@ pub enum TraceClass {
 ///
 /// Field types are deliberately primitive (`u64`/`u32`/`&'static str`):
 /// the sim kernel cannot name mesh/core types, and keeping events `Copy`
-/// keeps the ring buffer allocation-free after construction.
+/// keeps the ring buffer allocation-free after its first event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A worm was injected into the network.
@@ -286,9 +287,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 ///
 /// Taps are pure observers: no simulation decision may read them, and a
 /// tap must never block (the experiment farm's taps forward into a
-/// bounded drop-oldest [`BoundedRing`](crate::ring::BoundedRing) for
-/// exactly this reason). Like every trace consumer, a tap only observes
-/// events that pass the [`TraceLevel`] gate.
+/// bounded drop-oldest [`BoundedRing`] for exactly this reason). Like
+/// every trace consumer, a tap only observes events that pass the
+/// [`TraceLevel`] gate.
 pub trait EventTap: Send {
     /// Observe one event as it is recorded.
     fn observe(&mut self, at: Cycle, kind: &TraceKind);
@@ -306,17 +307,13 @@ impl Clone for Box<dyn EventTap> {
 
 /// Fixed-capacity ring buffer of [`TraceEvent`]s.
 ///
-/// The recorder never allocates after construction; once full, the oldest
-/// event is overwritten and [`FlightRecorder::dropped`] counts the loss.
+/// The ring allocates once, on the first recorded event; once full, the
+/// oldest event is dropped and [`FlightRecorder::dropped`] counts the loss.
 #[derive(Clone)]
 pub struct FlightRecorder {
     level: TraceLevel,
-    buf: Vec<TraceEvent>,
-    capacity: usize,
-    /// Index of the oldest event (ring start) once the buffer is full.
-    head: usize,
+    buf: BoundedRing<TraceEvent>,
     next_seq: u64,
-    dropped: u64,
     /// Optional streaming profiler fed from [`FlightRecorder::push`]
     /// *before* the ring write, so its attribution survives ring
     /// overflow (see [`crate::profile`]).
@@ -331,9 +328,9 @@ impl fmt::Debug for FlightRecorder {
         f.debug_struct("FlightRecorder")
             .field("level", &self.level)
             .field("len", &self.buf.len())
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.buf.capacity())
             .field("recorded", &self.next_seq)
-            .field("dropped", &self.dropped)
+            .field("dropped", &self.buf.dropped())
             .field("profiler", &self.profiler.is_some())
             .field("taps", &self.taps.len())
             .finish()
@@ -354,11 +351,8 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         Self {
             level: TraceLevel::Off,
-            buf: Vec::new(),
-            capacity: capacity.max(1),
-            head: 0,
+            buf: BoundedRing::new(capacity),
             next_seq: 0,
-            dropped: 0,
             profiler: None,
             taps: Vec::new(),
         }
@@ -376,10 +370,7 @@ impl FlightRecorder {
 
     /// Replace the ring capacity, discarding any recorded events.
     pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        self.buf = Vec::new();
-        self.head = 0;
-        self.dropped = 0;
+        self.buf = BoundedRing::new(capacity);
     }
 
     /// True when events of `class` should be recorded right now.
@@ -407,18 +398,8 @@ impl FlightRecorder {
         for tap in &mut self.taps {
             tap.observe(at, &kind);
         }
-        let ev = TraceEvent { at, seq: self.next_seq, kind };
+        self.buf.push(TraceEvent { at, seq: self.next_seq, kind });
         self.next_seq += 1;
-        if self.buf.len() < self.capacity {
-            if self.buf.capacity() == 0 {
-                self.buf.reserve_exact(self.capacity);
-            }
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
     }
 
     /// Number of events currently held.
@@ -433,12 +414,12 @@ impl FlightRecorder {
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.buf.capacity()
     }
 
-    /// Events overwritten because the ring was full.
+    /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.buf.dropped()
     }
 
     /// Total events ever recorded (including overwritten ones).
@@ -449,14 +430,11 @@ impl FlightRecorder {
     /// Discard all recorded events (capacity and level unchanged).
     pub fn clear(&mut self) {
         self.buf.clear();
-        self.head = 0;
-        self.dropped = 0;
     }
 
     /// Iterate events oldest-to-newest.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (wrapped, first) = self.buf.split_at(self.head);
-        first.iter().chain(wrapped.iter())
+        self.buf.iter()
     }
 
     /// The most recent `n` events, oldest-to-newest.
@@ -693,7 +671,7 @@ mod tests {
         assert!(!r.wants(TraceClass::Flit));
         crate::trace_event!(&mut r, TraceClass::Txn, 1, ev(0));
         assert!(r.is_empty());
-        assert_eq!(r.buf.capacity(), 0, "no allocation until first event");
+        assert_eq!(r.buf.allocated(), 0, "no allocation until first event");
     }
 
     #[test]

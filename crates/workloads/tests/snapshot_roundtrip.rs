@@ -229,7 +229,7 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded three times since: once when
+/// lock state. The hashes were re-recorded four times since: once when
 /// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
 /// fingerprint of the config's `Debug` text, and that fingerprint was the
 /// only byte range that moved), once for format version 6, which
@@ -240,7 +240,8 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// still held (generation-stamped keys, collected at the tick boundary),
 /// fingerprints the configuration field by field instead of by its
 /// `Debug` text, and drops a worm's delivery cycle and a delivery's
-/// final/absorb kind.
+/// final/absorb kind, and once for format version 8, which drops the
+/// worm table's slot-recycling flag (every network now recycles).
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -255,12 +256,12 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0xb643_e02f_4ef9_23c7),
-        ("lu", 0xef72_60d2_bd4b_3646),
-        ("apsp", 0xf28a_cf00_336e_f08a),
-        ("synth 2ph", 0x28f1_16c1_b39d_9aa0),
-        ("synth ada", 0xecd8_5649_1d89_9f58),
-        ("locks", 0x3263_c212_2b7d_633c),
+        ("bh", 0x7507_e4f5_5fb9_ba35),
+        ("lu", 0xe47a_573f_d9d4_dd46),
+        ("apsp", 0x9c46_97eb_7536_03d4),
+        ("synth 2ph", 0xdd6f_5aea_5488_a216),
+        ("synth ada", 0x7b60_12f7_9e6d_cda8),
+        ("locks", 0x8346_54f1_044a_5568),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");

@@ -35,7 +35,7 @@ fn main() {
     let mesh = Mesh2D::square(s.k);
     println!("{}: {} transactions in {} cycles", s.canonical(), p.closed(), r.result.cycles);
     println!("\nlink utilization (busier direction of each link):");
-    print!("{}", link_heatmap(&mesh, probe.busy_total(), r.result.cycles));
+    print!("{}", link_heatmap(&mesh, &r.sys.net_stats().link_busy, r.result.cycles));
 
     let tracks: Vec<CounterTrack> = (0..mesh.nodes())
         .map(|n| CounterTrack {

@@ -25,7 +25,7 @@ fn main() {
         src: home,
         vnet: VNet::Req,
         kind: WormKind::Multicast,
-        dests: [s1, s2, s3].into(),
+        dests: vec![s1, s2, s3],
         len_flits: 9,
         payload: 1,
         reserve_iack: true,
@@ -47,7 +47,7 @@ fn main() {
         src: s3,
         vnet: VNet::Reply,
         kind: WormKind::Gather,
-        dests: [s2, s1, home].into(),
+        dests: vec![s2, s1, home],
         len_flits: 6,
         payload: 2,
         reserve_iack: false,

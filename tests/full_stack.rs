@@ -205,10 +205,16 @@ fn check_golden(rows: impl Iterator<Item = &'static Golden>, arm: Arm) {
         p.verify_exact().unwrap_or_else(|e| panic!("{tag}: phases must sum exactly: {e}"));
         assert!(p.records().iter().all(|t| t.phase_sum() == t.latency), "{tag}: phase sums");
         let probe = sys.take_contention_probe().expect("probe enabled");
+        let mut from_windows = vec![0u64; sys.net_stats().link_busy.len()];
+        for w in probe.windows() {
+            for (slot, &f) in w.flits.iter().enumerate() {
+                from_windows[slot / probe.vcs()] += u64::from(f);
+            }
+        }
         assert_eq!(
-            probe.busy_total().iter().sum::<u64>(),
-            sys.net_stats().link_busy.iter().sum::<u64>(),
-            "{tag}: probe busy totals disagree with NetStats::link_busy"
+            from_windows,
+            sys.net_stats().link_busy,
+            "{tag}: probe windows disagree with NetStats::link_busy"
         );
         validate_json(&chrome_trace::trace_json(p.records(), &[])).expect("chrome trace JSON");
         validate_json(&sys.export_metrics().to_json()).expect("metrics registry JSON");
@@ -502,14 +508,14 @@ fn solo_flights_match_analytic_closed_form() {
             src,
             vnet: VNet::Req,
             kind: w.kind,
-            dests: w.dests.clone().into(),
+            dests: w.dests.clone(),
             len_flits: len,
             payload: 0,
             reserve_iack: w.reserve_iack,
             txn: TxnId(1),
             initial_acks: w.initial_acks,
             gather_deposit: w.gather_deposit,
-            deliver: w.deliver.clone().map(Into::into),
+            deliver: w.deliver.clone(),
         });
         net.run_until_quiescent(100_000).unwrap();
         // The final destination always delivers, so the loop checks the
