@@ -1,7 +1,8 @@
 //! Fully-mapped directory.
 //!
-//! One entry per memory block at its home node: a state plus a presence-bit
-//! vector identifying every node with a valid cached copy \[44\]. The paper's
+//! One entry per memory block, kept for its home node: a state plus a
+//! presence-bit vector identifying every node with a valid cached copy
+//! \[44\]. The paper's
 //! schemes slice the presence bits column-wise to form multidestination
 //! worm headers, so the entry exposes per-column views.
 
@@ -100,8 +101,10 @@ impl DirEntry {
     }
 }
 
-/// The directory of one home node: entries for every block homed there,
-/// allocated lazily (an absent entry is `Uncached`).
+/// The directory entries of every home node in one map keyed by block,
+/// allocated lazily (an absent entry is `Uncached`). A block's home is
+/// fixed by its id (`MemGeometry::home_of`), so one map serves every home:
+/// a large mesh pays for the blocks it touches, not for a map per node.
 ///
 /// Entries live in an open-addressed [`FlatMap`]: directory lookups sit on
 /// the per-transaction hot path (every read miss, write miss, and ack

@@ -332,7 +332,9 @@ pub struct DsmSystem {
     geom: MemGeometry,
     msgs: MsgTable,
     nodes: Vec<NodeCtx>,
-    dirs: Vec<Directory>,
+    /// Every home's directory entries in one map keyed by block; a
+    /// block's home is [`MemGeometry::home_of`].
+    dir: Directory,
     txns: TxnSlab,
     cal: Calendar<Ev>,
     metrics: Metrics,
@@ -342,9 +344,6 @@ pub struct DsmSystem {
     /// Lock state, indexed by lock id (same dense-id rationale).
     locks: Vec<Option<LockState>>,
     now: Cycle,
-    /// Scratch for draining per-tick delivery worklists without
-    /// reallocating (capacity persists across steps).
-    delivery_scratch: Vec<NodeId>,
     /// When set (the default), [`DsmSystem::step`] fast-forwards over dead
     /// cycles: if the network is fully idle, time jumps straight to the
     /// next calendar event or processor wake-up instead of ticking empty
@@ -401,7 +400,6 @@ impl DsmSystem {
                 poisoned_fill: None,
             })
             .collect();
-        let dirs = (0..n).map(|_| Directory::new(n)).collect();
         let mut net = Network::new(cfg.mesh.clone());
         // Adaptive schemes consume the always-on link-load summary; attach
         // the meter before the first cycle so every plan in the run (and
@@ -417,7 +415,7 @@ impl DsmSystem {
             geom,
             msgs: MsgTable::new(),
             nodes,
-            dirs,
+            dir: Directory::new(n),
             txns: TxnSlab::default(),
             cal: Calendar::new(),
             metrics: Metrics::new(),
@@ -426,7 +424,6 @@ impl DsmSystem {
             now: 0,
             fast_forward: true,
             skipped_cycles: 0,
-            delivery_scratch: Vec::new(),
             violation: None,
         })
     }
@@ -648,17 +645,11 @@ impl DsmSystem {
         }
         self.net.tick();
         self.now = self.net.now();
-        // Drain only the nodes the network flagged this tick (ascending,
-        // matching a full node sweep) instead of polling every node, and
-        // reuse one scratch buffer instead of collecting per node.
-        let mut flagged = std::mem::take(&mut self.delivery_scratch);
-        self.net.take_delivery_nodes(&mut flagged);
-        for &node in &flagged {
-            while let Some(d) = self.net.pop_delivery(node) {
-                self.on_delivery(d);
-            }
+        // The tick's deliveries, in NIC order: ascending node, channel
+        // order within a node.
+        while let Some(d) = self.net.next_delivery() {
+            self.on_delivery(d);
         }
-        self.delivery_scratch = flagged;
         while let Some((t, ev)) = self.cal.pop_due(self.now) {
             self.handle_event(t.max(self.now), ev);
         }
@@ -867,7 +858,7 @@ impl DsmSystem {
         self.net.save_state(&mut w);
         self.msgs.save(&mut w);
         self.nodes.save(&mut w);
-        self.dirs.save(&mut w);
+        self.dir.save(&mut w);
         self.txns.save(&mut w);
         self.cal.save(&mut w);
         self.metrics.save(&mut w);
@@ -929,22 +920,15 @@ impl DsmSystem {
             )));
         }
         sys.nodes = nodes;
-        let dirs: Vec<Directory> = Snap::load(&mut r).map_err(snap_err)?;
-        if dirs.len() != sys.cfg.nodes() {
-            return Err(SimError::Snapshot(format!(
-                "snapshot holds {} directories, configuration has {}",
-                dirs.len(),
-                sys.cfg.nodes()
-            )));
-        }
-        if let Some(d) = dirs.iter().find(|d| d.nodes() != sys.cfg.nodes()) {
+        let dir: Directory = Snap::load(&mut r).map_err(snap_err)?;
+        if dir.nodes() != sys.cfg.nodes() {
             return Err(SimError::Snapshot(format!(
                 "snapshot directory covers {} nodes, configuration has {}",
-                d.nodes(),
+                dir.nodes(),
                 sys.cfg.nodes()
             )));
         }
-        sys.dirs = dirs;
+        sys.dir = dir;
         sys.txns = Snap::load(&mut r).map_err(snap_err)?;
         sys.cal = Calendar::load(&mut r).map_err(snap_err)?;
         sys.metrics = Snap::load(&mut r).map_err(snap_err)?;
@@ -1051,7 +1035,7 @@ impl DsmSystem {
             Ev::Inject(spec) => Some(spec.payload),
             Ev::PostIack { .. } => None,
         });
-        self.net.payloads().chain(self.dirs.iter().flat_map(Directory::queued_keys)).chain(events)
+        self.net.payloads().chain(self.dir.queued_keys()).chain(events)
     }
 
     /// Collect every message [`DsmSystem::held_message_keys`] does not
@@ -1238,62 +1222,61 @@ impl DsmSystem {
         if !self.txns.is_empty() {
             return Err(format!("{} invalidation transactions still open", self.txns.len()));
         }
-        for (h, dir) in self.dirs.iter().enumerate() {
-            let home = NodeId(h as u16);
-            for block in dir.blocks() {
-                let entry = dir.entry(block).expect("listed block exists");
-                match entry.state {
-                    DirState::Uncached => {
-                        for (i, n) in self.nodes.iter().enumerate() {
-                            if let Some(st) = n.cache.state(block) {
+        // Home by home, each home's blocks ascending.
+        let mut blocks = self.dir.blocks();
+        blocks.sort_by_key(|&b| (self.geom.home_of(b), b));
+        for block in blocks {
+            let home = self.geom.home_of(block);
+            let entry = self.dir.entry(block).expect("listed block exists");
+            match entry.state {
+                DirState::Uncached => {
+                    for (i, n) in self.nodes.iter().enumerate() {
+                        if let Some(st) = n.cache.state(block) {
+                            return Err(format!(
+                                "{block} uncached at home {home} but cached {st:?} at n{i}"
+                            ));
+                        }
+                    }
+                }
+                DirState::Shared => {
+                    for (i, n) in self.nodes.iter().enumerate() {
+                        match n.cache.state(block) {
+                            Some(LineState::Modified) => {
                                 return Err(format!(
-                                    "{block} uncached at home {home} but cached {st:?} at n{i}"
+                                    "{block} shared at home {home} but Modified at n{i}"
                                 ));
                             }
-                        }
-                    }
-                    DirState::Shared => {
-                        for (i, n) in self.nodes.iter().enumerate() {
-                            match n.cache.state(block) {
-                                Some(LineState::Modified) => {
-                                    return Err(format!(
-                                        "{block} shared at home {home} but Modified at n{i}"
-                                    ));
-                                }
-                                Some(LineState::Shared)
-                                    if !entry.has_presence(NodeId(i as u16)) =>
-                                {
-                                    return Err(format!(
-                                        "{block} cached at n{i} without a presence bit"
-                                    ));
-                                }
-                                Some(LineState::Shared) => {}
-                                None => {}
-                            }
-                        }
-                    }
-                    DirState::Exclusive(owner) => {
-                        for (i, n) in self.nodes.iter().enumerate() {
-                            let st = n.cache.state(block);
-                            if NodeId(i as u16) == owner {
-                                // The owner may have a writeback in flight
-                                // only while the system is not idle; at
-                                // idle it must hold the line Modified.
-                                if st != Some(LineState::Modified) {
-                                    return Err(format!(
-                                        "{block} exclusive at {owner} but its cache holds {st:?}"
-                                    ));
-                                }
-                            } else if st.is_some() {
+                            Some(LineState::Shared) if !entry.has_presence(NodeId(i as u16)) => {
                                 return Err(format!(
-                                    "{block} exclusive at {owner} but also cached {st:?} at n{i} (SWMR violation)"
+                                    "{block} cached at n{i} without a presence bit"
                                 ));
                             }
+                            Some(LineState::Shared) => {}
+                            None => {}
                         }
                     }
-                    DirState::Waiting => {
-                        return Err(format!("{block} left in Waiting at home {home}"));
+                }
+                DirState::Exclusive(owner) => {
+                    for (i, n) in self.nodes.iter().enumerate() {
+                        let st = n.cache.state(block);
+                        if NodeId(i as u16) == owner {
+                            // The owner may have a writeback in flight
+                            // only while the system is not idle; at
+                            // idle it must hold the line Modified.
+                            if st != Some(LineState::Modified) {
+                                return Err(format!(
+                                    "{block} exclusive at {owner} but its cache holds {st:?}"
+                                ));
+                            }
+                        } else if st.is_some() {
+                            return Err(format!(
+                                "{block} exclusive at {owner} but also cached {st:?} at n{i} (SWMR violation)"
+                            ));
+                        }
                     }
+                }
+                DirState::Waiting => {
+                    return Err(format!("{block} left in Waiting at home {home}"));
                 }
             }
         }
@@ -1312,8 +1295,7 @@ impl DsmSystem {
     /// seam bypasses the protocol, so there is no writeback to carry the
     /// dirty data home and the system would silently lose it.
     pub fn seed_shared(&mut self, block: BlockId, sharers: &[NodeId]) {
-        let home = self.geom.home_of(block);
-        let entry = self.dirs[home.idx()].entry_mut(block);
+        let entry = self.dir.entry_mut(block);
         assert_eq!(entry.state, DirState::Uncached, "seed on a fresh block");
         entry.state = DirState::Shared;
         for &s in sharers {
@@ -1336,8 +1318,7 @@ impl DsmSystem {
 
     /// Directory state of `block` (tests).
     pub fn dir_state(&self, block: BlockId) -> DirState {
-        let home = self.geom.home_of(block);
-        self.dirs[home.idx()].state(block)
+        self.dir.state(block)
     }
 
     /// Deliver a forged protocol message straight into `node`'s
@@ -1579,16 +1560,16 @@ impl DsmSystem {
         key: u64,
     ) {
         let costs = self.cfg.costs;
-        match self.dirs[home.idx()].state(block) {
+        match self.dir.state(block) {
             DirState::Uncached | DirState::Shared => {
                 let t = self.nodes[home.idx()].mem.occupy(now, costs.mem_access);
-                let entry = self.dirs[home.idx()].entry_mut(block);
+                let entry = self.dir.entry_mut(block);
                 entry.state = DirState::Shared;
                 entry.set_presence(requester);
                 self.send_dc(home, t, ProtoMsg::ReadReply { block }, requester, VNet::Reply);
             }
             DirState::Exclusive(owner) => {
-                let entry = self.dirs[home.idx()].entry_mut(block);
+                let entry = self.dir.entry_mut(block);
                 entry.state = DirState::Waiting;
                 self.send_dc(
                     home,
@@ -1599,7 +1580,7 @@ impl DsmSystem {
                 );
             }
             DirState::Waiting => {
-                self.dirs[home.idx()]
+                self.dir
                     .entry_mut(block)
                     .queue
                     .push_back(wormdsm_coherence::QueuedReq { node: requester, msg_key: key });
@@ -1616,10 +1597,10 @@ impl DsmSystem {
         key: u64,
     ) {
         let costs = self.cfg.costs;
-        match self.dirs[home.idx()].state(block) {
+        match self.dir.state(block) {
             DirState::Uncached => {
                 let t = self.nodes[home.idx()].mem.occupy(now, costs.mem_access);
-                let entry = self.dirs[home.idx()].entry_mut(block);
+                let entry = self.dir.entry_mut(block);
                 entry.state = DirState::Exclusive(requester);
                 entry.clear_all();
                 self.send_dc(
@@ -1633,7 +1614,7 @@ impl DsmSystem {
             DirState::Shared => self.start_invalidation(now, home, block, requester),
             DirState::Exclusive(owner) => {
                 debug_assert_ne!(owner, requester, "owner write-missing its own block");
-                let entry = self.dirs[home.idx()].entry_mut(block);
+                let entry = self.dir.entry_mut(block);
                 entry.state = DirState::Waiting;
                 self.send_dc(
                     home,
@@ -1644,7 +1625,7 @@ impl DsmSystem {
                 );
             }
             DirState::Waiting => {
-                self.dirs[home.idx()]
+                self.dir
                     .entry_mut(block)
                     .queue
                     .push_back(wormdsm_coherence::QueuedReq { node: requester, msg_key: key });
@@ -1656,15 +1637,16 @@ impl DsmSystem {
     /// sharer set.
     fn start_invalidation(&mut self, now: Cycle, home: NodeId, block: BlockId, writer: NodeId) {
         let costs = self.cfg.costs;
-        let with_data = !self.dirs[home.idx()].entry_mut(block).has_presence(writer);
+        let with_data = !self.dir.entry_mut(block).has_presence(writer);
 
         // Invalidate the home's own copy locally (no network message).
-        if home != writer && self.dirs[home.idx()].entry_mut(block).has_presence(home) {
+        if home != writer && self.dir.entry_mut(block).has_presence(home) {
             self.invalidate_local(home, block);
-            self.dirs[home.idx()].entry_mut(block).clear_presence(home);
+            self.dir.entry_mut(block).clear_presence(home);
         }
 
-        let remote: Vec<NodeId> = self.dirs[home.idx()]
+        let remote: Vec<NodeId> = self
+            .dir
             .entry_mut(block)
             .sharers_except(writer)
             .into_iter()
@@ -1673,7 +1655,7 @@ impl DsmSystem {
 
         if remote.is_empty() {
             // Fast path: nothing remote to invalidate.
-            let entry = self.dirs[home.idx()].entry_mut(block);
+            let entry = self.dir.entry_mut(block);
             entry.state = DirState::Exclusive(writer);
             entry.clear_all();
             self.send_dc(home, now, ProtoMsg::WriteGrant { block, with_data }, writer, VNet::Reply);
@@ -1704,7 +1686,7 @@ impl DsmSystem {
             }
         );
 
-        self.dirs[home.idx()].entry_mut(block).state = DirState::Waiting;
+        self.dir.entry_mut(block).state = DirState::Waiting;
 
         // Inject request worms, serializing through the DC (the occupancy
         // effect the paper measures).
@@ -1919,7 +1901,7 @@ impl DsmSystem {
         // +1: the grant the home is about to send.
         self.metrics.inval_home_msgs.record((t.home_msgs + 1) as f64);
 
-        let entry = self.dirs[t.home.idx()].entry_mut(t.block);
+        let entry = self.dir.entry_mut(t.block);
         entry.state = DirState::Exclusive(t.writer);
         entry.clear_all();
         let queued: Vec<wormdsm_coherence::QueuedReq> = entry.queue.drain(..).collect();
@@ -2063,7 +2045,7 @@ impl DsmSystem {
     ) {
         let costs = self.cfg.costs;
         let _t = self.nodes[home.idx()].mem.occupy(now, costs.mem_access);
-        let entry = self.dirs[home.idx()].entry_mut(block);
+        let entry = self.dir.entry_mut(block);
         entry.clear_all();
         if was_write {
             entry.state = DirState::Exclusive(requester);
@@ -2080,10 +2062,10 @@ impl DsmSystem {
 
     fn h_writeback(&mut self, now: Cycle, home: NodeId, block: BlockId, owner: NodeId, key: u64) {
         let costs = self.cfg.costs;
-        match self.dirs[home.idx()].state(block) {
+        match self.dir.state(block) {
             DirState::Exclusive(o) if o == owner => {
                 let t = self.nodes[home.idx()].mem.occupy(now, costs.mem_access);
-                let entry = self.dirs[home.idx()].entry_mut(block);
+                let entry = self.dir.entry_mut(block);
                 entry.state = DirState::Uncached;
                 entry.clear_all();
                 self.send_dc(home, t, ProtoMsg::WritebackAck { block }, owner, VNet::Reply);
@@ -2425,7 +2407,7 @@ mod tests {
                 sys.cal.schedule(9, Ev::Inject(spec));
             },
             |sys, k| {
-                let e = sys.dirs[0].entry_mut(BlockId(0));
+                let e = sys.dir.entry_mut(BlockId(0));
                 e.queue.push_back(wormdsm_coherence::QueuedReq { node: NodeId(1), msg_key: k });
             },
         ];
@@ -2585,7 +2567,7 @@ mod tests {
                 sys.cal.schedule(9, Ev::Inject(spec));
             },
             |sys, k| {
-                let e = sys.dirs[0].entry_mut(BlockId(0));
+                let e = sys.dir.entry_mut(BlockId(0));
                 e.queue.push_back(wormdsm_coherence::QueuedReq { node: NodeId(1), msg_key: k });
             },
             |sys, k| {
@@ -2676,5 +2658,26 @@ mod tests {
             };
             assert!(e.contains(want), "case {i}: {e}");
         }
+    }
+
+    /// With every home's entries in one map, `verify_coherence` still
+    /// names each block's own home and reports home by home, as it did
+    /// with a map per home.
+    #[test]
+    fn verify_coherence_names_the_home_of_each_block() {
+        let mut sys = system();
+        // 16 nodes: block 0x13 is homed at n3, block 0x5 at n5.
+        sys.dir.entry_mut(BlockId(0x13)).state = DirState::Waiting;
+        sys.dir.entry_mut(BlockId(0x5)).state = DirState::Waiting;
+        let e = sys.verify_coherence().unwrap_err();
+        assert_eq!(e, "b0x13 left in Waiting at home n3", "the lower home first");
+        sys.dir.entry_mut(BlockId(0x13)).state = DirState::Uncached;
+        let e = sys.verify_coherence().unwrap_err();
+        assert_eq!(e, "b0x5 left in Waiting at home n5");
+        sys.dir.entry_mut(BlockId(0x5)).state = DirState::Uncached;
+        sys.seed_shared(BlockId(0x22), &[NodeId(7)]);
+        sys.dir.entry_mut(BlockId(0x22)).state = DirState::Uncached;
+        let e = sys.verify_coherence().unwrap_err();
+        assert_eq!(e, "b0x22 uncached at home n2 but cached Shared at n7");
     }
 }

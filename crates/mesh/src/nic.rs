@@ -3,24 +3,36 @@
 //! Each node's NIC owns, per the paper's router-interface design:
 //!
 //! * **injection queues** (one per virtual network) feeding the router's
-//!   local input port,
+//!   local input port. A queue is a head/tail pair of worm ids, and each
+//!   queued worm links to the worm behind it through its slot in the
+//!   [`WormTable`]: a queued worm is live and waits in one queue only, so
+//!   an empty queue costs 8 bytes and a queued worm nothing more;
 //! * **consumption channels** — the multiple parallel ejection channels
 //!   whose count bounds deadlock for multidestination worms (4 suffice on a
-//!   2D mesh \[39\]) and relieve hot-spot ejection pressure \[2\],
+//!   2D mesh \[39\]) and relieve hot-spot ejection pressure \[2\]. What
+//!   bounds deadlock is how full a channel is, not which flits it holds,
+//!   so a channel is one 8-byte [`ConsChannel`] record: its owner, how
+//!   many of the owner's flits wait for the node, and two flags (absorb
+//!   copy, tail arrived);
 //! * **i-ack buffers** — the small (2-4 entry) memory-mapped buffer pool
 //!   used to post invalidation acknowledgements for i-gather worms and to
-//!   park gather worms under virtual cut-through + deferred delivery,
-//! * the **delivered-message queue** consumed by the node model.
+//!   park gather worms under virtual cut-through + deferred delivery.
+//!
+//! Delivered messages leave through one network-wide queue, in NIC order:
+//! ascending node, and channel order within a node. That is the order the
+//! NIC phase completes them in, so it needs no sorting.
 //!
 //! Like the router's, NIC state is stored for all nodes at once
-//! ([`NicSlab`]), one field per slab. The i-ack buffer state machine —
-//! the trickiest part of the VCT deferred-delivery protocol — is written
-//! as functions over one node's entry row.
+//! ([`NicSlab`]), one field per slab. The resume and deposit-retry queues
+//! stay per node: they are rare and allocate nothing until used. The
+//! i-ack buffer state machine — the trickiest part of the VCT
+//! deferred-delivery protocol — is written as functions over one node's
+//! entry row.
 
 use crate::topology::NodeId;
-use crate::worm::{Flit, TxnId, VNet, WormId, NUM_VNETS};
+use crate::worm::{Flit, FlitKind, TxnId, VNet, WormId, WormState, WormTable, NUM_VNETS};
 use std::collections::VecDeque;
-use wormdsm_sim::snap::{snap_enum, snap_struct};
+use wormdsm_sim::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::{Cycle, Strided};
 
 /// How a gather worm behaves when it reaches a router interface whose i-ack
@@ -257,28 +269,72 @@ fn park_drain_in(
     None
 }
 
+/// Worm id of a free consumption channel's owner and of an empty
+/// injection queue's ends.
+const NO_WORM: u32 = u32::MAX;
+
+/// One consumption channel: the worm holding it (reserved when its head
+/// arrives, released when its tail drains to the node) and how many of
+/// that worm's flits are buffered for the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConsChannel {
+    /// The owning worm's id, [`NO_WORM`] while the channel is free.
+    owner: u32,
+    /// Flits buffered, waiting for the node to drain them.
+    flits: u16,
+    /// The channel receives absorb copies (the worm continues in the
+    /// network) rather than a final consumption.
+    absorb: bool,
+    /// The worm's tail is among the buffered flits: the copy completes
+    /// when they have all drained.
+    tail: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<ConsChannel>() == 8);
+
+impl ConsChannel {
+    /// A channel no worm holds.
+    const FREE: Self = Self { owner: NO_WORM, flits: 0, absorb: false, tail: false };
+
+    /// The worm holding the channel, if any.
+    pub fn owner(&self) -> Option<WormId> {
+        (self.owner != NO_WORM).then_some(WormId(self.owner))
+    }
+
+    /// True if the channel receives absorb copies.
+    pub fn absorb(&self) -> bool {
+        self.absorb
+    }
+}
+
+/// One injection queue: its first and last worm ([`NO_WORM`] when
+/// empty). The worms in between link through [`WormTable`].
+#[derive(Debug, Clone, Copy)]
+struct InjectQueue {
+    head: u32,
+    tail: u32,
+}
+
+impl InjectQueue {
+    const EMPTY: Self = Self { head: NO_WORM, tail: NO_WORM };
+}
+
 /// NIC state for every node, one field per slab. All indices are global
 /// node ids.
 #[derive(Debug)]
 pub struct NicSlab {
     cons_cap: usize,
     /// Worms waiting to enter the network (stride [`NUM_VNETS`]).
-    inject_q: Strided<VecDeque<WormId>>,
+    inject: Strided<InjectQueue>,
     /// Per local-input-VC streaming state (stride `local_vcs`, indexed like
     /// router VCs).
     streaming: Strided<Option<StreamState>>,
-    /// Consumption-channel owners (stride `cons_channels`; a worm reserves
-    /// a channel at header time and holds it until its tail drains).
-    cons_owner: Strided<Option<WormId>>,
-    /// True while the channel receives absorb copies (worm continues in the
-    /// network) rather than a final consumption.
-    cons_absorb: Strided<bool>,
-    /// Buffered flits waiting for the node to drain them.
-    cons_fifo: Strided<VecDeque<Flit>>,
+    /// Consumption channels (stride `cons_channels`).
+    cons: Strided<ConsChannel>,
     /// i-ack buffer entries (None = free; stride `iack_entries`).
     iack: Strided<Option<IackEntry>>,
-    /// Messages delivered to the node, awaiting pickup.
-    delivered: Vec<VecDeque<Delivery>>,
+    /// Messages delivered to the nodes, awaiting pickup, in NIC order.
+    delivered: VecDeque<Delivery>,
     /// Worms whose parked state resolved and must be re-injected on the
     /// reply network, with the ack count each absorbed (handled by the
     /// network layer each cycle).
@@ -290,9 +346,13 @@ pub struct NicSlab {
 }
 
 impl NicSlab {
+    /// Deepest consumption channel a [`ConsChannel`]'s `u16` count holds.
+    pub(crate) const MAX_CONS_CAP: usize = u16::MAX as usize;
+
     /// Create NICs for `nodes` nodes with `cons_channels` consumption
-    /// channels of `cons_cap` flits each, `iack_entries` i-ack buffers, and
-    /// `local_vcs` local input virtual channels.
+    /// channels of `cons_cap` flits each (at most `u16::MAX`),
+    /// `iack_entries` i-ack buffers, and `local_vcs` local input virtual
+    /// channels.
     pub fn new(
         nodes: usize,
         cons_channels: usize,
@@ -301,15 +361,14 @@ impl NicSlab {
         local_vcs: usize,
     ) -> Self {
         assert!(cons_channels >= 1 && iack_entries >= 1 && local_vcs >= NUM_VNETS);
+        assert!((1..=Self::MAX_CONS_CAP).contains(&cons_cap), "consumption depth {cons_cap}");
         Self {
             cons_cap,
-            inject_q: Strided::new(nodes, NUM_VNETS, VecDeque::new),
+            inject: Strided::new(nodes, NUM_VNETS, || InjectQueue::EMPTY),
             streaming: Strided::new(nodes, local_vcs, || None),
-            cons_owner: Strided::new(nodes, cons_channels, || None),
-            cons_absorb: Strided::new(nodes, cons_channels, || false),
-            cons_fifo: Strided::new(nodes, cons_channels, VecDeque::new),
+            cons: Strided::new(nodes, cons_channels, || ConsChannel::FREE),
             iack: Strided::new(nodes, iack_entries, || None),
-            delivered: (0..nodes).map(|_| VecDeque::new()).collect(),
+            delivered: VecDeque::new(),
             resume_q: (0..nodes).map(|_| VecDeque::new()).collect(),
             pending_deposits: (0..nodes).map(|_| VecDeque::new()).collect(),
         }
@@ -317,34 +376,69 @@ impl NicSlab {
 
     /// Node count.
     pub fn nodes(&self) -> usize {
-        self.delivered.len()
+        self.resume_q.len()
     }
 
-    /// Queue a worm for injection at node `n`.
-    pub fn enqueue(&mut self, n: usize, vnet: VNet, worm: WormId) {
-        self.inject_q.at_mut(n, vnet.index()).push_back(worm);
+    /// Queue worm `worm` for injection on `vnet` at node `n`, linking it
+    /// behind the queue's last worm in `worms`.
+    pub fn enqueue(&mut self, n: usize, vnet: VNet, worm: WormId, worms: &mut WormTable) {
+        worms.set_next(worm, None);
+        let q = self.inject.at_mut(n, vnet.index());
+        if q.tail == NO_WORM {
+            q.head = worm.0;
+        } else {
+            worms.set_next(WormId(q.tail), Some(worm));
+        }
+        q.tail = worm.0;
+    }
+
+    /// Pop the next worm queued for injection on `vnet` at node `n`.
+    pub fn pop_inject(&mut self, n: usize, vnet: VNet, worms: &mut WormTable) -> Option<WormId> {
+        let q = self.inject.at_mut(n, vnet.index());
+        if q.head == NO_WORM {
+            return None;
+        }
+        let id = WormId(q.head);
+        match worms.next(id) {
+            Some(next) => q.head = next.0,
+            None => *q = InjectQueue::EMPTY,
+        }
+        worms.set_next(id, None);
+        Some(id)
+    }
+
+    /// The worms queued for injection on virtual network `v` (by index)
+    /// at node `n`, first to last.
+    fn queued<'a>(
+        &self,
+        n: usize,
+        v: usize,
+        worms: &'a WormTable,
+    ) -> impl Iterator<Item = WormId> + 'a {
+        let q = *self.inject.at(n, v);
+        let mut cur = (q.head != NO_WORM).then_some(WormId(q.head));
+        std::iter::from_fn(move || {
+            let id = cur?;
+            cur = if id.0 == q.tail { None } else { worms.next(id) };
+            Some(id)
+        })
     }
 
     /// Index of a free consumption channel at node `n`, if any.
     pub fn free_cons(&self, n: usize) -> Option<usize> {
-        (0..self.cons_owner.stride()).find(|&c| self.cons_is_free(n, c))
+        self.cons.row(n).iter().position(|c| *c == ConsChannel::FREE)
     }
 
     /// Channel `cc` of node `n` is free and able to accept a new worm.
     #[inline]
     pub fn cons_is_free(&self, n: usize, cc: usize) -> bool {
-        self.cons_owner.at(n, cc).is_none() && self.cons_fifo.at(n, cc).is_empty()
+        *self.cons.at(n, cc) == ConsChannel::FREE
     }
 
     /// Channel `cc` of node `n` has space for one more flit.
     #[inline]
     pub fn cons_has_space(&self, n: usize, cc: usize) -> bool {
-        self.cons_fifo.at(n, cc).len() < self.cons_cap
-    }
-
-    /// Pop the next worm queued for injection on `vnet` at node `n`.
-    pub fn pop_inject(&mut self, n: usize, vnet: VNet) -> Option<WormId> {
-        self.inject_q.at_mut(n, vnet.index()).pop_front()
+        usize::from(self.cons.at(n, cc).flits) < self.cons_cap
     }
 
     /// Streaming state of local input VC `vc` at node `n`.
@@ -361,43 +455,50 @@ impl NicSlab {
 
     /// Number of free consumption channels at node `n`.
     pub fn free_cons_count(&self, n: usize) -> usize {
-        (0..self.cons_owner.stride()).filter(|&c| self.cons_is_free(n, c)).count()
+        self.cons.row(n).iter().filter(|c| **c == ConsChannel::FREE).count()
     }
 
     /// Reserve consumption channel `cc` of node `n` for `worm`.
     pub fn reserve_cons(&mut self, n: usize, cc: usize, worm: WormId, absorb: bool) {
         debug_assert!(self.cons_is_free(n, cc), "consumption channel {cc} not free");
-        *self.cons_owner.at_mut(n, cc) = Some(worm);
-        *self.cons_absorb.at_mut(n, cc) = absorb;
+        *self.cons.at_mut(n, cc) = ConsChannel { owner: worm.0, flits: 0, absorb, tail: false };
     }
 
     /// The worm holding channel `cc` of node `n`, if any.
     #[inline]
     pub fn cons_owner(&self, n: usize, cc: usize) -> Option<WormId> {
-        *self.cons_owner.at(n, cc)
+        self.cons.at(n, cc).owner()
     }
 
-    /// True if channel `cc` of node `n` is receiving absorb copies.
-    #[inline]
-    pub fn cons_absorb(&self, n: usize, cc: usize) -> bool {
-        *self.cons_absorb.at(n, cc)
-    }
-
-    /// Release channel `cc` of node `n` (tail drained to the node).
-    pub fn release_cons(&mut self, n: usize, cc: usize) {
-        *self.cons_owner.at_mut(n, cc) = None;
-        *self.cons_absorb.at_mut(n, cc) = false;
-    }
-
-    /// Buffer a flit into channel `cc` of node `n`.
-    pub fn cons_push(&mut self, n: usize, cc: usize, flit: Flit) {
+    /// Buffer `flit` into channel `cc` of node `n`. A flit of any worm
+    /// but the channel's owner means the consumption bookkeeping is
+    /// corrupt: it is still counted, and the owner (None for a free
+    /// channel) comes back as the error for the caller to report.
+    pub fn cons_push(&mut self, n: usize, cc: usize, flit: Flit) -> Result<(), Option<WormId>> {
         debug_assert!(self.cons_has_space(n, cc), "consumption overflow");
-        self.cons_fifo.at_mut(n, cc).push_back(flit);
+        let ch = self.cons.at_mut(n, cc);
+        ch.flits += 1;
+        ch.tail |= flit.kind == FlitKind::Tail;
+        if ch.owner == flit.worm.0 {
+            Ok(())
+        } else {
+            Err(ch.owner())
+        }
     }
 
-    /// Drain one flit from channel `cc` of node `n`.
-    pub fn cons_pop(&mut self, n: usize, cc: usize) -> Option<Flit> {
-        self.cons_fifo.at_mut(n, cc).pop_front()
+    /// Drain one flit from channel `cc` of node `n` to the node. When it
+    /// is the last flit and the tail has arrived, the channel is released
+    /// and its record returned: the owner's copy there is complete.
+    pub fn cons_pop(&mut self, n: usize, cc: usize) -> Option<ConsChannel> {
+        let ch = self.cons.at_mut(n, cc);
+        if ch.flits == 0 {
+            return None;
+        }
+        ch.flits -= 1;
+        if ch.flits > 0 || !ch.tail {
+            return None;
+        }
+        Some(std::mem::replace(ch, ConsChannel::FREE))
     }
 
     /// Reserve an i-ack entry for `txn` at node `n` (see [`IackState`]).
@@ -436,19 +537,34 @@ impl NicSlab {
         self.iack.row(n).iter().filter(|e| e.is_none()).count()
     }
 
-    /// The delivered-message queue of node `n`.
-    pub fn delivered(&self, n: usize) -> &VecDeque<Delivery> {
-        &self.delivered[n]
+    /// Append a delivery to the delivery queue.
+    pub fn push_delivery(&mut self, d: Delivery) {
+        self.delivered.push_back(d);
     }
 
-    /// The delivered-message queue of node `n`, mutable (node-model drain).
-    pub fn delivered_mut(&mut self, n: usize) -> &mut VecDeque<Delivery> {
-        &mut self.delivered[n]
+    /// Pop the oldest undrained delivery, to any node.
+    pub fn pop_delivery(&mut self) -> Option<Delivery> {
+        self.delivered.pop_front()
     }
 
-    /// Append a delivery to node `n`'s delivered queue.
-    pub fn push_delivery(&mut self, n: usize, d: Delivery) {
-        self.delivered[n].push_back(d);
+    /// Pop the oldest undrained delivery to `node`.
+    pub fn pop_delivery_to(&mut self, node: NodeId) -> Option<Delivery> {
+        let i = self.delivered.iter().position(|d| d.node == node)?;
+        self.delivered.remove(i)
+    }
+
+    /// Take every undrained delivery to `node`, oldest first, leaving the
+    /// other nodes' in order.
+    pub fn take_deliveries_to(&mut self, node: NodeId) -> Vec<Delivery> {
+        let mut taken = Vec::new();
+        self.delivered.retain(|d| {
+            let mine = d.node == node;
+            if mine {
+                taken.push(*d);
+            }
+            !mine
+        });
+        taken
     }
 
     /// Pop the next resolved parked worm awaiting re-injection at node `n`.
@@ -471,28 +587,41 @@ impl NicSlab {
         self.pending_deposits[n].push_back((txn, acks));
     }
 
-    /// Every worm the NICs name: queued for injection, streaming,
-    /// owning a consumption channel, parked in an i-ack entry, or
-    /// waiting to resume.
+    /// Make `worm` the last worm of node `n`'s `vnet` queue without
+    /// linking it (corrupt-state tests).
+    #[cfg(test)]
+    pub(crate) fn set_queue_tail(&mut self, n: usize, vnet: VNet, worm: WormId) {
+        self.inject.at_mut(n, vnet.index()).tail = worm.0;
+    }
+
+    /// Hand channel `cc` of node `n` to `worm` behind its owner's back
+    /// (corrupt-state tests).
+    #[cfg(test)]
+    pub(crate) fn set_cons_owner(&mut self, n: usize, cc: usize, worm: WormId) {
+        self.cons.at_mut(n, cc).owner = worm.0;
+    }
+
+    /// Every worm the NICs name outside the injection queues: streaming,
+    /// owning a consumption channel, parked in an i-ack entry, or waiting
+    /// to resume. (The loader checks the queued worms as it links them.)
     pub(crate) fn worm_ids(&self) -> impl Iterator<Item = WormId> + '_ {
         let parked = self.iack.as_slice().iter().filter_map(|e| match e {
             Some(IackEntry { state: IackState::Parked { worm, .. }, .. }) => Some(*worm),
             _ => None,
         });
-        self.inject_q
+        self.streaming
             .as_slice()
             .iter()
             .flatten()
-            .copied()
-            .chain(self.streaming.as_slice().iter().flatten().map(|st| st.worm))
-            .chain(self.cons_owner.as_slice().iter().flatten().copied())
+            .map(|st| st.worm)
+            .chain(self.cons.as_slice().iter().filter_map(ConsChannel::owner))
             .chain(parked)
             .chain(self.resume_q.iter().flatten().map(|&(w, _)| w))
     }
 
     /// Every delivery not yet taken by a node.
     pub(crate) fn undrained(&self) -> impl Iterator<Item = &Delivery> {
-        self.delivered.iter().flatten()
+        self.delivered.iter()
     }
 
     /// True when node `n` has phase-3 NIC work (queued injections,
@@ -501,8 +630,127 @@ impl NicSlab {
         !self.pending_deposits[n].is_empty()
             || !self.resume_q[n].is_empty()
             || self.streaming.row(n).iter().any(|s| s.is_some())
-            || self.inject_q.row(n).iter().any(|q| !q.is_empty())
-            || self.cons_fifo.row(n).iter().any(|f| !f.is_empty())
+            || self.inject.row(n).iter().any(|q| q.head != NO_WORM)
+            || self.cons.row(n).iter().any(|c| c.flits > 0)
+    }
+
+    /// Serialize the NICs. The injection queues are written in the layout
+    /// of a strided slab of worm-id queues (stride, length, then each
+    /// queue's length and ids, first to last), walking each list through
+    /// `worms`.
+    pub(crate) fn save_state(&self, w: &mut SnapWriter, worms: &WormTable) {
+        w.put_usize(self.cons_cap);
+        w.put_usize(NUM_VNETS);
+        w.put_usize(self.inject.as_slice().len());
+        for n in 0..self.nodes() {
+            for v in 0..NUM_VNETS {
+                w.put_usize(self.queued(n, v, worms).count());
+                self.queued(n, v, worms).for_each(|id| id.save(w));
+            }
+        }
+        self.streaming.save(w);
+        self.cons.save(w);
+        self.iack.save(w);
+        self.delivered.save(w);
+        self.resume_q.save(w);
+        self.pending_deposits.save(w);
+    }
+
+    /// Load a [`NicSlab::save_state`] stream into this slab, which must
+    /// be fresh and have the stream's geometry. The injection queues come
+    /// back as saved, for [`NicSlab::link_queues`] to link once the worm
+    /// table is loaded.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Strided<VecDeque<WormId>>, SnapError> {
+        let cons_cap = r.get_usize()?;
+        if cons_cap != self.cons_cap {
+            return Err(SnapError::Mismatch(format!(
+                "snapshot consumption channels hold {cons_cap} flits, config wants {}",
+                self.cons_cap
+            )));
+        }
+        let queues: Strided<VecDeque<WormId>> = Snap::load(r)?;
+        let streaming: Strided<Option<StreamState>> = Snap::load(r)?;
+        let cons: Strided<ConsChannel> = Snap::load(r)?;
+        let iack: Strided<Option<IackEntry>> = Snap::load(r)?;
+        fn shape<T>(s: &Strided<T>) -> (usize, usize) {
+            (s.rows(), s.stride())
+        }
+        let nodes = self.nodes();
+        let geom_ok = shape(&queues) == shape(&self.inject)
+            && shape(&streaming) == shape(&self.streaming)
+            && shape(&cons) == shape(&self.cons)
+            && shape(&iack) == shape(&self.iack);
+        if !geom_ok {
+            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
+        }
+        self.streaming = streaming;
+        self.cons = cons;
+        self.iack = iack;
+        self.delivered = Snap::load(r)?;
+        self.resume_q = Snap::load(r)?;
+        self.pending_deposits = Snap::load(r)?;
+        if self.resume_q.len() != nodes || self.pending_deposits.len() != nodes {
+            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
+        }
+        // A free channel holds nothing; an arrived tail has not drained.
+        let bad = self.cons.as_slice().iter().find(|c| {
+            usize::from(c.flits) > self.cons_cap
+                || (c.owner == NO_WORM && **c != ConsChannel::FREE)
+                || (c.tail && c.flits == 0)
+        });
+        if let Some(c) = bad {
+            return Err(SnapError::Corrupt(format!(
+                "consumption channel {c:?} of depth {cons_cap}"
+            )));
+        }
+        Ok(queues)
+    }
+
+    /// Link the injection queues a stream held (see
+    /// [`NicSlab::load_state`]) through `worms`. Refuses a worm outside
+    /// the table, one that is not waiting to be injected, one that a
+    /// queue links back to (a cycle), and one in two queues.
+    pub(crate) fn link_queues(
+        &mut self,
+        queues: &Strided<VecDeque<WormId>>,
+        worms: &mut WormTable,
+    ) -> Result<(), String> {
+        let table = worms.len();
+        // The node each worm waits at, by queue.
+        let mut queued_at: Vec<Option<(usize, VNet)>> = vec![None; table];
+        for n in 0..queues.rows() {
+            for vnet in [VNet::Req, VNet::Reply] {
+                for &id in queues.at(n, vnet.index()) {
+                    let i = id.0 as usize;
+                    if i >= table {
+                        return Err(format!("worm id {i} named outside a table of {table}"));
+                    }
+                    match queued_at[i].replace((n, vnet)) {
+                        None => {}
+                        Some(at) if at == (n, vnet) => {
+                            return Err(format!(
+                                "the {vnet:?} injection queue of node {n} links worm {i} back \
+                                 to itself"
+                            ))
+                        }
+                        Some((m, _)) => {
+                            return Err(format!(
+                                "worm {i} waits in the injection queues of nodes {m} and {n}"
+                            ))
+                        }
+                    }
+                    let state = worms.get(id).state;
+                    if state != WormState::Queued {
+                        return Err(format!("worm {i} is queued for injection but {state:?}"));
+                    }
+                    self.enqueue(n, vnet, id, worms);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -515,58 +763,18 @@ snap_struct!(IackEntry { txn, state });
 snap_struct!(Delivery { node, worm, src, payload, acks, at, txn });
 snap_struct!(StreamState { worm, next_seq, len });
 
-mod snap_impls {
-    use super::{NicSlab, NUM_VNETS};
-    use wormdsm_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-    impl Snap for NicSlab {
-        fn save(&self, w: &mut SnapWriter) {
-            w.put_usize(self.cons_cap);
-            self.inject_q.save(w);
-            self.streaming.save(w);
-            self.cons_owner.save(w);
-            self.cons_absorb.save(w);
-            self.cons_fifo.save(w);
-            self.iack.save(w);
-            self.delivered.save(w);
-            self.resume_q.save(w);
-            self.pending_deposits.save(w);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let cons_cap = r.get_len()?;
-            let s = Self {
-                cons_cap,
-                inject_q: Snap::load(r)?,
-                streaming: Snap::load(r)?,
-                cons_owner: Snap::load(r)?,
-                cons_absorb: Snap::load(r)?,
-                cons_fifo: Snap::load(r)?,
-                iack: Snap::load(r)?,
-                delivered: Snap::load(r)?,
-                resume_q: Snap::load(r)?,
-                pending_deposits: Snap::load(r)?,
-            };
-            let nodes = s.delivered.len();
-            let cons = s.cons_owner.stride();
-            let rows_ok = s.inject_q.rows() == nodes
-                && s.inject_q.stride() == NUM_VNETS
-                && s.streaming.rows() == nodes
-                && s.cons_owner.rows() == nodes
-                && s.cons_absorb.rows() == nodes
-                && s.cons_absorb.stride() == cons
-                && s.cons_fifo.rows() == nodes
-                && s.cons_fifo.stride() == cons
-                && s.iack.rows() == nodes
-                && s.resume_q.len() == nodes
-                && s.pending_deposits.len() == nodes;
-            if !rows_ok {
-                return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
-            }
-            if s.cons_fifo.as_slice().iter().any(|q| q.len() > cons_cap) {
-                return Err(SnapError::Corrupt("nic consumption FIFO exceeds cons_cap".into()));
-            }
-            Ok(s)
-        }
+/// A channel is saved as its owner (an optional worm id), flit count and
+/// two flags.
+impl Snap for ConsChannel {
+    fn save(&self, w: &mut SnapWriter) {
+        self.owner().save(w);
+        w.put_u16(self.flits);
+        w.put_bool(self.absorb);
+        w.put_bool(self.tail);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let owner = Option::<WormId>::load(r)?.map_or(NO_WORM, |w| w.0);
+        Ok(Self { owner, flits: r.get_u16()?, absorb: r.get_bool()?, tail: r.get_bool()? })
     }
 }
 
@@ -579,8 +787,8 @@ mod tests {
         NicSlab::new(2, 4, 8, 4, 2)
     }
 
-    fn flit(seq: u16) -> Flit {
-        Flit { worm: WormId(1), kind: if seq == 0 { FlitKind::Head } else { FlitKind::Body }, seq }
+    fn flit(worm: u32, kind: FlitKind) -> Flit {
+        Flit { worm: WormId(worm), kind }
     }
 
     #[test]
@@ -593,12 +801,61 @@ mod tests {
         assert_eq!(n.free_cons_count(1), 3);
         assert_eq!(n.free_cons_count(0), 4, "other nodes untouched");
         assert!(!n.cons_is_free(1, idx));
-        n.cons_push(1, idx, flit(0));
+        assert_eq!(n.cons_owner(1, idx), Some(WormId(1)));
+        assert_eq!(n.cons_push(1, idx, flit(1, FlitKind::Head)), Ok(()));
         assert!(n.cons_has_space(1, idx));
-        // Drain and release.
-        assert_eq!(n.cons_pop(1, idx), Some(flit(0)));
-        n.release_cons(1, idx);
-        assert!(n.cons_is_free(1, idx));
+        assert!(n.has_work(1), "a buffered flit is NIC work");
+        assert_eq!(n.cons_pop(1, idx), None, "drained, but no tail yet");
+        assert!(!n.cons_is_free(1, idx) && !n.has_work(1));
+    }
+
+    /// A channel accepts exactly `cons_buf_flits` flits.
+    #[test]
+    fn consumption_channel_fills_to_its_depth() {
+        let mut s = slab();
+        s.reserve_cons(0, 2, WormId(4), true);
+        for _ in 0..8 {
+            assert!(s.cons_has_space(0, 2));
+            assert_eq!(s.cons_push(0, 2, flit(4, FlitKind::Body)), Ok(()));
+        }
+        assert!(!s.cons_has_space(0, 2), "full at 8 flits");
+        assert_eq!(s.cons_pop(0, 2), None);
+        assert!(s.cons_has_space(0, 2), "one drained, one free");
+    }
+
+    /// A channel that drains dry before its tail arrives does not
+    /// complete; the tail completes the copy exactly when the last
+    /// buffered flit drains, and the completion releases the channel.
+    #[test]
+    fn tail_completes_when_the_last_flit_drains_and_releases_the_channel() {
+        let mut s = slab();
+        s.reserve_cons(1, 3, WormId(9), true);
+        s.cons_push(1, 3, flit(9, FlitKind::Head)).unwrap();
+        s.cons_push(1, 3, flit(9, FlitKind::Body)).unwrap();
+        assert_eq!(s.cons_pop(1, 3), None);
+        assert_eq!(s.cons_pop(1, 3), None, "dry before the tail arrived");
+        assert_eq!(s.cons_pop(1, 3), None, "an empty channel drains nothing");
+        assert!(!s.cons_is_free(1, 3), "still held by its worm");
+        s.cons_push(1, 3, flit(9, FlitKind::Body)).unwrap();
+        s.cons_push(1, 3, flit(9, FlitKind::Tail)).unwrap();
+        assert_eq!(s.cons_pop(1, 3), None, "one flit still ahead of the tail");
+        let done = s.cons_pop(1, 3).expect("the tail drained");
+        assert_eq!((done.owner(), done.absorb()), (Some(WormId(9)), true));
+        assert!(s.cons_is_free(1, 3), "completion releases the channel");
+        assert_eq!(s.free_cons_count(1), 4);
+        assert!(!s.has_work(1));
+    }
+
+    /// A flit of another worm is counted, and the owner it should have
+    /// belonged to is reported.
+    #[test]
+    fn cons_push_reports_a_flit_of_another_worm() {
+        let mut s = slab();
+        s.reserve_cons(0, 0, WormId(2), false);
+        assert_eq!(s.cons_push(0, 0, flit(3, FlitKind::Tail)), Err(Some(WormId(2))));
+        assert_eq!(s.cons_push(0, 1, flit(3, FlitKind::Tail)), Err(None), "a free channel");
+        assert_eq!(s.cons_pop(0, 1).map(|c| c.owner()), Some(None), "drains unowned");
+        assert!(s.cons_is_free(0, 1));
     }
 
     #[test]
@@ -697,27 +954,122 @@ mod tests {
         assert!(n.park(0, TxnId(100), WormId(2), 2).is_some());
     }
 
+    /// `n` worms in a table, each unicast from node 0.
+    fn table(n: u64) -> WormTable {
+        use crate::worm::WormSpec;
+        let mut t = WormTable::new();
+        for i in 0..n {
+            t.insert(WormSpec::unicast(NodeId(0), NodeId(1), VNet::Req, 2, i), 0);
+        }
+        t
+    }
+
     #[test]
     fn injection_queues_per_vnet() {
         let mut s = slab();
-        s.enqueue(0, VNet::Req, WormId(1));
-        s.enqueue(0, VNet::Reply, WormId(2));
-        let n = &mut s;
-        assert_eq!(n.pop_inject(0, VNet::Req), Some(WormId(1)));
-        assert_eq!(n.pop_inject(0, VNet::Req), None);
-        assert_eq!(n.pop_inject(0, VNet::Reply), Some(WormId(2)));
+        let mut t = table(3);
+        s.enqueue(0, VNet::Req, WormId(1), &mut t);
+        s.enqueue(0, VNet::Reply, WormId(2), &mut t);
+        s.enqueue(0, VNet::Req, WormId(0), &mut t);
+        assert_eq!(s.pop_inject(0, VNet::Req, &mut t), Some(WormId(1)));
+        assert_eq!(s.pop_inject(0, VNet::Req, &mut t), Some(WormId(0)));
+        assert_eq!(s.pop_inject(0, VNet::Req, &mut t), None);
+        assert_eq!(s.pop_inject(1, VNet::Reply, &mut t), None, "other nodes untouched");
+        assert_eq!(s.pop_inject(0, VNet::Reply, &mut t), Some(WormId(2)));
+    }
+
+    /// Each (node, vnet) queue stays first-in first-out while worms
+    /// retire and their slots come back in other queues.
+    #[test]
+    fn injection_queues_stay_fifo_across_worm_slot_reuse() {
+        use crate::worm::WormSpec;
+        let mut s = slab();
+        let mut t = table(4);
+        for (n, vnet, id) in [(0, VNet::Req, 0), (1, VNet::Req, 1), (0, VNet::Req, 2)] {
+            s.enqueue(n, vnet, WormId(id), &mut t);
+        }
+        // Worm 3 is injected, delivered and retired; the next insert
+        // takes its slot and queues behind worm 2.
+        t.get_mut(WormId(3)).state = WormState::Delivered;
+        t.retire(WormId(3));
+        let reused = t.insert(WormSpec::unicast(NodeId(0), NodeId(1), VNet::Req, 2, 9), 0);
+        assert_eq!(reused, WormId(3));
+        s.enqueue(0, VNet::Req, reused, &mut t);
+        assert_eq!(s.pop_inject(0, VNet::Req, &mut t), Some(WormId(0)));
+        // Worm 0 streams, delivers and retires; its slot rejoins node 0's
+        // queue behind worm 3 and node 1's queue is untouched.
+        t.get_mut(WormId(0)).state = WormState::Delivered;
+        t.retire(WormId(0));
+        let again = t.insert(WormSpec::unicast(NodeId(0), NodeId(1), VNet::Req, 2, 10), 0);
+        s.enqueue(0, VNet::Req, again, &mut t);
+        let order: Vec<_> = std::iter::from_fn(|| s.pop_inject(0, VNet::Req, &mut t)).collect();
+        assert_eq!(order, vec![WormId(2), WormId(3), WormId(0)]);
+        assert_eq!(s.pop_inject(1, VNet::Req, &mut t), Some(WormId(1)));
+        assert!(!s.has_work(0) && !s.has_work(1));
+    }
+
+    /// Saved queues link back in order; a worm outside the table, one
+    /// that is not waiting, one its queue names twice (a cycle) and one
+    /// in two queues are refused.
+    #[test]
+    fn link_queues_refuses_dangling_cyclic_and_doubly_queued_worms() {
+        let queues = |lists: [&[u32]; 4]| {
+            let mut lists = lists.into_iter();
+            Strided::new(2, NUM_VNETS, || {
+                lists.next().unwrap().iter().map(|&i| WormId(i)).collect::<VecDeque<_>>()
+            })
+        };
+        let mut s = slab();
+        let mut t = table(4);
+        s.link_queues(&queues([&[2, 0], &[], &[], &[3, 1]]), &mut t).expect("links");
+        assert_eq!(s.queued(0, 0, &t).collect::<Vec<_>>(), vec![WormId(2), WormId(0)]);
+        assert_eq!(s.queued(1, 1, &t).collect::<Vec<_>>(), vec![WormId(3), WormId(1)]);
+        let refused = |lists: [&[u32]; 4], want: &str| {
+            let mut t = table(4);
+            t.get_mut(WormId(3)).state = WormState::InFlight;
+            let e = slab().link_queues(&queues(lists), &mut t).unwrap_err();
+            assert!(e.contains(want), "{e}");
+        };
+        refused([&[0, 4], &[], &[], &[]], "worm id 4 named outside a table of 4");
+        refused([&[], &[1, 2, 1], &[], &[]], "links worm 1 back to itself");
+        refused([&[0], &[], &[1, 0], &[]], "worm 0 waits in the injection queues of nodes 0 and 1");
+        refused([&[], &[], &[], &[3]], "worm 3 is queued for injection but InFlight");
     }
 
     #[test]
     fn has_work_tracks_every_queue() {
         let mut s = slab();
+        let mut t = table(2);
         assert!(!s.has_work(0));
-        s.enqueue(0, VNet::Req, WormId(1));
+        s.enqueue(0, VNet::Req, WormId(1), &mut t);
         assert!(s.has_work(0));
         assert!(!s.has_work(1));
-        assert_eq!(s.pop_inject(0, VNet::Req), Some(WormId(1)));
+        assert_eq!(s.pop_inject(0, VNet::Req, &mut t), Some(WormId(1)));
         assert!(!s.has_work(0));
         s.push_pending(1, TxnId(3), 2);
         assert!(s.has_work(1));
+    }
+
+    /// Deliveries leave in push order; the per-node takes keep each
+    /// node's order and leave the rest in place.
+    #[test]
+    fn delivery_queue_keeps_order_per_node() {
+        let mut s = slab();
+        let d = |node: u16, payload: u64| Delivery {
+            node: NodeId(node),
+            worm: WormId(0),
+            src: NodeId(0),
+            payload,
+            acks: 0,
+            at: 0,
+            txn: TxnId(0),
+        };
+        for (node, payload) in [(1, 10), (0, 20), (1, 11), (0, 21)] {
+            s.push_delivery(d(node, payload));
+        }
+        assert_eq!(s.pop_delivery_to(NodeId(0)), Some(d(0, 20)));
+        assert_eq!(s.take_deliveries_to(NodeId(1)), vec![d(1, 10), d(1, 11)]);
+        assert_eq!(s.pop_delivery(), Some(d(0, 21)));
+        assert_eq!(s.pop_delivery(), None);
     }
 }

@@ -121,7 +121,7 @@ const _: () = assert!(std::mem::size_of::<OutSlot>() == 8);
 
 /// Filler for FIFO ring entries that hold no flit.
 const EMPTY_FLIT: BufFlit =
-    BufFlit { flit: Flit { worm: WormId(0), kind: FlitKind::Head, seq: 0 }, ready_at: EMPTY_READY };
+    BufFlit { flit: Flit { worm: WormId(0), kind: FlitKind::Head }, ready_at: EMPTY_READY };
 
 /// Slot-class masks of one router; bit `port * vcs + vc` in each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,10 +193,9 @@ pub struct RouterSlab {
     /// Round-robin arbitration pointer per output port (stride `ports`):
     /// the slot just after the last winner, kept in `0..slots`.
     rr: Strided<u32>,
-    /// Slot-class masks per node.
+    /// Slot-class masks per node; a router holds flits exactly when its
+    /// occupancy mask is non-empty.
     masks: Vec<SlotMasks>,
-    /// Flits currently buffered per node (fast-skip).
-    flits: Vec<u32>,
 }
 
 impl RouterSlab {
@@ -252,7 +251,6 @@ impl RouterSlab {
             pending_absorb: Strided::new(nodes, slots, || None),
             rr: Strided::new(nodes, ports, || 0),
             masks: vec![SlotMasks::default(); nodes],
-            flits: vec![0; nodes],
         }
     }
 
@@ -290,12 +288,6 @@ impl RouterSlab {
     #[inline]
     pub(crate) fn port_mask(&self, port: usize) -> BitSet128 {
         self.port_masks[port]
-    }
-
-    /// Flits buffered at node `n`.
-    #[inline]
-    pub fn flits(&self, n: usize) -> usize {
-        self.flits[n] as usize
     }
 
     /// Slot-class masks of node `n`.
@@ -458,7 +450,7 @@ impl RouterSlab {
     }
 
     /// Deposit a flit into input `(port, vc)` of node `n`, maintaining the
-    /// head-ready mirror, occupancy bit, and flit count. Panics on
+    /// head-ready mirror and occupancy bit. Panics on
     /// overflow (credit discipline must prevent it).
     pub fn deposit(&mut self, n: usize, port: usize, vc: usize, bf: BufFlit) {
         let s = self.slot(port, vc);
@@ -475,7 +467,6 @@ impl RouterSlab {
             tail -= self.vc_cap;
         }
         self.fifo[q * self.vc_cap + tail] = bf;
-        self.flits[n] += 1;
         self.masks[n].occ.set(s);
     }
 
@@ -499,7 +490,6 @@ impl RouterSlab {
         slot.head = head as u16;
         slot.len = (len - 1) as u16;
         slot.ready = next_ready;
-        self.flits[n] -= 1;
         if len == 1 {
             self.masks[n].occ.clear(s);
         }
@@ -516,8 +506,8 @@ impl RouterSlab {
         })
     }
 
-    /// Recompute every derived field — the flit counts, the front ready
-    /// times, the occupancy mask and the four mode/allocation masks —
+    /// Recompute every derived field — the front ready times, the
+    /// occupancy mask and the four mode/allocation masks —
     /// from the FIFOs, modes and allocations, and report the first field
     /// that disagrees with the maintained one. `O(nodes * slots)`: a
     /// check for tests and debugging, not for the tick.
@@ -540,13 +530,7 @@ impl RouterSlab {
                     ));
                 }
             }
-            let (want, flits) = self.derived_masks(n);
-            if flits != self.flits[n] {
-                return Err(format!(
-                    "node {n}: flit count {} but FIFOs hold {flits}",
-                    self.flits[n]
-                ));
-            }
+            let want = self.derived_masks(n);
             if want != self.masks[n] {
                 return Err(format!("node {n}: masks {:?} but recomputed {want:?}", self.masks[n]));
             }
@@ -563,24 +547,21 @@ impl RouterSlab {
         }
     }
 
-    /// The slot-class masks and flit count node `n`'s FIFO lengths, modes
-    /// and allocations imply.
-    fn derived_masks(&self, n: usize) -> (SlotMasks, u32) {
+    /// The slot-class masks node `n`'s FIFO lengths, modes and
+    /// allocations imply.
+    fn derived_masks(&self, n: usize) -> SlotMasks {
         let mut masks = SlotMasks::default();
-        let mut flits = 0;
         for s in 0..self.slots {
             let q = n * self.slots + s;
-            let len = self.inp[q].len;
-            if len > 0 {
+            if self.inp[q].len > 0 {
                 masks.occ.set(s);
             }
-            flits += u32::from(len);
             masks.set_mode_bits(s, self.inp[q].mode);
             if self.out[q].alloc.is_some() {
                 masks.alloc.set(s);
             }
         }
-        (masks, flits)
+        masks
     }
 
     /// FIFOs whose live flits straddle the ring's end.
@@ -692,7 +673,7 @@ impl RouterSlab {
             self.inp[q].ready = self.derived_ready(q);
         }
         for n in 0..self.nodes {
-            (self.masks[n], self.flits[n]) = self.derived_masks(n);
+            self.masks[n] = self.derived_masks(n);
         }
         Ok(())
     }
@@ -709,19 +690,19 @@ snap_enum!(VcMode {
 mod tests {
     use super::*;
 
-    fn bf(seq: u16) -> BufFlit {
+    /// A flit of worm `id`, so FIFO order shows in the worm ids.
+    fn bf(id: u16) -> BufFlit {
         BufFlit {
             flit: Flit {
-                worm: WormId(0),
-                kind: if seq == 0 { FlitKind::Head } else { FlitKind::Body },
-                seq,
+                worm: WormId(id.into()),
+                kind: if id == 0 { FlitKind::Head } else { FlitKind::Body },
             },
             ready_at: 0,
         }
     }
 
-    fn bf_at(seq: u16, ready_at: Cycle) -> BufFlit {
-        BufFlit { ready_at, ..bf(seq) }
+    fn bf_at(id: u16, ready_at: Cycle) -> BufFlit {
+        BufFlit { ready_at, ..bf(id) }
     }
 
     #[test]
@@ -729,12 +710,15 @@ mod tests {
         let mut r = RouterSlab::new(2, 5, 2, 4);
         r.deposit(1, 0, 1, bf(0));
         r.deposit(1, 0, 1, bf(1));
-        assert_eq!(r.flits(1), 2);
-        assert_eq!(r.flits(0), 0, "other nodes untouched");
+        assert_eq!(r.occ(1).iter().collect::<Vec<_>>(), vec![1], "slot (0, 1) occupied");
+        assert!(r.occ(0).is_empty(), "other nodes untouched");
         assert_eq!(r.space(1, 0, 1), 2);
-        let f = r.pop(1, 0, 1);
-        assert_eq!(f.flit.seq, 0);
-        assert_eq!(r.flits(1), 1);
+        assert_eq!(r.pop(1, 0, 1).flit.worm, WormId(0));
+        assert_eq!(r.space(1, 0, 1), 3, "one flit left");
+        assert!(r.occ(1).test(1));
+        assert_eq!(r.pop(1, 0, 1).flit.worm, WormId(1));
+        assert!(r.occ(1).is_empty(), "the emptied FIFO clears its bit");
+        r.check_consistency().expect("consistent");
     }
 
     #[test]
@@ -761,10 +745,10 @@ mod tests {
         r.deposit(1, 1, 1, bf_at(0, 100));
         r.deposit(1, 1, 1, bf_at(1, 101));
         let cycles = 3 * cap as u16 + 3;
-        for seq in 2..2 + cycles {
-            r.deposit(1, 1, 1, bf_at(seq, 100 + u64::from(seq)));
-            assert_eq!(r.pop(1, 1, 1).flit.seq, seq - 2, "FIFO order");
-            assert_eq!(r.front_ready(1, 1, 1), 100 + u64::from(seq) - 1);
+        for id in 2..2 + cycles {
+            r.deposit(1, 1, 1, bf_at(id, 100 + u64::from(id)));
+            assert_eq!(r.pop(1, 1, 1).flit.worm, WormId((id - 2).into()), "FIFO order");
+            assert_eq!(r.front_ready(1, 1, 1), 100 + u64::from(id) - 1);
             r.check_consistency().expect("consistent after every cycle");
         }
         assert_eq!(usize::from(r.inp[q].head), cap - 1, "front at the ring's last entry");
@@ -778,7 +762,7 @@ mod tests {
         assert_eq!(r.front_ready(1, 1, 1), last, "the wrapped flit is the new front");
         assert_eq!(r.pop(1, 1, 1).ready_at, last);
         assert_eq!(r.front_ready(1, 1, 1), Cycle::MAX);
-        assert!(r.occ(1).is_empty() && r.flits(1) == 0);
+        assert!(r.occ(1).is_empty() && r.space(1, 1, 1) == cap);
         r.check_consistency().expect("empty again");
     }
 
@@ -824,9 +808,9 @@ mod tests {
     #[test]
     fn save_load_round_trips_wrapped_fifos_canonically() {
         let mut a = RouterSlab::new(1, 5, 2, 3);
-        for seq in 0..5 {
-            a.deposit(0, 2, 1, bf_at(seq, u64::from(seq)));
-            if seq < 3 {
+        for id in 0..5 {
+            a.deposit(0, 2, 1, bf_at(id, u64::from(id)));
+            if id < 3 {
                 a.pop(0, 2, 1);
             }
         }
@@ -842,7 +826,7 @@ mod tests {
         assert_eq!(b.masks(0), a.masks(0));
         assert_eq!(b.rr(0, 0), 0, "pointer past the last slot wraps to 0");
         for _ in 0..2 {
-            assert_eq!(b.pop(0, 2, 1).flit.seq, a.pop(0, 2, 1).flit.seq);
+            assert_eq!(b.pop(0, 2, 1).flit, a.pop(0, 2, 1).flit);
         }
         // The same FIFO contents at another ring position save the same.
         let mut w = SnapWriter::new();

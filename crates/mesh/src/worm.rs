@@ -7,10 +7,12 @@
 //! advancing [`WormHot::dest_idx`].
 //!
 //! Flits reference their worm by id; payload lives in the central
-//! [`WormTable`] so flits stay two words. Each injected worm allocates
-//! its destination list (and delivery mask, if any) once; the table
-//! reuses the slot of every retired worm, so a run's table stays the
-//! size of its working set.
+//! [`WormTable`] so a flit is a worm id and its kind. Each injected worm
+//! allocates its destination list (and delivery mask, if any) once; the
+//! table reuses the slot of every retired worm, so a run's table stays
+//! the size of its working set. A worm waiting in a NIC injection queue
+//! links to the next worm of that queue through its own slot (see
+//! [`crate::nic`]).
 
 use crate::topology::NodeId;
 use wormdsm_sim::snap::{snap_enum, snap_struct};
@@ -84,12 +86,10 @@ pub struct Flit {
     pub worm: WormId,
     /// Head / body / tail.
     pub kind: FlitKind,
-    /// Sequence number within the worm (0 = head).
-    pub seq: u16,
 }
 
 impl Flit {
-    /// Flit `seq` of `worm`, a worm of `len` flits.
+    /// Flit `seq` (0 = head) of `worm`, a worm of `len` flits.
     #[inline]
     pub fn nth(worm: WormId, seq: u16, len: u16) -> Flit {
         let kind = if seq == 0 {
@@ -99,7 +99,7 @@ impl Flit {
         } else {
             FlitKind::Body
         };
-        Flit { worm, kind, seq }
+        Flit { worm, kind }
     }
 }
 
@@ -196,6 +196,10 @@ pub struct Worm {
     /// once it is `Delivered` *and* this count is back to zero — absorb
     /// copies at intermediate destinations can drain after the final tail.
     pub copies: u32,
+    /// The worm queued behind this one in the same NIC injection queue
+    /// (None at the queue's end, and whenever the worm is not queued).
+    /// Not saved: the NICs save their queues as lists and relink on load.
+    pub(crate) next: Option<WormId>,
 }
 
 /// A worm's hot record: the 12 bytes head processing, route allocation
@@ -322,6 +326,7 @@ impl WormTable {
             queued_at: now,
             bounced: false,
             copies: 0,
+            next: None,
         };
         let i = id.0 as usize;
         if i < self.worms.len() {
@@ -361,6 +366,18 @@ impl WormTable {
         let h = self.hot[i];
         assert!(!h.last, "worm {} advanced past its last destination", id.0);
         self.hot[i] = WormHot::derive(&self.worms[i].spec, h.dest_idx + 1, h.turned);
+    }
+
+    /// The worm queued behind `id` in its injection queue.
+    #[inline]
+    pub(crate) fn next(&self, id: WormId) -> Option<WormId> {
+        self.worms[id.0 as usize].next
+    }
+
+    /// Link `next` behind `id` in its injection queue.
+    #[inline]
+    pub(crate) fn set_next(&mut self, id: WormId, next: Option<WormId>) {
+        self.worms[id.0 as usize].next = next;
     }
 
     /// Set or clear the `turned` flag of `id`.
@@ -424,7 +441,7 @@ snap_struct!(TxnId(0));
 snap_enum!(VNet { 0 => Req, 1 => Reply });
 snap_enum!(WormKind { 0 => Unicast, 1 => Multicast, 2 => Gather });
 snap_enum!(FlitKind { 0 => Head, 1 => Body, 2 => Tail });
-snap_struct!(Flit { worm, kind, seq });
+snap_struct!(Flit { worm, kind });
 snap_enum!(WormState { 0 => Queued, 1 => InFlight, 2 => Parked(node), 3 => Delivered });
 snap_struct!(WormSpec {
     src,
@@ -478,7 +495,7 @@ mod snap_impls {
                 let turned = r.get_bool()?;
                 let bounced = r.get_bool()?;
                 let copies = r.get_u32()?;
-                let c = Worm { spec, acks, state, queued_at, bounced, copies };
+                let c = Worm { spec, acks, state, queued_at, bounced, copies, next: None };
                 // The rules `insert` asserts, so the hot record can be
                 // derived and the first hop cannot index past the list.
                 if let Some(e) = spec_error(&c.spec) {
@@ -496,6 +513,21 @@ mod snap_impls {
             let free: Vec<u32> = Vec::load(r)?;
             if free.iter().any(|&s| s as usize >= worms.len()) {
                 return Err(SnapError::Corrupt("worm free list out of range".to_string()));
+            }
+            // A free slot is reused by the next insert, which overwrites
+            // the record (and its queue link); only a retired worm may be
+            // there, and only once.
+            let mut listed = vec![false; worms.len()];
+            for &s in &free {
+                let w = &worms[s as usize];
+                if w.state != WormState::Delivered
+                    || w.copies != 0
+                    || std::mem::replace(&mut listed[s as usize], true)
+                {
+                    return Err(SnapError::Corrupt(format!(
+                        "worm free list names slot {s} twice or before it retired"
+                    )));
+                }
             }
             Ok(Self { hot, worms, free })
         }
@@ -566,7 +598,6 @@ mod tests {
         assert_eq!(fs[2].kind, FlitKind::Body);
         assert_eq!(fs[3].kind, FlitKind::Tail);
         assert!(fs.iter().all(|f| f.worm == WormId(5)));
-        assert_eq!(fs[3].seq, 3);
     }
 
     #[test]
@@ -729,5 +760,17 @@ mod tests {
     #[test]
     fn load_refuses_a_worm_shorter_than_two_flits() {
         refused(|t| t.worms[1].spec.len_flits = 1, "head and tail flits");
+    }
+
+    #[test]
+    fn load_refuses_a_free_slot_of_a_live_or_twice_freed_worm() {
+        refused(|t| t.free.push(0), "free list names slot 0");
+        refused(
+            |t| {
+                t.retire(WormId(1));
+                t.free.push(1);
+            },
+            "free list names slot 1 twice",
+        );
     }
 }

@@ -506,3 +506,31 @@ fn gather_bounces_when_no_entry_available() {
     assert_eq!(ds.len(), 2);
     assert!(ds.iter().all(|d| d.acks == 2));
 }
+
+/// Deliveries leave through one queue in NIC order: two nodes that
+/// deliver in the same tick queue behind an earlier, undrained delivery,
+/// ascending by node, and the per-node takes keep each node's order.
+#[test]
+fn delivery_queue_keeps_nic_order_and_per_node_fifo() {
+    let mut net = Network::new(cfg(4));
+    let uni =
+        |s: u16, d: u16, payload| WormSpec::unicast(NodeId(s), NodeId(d), VNet::Req, 6, payload);
+    net.inject(uni(4, 5, 1));
+    net.run_until_quiescent(1_000).expect("quiesces");
+    // One hop each, on disjoint links: all three tails drain in one tick.
+    net.inject(uni(6, 5, 2));
+    net.inject(uni(3, 2, 3));
+    net.inject(uni(0, 1, 4));
+    net.run_until_quiescent(1_000).expect("quiesces");
+    let first = net.pop_delivery(NodeId(5)).expect("the earlier delivery");
+    assert_eq!(first.payload, 1);
+    let at_2 = net.take_deliveries(NodeId(2));
+    assert_eq!(at_2.iter().map(|d| d.payload).collect::<Vec<_>>(), vec![3]);
+    let at_1 = net.next_delivery().expect("node 1 is next in NIC order");
+    assert_eq!((at_1.node, at_1.payload), (NodeId(1), 4));
+    assert_eq!(at_1.at, at_2[0].at, "nodes 1 and 2 delivered in one tick");
+    assert!(first.at < at_1.at);
+    let last = net.take_deliveries(NodeId(5));
+    assert_eq!(last.iter().map(|d| (d.payload, d.at)).collect::<Vec<_>>(), vec![(2, at_1.at)]);
+    assert_eq!(net.next_delivery(), None);
+}

@@ -43,8 +43,12 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// configuration field by field, and drops a worm's delivery cycle and a
 /// delivery's final/absorb kind, which no run read; version 8 drops the
 /// worm table's slot-recycling flag, since every network now reuses the
-/// slots of retired worms.
-pub const SNAP_VERSION: u32 = 8;
+/// slots of retired worms; version 9 stores each consumption channel as
+/// its owner, flit count and two flags instead of its buffered flits,
+/// the deliveries as one network-wide queue without the delivery node
+/// bitset, one directory map for every home instead of one per node,
+/// and flits without their sequence number.
+pub const SNAP_VERSION: u32 = 9;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

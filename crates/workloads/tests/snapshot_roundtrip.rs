@@ -229,19 +229,23 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded four times since: once when
+/// lock state. The hashes were re-recorded five times since: once when
 /// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
 /// fingerprint of the config's `Debug` text, and that fingerprint was the
 /// only byte range that moved), once for format version 6, which
 /// stores only each cache's occupied lines and drops four fields no run
 /// read (a worm's id and injection cycle, the `kind` of `Ev::Recv` and
-/// `Ev::Handle`, and the NICs' injection-backlog high-water marks), and
+/// `Ev::Handle`, and the NICs' injection-backlog high-water marks),
 /// once for format version 7, which stores only the message-table slots
 /// still held (generation-stamped keys, collected at the tick boundary),
 /// fingerprints the configuration field by field instead of by its
 /// `Debug` text, and drops a worm's delivery cycle and a delivery's
-/// final/absorb kind, and once for format version 8, which drops the
-/// worm table's slot-recycling flag (every network now recycles).
+/// final/absorb kind, once for format version 8, which drops the
+/// worm table's slot-recycling flag (every network now recycles), and
+/// once for format version 9, which stores each consumption channel as a
+/// counter record, the deliveries as one queue without their node
+/// bitset, one directory map for every home, and flits without their
+/// sequence number.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -256,12 +260,12 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0x7507_e4f5_5fb9_ba35),
-        ("lu", 0xe47a_573f_d9d4_dd46),
-        ("apsp", 0x9c46_97eb_7536_03d4),
-        ("synth 2ph", 0xdd6f_5aea_5488_a216),
-        ("synth ada", 0x7b60_12f7_9e6d_cda8),
-        ("locks", 0x8346_54f1_044a_5568),
+        ("bh", 0x525a_56c3_d5ef_8f95),
+        ("lu", 0x26c2_0d30_d9fb_89bd),
+        ("apsp", 0xc408_860c_06ad_3b17),
+        ("synth 2ph", 0xa48b_3a99_a946_c0c0),
+        ("synth ada", 0x7eba_0c77_bb28_f4a9),
+        ("locks", 0x42fd_16f8_ed66_0f1e),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");
