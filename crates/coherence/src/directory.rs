@@ -138,18 +138,10 @@ impl Directory {
         self.entries.get(b.0).map_or(DirState::Uncached, |e| e.state)
     }
 
-    /// All materialized block ids, ascending.
-    ///
-    /// **Cold path only** — collects and sorts on every call. Its
-    /// callers are end-of-run audits (`DsmSystem::verify_coherence`,
-    /// which the bench binaries now run after every arm) and debug
-    /// sweeps; keep it off the per-transaction path, where
-    /// [`Directory::entry`]/[`Directory::entry_mut`] are the O(1)
-    /// accessors.
-    pub fn blocks(&self) -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = self.entries.keys().map(BlockId).collect();
-        v.sort_unstable();
-        v
+    /// Every materialized entry with its block, in no particular order
+    /// (audits such as `DsmSystem::verify_coherence` pick their own).
+    pub fn iter(&self) -> impl Iterator<Item = (BlockId, &DirEntry)> {
+        self.entries.iter().map(|(b, e)| (BlockId(b), e))
     }
 
     /// Node count the presence bits cover.

@@ -1,10 +1,11 @@
 //! # wormdsm-coherence — directory-based coherence substrate
 //!
 //! The passive building blocks of the paper's DSM node: addresses and home
-//! mapping, processor caches (MSI, direct-mapped, write-back), the
-//! fully-mapped directory with column-organized presence-bit views,
-//! protocol message definitions, the controller/memory cost model, and the
-//! writeback buffer that closes the fetch/writeback race window.
+//! mapping, every node's processor cache in one table (MSI, direct-mapped,
+//! write-back), the fully-mapped directory with column-organized
+//! presence-bit views, protocol message definitions, the controller/memory
+//! cost model, and the writeback buffer that closes the fetch/writeback
+//! race window.
 //!
 //! The *active* protocol engine (transaction FSMs, the invalidation
 //! schemes, sequential-consistency stalling) lives in `wormdsm-core`, which
@@ -20,7 +21,7 @@ pub mod msg;
 pub mod wb;
 
 pub use addr::{Addr, BlockId, MemGeometry};
-pub use cache::{Cache, Evicted, LineState};
+pub use cache::{Caches, Evicted, LineState};
 pub use cost::{CostModel, MsgSizes};
 pub use directory::{DirEntry, DirState, Directory, QueuedReq};
 pub use msg::{MsgTable, ProtoMsg};

@@ -1,16 +1,19 @@
-//! Randomized property tests on the coherence substrate: cache behaves
-//! like a model map, directory presence bits behave like a model set,
+//! Randomized property tests on the coherence substrate: the cache table
+//! behaves like a model map per node, directory presence bits behave like a model set,
 //! home mapping is total and balanced.
 //!
 //! Cases are generated from the workspace's deterministic [`Rng`] with
 //! fixed seeds, so every run exercises the same cases.
 
 use std::collections::HashMap;
-use wormdsm_coherence::{Addr, BlockId, Cache, DirEntry, Evicted, LineState, MemGeometry};
+use wormdsm_coherence::{Addr, BlockId, Caches, DirEntry, Evicted, LineState, MemGeometry};
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_sim::Rng;
 
-/// Operations against the cache under test.
+/// Nodes sharing the cache table under test.
+const NODES: usize = 3;
+
+/// Operations against the cache table under test, each at a node.
 #[derive(Debug, Clone)]
 enum CacheOp {
     Insert(u64, bool), // block, modified
@@ -19,17 +22,19 @@ enum CacheOp {
     Downgrade(u64),
 }
 
-fn cache_ops(rng: &mut Rng) -> Vec<CacheOp> {
+fn cache_ops(rng: &mut Rng) -> Vec<(NodeId, CacheOp)> {
     let n = rng.range(1, 199) as usize;
     (0..n)
         .map(|_| {
+            let node = NodeId(rng.index(NODES) as u16);
             let b = rng.below(64);
-            match rng.index(4) {
+            let op = match rng.index(4) {
                 0 => CacheOp::Insert(b, rng.chance(0.5)),
                 1 => CacheOp::Invalidate(b),
                 2 => CacheOp::Upgrade(b),
                 _ => CacheOp::Downgrade(b),
-            }
+            };
+            (node, op)
         })
         .collect()
 }
@@ -39,55 +44,60 @@ fn cache_matches_reference_model() {
     let mut rng = Rng::new(0xC0DE_0001);
     for _ in 0..64 {
         let ops = cache_ops(&mut rng);
-        // Reference: a map slot -> (block, state), 16 direct-mapped slots.
+        // Reference: a map (node, slot) -> (block, state), 16
+        // direct-mapped slots per node.
         let sets = 16usize;
-        let mut cache = Cache::new(sets);
-        let mut model: HashMap<usize, (u64, LineState)> = HashMap::new();
-        for op in ops {
+        let mut cache = Caches::new(sets);
+        let mut model: HashMap<(NodeId, usize), (u64, LineState)> = HashMap::new();
+        for (node, op) in ops {
             match op {
                 CacheOp::Insert(b, modified) => {
                     let state = if modified { LineState::Modified } else { LineState::Shared };
-                    let slot = b as usize % sets;
+                    let slot = (node, b as usize % sets);
                     let expect = match model.get(&slot) {
                         None => Evicted::None,
                         Some(&(ob, _)) if ob == b => Evicted::None,
                         Some(&(ob, LineState::Shared)) => Evicted::Clean(BlockId(ob)),
                         Some(&(ob, LineState::Modified)) => Evicted::Dirty(BlockId(ob)),
                     };
-                    let got = cache.insert(BlockId(b), state);
+                    let got = cache.insert(node, BlockId(b), state);
                     assert_eq!(got, expect);
                     model.insert(slot, (b, state));
                 }
                 CacheOp::Invalidate(b) => {
-                    let slot = b as usize % sets;
+                    let slot = (node, b as usize % sets);
                     let expect = match model.get(&slot) {
                         Some(&(ob, st)) if ob == b => Some(st),
                         _ => None,
                     };
-                    assert_eq!(cache.invalidate(BlockId(b)), expect);
+                    assert_eq!(cache.invalidate(node, BlockId(b)), expect);
                     if expect.is_some() {
                         model.remove(&slot);
                     }
                 }
                 CacheOp::Upgrade(b) => {
-                    let slot = b as usize % sets;
+                    let slot = (node, b as usize % sets);
                     let present = matches!(model.get(&slot), Some(&(ob, _)) if ob == b);
-                    assert_eq!(cache.upgrade(BlockId(b)), present);
+                    assert_eq!(cache.upgrade(node, BlockId(b)), present);
                     if present {
                         model.insert(slot, (b, LineState::Modified));
                     }
                 }
                 CacheOp::Downgrade(b) => {
-                    let slot = b as usize % sets;
+                    let slot = (node, b as usize % sets);
                     let present = matches!(model.get(&slot), Some(&(ob, _)) if ob == b);
-                    assert_eq!(cache.downgrade(BlockId(b)), present);
+                    assert_eq!(cache.downgrade(node, BlockId(b)), present);
                     if present {
                         model.insert(slot, (b, LineState::Shared));
                     }
                 }
             }
-            // State agreement on every block after each step.
-            assert_eq!(cache.occupancy(), model.len());
+            // Line count agreement after each step.
+            assert_eq!(cache.len(), model.len());
+        }
+        // Every line of every node agrees with the model at the end.
+        for ((node, _), &(b, st)) in &model {
+            assert_eq!(cache.state(*node, BlockId(b)), Some(st));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Whole-system configuration.
 
 use crate::schemes::SchemeKind;
-use wormdsm_coherence::{CostModel, MsgSizes};
+use wormdsm_coherence::{Caches, CostModel, MsgSizes};
 use wormdsm_mesh::network::MeshConfig;
 use wormdsm_sim::Cycle;
 
@@ -88,7 +88,9 @@ impl SystemConfig {
     /// router delay and controller cost is at most
     /// [`MAX_TIMING_CYCLES`]; `NodeId` is a `u16`, so a mesh may not
     /// exceed 65536 nodes; the cache set count and block size must be
-    /// powers of two (blocks of at least 4 bytes); control and gather
+    /// powers of two (blocks of at least 4 bytes), and the set count at
+    /// most [`Caches::MAX_SETS`] (2^48, so a set and a node share one
+    /// 64-bit key of the cache table); control and gather
     /// messages need a head and a tail flit, and the longest worm must
     /// fit its `u16` length; and a release-consistency write buffer must
     /// hold a write.
@@ -118,8 +120,11 @@ impl SystemConfig {
                 self.nodes()
             ));
         }
-        if !self.cache_sets.is_power_of_two() {
-            return Err(format!("cache_sets must be a power of two, not {}", self.cache_sets));
+        if !self.cache_sets.is_power_of_two() || self.cache_sets > Caches::MAX_SETS {
+            return Err(format!(
+                "cache_sets must be a power of two of at most 2^48, not {}",
+                self.cache_sets
+            ));
         }
         if !self.block_bytes.is_power_of_two() || self.block_bytes < 4 {
             return Err(format!(
@@ -180,6 +185,10 @@ mod tests {
         let mut c = SystemConfig::paper_defaults(4);
         c.cache_sets = 0;
         assert!(c.validate().unwrap_err().contains("cache_sets"));
+        c.cache_sets = 1 << 48;
+        assert_eq!(c.validate(), Ok(()));
+        c.cache_sets = 1 << 49;
+        assert!(c.validate().unwrap_err().contains("at most 2^48"));
 
         // Over-provisioned VCs blow the router occupancy bitset; the
         // mesh-level check surfaces through the system-level validate.

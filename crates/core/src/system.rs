@@ -20,7 +20,7 @@ use crate::plan::{AckAction, InvalPlan, PlannedWorm};
 use crate::schemes::InvalidationScheme;
 use std::collections::VecDeque;
 use wormdsm_coherence::{
-    Addr, BlockId, Cache, CostModel, DirState, Directory, Evicted, LineState, MemGeometry,
+    Addr, BlockId, Caches, CostModel, DirState, Directory, Evicted, LineState, MemGeometry,
     MsgSizes, MsgTable, ProtoMsg, WbBuffer,
 };
 use wormdsm_mesh::network::MeshConfig;
@@ -166,7 +166,6 @@ impl StallKind {
 /// Per-node mutable state.
 #[derive(Debug)]
 struct NodeCtx {
-    cache: Cache,
     wb: WbBuffer,
     dc: BusyTime,
     cc: BusyTime,
@@ -332,6 +331,8 @@ pub struct DsmSystem {
     geom: MemGeometry,
     msgs: MsgTable,
     nodes: Vec<NodeCtx>,
+    /// Every node's cache lines in one table.
+    caches: Caches,
     /// Every home's directory entries in one map keyed by block; a
     /// block's home is [`MemGeometry::home_of`].
     dir: Directory,
@@ -390,7 +391,6 @@ impl DsmSystem {
         let geom = MemGeometry::new(cfg.block_bytes, n);
         let nodes = (0..n)
             .map(|_| NodeCtx {
-                cache: Cache::new(cfg.cache_sets),
                 wb: WbBuffer::new(),
                 dc: BusyTime::new(),
                 cc: BusyTime::new(),
@@ -408,6 +408,7 @@ impl DsmSystem {
         if let Some(window) = scheme.feedback_window() {
             net.enable_link_load(window);
         }
+        let caches = Caches::new(cfg.cache_sets);
         Ok(Self {
             cfg,
             scheme,
@@ -415,6 +416,7 @@ impl DsmSystem {
             geom,
             msgs: MsgTable::new(),
             nodes,
+            caches,
             dir: Directory::new(n),
             txns: TxnSlab::default(),
             cal: Calendar::new(),
@@ -857,7 +859,9 @@ impl DsmSystem {
         w.put_bool(self.fast_forward);
         self.net.save_state(&mut w);
         self.msgs.save(&mut w);
-        self.nodes.save(&mut w);
+        // Each node's record opens with its cache section (format v9).
+        w.put_usize(self.nodes.len());
+        self.caches.save_sections(self.nodes.len(), &mut w, |i, w| self.nodes[i].save(w));
         self.dir.save(&mut w);
         self.txns.save(&mut w);
         self.cal.save(&mut w);
@@ -911,15 +915,17 @@ impl DsmSystem {
         sys.fast_forward = r.get_bool().map_err(snap_err)?;
         sys.net = Network::load_state(sys.cfg.mesh.clone(), &mut r).map_err(snap_err)?;
         sys.msgs = Snap::load(&mut r).map_err(snap_err)?;
-        let nodes: Vec<NodeCtx> = Snap::load(&mut r).map_err(snap_err)?;
-        if nodes.len() != sys.cfg.nodes() {
+        let n = r.get_len().map_err(snap_err)?;
+        if n != sys.cfg.nodes() {
             return Err(SimError::Snapshot(format!(
-                "snapshot holds {} nodes, configuration has {}",
-                nodes.len(),
+                "snapshot holds {n} nodes, configuration has {}",
                 sys.cfg.nodes()
             )));
         }
-        sys.nodes = nodes;
+        for (i, node) in sys.nodes.iter_mut().enumerate() {
+            sys.caches.load_section(NodeId(i as u16), &mut r).map_err(snap_err)?;
+            *node = Snap::load(&mut r).map_err(snap_err)?;
+        }
         let dir: Directory = Snap::load(&mut r).map_err(snap_err)?;
         if dir.nodes() != sys.cfg.nodes() {
             return Err(SimError::Snapshot(format!(
@@ -1077,7 +1083,7 @@ impl DsmSystem {
                     self.stall(node, StallKind::Deferred(op), now);
                     return;
                 }
-                if self.nodes[node.idx()].cache.read_hit(block) {
+                if self.caches.read_hit(node, block) {
                     self.metrics.read_hits += 1;
                     self.nodes[node.idx()].proc = ProcState::BusyUntil(now + costs.cache_access);
                 } else {
@@ -1099,7 +1105,7 @@ impl DsmSystem {
                     self.stall(node, StallKind::Deferred(op), now);
                     return;
                 }
-                if self.nodes[node.idx()].cache.write_hit(block) {
+                if self.caches.write_hit(node, block) {
                     self.metrics.write_hits += 1;
                     self.nodes[node.idx()].proc = ProcState::BusyUntil(now + costs.cache_access);
                     return;
@@ -1126,7 +1132,7 @@ impl DsmSystem {
                 // Upgrade detection must not count as a processor access:
                 // probe (side-effect-free) rather than read_hit, so a
                 // Shared copy upgrades and anything else is a write miss.
-                let msg = if self.nodes[node.idx()].cache.probe(block).is_some() {
+                let msg = if self.caches.probe(node, block).is_some() {
                     ProtoMsg::UpgradeReq { block, requester: node }
                 } else {
                     ProtoMsg::WriteReq { block, requester: node }
@@ -1216,71 +1222,62 @@ impl DsmSystem {
     /// * **Uncached purity** — an `Uncached` block is in no cache.
     /// * **No residue** — no directory entry is left `Waiting` and no
     ///   invalidation transaction is open.
+    /// * **No stray lines** — every cached block has a directory entry.
     ///
-    /// Returns a diagnostic for the first violation found.
+    /// Returns a diagnostic for the first violation in (home, block, node)
+    /// order. Each directory entry and each cached line is checked once,
+    /// so the audit costs O(blocks + lines), not O(blocks * nodes).
     pub fn verify_coherence(&self) -> Result<(), String> {
         if !self.txns.is_empty() {
             return Err(format!("{} invalidation transactions still open", self.txns.len()));
         }
-        // Home by home, each home's blocks ascending.
-        let mut blocks = self.dir.blocks();
-        blocks.sort_by_key(|&b| (self.geom.home_of(b), b));
-        for block in blocks {
+        // Every violation, keyed by (home, block, node); the least is
+        // reported.
+        let mut found: Vec<((NodeId, BlockId, NodeId), String)> = Vec::new();
+        for (block, entry) in self.dir.iter() {
             let home = self.geom.home_of(block);
-            let entry = self.dir.entry(block).expect("listed block exists");
             match entry.state {
-                DirState::Uncached => {
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        if let Some(st) = n.cache.state(block) {
-                            return Err(format!(
-                                "{block} uncached at home {home} but cached {st:?} at n{i}"
-                            ));
-                        }
-                    }
-                }
-                DirState::Shared => {
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        match n.cache.state(block) {
-                            Some(LineState::Modified) => {
-                                return Err(format!(
-                                    "{block} shared at home {home} but Modified at n{i}"
-                                ));
-                            }
-                            Some(LineState::Shared) if !entry.has_presence(NodeId(i as u16)) => {
-                                return Err(format!(
-                                    "{block} cached at n{i} without a presence bit"
-                                ));
-                            }
-                            Some(LineState::Shared) => {}
-                            None => {}
-                        }
-                    }
-                }
+                DirState::Waiting => found.push((
+                    (home, block, NodeId(0)),
+                    format!("{block} left in Waiting at home {home}"),
+                )),
+                // The owner may have a writeback in flight only while the
+                // system is not idle; at idle it must hold the line
+                // Modified.
                 DirState::Exclusive(owner) => {
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        let st = n.cache.state(block);
-                        if NodeId(i as u16) == owner {
-                            // The owner may have a writeback in flight
-                            // only while the system is not idle; at
-                            // idle it must hold the line Modified.
-                            if st != Some(LineState::Modified) {
-                                return Err(format!(
-                                    "{block} exclusive at {owner} but its cache holds {st:?}"
-                                ));
-                            }
-                        } else if st.is_some() {
-                            return Err(format!(
-                                "{block} exclusive at {owner} but also cached {st:?} at n{i} (SWMR violation)"
-                            ));
-                        }
+                    let st = self.caches.state(owner, block);
+                    if st != Some(LineState::Modified) {
+                        found.push((
+                            (home, block, owner),
+                            format!("{block} exclusive at {owner} but its cache holds {st:?}"),
+                        ));
                     }
                 }
-                DirState::Waiting => {
-                    return Err(format!("{block} left in Waiting at home {home}"));
-                }
+                DirState::Uncached | DirState::Shared => {}
             }
         }
-        Ok(())
+        for (node, block, st) in self.caches.lines() {
+            let home = self.geom.home_of(block);
+            let i = node.idx();
+            let msg = match self.dir.entry(block).map(|e| (e, e.state)) {
+                None => format!("{block} cached {st:?} at n{i} but has no entry at home {home}"),
+                Some((_, DirState::Uncached)) => {
+                    format!("{block} uncached at home {home} but cached {st:?} at n{i}")
+                }
+                Some((_, DirState::Shared)) if st == LineState::Modified => {
+                    format!("{block} shared at home {home} but Modified at n{i}")
+                }
+                Some((e, DirState::Shared)) if !e.has_presence(node) => {
+                    format!("{block} cached at n{i} without a presence bit")
+                }
+                Some((_, DirState::Exclusive(owner))) if owner != node => format!(
+                    "{block} exclusive at {owner} but also cached {st:?} at n{i} (SWMR violation)"
+                ),
+                _ => continue,
+            };
+            found.push(((home, block, node), msg));
+        }
+        found.into_iter().min_by_key(|(at, _)| *at).map_or(Ok(()), |(_, msg)| Err(msg))
     }
 
     // ------------------------------------------------------------------
@@ -1300,9 +1297,7 @@ impl DsmSystem {
         entry.state = DirState::Shared;
         for &s in sharers {
             entry.set_presence(s);
-            if let Evicted::Dirty(victim) =
-                self.nodes[s.idx()].cache.insert(block, LineState::Shared)
-            {
+            if let Evicted::Dirty(victim) = self.caches.insert(s, block, LineState::Shared) {
                 panic!(
                     "seed_shared: installing block {block} at node {s} would drop Modified \
                      block {victim} without a writeback"
@@ -1313,7 +1308,7 @@ impl DsmSystem {
 
     /// Cache state of `block` at `node` (tests).
     pub fn cache_state(&self, node: NodeId, block: BlockId) -> Option<LineState> {
-        self.nodes[node.idx()].cache.state(block)
+        self.caches.state(node, block)
     }
 
     /// Directory state of `block` (tests).
@@ -1728,7 +1723,7 @@ impl DsmSystem {
     /// ordered before the write under the directory's serialization), but
     /// the stale line is not installed.
     fn invalidate_local(&mut self, node: NodeId, block: BlockId) {
-        if self.nodes[node.idx()].cache.invalidate(block).is_some() {
+        if self.caches.invalidate(node, block).is_some() {
             return;
         }
         let fill_in_flight = matches!(
@@ -1941,7 +1936,7 @@ impl DsmSystem {
     fn h_write_grant(&mut self, now: Cycle, node: NodeId, block: BlockId, with_data: bool) {
         if with_data {
             self.install_line(now, node, block, LineState::Modified);
-        } else if !self.nodes[node.idx()].cache.upgrade(block) {
+        } else if !self.caches.upgrade(node, block) {
             // The copy vanished between the upgrade request and the grant
             // (conflict eviction is impossible while stalled, so this is a
             // protocol bug if it fires).
@@ -1983,7 +1978,7 @@ impl DsmSystem {
         for_write: bool,
     ) {
         let costs = self.cfg.costs;
-        let in_cache = self.nodes[owner.idx()].cache.state(block) == Some(LineState::Modified);
+        let in_cache = self.caches.state(owner, block) == Some(LineState::Modified);
         let in_wb = self.nodes[owner.idx()].wb.contains(block);
         if !in_cache && !in_wb {
             // Window of vulnerability [23]: the fetch (short, request net)
@@ -1999,9 +1994,9 @@ impl DsmSystem {
         }
         if in_cache {
             if for_write {
-                self.nodes[owner.idx()].cache.invalidate(block);
+                self.caches.invalidate(owner, block);
             } else {
-                self.nodes[owner.idx()].cache.downgrade(block);
+                self.caches.downgrade(owner, block);
             }
         }
         let t = self.send_cc(
@@ -2213,7 +2208,7 @@ impl DsmSystem {
 
     /// Install a line, sending a writeback when a dirty victim falls out.
     fn install_line(&mut self, now: Cycle, node: NodeId, block: BlockId, state: LineState) {
-        match self.nodes[node.idx()].cache.insert(block, state) {
+        match self.caches.insert(node, block, state) {
             Evicted::None | Evicted::Clean(_) => {}
             Evicted::Dirty(victim) => {
                 self.metrics.writebacks += 1;
@@ -2305,7 +2300,7 @@ snap_enum!(StallKind {
     4 => Deferred(op),
 });
 snap_enum!(ProcState { 0 => Idle, 1 => BusyUntil(until), 2 => Stalled { kind, since } });
-snap_struct!(NodeCtx { cache, wb, dc, cc, mem, proc, pending_writes, poisoned_fill });
+snap_struct!(NodeCtx { wb, dc, cc, mem, proc, pending_writes, poisoned_fill });
 snap_struct!(TxnState { block, home, writer, needed, got, plan, with_data, started, home_msgs });
 snap_struct!(BarrierState { expected, arrived });
 snap_struct!(LockState { holder, queue });
@@ -2679,5 +2674,22 @@ mod tests {
         sys.dir.entry_mut(BlockId(0x22)).state = DirState::Uncached;
         let e = sys.verify_coherence().unwrap_err();
         assert_eq!(e, "b0x22 uncached at home n2 but cached Shared at n7");
+    }
+
+    /// A cached line whose block has no directory entry is a violation,
+    /// reported in (home, block, node) order among the others.
+    #[test]
+    fn verify_coherence_reports_a_line_without_a_directory_entry() {
+        let mut sys = system();
+        assert_eq!(sys.verify_coherence(), Ok(()));
+        // 16 nodes: block 0x24 is homed at n4, block 0x16 at n6.
+        sys.caches.insert(NodeId(9), BlockId(0x24), LineState::Modified);
+        sys.dir.entry_mut(BlockId(0x16)).state = DirState::Waiting;
+        let e = sys.verify_coherence().unwrap_err();
+        assert_eq!(e, "b0x24 cached Modified at n9 but has no entry at home n4");
+        sys.caches.invalidate(NodeId(9), BlockId(0x24));
+        assert_eq!(sys.verify_coherence().unwrap_err(), "b0x16 left in Waiting at home n6");
+        sys.dir.entry_mut(BlockId(0x16)).state = DirState::Uncached;
+        assert_eq!(sys.verify_coherence(), Ok(()));
     }
 }

@@ -85,6 +85,16 @@ pub struct MeshConfig {
     /// suffice for deadlock freedom on a 2D mesh).
     pub cons_channels: usize,
     /// Consumption channel FIFO depth, in flits.
+    ///
+    /// It never binds: a channel receives at most one flit a cycle (from
+    /// the one input VC allocated to it), and the NIC drains one in the
+    /// same tick (a consume activates the NIC for that tick's NIC phase),
+    /// so every channel is empty at every tick boundary and the space
+    /// check never refuses a flit. Any depth of at least 1 gives the same
+    /// results; `tests/full_stack.rs` pins this at depths 1 and 8, and
+    /// `crates/mesh/tests/slab_invariants.rs` checks every channel is
+    /// empty after every tick. A slower drain would be needed to model
+    /// ejection bandwidth.
     pub cons_buf_flits: usize,
     /// i-ack buffer entries per router interface (the paper studies 2-4).
     pub iack_buffers: usize,
@@ -885,6 +895,13 @@ impl Network {
     /// debugging, like [`Network::check_router_slab`].
     pub fn check_worm_table(&self) -> Result<(), String> {
         self.worms.check(self.cfg.mesh.nodes())
+    }
+
+    /// Check that no consumption channel holds a flit, as holds at every
+    /// tick boundary (see [`MeshConfig::cons_buf_flits`]); report the
+    /// first that does.
+    pub fn check_consumption_drained(&self) -> Result<(), String> {
+        self.nics.check_cons_drained()
     }
 
     /// The payload of every worm not yet retired (not delivered, or with
@@ -2129,7 +2146,8 @@ mod tests {
                 "worm id 61",
             ),
             (|n| n.routers.take_credit(0, 0, 0), "node 0 output (0, 0): 2 credits and 0 flits"),
-            (|n| n.routers.add_credit(0, 1, 0), "node 0 output (1, 0): 4 credits and 0 flits"),
+            // A credit above the depth is refused before it narrows.
+            (|n| n.routers.add_credit(0, 1, 0), "router credit 4 above the 3-flit buffer"),
             (
                 |n| {
                     let d = Delivery {

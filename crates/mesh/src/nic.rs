@@ -441,6 +441,22 @@ impl NicSlab {
         usize::from(self.cons.at(n, cc).flits) < self.cons_cap
     }
 
+    /// The first consumption channel holding a flit, as an error naming
+    /// it. Between ticks every channel is empty (see
+    /// [`crate::network::MeshConfig::cons_buf_flits`]).
+    pub(crate) fn check_cons_drained(&self) -> Result<(), String> {
+        let per = self.cons.stride();
+        match self.cons.as_slice().iter().enumerate().find(|(_, c)| c.flits > 0) {
+            None => Ok(()),
+            Some((i, c)) => Err(format!(
+                "node {} consumption channel {} holds {} flits between ticks",
+                i / per,
+                i % per,
+                c.flits
+            )),
+        }
+    }
+
     /// Streaming state of local input VC `vc` at node `n`.
     #[inline]
     pub fn streaming(&self, n: usize, vc: usize) -> Option<StreamState> {

@@ -16,17 +16,24 @@
 //! - **Input-slot record** (`InSlot`, 16 bytes): the front flit's ready
 //!   time, the VC's allocation mode, and the FIFO ring's head index and
 //!   length. A head visit or an arbitration check touches one record.
-//! - **Output-slot record** (`OutSlot`, 8 bytes): the downstream credit
-//!   count and the input VC the output is allocated to.
+//! - **Output-slot record** (`OutSlot`, 4 bytes): the downstream credit
+//!   count (a `u16`, as the FIFO depth is at most 65,535) and the input
+//!   slot the output is allocated to (a `u8` index with a sentinel, as a
+//!   router has at most 128 slots).
 //!
-//! Four records share a 64-byte line (eight output records), so at a
-//! 4096-node (k=64) mesh one visit costs one line per slot instead of one
-//! per field.
+//! Four input records share a 64-byte line (sixteen output records), so
+//! at a 4096-node (k=64) mesh one visit costs one line per slot instead of
+//! one per field.
 //!
-//! - **Flat FIFO slab.** Every input FIFO lives in one `Vec<BufFlit>`
-//!   holding `vc_cap` entries per (node, slot), used as a ring with the
-//!   `u16` head index and length of its input-slot record, so no queue
-//!   owns a heap allocation of its own.
+//! - **Flat FIFO slab.** Every input FIFO lives in one slab holding
+//!   `vc_cap` entries per (node, slot), used as a ring with the `u16` head
+//!   index and length of its input-slot record, so no queue owns a heap
+//!   allocation of its own. An entry is 12 bytes with 4-byte alignment:
+//!   the worm id (at most 30 bits, the worm table's limit) and the flit
+//!   kind packed into one `u32`, and the ready time as two `u32` halves.
+//!   [`BufFlit`] stays the type the API passes; only the ring packs it.
+//!   The snapshot stores each flit, credit and allocation unpacked, so
+//!   the packing is no part of the format.
 //! - **Slot-class masks.** Each node keeps a `SlotMasks`: the occupied
 //!   inputs, the allocated outputs, the inputs `Active` toward the local
 //!   port, the inputs in `DrainPark`, and the inputs not in `Normal`.
@@ -37,7 +44,7 @@
 //!   `RouterSlab::check_consistency` recomputes every mask from the
 //!   primary state.
 
-use crate::worm::{Flit, FlitKind, WormId};
+use crate::worm::{Flit, FlitKind, WormId, WormTable};
 use wormdsm_sim::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::{BitSet128, Cycle, Strided};
 
@@ -56,6 +63,48 @@ pub struct BufFlit {
     pub flit: Flit,
     /// First cycle at which this flit may be processed/moved.
     pub ready_at: Cycle,
+}
+
+/// A [`BufFlit`] as the FIFO ring stores it: 12 bytes, 4-byte aligned.
+/// The worm id and the flit kind share one `u32` (the worm table holds
+/// at most [`WormTable::MAX_SLOTS`] worms, so the id fits in 30 bits),
+/// and the ready time is kept as two `u32` halves.
+#[derive(Debug, Clone, Copy)]
+struct RingFlit {
+    /// `worm << 2 | kind`, the kind as its discriminant (Head 0, Body 1,
+    /// Tail 2).
+    tag: u32,
+    /// `ready_at`, low half first.
+    ready: [u32; 2],
+}
+
+impl RingFlit {
+    #[inline]
+    fn pack(bf: BufFlit) -> Self {
+        debug_assert!((bf.flit.worm.0 as usize) < WormTable::MAX_SLOTS);
+        Self { tag: bf.flit.worm.0 << 2 | bf.flit.kind as u32, ready: split(bf.ready_at) }
+    }
+
+    #[inline]
+    fn unpack(self) -> BufFlit {
+        let kind = match self.tag & 3 {
+            0 => FlitKind::Head,
+            1 => FlitKind::Body,
+            _ => FlitKind::Tail,
+        };
+        BufFlit { flit: Flit { worm: WormId(self.tag >> 2), kind }, ready_at: self.ready_at() }
+    }
+
+    #[inline]
+    fn ready_at(self) -> Cycle {
+        Cycle::from(self.ready[0]) | Cycle::from(self.ready[1]) << 32
+    }
+}
+
+/// `at` as two `u32` halves, low half first.
+#[inline]
+fn split(at: Cycle) -> [u32; 2] {
+    [at as u32, (at >> 32) as u32]
 }
 
 /// Allocation state of one input virtual channel.
@@ -110,18 +159,25 @@ const IDLE_IN: InSlot = InSlot { ready: EMPTY_READY, mode: VcMode::Normal, head:
 #[derive(Debug, Clone, Copy)]
 struct OutSlot {
     /// Credits toward the downstream input buffer (unused on the `Local`
-    /// port).
-    credit: u32,
-    /// The input VC `(in_port, in_vc)` this output is allocated to.
-    alloc: Option<(u8, u8)>,
+    /// port); at most the FIFO depth, which is at most
+    /// [`RouterSlab::MAX_VC_CAP`].
+    credit: u16,
+    /// The input slot this output is allocated to, or [`NO_ALLOC`]. A
+    /// router has at most 128 slots, so the index fits a `u8` below the
+    /// sentinel.
+    alloc: u8,
 }
 
+/// [`OutSlot::alloc`] of an output allocated to no input.
+const NO_ALLOC: u8 = u8::MAX;
+
 const _: () = assert!(std::mem::size_of::<InSlot>() == 16);
-const _: () = assert!(std::mem::size_of::<OutSlot>() == 8);
+const _: () = assert!(std::mem::size_of::<OutSlot>() == 4);
+const _: () = assert!(std::mem::size_of::<RingFlit>() == 12);
+const _: () = assert!(BitSet128::CAPACITY <= NO_ALLOC as usize);
 
 /// Filler for FIFO ring entries that hold no flit.
-const EMPTY_FLIT: BufFlit =
-    BufFlit { flit: Flit { worm: WormId(0), kind: FlitKind::Head }, ready_at: EMPTY_READY };
+const EMPTY_FLIT: RingFlit = RingFlit { tag: 0, ready: [u32::MAX; 2] };
 
 /// Slot-class masks of one router; bit `port * vcs + vc` in each.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -182,7 +238,7 @@ pub struct RouterSlab {
     port_masks: Vec<BitSet128>,
     /// Flit FIFO rings: `vc_cap` entries per (node, slot), at
     /// `(node * slots + slot) * vc_cap`.
-    fifo: Vec<BufFlit>,
+    fifo: Vec<RingFlit>,
     /// Input-slot records, per (node, slot).
     inp: Vec<InSlot>,
     /// Output-slot records, per (node, slot).
@@ -207,7 +263,7 @@ impl RouterSlab {
     /// one allocation can hold (`isize::MAX`).
     pub(crate) fn fifo_entries(nodes: usize, slots: usize, vc_cap: usize) -> Option<usize> {
         let entries = nodes.checked_mul(slots)?.checked_mul(vc_cap)?;
-        let bytes = entries.checked_mul(std::mem::size_of::<BufFlit>())?;
+        let bytes = entries.checked_mul(std::mem::size_of::<RingFlit>())?;
         (bytes <= isize::MAX as usize).then_some(entries)
     }
 
@@ -247,7 +303,7 @@ impl RouterSlab {
             port_masks,
             fifo: vec![EMPTY_FLIT; entries],
             inp: vec![IDLE_IN; nodes * slots],
-            out: vec![OutSlot { credit: vc_cap as u32, alloc: None }; nodes * slots],
+            out: vec![OutSlot { credit: vc_cap as u16, alloc: NO_ALLOC }; nodes * slots],
             pending_absorb: Strided::new(nodes, slots, || None),
             rr: Strided::new(nodes, ports, || 0),
             masks: vec![SlotMasks::default(); nodes],
@@ -312,7 +368,7 @@ impl RouterSlab {
     #[inline]
     pub fn front(&self, n: usize, port: usize, vc: usize) -> Option<BufFlit> {
         let q = self.q(n, port, vc);
-        (self.inp[q].len > 0).then(|| self.fifo[self.front_pos(q)])
+        (self.inp[q].len > 0).then(|| self.fifo[self.front_pos(q)].unpack())
     }
 
     /// `ready_at` of the front flit ([`Cycle::MAX`] when empty).
@@ -330,7 +386,8 @@ impl RouterSlab {
     /// Output VC allocation `-> (in_port, in_vc)`.
     #[inline]
     pub fn alloc(&self, n: usize, port: usize, vc: usize) -> Option<(usize, usize)> {
-        self.out[self.q(n, port, vc)].alloc.map(|(p, v)| (p as usize, v as usize))
+        let a = self.out[self.q(n, port, vc)].alloc;
+        (a != NO_ALLOC).then(|| self.port_vc(a as usize))
     }
 
     /// Credits toward the downstream buffer of output `(port, vc)`.
@@ -352,7 +409,7 @@ impl RouterSlab {
         let q = self.q(n, port, vc);
         assert!(self.inp[q].len > 0, "head present");
         let pos = self.front_pos(q);
-        self.fifo[pos].ready_at = at;
+        self.fifo[pos].ready = split(at);
         self.inp[q].ready = at;
     }
 
@@ -382,7 +439,7 @@ impl RouterSlab {
     #[inline]
     pub fn set_alloc(&mut self, n: usize, port: usize, vc: usize, a: Option<(usize, usize)>) {
         let s = self.slot(port, vc);
-        self.out[n * self.slots + s].alloc = a.map(|(p, v)| (p as u8, v as u8));
+        self.out[n * self.slots + s].alloc = a.map_or(NO_ALLOC, |(p, v)| self.slot(p, v) as u8);
         assign(&mut self.masks[n].alloc, s, a.is_some());
     }
 
@@ -428,7 +485,7 @@ impl RouterSlab {
         let mut best: Option<(usize, usize)> = None;
         for vc in lo..hi {
             let o = row[self.slot(port, vc)];
-            if o.alloc.is_none() && o.credit > 0 {
+            if o.alloc == NO_ALLOC && o.credit > 0 {
                 let cr = o.credit as usize;
                 if best.is_none_or(|(_, bc)| cr > bc) {
                     best = Some((vc, cr));
@@ -466,7 +523,7 @@ impl RouterSlab {
         if tail >= self.vc_cap {
             tail -= self.vc_cap;
         }
-        self.fifo[q * self.vc_cap + tail] = bf;
+        self.fifo[q * self.vc_cap + tail] = RingFlit::pack(bf);
         self.masks[n].occ.set(s);
     }
 
@@ -478,14 +535,14 @@ impl RouterSlab {
         let InSlot { ready, head, len, .. } = self.inp[q];
         let len = len as usize;
         assert!(len > 0, "pop from empty input VC");
-        let bf = self.fifo[q * self.vc_cap + head as usize];
+        let bf = self.fifo[q * self.vc_cap + head as usize].unpack();
         debug_assert_eq!(ready, bf.ready_at, "front ready time out of sync");
         let mut head = head as usize + 1;
         if head == self.vc_cap {
             head = 0;
         }
         let next_ready =
-            if len == 1 { EMPTY_READY } else { self.fifo[q * self.vc_cap + head].ready_at };
+            if len == 1 { EMPTY_READY } else { self.fifo[q * self.vc_cap + head].ready_at() };
         let slot = &mut self.inp[q];
         slot.head = head as u16;
         slot.len = (len - 1) as u16;
@@ -501,7 +558,7 @@ impl RouterSlab {
         self.inp.iter().enumerate().flat_map(move |(q, i)| {
             (0..i.len as usize).map(move |k| {
                 let pos = (i.head as usize + k) % self.vc_cap;
-                self.fifo[q * self.vc_cap + pos].flit.worm
+                WormId(self.fifo[q * self.vc_cap + pos].tag >> 2)
             })
         })
     }
@@ -543,7 +600,7 @@ impl RouterSlab {
         if self.inp[q].len == 0 {
             EMPTY_READY
         } else {
-            self.fifo[self.front_pos(q)].ready_at
+            self.fifo[self.front_pos(q)].ready_at()
         }
     }
 
@@ -557,7 +614,7 @@ impl RouterSlab {
                 masks.occ.set(s);
             }
             masks.set_mode_bits(s, self.inp[q].mode);
-            if self.out[q].alloc.is_some() {
+            if self.out[q].alloc != NO_ALLOC {
                 masks.alloc.set(s);
             }
         }
@@ -587,13 +644,14 @@ impl RouterSlab {
                 if pos >= self.vc_cap {
                     pos -= self.vc_cap;
                 }
-                self.fifo[q * self.vc_cap + pos].save(w);
+                self.fifo[q * self.vc_cap + pos].unpack().save(w);
             }
         }
         self.save_column(w, self.inp.iter().map(|i| i.mode));
         self.pending_absorb.save(w);
-        self.save_column(w, self.out.iter().map(|o| o.credit));
-        self.save_column(w, self.out.iter().map(|o| o.alloc));
+        self.save_column(w, self.out.iter().map(|o| u32::from(o.credit)));
+        let alloc = |o: &OutSlot| (o.alloc != NO_ALLOC).then(|| self.slot_pv[o.alloc as usize]);
+        self.save_column(w, self.out.iter().map(alloc));
         self.rr.save(w);
     }
 
@@ -625,7 +683,14 @@ impl RouterSlab {
                 return Err(SnapError::Corrupt("router FIFO exceeds vc_cap".into()));
             }
             for k in 0..len {
-                self.fifo[q * self.vc_cap + k] = BufFlit::load(r)?;
+                let bf = BufFlit::load(r)?;
+                if bf.flit.worm.0 as usize >= WormTable::MAX_SLOTS {
+                    return Err(SnapError::Corrupt(format!(
+                        "router FIFO names worm {} past the worm table's limit",
+                        bf.flit.worm.0
+                    )));
+                }
+                self.fifo[q * self.vc_cap + k] = RingFlit::pack(bf);
             }
             self.inp[q].len = len as u16;
         }
@@ -663,11 +728,20 @@ impl RouterSlab {
                 "router mode, allocation or arbiter out of range".into(),
             ));
         }
+        // Checked before the credit narrows to its `u16` field.
+        if let Some(c) = credit.as_slice().iter().find(|&&c| c as usize > self.vc_cap) {
+            return Err(SnapError::Corrupt(format!(
+                "router credit {c} above the {}-flit buffer",
+                self.vc_cap
+            )));
+        }
         for (q, i) in self.inp.iter_mut().enumerate() {
             i.mode = mode.as_slice()[q];
         }
-        for (q, o) in self.out.iter_mut().enumerate() {
-            *o = OutSlot { credit: credit.as_slice()[q], alloc: alloc.as_slice()[q] };
+        for q in 0..self.out.len() {
+            let a =
+                alloc.as_slice()[q].map_or(NO_ALLOC, |(p, v)| self.slot(p.into(), v.into()) as u8);
+            self.out[q] = OutSlot { credit: credit.as_slice()[q] as u16, alloc: a };
         }
         for q in 0..self.inp.len() {
             self.inp[q].ready = self.derived_ready(q);
@@ -837,6 +911,95 @@ mod tests {
         // A slab of another geometry refuses the stream.
         let mut d = RouterSlab::new(1, 5, 2, 4);
         assert!(d.load_state(&mut SnapReader::new(&bytes).unwrap()).is_err());
+    }
+
+    /// A ring entry keeps every worm id the table can hold, every kind
+    /// and every ready time, the 32-bit halves included.
+    #[test]
+    fn ring_entries_keep_the_worm_kind_and_ready_time() {
+        let mut r = RouterSlab::new(1, 5, 1, 8);
+        let worms = [0, 1, 0x1234_5678, WormTable::MAX_SLOTS as u32 - 1];
+        let kinds = [FlitKind::Head, FlitKind::Body, FlitKind::Tail];
+        let readies = [0, u64::from(u32::MAX), 1 << 32, 0xDEAD_BEEF_0000_0001, Cycle::MAX - 1];
+        for (i, &worm) in worms.iter().enumerate() {
+            for (j, &kind) in kinds.iter().enumerate() {
+                let ready_at = readies[(i + j) % readies.len()];
+                let bf = BufFlit { flit: Flit { worm: WormId(worm), kind }, ready_at };
+                r.deposit(0, 3, 0, bf);
+                assert_eq!(r.front_ready(0, 3, 0), ready_at);
+                let back = r.pop(0, 3, 0);
+                assert_eq!((back.flit, back.ready_at), (bf.flit, bf.ready_at));
+            }
+        }
+        r.check_consistency().expect("consistent");
+    }
+
+    /// A stream of one 5-port, 1-VC router with FIFOs of depth 3, empty,
+    /// every output holding `credit(slot)` credits, and `fifo` deposited
+    /// in input slot 0.
+    fn stream(credit: impl Fn(usize) -> u32, fifo: &[BufFlit]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        for g in [1, 5, 1, 3] {
+            w.put_usize(g);
+        }
+        w.put_u16(fifo.len() as u16);
+        fifo.iter().for_each(|bf| bf.save(&mut w));
+        (1..5).for_each(|_| w.put_u16(0));
+        Strided::new(1, 5, || VcMode::Normal).save(&mut w);
+        Strided::new(1, 5, || None::<u8>).save(&mut w);
+        let mut slot = 0;
+        Strided::new(1, 5, || {
+            slot += 1;
+            credit(slot - 1)
+        })
+        .save(&mut w);
+        Strided::new(1, 5, || None::<(u8, u8)>).save(&mut w);
+        Strided::new(1, 5, || 0u32).save(&mut w);
+        w.finish()
+    }
+
+    fn load_stream(bytes: &[u8]) -> Result<RouterSlab, SnapError> {
+        let mut r = RouterSlab::new(1, 5, 1, 3);
+        r.load_state(&mut SnapReader::new(bytes)?)?;
+        Ok(r)
+    }
+
+    /// A saved credit above the FIFO depth is refused before it narrows
+    /// to the record's `u16` (65,539 would narrow to a plausible 3), and
+    /// a buffered flit of a worm id the ring entry cannot hold is refused
+    /// before it is packed.
+    #[test]
+    fn load_refuses_a_credit_above_the_depth_and_an_unpackable_worm() {
+        let r = load_stream(&stream(|_| 3, &[bf(7)])).expect("a well-formed stream loads");
+        assert_eq!(
+            (r.credit(0, 2, 0), r.front(0, 0, 0).map(|f| f.flit.worm)),
+            (3, Some(WormId(7)))
+        );
+        for (bytes, want) in [
+            (
+                stream(|s| if s == 2 { 4 } else { 3 }, &[]),
+                "router credit 4 above the 3-flit buffer",
+            ),
+            (stream(|s| if s == 1 { 65_539 } else { 3 }, &[]), "router credit 65539 above"),
+            (
+                stream(
+                    |_| 3,
+                    &[
+                        bf(0),
+                        BufFlit {
+                            flit: Flit { worm: WormId(1 << 30), kind: FlitKind::Tail },
+                            ready_at: 0,
+                        },
+                    ],
+                ),
+                "names worm 1073741824 past the worm table's limit",
+            ),
+        ] {
+            match load_stream(&bytes) {
+                Err(SnapError::Corrupt(e)) => assert!(e.contains(want), "{e}"),
+                other => panic!("expected a Corrupt refusal naming {want:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

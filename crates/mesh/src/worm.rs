@@ -303,20 +303,33 @@ pub struct WormTable {
 }
 
 impl WormTable {
+    /// Most slots the table may hold, `2^30 - 1`: a router's FIFO ring
+    /// packs a worm id and a flit kind into one `u32`, leaving 30 bits for
+    /// the id.
+    pub const MAX_SLOTS: usize = (1 << 30) - 1;
+
     /// Empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Register a new worm; returns its id. Reuses the most recently
-    /// retired slot, if any.
+    /// retired slot, if any. Panics when no slot is free and the table
+    /// already holds [`WormTable::MAX_SLOTS`] worms.
     pub fn insert(&mut self, spec: WormSpec, now: Cycle) -> WormId {
         if let Some(e) = spec_error(&spec) {
             panic!("{e}");
         }
         let id = match self.free.pop() {
             Some(slot) => WormId(slot),
-            None => WormId(self.worms.len() as u32),
+            None => {
+                assert!(
+                    self.worms.len() < Self::MAX_SLOTS,
+                    "worm table full: {} slots, none retired",
+                    Self::MAX_SLOTS
+                );
+                WormId(self.worms.len() as u32)
+            }
         };
         let hot = WormHot::derive(&spec, 0, false);
         let worm = Worm {
@@ -484,7 +497,19 @@ mod snap_impls {
             self.free.save(w);
         }
         fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let n = r.get_len()?;
+            let n = r.get_usize()?;
+            if n > WormTable::MAX_SLOTS {
+                return Err(SnapError::Corrupt(format!(
+                    "worm table of {n} slots, more than the {} it may hold",
+                    WormTable::MAX_SLOTS
+                )));
+            }
+            if n > r.remaining() {
+                return Err(SnapError::Corrupt(format!(
+                    "worm table of {n} slots exceeds {} remaining bytes",
+                    r.remaining()
+                )));
+            }
             let (mut hot, mut worms) = (Vec::with_capacity(n), Vec::with_capacity(n));
             for i in 0..n {
                 let spec = WormSpec::load(r)?;
@@ -720,6 +745,26 @@ mod tests {
         match loaded(&saved(&t)) {
             Err(SnapError::Corrupt(e)) => assert!(e.contains(want), "{e}"),
             other => panic!("expected a Corrupt refusal naming {want:?}, got {other:?}"),
+        }
+    }
+
+    /// A router FIFO entry holds a worm id in 30 bits, so a table of
+    /// 2^30 slots or more is refused from its length alone; one just
+    /// under the limit still has to fit the bytes that follow.
+    #[test]
+    fn load_refuses_a_table_of_two_to_the_thirty_slots() {
+        for (n, want) in [
+            (1u64 << 30, "worm table of 1073741824 slots, more than the 1073741823"),
+            (1 << 40, "more than the 1073741823 it may hold"),
+            (WormTable::MAX_SLOTS as u64, "exceeds 8 remaining bytes"),
+        ] {
+            let mut w = SnapWriter::new();
+            w.put_u64(n);
+            Vec::<u32>::new().save(&mut w);
+            match loaded(&w.finish()) {
+                Err(SnapError::Corrupt(e)) => assert!(e.contains(want), "{n}: {e}"),
+                other => panic!("{n} slots: expected a Corrupt refusal, got {other:?}"),
+            }
         }
     }
 

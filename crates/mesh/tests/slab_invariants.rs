@@ -23,12 +23,17 @@ fn config(k: usize, vcs_per_vnet: usize) -> MeshConfig {
 }
 
 /// Tick `cycles` times (or until quiescent when `None`), checking the
-/// slab and the worm table after every tick.
+/// slab and the worm table after every tick, and that every consumption
+/// channel has drained (a channel's depth never binds).
 fn tick_checked(net: &mut Network, cycles: Option<u64>) {
     let deadline = net.now() + cycles.unwrap_or(200_000);
     while net.now() < deadline && (cycles.is_some() || !net.quiescent()) {
         net.tick();
-        if let Err(e) = net.check_router_slab().and_then(|()| net.check_worm_table()) {
+        let checked = net
+            .check_router_slab()
+            .and_then(|()| net.check_worm_table())
+            .and_then(|()| net.check_consumption_drained());
+        if let Err(e) = checked {
             panic!("cycle {}: {e}", net.now());
         }
         assert!(net.violation().is_none(), "{:?}", net.violation());

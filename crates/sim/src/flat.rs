@@ -3,7 +3,7 @@
 //! [`FlatMap`] replaces `std::collections::HashMap` on the simulator's
 //! per-transaction paths: a power-of-two probe table of slot indices plus
 //! dense `keys`/`vals` vectors. Compared to the std map this avoids SipHash
-//! (one multiply + shift instead), keeps values contiguous, and iterates in
+//! (a two-multiply finalizer instead), keeps values contiguous, and iterates in
 //! deterministic insertion order — important because several observable
 //! results fold over map contents.
 //!
@@ -17,12 +17,16 @@
 //! reused slots keep the *slot's* position in iteration order — still
 //! deterministic, which is what the simulator's folds require.
 
-/// Fibonacci-style multiplicative hash spreading `u64` keys.
+/// Spread a `u64` key over every bit of the probe index: the splitmix64
+/// finalizer, whose xor-shift-multiply steps carry every key bit into the
+/// low bits the probe mask keeps, so keys that differ only in their high
+/// bits (a cache key's set, say) still land on different probe chains.
 #[inline]
 fn spread(key: u64) -> u64 {
-    // Knuth's 2^64 / phi multiplier; high bits are well mixed, so the
-    // probe mask is applied after a right shift.
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(29)
+    let mut z = key;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -326,6 +330,34 @@ mod tests {
         }
         for k in 0..64u64 {
             assert_eq!(m.get(k << 32), Some(&(k as u32)));
+        }
+    }
+
+    /// The longest distance any live key sits from its home bucket.
+    fn longest_probe_run<V>(m: &FlatMap<V>) -> usize {
+        let mask = m.index.len() - 1;
+        m.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != EMPTY && slot != TOMBSTONE)
+            .map(|(i, &slot)| i.wrapping_sub(spread(m.keys[slot as usize]) as usize) & mask)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Keys that differ only in bits 44..56 still spread over the probe
+    /// table: the hash mixes every key bit into the masked low bits.
+    #[test]
+    fn keys_differing_only_in_high_bits_keep_probe_runs_short() {
+        let mut m: FlatMap<u32> = FlatMap::new();
+        for k in 0..4096u64 {
+            m.insert(k << 44, k as u32);
+        }
+        assert_eq!(m.len(), 4096);
+        let longest = longest_probe_run(&m);
+        assert!(longest < 32, "a key sits {longest} buckets from home");
+        for k in 0..4096u64 {
+            assert_eq!(m.get(k << 44), Some(&(k as u32)));
         }
     }
 
