@@ -82,11 +82,12 @@ impl SystemConfig {
     /// so an over-sized run fails up front with a clear message instead
     /// of mid-simulation.
     ///
-    /// Delegates the network-level limits (occupancy-bitset capacity,
-    /// FIFO ring depth and slab size, u8-encoded channel/entry indices)
-    /// to [`MeshConfig::validate`] and adds the system-level ones: every
-    /// router delay and controller cost is at most
-    /// [`MAX_TIMING_CYCLES`]; `NodeId` is a `u16`, so a mesh may not
+    /// Checks first that every router delay and controller cost is at
+    /// most [`MAX_TIMING_CYCLES`], then delegates the network-level limits
+    /// (occupancy-bitset capacity, FIFO ring depth and slab size, a head
+    /// delay of at most 256 cycles, u8-encoded channel/entry indices) to
+    /// [`MeshConfig::validate`], and adds the other system-level ones:
+    /// `NodeId` is a `u16`, so a mesh may not
     /// exceed 65536 nodes; the cache set count and block size must be
     /// powers of two (blocks of at least 4 bytes), and the set count at
     /// most [`Caches::MAX_SETS`] (2^48, so a set and a node share one
@@ -95,7 +96,6 @@ impl SystemConfig {
     /// fit its `u16` length; and a release-consistency write buffer must
     /// hold a write.
     pub fn validate(&self) -> Result<(), String> {
-        self.mesh.validate()?;
         let (m, c) = (&self.mesh, &self.costs);
         let timing = [
             ("mesh.router_delay", m.router_delay),
@@ -114,6 +114,7 @@ impl SystemConfig {
                 "{field} = {v} cycles exceeds the {MAX_TIMING_CYCLES}-cycle limit on a delay or cost"
             ));
         }
+        self.mesh.validate()?;
         if self.nodes() > usize::from(u16::MAX) + 1 {
             return Err(format!(
                 "NodeId is a u16: {} nodes exceeds the 65536-node limit",

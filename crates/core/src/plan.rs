@@ -8,7 +8,7 @@
 
 use wormdsm_mesh::topology::NodeId;
 use wormdsm_mesh::worm::WormKind;
-use wormdsm_sim::snap::{snap_enum, snap_struct};
+use wormdsm_sim::snap::snap_struct;
 
 /// A worm a scheme wants injected, before the system fills in payload,
 /// transaction id, lengths, and virtual network.
@@ -168,8 +168,6 @@ snap_struct!(PlannedWorm {
     initial_acks,
     relay,
 });
-snap_enum!(AckAction { 0 => Unicast, 1 => Post, 2 => InitGather(worm) });
-snap_struct!(InvalPlan { request_worms, actions, relays, triggers, needed });
 
 #[cfg(test)]
 mod tests {

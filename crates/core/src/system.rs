@@ -188,7 +188,9 @@ impl NodeCtx {
     }
 }
 
-/// An in-flight invalidation transaction at its home node.
+/// An in-flight invalidation transaction at its home node. It keeps the
+/// part of its [`InvalPlan`] the ack phase still reads: the request
+/// worms were moved into their injections when the transaction started.
 #[derive(Debug)]
 struct TxnState {
     block: BlockId,
@@ -196,12 +198,63 @@ struct TxnState {
     writer: NodeId,
     needed: u32,
     got: u32,
-    plan: InvalPlan,
+    /// Each sharer's ack action, one entry a sharer in ascending node
+    /// order (the plan's `actions`, compacted).
+    acks: Vec<(NodeId, SharerAck)>,
+    /// The i-gather worms the [`SharerAck::Gather`] actions inject, each
+    /// held once.
+    gathers: Vec<PlannedWorm>,
+    /// The plan's relay instructions (tree scheme delegates).
+    relays: Vec<(NodeId, Vec<PlannedWorm>)>,
+    /// The plan's sweep triggers (two-phase schemes).
+    triggers: Vec<(NodeId, PlannedWorm)>,
     with_data: bool,
     started: Cycle,
     /// Messages sent from / received at the home so far in this
     /// transaction (occupancy proxy).
     home_msgs: u32,
+}
+
+/// A sharer's [`AckAction`] as a live transaction keeps it: the gather
+/// worm of an [`AckAction::InitGather`] moves to the transaction's
+/// gather table, and the action names its index there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SharerAck {
+    Unicast,
+    Post,
+    Gather(u32),
+}
+
+impl TxnState {
+    /// The ack action of `node`, if it is one of the sharers.
+    fn ack_for(&self, node: NodeId) -> Option<SharerAck> {
+        let i = self.acks.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.acks[i].1)
+    }
+
+    /// The first reason a loaded transaction's ack table cannot be
+    /// looked up or followed: a sharer listed twice or out of order, or
+    /// an action naming a gather past the table.
+    fn check(&self) -> Result<(), String> {
+        if let Some(w) = self.acks.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(if w[0].0 == w[1].0 {
+                format!("sharer {} listed twice", w[0].0)
+            } else {
+                format!("sharers {} and {} out of order", w[0].0, w[1].0)
+            });
+        }
+        let gathers = self.gathers.len();
+        match self
+            .acks
+            .iter()
+            .find(|(_, a)| matches!(*a, SharerAck::Gather(i) if i as usize >= gathers))
+        {
+            Some((n, a)) => {
+                Err(format!("sharer {n}'s action {a:?} names a gather past a table of {gathers}"))
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -913,7 +966,7 @@ impl DsmSystem {
         sys.now = r.get_u64().map_err(snap_err)?;
         sys.skipped_cycles = r.get_u64().map_err(snap_err)?;
         sys.fast_forward = r.get_bool().map_err(snap_err)?;
-        sys.net = Network::load_state(sys.cfg.mesh.clone(), &mut r).map_err(snap_err)?;
+        sys.net.load_state(&mut r).map_err(snap_err)?;
         sys.msgs = Snap::load(&mut r).map_err(snap_err)?;
         let n = r.get_len().map_err(snap_err)?;
         if n != sys.cfg.nodes() {
@@ -1388,7 +1441,7 @@ impl DsmSystem {
     fn build_spec(
         &mut self,
         src: NodeId,
-        w: &PlannedWorm,
+        w: PlannedWorm,
         txn: TxnId,
         block: BlockId,
         home: NodeId,
@@ -1415,14 +1468,14 @@ impl DsmSystem {
             src,
             vnet: if w.kind == WormKind::Gather { VNet::Reply } else { VNet::Req },
             kind: w.kind,
-            dests: w.dests.clone(),
+            dests: w.dests,
             len_flits: len,
             payload: key,
             reserve_iack: w.reserve_iack,
             txn,
             initial_acks: w.initial_acks,
             gather_deposit: w.gather_deposit,
-            deliver: w.deliver.clone(),
+            deliver: w.deliver,
         }
     }
 
@@ -1666,7 +1719,7 @@ impl DsmSystem {
             "{:?}",
             crate::plan::validate_plan(&plan, &remote)
         );
-        let needed = plan.needed;
+        let InvalPlan { request_worms, actions, relays, triggers, needed } = plan;
         let txn_id = self.txns.next_id();
         trace_event!(
             self.net.recorder_mut(),
@@ -1687,20 +1740,41 @@ impl DsmSystem {
         // effect the paper measures).
         let mut t = now;
         let mut home_msgs = 1; // the write request itself
-        for w in &plan.request_worms {
+        for w in request_worms {
             let spec = self.build_spec(home, w, txn_id, block, home);
             t = self.nodes[home.idx()].dc.occupy(t, costs.dc_send);
             self.cal.schedule(t, Ev::Inject(spec));
             home_msgs += 1;
         }
 
+        let mut gathers = Vec::with_capacity(
+            actions.iter().filter(|(_, a)| matches!(a, AckAction::InitGather(_))).count(),
+        );
+        let mut acks = Vec::with_capacity(actions.len());
+        for (node, action) in actions {
+            acks.push((
+                node,
+                match action {
+                    AckAction::Unicast => SharerAck::Unicast,
+                    AckAction::Post => SharerAck::Post,
+                    AckAction::InitGather(w) => {
+                        gathers.push(w);
+                        SharerAck::Gather(gathers.len() as u32 - 1)
+                    }
+                },
+            ));
+        }
+        acks.sort_by_key(|&(node, _)| node);
         let inserted = self.txns.insert(TxnState {
             block,
             home,
             writer,
-            needed: plan.needed,
+            needed,
             got: 0,
-            plan,
+            acks,
+            gathers,
+            relays,
+            triggers,
             with_data,
             started: now,
             home_msgs,
@@ -1749,14 +1823,14 @@ impl DsmSystem {
     fn h_inval(&mut self, now: Cycle, node: NodeId, block: BlockId, txn: TxnId, home: NodeId) {
         let costs = self.cfg.costs;
         self.invalidate_local(node, block);
-        let Some(action) = self.txns.get(txn).and_then(|t| t.plan.action_for(node)).cloned() else {
+        let Some(action) = self.txns.get(txn).and_then(|t| t.ack_for(node)) else {
             self.invariant_failed(
                 Some(txn),
                 format!("invalidation of {block} delivered to {node} with no planned action"),
             );
             return;
         };
-        self.perform_ack_action(now + costs.cache_access, node, block, txn, home, &action);
+        self.perform_ack_action(now + costs.cache_access, node, block, txn, home, action);
     }
 
     fn perform_ack_action(
@@ -1766,11 +1840,11 @@ impl DsmSystem {
         block: BlockId,
         txn: TxnId,
         home: NodeId,
-        action: &AckAction,
+        action: SharerAck,
     ) {
         let costs = self.cfg.costs;
         match action {
-            AckAction::Unicast => {
+            SharerAck::Unicast => {
                 self.send_cc(
                     node,
                     start,
@@ -1779,11 +1853,13 @@ impl DsmSystem {
                     VNet::Reply,
                 );
             }
-            AckAction::Post => {
+            SharerAck::Post => {
                 let t = self.nodes[node.idx()].cc.occupy(start, costs.iack_post);
                 self.cal.schedule(t, Ev::PostIack { node, txn });
             }
-            AckAction::InitGather(w) => {
+            SharerAck::Gather(i) => {
+                let live = self.txns.get(txn).expect("the action came from this live transaction");
+                let w = live.gathers[i as usize].clone();
                 let spec = self.build_spec(node, w, txn, block, home);
                 let t = self.nodes[node.idx()].cc.occupy(start, costs.cc_send);
                 self.cal.schedule(t, Ev::Inject(spec));
@@ -1799,16 +1875,15 @@ impl DsmSystem {
                 return;
             };
             let worms: Vec<PlannedWorm> = t
-                .plan
                 .relays
                 .iter()
                 .find(|(n, _)| *n == node)
                 .map(|(_, ws)| ws.clone())
                 .unwrap_or_default();
-            (worms, t.plan.action_for(node).cloned())
+            (worms, t.ack_for(node))
         };
         let mut t = now;
-        for w in &worms {
+        for w in worms {
             let spec = self.build_spec(node, w, txn, block, home);
             t = self.nodes[node.idx()].cc.occupy(t, costs.cc_send);
             self.cal.schedule(t, Ev::Inject(spec));
@@ -1816,15 +1891,16 @@ impl DsmSystem {
         // A delegate that is itself a sharer invalidates and acks too.
         if let Some(action) = action {
             self.invalidate_local(node, block);
-            self.perform_ack_action(t + costs.cache_access, node, block, txn, home, &action);
+            self.perform_ack_action(t + costs.cache_access, node, block, txn, home, action);
         }
     }
 
     fn h_sweep_trigger(&mut self, now: Cycle, node: NodeId, block: BlockId, txn: TxnId, acks: u32) {
         let costs = self.cfg.costs;
-        let Some((mut sweep, home)) =
-            self.txns.get(txn).and_then(|t| Some((t.plan.trigger_for(node).cloned()?, t.home)))
-        else {
+        let Some((mut sweep, home)) = self.txns.get(txn).and_then(|t| {
+            let (_, sweep) = t.triggers.iter().find(|(n, _)| *n == node)?;
+            Some((sweep.clone(), t.home))
+        }) else {
             self.invariant_failed(
                 Some(txn),
                 format!("sweep trigger at {node} with no planned sweep gather"),
@@ -1832,7 +1908,7 @@ impl DsmSystem {
             return;
         };
         sweep.initial_acks += acks;
-        let spec = self.build_spec(node, &sweep, txn, block, home);
+        let spec = self.build_spec(node, sweep, txn, block, home);
         let t = self.nodes[node.idx()].cc.occupy(now, costs.cc_send);
         self.cal.schedule(t, Ev::Inject(spec));
     }
@@ -2301,7 +2377,21 @@ snap_enum!(StallKind {
 });
 snap_enum!(ProcState { 0 => Idle, 1 => BusyUntil(until), 2 => Stalled { kind, since } });
 snap_struct!(NodeCtx { wb, dc, cc, mem, proc, pending_writes, poisoned_fill });
-snap_struct!(TxnState { block, home, writer, needed, got, plan, with_data, started, home_msgs });
+snap_struct!(TxnState {
+    block,
+    home,
+    writer,
+    needed,
+    got,
+    acks,
+    gathers,
+    relays,
+    triggers,
+    with_data,
+    started,
+    home_msgs,
+});
+snap_enum!(SharerAck { 0 => Unicast, 1 => Post, 2 => Gather(index) });
 snap_struct!(BarrierState { expected, arrived });
 snap_struct!(LockState { holder, queue });
 snap_enum!(Ev {
@@ -2340,6 +2430,11 @@ impl Snap for TxnSlab {
                 return Err(SnapError::Corrupt(format!(
                     "txn slab: id {id:#x} stored in slot {slot}"
                 )));
+            }
+        }
+        for (slot, t) in slots.iter().enumerate() {
+            if let Some(e) = t.as_ref().and_then(|t| t.check().err()) {
+                return Err(SnapError::Corrupt(format!("txn slab: slot {slot}: {e}")));
             }
         }
         let mut vacant_seen = vec![false; slots.len()];
@@ -2456,6 +2551,56 @@ mod tests {
             corrupt(&mut sys);
             let Err(SimError::Snapshot(e)) = restored(&sys) else {
                 panic!("case {i}: an overflowing state restored");
+            };
+            assert!(e.contains(want), "case {i}: {e}");
+        }
+    }
+
+    /// A live transaction whose ack table lists a sharer twice or out of
+    /// order, or names a gather past its gather table, is refused at
+    /// restore: the lookup would miss a sharer or the gather index would
+    /// panic once the invalidation arrived.
+    #[test]
+    fn restore_refuses_a_broken_transaction_ack_table() {
+        let txn = |acks: Vec<(NodeId, SharerAck)>| TxnState {
+            block: BlockId(0),
+            home: NodeId(0),
+            writer: NodeId(1),
+            needed: 2,
+            got: 0,
+            acks,
+            gathers: vec![PlannedWorm::gather(vec![NodeId(3), NodeId(0)], 1, false)],
+            relays: Vec::new(),
+            triggers: Vec::new(),
+            with_data: false,
+            started: 0,
+            home_msgs: 1,
+        };
+        let mut ok = system();
+        ok.txns.insert(txn(vec![(NodeId(2), SharerAck::Post), (NodeId(3), SharerAck::Gather(0))]));
+        let back = restored(&ok).expect("a well-formed ack table restores");
+        let id = back.open_txn_ids()[0];
+        assert_eq!(
+            back.txns.get(id).and_then(|t| t.ack_for(NodeId(3))),
+            Some(SharerAck::Gather(0))
+        );
+
+        let cases = [
+            (
+                vec![(NodeId(2), SharerAck::Post), (NodeId(2), SharerAck::Unicast)],
+                "n2 listed twice",
+            ),
+            (vec![(NodeId(3), SharerAck::Post), (NodeId(2), SharerAck::Unicast)], "out of order"),
+            (
+                vec![(NodeId(2), SharerAck::Post), (NodeId(3), SharerAck::Gather(1))],
+                "sharer n3's action Gather(1) names a gather past a table of 1",
+            ),
+        ];
+        for (i, (acks, want)) in cases.into_iter().enumerate() {
+            let mut sys = system();
+            sys.txns.insert(txn(acks));
+            let Err(SimError::Snapshot(e)) = restored(&sys) else {
+                panic!("case {i}: a broken ack table restored");
             };
             assert!(e.contains(want), "case {i}: {e}");
         }

@@ -279,12 +279,15 @@ fn try_new_rejects_an_empty_release_write_buffer() {
 type Edit = fn(&mut SystemConfig);
 
 /// A router delay near `u64::MAX` overflowed `now + delay`: a panic in
-/// debug builds, a wrapped clock and a wrong cycle count in release.
+/// debug builds, a wrapped clock and a wrong cycle count in release. A
+/// router delay past 256 cycles is refused too: a buffered flit keeps its
+/// deposit gap in one byte.
 #[test]
 fn try_new_rejects_mesh_delays_that_overflow_the_clock() {
     const MAX: u64 = wormdsm_core::MAX_TIMING_CYCLES;
-    let cases: [(&str, Edit); 3] = [
+    let cases: [(&str, Edit); 4] = [
         ("mesh.router_delay", |c| c.mesh.router_delay = MAX + 1),
+        ("router_delay must be <= 256 (got 257)", |c| c.mesh.router_delay = 257),
         ("mesh.strip_delay", |c| c.mesh.strip_delay = u64::MAX / 2),
         ("mesh.iack_check_delay", |c| c.mesh.iack_check_delay = u64::MAX),
     ];
@@ -293,7 +296,7 @@ fn try_new_rejects_mesh_delays_that_overflow_the_clock() {
         assert!(msg.contains(field), "{msg}");
     }
     let mut cfg = SystemConfig::for_scheme(4, SchemeKind::MiMaCol);
-    cfg.mesh.router_delay = MAX;
+    cfg.mesh.router_delay = 256;
     assert!(DsmSystem::try_new(cfg, SchemeKind::MiMaCol.build()).is_ok());
 }
 

@@ -40,7 +40,7 @@
 //! [`crate::router`]) instead of filtering every `(port, vc)` slot.
 
 use crate::nic::{Delivery, GatherCheck, IackMode, NicSlab, StreamState};
-use crate::router::{BufFlit, RouterSlab, VcMode, LOCAL, LOCAL8};
+use crate::router::{RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
@@ -164,6 +164,14 @@ impl MeshConfig {
         }
         if self.router_delay < 1 || self.strip_delay < 1 || self.iack_check_delay < 1 {
             return Err("router_delay, strip_delay and iack_check_delay must all be >= 1".into());
+        }
+        if self.router_delay > RouterSlab::MAX_ROUTER_DELAY {
+            return Err(format!(
+                "router_delay must be <= {} (got {}); a buffered flit keeps its deposit gap in \
+                 one byte, saturating at 255, which is exact only up to that head delay",
+                RouterSlab::MAX_ROUTER_DELAY,
+                self.router_delay
+            ));
         }
         let vcs = self.vcs_per_vnet.saturating_mul(NUM_VNETS);
         let slots = vcs.saturating_mul(NUM_PORTS);
@@ -721,7 +729,7 @@ impl Network {
         }
         let nodes = cfg.mesh.nodes();
         let vcs = cfg.vcs_total();
-        let routers = RouterSlab::new(nodes, NUM_PORTS, vcs, cfg.vc_buf_flits);
+        let routers = RouterSlab::new(nodes, NUM_PORTS, vcs, cfg.vc_buf_flits, cfg.router_delay);
         let nics =
             NicSlab::new(nodes, cfg.cons_channels, cfg.cons_buf_flits, cfg.iack_buffers, vcs);
         let neighbors = build_neighbors(&cfg.mesh);
@@ -1489,8 +1497,7 @@ impl Network {
         assert!(nb != NO_NEIGHBOR, "route computation never leaves the mesh");
         let nb = nb as usize;
         let in_port_nb = dir.opposite().index();
-        let ready = now + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 };
-        self.routers.deposit(nb, in_port_nb, out_vc, BufFlit { flit, ready_at: ready });
+        self.routers.deposit(nb, in_port_nb, out_vc, flit, now);
         self.activate_router(nb);
 
         // Tail releases allocations.
@@ -1735,8 +1742,7 @@ impl Network {
                 continue;
             }
             let flit = Flit::nth(st.worm, st.next_seq, st.len);
-            let ready = now + if flit.kind == FlitKind::Head { self.cfg.router_delay } else { 1 };
-            self.routers.deposit(n, LOCAL, vc, BufFlit { flit, ready_at: ready });
+            self.routers.deposit(n, LOCAL, vc, flit, now);
             self.activate_router(n);
             self.stats.flits_injected += 1;
             if flit.kind == FlitKind::Head {
@@ -1812,22 +1818,27 @@ impl Network {
         }
     }
 
-    /// Rebuild a network from `cfg` and a [`Network::save_state`] stream,
-    /// cross-validating the stream's geometry against the configuration.
-    /// Trace and probe state is fresh (callers re-apply).
-    pub fn load_state(cfg: MeshConfig, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut net = Network::new(cfg);
-        let nodes = net.cfg.mesh.nodes();
-        net.now = r.get_u64()?;
-        net.routers.load_state(r)?;
-        let queues = net.nics.load_state(r)?;
-        net.worms = WormTable::load(r)?;
-        net.live_worms = r.get_usize()?;
-        net.router_active = load_node_set(r, nodes, "router")?;
-        net.nic_active = load_node_set(r, nodes, "NIC")?;
-        net.stats = NetStats::load(r)?;
-        net.violation = Option::load(r)?;
-        net.link_load = if r.get_bool()? {
+    /// Load a [`Network::save_state`] stream into this network, which
+    /// must be as [`Network::new`] built it from the saving side's
+    /// configuration (a link-load meter attached or not: the stream says
+    /// which it holds), cross-validating the stream's geometry against
+    /// the configuration. Trace and probe state stay fresh (callers
+    /// re-apply). Loading in place holds one network's slabs at a time
+    /// instead of two. On an error the network is partly loaded and must
+    /// be dropped.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        debug_assert!(self.now == 0 && self.live_worms == 0, "loading into a used network");
+        let nodes = self.cfg.mesh.nodes();
+        self.now = r.get_u64()?;
+        self.routers.load_state(r)?;
+        let queues = self.nics.load_state(r)?;
+        self.worms = WormTable::load(r)?;
+        self.live_worms = r.get_usize()?;
+        self.router_active = load_node_set(r, nodes, "router")?;
+        self.nic_active = load_node_set(r, nodes, "NIC")?;
+        self.stats = NetStats::load(r)?;
+        self.violation = Option::load(r)?;
+        self.link_load = if r.get_bool()? {
             let m = LinkLoadMeter::load(r)?;
             if m.prev.len() != nodes * 4 || m.committed.len() != nodes * 4 {
                 return Err(SnapError::Mismatch(
@@ -1838,29 +1849,28 @@ impl Network {
         } else {
             None
         };
-        if net.stats.link_busy.len() != nodes * 4 {
+        if self.stats.link_busy.len() != nodes * 4 {
             return Err(SnapError::Mismatch("snapshot link stats mismatch node count".into()));
         }
-        let table = net.worms.len();
+        let table = self.worms.len();
         let dangling =
-            net.routers.worm_ids().chain(net.nics.worm_ids()).find(|id| id.0 as usize >= table);
+            self.routers.worm_ids().chain(self.nics.worm_ids()).find(|id| id.0 as usize >= table);
         if let Some(id) = dangling {
             return Err(SnapError::Corrupt(format!(
                 "worm id {} named outside a table of {table}",
                 id.0
             )));
         }
-        net.nics.link_queues(&queues, &mut net.worms).map_err(SnapError::Corrupt)?;
-        net.worms.check(nodes).map_err(SnapError::Corrupt)?;
+        self.nics.link_queues(&queues, &mut self.worms).map_err(SnapError::Corrupt)?;
+        self.worms.check(nodes).map_err(SnapError::Corrupt)?;
         if let Some(d) =
-            net.nics.undrained().find(|d| d.node.idx() >= nodes || d.src.idx() >= nodes)
+            self.nics.undrained().find(|d| d.node.idx() >= nodes || d.src.idx() >= nodes)
         {
             return Err(SnapError::Corrupt(format!("{d:?} names a node outside the mesh")));
         }
-        net.check_credits().map_err(SnapError::Corrupt)?;
-        net.check_worm_accounting().map_err(SnapError::Corrupt)?;
-        net.check_clocks().map_err(SnapError::Corrupt)?;
-        Ok(net)
+        self.check_credits().map_err(SnapError::Corrupt)?;
+        self.check_worm_accounting().map_err(SnapError::Corrupt)?;
+        self.check_clocks().map_err(SnapError::Corrupt)
     }
 
     /// The first worm whose accounting a loaded network breaks: the live
@@ -1891,10 +1901,11 @@ impl Network {
     }
 
     /// The first clock or counter in a loaded network that stepping it
-    /// could overflow: the clock past [`MAX_CLOCK`], a worm queued after
-    /// it, a statistics counter past [`counter_limit`], or a link-load
-    /// meter whose window boundary lies more than a window ahead or whose
-    /// last reading exceeds the link's busy count.
+    /// could overflow: the clock past [`MAX_CLOCK`], a worm queued or a
+    /// buffered flit deposited after it, a statistics counter past
+    /// [`counter_limit`], or a link-load meter whose window boundary lies
+    /// more than a window ahead or whose last reading exceeds the link's
+    /// busy count.
     fn check_clocks(&self) -> Result<(), String> {
         let now = self.now;
         if now > MAX_CLOCK {
@@ -1902,6 +1913,9 @@ impl Network {
         }
         if let Some(w) = self.worms.iter().find(|w| w.queued_at > now) {
             return Err(format!("a worm queued at cycle {}, after cycle {now}", w.queued_at));
+        }
+        if let Some(at) = self.routers.newest_deposit().filter(|&at| at > now) {
+            return Err(format!("a router FIFO flit deposited at cycle {at}, after cycle {now}"));
         }
         let limit = counter_limit(now, self.cfg.mesh.nodes());
         if self.stats.max_count() > limit {
@@ -2007,6 +2021,19 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_router_delay_past_the_gap_byte() {
+        let mut cfg = MeshConfig::paper_defaults(4);
+        cfg.router_delay = RouterSlab::MAX_ROUTER_DELAY;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.router_delay = RouterSlab::MAX_ROUTER_DELAY + 1;
+        let e = cfg.validate().unwrap_err();
+        assert!(
+            e.contains("router_delay must be <= 256 (got 257)") && e.contains("one byte"),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn validate_rejects_a_consumption_depth_past_the_flit_counter() {
         let mut cfg = MeshConfig::paper_defaults(4);
         cfg.cons_buf_flits = NicSlab::MAX_CONS_CAP;
@@ -2039,7 +2066,9 @@ mod tests {
     }
 
     fn load(cfg: &MeshConfig, bytes: &[u8]) -> Result<Network, SnapError> {
-        Network::load_state(cfg.clone(), &mut SnapReader::new(bytes)?)
+        let mut net = Network::new(cfg.clone());
+        net.load_state(&mut SnapReader::new(bytes)?)?;
+        Ok(net)
     }
 
     /// Unicasts and column multicasts on a 6x6 mesh with 3-flit FIFOs, so
@@ -2138,13 +2167,7 @@ mod tests {
                 "worm id 60 named outside a table of 60",
             ),
             (|n| n.nics.reserve_cons(3, 0, WormId(99), false), "worm id 99"),
-            (
-                |n| {
-                    let bf = BufFlit { flit: Flit::nth(WormId(61), 0, 2), ready_at: 0 };
-                    n.routers.deposit(0, LOCAL, 0, bf);
-                },
-                "worm id 61",
-            ),
+            (|n| n.routers.deposit(0, LOCAL, 0, Flit::nth(WormId(61), 0, 2), n.now), "worm id 61"),
             (|n| n.routers.take_credit(0, 0, 0), "node 0 output (0, 0): 2 credits and 0 flits"),
             // A credit above the depth is refused before it narrows.
             (|n| n.routers.add_credit(0, 1, 0), "router credit 4 above the 3-flit buffer"),
@@ -2178,14 +2201,19 @@ mod tests {
 
     /// A live-worm count or a worm's copy count that disagrees with the
     /// worms and consumption channels, and a clock or counter that
-    /// stepping could overflow, are refused at load.
+    /// stepping could overflow (a buffered flit deposited after the clock
+    /// among them), are refused at load.
     #[test]
     fn load_rejects_broken_worm_accounting_and_overflowing_clocks() {
         type Corrupt = fn(&mut Network);
-        let corrupt: [(Corrupt, &str); 5] = [
+        let corrupt: [(Corrupt, &str); 6] = [
             (|n| n.live_worms -= 1, "live worms"),
             (|n| n.worms.get_mut(WormId(0)).copies += 1, "worm 0: 1 copies, 0 consumption"),
             (|n| n.worms.get_mut(WormId(3)).queued_at = n.now + 1, "queued at cycle"),
+            (
+                |n| n.routers.deposit(0, LOCAL, 0, Flit::nth(WormId(0), 0, 2), n.now + 1),
+                "a router FIFO flit deposited at cycle 1, after cycle 0",
+            ),
             (|n| n.stats.flit_hops = u64::MAX, "network counter"),
             (|n| n.now = MAX_CLOCK + 1, "past the last cycle"),
         ];

@@ -123,7 +123,8 @@ fn meter_survives_snapshot_round_trip() {
     net.save_state(&mut w);
     let bytes = w.finish();
     let mut r = SnapReader::new(&bytes).unwrap();
-    let restored = Network::load_state(cfg(4), &mut r).unwrap();
+    let mut restored = Network::new(cfg(4));
+    restored.load_state(&mut r).unwrap();
     assert_eq!(
         net.link_load(),
         restored.link_load(),
@@ -138,7 +139,8 @@ fn meter_survives_snapshot_round_trip() {
     net.save_state(&mut w);
     let bytes = w.finish();
     let mut r = SnapReader::new(&bytes).unwrap();
-    let restored = Network::load_state(cfg(4), &mut r).unwrap();
+    let mut restored = Network::new(cfg(4));
+    restored.load_state(&mut r).unwrap();
     assert!(restored.link_load().is_none());
 }
 

@@ -47,8 +47,12 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// its owner, flit count and two flags instead of its buffered flits,
 /// the deliveries as one network-wide queue without the delivery node
 /// bitset, one directory map for every home instead of one per node,
-/// and flits without their sequence number.
-pub const SNAP_VERSION: u32 = 9;
+/// and flits without their sequence number; version 10 stores each
+/// router FIFO's front ready time and each buffered flit's deposit cycle
+/// instead of each flit's ready time, and each live invalidation
+/// transaction's sharer actions as a (node, action) table with its gather
+/// worms held once, without the request worms already injected.
+pub const SNAP_VERSION: u32 = 10;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

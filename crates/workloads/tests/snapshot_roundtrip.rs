@@ -229,7 +229,7 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded five times since: once when
+/// lock state. The hashes were re-recorded six times since: once when
 /// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
 /// fingerprint of the config's `Debug` text, and that fingerprint was the
 /// only byte range that moved), once for format version 6, which
@@ -241,11 +241,16 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// fingerprints the configuration field by field instead of by its
 /// `Debug` text, and drops a worm's delivery cycle and a delivery's
 /// final/absorb kind, once for format version 8, which drops the
-/// worm table's slot-recycling flag (every network now recycles), and
-/// once for format version 9, which stores each consumption channel as a
+/// worm table's slot-recycling flag (every network now recycles), once
+/// for format version 9, which stores each consumption channel as a
 /// counter record, the deliveries as one queue without their node
 /// bitset, one directory map for every home, and flits without their
-/// sequence number.
+/// sequence number, and once for format version 10, which stores each
+/// router FIFO's front ready time and each buffered flit's deposit cycle
+/// instead of each flit's ready time, and each live transaction's sharer
+/// actions as a (node, action) table with its gather worms held once and
+/// no request worms (a scratch build writing the version 9 encodings back
+/// reproduced the version 9 hashes).
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -260,12 +265,12 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0x525a_56c3_d5ef_8f95),
-        ("lu", 0x26c2_0d30_d9fb_89bd),
-        ("apsp", 0xc408_860c_06ad_3b17),
-        ("synth 2ph", 0xa48b_3a99_a946_c0c0),
-        ("synth ada", 0x7eba_0c77_bb28_f4a9),
-        ("locks", 0x42fd_16f8_ed66_0f1e),
+        ("bh", 0xf059_998f_59fc_2e3a),
+        ("lu", 0x1db7_fe70_41c8_ee48),
+        ("apsp", 0xf81c_4866_31ab_720e),
+        ("synth 2ph", 0x4df3_0b0f_5faa_fc1a),
+        ("synth ada", 0xdfc2_2663_6344_152b),
+        ("locks", 0x107f_cdcd_f9b4_bb74),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");
