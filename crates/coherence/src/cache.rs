@@ -145,6 +145,11 @@ impl Caches {
         self.lines.len()
     }
 
+    /// Bytes the line table holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.lines.heap_bytes()
+    }
+
     /// True when no node holds a line.
     pub fn is_empty(&self) -> bool {
         self.lines.is_empty()

@@ -159,6 +159,18 @@ impl Directory {
         self.entries.len()
     }
 
+    /// Bytes the directory holds on the heap: the entry map and each
+    /// entry's presence bits and request queue.
+    pub fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::{deque_bytes, vec_bytes};
+        self.entries.heap_bytes()
+            + self
+                .entries
+                .iter()
+                .map(|(_, e)| vec_bytes(&e.presence) + deque_bytes(&e.queue))
+                .sum::<usize>()
+    }
+
     /// True when no entry was ever touched.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -372,6 +372,12 @@ impl MsgTable {
         self.slots.len() - self.free.len()
     }
 
+    /// Bytes the table holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::vec_bytes;
+        vec_bytes(&self.slots) + vec_bytes(&self.free)
+    }
+
     /// True if no message is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -81,6 +81,12 @@ impl PlannedWorm {
             Some(m) => m.iter().filter(|&&d| d).count(),
         }
     }
+
+    /// Bytes the worm owns on the heap: its destination list and mask.
+    pub fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::vec_bytes;
+        vec_bytes(&self.dests) + self.deliver.as_ref().map_or(0, vec_bytes)
+    }
 }
 
 /// What a sharer does after invalidating its cached copy.

@@ -33,7 +33,7 @@ use wormdsm_sim::profile::TxnProfiler;
 use wormdsm_sim::snap::{snap_enum, snap_struct, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
 use wormdsm_sim::stats::BusyTime;
 use wormdsm_sim::trace::{FlightRecorder, InvariantViolation, TraceClass, TraceKind, TraceLevel};
-use wormdsm_sim::{counter_limit, trace_event, Calendar, Cycle, Registry, MAX_CLOCK};
+use wormdsm_sim::{counter_limit, trace_event, Calendar, Cycle, NodeLists, Registry, MAX_CLOCK};
 
 /// Cycles an early fetch waits before retrying at a node whose ownership
 /// grant is still in flight (window-of-vulnerability deferral).
@@ -85,6 +85,57 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// Heap bytes a [`DsmSystem`] holds, by component (see
+/// [`DsmSystem::heap_bytes`]). A container counts its capacity, so the
+/// account of a finished run keeps each component's high-water mark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeapAccount {
+    /// Router FIFOs, slot records and columns.
+    pub routers: usize,
+    /// NIC queues, consumption channels, i-ack entries and deliveries.
+    pub nics: usize,
+    /// The worm table with every spec's destination list.
+    pub worms: usize,
+    /// The rest of the network: neighbor table, activity sets, link
+    /// statistics and the link-load meter.
+    pub network: usize,
+    /// Pending calendar events, boxed specs included.
+    pub calendar: usize,
+    /// The protocol-message table.
+    pub messages: usize,
+    /// The cache-line table of every node.
+    pub caches: usize,
+    /// Directory entries with their presence bits and request queues.
+    pub directory: usize,
+    /// Node records, writeback buffers and pending writes.
+    pub nodes: usize,
+    /// Live invalidation transactions, barriers and locks.
+    pub protocol: usize,
+}
+
+impl HeapAccount {
+    /// Every component with its name, in declaration order.
+    pub fn rows(&self) -> [(&'static str, usize); 10] {
+        [
+            ("routers", self.routers),
+            ("nics", self.nics),
+            ("worms", self.worms),
+            ("network", self.network),
+            ("calendar", self.calendar),
+            ("messages", self.messages),
+            ("caches", self.caches),
+            ("directory", self.directory),
+            ("nodes", self.nodes),
+            ("protocol", self.protocol),
+        ]
+    }
+
+    /// Bytes over all components.
+    pub fn total(&self) -> usize {
+        self.rows().iter().map(|&(_, b)| b).sum()
+    }
+}
 
 /// Always-on protocol invariant check: the promoted form of the
 /// `debug_assert!`s that used to guard these paths, so release runs audit
@@ -163,29 +214,19 @@ impl StallKind {
     }
 }
 
-/// Per-node mutable state.
+/// Per-node mutable state. The node's short lists — its writebacks and
+/// its release-consistency writes in flight — live in tables all nodes
+/// share (`DsmSystem::wb`, `DsmSystem::pending_writes`), so a node with
+/// nothing in flight costs them no header.
 #[derive(Debug)]
 struct NodeCtx {
-    wb: WbBuffer,
     dc: BusyTime,
     cc: BusyTime,
     mem: BusyTime,
     proc: ProcState,
-    /// Release consistency: writes in flight (block -> issue cycle).
-    /// A plain vector scanned linearly: the write buffer is tiny (a few
-    /// entries), so the scan beats hashing and the capacity is recycled
-    /// across the run instead of reallocating per write.
-    pending_writes: Vec<(BlockId, Cycle)>,
     /// An invalidation arrived for the block this node's outstanding read
     /// fill targets: serve the read once but do not install the line.
     poisoned_fill: Option<BlockId>,
-}
-
-impl NodeCtx {
-    /// True when a write to `block` is still in flight.
-    fn write_pending(&self, block: BlockId) -> bool {
-        self.pending_writes.iter().any(|&(b, _)| b == block)
-    }
 }
 
 /// An in-flight invalidation transaction at its home node. It keeps the
@@ -369,11 +410,76 @@ enum Ev {
     Recv { node: NodeId, key: u64, acks: u32, src: NodeId },
     /// Controller finished processing; run the protocol handler.
     Handle { node: NodeId, key: u64, acks: u32, src: NodeId },
-    /// Hand a fully built worm to the NIC.
-    Inject(WormSpec),
+    /// Hand a plain unicast worm to the NIC; its spec is built when the
+    /// event fires.
+    Send(Unicast),
+    /// Hand any other worm (multidestination, gather, i-reserve) to the
+    /// NIC.
+    Inject(Box<WormSpec>),
     /// Post an i-ack signal at `node` for `txn`; fall back to a unicast
     /// ack if the buffer is full.
     PostIack { node: NodeId, txn: TxnId },
+}
+
+/// A plain unicast worm waiting in the calendar: everything its
+/// [`WormSpec`] holds but the one-entry destination vector and the
+/// fields a unicast leaves at their defaults. Most scheduled worms are
+/// unicasts (every reply, and every invalidation under UI-UA), so the
+/// calendar's entries stay small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Unicast {
+    src: NodeId,
+    dest: NodeId,
+    vnet: VNet,
+    len: u16,
+    key: u64,
+    txn: TxnId,
+}
+
+impl Unicast {
+    /// The compact form of `spec`, if it is a plain unicast.
+    fn of(spec: &WormSpec) -> Option<Self> {
+        let plain = spec.kind == WormKind::Unicast
+            && spec.dests.len() == 1
+            && !spec.reserve_iack
+            && spec.initial_acks == 0
+            && !spec.gather_deposit
+            && spec.deliver.is_none();
+        plain.then(|| Self {
+            src: spec.src,
+            dest: spec.dests[0],
+            vnet: spec.vnet,
+            len: spec.len_flits,
+            key: spec.payload,
+            txn: spec.txn,
+        })
+    }
+
+    /// The worm's spec.
+    fn spec(self) -> WormSpec {
+        WormSpec {
+            txn: self.txn,
+            ..WormSpec::unicast(self.src, self.dest, self.vnet, self.len, self.key)
+        }
+    }
+}
+
+impl Ev {
+    /// The event handing `spec` to the NIC: compact for a plain unicast.
+    fn inject(spec: WormSpec) -> Self {
+        match Unicast::of(&spec) {
+            Some(u) => Ev::Send(u),
+            None => Ev::Inject(Box::new(spec)),
+        }
+    }
+
+    /// Heap bytes the event owns (a boxed spec and its lists).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Ev::Inject(spec) => std::mem::size_of::<WormSpec>() + spec.heap_bytes(),
+            _ => 0,
+        }
+    }
 }
 
 /// The complete simulated DSM machine.
@@ -384,6 +490,12 @@ pub struct DsmSystem {
     geom: MemGeometry,
     msgs: MsgTable,
     nodes: Vec<NodeCtx>,
+    /// Every node's writeback buffer.
+    wb: WbBuffer,
+    /// Release consistency: every node's writes in flight (block, issue
+    /// cycle). A node's list is tiny (a few entries), so it is scanned
+    /// linearly.
+    pending_writes: NodeLists<(BlockId, Cycle)>,
     /// Every node's cache lines in one table.
     caches: Caches,
     /// Every home's directory entries in one map keyed by block; a
@@ -444,12 +556,10 @@ impl DsmSystem {
         let geom = MemGeometry::new(cfg.block_bytes, n);
         let nodes = (0..n)
             .map(|_| NodeCtx {
-                wb: WbBuffer::new(),
                 dc: BusyTime::new(),
                 cc: BusyTime::new(),
                 mem: BusyTime::new(),
                 proc: ProcState::Idle,
-                pending_writes: Vec::new(),
                 poisoned_fill: None,
             })
             .collect();
@@ -469,6 +579,8 @@ impl DsmSystem {
             geom,
             msgs: MsgTable::new(),
             nodes,
+            wb: WbBuffer::new(n),
+            pending_writes: NodeLists::new(n),
             caches,
             dir: Directory::new(n),
             txns: TxnSlab::default(),
@@ -499,6 +611,49 @@ impl DsmSystem {
     /// Current cycle.
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// Heap bytes the system holds, by component. The flight recorder,
+    /// contention probe and profiler are observers and are not counted.
+    /// Not part of the exported metrics: the bytes depend on allocation
+    /// history, not only on the simulated run.
+    pub fn heap_bytes(&self) -> HeapAccount {
+        use wormdsm_sim::heap::{deque_bytes, vec_bytes};
+        let net = self.net.heap_bytes();
+        let txn = |t: &TxnState| {
+            vec_bytes(&t.acks)
+                + vec_bytes(&t.gathers)
+                + vec_bytes(&t.relays)
+                + vec_bytes(&t.triggers)
+                + t.gathers.iter().map(PlannedWorm::heap_bytes).sum::<usize>()
+                + t.relays
+                    .iter()
+                    .map(|(_, ws)| {
+                        vec_bytes(ws) + ws.iter().map(PlannedWorm::heap_bytes).sum::<usize>()
+                    })
+                    .sum::<usize>()
+                + t.triggers.iter().map(|(_, w)| w.heap_bytes()).sum::<usize>()
+        };
+        let txns = vec_bytes(&self.txns.slots)
+            + vec_bytes(&self.txns.ids)
+            + vec_bytes(&self.txns.free)
+            + self.txns.slots.iter().flatten().map(txn).sum::<usize>();
+        let barriers = vec_bytes(&self.barriers)
+            + self.barriers.iter().flatten().map(|b| vec_bytes(&b.arrived)).sum::<usize>();
+        let locks = vec_bytes(&self.locks)
+            + self.locks.iter().flatten().map(|l| deque_bytes(&l.queue)).sum::<usize>();
+        HeapAccount {
+            routers: net.routers,
+            nics: net.nics,
+            worms: net.worms,
+            network: net.other,
+            calendar: self.cal.heap_bytes() + self.cal.events().map(Ev::heap_bytes).sum::<usize>(),
+            messages: self.msgs.heap_bytes(),
+            caches: self.caches.heap_bytes(),
+            directory: self.dir.heap_bytes(),
+            nodes: vec_bytes(&self.nodes) + self.wb.heap_bytes() + self.pending_writes.heap_bytes(),
+            protocol: txns + barriers + locks,
+        }
     }
 
     /// Metrics so far.
@@ -914,7 +1069,7 @@ impl DsmSystem {
         self.msgs.save(&mut w);
         // Each node's record opens with its cache section (format v9).
         w.put_usize(self.nodes.len());
-        self.caches.save_sections(self.nodes.len(), &mut w, |i, w| self.nodes[i].save(w));
+        self.caches.save_sections(self.nodes.len(), &mut w, |i, w| self.save_node(i, w));
         self.dir.save(&mut w);
         self.txns.save(&mut w);
         self.cal.save(&mut w);
@@ -922,6 +1077,30 @@ impl DsmSystem {
         self.barriers.save(&mut w);
         self.locks.save(&mut w);
         w.finish()
+    }
+
+    /// Write node `i`'s record in the layout of a per-node record that
+    /// holds its own lists: writeback buffer, controllers, processor,
+    /// pending writes, poisoned fill.
+    fn save_node(&self, i: usize, w: &mut SnapWriter) {
+        let n = &self.nodes[i];
+        self.wb.save_node(i, w);
+        n.dc.save(w);
+        n.cc.save(w);
+        n.mem.save(w);
+        n.proc.save(w);
+        self.pending_writes.save_list(i, w);
+        n.poisoned_fill.save(w);
+    }
+
+    /// Read a [`DsmSystem::save_node`] record into node `i`, whose lists
+    /// must be empty.
+    fn load_node(&mut self, i: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.wb.load_node(i, r)?;
+        let (dc, cc, mem, proc) = (Snap::load(r)?, Snap::load(r)?, Snap::load(r)?, Snap::load(r)?);
+        self.pending_writes.load_list(i, r)?;
+        self.nodes[i] = NodeCtx { dc, cc, mem, proc, poisoned_fill: Snap::load(r)? };
+        Ok(())
     }
 
     /// Rebuild a system from [`DsmSystem::save_snapshot`] bytes.
@@ -975,9 +1154,9 @@ impl DsmSystem {
                 sys.cfg.nodes()
             )));
         }
-        for (i, node) in sys.nodes.iter_mut().enumerate() {
+        for i in 0..n {
             sys.caches.load_section(NodeId(i as u16), &mut r).map_err(snap_err)?;
-            *node = Snap::load(&mut r).map_err(snap_err)?;
+            sys.load_node(i, &mut r).map_err(snap_err)?;
         }
         let dir: Directory = Snap::load(&mut r).map_err(snap_err)?;
         if dir.nodes() != sys.cfg.nodes() {
@@ -1026,6 +1205,7 @@ impl DsmSystem {
                     node_ok(*node).and(node_ok(*src))
                 }
                 Ev::PostIack { node, .. } => node_ok(*node),
+                Ev::Send(u) => self.net.check_spec(&u.spec()),
                 Ev::Inject(spec) => self.net.check_spec(spec),
             }
             .map_err(|e| format!("calendar event {ev:?}: {e}"))
@@ -1064,7 +1244,7 @@ impl DsmSystem {
                     return Err(format!("node {i} stalled since cycle {since}, after {now}"));
                 }
             }
-            if let Some((_, at)) = n.pending_writes.iter().find(|w| w.1 > now) {
+            if let Some((_, at)) = self.pending_writes.get(i).iter().find(|w| w.1 > now) {
                 return Err(format!("node {i} issued a write at cycle {at}, after {now}"));
             }
         }
@@ -1091,6 +1271,7 @@ impl DsmSystem {
     pub fn held_message_keys(&self) -> impl Iterator<Item = u64> + '_ {
         let events = self.cal.events().filter_map(|ev| match ev {
             Ev::Recv { key, .. } | Ev::Handle { key, .. } => Some(*key),
+            Ev::Send(u) => Some(u.key),
             Ev::Inject(spec) => Some(spec.payload),
             Ev::PostIack { .. } => None,
         });
@@ -1127,9 +1308,7 @@ impl DsmSystem {
             }
             MemOp::Read(a) => {
                 let block = self.geom.block_of(a);
-                if self.nodes[node.idx()].write_pending(block)
-                    || self.nodes[node.idx()].wb.contains(block)
-                {
+                if self.write_pending(node, block) || self.wb.contains(node.idx(), block) {
                     // Re-touching a block whose own writeback is still
                     // unacknowledged would let the stale writeback race a
                     // re-acquired copy (writeback ABA); wait for the ack.
@@ -1152,9 +1331,7 @@ impl DsmSystem {
                 // A read or write to a block with a write already in
                 // flight — or with this node's own writeback still
                 // unacknowledged (writeback ABA) — waits for it.
-                if self.nodes[node.idx()].write_pending(block)
-                    || self.nodes[node.idx()].wb.contains(block)
-                {
+                if self.write_pending(node, block) || self.wb.contains(node.idx(), block) {
                     self.stall(node, StallKind::Deferred(op), now);
                     return;
                 }
@@ -1169,14 +1346,14 @@ impl DsmSystem {
                         self.stall(node, StallKind::Write(block), now);
                     }
                     ConsistencyModel::Release { write_buffer } => {
-                        if self.nodes[node.idx()].pending_writes.len() >= write_buffer {
+                        if self.pending_writes.len(node.idx()) >= write_buffer {
                             // Buffer full: retry when a write retires
                             // (deferral is not a miss yet).
                             self.stall(node, StallKind::Deferred(op), now);
                             return;
                         }
                         self.metrics.write_misses += 1;
-                        self.nodes[node.idx()].pending_writes.push((block, now));
+                        self.pending_writes.push(node.idx(), (block, now));
                         self.nodes[node.idx()].proc =
                             ProcState::BusyUntil(now + costs.cache_access);
                     }
@@ -1224,6 +1401,11 @@ impl DsmSystem {
         }
     }
 
+    /// True when `node` has a write to `block` in flight.
+    fn write_pending(&self, node: NodeId, block: BlockId) -> bool {
+        self.pending_writes.get(node.idx()).iter().any(|&(b, _)| b == block)
+    }
+
     /// Home node of a barrier/lock id.
     fn service_home(&self, id: u16) -> NodeId {
         NodeId(id % self.nodes.len() as u16)
@@ -1233,7 +1415,7 @@ impl DsmSystem {
     /// waits until the write buffer drains. Returns true when the op was
     /// deferred.
     fn release_fence_pending(&mut self, node: NodeId, op: MemOp, now: Cycle) -> bool {
-        if !self.nodes[node.idx()].pending_writes.is_empty() {
+        if !self.pending_writes.is_empty(node.idx()) {
             self.stall(node, StallKind::Deferred(op), now);
             true
         } else {
@@ -1432,8 +1614,8 @@ impl DsmSystem {
             self.cal.schedule(t, Ev::Recv { node: dest, key, acks: 0, src: node });
         } else {
             let len = self.cfg.sizes.unicast_len(&msg);
-            let spec = WormSpec::unicast(node, dest, vnet, len, key);
-            self.cal.schedule(t, Ev::Inject(spec));
+            let u = Unicast { src: node, dest, vnet, len, key, txn: TxnId(0) };
+            self.cal.schedule(t, Ev::Send(u));
         }
     }
 
@@ -1524,8 +1706,11 @@ impl DsmSystem {
                 let msg = self.msgs.get(key);
                 self.dispatch(now, node, msg, key, acks, src);
             }
+            Ev::Send(u) => {
+                self.net.inject(u.spec());
+            }
             Ev::Inject(spec) => {
-                self.net.inject(spec);
+                self.net.inject(*spec);
             }
             Ev::PostIack { node, txn } => {
                 if !self.net.post_iack(node, txn) {
@@ -1583,7 +1768,7 @@ impl DsmSystem {
             }
             ProtoMsg::Writeback { block, owner } => self.h_writeback(now, node, block, owner, key),
             ProtoMsg::WritebackAck { block } => {
-                self.nodes[node.idx()].wb.release(block);
+                self.wb.release(node.idx(), block);
                 // An access deferred behind this writeback can now retry.
                 self.retry_deferred(now, node);
             }
@@ -1743,7 +1928,7 @@ impl DsmSystem {
         for w in request_worms {
             let spec = self.build_spec(home, w, txn_id, block, home);
             t = self.nodes[home.idx()].dc.occupy(t, costs.dc_send);
-            self.cal.schedule(t, Ev::Inject(spec));
+            self.cal.schedule(t, Ev::inject(spec));
             home_msgs += 1;
         }
 
@@ -1862,7 +2047,7 @@ impl DsmSystem {
                 let w = live.gathers[i as usize].clone();
                 let spec = self.build_spec(node, w, txn, block, home);
                 let t = self.nodes[node.idx()].cc.occupy(start, costs.cc_send);
-                self.cal.schedule(t, Ev::Inject(spec));
+                self.cal.schedule(t, Ev::inject(spec));
             }
         }
     }
@@ -1886,7 +2071,7 @@ impl DsmSystem {
         for w in worms {
             let spec = self.build_spec(node, w, txn, block, home);
             t = self.nodes[node.idx()].cc.occupy(t, costs.cc_send);
-            self.cal.schedule(t, Ev::Inject(spec));
+            self.cal.schedule(t, Ev::inject(spec));
         }
         // A delegate that is itself a sharer invalidates and acks too.
         if let Some(action) = action {
@@ -1910,7 +2095,7 @@ impl DsmSystem {
         sweep.initial_acks += acks;
         let spec = self.build_spec(node, sweep, txn, block, home);
         let t = self.nodes[node.idx()].cc.occupy(now, costs.cc_send);
-        self.cal.schedule(t, Ev::Inject(spec));
+        self.cal.schedule(t, Ev::inject(spec));
     }
 
     /// Acks arrived at the home (unicast count or gathered count).
@@ -2032,7 +2217,7 @@ impl DsmSystem {
             self.resume_mem(now, node, StallKind::Write(block));
             return;
         }
-        let Some(i) = self.nodes[node.idx()].pending_writes.iter().position(|&(b, _)| b == block)
+        let Some(i) = self.pending_writes.get(node.idx()).iter().position(|&(b, _)| b == block)
         else {
             self.invariant_failed(
                 None,
@@ -2040,7 +2225,7 @@ impl DsmSystem {
             );
             return;
         };
-        let (_, issued) = self.nodes[node.idx()].pending_writes.swap_remove(i);
+        let (_, issued) = self.pending_writes.swap_remove(node.idx(), i);
         self.metrics.write_latency.record((now - issued) as f64);
         self.retry_deferred(now, node);
     }
@@ -2055,7 +2240,7 @@ impl DsmSystem {
     ) {
         let costs = self.cfg.costs;
         let in_cache = self.caches.state(owner, block) == Some(LineState::Modified);
-        let in_wb = self.nodes[owner.idx()].wb.contains(block);
+        let in_wb = self.wb.contains(owner.idx(), block);
         if !in_cache && !in_wb {
             // Window of vulnerability [23]: the fetch (short, request net)
             // overtook this node's own data-carrying grant (long, reply
@@ -2204,8 +2389,8 @@ impl DsmSystem {
                 self.cal.schedule(t, Ev::Recv { node: n, key, acks: 0, src: home });
             } else {
                 let len = self.cfg.sizes.control;
-                let spec = WormSpec::unicast(home, n, VNet::Reply, len, key);
-                self.cal.schedule(t, Ev::Inject(spec));
+                let u = Unicast { src: home, dest: n, vnet: VNet::Reply, len, key, txn: TxnId(0) };
+                self.cal.schedule(t, Ev::Send(u));
             }
         }
     }
@@ -2248,7 +2433,7 @@ impl DsmSystem {
                 gather_deposit: false,
                 deliver: None,
             };
-            self.cal.schedule(t, Ev::Inject(spec));
+            self.cal.schedule(t, Ev::inject(spec));
         }
     }
 
@@ -2288,7 +2473,7 @@ impl DsmSystem {
             Evicted::None | Evicted::Clean(_) => {}
             Evicted::Dirty(victim) => {
                 self.metrics.writebacks += 1;
-                self.nodes[node.idx()].wb.insert(victim);
+                self.wb.insert(node.idx(), victim);
                 let home = self.geom.home_of(victim);
                 self.send_cc(
                     node,
@@ -2376,7 +2561,6 @@ snap_enum!(StallKind {
     4 => Deferred(op),
 });
 snap_enum!(ProcState { 0 => Idle, 1 => BusyUntil(until), 2 => Stalled { kind, since } });
-snap_struct!(NodeCtx { wb, dc, cc, mem, proc, pending_writes, poisoned_fill });
 snap_struct!(TxnState {
     block,
     home,
@@ -2394,12 +2578,50 @@ snap_struct!(TxnState {
 snap_enum!(SharerAck { 0 => Unicast, 1 => Post, 2 => Gather(index) });
 snap_struct!(BarrierState { expected, arrived });
 snap_struct!(LockState { holder, queue });
-snap_enum!(Ev {
-    0 => Recv { node, key, acks, src },
-    1 => Handle { node, key, acks, src },
-    2 => Inject(spec),
-    3 => PostIack { node, txn },
-});
+/// A compact unicast saves as the spec it builds, so both forms of an
+/// injection share tag 2, and a loaded plain unicast comes back compact.
+impl Snap for Ev {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Ev::Recv { node, key, acks, src } | Ev::Handle { node, key, acks, src } => {
+                w.put_u8(u8::from(matches!(self, Ev::Handle { .. })));
+                node.save(w);
+                key.save(w);
+                acks.save(w);
+                src.save(w);
+            }
+            Ev::Send(u) => {
+                w.put_u8(2);
+                u.spec().save(w);
+            }
+            Ev::Inject(spec) => {
+                w.put_u8(2);
+                spec.save(w);
+            }
+            Ev::PostIack { node, txn } => {
+                w.put_u8(3);
+                node.save(w);
+                txn.save(w);
+            }
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match r.get_u8()? {
+            t @ (0 | 1) => {
+                let (node, key, acks, src) =
+                    (Snap::load(r)?, Snap::load(r)?, Snap::load(r)?, Snap::load(r)?);
+                Ok(if t == 0 {
+                    Ev::Recv { node, key, acks, src }
+                } else {
+                    Ev::Handle { node, key, acks, src }
+                })
+            }
+            2 => Ok(Ev::inject(Snap::load(r)?)),
+            3 => Ok(Ev::PostIack { node: Snap::load(r)?, txn: Snap::load(r)? }),
+            t => Err(SnapError::Corrupt(format!("Ev tag {t}"))),
+        }
+    }
+}
 
 impl Snap for TxnSlab {
     fn save(&self, w: &mut SnapWriter) {
@@ -2473,6 +2695,53 @@ mod tests {
         DsmSystem::restore_snapshot(cfg, SchemeKind::UiUa.build(), &sys.save_snapshot())
     }
 
+    /// The heap account of a fresh k=64 system, component by component,
+    /// and the sizes of a calendar event and a node record. Growing
+    /// per-node state or a calendar entry fails here, exactly, instead of
+    /// moving a host's peak RSS by less than its noise.
+    #[test]
+    fn a_fresh_k64_heap_account_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Ev>(), 24);
+        assert_eq!(size_of::<NodeCtx>(), 88);
+        let cfg = SystemConfig::for_scheme(64, SchemeKind::UiUa);
+        let h = DsmSystem::new(cfg, SchemeKind::UiUa.build()).heap_bytes();
+        let want = HeapAccount {
+            routers: 2_457_680,
+            nics: 312_320,
+            network: 198_144,
+            nodes: 361_472,
+            ..HeapAccount::default()
+        };
+        assert_eq!(h, want);
+        assert_eq!(h.total() / 4096, 812, "bytes a node");
+    }
+
+    /// Scheduled worms: a plain unicast waits in the calendar compact and
+    /// a multidestination worm boxed, each saves as its spec, and both
+    /// come back in the same form.
+    #[test]
+    fn scheduled_unicasts_are_compact_and_save_as_their_spec() {
+        let mut sys = system();
+        let k = sys.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
+        let uni =
+            WormSpec { txn: TxnId(7), ..WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 3, k) };
+        let multi = WormSpec {
+            kind: WormKind::Multicast,
+            dests: vec![NodeId(1), NodeId(2)],
+            ..WormSpec::unicast(NodeId(0), NodeId(2), VNet::Req, 3, k)
+        };
+        let same = |a: &WormSpec, b: &WormSpec| format!("{a:?}") == format!("{b:?}");
+        assert!(matches!(Ev::inject(uni.clone()), Ev::Send(u) if same(&u.spec(), &uni)));
+        assert!(matches!(Ev::inject(multi.clone()), Ev::Inject(ref b) if same(b, &multi)));
+        sys.cal.schedule(3, Ev::inject(uni));
+        sys.cal.schedule(3, Ev::inject(multi));
+        let back = restored(&sys).expect("restores");
+        let forms: Vec<_> = back.cal.events().map(|e| matches!(e, Ev::Send(_))).collect();
+        assert_eq!(forms.iter().filter(|&&send| send).count(), 1, "{forms:?}");
+        assert_eq!(back.save_snapshot(), sys.save_snapshot());
+    }
+
     /// A message key past the table, held by a worm, a delivery, a
     /// calendar event or a queued directory request, is refused at restore
     /// instead of panicking in `MsgTable::get` once stepped.
@@ -2494,7 +2763,7 @@ mod tests {
             },
             |sys, k| {
                 let spec = WormSpec::unicast(NodeId(3), NodeId(4), VNet::Req, 2, k);
-                sys.cal.schedule(9, Ev::Inject(spec));
+                sys.cal.schedule(9, Ev::inject(spec));
             },
             |sys, k| {
                 let e = sys.dir.entry_mut(BlockId(0));
@@ -2535,7 +2804,7 @@ mod tests {
                 },
                 "node 1 stalled since cycle 11, after 10",
             ),
-            (|sys| sys.nodes[3].pending_writes.push((BlockId(1), 11)), "node 3 issued a write"),
+            (|sys| sys.pending_writes.push(3, (BlockId(1), 11)), "node 3 issued a write"),
             (
                 |sys| {
                     sys.nodes[2].mem.occupy(MAX_CLOCK, 1);
@@ -2704,7 +2973,7 @@ mod tests {
             },
             |sys, k| {
                 let spec = WormSpec::unicast(NodeId(3), NodeId(4), VNet::Req, 2, k);
-                sys.cal.schedule(9, Ev::Inject(spec));
+                sys.cal.schedule(9, Ev::inject(spec));
             },
             |sys, k| {
                 let e = sys.dir.entry_mut(BlockId(0));
@@ -2745,7 +3014,7 @@ mod tests {
     fn restore_refuses_calendar_events_the_mesh_cannot_run() {
         let mut ok = system();
         let k = ok.msgs.push(ProtoMsg::ReadReply { block: BlockId(1) });
-        ok.cal.schedule(3, Ev::Inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, k)));
+        ok.cal.schedule(3, Ev::inject(WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, k)));
         let mut sys = restored(&ok).expect("a routable worm restores");
         sys.run_cycles(100);
 
@@ -2765,7 +3034,7 @@ mod tests {
                 |sys, key| {
                     let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, key);
                     spec.dests = Default::default();
-                    sys.cal.schedule(3, Ev::Inject(spec));
+                    sys.cal.schedule(3, Ev::inject(spec));
                 },
                 "at least one destination",
             ),
@@ -2773,7 +3042,7 @@ mod tests {
                 |sys, key| {
                     sys.cal.schedule(
                         3,
-                        Ev::Inject(WormSpec::unicast(NodeId(5), NodeId(5), VNet::Req, 2, key)),
+                        Ev::inject(WormSpec::unicast(NodeId(5), NodeId(5), VNet::Req, 2, key)),
                     )
                 },
                 "first destination is its source",
@@ -2784,7 +3053,7 @@ mod tests {
                     let mut spec = WormSpec::unicast(NodeId(0), NodeId(5), VNet::Req, 2, key);
                     spec.kind = WormKind::Multicast;
                     spec.dests = [NodeId(5), NodeId(8)].into();
-                    sys.cal.schedule(3, Ev::Inject(spec));
+                    sys.cal.schedule(3, Ev::inject(spec));
                 },
                 "not conformant",
             ),

@@ -31,7 +31,7 @@ pub mod topology;
 pub mod worm;
 
 pub use network::{
-    ContentionProbe, ContentionWindow, LinkLoadMeter, MeshConfig, NetStats, Network,
+    ContentionProbe, ContentionWindow, LinkLoadMeter, MeshConfig, NetHeap, NetStats, Network,
 };
 pub use nic::{Delivery, IackMode};
 pub use routing::{BaseRouting, PathRule};

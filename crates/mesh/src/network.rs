@@ -218,6 +218,20 @@ impl MeshConfig {
     }
 }
 
+/// Heap bytes of a [`Network`]'s parts (see [`Network::heap_bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetHeap {
+    /// Router FIFOs, slot records and columns.
+    pub routers: usize,
+    /// NIC queues, channels, i-ack entries and deliveries.
+    pub nics: usize,
+    /// The worm table, every spec's destination list included.
+    pub worms: usize,
+    /// The rest: neighbor table, activity sets, link statistics and the
+    /// link-load meter.
+    pub other: usize,
+}
+
 /// Aggregate network statistics.
 #[derive(Debug, Clone)]
 pub struct NetStats {
@@ -786,6 +800,25 @@ impl Network {
     /// Statistics so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
+    }
+
+    /// Bytes the network holds on the heap, by part. The observers (the
+    /// flight recorder's ring and the contention probe) are not counted.
+    pub fn heap_bytes(&self) -> NetHeap {
+        use wormdsm_sim::heap::vec_bytes;
+        let meter =
+            self.link_load.as_ref().map_or(0, |m| vec_bytes(&m.prev) + vec_bytes(&m.committed));
+        NetHeap {
+            routers: self.routers.heap_bytes(),
+            nics: self.nics.heap_bytes(),
+            worms: self.worms.heap_bytes(),
+            other: vec_bytes(&self.neighbors)
+                + vec_bytes(&self.router_active)
+                + vec_bytes(&self.nic_active)
+                + vec_bytes(&self.work)
+                + vec_bytes(&self.stats.link_busy)
+                + meter,
+        }
     }
 
     /// The flight recorder (read side: events, timelines, JSON dump).

@@ -23,17 +23,20 @@
 //! NIC phase completes them in, so it needs no sorting.
 //!
 //! Like the router's, NIC state is stored for all nodes at once
-//! ([`NicSlab`]), one field per slab. The resume and deposit-retry queues
-//! stay per node: they are rare and allocate nothing until used. The
-//! i-ack buffer state machine — the trickiest part of the VCT
-//! deferred-delivery protocol — is written as functions over one node's
-//! entry row.
+//! ([`NicSlab`]), one field per slab. State that is empty almost always
+//! costs a node next to nothing: an i-ack entry is stored only while it
+//! is occupied (a node with none holds one 4-byte link), and the resume
+//! and deposit-retry queues of every node share one node-sorted list
+//! each ([`NodeLists`]), whose emptiness per node is one bit. The i-ack
+//! buffer state machine — the trickiest part of the VCT deferred-delivery
+//! protocol — is written as methods over that entry pool.
 
 use crate::topology::NodeId;
 use crate::worm::{Flit, FlitKind, TxnId, VNet, WormId, WormState, WormTable, NUM_VNETS};
 use std::collections::VecDeque;
+use wormdsm_sim::heap::{deque_bytes, vec_bytes};
 use wormdsm_sim::snap::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
-use wormdsm_sim::{Cycle, Strided};
+use wormdsm_sim::{Cycle, NodeLists, Strided};
 
 /// How a gather worm behaves when it reaches a router interface whose i-ack
 /// has not been posted yet.
@@ -141,41 +144,152 @@ pub struct StreamState {
     pub len: u16,
 }
 
-// --- i-ack buffer state machine, over one node's entry row ---
+// --- i-ack buffer state machine, over the shared entry pool ---
 
-fn find_in(iack: &[Option<IackEntry>], txn: TxnId) -> Option<usize> {
-    iack.iter().position(|e| e.as_ref().is_some_and(|e| e.txn == txn))
+/// Pool link meaning "no record".
+const NIL: u32 = u32::MAX;
+
+/// One occupied i-ack entry: the entry, its index in its node's buffer,
+/// and the record of the node's next occupied entry by index.
+#[derive(Debug, Clone)]
+struct IackRec {
+    entry: IackEntry,
+    idx: u8,
+    next: u32,
 }
 
-fn free_in(iack: &[Option<IackEntry>]) -> Option<usize> {
-    iack.iter().position(|e| e.is_none())
+/// The i-ack buffers of every node, holding an entry only while it is
+/// occupied. Each node's occupied entries form a list through the pool,
+/// in ascending entry index, so an entry keeps its index (a parked
+/// worm's drain names it) and the lowest free index is the first gap in
+/// the list. The buffers are 2-4 entries in the paper's range, so every
+/// walk is a few records; a node with no entry costs one link.
+#[derive(Debug)]
+struct IackPool {
+    /// Entries per node.
+    per: usize,
+    /// Each node's first occupied entry ([`NIL`] when none).
+    head: Vec<u32>,
+    recs: Vec<IackRec>,
+    /// Vacated records, reused last in, first out.
+    free: Vec<u32>,
 }
 
-/// Reserve an entry for `txn` (i-reserve worm passing through). Idempotent
-/// for retried headers; false when the buffer is full.
-fn reserve_in(iack: &mut [Option<IackEntry>], txn: TxnId) -> bool {
-    if find_in(iack, txn).is_some() {
-        return true;
+impl IackPool {
+    fn new(nodes: usize, per: usize) -> Self {
+        Self { per, head: vec![NIL; nodes], recs: Vec::new(), free: Vec::new() }
     }
-    match free_in(iack) {
-        Some(i) => {
-            iack[i] = Some(IackEntry { txn, state: IackState::Reserved });
-            true
+
+    /// The records of node `n`'s occupied entries, lowest index first.
+    fn walk(&self, n: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = self.head[n];
+        std::iter::from_fn(move || {
+            let r = cur;
+            (r != NIL).then(|| {
+                cur = self.recs[r as usize].next;
+                r
+            })
+        })
+    }
+
+    /// Node `n`'s occupied entries with their indices, lowest first.
+    fn entries(&self, n: usize) -> impl Iterator<Item = (usize, &IackEntry)> + '_ {
+        self.walk(n).map(|r| {
+            let rec = &self.recs[r as usize];
+            (usize::from(rec.idx), &rec.entry)
+        })
+    }
+
+    /// The record of node `n`'s entry for `txn`.
+    fn find(&self, n: usize, txn: TxnId) -> Option<u32> {
+        self.walk(n).find(|&r| self.recs[r as usize].entry.txn == txn)
+    }
+
+    /// The record of entry `idx` of node `n`, if occupied.
+    fn at(&self, n: usize, idx: usize) -> Option<u32> {
+        self.walk(n).find(|&r| usize::from(self.recs[r as usize].idx) == idx)
+    }
+
+    /// The lowest free entry index of node `n`; None when all are held.
+    fn free_index(&self, n: usize) -> Option<usize> {
+        let mut want = 0;
+        for (idx, _) in self.entries(n) {
+            if idx != want {
+                break;
+            }
+            want += 1;
         }
-        None => false,
+        (want < self.per).then_some(want)
     }
-}
 
-/// Post `count` acks worth for `txn` (local acks and partial-count deposits
-/// from first-level gather worms).
-fn post_count_in(
-    iack: &mut [Option<IackEntry>],
-    resume_q: &mut VecDeque<(WormId, u32)>,
-    txn: TxnId,
-    count: u32,
-) -> PostOutcome {
-    if let Some(i) = find_in(iack, txn) {
-        let entry = iack[i].as_mut().expect("found");
+    /// Occupy free entry `idx` of node `n` with `entry`.
+    fn insert(&mut self, n: usize, idx: usize, entry: IackEntry) {
+        let prev =
+            self.walk(n).take_while(|&r| usize::from(self.recs[r as usize].idx) < idx).last();
+        let next = prev.map_or(self.head[n], |p| self.recs[p as usize].next);
+        let rec = IackRec { entry, idx: idx as u8, next };
+        let r = match self.free.pop() {
+            Some(r) => {
+                self.recs[r as usize] = rec;
+                r
+            }
+            None => {
+                self.recs.push(rec);
+                (self.recs.len() - 1) as u32
+            }
+        };
+        match prev {
+            Some(p) => self.recs[p as usize].next = r,
+            None => self.head[n] = r,
+        }
+    }
+
+    /// Free the entry record `r` of node `n` holds.
+    fn remove(&mut self, n: usize, r: u32) {
+        let next = self.recs[r as usize].next;
+        let prev = self.walk(n).find(|&p| self.recs[p as usize].next == r);
+        match prev {
+            Some(p) => self.recs[p as usize].next = next,
+            None => self.head[n] = next,
+        }
+        self.free.push(r);
+    }
+
+    /// Reserve an entry for `txn` at node `n` (i-reserve worm passing
+    /// through). Idempotent for retried headers; false when the buffer is
+    /// full.
+    fn reserve(&mut self, n: usize, txn: TxnId) -> bool {
+        if self.find(n, txn).is_some() {
+            return true;
+        }
+        match self.free_index(n) {
+            Some(i) => {
+                self.insert(n, i, IackEntry { txn, state: IackState::Reserved });
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Post `count` acks worth for `txn` at node `n` (local acks and
+    /// partial-count deposits from first-level gather worms).
+    fn post_count(
+        &mut self,
+        n: usize,
+        resume: &mut NodeLists<(WormId, u32)>,
+        txn: TxnId,
+        count: u32,
+    ) -> PostOutcome {
+        let Some(r) = self.find(n, txn) else {
+            return match self.free_index(n) {
+                Some(i) => {
+                    self.insert(n, i, IackEntry { txn, state: IackState::Posted { count } });
+                    PostOutcome::Stored
+                }
+                None => PostOutcome::NoSpace,
+            };
+        };
+        let entry = &mut self.recs[r as usize].entry;
         match &mut entry.state {
             IackState::Reserved => {
                 entry.state = IackState::Posted { count };
@@ -190,83 +304,123 @@ fn post_count_in(
                 *posted = Some(count);
                 if drained == total {
                     let w = *worm;
-                    iack[i] = None;
-                    resume_q.push_back((w, count));
+                    self.remove(n, r);
+                    resume.push(n, (w, count));
                     PostOutcome::ResumeParked(w)
                 } else {
                     PostOutcome::ResumePending
                 }
             }
         }
-    } else {
-        match free_in(iack) {
-            Some(i) => {
-                iack[i] = Some(IackEntry { txn, state: IackState::Posted { count } });
-                PostOutcome::Stored
-            }
-            None => PostOutcome::NoSpace,
-        }
     }
-}
 
-/// A gather head checks for its ack. On `Ready`, the entry is freed and the
-/// count returned.
-fn gather_check_in(iack: &mut [Option<IackEntry>], txn: TxnId) -> GatherCheck {
-    if let Some(i) = find_in(iack, txn) {
-        let entry = iack[i].as_ref().expect("found");
-        if let IackState::Posted { count } = entry.state {
-            iack[i] = None;
-            return GatherCheck::Ready(count);
-        }
-    }
-    GatherCheck::NotReady
-}
-
-/// Try to park gather worm `worm` (of `total` flits) for `txn`. Returns the
-/// entry index, or None if no entry can hold it.
-fn park_in(iack: &mut [Option<IackEntry>], txn: TxnId, worm: WormId, total: u16) -> Option<usize> {
-    let idx = match find_in(iack, txn) {
-        Some(i) => {
-            // Entry exists (reserved); it must not already be posted —
-            // gather_check would have consumed a posted entry.
-            match iack[i].as_ref().expect("found").state {
-                IackState::Reserved => Some(i),
-                _ => None,
+    /// A gather head at node `n` checks for its ack. On `Ready`, the
+    /// entry is freed and the count returned.
+    fn gather_check(&mut self, n: usize, txn: TxnId) -> GatherCheck {
+        if let Some(r) = self.find(n, txn) {
+            if let IackState::Posted { count } = self.recs[r as usize].entry.state {
+                self.remove(n, r);
+                return GatherCheck::Ready(count);
             }
         }
-        None => free_in(iack),
-    }?;
-    iack[idx] =
-        Some(IackEntry { txn, state: IackState::Parked { worm, drained: 0, total, posted: None } });
-    Some(idx)
-}
-
-/// One flit of a parked worm drained into entry `idx`. Returns the worm
-/// (and the ack count it absorbs) if the park completed *and* the ack was
-/// already posted, meaning it must resume.
-fn park_drain_in(
-    iack: &mut [Option<IackEntry>],
-    resume_q: &mut VecDeque<(WormId, u32)>,
-    idx: usize,
-    is_tail: bool,
-) -> Option<(WormId, u32)> {
-    let entry = iack[idx].as_mut().expect("parked entry");
-    let IackState::Parked { worm, drained, total, posted } = &mut entry.state else {
-        panic!("park_drain on non-parked entry");
-    };
-    *drained += 1;
-    if is_tail {
-        debug_assert_eq!(*drained, *total, "tail drained before all flits");
+        GatherCheck::NotReady
     }
-    if drained == total {
-        if let Some(count) = *posted {
-            let w = *worm;
-            iack[idx] = None;
-            resume_q.push_back((w, count));
-            return Some((w, count));
+
+    /// Try to park gather worm `worm` (of `total` flits) for `txn` at
+    /// node `n`. Returns the entry index, or None if no entry can hold it.
+    fn park(&mut self, n: usize, txn: TxnId, worm: WormId, total: u16) -> Option<usize> {
+        let state = IackState::Parked { worm, drained: 0, total, posted: None };
+        match self.find(n, txn) {
+            // The entry exists (reserved); it must not already be posted
+            // — gather_check would have consumed a posted entry.
+            Some(r) => {
+                let rec = &mut self.recs[r as usize];
+                if rec.entry.state != IackState::Reserved {
+                    return None;
+                }
+                rec.entry.state = state;
+                Some(usize::from(rec.idx))
+            }
+            None => {
+                let i = self.free_index(n)?;
+                self.insert(n, i, IackEntry { txn, state });
+                Some(i)
+            }
         }
     }
-    None
+
+    /// One flit of a parked worm drained into entry `idx` of node `n`.
+    /// Returns the worm (and the ack count it absorbs) if the park
+    /// completed *and* the ack was already posted, meaning it must resume.
+    fn park_drain(
+        &mut self,
+        n: usize,
+        resume: &mut NodeLists<(WormId, u32)>,
+        idx: usize,
+        is_tail: bool,
+    ) -> Option<(WormId, u32)> {
+        let r = self.at(n, idx).expect("parked entry");
+        let IackState::Parked { worm, drained, total, posted } =
+            &mut self.recs[r as usize].entry.state
+        else {
+            panic!("park_drain on non-parked entry");
+        };
+        *drained += 1;
+        if is_tail {
+            debug_assert_eq!(*drained, *total, "tail drained before all flits");
+        }
+        if drained == total {
+            if let Some(count) = *posted {
+                let w = *worm;
+                self.remove(n, r);
+                resume.push(n, (w, count));
+                return Some((w, count));
+            }
+        }
+        None
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.head) + vec_bytes(&self.recs) + vec_bytes(&self.free)
+    }
+
+    /// Write the buffers in the layout of a strided slab of
+    /// `Option<IackEntry>` (stride `per`, one row a node).
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_usize(self.per);
+        w.put_usize(self.head.len() * self.per);
+        for n in 0..self.head.len() {
+            let mut held = self.entries(n).peekable();
+            for i in 0..self.per {
+                // An `Option<IackEntry>`'s encoding.
+                match held.next_if(|&(idx, _)| idx == i) {
+                    Some((_, e)) => {
+                        w.put_u8(1);
+                        e.save(w);
+                    }
+                    None => w.put_u8(0),
+                }
+            }
+        }
+    }
+
+    /// Read a [`IackPool::save`] stream into this pool, which must be
+    /// empty and have the stream's geometry.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let per = r.get_usize()?;
+        let len = r.get_len()?;
+        if per != self.per || len != self.head.len() * per {
+            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
+        }
+        for n in 0..self.head.len() {
+            for i in 0..per {
+                if let Some(e) = Option::<IackEntry>::load(r)? {
+                    self.insert(n, i, e);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Worm id of a free consumption channel's owner and of an empty
@@ -331,18 +485,18 @@ pub struct NicSlab {
     streaming: Strided<Option<StreamState>>,
     /// Consumption channels (stride `cons_channels`).
     cons: Strided<ConsChannel>,
-    /// i-ack buffer entries (None = free; stride `iack_entries`).
-    iack: Strided<Option<IackEntry>>,
+    /// i-ack buffer entries, held only while occupied.
+    iack: IackPool,
     /// Messages delivered to the nodes, awaiting pickup, in NIC order.
     delivered: VecDeque<Delivery>,
     /// Worms whose parked state resolved and must be re-injected on the
     /// reply network, with the ack count each absorbed (handled by the
     /// network layer each cycle).
-    resume_q: Vec<VecDeque<(WormId, u32)>>,
+    resume: NodeLists<(WormId, u32)>,
     /// Ack-count deposits that found the buffer full and retry each cycle
     /// (a pending deposit whose sweep has already parked resolves into the
     /// parked entry without needing a free slot, so retries always drain).
-    pending_deposits: Vec<VecDeque<(TxnId, u32)>>,
+    pending_deposits: NodeLists<(TxnId, u32)>,
 }
 
 impl NicSlab {
@@ -367,16 +521,16 @@ impl NicSlab {
             inject: Strided::new(nodes, NUM_VNETS, || InjectQueue::EMPTY),
             streaming: Strided::new(nodes, local_vcs, || None),
             cons: Strided::new(nodes, cons_channels, || ConsChannel::FREE),
-            iack: Strided::new(nodes, iack_entries, || None),
+            iack: IackPool::new(nodes, iack_entries),
             delivered: VecDeque::new(),
-            resume_q: (0..nodes).map(|_| VecDeque::new()).collect(),
-            pending_deposits: (0..nodes).map(|_| VecDeque::new()).collect(),
+            resume: NodeLists::new(nodes),
+            pending_deposits: NodeLists::new(nodes),
         }
     }
 
     /// Node count.
     pub fn nodes(&self) -> usize {
-        self.resume_q.len()
+        self.resume.nodes()
     }
 
     /// Queue worm `worm` for injection on `vnet` at node `n`, linking it
@@ -519,7 +673,7 @@ impl NicSlab {
 
     /// Reserve an i-ack entry for `txn` at node `n` (see [`IackState`]).
     pub fn reserve_iack(&mut self, n: usize, txn: TxnId) -> bool {
-        reserve_in(self.iack.row_mut(n), txn)
+        self.iack.reserve(n, txn)
     }
 
     /// Node `n` posts its local invalidation acknowledgement for `txn`.
@@ -529,28 +683,28 @@ impl NicSlab {
 
     /// Post `count` acks worth for `txn` at node `n`.
     pub fn post_iack_count(&mut self, n: usize, txn: TxnId, count: u32) -> PostOutcome {
-        post_count_in(self.iack.row_mut(n), &mut self.resume_q[n], txn, count)
+        self.iack.post_count(n, &mut self.resume, txn, count)
     }
 
     /// A gather head at node `n` checks for its ack.
     pub fn gather_check(&mut self, n: usize, txn: TxnId) -> GatherCheck {
-        gather_check_in(self.iack.row_mut(n), txn)
+        self.iack.gather_check(n, txn)
     }
 
     /// Try to park gather worm `worm` (of `total` flits) for `txn` at node
     /// `n`. Returns the entry index, or None if no entry can hold it.
     pub fn park(&mut self, n: usize, txn: TxnId, worm: WormId, total: u16) -> Option<usize> {
-        park_in(self.iack.row_mut(n), txn, worm, total)
+        self.iack.park(n, txn, worm, total)
     }
 
     /// One flit of a parked worm drained into entry `idx` of node `n`.
     pub fn park_drain(&mut self, n: usize, idx: usize, is_tail: bool) -> Option<(WormId, u32)> {
-        park_drain_in(self.iack.row_mut(n), &mut self.resume_q[n], idx, is_tail)
+        self.iack.park_drain(n, &mut self.resume, idx, is_tail)
     }
 
     /// Number of free i-ack buffer entries at node `n`.
     pub fn count_free_iack(&self, n: usize) -> usize {
-        self.iack.row(n).iter().filter(|e| e.is_none()).count()
+        self.iack.per - self.iack.walk(n).count()
     }
 
     /// Append a delivery to the delivery queue.
@@ -585,22 +739,22 @@ impl NicSlab {
 
     /// Pop the next resolved parked worm awaiting re-injection at node `n`.
     pub fn pop_resume(&mut self, n: usize) -> Option<(WormId, u32)> {
-        self.resume_q[n].pop_front()
+        self.resume.pop_front(n)
     }
 
     /// Number of pending ack deposits retrying at node `n`.
     pub fn pending_len(&self, n: usize) -> usize {
-        self.pending_deposits[n].len()
+        self.pending_deposits.len(n)
     }
 
     /// Pop the next pending ack deposit at node `n`.
     pub fn pop_pending(&mut self, n: usize) -> Option<(TxnId, u32)> {
-        self.pending_deposits[n].pop_front()
+        self.pending_deposits.pop_front(n)
     }
 
     /// Requeue a pending ack deposit at node `n`.
     pub fn push_pending(&mut self, n: usize, txn: TxnId, acks: u32) {
-        self.pending_deposits[n].push_back((txn, acks));
+        self.pending_deposits.push(n, (txn, acks));
     }
 
     /// Make `worm` the last worm of node `n`'s `vnet` queue without
@@ -621,9 +775,11 @@ impl NicSlab {
     /// owning a consumption channel, parked in an i-ack entry, or waiting
     /// to resume. (The loader checks the queued worms as it links them.)
     pub(crate) fn worm_ids(&self) -> impl Iterator<Item = WormId> + '_ {
-        let parked = self.iack.as_slice().iter().filter_map(|e| match e {
-            Some(IackEntry { state: IackState::Parked { worm, .. }, .. }) => Some(*worm),
-            _ => None,
+        let parked = (0..self.nodes()).flat_map(|n| self.iack.entries(n)).filter_map(|(_, e)| {
+            match e.state {
+                IackState::Parked { worm, .. } => Some(worm),
+                _ => None,
+            }
         });
         self.streaming
             .as_slice()
@@ -632,7 +788,7 @@ impl NicSlab {
             .map(|st| st.worm)
             .chain(self.cons.as_slice().iter().filter_map(ConsChannel::owner))
             .chain(parked)
-            .chain(self.resume_q.iter().flatten().map(|&(w, _)| w))
+            .chain(self.resume.iter().map(|(_, &(w, _))| w))
     }
 
     /// Every delivery not yet taken by a node.
@@ -643,8 +799,8 @@ impl NicSlab {
     /// True when node `n` has phase-3 NIC work (queued injections,
     /// streaming, consumption drain, resumes, or pending deposits).
     pub fn has_work(&self, n: usize) -> bool {
-        !self.pending_deposits[n].is_empty()
-            || !self.resume_q[n].is_empty()
+        !self.pending_deposits.is_empty(n)
+            || !self.resume.is_empty(n)
             || self.streaming.row(n).iter().any(|s| s.is_some())
             || self.inject.row(n).iter().any(|q| q.head != NO_WORM)
             || self.cons.row(n).iter().any(|c| c.flits > 0)
@@ -668,8 +824,19 @@ impl NicSlab {
         self.cons.save(w);
         self.iack.save(w);
         self.delivered.save(w);
-        self.resume_q.save(w);
+        self.resume.save(w);
         self.pending_deposits.save(w);
+    }
+
+    /// Bytes the NICs hold on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.inject.heap_bytes()
+            + self.streaming.heap_bytes()
+            + self.cons.heap_bytes()
+            + self.iack.heap_bytes()
+            + deque_bytes(&self.delivered)
+            + self.resume.heap_bytes()
+            + self.pending_deposits.heap_bytes()
     }
 
     /// Load a [`NicSlab::save_state`] stream into this slab, which must
@@ -690,27 +857,21 @@ impl NicSlab {
         let queues: Strided<VecDeque<WormId>> = Snap::load(r)?;
         let streaming: Strided<Option<StreamState>> = Snap::load(r)?;
         let cons: Strided<ConsChannel> = Snap::load(r)?;
-        let iack: Strided<Option<IackEntry>> = Snap::load(r)?;
         fn shape<T>(s: &Strided<T>) -> (usize, usize) {
             (s.rows(), s.stride())
         }
-        let nodes = self.nodes();
         let geom_ok = shape(&queues) == shape(&self.inject)
             && shape(&streaming) == shape(&self.streaming)
-            && shape(&cons) == shape(&self.cons)
-            && shape(&iack) == shape(&self.iack);
+            && shape(&cons) == shape(&self.cons);
         if !geom_ok {
             return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
         }
         self.streaming = streaming;
         self.cons = cons;
-        self.iack = iack;
+        self.iack.load(r)?;
         self.delivered = Snap::load(r)?;
-        self.resume_q = Snap::load(r)?;
-        self.pending_deposits = Snap::load(r)?;
-        if self.resume_q.len() != nodes || self.pending_deposits.len() != nodes {
-            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
-        }
+        self.resume.load(r)?;
+        self.pending_deposits.load(r)?;
         // A free channel holds nothing; an arrived tail has not drained.
         let bad = self.cons.as_slice().iter().find(|c| {
             usize::from(c.flits) > self.cons_cap

@@ -683,6 +683,20 @@ impl RouterSlab {
         self.inp.iter().filter(|i| i.head as usize + i.len as usize > self.vc_cap).count()
     }
 
+    /// Bytes the slab holds on the heap: FIFO tags and gaps, the slot
+    /// records, the absorb and arbiter columns and the derived masks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::vec_bytes;
+        vec_bytes(&self.port_masks)
+            + vec_bytes(&self.tags)
+            + vec_bytes(&self.gaps)
+            + vec_bytes(&self.inp)
+            + vec_bytes(&self.out)
+            + self.pending_absorb.heap_bytes()
+            + self.rr.heap_bytes()
+            + vec_bytes(&self.masks)
+    }
+
     /// Serialize the slab: geometry; each FIFO's length and, when it
     /// holds flits, its front ready time and each flit front to back with
     /// the deposit cycle the gaps give it; and the mode, absorb, credit,
@@ -725,6 +739,18 @@ impl RouterSlab {
         for v in field {
             v.save(w);
         }
+    }
+
+    /// Read the header of a column saved in the `Strided` encoding with
+    /// `stride` elements a router ([`RouterSlab::save_column`] writes
+    /// `slots`) and return its length, refusing any geometry but this
+    /// slab's.
+    fn column(&self, r: &mut SnapReader<'_>, stride: usize) -> Result<usize, SnapError> {
+        let got = (r.get_usize()?, r.get_len()?);
+        if got != (stride, self.nodes * stride) {
+            return Err(SnapError::Corrupt("router slab geometry mismatch".into()));
+        }
+        Ok(got.1)
     }
 
     /// Load a [`RouterSlab::save_state`] stream into this slab, which must
@@ -777,54 +803,59 @@ impl RouterSlab {
             self.inp[q].len = len as u16;
             self.inp[q].last = last.expect("non-empty FIFO");
         }
-        let mode: Strided<VcMode> = Snap::load(r)?;
-        self.pending_absorb = Snap::load(r)?;
-        let credit: Strided<u32> = Snap::load(r)?;
-        let alloc: Strided<Option<(u8, u8)>> = Snap::load(r)?;
-        self.rr = Snap::load(r)?;
-        let slabs_ok = [
-            (mode.rows(), mode.stride()),
-            (self.pending_absorb.rows(), self.pending_absorb.stride()),
-            (credit.rows(), credit.stride()),
-            (alloc.rows(), alloc.stride()),
-        ]
-        .iter()
-        .all(|&g| g == (self.nodes, self.slots))
-            && (self.rr.rows(), self.rr.stride()) == (self.nodes, self.ports);
-        if !slabs_ok {
-            return Err(SnapError::Corrupt("router slab geometry mismatch".into()));
-        }
-        let in_range = |p: usize, v: usize| p < self.ports && v < self.vcs;
-        let modes_ok = mode.as_slice().iter().all(|m| match *m {
-            VcMode::Active { out_port, out_vc, .. } => {
-                out_port == LOCAL8 || in_range(out_port as usize, out_vc as usize)
+        // Every column decodes in place, the mode, credit and allocation
+        // columns straight into the slot records; a value out of range is
+        // refused once every column has been read.
+        let (ports, vcs) = (self.ports, self.vcs);
+        let in_range = |p: usize, v: usize| p < ports && v < vcs;
+        let mut ranges_ok = true;
+        for q in 0..self.column(r, self.slots)? {
+            let m = VcMode::load(r)?;
+            if let VcMode::Active { out_port, out_vc, .. } = m {
+                ranges_ok &= out_port == LOCAL8 || in_range(out_port as usize, out_vc as usize);
             }
-            _ => true,
-        });
-        let allocs_ok = alloc
-            .as_slice()
-            .iter()
-            .all(|a| a.is_none_or(|(p, v)| in_range(p as usize, v as usize)));
+            self.inp[q].mode = m;
+        }
+        self.column(r, self.slots)?;
+        for a in self.pending_absorb.as_mut_slice() {
+            *a = Snap::load(r)?;
+        }
+        let mut bad_credit = None;
+        for q in 0..self.column(r, self.slots)? {
+            let c = r.get_u32()?;
+            if c as usize > self.vc_cap {
+                bad_credit.get_or_insert(c);
+            }
+            self.out[q].credit = c as u16;
+        }
+        for q in 0..self.column(r, self.slots)? {
+            let alloc: Option<(u8, u8)> = Snap::load(r)?;
+            let a = match alloc {
+                None => NO_ALLOC,
+                Some((p, v)) if in_range(p.into(), v.into()) => self.slot(p.into(), v.into()) as u8,
+                Some(_) => {
+                    ranges_ok = false;
+                    NO_ALLOC
+                }
+            };
+            self.out[q].alloc = a;
+        }
+        self.column(r, self.ports)?;
+        for x in self.rr.as_mut_slice() {
+            *x = r.get_u32()?;
+        }
         let rr_ok = self.rr.as_slice().iter().all(|&x| (x as usize) < self.slots);
-        if !(modes_ok && allocs_ok && rr_ok) {
+        if !(ranges_ok && rr_ok) {
             return Err(SnapError::Corrupt(
                 "router mode, allocation or arbiter out of range".into(),
             ));
         }
-        // Checked before the credit narrows to its `u16` field.
-        if let Some(c) = credit.as_slice().iter().find(|&&c| c as usize > self.vc_cap) {
+        // Refused, so no accepted credit was truncated to its `u16` field.
+        if let Some(c) = bad_credit {
             return Err(SnapError::Corrupt(format!(
                 "router credit {c} above the {}-flit buffer",
                 self.vc_cap
             )));
-        }
-        for (q, i) in self.inp.iter_mut().enumerate() {
-            i.mode = mode.as_slice()[q];
-        }
-        for q in 0..self.out.len() {
-            let a =
-                alloc.as_slice()[q].map_or(NO_ALLOC, |(p, v)| self.slot(p.into(), v.into()) as u8);
-            self.out[q] = OutSlot { credit: credit.as_slice()[q] as u16, alloc: a };
         }
         for n in 0..self.nodes {
             self.masks[n] = self.derived_masks(n);

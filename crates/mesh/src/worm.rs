@@ -141,6 +141,13 @@ pub struct WormSpec {
 }
 
 impl WormSpec {
+    /// Bytes the spec owns on the heap: its destination list and delivery
+    /// mask.
+    pub fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::vec_bytes;
+        vec_bytes(&self.dests) + self.deliver.as_ref().map_or(0, vec_bytes)
+    }
+
     /// Convenience constructor for a unicast message.
     pub fn unicast(src: NodeId, dst: NodeId, vnet: VNet, len_flits: u16, payload: u64) -> Self {
         Self {
@@ -355,6 +362,16 @@ impl WormTable {
     /// True when the next insert will reuse a retired slot.
     pub fn will_reuse_slot(&self) -> bool {
         !self.free.is_empty()
+    }
+
+    /// Bytes the table holds on the heap, the specs' destination lists
+    /// included (a retired slot keeps its lists until it is reused).
+    pub fn heap_bytes(&self) -> usize {
+        use wormdsm_sim::heap::vec_bytes;
+        vec_bytes(&self.hot)
+            + vec_bytes(&self.worms)
+            + vec_bytes(&self.free)
+            + self.worms.iter().map(|w| w.spec.heap_bytes()).sum::<usize>()
     }
 
     /// Hand a fully retired worm's slot back for reuse. Caller guarantees

@@ -142,6 +142,13 @@ impl<E> Calendar<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// Bytes of the calendar's entry table: its capacity, which keeps the
+    /// high-water mark of pending events. Heap memory the payloads own
+    /// themselves is not included.
+    pub fn heap_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<Reverse<Entry<E>>>()
+    }
 }
 
 #[cfg(test)]

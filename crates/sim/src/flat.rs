@@ -223,6 +223,16 @@ impl<V> FlatMap<V> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.keys.iter().zip(self.vals.iter()).filter_map(|(k, v)| v.as_ref().map(|v| (*k, v)))
     }
+
+    /// Bytes of the map's own tables. Heap memory the values own
+    /// themselves is not included.
+    pub fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        vec_bytes(&self.index)
+            + vec_bytes(&self.keys)
+            + vec_bytes(&self.vals)
+            + vec_bytes(&self.free)
+    }
 }
 
 impl<V: crate::snap::Snap> crate::snap::Snap for FlatMap<V> {

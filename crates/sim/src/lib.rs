@@ -22,7 +22,9 @@
 pub mod bitset;
 pub mod calendar;
 pub mod flat;
+pub mod heap;
 pub mod json;
+pub mod lists;
 pub mod profile;
 pub mod ring;
 pub mod rng;
@@ -35,6 +37,7 @@ pub use bitset::BitSet128;
 pub use calendar::Calendar;
 pub use flat::FlatMap;
 pub use json::ToJson;
+pub use lists::NodeLists;
 pub use profile::{Phase, TxnProfiler, TxnRecord};
 pub use ring::BoundedRing;
 pub use rng::Rng;

@@ -70,6 +70,18 @@ impl<T> Strided<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
+
+    /// The whole slab as a flat mutable slice (row-major).
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Bytes of the slab's buffer. Heap memory the elements own
+    /// themselves is not included.
+    pub fn heap_bytes(&self) -> usize {
+        crate::heap::vec_bytes(&self.data)
+    }
 }
 
 impl<T: crate::snap::Snap> crate::snap::Snap for Strided<T> {

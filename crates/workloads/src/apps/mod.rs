@@ -48,22 +48,22 @@ pub fn seeded(app: &str, procs: usize, scale: u64) -> Result<Workload, String> {
             format!("compute_scale={scale} takes {app}'s {base}-cycle op cost past 32 bits")
         })
     };
-    match app {
-        "bh" => Ok(barnes_hut::generate(&barnes_hut::BarnesHutConfig {
+    let mut w = match app {
+        "bh" => barnes_hut::generate(&barnes_hut::BarnesHutConfig {
             procs,
             bodies: 64.max(procs),
             steps: 2,
             force_cost: cost(200)?,
             ..Default::default()
-        })),
-        "lu" => Ok(lu::generate(&lu::LuConfig { n: 64, block: 8, procs, flop_cost: cost(1024)? })),
-        "apsp" => Ok(apsp::generate(&apsp::ApspConfig {
-            n: 64.max(procs),
-            procs,
-            relax_cost: cost(256)?,
-        })),
-        other => Err(format!("unknown app {other:?} (expected one of {APP_NAMES:?})")),
-    }
+        }),
+        "lu" => lu::generate(&lu::LuConfig { n: 64, block: 8, procs, flop_cost: cost(1024)? }),
+        "apsp" => {
+            apsp::generate(&apsp::ApspConfig { n: 64.max(procs), procs, relax_cost: cost(256)? })
+        }
+        other => return Err(format!("unknown app {other:?} (expected one of {APP_NAMES:?})")),
+    };
+    w.shrink_to_fit();
+    Ok(w)
 }
 
 /// A contiguous block-granular array in shared memory.
@@ -139,6 +139,19 @@ mod tests {
         ];
         for w in bases.windows(2) {
             assert!(w[1] >= w[0] + 0x1_0000);
+        }
+    }
+
+    /// The queues come back at exact capacity: the generators grow them
+    /// by doubling, and the spare half would stay allocated for the run.
+    #[test]
+    fn seeded_op_queues_have_no_spare_capacity() {
+        for app in APP_NAMES {
+            let w = seeded(app, 16, 1).unwrap();
+            assert!(w.total_ops() > 0);
+            for (p, q) in w.ops.iter().enumerate() {
+                assert_eq!(q.capacity(), q.len(), "{app} processor {p}");
+            }
         }
     }
 

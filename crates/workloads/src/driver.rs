@@ -57,6 +57,16 @@ impl Workload {
         self.ops[p].push_back(op);
     }
 
+    /// Drop every queue's spare capacity. A generator's queues grow by
+    /// doubling, so up to half of each buffer is spare once it is done.
+    /// Each queue is copied into a fresh buffer of its length rather than
+    /// shrunk in place, so the old buffers are freed whole instead of
+    /// leaving a spare tail behind every queue for later allocations to
+    /// fragment.
+    pub fn shrink_to_fit(&mut self) {
+        self.ops.iter_mut().for_each(|q| *q = q.iter().copied().collect());
+    }
+
     /// Total operations across all processors.
     pub fn total_ops(&self) -> usize {
         self.ops.iter().map(|q| q.len()).sum()
