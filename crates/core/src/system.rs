@@ -27,7 +27,7 @@ use wormdsm_mesh::network::MeshConfig;
 use wormdsm_mesh::nic::{Delivery, IackMode};
 use wormdsm_mesh::routing::BaseRouting;
 use wormdsm_mesh::topology::NodeId;
-use wormdsm_mesh::worm::{TxnId, VNet, WormKind, WormSpec};
+use wormdsm_mesh::worm::{TxnId, Unicast, VNet, WormKind, WormSpec};
 use wormdsm_mesh::{ContentionProbe, LinkLoadMeter, Network};
 use wormdsm_sim::profile::TxnProfiler;
 use wormdsm_sim::snap::{snap_enum, snap_struct, Fnv64, Snap, SnapError, SnapReader, SnapWriter};
@@ -95,7 +95,7 @@ pub struct HeapAccount {
     pub routers: usize,
     /// NIC queues, consumption channels, i-ack entries and deliveries.
     pub nics: usize,
-    /// The worm table with every spec's destination list.
+    /// The worm table with every route box and its lists.
     pub worms: usize,
     /// The rest of the network: neighbor table, activity sets, link
     /// statistics and the link-load meter.
@@ -410,8 +410,9 @@ enum Ev {
     Recv { node: NodeId, key: u64, acks: u32, src: NodeId },
     /// Controller finished processing; run the protocol handler.
     Handle { node: NodeId, key: u64, acks: u32, src: NodeId },
-    /// Hand a plain unicast worm to the NIC; its spec is built when the
-    /// event fires.
+    /// Hand a plain unicast worm to the NIC. Most scheduled worms are
+    /// unicasts (every reply, and every invalidation under UI-UA), so the
+    /// calendar's entries stay small.
     Send(Unicast),
     /// Hand any other worm (multidestination, gather, i-reserve) to the
     /// NIC.
@@ -419,49 +420,6 @@ enum Ev {
     /// Post an i-ack signal at `node` for `txn`; fall back to a unicast
     /// ack if the buffer is full.
     PostIack { node: NodeId, txn: TxnId },
-}
-
-/// A plain unicast worm waiting in the calendar: everything its
-/// [`WormSpec`] holds but the one-entry destination vector and the
-/// fields a unicast leaves at their defaults. Most scheduled worms are
-/// unicasts (every reply, and every invalidation under UI-UA), so the
-/// calendar's entries stay small.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Unicast {
-    src: NodeId,
-    dest: NodeId,
-    vnet: VNet,
-    len: u16,
-    key: u64,
-    txn: TxnId,
-}
-
-impl Unicast {
-    /// The compact form of `spec`, if it is a plain unicast.
-    fn of(spec: &WormSpec) -> Option<Self> {
-        let plain = spec.kind == WormKind::Unicast
-            && spec.dests.len() == 1
-            && !spec.reserve_iack
-            && spec.initial_acks == 0
-            && !spec.gather_deposit
-            && spec.deliver.is_none();
-        plain.then(|| Self {
-            src: spec.src,
-            dest: spec.dests[0],
-            vnet: spec.vnet,
-            len: spec.len_flits,
-            key: spec.payload,
-            txn: spec.txn,
-        })
-    }
-
-    /// The worm's spec.
-    fn spec(self) -> WormSpec {
-        WormSpec {
-            txn: self.txn,
-            ..WormSpec::unicast(self.src, self.dest, self.vnet, self.len, self.key)
-        }
-    }
 }
 
 impl Ev {
@@ -1271,7 +1229,7 @@ impl DsmSystem {
     pub fn held_message_keys(&self) -> impl Iterator<Item = u64> + '_ {
         let events = self.cal.events().filter_map(|ev| match ev {
             Ev::Recv { key, .. } | Ev::Handle { key, .. } => Some(*key),
-            Ev::Send(u) => Some(u.key),
+            Ev::Send(u) => Some(u.payload),
             Ev::Inject(spec) => Some(spec.payload),
             Ev::PostIack { .. } => None,
         });
@@ -1614,7 +1572,7 @@ impl DsmSystem {
             self.cal.schedule(t, Ev::Recv { node: dest, key, acks: 0, src: node });
         } else {
             let len = self.cfg.sizes.unicast_len(&msg);
-            let u = Unicast { src: node, dest, vnet, len, key, txn: TxnId(0) };
+            let u = Unicast { src: node, dest, vnet, len, payload: key, txn: TxnId(0) };
             self.cal.schedule(t, Ev::Send(u));
         }
     }
@@ -1707,7 +1665,7 @@ impl DsmSystem {
                 self.dispatch(now, node, msg, key, acks, src);
             }
             Ev::Send(u) => {
-                self.net.inject(u.spec());
+                self.net.inject_unicast(u);
             }
             Ev::Inject(spec) => {
                 self.net.inject(*spec);
@@ -2389,7 +2347,14 @@ impl DsmSystem {
                 self.cal.schedule(t, Ev::Recv { node: n, key, acks: 0, src: home });
             } else {
                 let len = self.cfg.sizes.control;
-                let u = Unicast { src: home, dest: n, vnet: VNet::Reply, len, key, txn: TxnId(0) };
+                let u = Unicast {
+                    src: home,
+                    dest: n,
+                    vnet: VNet::Reply,
+                    len,
+                    payload: key,
+                    txn: TxnId(0),
+                };
                 self.cal.schedule(t, Ev::Send(u));
             }
         }
@@ -2696,7 +2661,8 @@ mod tests {
     }
 
     /// The heap account of a fresh k=64 system, component by component,
-    /// and the sizes of a calendar event and a node record. Growing
+    /// and the sizes of a calendar event, a node record and a worm's hot
+    /// and cold records. Growing
     /// per-node state or a calendar entry fails here, exactly, instead of
     /// moving a host's peak RSS by less than its noise.
     #[test]
@@ -2704,6 +2670,8 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<Ev>(), 24);
         assert_eq!(size_of::<NodeCtx>(), 88);
+        assert_eq!(size_of::<wormdsm_mesh::worm::WormHot>(), 12);
+        assert_eq!(size_of::<wormdsm_mesh::worm::Worm>(), 56);
         let cfg = SystemConfig::for_scheme(64, SchemeKind::UiUa);
         let h = DsmSystem::new(cfg, SchemeKind::UiUa.build()).heap_bytes();
         let want = HeapAccount {
@@ -2715,6 +2683,52 @@ mod tests {
         };
         assert_eq!(h, want);
         assert_eq!(h.total() / 4096, 812, "bytes a node");
+    }
+
+    /// The heap account after a seeded batch of 16 writes, each to a block
+    /// with 12 sharers, runs to idle on a k=8 mesh: under UI-UA every worm
+    /// is a plain unicast and the worm table holds no route, under
+    /// MI-MA(col) the multicasts and gathers keep theirs. Pinned exactly,
+    /// like the fresh account above.
+    #[test]
+    fn a_k8_batch_heap_account_is_pinned() {
+        let account = |scheme: SchemeKind| {
+            let mut sys = DsmSystem::new(SystemConfig::for_scheme(8, scheme), scheme.build());
+            let mut rng = wormdsm_sim::Rng::new(0xB47C_0008);
+            for w in 0..16u16 {
+                let (writer, block) = (NodeId(w * 4), BlockId(64 * u64::from(w) + rng.below(64)));
+                let home = sys.geom.home_of(block);
+                let mut sharers = Vec::new();
+                while sharers.len() < 12 {
+                    let n = NodeId(rng.below(64) as u16);
+                    if n != writer && n != home && !sharers.contains(&n) {
+                        sharers.push(n);
+                    }
+                }
+                sys.seed_shared(block, &sharers);
+                sys.issue(writer, MemOp::Write(sys.geom.base_of(block)));
+            }
+            sys.run_until_idle(1_000_000).expect("the batch completes");
+            assert_eq!(sys.metrics().inval_txns, 16);
+            sys.heap_bytes()
+        };
+        // UI-UA's worm table: 256 slots of a hot record, a cold record
+        // and a free-list entry, and no route.
+        let uiua = HeapAccount {
+            routers: 38_480,
+            nics: 5_200,
+            worms: 256 * (12 + 56 + 4),
+            network: 3_096,
+            calendar: 5_120,
+            messages: 16_384,
+            caches: 8_192,
+            directory: 1_408,
+            nodes: 5_648,
+            protocol: 2_368,
+        };
+        assert_eq!(account(SchemeKind::UiUa), uiua);
+        let col = HeapAccount { nics: 6_352, worms: 14_982, ..uiua };
+        assert_eq!(account(SchemeKind::MiMaCol), col);
     }
 
     /// Scheduled worms: a plain unicast waits in the calendar compact and

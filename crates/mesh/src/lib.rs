@@ -36,4 +36,4 @@ pub use network::{
 pub use nic::{Delivery, IackMode};
 pub use routing::{BaseRouting, PathRule};
 pub use topology::{Coord, Direction, Mesh2D, NodeId, Port};
-pub use worm::{TxnId, VNet, WormId, WormKind, WormSpec, WormState};
+pub use worm::{TxnId, Unicast, VNet, WormId, WormKind, WormSpec, WormState};

@@ -44,8 +44,8 @@ use crate::router::{RouterSlab, VcMode, LOCAL, LOCAL8};
 use crate::routing::{BaseRouting, PathRule, RouteTable};
 use crate::topology::{Direction, Mesh2D, NodeId, NUM_PORTS};
 use crate::worm::{
-    Flit, FlitKind, TxnId, VNet, Worm, WormHot, WormId, WormKind, WormSpec, WormState, WormTable,
-    NUM_VNETS,
+    Flit, FlitKind, TxnId, Unicast, VNet, Worm, WormHot, WormId, WormKind, WormSpec, WormState,
+    WormTable, NUM_VNETS,
 };
 use wormdsm_sim::snap::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
@@ -954,7 +954,7 @@ impl Network {
         self.worms
             .iter()
             .filter(|w| w.state != WormState::Delivered || w.copies > 0)
-            .map(|w| w.spec.payload)
+            .map(Worm::payload)
             .chain(self.nics.undrained().map(|d| d.payload))
     }
 
@@ -996,12 +996,16 @@ impl Network {
         Ok(())
     }
 
-    /// Hand a worm to its source NIC for injection.
+    /// Hand a worm to its source NIC for injection. A plain unicast goes
+    /// the way of [`Network::inject_unicast`].
     ///
     /// Destination sequences must be conformant to the worm's virtual
     /// network rule (checked in debug builds), must not start at the
     /// source, and must not repeat nodes.
     pub fn inject(&mut self, spec: WormSpec) -> WormId {
+        if let Some(u) = Unicast::of(&spec) {
+            return self.inject_unicast(u);
+        }
         assert!(!spec.dests.is_empty());
         assert_ne!(spec.dests[0], spec.src, "worm's first destination is its source");
         debug_assert!(
@@ -1032,23 +1036,37 @@ impl Network {
             spec.src,
             spec.dests,
         );
-        let vnet = spec.vnet;
-        let src = spec.src;
-        let tr = self
-            .trace
-            .wants(TraceClass::Flit)
-            .then(|| (spec.txn.0, worm_kind_label(spec.kind), spec.dests.len() as u32));
-        if self.worms.will_reuse_slot() {
+        let reused = self.worms.will_reuse_slot();
+        let id = self.worms.insert(spec, self.now);
+        self.admit(id, reused)
+    }
+
+    /// Hand a plain unicast to its source NIC for injection, as
+    /// [`Network::inject`] does its spec, without building one. Every
+    /// path rule admits a lone destination, so only one at the source is
+    /// refused.
+    pub fn inject_unicast(&mut self, u: Unicast) -> WormId {
+        assert_ne!(u.dest, u.src, "worm's first destination is its source");
+        let reused = self.worms.will_reuse_slot();
+        let id = self.worms.insert_unicast(u, self.now);
+        self.admit(id, reused)
+    }
+
+    /// Queue worm `id`, just inserted (into a `reused` slot), at its
+    /// source NIC.
+    fn admit(&mut self, id: WormId, reused: bool) -> WormId {
+        if reused {
             self.stats.worm_slots_reused += 1;
         }
-        let id = self.worms.insert(spec, self.now);
-        if let Some((txn, kind, dests)) = tr {
+        let w = self.worms.get(id);
+        let (src, vnet) = (w.src(), w.vnet());
+        if self.trace.wants(TraceClass::Flit) {
             let ev = TraceKind::WormInject {
                 worm: id.0 as u64,
-                txn,
+                txn: w.txn().0,
                 src: src.idx() as u32,
-                kind,
-                dests,
+                kind: worm_kind_label(w.kind()),
+                dests: w.dests().len() as u32,
             };
             self.trace.push(self.now, ev);
         }
@@ -1217,7 +1235,7 @@ impl Network {
         wid: WormId,
         reserve: bool,
     ) {
-        if reserve && !self.nics.reserve_iack(r, self.worms.get(wid).spec.txn) {
+        if reserve && !self.nics.reserve_iack(r, self.worms.get(wid).txn()) {
             self.stats.multicast_blocked_cycles += 1;
             return;
         }
@@ -1243,8 +1261,8 @@ impl Network {
         wid: WormId,
     ) {
         let (txn, len) = {
-            let spec = &self.worms.get(wid).spec;
-            (spec.txn, spec.len_flits)
+            let w = self.worms.get(wid);
+            (w.txn(), w.len_flits())
         };
         match self.nics.gather_check(r, txn) {
             GatherCheck::Ready(count) => {
@@ -1632,15 +1650,7 @@ impl Network {
 
             let (src, payload, txn, acks, deposit, bounced, queued_at) = {
                 let w = self.worms.get(wid);
-                (
-                    w.spec.src,
-                    w.spec.payload,
-                    w.spec.txn,
-                    w.acks,
-                    w.spec.gather_deposit,
-                    w.bounced,
-                    w.queued_at,
-                )
+                (w.src(), w.payload(), w.txn(), w.acks, w.gather_deposit(), w.bounced, w.queued_at)
             };
 
             if absorb {
@@ -1666,7 +1676,7 @@ impl Network {
                 w.copies -= 1;
                 w.bounced = false;
                 w.state = WormState::Queued;
-                let vnet = w.spec.vnet;
+                let vnet = w.vnet();
                 self.worms.set_turned(wid, false);
                 self.nics.enqueue(n, vnet, wid, &mut self.worms);
                 continue;
@@ -1709,7 +1719,7 @@ impl Network {
     /// copies remain.
     fn copy_drained(&mut self, now: Cycle, wid: WormId, node: usize, final_latency: Option<f64>) {
         if self.trace.wants(TraceClass::Flit) {
-            let txn = self.worms.get(wid).spec.txn.0;
+            let txn = self.worms.get(wid).txn().0;
             self.trace.push(
                 now,
                 TraceKind::WormDeliver {
@@ -1726,7 +1736,7 @@ impl Network {
         if let Some(latency) = final_latency {
             w.state = WormState::Delivered;
             self.live_worms -= 1;
-            match w.spec.kind {
+            match w.kind() {
                 WormKind::Unicast => self.stats.unicast_latency.record(latency),
                 WormKind::Multicast => self.stats.multicast_latency.record(latency),
                 WormKind::Gather => self.stats.gather_latency.record(latency),
@@ -1744,7 +1754,7 @@ impl Network {
                 let w = self.worms.get_mut(wid);
                 w.acks += count;
                 w.state = WormState::Queued;
-                w.spec.vnet
+                w.vnet()
             };
             self.worms.advance(wid);
             self.worms.set_turned(wid, false);
@@ -1762,7 +1772,7 @@ impl Network {
             if self.nics.streaming(n, vc).is_none() {
                 let vnet = self.cfg.vnet_of(vc);
                 if let Some(wid) = self.nics.pop_inject(n, vnet, &mut self.worms) {
-                    let len = self.worms.get(wid).spec.len_flits;
+                    let len = self.worms.get(wid).len_flits();
                     self.nics.set_streaming(
                         n,
                         vc,
@@ -1864,7 +1874,7 @@ impl Network {
         let nodes = self.cfg.mesh.nodes();
         self.now = r.get_u64()?;
         self.routers.load_state(r)?;
-        let queues = self.nics.load_state(r)?;
+        let queued = self.nics.load_state(r)?;
         self.worms = WormTable::load(r)?;
         self.live_worms = r.get_usize()?;
         self.router_active = load_node_set(r, nodes, "router")?;
@@ -1894,7 +1904,7 @@ impl Network {
                 id.0
             )));
         }
-        self.nics.link_queues(&queues, &mut self.worms).map_err(SnapError::Corrupt)?;
+        self.nics.link_queues(&queued, &mut self.worms).map_err(SnapError::Corrupt)?;
         self.worms.check(nodes).map_err(SnapError::Corrupt)?;
         if let Some(d) =
             self.nics.undrained().find(|d| d.node.idx() >= nodes || d.src.idx() >= nodes)
@@ -2179,6 +2189,69 @@ mod tests {
         assert_eq!(save(&a), save(&b));
     }
 
+    /// A worm table that mixes plain unicasts (queued, in flight and
+    /// retired), unicasts that carry acks or deposit them, multicasts with
+    /// waypoints and gathers saves, loads and saves again to the same
+    /// bytes, and every plain unicast comes back compact.
+    #[test]
+    fn a_mixed_worm_table_round_trips_and_plain_unicasts_load_compact() {
+        let cfg = MeshConfig::paper_defaults(6);
+        let mut net = Network::new(cfg.clone());
+        let mesh = cfg.mesh;
+        let mut rng = Rng::new(0x3A1D_0010);
+        for i in 0..60u64 {
+            let col = rng.index(6);
+            let column = |ys: &[usize]| ys.iter().map(|&y| mesh.node_at(col, y)).collect();
+            let src = NodeId(rng.below(36) as u16);
+            let dst = NodeId(((src.0 as u64 + 1 + rng.below(35)) % 36) as u16);
+            let plain = WormSpec::unicast(src, dst, VNet::Req, rng.range(2, 10) as u16, i);
+            let spec = match i % 6 {
+                0 => WormSpec {
+                    src: mesh.node_at(col, 0),
+                    kind: WormKind::Multicast,
+                    dests: column(&[2, 3, 5]),
+                    deliver: Some(vec![false, true, true]),
+                    ..plain
+                },
+                1 => WormSpec {
+                    src: mesh.node_at(col, 0),
+                    vnet: VNet::Reply,
+                    kind: WormKind::Gather,
+                    dests: column(&[2, 4]),
+                    txn: TxnId(100 + i),
+                    initial_acks: 1,
+                    ..plain
+                },
+                2 => WormSpec { txn: TxnId(100 + i), initial_acks: 2, ..plain },
+                3 => WormSpec { txn: TxnId(100 + i), gather_deposit: true, ..plain },
+                _ => plain,
+            };
+            net.inject(spec);
+        }
+        let plain_in = |net: &Network, state: WormState| {
+            net.worms.iter().any(|w| w.is_plain() && w.state == state)
+        };
+        let mut wd = 0;
+        while !(plain_in(&net, WormState::Queued)
+            && plain_in(&net, WormState::InFlight)
+            && plain_in(&net, WormState::Delivered))
+        {
+            net.tick();
+            wd += 1;
+            assert!(wd < 5_000, "never held queued, in-flight and retired unicasts at once");
+        }
+        let bytes = save(&net);
+        let back = load(&cfg, &bytes).expect("loads");
+        assert_eq!(save(&back), bytes, "save, load, save is a fixed point");
+        let forms = |net: &Network| net.worms.iter().map(Worm::is_plain).collect::<Vec<_>>();
+        assert_eq!(forms(&back), forms(&net));
+        for w in back.worms.iter() {
+            assert_eq!(w.is_plain(), Unicast::of(&w.spec()).is_some(), "{w:?}");
+        }
+        let routed = back.worms.iter().filter(|w| !w.is_plain()).count();
+        assert!(routed >= 30 && routed < back.worms.len(), "{routed} of {}", back.worms.len());
+    }
+
     /// A worm id past the table, named by a buffered flit, a NIC queue or
     /// a consumption channel, a link whose credits and downstream flits do
     /// not make its depth, and a delivery to a node outside the mesh are
@@ -2192,8 +2265,8 @@ mod tests {
                 // table, the saved queue's new last worm.
                 |n| {
                     let last = WormId(59);
-                    let src = n.worms.get(last).spec.src.idx();
-                    let vnet = n.worms.get(last).spec.vnet;
+                    let src = n.worms.get(last).src().idx();
+                    let vnet = n.worms.get(last).vnet();
                     n.worms.set_next(last, Some(WormId(60)));
                     n.nics.set_queue_tail(src, vnet, WormId(60));
                 },

@@ -839,14 +839,25 @@ impl NicSlab {
             + self.pending_deposits.heap_bytes()
     }
 
+    /// Read a column's stride and length, which must be `stride` and
+    /// the `slots` a slab of this geometry holds.
+    fn column(r: &mut SnapReader<'_>, stride: usize, slots: usize) -> Result<(), SnapError> {
+        if (r.get_usize()?, r.get_len()?) != (stride, slots) {
+            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
+        }
+        Ok(())
+    }
+
     /// Load a [`NicSlab::save_state`] stream into this slab, which must
-    /// be fresh and have the stream's geometry. The injection queues come
-    /// back as saved, for [`NicSlab::link_queues`] to link once the worm
+    /// be fresh and have the stream's geometry; every column decodes in
+    /// place. The injection queues come back as the worms they hold, each
+    /// with its queue (node × [`NUM_VNETS`] + virtual network) and in
+    /// queue order, for [`NicSlab::link_queues`] to link once the worm
     /// table is loaded.
     pub(crate) fn load_state(
         &mut self,
         r: &mut SnapReader<'_>,
-    ) -> Result<Strided<VecDeque<WormId>>, SnapError> {
+    ) -> Result<Vec<(u32, WormId)>, SnapError> {
         let cons_cap = r.get_usize()?;
         if cons_cap != self.cons_cap {
             return Err(SnapError::Mismatch(format!(
@@ -854,20 +865,22 @@ impl NicSlab {
                 self.cons_cap
             )));
         }
-        let queues: Strided<VecDeque<WormId>> = Snap::load(r)?;
-        let streaming: Strided<Option<StreamState>> = Snap::load(r)?;
-        let cons: Strided<ConsChannel> = Snap::load(r)?;
-        fn shape<T>(s: &Strided<T>) -> (usize, usize) {
-            (s.rows(), s.stride())
+        let queues = self.inject.as_slice().len();
+        Self::column(r, NUM_VNETS, queues)?;
+        let mut queued = Vec::new();
+        for q in 0..queues {
+            for _ in 0..r.get_len()? {
+                queued.push((q as u32, WormId::load(r)?));
+            }
         }
-        let geom_ok = shape(&queues) == shape(&self.inject)
-            && shape(&streaming) == shape(&self.streaming)
-            && shape(&cons) == shape(&self.cons);
-        if !geom_ok {
-            return Err(SnapError::Corrupt("nic slab geometry mismatch".into()));
+        Self::column(r, self.streaming.stride(), self.streaming.as_slice().len())?;
+        for s in self.streaming.as_mut_slice() {
+            *s = Snap::load(r)?;
         }
-        self.streaming = streaming;
-        self.cons = cons;
+        Self::column(r, self.cons.stride(), self.cons.as_slice().len())?;
+        for c in self.cons.as_mut_slice() {
+            *c = Snap::load(r)?;
+        }
         self.iack.load(r)?;
         self.delivered = Snap::load(r)?;
         self.resume.load(r)?;
@@ -883,49 +896,47 @@ impl NicSlab {
                 "consumption channel {c:?} of depth {cons_cap}"
             )));
         }
-        Ok(queues)
+        Ok(queued)
     }
 
-    /// Link the injection queues a stream held (see
-    /// [`NicSlab::load_state`]) through `worms`. Refuses a worm outside
-    /// the table, one that is not waiting to be injected, one that a
-    /// queue links back to (a cycle), and one in two queues.
+    /// Link the queued worms a stream held (see [`NicSlab::load_state`])
+    /// through `worms`. Refuses a worm outside the table, one that is not
+    /// waiting to be injected, one that a queue links back to (a cycle),
+    /// and one in two queues.
     pub(crate) fn link_queues(
         &mut self,
-        queues: &Strided<VecDeque<WormId>>,
+        queued: &[(u32, WormId)],
         worms: &mut WormTable,
     ) -> Result<(), String> {
         let table = worms.len();
-        // The node each worm waits at, by queue.
-        let mut queued_at: Vec<Option<(usize, VNet)>> = vec![None; table];
-        for n in 0..queues.rows() {
-            for vnet in [VNet::Req, VNet::Reply] {
-                for &id in queues.at(n, vnet.index()) {
-                    let i = id.0 as usize;
-                    if i >= table {
-                        return Err(format!("worm id {i} named outside a table of {table}"));
-                    }
-                    match queued_at[i].replace((n, vnet)) {
-                        None => {}
-                        Some(at) if at == (n, vnet) => {
-                            return Err(format!(
-                                "the {vnet:?} injection queue of node {n} links worm {i} back \
-                                 to itself"
-                            ))
-                        }
-                        Some((m, _)) => {
-                            return Err(format!(
-                                "worm {i} waits in the injection queues of nodes {m} and {n}"
-                            ))
-                        }
-                    }
-                    let state = worms.get(id).state;
-                    if state != WormState::Queued {
-                        return Err(format!("worm {i} is queued for injection but {state:?}"));
-                    }
-                    self.enqueue(n, vnet, id, worms);
+        // The queue each worm waits in.
+        let mut queue_of = vec![u32::MAX; table];
+        for &(q, id) in queued {
+            let (n, vnet) =
+                (q as usize / NUM_VNETS, [VNet::Req, VNet::Reply][q as usize % NUM_VNETS]);
+            let i = id.0 as usize;
+            if i >= table {
+                return Err(format!("worm id {i} named outside a table of {table}"));
+            }
+            match std::mem::replace(&mut queue_of[i], q) {
+                u32::MAX => {}
+                p if p == q => {
+                    return Err(format!(
+                        "the {vnet:?} injection queue of node {n} links worm {i} back to itself"
+                    ))
+                }
+                p => {
+                    return Err(format!(
+                        "worm {i} waits in the injection queues of nodes {} and {n}",
+                        p as usize / NUM_VNETS
+                    ))
                 }
             }
+            let state = worms.get(id).state;
+            if state != WormState::Queued {
+                return Err(format!("worm {i} is queued for injection but {state:?}"));
+            }
+            self.enqueue(n, vnet, id, worms);
         }
         Ok(())
     }
@@ -1190,11 +1201,10 @@ mod tests {
     /// in two queues are refused.
     #[test]
     fn link_queues_refuses_dangling_cyclic_and_doubly_queued_worms() {
-        let queues = |lists: [&[u32]; 4]| {
-            let mut lists = lists.into_iter();
-            Strided::new(2, NUM_VNETS, || {
-                lists.next().unwrap().iter().map(|&i| WormId(i)).collect::<VecDeque<_>>()
-            })
+        // Node 0's two queues, then node 1's.
+        let queues = |lists: [&[u32]; 4]| -> Vec<(u32, WormId)> {
+            let per_queue = lists.into_iter().enumerate();
+            per_queue.flat_map(|(q, l)| l.iter().map(move |&i| (q as u32, WormId(i)))).collect()
         };
         let mut s = slab();
         let mut t = table(4);

@@ -470,6 +470,21 @@ mod tests {
         Mesh2D::square(8)
     }
 
+    /// A unicast needs no conformance check: every rule reaches every
+    /// destination from every source.
+    #[test]
+    fn every_rule_admits_every_lone_destination() {
+        let m = Mesh2D::square(5);
+        for rule in [PathRule::XY, PathRule::YX, PathRule::WestFirst, PathRule::EastFirst] {
+            for src in 0..m.nodes() {
+                for dst in (0..m.nodes()).filter(|&d| d != src) {
+                    let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
+                    assert!(is_conformant(rule, &m, s, &[d]), "{rule:?} {src} -> {dst}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn xy_unicast_path_is_row_then_column() {
         let m = m8();

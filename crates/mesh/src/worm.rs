@@ -7,14 +7,18 @@
 //! advancing [`WormHot::dest_idx`].
 //!
 //! Flits reference their worm by id; payload lives in the central
-//! [`WormTable`] so a flit is a worm id and its kind. Each injected worm
-//! allocates its destination list (and delivery mask, if any) once; the
-//! table reuses the slot of every retired worm, so a run's table stays
-//! the size of its working set. A worm waiting in a NIC injection queue
-//! links to the next worm of that queue through its own slot (see
-//! [`crate::nic`]).
+//! [`WormTable`] so a flit is a worm id and its kind. A plain unicast
+//! (one destination, no i-ack reserve, initial acks, gather deposit or
+//! delivery mask: every reply and every UI-UA invalidation and ack) is
+//! held whole in its 56-byte cold record and costs the heap nothing; any
+//! other worm boxes its destination list, delivery mask and the rest of
+//! its spec once, at injection. The table reuses the slot of every
+//! retired worm, so a run's table stays the size of its working set. A
+//! worm waiting in a NIC injection queue links to the next worm of that
+//! queue through its own slot (see [`crate::nic`]).
 
 use crate::topology::NodeId;
+use wormdsm_sim::heap::vec_bytes;
 use wormdsm_sim::snap::{snap_enum, snap_struct};
 use wormdsm_sim::Cycle;
 
@@ -144,7 +148,6 @@ impl WormSpec {
     /// Bytes the spec owns on the heap: its destination list and delivery
     /// mask.
     pub fn heap_bytes(&self) -> usize {
-        use wormdsm_sim::heap::vec_bytes;
         vec_bytes(&self.dests) + self.deliver.as_ref().map_or(0, vec_bytes)
     }
 
@@ -164,6 +167,64 @@ impl WormSpec {
             deliver: None,
         }
     }
+
+    /// The first rule of [`WormTable::insert`]'s contract this spec
+    /// breaks, or a node it names outside a mesh of `nodes` nodes.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        let deliver = self.deliver.as_deref();
+        if let Some(e) = shape_error(self.kind, &self.dests, self.len_flits, deliver) {
+            return Err(e.to_string());
+        }
+        node_error(self.src, &self.dests, nodes)
+    }
+}
+
+/// A plain unicast worm: one destination, and no i-ack reserve, initial
+/// acks, gather deposit or delivery mask. Every reply, every unicast ack
+/// and every UI-UA invalidation is one, so the calendar and the worm
+/// table hold it without a [`WormSpec`] and its destination list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Unicast {
+    /// Source node.
+    pub src: NodeId,
+    /// The one destination.
+    pub dest: NodeId,
+    /// Virtual network.
+    pub vnet: VNet,
+    /// Length in flits, at least 2.
+    pub len: u16,
+    /// Opaque payload handed back on delivery.
+    pub payload: u64,
+    /// Transaction the worm belongs to; `TxnId(0)` when unused.
+    pub txn: TxnId,
+}
+
+impl Unicast {
+    /// The compact form of `spec`, if it is a plain unicast.
+    pub fn of(spec: &WormSpec) -> Option<Self> {
+        let plain = spec.kind == WormKind::Unicast
+            && spec.dests.len() == 1
+            && !spec.reserve_iack
+            && spec.initial_acks == 0
+            && !spec.gather_deposit
+            && spec.deliver.is_none();
+        plain.then(|| Self {
+            src: spec.src,
+            dest: spec.dests[0],
+            vnet: spec.vnet,
+            len: spec.len_flits,
+            payload: spec.payload,
+            txn: spec.txn,
+        })
+    }
+
+    /// The worm's spec.
+    pub fn spec(self) -> WormSpec {
+        WormSpec {
+            txn: self.txn,
+            ..WormSpec::unicast(self.src, self.dest, self.vnet, self.len, self.payload)
+        }
+    }
 }
 
 /// Lifecycle state of a worm.
@@ -181,47 +242,226 @@ pub enum WormState {
     Delivered,
 }
 
+/// What a worm other than a plain [`Unicast`] carries beyond its cold
+/// record: the destination list and the spec fields a plain unicast
+/// leaves at their defaults.
+#[derive(Debug, Clone)]
+struct Route {
+    kind: WormKind,
+    dests: Vec<NodeId>,
+    deliver: Option<Vec<bool>>,
+    initial_acks: u32,
+    reserve_iack: bool,
+    gather_deposit: bool,
+}
+
+impl Route {
+    /// Bytes of the box and its lists.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + vec_bytes(&self.dests)
+            + self.deliver.as_ref().map_or(0, vec_bytes)
+    }
+}
+
+/// `Worm::next` of a worm no other worm queues behind.
+const NO_NEXT: u32 = u32::MAX;
+
 /// A worm's cold record: everything injection, destination processing
 /// and delivery read. The state the head reads on every router visit is
-/// in the worm's [`WormHot`] record instead.
+/// in the worm's [`WormHot`] record instead. A plain unicast lives whole
+/// in these 56 bytes; any other worm keeps its destination list and the
+/// rest of its spec in one boxed route. The injection parameters are
+/// read through accessors, or whole through [`Worm::spec`].
 #[derive(Debug, Clone)]
 pub struct Worm {
-    /// Immutable injection parameters.
-    pub spec: WormSpec,
-    /// Acks accumulated so far (gather worms).
-    pub acks: u32,
-    /// Lifecycle state.
-    pub state: WormState,
+    payload: u64,
+    txn: TxnId,
     /// Cycle the worm was handed to the NIC.
     pub queued_at: Cycle,
-    /// Gather bounce in progress: the worm could neither collect nor park
-    /// (no i-ack entry available), so it is being consumed at the local
-    /// node for re-injection instead of holding network channels.
-    pub bounced: bool,
+    /// `None` for a plain unicast.
+    route: Option<Box<Route>>,
+    /// Acks accumulated so far (gather worms).
+    pub acks: u32,
     /// Outstanding consumption-channel reservations (final consumption,
     /// absorb copies, bounces). A worm's table slot may only be recycled
     /// once it is `Delivered` *and* this count is back to zero — absorb
     /// copies at intermediate destinations can drain after the final tail.
     pub copies: u32,
     /// The worm queued behind this one in the same NIC injection queue
-    /// (None at the queue's end, and whenever the worm is not queued).
-    /// Not saved: the NICs save their queues as lists and relink on load.
-    pub(crate) next: Option<WormId>,
+    /// ([`NO_NEXT`] at the queue's end, and whenever the worm is not
+    /// queued). Not saved: the NICs save their queues as lists and relink
+    /// on load.
+    next: u32,
+    src: NodeId,
+    /// A plain unicast's destination; a routed worm's first.
+    dest: NodeId,
+    len: u16,
+    /// Lifecycle state.
+    pub state: WormState,
+    vnet: VNet,
+    /// Gather bounce in progress: the worm could neither collect nor park
+    /// (no i-ack entry available), so it is being consumed at the local
+    /// node for re-injection instead of holding network channels.
+    pub bounced: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Worm>() == 56);
+
+impl Worm {
+    /// A freshly queued plain unicast.
+    fn unicast(u: Unicast, queued_at: Cycle) -> Self {
+        Self {
+            payload: u.payload,
+            txn: u.txn,
+            queued_at,
+            route: None,
+            acks: 0,
+            copies: 0,
+            next: NO_NEXT,
+            src: u.src,
+            dest: u.dest,
+            len: u.len,
+            state: WormState::Queued,
+            vnet: u.vnet,
+            bounced: false,
+        }
+    }
+
+    /// A freshly queued worm of `spec`, which breaks no rule of
+    /// [`WormTable::insert`]'s contract: compact if it is a plain unicast.
+    fn from_spec(spec: WormSpec, queued_at: Cycle) -> Self {
+        if let Some(u) = Unicast::of(&spec) {
+            return Self::unicast(u, queued_at);
+        }
+        let u = Unicast {
+            src: spec.src,
+            dest: spec.dests[0],
+            vnet: spec.vnet,
+            len: spec.len_flits,
+            payload: spec.payload,
+            txn: spec.txn,
+        };
+        let route = Route {
+            kind: spec.kind,
+            dests: spec.dests,
+            deliver: spec.deliver,
+            initial_acks: spec.initial_acks,
+            reserve_iack: spec.reserve_iack,
+            gather_deposit: spec.gather_deposit,
+        };
+        Self {
+            acks: route.initial_acks,
+            route: Some(Box::new(route)),
+            ..Self::unicast(u, queued_at)
+        }
+    }
+
+    /// Source node.
+    pub fn src(&self) -> NodeId {
+        self.src
+    }
+
+    /// Virtual network.
+    pub fn vnet(&self) -> VNet {
+        self.vnet
+    }
+
+    /// Worm kind.
+    pub fn kind(&self) -> WormKind {
+        self.route.as_ref().map_or(WormKind::Unicast, |r| r.kind)
+    }
+
+    /// Ordered destination list.
+    pub fn dests(&self) -> &[NodeId] {
+        match &self.route {
+            Some(r) => &r.dests,
+            None => std::slice::from_ref(&self.dest),
+        }
+    }
+
+    /// Length in flits.
+    pub fn len_flits(&self) -> u16 {
+        self.len
+    }
+
+    /// Opaque payload handed back on delivery.
+    pub fn payload(&self) -> u64 {
+        self.payload
+    }
+
+    /// Transaction the worm belongs to.
+    pub fn txn(&self) -> TxnId {
+        self.txn
+    }
+
+    /// The worm deposits its ack count at its final destination instead
+    /// of delivering a message (see [`WormSpec::gather_deposit`]).
+    pub fn gather_deposit(&self) -> bool {
+        self.route.as_ref().is_some_and(|r| r.gather_deposit)
+    }
+
+    /// True for a plain unicast, held without a route.
+    pub fn is_plain(&self) -> bool {
+        self.route.is_none()
+    }
+
+    /// The spec the worm was injected with.
+    pub fn spec(&self) -> WormSpec {
+        match &self.route {
+            None => Unicast {
+                src: self.src,
+                dest: self.dest,
+                vnet: self.vnet,
+                len: self.len,
+                payload: self.payload,
+                txn: self.txn,
+            }
+            .spec(),
+            Some(r) => WormSpec {
+                src: self.src,
+                vnet: self.vnet,
+                kind: r.kind,
+                dests: r.dests.clone(),
+                len_flits: self.len,
+                payload: self.payload,
+                reserve_iack: r.reserve_iack,
+                txn: self.txn,
+                initial_acks: r.initial_acks,
+                gather_deposit: r.gather_deposit,
+                deliver: r.deliver.clone(),
+            },
+        }
+    }
+
+    fn deliver(&self) -> Option<&[bool]> {
+        self.route.as_ref().and_then(|r| r.deliver.as_deref())
+    }
+
+    /// The first rule of [`WormTable::insert`]'s contract the worm
+    /// breaks, or a node it names outside a mesh of `nodes` nodes.
+    fn check(&self, nodes: usize) -> Result<(), String> {
+        if let Some(e) = shape_error(self.kind(), self.dests(), self.len, self.deliver()) {
+            return Err(e.to_string());
+        }
+        node_error(self.src, self.dests(), nodes)
+    }
 }
 
 /// A worm's hot record: the 12 bytes head processing, route allocation
 /// and the head's hop read. `dest_idx` and `turned` live only here; the
-/// other fields are copies of the [`WormSpec`] at `dest_idx`, rewritten
-/// by [`WormTable`] whenever `dest_idx` changes.
+/// other fields are copies of the cold [`Worm`] record's at `dest_idx`,
+/// rewritten by [`WormTable`] whenever `dest_idx` changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WormHot {
-    /// Index of the next destination to reach in `spec.dests`.
+    /// Index of the next destination to reach in the worm's destination
+    /// list.
     pub dest_idx: u32,
-    /// `spec.dests[dest_idx]`: the node the head is routing toward.
+    /// The destination at `dest_idx`: the node the head is routing toward.
     pub next_dest: NodeId,
-    /// `spec.vnet`.
+    /// The worm's virtual network.
     pub vnet: VNet,
-    /// `spec.kind`.
+    /// The worm's kind.
     pub kind: WormKind,
     /// For west-first/east-first conformance enforcement: set once the worm
     /// has taken a hop that forbids further west (resp. east) hops.
@@ -231,45 +471,54 @@ pub struct WormHot {
     /// The destination at `dest_idx` delivers (false for a pure routing
     /// waypoint).
     pub delivers: bool,
-    /// `spec.reserve_iack`.
+    /// The worm reserves an i-ack entry at each intermediate destination
+    /// ([`WormSpec::reserve_iack`]).
     pub reserve: bool,
 }
 
 impl WormHot {
-    /// The hot record of a worm with `spec` at destination `dest_idx`.
-    fn derive(spec: &WormSpec, dest_idx: u32, turned: bool) -> Self {
+    /// The hot record of worm `w` at destination `dest_idx`.
+    fn derive(w: &Worm, dest_idx: u32, turned: bool) -> Self {
         let i = dest_idx as usize;
+        let dests = w.dests();
         Self {
             dest_idx,
-            next_dest: spec.dests[i],
-            vnet: spec.vnet,
-            kind: spec.kind,
+            next_dest: dests[i],
+            vnet: w.vnet,
+            kind: w.kind(),
             turned,
-            last: i + 1 == spec.dests.len(),
-            delivers: spec.deliver.as_ref().is_none_or(|m| m[i]),
-            reserve: spec.reserve_iack,
+            last: i + 1 == dests.len(),
+            delivers: w.deliver().is_none_or(|m| m[i]),
+            reserve: w.route.as_ref().is_some_and(|r| r.reserve_iack),
         }
     }
 }
 
 const _: () = assert!(std::mem::size_of::<WormHot>() == 12);
 
-/// The first rule of [`WormTable::insert`]'s contract that `spec` breaks.
-fn spec_error(spec: &WormSpec) -> Option<&'static str> {
-    if spec.dests.is_empty() {
+/// The first rule of [`WormTable::insert`]'s contract that a worm of
+/// `kind` to `dests`, `len_flits` long and with delivery mask `deliver`,
+/// breaks.
+fn shape_error(
+    kind: WormKind,
+    dests: &[NodeId],
+    len_flits: u16,
+    deliver: Option<&[bool]>,
+) -> Option<&'static str> {
+    if dests.is_empty() {
         return Some("worm must have at least one destination");
     }
-    if spec.dests.len() > u32::MAX as usize {
+    if dests.len() > u32::MAX as usize {
         return Some("worm has more destinations than a u32 indexes");
     }
-    if spec.len_flits < 2 {
+    if len_flits < 2 {
         return Some("worm needs at least head and tail flits");
     }
-    if spec.kind == WormKind::Unicast && spec.dests.len() != 1 {
+    if kind == WormKind::Unicast && dests.len() != 1 {
         return Some("unicast worm must have exactly one destination");
     }
-    if let Some(mask) = &spec.deliver {
-        if mask.len() != spec.dests.len() {
+    if let Some(mask) = deliver {
+        if mask.len() != dests.len() {
             return Some("deliver mask length mismatch");
         }
         if mask.last() != Some(&true) {
@@ -279,17 +528,12 @@ fn spec_error(spec: &WormSpec) -> Option<&'static str> {
     None
 }
 
-impl WormSpec {
-    /// The first rule of [`WormTable::insert`]'s contract this spec
-    /// breaks, or a node it names outside a mesh of `nodes` nodes.
-    pub fn check(&self, nodes: usize) -> Result<(), String> {
-        if let Some(e) = spec_error(self) {
-            return Err(e.to_string());
-        }
-        match self.dests.iter().copied().chain([self.src]).find(|d| d.idx() >= nodes) {
-            Some(d) => Err(format!("node {} outside a {nodes}-node mesh", d.idx())),
-            None => Ok(()),
-        }
+/// The first of `dests` and `src` outside a mesh of `nodes` nodes, as an
+/// error.
+fn node_error(src: NodeId, dests: &[NodeId], nodes: usize) -> Result<(), String> {
+    match dests.iter().copied().chain([src]).find(|d| d.idx() >= nodes) {
+        Some(d) => Err(format!("node {} outside a {nodes}-node mesh", d.idx())),
+        None => Ok(()),
     }
 }
 
@@ -320,13 +564,32 @@ impl WormTable {
         Self::default()
     }
 
-    /// Register a new worm; returns its id. Reuses the most recently
-    /// retired slot, if any. Panics when no slot is free and the table
-    /// already holds [`WormTable::MAX_SLOTS`] worms.
+    /// Register a new worm; returns its id. A plain unicast is stored
+    /// compact. Reuses the most recently retired slot, if any. Panics
+    /// when `spec` breaks a rule of [`WormSpec::check`], or when no slot
+    /// is free and the table already holds [`WormTable::MAX_SLOTS`] worms.
     pub fn insert(&mut self, spec: WormSpec, now: Cycle) -> WormId {
-        if let Some(e) = spec_error(&spec) {
+        if let Some(e) =
+            shape_error(spec.kind, &spec.dests, spec.len_flits, spec.deliver.as_deref())
+        {
             panic!("{e}");
         }
+        self.put(Worm::from_spec(spec, now))
+    }
+
+    /// Register a plain unicast; as [`WormTable::insert`] with its spec,
+    /// without building one.
+    pub fn insert_unicast(&mut self, u: Unicast, now: Cycle) -> WormId {
+        assert!(u.len >= 2, "worm needs at least head and tail flits");
+        self.put(Worm::unicast(u, now))
+    }
+
+    /// True when the next insert will reuse a retired slot.
+    pub fn will_reuse_slot(&self) -> bool {
+        !self.free.is_empty()
+    }
+
+    fn put(&mut self, worm: Worm) -> WormId {
         let id = match self.free.pop() {
             Some(slot) => WormId(slot),
             None => {
@@ -338,16 +601,7 @@ impl WormTable {
                 WormId(self.worms.len() as u32)
             }
         };
-        let hot = WormHot::derive(&spec, 0, false);
-        let worm = Worm {
-            acks: spec.initial_acks,
-            spec,
-            state: WormState::Queued,
-            queued_at: now,
-            bounced: false,
-            copies: 0,
-            next: None,
-        };
+        let hot = WormHot::derive(&worm, 0, false);
         let i = id.0 as usize;
         if i < self.worms.len() {
             self.hot[i] = hot;
@@ -359,19 +613,18 @@ impl WormTable {
         id
     }
 
-    /// True when the next insert will reuse a retired slot.
-    pub fn will_reuse_slot(&self) -> bool {
-        !self.free.is_empty()
-    }
-
-    /// Bytes the table holds on the heap, the specs' destination lists
-    /// included (a retired slot keeps its lists until it is reused).
+    /// Bytes the table holds on the heap, every route box and its lists
+    /// included (a retired slot keeps its route until it is reused).
     pub fn heap_bytes(&self) -> usize {
-        use wormdsm_sim::heap::vec_bytes;
         vec_bytes(&self.hot)
             + vec_bytes(&self.worms)
             + vec_bytes(&self.free)
-            + self.worms.iter().map(|w| w.spec.heap_bytes()).sum::<usize>()
+            + self
+                .worms
+                .iter()
+                .filter_map(|w| w.route.as_deref())
+                .map(Route::heap_bytes)
+                .sum::<usize>()
     }
 
     /// Hand a fully retired worm's slot back for reuse. Caller guarantees
@@ -395,19 +648,20 @@ impl WormTable {
         let i = id.0 as usize;
         let h = self.hot[i];
         assert!(!h.last, "worm {} advanced past its last destination", id.0);
-        self.hot[i] = WormHot::derive(&self.worms[i].spec, h.dest_idx + 1, h.turned);
+        self.hot[i] = WormHot::derive(&self.worms[i], h.dest_idx + 1, h.turned);
     }
 
     /// The worm queued behind `id` in its injection queue.
     #[inline]
     pub(crate) fn next(&self, id: WormId) -> Option<WormId> {
-        self.worms[id.0 as usize].next
+        let next = self.worms[id.0 as usize].next;
+        (next != NO_NEXT).then_some(WormId(next))
     }
 
     /// Link `next` behind `id` in its injection queue.
     #[inline]
     pub(crate) fn set_next(&mut self, id: WormId, next: Option<WormId>) {
-        self.worms[id.0 as usize].next = next;
+        self.worms[id.0 as usize].next = next.map_or(NO_NEXT, |n| n.0);
     }
 
     /// Set or clear the `turned` flag of `id`.
@@ -449,15 +703,15 @@ impl WormTable {
             return Err(format!("{} hot records for {} worms", self.hot.len(), self.worms.len()));
         }
         for (i, (h, w)) in self.hot.iter().zip(&self.worms).enumerate() {
-            w.spec.check(nodes).map_err(|e| format!("worm {i}: {e}"))?;
-            if h.dest_idx as usize >= w.spec.dests.len() {
+            w.check(nodes).map_err(|e| format!("worm {i}: {e}"))?;
+            if h.dest_idx as usize >= w.dests().len() {
                 return Err(format!(
                     "worm {i}: dest_idx {} of {} destinations",
                     h.dest_idx,
-                    w.spec.dests.len()
+                    w.dests().len()
                 ));
             }
-            let want = WormHot::derive(&w.spec, h.dest_idx, h.turned);
+            let want = WormHot::derive(w, h.dest_idx, h.turned);
             if *h != want {
                 return Err(format!("worm {i}: hot record {h:?} but its spec implies {want:?}"));
             }
@@ -494,12 +748,13 @@ mod snap_impls {
     /// Each worm is one record of spec, dest_idx, acks, state,
     /// queued_at, turned, bounced and copies, with
     /// `dest_idx` and `turned` taken from its hot record; the rest of the
-    /// hot record is derived again on load.
+    /// hot record is derived again on load. A plain unicast saves as its
+    /// spec too, and loads compact again.
     impl Snap for WormTable {
         fn save(&self, w: &mut SnapWriter) {
             w.put_usize(self.worms.len());
             for (h, c) in self.hot.iter().zip(&self.worms) {
-                c.spec.save(w);
+                c.spec().save(w);
                 w.put_usize(h.dest_idx as usize);
                 w.put_u32(c.acks);
                 c.state.save(w);
@@ -537,19 +792,20 @@ mod snap_impls {
                 let turned = r.get_bool()?;
                 let bounced = r.get_bool()?;
                 let copies = r.get_u32()?;
-                let c = Worm { spec, acks, state, queued_at, bounced, copies, next: None };
                 // The rules `insert` asserts, so the hot record can be
                 // derived and the first hop cannot index past the list.
-                if let Some(e) = spec_error(&c.spec) {
+                let deliver = spec.deliver.as_deref();
+                if let Some(e) = shape_error(spec.kind, &spec.dests, spec.len_flits, deliver) {
                     return Err(SnapError::Corrupt(format!("worm {i}: {e}")));
                 }
-                if dest_idx >= c.spec.dests.len() {
+                if dest_idx >= spec.dests.len() {
                     return Err(SnapError::Corrupt(format!(
                         "worm {i}: dest_idx {dest_idx} of {} destinations",
-                        c.spec.dests.len()
+                        spec.dests.len()
                     )));
                 }
-                hot.push(WormHot::derive(&c.spec, dest_idx as u32, turned));
+                let c = Worm { acks, state, bounced, copies, ..Worm::from_spec(spec, queued_at) };
+                hot.push(WormHot::derive(&c, dest_idx as u32, turned));
                 worms.push(c);
             }
             let free: Vec<u32> = Vec::load(r)?;
@@ -754,6 +1010,23 @@ mod tests {
         assert_eq!(u.check(4), Ok(()));
     }
 
+    /// The route of slot `i`, given one with the slot's spec if the slot
+    /// holds a plain unicast.
+    fn route(t: &mut WormTable, i: usize) -> &mut Route {
+        let w = &mut t.worms[i];
+        let dest = w.dest;
+        w.route.get_or_insert_with(|| {
+            Box::new(Route {
+                kind: WormKind::Unicast,
+                dests: vec![dest],
+                deliver: None,
+                initial_acks: 0,
+                reserve_iack: false,
+                gather_deposit: false,
+            })
+        })
+    }
+
     /// Load a table whose first worm `corrupt` has broken, expecting a
     /// `Corrupt` refusal that contains `want`.
     fn refused(corrupt: impl FnOnce(&mut WormTable), want: &str) {
@@ -794,8 +1067,9 @@ mod tests {
     fn load_refuses_an_empty_destination_list() {
         refused(
             |t| {
-                t.worms[0].spec.dests = Vec::new();
-                t.worms[0].spec.deliver = None;
+                let r = route(t, 0);
+                r.dests = Vec::new();
+                r.deliver = None;
             },
             "at least one destination",
         );
@@ -803,25 +1077,25 @@ mod tests {
 
     #[test]
     fn load_refuses_a_deliver_mask_of_another_length() {
-        refused(|t| t.worms[0].spec.deliver = Some(vec![true, true]), "mask length");
+        refused(|t| route(t, 0).deliver = Some(vec![true, true]), "mask length");
     }
 
     #[test]
     fn load_refuses_a_final_waypoint() {
         refused(
-            |t| t.worms[0].spec.deliver = Some(vec![true, true, false]),
+            |t| route(t, 0).deliver = Some(vec![true, true, false]),
             "final destination must deliver",
         );
     }
 
     #[test]
     fn load_refuses_a_unicast_with_several_destinations() {
-        refused(|t| t.worms[1].spec.dests = vec![NodeId(2), NodeId(3)], "exactly one destination");
+        refused(|t| route(t, 1).dests = vec![NodeId(2), NodeId(3)], "exactly one destination");
     }
 
     #[test]
     fn load_refuses_a_worm_shorter_than_two_flits() {
-        refused(|t| t.worms[1].spec.len_flits = 1, "head and tail flits");
+        refused(|t| t.worms[1].len = 1, "head and tail flits");
     }
 
     #[test]

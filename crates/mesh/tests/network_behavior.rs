@@ -389,7 +389,7 @@ fn retired_worm_slot_is_reused_by_the_next_inject() {
     let second = net.inject(WormSpec::unicast(m.node_at(1, 2), m.node_at(2, 0), VNet::Reply, 5, 2));
     assert_eq!(second, first, "the retired worm's slot is reused");
     assert_eq!(net.stats().worm_slots_reused, 1);
-    assert_eq!(net.worm(second).spec.payload, 2, "the slot holds the new worm's record");
+    assert_eq!(net.worm(second).payload(), 2, "the slot holds the new worm's record");
     net.run_until_quiescent(10_000).unwrap();
     assert_eq!(net.take_deliveries(m.node_at(2, 0)).len(), 1);
 }
