@@ -9,7 +9,10 @@
 //! The table is bounded by the messages still in use, not by the run's
 //! length: keys carry a generation, and the owner collects every message
 //! no holder names (see [`MsgTable::collect`]), so freed slots are reused
-//! and a stale key is refused rather than aliased.
+//! and a stale key is refused rather than aliased. A burst of worms that
+//! carries one message stores it once: pushing the newest message again
+//! returns its key (UI-UA's unicast invalidations of one transaction, or
+//! a scheme's column worms, share one slot).
 
 use crate::addr::BlockId;
 use wormdsm_mesh::topology::NodeId;
@@ -219,14 +222,14 @@ impl ProtoMsg {
 }
 
 /// Low bits of a payload key that select the table slot; the bits above
-/// hold the push sequence number (the key's generation).
+/// hold the sequence number of the stored message (the key's generation).
 const SLOT_BITS: u32 = 28;
 
 /// Mask of a key's slot bits.
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
-/// The most pushes a table restores with: half the generations a key
-/// can carry, so a restored run never runs out of them.
+/// The most stored messages a table restores with: half the generations
+/// a key can carry, so a restored run never runs out of them.
 const MAX_RESTORED_SEQ: u64 = u64::MAX >> (SLOT_BITS + 1);
 
 /// Messages the table holds before its first collection, and the floor
@@ -237,10 +240,17 @@ const MIN_COLLECT: usize = 1024;
 /// bounded by the messages still referenced.
 ///
 /// Keys follow the transaction slab's id pattern: `key = (seq << 28) |
-/// slot`, where `seq` counts every push and starts at 1, so no key is 0
-/// and a stale key from a collected message never aliases the newer
-/// message in its slot — [`MsgTable::get`] panics on it, naming it, and
-/// [`MsgTable::check`] refuses it.
+/// slot`, where `seq` counts every stored message and starts at 1, so no
+/// key is 0 and a stale key from a collected message never aliases the
+/// newer message in its slot — [`MsgTable::get`] panics on it, naming it,
+/// and [`MsgTable::check`] refuses it.
+///
+/// [`MsgTable::push`] stores a message only when it differs from the
+/// newest one (the key of generation `seq`) or that one has been
+/// collected; otherwise it returns the newest key again. Messages are
+/// immutable values, so every holder of a shared key decodes the same
+/// message. The rule reads only the slots and `seq`, so a restored table
+/// shares a key exactly when the saved one would.
 ///
 /// The table does not know who holds a key. Its owner calls
 /// [`MsgTable::collect`] with every key still held (at a point where no
@@ -250,23 +260,26 @@ const MIN_COLLECT: usize = 1024;
 /// drops trailing vacancies, and leaves the free list holding every
 /// vacant slot, highest first, so `push` reuses the lowest. Slots are
 /// vacated only by collection, so that rule holds at every point, and a
-/// snapshot needs only the slots' occupancy, `seq` and the threshold to
-/// hand out the same keys after a restore.
+/// snapshot needs only the slots, `seq` and the threshold to hand out the
+/// same keys after a restore.
 #[derive(Debug)]
 pub struct MsgTable {
     /// Each slot's key and message; `None` = vacant.
     slots: Vec<Option<(u64, ProtoMsg)>>,
     /// Vacant slots, highest first (derived from `slots`).
     free: Vec<u32>,
-    /// Pushes so far: the generation of the latest key.
+    /// Messages stored so far: the generation of the newest key.
     seq: u64,
+    /// The slot holding the newest key while it is held (derived from
+    /// `slots` and `seq`).
+    newest: Option<u32>,
     /// `collect_due` once the live count reaches this.
     collect_at: usize,
 }
 
 impl Default for MsgTable {
     fn default() -> Self {
-        Self { slots: Vec::new(), free: Vec::new(), seq: 0, collect_at: MIN_COLLECT }
+        Self { slots: Vec::new(), free: Vec::new(), seq: 0, newest: None, collect_at: MIN_COLLECT }
     }
 }
 
@@ -276,9 +289,15 @@ impl MsgTable {
         Self::default()
     }
 
-    /// Store a message, returning its payload key. Reuses the lowest
-    /// vacant slot.
+    /// Store a message, returning its payload key: the newest key again
+    /// when that message is still held and equals `m`, else a new key in
+    /// the lowest vacant slot.
     pub fn push(&mut self, m: ProtoMsg) -> u64 {
+        if let Some((key, newest)) = self.newest.and_then(|s| self.slots[s as usize]) {
+            if newest == m {
+                return key;
+            }
+        }
         let slot = match self.free.pop() {
             Some(s) => s as usize,
             None => {
@@ -294,11 +313,12 @@ impl MsgTable {
         self.seq += 1;
         assert!(
             self.seq >> (64 - SLOT_BITS) == 0,
-            "message keys exhausted after {} pushes",
+            "message keys exhausted after {} messages",
             self.seq
         );
         let key = (self.seq << SLOT_BITS) | slot as u64;
         self.slots[slot] = Some((key, m));
+        self.newest = Some(slot as u32);
         key
     }
 
@@ -354,16 +374,22 @@ impl MsgTable {
         while self.slots.last() == Some(&None) {
             self.slots.pop();
         }
-        self.rebuild_free();
+        self.rebuild_derived();
         self.collect_at = (2 * self.len()).max(MIN_COLLECT);
     }
 
-    /// Derive the free list from the slots' occupancy.
-    fn rebuild_free(&mut self) {
+    /// Derive the free list from the slots' occupancy, and the newest
+    /// slot from the one key of generation `seq`, if still held.
+    fn rebuild_derived(&mut self) {
         self.free.clear();
         self.free.extend(
             (0..self.slots.len() as u32).rev().filter(|&s| self.slots[s as usize].is_none()),
         );
+        self.newest = self
+            .slots
+            .iter()
+            .position(|s| matches!(s, Some((k, _)) if k >> SLOT_BITS == self.seq))
+            .map(|s| s as u32);
     }
 
     /// Number of messages held (pushed and not yet collected): every slot
@@ -417,8 +443,9 @@ snap_enum!(ProtoMsg {
     19 => LockRelease { lock },
 });
 
-/// The slots (a vacant one costs one byte), the push count and the
-/// collection threshold; the free list is derived again on load. The
+/// The slots (a vacant one costs one byte), the stored-message count
+/// `seq` and the collection threshold; the free list and the newest slot
+/// are derived again on load. The
 /// threshold is set by a collection to twice the messages it kept (at
 /// least `MIN_COLLECT`), and only pushes follow until the next one, so a
 /// table that a run produced has `MIN_COLLECT <= collect_at <=
@@ -434,7 +461,7 @@ impl Snap for MsgTable {
         let seq = r.get_u64()?;
         let collect_at = r.get_usize()?;
         if seq > MAX_RESTORED_SEQ {
-            return Err(SnapError::Corrupt(format!("message table: {seq} pushes")));
+            return Err(SnapError::Corrupt(format!("message table: {seq} messages stored")));
         }
         if slots.last() == Some(&None) {
             return Err(SnapError::Corrupt("message table ends in a vacant slot".to_string()));
@@ -445,12 +472,12 @@ impl Snap for MsgTable {
             let generation = key >> SLOT_BITS;
             if (key & SLOT_MASK) as usize != slot || generation == 0 || generation > seq {
                 return Err(SnapError::Corrupt(format!(
-                    "message table: key {key:#x} in slot {slot} after {seq} pushes"
+                    "message table: key {key:#x} in slot {slot} after {seq} messages"
                 )));
             }
         }
-        let mut t = Self { slots, free: Vec::new(), seq, collect_at };
-        t.rebuild_free();
+        let mut t = Self { slots, free: Vec::new(), seq, newest: None, collect_at };
+        t.rebuild_derived();
         if collect_at < MIN_COLLECT || collect_at > (2 * t.len()).max(MIN_COLLECT) {
             return Err(SnapError::Corrupt(format!(
                 "message table: collection threshold {collect_at} with {} messages held",
@@ -532,24 +559,132 @@ mod tests {
         );
     }
 
+    fn save(t: &MsgTable) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.save(&mut w);
+        w.finish()
+    }
+
+    fn load(bytes: &[u8]) -> Result<MsgTable, SnapError> {
+        MsgTable::load(&mut SnapReader::new(bytes).unwrap())
+    }
+
+    /// Pushing the newest message again returns its key; any other
+    /// message in between ends the sharing.
+    #[test]
+    fn a_repeated_message_shares_the_newest_key() {
+        let (a, b) = (ProtoMsg::LockGrant { lock: 1 }, ProtoMsg::LockGrant { lock: 2 });
+        let mut t = MsgTable::new();
+        let ka = t.push(a);
+        assert_eq!(t.push(a), ka);
+        assert_eq!((t.len(), t.seq), (1, 1), "stored once");
+        let kb = t.push(b);
+        let ka2 = t.push(a);
+        assert!(ka2 != ka && ka2 != kb, "an older equal message is not reused");
+        assert_eq!((t.len(), t.seq), (3, 3));
+        assert_eq!((t.get(ka), t.get(kb), t.get(ka2)), (a, b, a));
+    }
+
+    /// Sharing survives a collection that keeps the newest message, and
+    /// ends at one that vacates it, even when an older message is kept.
+    #[test]
+    fn sharing_follows_the_newest_message_through_collection() {
+        let (a, b) = (ProtoMsg::LockGrant { lock: 1 }, ProtoMsg::LockGrant { lock: 2 });
+        let mut t = MsgTable::new();
+        let ka = t.push(a);
+        let kb = t.push(b);
+        t.collect([kb]);
+        assert_eq!(t.push(b), kb, "the newest message was kept");
+        let ka2 = t.push(a);
+        t.collect([kb]);
+        assert!(t.check(ka2).is_err());
+        let ka3 = t.push(a);
+        assert!(ka3 != ka && ka3 != ka2, "the newest message was vacated");
+        assert_eq!(ka3, 4 << SLOT_BITS, "a new key in the lowest vacant slot");
+        assert_eq!((t.get(kb), t.get(ka3)), (b, a));
+    }
+
+    /// A reference model of the table: every key the table returns names
+    /// the message pushed with it, a push shares a key exactly when the
+    /// newest stored message equals it and is still held, and a table
+    /// saved and loaded at any point hands out the same keys as the one
+    /// never saved.
+    #[test]
+    fn the_table_agrees_with_a_reference_model_across_restores() {
+        use std::collections::BTreeMap;
+        use wormdsm_sim::rng::Rng;
+        let alphabet = |i: u64| match i % 3 {
+            0 => ProtoMsg::Inval { block: BlockId(i / 3), txn: TxnId(1), home: NodeId(0) },
+            1 => ProtoMsg::ReadReply { block: BlockId(i / 3) },
+            _ => ProtoMsg::LockGrant { lock: (i / 3) as u16 },
+        };
+        let mut shared = 0;
+        for seed in 0..40 {
+            let mut rng = Rng::new(seed);
+            let mut t = MsgTable::new();
+            let mut back: Option<MsgTable> = None;
+            // The model: every live key's message, and the newest key.
+            let mut live: BTreeMap<u64, ProtoMsg> = BTreeMap::new();
+            let (mut newest, mut generation) = (None::<u64>, 0);
+            for step in 0..600 {
+                match rng.below(40) {
+                    0 => {
+                        let held: Vec<u64> =
+                            live.keys().copied().filter(|_| rng.chance(0.5)).collect();
+                        live.retain(|k, _| held.contains(k));
+                        t.collect(held.iter().copied().chain([0, u64::MAX]));
+                        if let Some(b) = back.as_mut() {
+                            b.collect(held);
+                        }
+                    }
+                    1 => back = Some(load(&save(&t)).expect("a table a run produced loads")),
+                    _ => {
+                        let m = alphabet(rng.below(6));
+                        let key = t.push(m);
+                        let reuse = newest.filter(|k| live.get(k) == Some(&m));
+                        if let Some(k) = reuse {
+                            assert_eq!(key, k, "seed {seed} step {step}: the newest key shared");
+                            shared += 1;
+                        } else {
+                            generation += 1;
+                            assert_eq!(key >> SLOT_BITS, generation, "seed {seed} step {step}");
+                            assert!(live.insert(key, m).is_none(), "seed {seed} step {step}");
+                        }
+                        newest = Some(key);
+                        if let Some(b) = back.as_mut() {
+                            assert_eq!(b.push(m), key, "seed {seed} step {step}: restored");
+                        }
+                    }
+                }
+                assert_eq!(t.len(), live.len(), "seed {seed} step {step}");
+                for (&k, &m) in &live {
+                    assert_eq!(t.get(k), m);
+                    if let Some(b) = &back {
+                        assert_eq!(b.get(k), m);
+                    }
+                }
+                if let Some(b) = &back {
+                    assert_eq!(save(b), save(&t), "seed {seed} step {step}");
+                }
+            }
+        }
+        assert!(shared > 1000, "the alphabet repeats often enough to share keys: {shared}");
+    }
+
     /// A restored table hands out the same keys as the one saved, and the
-    /// loader refuses keys its slots or push count cannot have produced.
+    /// loader refuses keys its slots or message count cannot have
+    /// produced.
     #[test]
     fn snapshot_keeps_key_assignment_and_refuses_impossible_keys() {
         let m = ProtoMsg::LockGrant { lock: 3 };
         let mut t = MsgTable::new();
-        let k: Vec<u64> = (0..6).map(|_| t.push(m)).collect();
+        let k: Vec<u64> = (0..6).map(|lock| t.push(ProtoMsg::LockGrant { lock })).collect();
         t.collect([k[0], k[2], k[5]]);
-        let save = |t: &MsgTable| {
-            let mut w = SnapWriter::new();
-            t.save(&mut w);
-            w.finish()
-        };
         let bytes = save(&t);
-        let load = |bytes: &[u8]| MsgTable::load(&mut SnapReader::new(bytes).unwrap());
         let mut back = load(&bytes).unwrap();
         assert_eq!(save(&back), bytes);
-        for _ in 0..5 {
+        for lock in [5, 5, 3, 3, 3] {
+            let m = ProtoMsg::LockGrant { lock };
             assert_eq!(back.push(m), t.push(m));
         }
         assert_eq!(back.collect_due(), t.collect_due());
@@ -568,8 +703,8 @@ mod tests {
         assert!(corrupt(vec![Some((key(1, 0), m)), None], 1).contains("vacant slot"));
         assert!(corrupt(vec![Some((key(1, 1), m))], 1).contains("in slot 0"));
         assert!(corrupt(vec![Some((key(0, 0), m))], 1).contains("in slot 0"));
-        assert!(corrupt(vec![Some((key(2, 0), m))], 1).contains("after 1 pushes"));
-        assert!(corrupt(vec![], u64::MAX).contains("pushes"));
+        assert!(corrupt(vec![Some((key(2, 0), m))], 1).contains("after 1 messages"));
+        assert!(corrupt(vec![], u64::MAX).contains("messages stored"));
 
         // The collection threshold lies in [MIN_COLLECT, max(MIN_COLLECT,
         // 2 * held)]: a larger one would switch collection off, a smaller

@@ -440,6 +440,23 @@ impl Ev {
     }
 }
 
+/// Every message key the calendar, the network and the directory hold
+/// (see [`DsmSystem::held_message_keys`]); a free function, so collection
+/// can stream the keys while it borrows the message table mutably.
+fn held_keys<'a>(
+    cal: &'a Calendar<Ev>,
+    net: &'a Network,
+    dir: &'a Directory,
+) -> impl Iterator<Item = u64> + 'a {
+    let events = cal.events().filter_map(|ev| match ev {
+        Ev::Recv { key, .. } | Ev::Handle { key, .. } => Some(*key),
+        Ev::Send(u) => Some(u.payload),
+        Ev::Inject(spec) => Some(spec.payload),
+        Ev::PostIack { .. } => None,
+    });
+    net.payloads().chain(dir.queued_keys()).chain(events)
+}
+
 /// The complete simulated DSM machine.
 pub struct DsmSystem {
     cfg: SystemConfig,
@@ -944,7 +961,6 @@ impl DsmSystem {
             strip_delay,
             iack_check_delay,
             cons_channels,
-            cons_buf_flits,
             iack_buffers,
             iack_mode,
         } = mesh;
@@ -963,7 +979,7 @@ impl DsmSystem {
             ConsistencyModel::Sequential => (0, 0),
             ConsistencyModel::Release { write_buffer } => (1, *write_buffer),
         };
-        let fields: [u64; 28] = [
+        let fields: [u64; 27] = [
             mesh.width() as u64,
             mesh.height() as u64,
             routing,
@@ -973,7 +989,6 @@ impl DsmSystem {
             *strip_delay,
             *iack_check_delay,
             *cons_channels as u64,
-            *cons_buf_flits as u64,
             *iack_buffers as u64,
             iack_mode,
             *cache_sets as u64,
@@ -1227,13 +1242,7 @@ impl DsmSystem {
     /// message no holder names is dead; collection and the restore check
     /// both read this one list.
     pub fn held_message_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        let events = self.cal.events().filter_map(|ev| match ev {
-            Ev::Recv { key, .. } | Ev::Handle { key, .. } => Some(*key),
-            Ev::Send(u) => Some(u.payload),
-            Ev::Inject(spec) => Some(spec.payload),
-            Ev::PostIack { .. } => None,
-        });
-        self.net.payloads().chain(self.dir.queued_keys()).chain(events)
+        held_keys(&self.cal, &self.net, &self.dir)
     }
 
     /// Collect every message [`DsmSystem::held_message_keys`] does not
@@ -1241,8 +1250,7 @@ impl DsmSystem {
     /// doubled since the last collection; results are the same whenever
     /// collection runs.
     pub fn collect_messages(&mut self) {
-        let held: Vec<u64> = self.held_message_keys().collect();
-        self.msgs.collect(held);
+        self.msgs.collect(held_keys(&self.cal, &self.net, &self.dir));
     }
 
     /// The message table (read-only; for diagnostics and tests).
@@ -2685,33 +2693,52 @@ mod tests {
         assert_eq!(h.total() / 4096, 812, "bytes a node");
     }
 
-    /// The heap account after a seeded batch of 16 writes, each to a block
-    /// with 12 sharers, runs to idle on a k=8 mesh: under UI-UA every worm
+    /// A seeded batch of 16 writes, each to a block with 12 sharers, run
+    /// to idle on a k=8 mesh under `scheme`.
+    fn k8_batch(scheme: SchemeKind) -> DsmSystem {
+        let mut sys = DsmSystem::new(SystemConfig::for_scheme(8, scheme), scheme.build());
+        let mut rng = wormdsm_sim::Rng::new(0xB47C_0008);
+        for w in 0..16u16 {
+            let (writer, block) = (NodeId(w * 4), BlockId(64 * u64::from(w) + rng.below(64)));
+            let home = sys.geom.home_of(block);
+            let mut sharers = Vec::new();
+            while sharers.len() < 12 {
+                let n = NodeId(rng.below(64) as u16);
+                if n != writer && n != home && !sharers.contains(&n) {
+                    sharers.push(n);
+                }
+            }
+            sys.seed_shared(block, &sharers);
+            sys.issue(writer, MemOp::Write(sys.geom.base_of(block)));
+        }
+        sys.run_until_idle(1_000_000).expect("the batch completes");
+        assert_eq!(sys.metrics().inval_txns, 16);
+        sys
+    }
+
+    /// Under UI-UA a home sends one unicast invalidation to each of a
+    /// block's 12 sharers, all carrying one message: the table stores it
+    /// once per transaction, not once per worm. The batch stores fewer
+    /// messages than the first collection threshold, so the table still
+    /// holds every one of them.
+    #[test]
+    fn a_k8_uiua_batch_stores_one_inval_per_transaction() {
+        let sys = k8_batch(SchemeKind::UiUa);
+        let table = sys.message_table();
+        let invals = table.iter().filter(|m| matches!(m, ProtoMsg::Inval { .. })).count();
+        assert_eq!(invals, 16);
+        let req_worms = sys.net_stats().worms_injected[VNet::Req.index()];
+        assert!(req_worms >= 16 * 12, "{req_worms} request worms");
+        assert_eq!(table.len(), table.slots(), "no collection vacated a slot");
+    }
+
+    /// The heap account after [`k8_batch`]: under UI-UA every worm
     /// is a plain unicast and the worm table holds no route, under
     /// MI-MA(col) the multicasts and gathers keep theirs. Pinned exactly,
     /// like the fresh account above.
     #[test]
     fn a_k8_batch_heap_account_is_pinned() {
-        let account = |scheme: SchemeKind| {
-            let mut sys = DsmSystem::new(SystemConfig::for_scheme(8, scheme), scheme.build());
-            let mut rng = wormdsm_sim::Rng::new(0xB47C_0008);
-            for w in 0..16u16 {
-                let (writer, block) = (NodeId(w * 4), BlockId(64 * u64::from(w) + rng.below(64)));
-                let home = sys.geom.home_of(block);
-                let mut sharers = Vec::new();
-                while sharers.len() < 12 {
-                    let n = NodeId(rng.below(64) as u16);
-                    if n != writer && n != home && !sharers.contains(&n) {
-                        sharers.push(n);
-                    }
-                }
-                sys.seed_shared(block, &sharers);
-                sys.issue(writer, MemOp::Write(sys.geom.base_of(block)));
-            }
-            sys.run_until_idle(1_000_000).expect("the batch completes");
-            assert_eq!(sys.metrics().inval_txns, 16);
-            sys.heap_bytes()
-        };
+        let account = |scheme| k8_batch(scheme).heap_bytes();
         // UI-UA's worm table: 256 slots of a hot record, a cold record
         // and a free-list entry, and no route.
         let uiua = HeapAccount {
@@ -2720,7 +2747,7 @@ mod tests {
             worms: 256 * (12 + 56 + 4),
             network: 3_096,
             calendar: 5_120,
-            messages: 16_384,
+            messages: 8_192,
             caches: 8_192,
             directory: 1_408,
             nodes: 5_648,
@@ -2896,7 +2923,7 @@ mod tests {
     fn config_fingerprint_covers_every_field() {
         use wormdsm_mesh::topology::Mesh2D;
         type Edit = fn(&mut SystemConfig);
-        let edits: [(&str, Edit); 30] = [
+        let edits: [(&str, Edit); 29] = [
             ("mesh width", |c| c.mesh.mesh = Mesh2D::new(5, 4)),
             ("mesh height", |c| c.mesh.mesh = Mesh2D::new(4, 5)),
             ("routing", |c| c.mesh.routing = BaseRouting::TurnModel),
@@ -2906,7 +2933,6 @@ mod tests {
             ("strip_delay", |c| c.mesh.strip_delay = 2),
             ("iack_check_delay", |c| c.mesh.iack_check_delay = 2),
             ("cons_channels", |c| c.mesh.cons_channels = 3),
-            ("cons_buf_flits", |c| c.mesh.cons_buf_flits = 9),
             ("iack_buffers", |c| c.mesh.iack_buffers = 2),
             ("iack_mode", |c| c.mesh.iack_mode = IackMode::Block),
             ("cache_sets", |c| c.cache_sets = 1024),
@@ -2962,16 +2988,17 @@ mod tests {
     /// from aliasing the slot's new message.
     #[test]
     fn restore_refuses_a_stale_message_key() {
-        let msg = ProtoMsg::ReadReply { block: BlockId(1) };
+        let msg = |b| ProtoMsg::ReadReply { block: BlockId(b) };
         // `stale` names slot 0, now reused; `vacant` names slot 1, now
-        // empty; `live` is the message in slot 0 today.
+        // empty; `live` is the message in slot 0 today. Each is a message
+        // of its own, so no push shares the key before it.
         let table = |sys: &mut DsmSystem| {
-            let stale = sys.msgs.push(msg);
-            let vacant = sys.msgs.push(msg);
-            let kept = sys.msgs.push(msg);
+            let stale = sys.msgs.push(msg(1));
+            let vacant = sys.msgs.push(msg(2));
+            let kept = sys.msgs.push(msg(3));
             sys.cal.schedule(50, Ev::Recv { node: NodeId(1), key: kept, acks: 0, src: NodeId(2) });
             sys.collect_messages();
-            let live = sys.msgs.push(msg);
+            let live = sys.msgs.push(msg(4));
             assert_eq!((sys.msgs.len(), sys.msgs.slots()), (2, 3), "slot 0 is reused");
             (stale, vacant, live)
         };

@@ -84,18 +84,6 @@ pub struct MeshConfig {
     /// Consumption channels per router interface (the paper proves 4
     /// suffice for deadlock freedom on a 2D mesh).
     pub cons_channels: usize,
-    /// Consumption channel FIFO depth, in flits.
-    ///
-    /// It never binds: a channel receives at most one flit a cycle (from
-    /// the one input VC allocated to it), and the NIC drains one in the
-    /// same tick (a consume activates the NIC for that tick's NIC phase),
-    /// so every channel is empty at every tick boundary and the space
-    /// check never refuses a flit. Any depth of at least 1 gives the same
-    /// results; `tests/full_stack.rs` pins this at depths 1 and 8, and
-    /// `crates/mesh/tests/slab_invariants.rs` checks every channel is
-    /// empty after every tick. A slower drain would be needed to model
-    /// ejection bandwidth.
-    pub cons_buf_flits: usize,
     /// i-ack buffer entries per router interface (the paper studies 2-4).
     pub iack_buffers: usize,
     /// Behaviour of gather worms whose ack has not been posted.
@@ -114,7 +102,6 @@ impl MeshConfig {
             strip_delay: 1,
             iack_check_delay: 1,
             cons_channels: 4,
-            cons_buf_flits: 8,
             iack_buffers: 4,
             iack_mode: IackMode::VctDefer,
         }
@@ -199,13 +186,6 @@ impl MeshConfig {
             return Err(format!(
                 "cons_channels must be 1..=255 (got {}); channel indices are u8-encoded",
                 self.cons_channels
-            ));
-        }
-        if self.cons_buf_flits < 1 || self.cons_buf_flits > NicSlab::MAX_CONS_CAP {
-            return Err(format!(
-                "cons_buf_flits must be 1..={} (got {}); channel flit counts are u16",
-                NicSlab::MAX_CONS_CAP,
-                self.cons_buf_flits
             ));
         }
         if self.iack_buffers < 1 || self.iack_buffers > 255 {
@@ -744,8 +724,7 @@ impl Network {
         let nodes = cfg.mesh.nodes();
         let vcs = cfg.vcs_total();
         let routers = RouterSlab::new(nodes, NUM_PORTS, vcs, cfg.vc_buf_flits, cfg.router_delay);
-        let nics =
-            NicSlab::new(nodes, cfg.cons_channels, cfg.cons_buf_flits, cfg.iack_buffers, vcs);
+        let nics = NicSlab::new(nodes, cfg.cons_channels, cfg.iack_buffers, vcs);
         let neighbors = build_neighbors(&cfg.mesh);
         let stats = NetStats::new(nodes);
         let words = nodes.div_ceil(64);
@@ -939,7 +918,7 @@ impl Network {
     }
 
     /// Check that no consumption channel holds a flit, as holds at every
-    /// tick boundary (see [`MeshConfig::cons_buf_flits`]); report the
+    /// tick boundary (see [`NicSlab::cons_push`]); report the
     /// first that does.
     pub fn check_consumption_drained(&self) -> Result<(), String> {
         self.nics.check_cons_drained()
@@ -1432,9 +1411,7 @@ impl Network {
                     unreachable!("local mask marks an input not Active toward LOCAL")
                 };
                 let cc = cc as usize;
-                if self.routers.front_ready(r, in_port, in_vc) > now
-                    || !self.nics.cons_has_space(r, cc)
-                {
+                if self.routers.front_ready(r, in_port, in_vc) > now {
                     continue;
                 }
                 self.apply_consume(r, in_port, in_vc, cc);
@@ -1483,11 +1460,6 @@ impl Network {
             }
             if self.routers.front_ready(r, in_port, in_vc) > now {
                 continue;
-            }
-            if let VcMode::Active { absorb: Some(cc), .. } = self.routers.mode(r, in_port, in_vc) {
-                if !self.nics.cons_has_space(r, cc as usize) {
-                    continue;
-                }
             }
             // Distance from the RR pointer, both in `0..total`.
             let in_slot = in_port * vcs + in_vc;
@@ -1568,18 +1540,26 @@ impl Network {
     }
 
     /// One flit enters consumption channel `cc` of node `r`. A flit of
-    /// any worm but the channel's owner means the consumption
-    /// bookkeeping is corrupt: record it (always, release builds
-    /// included) and carry on, so the dump shows both ids.
+    /// any worm but the channel's owner, or one that finds the channel
+    /// still holding an undrained flit, means the consumption bookkeeping
+    /// is corrupt: record it (always, release builds included) and carry
+    /// on, so the dump shows both ids.
     fn consume(&mut self, r: usize, cc: usize, flit: Flit) {
-        if let Err(owner) = self.nics.cons_push(r, cc, flit) {
-            self.violation.get_or_insert_with(|| {
-                let owner = owner.map_or("no worm".to_string(), |w| format!("worm {}", w.0));
-                format!(
-                    "consumption channel {cc} at node {r} received a flit of worm {} but is owned \
-                     by {owner}",
-                    flit.worm.0
-                )
+        if let Err(found) = self.nics.cons_push(r, cc, flit) {
+            self.violation.get_or_insert_with(|| match found.owner() {
+                Some(w) if w == flit.worm => format!(
+                    "consumption channel {cc} at node {r} received a flit of worm {} before \
+                     draining the last",
+                    w.0
+                ),
+                owner => {
+                    let owner = owner.map_or("no worm".to_string(), |w| format!("worm {}", w.0));
+                    format!(
+                        "consumption channel {cc} at node {r} received a flit of worm {} but is \
+                         owned by {owner}",
+                        flit.worm.0
+                    )
+                }
             });
         }
         self.stats.flits_consumed += 1;
@@ -2077,16 +2057,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_a_consumption_depth_past_the_flit_counter() {
-        let mut cfg = MeshConfig::paper_defaults(4);
-        cfg.cons_buf_flits = NicSlab::MAX_CONS_CAP;
-        assert_eq!(cfg.validate(), Ok(()));
-        cfg.cons_buf_flits = NicSlab::MAX_CONS_CAP + 1;
-        let e = cfg.validate().unwrap_err();
-        assert!(e.contains("cons_buf_flits must be 1..=65535"), "{e}");
-    }
-
-    #[test]
     fn validate_rejects_a_vc_count_whose_slot_count_overflows() {
         let mut cfg = MeshConfig::paper_defaults(4);
         cfg.vcs_per_vnet = usize::MAX;
@@ -2305,6 +2275,22 @@ mod tests {
         }
     }
 
+    /// Every consumption channel is empty between ticks, so a stream
+    /// whose channel holds a flit, or flags its tail as arrived, is
+    /// refused at load.
+    #[test]
+    fn load_rejects_a_consumption_channel_holding_a_flit() {
+        for kind in [FlitKind::Body, FlitKind::Tail] {
+            let (cfg, mut net) = busy_network();
+            net.nics.reserve_cons(3, 0, WormId(0), false);
+            assert_eq!(net.nics.cons_push(3, 0, Flit { worm: WormId(0), kind }), Ok(()));
+            let Err(SnapError::Corrupt(e)) = load(&cfg, &save(&net)) else {
+                panic!("{kind:?}: a channel holding a flit loaded")
+            };
+            assert!(e.contains("between ticks"), "{kind:?}: {e}");
+        }
+    }
+
     /// A live-worm count or a worm's copy count that disagrees with the
     /// worms and consumption channels, and a clock or counter that
     /// stepping could overflow (a buffered flit deposited after the clock
@@ -2354,6 +2340,32 @@ mod tests {
         let e = net.violation().unwrap();
         assert!(
             e.contains("channel 0 at node 2 received a flit of worm 0 but is owned by worm 1"),
+            "{e}"
+        );
+    }
+
+    /// A flit that finds its channel still holding an undrained flit (a
+    /// stray flit forged in between ticks here) is recorded as a
+    /// violation: a channel holds one flit, for the tick it arrives in.
+    #[test]
+    fn a_flit_entering_an_undrained_channel_is_a_violation() {
+        let mut net = Network::new(MeshConfig::paper_defaults(4));
+        let dst = NodeId(2);
+        let a = net.inject(WormSpec::unicast(NodeId(0), dst, VNet::Req, 8, 1));
+        while net.nics.cons_owner(dst.idx(), 0) != Some(a) {
+            net.tick();
+            assert!(net.now() < 100, "worm {a:?} never reached its channel");
+        }
+        assert_eq!(net.check_consumption_drained(), Ok(()));
+        let stray = Flit { worm: a, kind: FlitKind::Body };
+        assert_eq!(net.nics.cons_push(dst.idx(), 0, stray), Ok(()));
+        while net.violation().is_none() {
+            net.tick();
+            assert!(net.now() < 100, "the undrained flit was never reported");
+        }
+        let e = net.violation().unwrap();
+        assert!(
+            e.contains("channel 0 at node 2 received a flit of worm 0 before draining the last"),
             "{e}"
         );
     }

@@ -477,7 +477,6 @@ impl InjectQueue {
 /// node ids.
 #[derive(Debug)]
 pub struct NicSlab {
-    cons_cap: usize,
     /// Worms waiting to enter the network (stride [`NUM_VNETS`]).
     inject: Strided<InjectQueue>,
     /// Per local-input-VC streaming state (stride `local_vcs`, indexed like
@@ -500,24 +499,12 @@ pub struct NicSlab {
 }
 
 impl NicSlab {
-    /// Deepest consumption channel a [`ConsChannel`]'s `u16` count holds.
-    pub(crate) const MAX_CONS_CAP: usize = u16::MAX as usize;
-
     /// Create NICs for `nodes` nodes with `cons_channels` consumption
-    /// channels of `cons_cap` flits each (at most `u16::MAX`),
-    /// `iack_entries` i-ack buffers, and `local_vcs` local input virtual
-    /// channels.
-    pub fn new(
-        nodes: usize,
-        cons_channels: usize,
-        cons_cap: usize,
-        iack_entries: usize,
-        local_vcs: usize,
-    ) -> Self {
+    /// channels, `iack_entries` i-ack buffers, and `local_vcs` local input
+    /// virtual channels.
+    pub fn new(nodes: usize, cons_channels: usize, iack_entries: usize, local_vcs: usize) -> Self {
         assert!(cons_channels >= 1 && iack_entries >= 1 && local_vcs >= NUM_VNETS);
-        assert!((1..=Self::MAX_CONS_CAP).contains(&cons_cap), "consumption depth {cons_cap}");
         Self {
-            cons_cap,
             inject: Strided::new(nodes, NUM_VNETS, || InjectQueue::EMPTY),
             streaming: Strided::new(nodes, local_vcs, || None),
             cons: Strided::new(nodes, cons_channels, || ConsChannel::FREE),
@@ -589,15 +576,9 @@ impl NicSlab {
         *self.cons.at(n, cc) == ConsChannel::FREE
     }
 
-    /// Channel `cc` of node `n` has space for one more flit.
-    #[inline]
-    pub fn cons_has_space(&self, n: usize, cc: usize) -> bool {
-        usize::from(self.cons.at(n, cc).flits) < self.cons_cap
-    }
-
     /// The first consumption channel holding a flit, as an error naming
     /// it. Between ticks every channel is empty (see
-    /// [`crate::network::MeshConfig::cons_buf_flits`]).
+    /// [`NicSlab::cons_push`]).
     pub(crate) fn check_cons_drained(&self) -> Result<(), String> {
         let per = self.cons.stride();
         match self.cons.as_slice().iter().enumerate().find(|(_, c)| c.flits > 0) {
@@ -640,19 +621,25 @@ impl NicSlab {
         self.cons.at(n, cc).owner()
     }
 
-    /// Buffer `flit` into channel `cc` of node `n`. A flit of any worm
-    /// but the channel's owner means the consumption bookkeeping is
-    /// corrupt: it is still counted, and the owner (None for a free
-    /// channel) comes back as the error for the caller to report.
-    pub fn cons_push(&mut self, n: usize, cc: usize, flit: Flit) -> Result<(), Option<WormId>> {
-        debug_assert!(self.cons_has_space(n, cc), "consumption overflow");
+    /// Buffer `flit` into channel `cc` of node `n`.
+    ///
+    /// A channel needs room for one flit only: it receives at most one a
+    /// cycle (from the one input VC allocated to it), and the NIC drains
+    /// it in the same tick (a consume activates the NIC for that tick's
+    /// NIC phase), so every channel is empty at every tick boundary. A
+    /// flit that finds its channel holding another, or that belongs to any
+    /// worm but the channel's owner, means the consumption bookkeeping is
+    /// corrupt: it is still counted, and the record as it was before the
+    /// flit comes back as the error for the caller to report.
+    pub fn cons_push(&mut self, n: usize, cc: usize, flit: Flit) -> Result<(), ConsChannel> {
         let ch = self.cons.at_mut(n, cc);
-        ch.flits += 1;
+        let before = *ch;
+        ch.flits = ch.flits.saturating_add(1);
         ch.tail |= flit.kind == FlitKind::Tail;
-        if ch.owner == flit.worm.0 {
+        if before.owner == flit.worm.0 && before.flits == 0 {
             Ok(())
         } else {
-            Err(ch.owner())
+            Err(before)
         }
     }
 
@@ -811,7 +798,6 @@ impl NicSlab {
     /// queue's length and ids, first to last), walking each list through
     /// `worms`.
     pub(crate) fn save_state(&self, w: &mut SnapWriter, worms: &WormTable) {
-        w.put_usize(self.cons_cap);
         w.put_usize(NUM_VNETS);
         w.put_usize(self.inject.as_slice().len());
         for n in 0..self.nodes() {
@@ -858,13 +844,6 @@ impl NicSlab {
         &mut self,
         r: &mut SnapReader<'_>,
     ) -> Result<Vec<(u32, WormId)>, SnapError> {
-        let cons_cap = r.get_usize()?;
-        if cons_cap != self.cons_cap {
-            return Err(SnapError::Mismatch(format!(
-                "snapshot consumption channels hold {cons_cap} flits, config wants {}",
-                self.cons_cap
-            )));
-        }
         let queues = self.inject.as_slice().len();
         Self::column(r, NUM_VNETS, queues)?;
         let mut queued = Vec::new();
@@ -885,16 +864,14 @@ impl NicSlab {
         self.delivered = Snap::load(r)?;
         self.resume.load(r)?;
         self.pending_deposits.load(r)?;
-        // A free channel holds nothing; an arrived tail has not drained.
-        let bad = self.cons.as_slice().iter().find(|c| {
-            usize::from(c.flits) > self.cons_cap
-                || (c.owner == NO_WORM && **c != ConsChannel::FREE)
-                || (c.tail && c.flits == 0)
-        });
+        // Between ticks a channel holds no flit (so no arrived tail
+        // either), and a free channel flags nothing.
+        let bad =
+            self.cons.as_slice().iter().find(|c| {
+                c.flits > 0 || c.tail || (c.owner == NO_WORM && **c != ConsChannel::FREE)
+            });
         if let Some(c) = bad {
-            return Err(SnapError::Corrupt(format!(
-                "consumption channel {c:?} of depth {cons_cap}"
-            )));
+            return Err(SnapError::Corrupt(format!("consumption channel {c:?} between ticks")));
         }
         Ok(queued)
     }
@@ -972,7 +949,7 @@ mod tests {
     use crate::worm::FlitKind;
 
     fn slab() -> NicSlab {
-        NicSlab::new(2, 4, 8, 4, 2)
+        NicSlab::new(2, 4, 4, 2)
     }
 
     fn flit(worm: u32, kind: FlitKind) -> Flit {
@@ -991,42 +968,43 @@ mod tests {
         assert!(!n.cons_is_free(1, idx));
         assert_eq!(n.cons_owner(1, idx), Some(WormId(1)));
         assert_eq!(n.cons_push(1, idx, flit(1, FlitKind::Head)), Ok(()));
-        assert!(n.cons_has_space(1, idx));
         assert!(n.has_work(1), "a buffered flit is NIC work");
         assert_eq!(n.cons_pop(1, idx), None, "drained, but no tail yet");
         assert!(!n.cons_is_free(1, idx) && !n.has_work(1));
     }
 
-    /// A channel accepts exactly `cons_buf_flits` flits.
+    /// A channel holds one flit between its push and the drain in the
+    /// same tick: a second flit before the drain, or a flit of another
+    /// worm, is counted and refused with the record it found.
     #[test]
-    fn consumption_channel_fills_to_its_depth() {
+    fn a_channel_refuses_a_second_flit_before_the_drain() {
         let mut s = slab();
         s.reserve_cons(0, 2, WormId(4), true);
-        for _ in 0..8 {
-            assert!(s.cons_has_space(0, 2));
-            assert_eq!(s.cons_push(0, 2, flit(4, FlitKind::Body)), Ok(()));
-        }
-        assert!(!s.cons_has_space(0, 2), "full at 8 flits");
+        let one = ConsChannel { owner: 4, flits: 1, absorb: true, tail: false };
+        assert_eq!(s.cons_push(0, 2, flit(4, FlitKind::Body)), Ok(()));
+        assert_eq!(s.cons_push(0, 2, flit(4, FlitKind::Body)), Err(one));
         assert_eq!(s.cons_pop(0, 2), None);
-        assert!(s.cons_has_space(0, 2), "one drained, one free");
+        assert_eq!(s.cons_pop(0, 2), None);
+        assert_eq!(s.cons_push(0, 2, flit(4, FlitKind::Body)), Ok(()), "drained, empty again");
+        assert_eq!(s.cons_pop(0, 2), None);
+        let free = ConsChannel::FREE;
+        assert_eq!(s.cons_push(0, 3, flit(4, FlitKind::Body)), Err(free), "no owner");
     }
 
     /// A channel that drains dry before its tail arrives does not
-    /// complete; the tail completes the copy exactly when the last
-    /// buffered flit drains, and the completion releases the channel.
+    /// complete; the tail, the last flit, completes the copy when it
+    /// drains, and the completion releases the channel.
     #[test]
     fn tail_completes_when_the_last_flit_drains_and_releases_the_channel() {
         let mut s = slab();
         s.reserve_cons(1, 3, WormId(9), true);
         s.cons_push(1, 3, flit(9, FlitKind::Head)).unwrap();
-        s.cons_push(1, 3, flit(9, FlitKind::Body)).unwrap();
-        assert_eq!(s.cons_pop(1, 3), None);
         assert_eq!(s.cons_pop(1, 3), None, "dry before the tail arrived");
         assert_eq!(s.cons_pop(1, 3), None, "an empty channel drains nothing");
         assert!(!s.cons_is_free(1, 3), "still held by its worm");
         s.cons_push(1, 3, flit(9, FlitKind::Body)).unwrap();
+        assert_eq!(s.cons_pop(1, 3), None);
         s.cons_push(1, 3, flit(9, FlitKind::Tail)).unwrap();
-        assert_eq!(s.cons_pop(1, 3), None, "one flit still ahead of the tail");
         let done = s.cons_pop(1, 3).expect("the tail drained");
         assert_eq!((done.owner(), done.absorb()), (Some(WormId(9)), true));
         assert!(s.cons_is_free(1, 3), "completion releases the channel");
@@ -1040,8 +1018,9 @@ mod tests {
     fn cons_push_reports_a_flit_of_another_worm() {
         let mut s = slab();
         s.reserve_cons(0, 0, WormId(2), false);
-        assert_eq!(s.cons_push(0, 0, flit(3, FlitKind::Tail)), Err(Some(WormId(2))));
-        assert_eq!(s.cons_push(0, 1, flit(3, FlitKind::Tail)), Err(None), "a free channel");
+        let owner = |r: Result<(), ConsChannel>| r.map_err(|c| c.owner());
+        assert_eq!(owner(s.cons_push(0, 0, flit(3, FlitKind::Tail))), Err(Some(WormId(2))));
+        assert_eq!(owner(s.cons_push(0, 1, flit(3, FlitKind::Tail))), Err(None), "a free channel");
         assert_eq!(s.cons_pop(0, 1).map(|c| c.owner()), Some(None), "drains unowned");
         assert!(s.cons_is_free(0, 1));
     }

@@ -419,47 +419,61 @@ pub fn expand_path(
     src: NodeId,
     dests: &[NodeId],
 ) -> Result<Vec<NodeId>, RuleViolation> {
-    let mut checker = PathChecker::new(rule);
     let mut path = vec![src];
+    walk_path(rule, mesh, src, dests, |n| path.push(n))?;
+    Ok(path)
+}
+
+/// True when the visit order is conformant under `rule`: the walk
+/// [`expand_path`] makes, without building the path (no heap allocation).
+pub fn is_conformant(rule: PathRule, mesh: &Mesh2D, src: NodeId, dests: &[NodeId]) -> bool {
+    walk_path(rule, mesh, src, dests, |_| {}).is_ok()
+}
+
+/// Walk the canonical hop path of [`expand_path`], handing each node after
+/// `src` to `visit`.
+fn walk_path(
+    rule: PathRule,
+    mesh: &Mesh2D,
+    src: NodeId,
+    dests: &[NodeId],
+    mut visit: impl FnMut(NodeId),
+) -> Result<(), RuleViolation> {
+    let mut checker = PathChecker::new(rule);
     let mut cur = src;
     for &d in dests {
         while cur != d {
-            let opts = route_options(rule, mesh, cur, d, checker.turned());
-            // Canonical: prefer the first option whose step passes; options
-            // are ordered X-before-Y by construction.
-            if opts.is_empty() {
+            let opts = route_mask(rule, mesh, cur, d, checker.turned());
+            if opts == 0 {
                 return Err(RuleViolation {
-                    hop: path.len() - 1,
+                    hop: checker.hops,
                     dir: Direction::West,
                     reason: "destination unreachable without violating the base routing",
                 });
             }
-            let mut advanced = false;
+            // Canonical: the first option whose step passes; mask bits
+            // scan X before Y.
             let mut last_err = None;
-            for dir in opts {
+            let mut next = None;
+            for dir in Direction::ALL.into_iter().filter(|d| opts & (1 << d.index()) != 0) {
                 let mut trial = checker.clone();
                 match trial.step(dir) {
                     Ok(()) => {
-                        checker = trial;
-                        cur = mesh.neighbor(cur, dir).expect("productive hop stays in mesh");
-                        path.push(cur);
-                        advanced = true;
+                        next = Some((trial, dir));
                         break;
                     }
                     Err(e) => last_err = Some(e),
                 }
             }
-            if !advanced {
+            let Some((trial, dir)) = next else {
                 return Err(last_err.expect("non-empty options"));
-            }
+            };
+            checker = trial;
+            cur = mesh.neighbor(cur, dir).expect("productive hop stays in mesh");
+            visit(cur);
         }
     }
-    Ok(path)
-}
-
-/// True when the visit order is conformant under `rule`.
-pub fn is_conformant(rule: PathRule, mesh: &Mesh2D, src: NodeId, dests: &[NodeId]) -> bool {
-    expand_path(rule, mesh, src, dests).is_ok()
+    Ok(())
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@ fn config(k: usize, vcs_per_vnet: usize) -> MeshConfig {
 
 /// Tick `cycles` times (or until quiescent when `None`), checking the
 /// slab and the worm table after every tick, and that every consumption
-/// channel has drained (a channel's depth never binds).
+/// channel has drained (a channel holds a flit only within the tick it
+/// arrives; the network records a second flit before the drain as a
+/// violation).
 fn tick_checked(net: &mut Network, cycles: Option<u64>) {
     let deadline = net.now() + cycles.unwrap_or(200_000);
     while net.now() < deadline && (cycles.is_some() || !net.quiescent()) {
@@ -109,6 +111,41 @@ fn multicast_absorb_ireserve_and_gather_keep_the_slab_consistent() {
         let ds = net.take_deliveries(home);
         assert_eq!(ds.len(), 1, "vcs_per_vnet {vcs}");
         assert_eq!(ds[0].acks as usize, dests.len());
+    }
+}
+
+/// The busiest a consumption channel gets: a node with one channel takes
+/// absorb copies of multicasts passing down its column and final copies
+/// of unicasts from every direction on both virtual networks. Each flit
+/// still finds its channel empty and drains within its tick, which is why
+/// a channel needs no depth.
+#[test]
+fn one_consumption_channel_takes_absorb_copies_and_unicasts_a_flit_a_tick() {
+    for vcs in VCS_PER_VNET {
+        let k = 6;
+        let mesh = Mesh2D::square(k);
+        let hot = mesh.node_at(3, 3);
+        let mut net = Network::new(MeshConfig { cons_channels: 1, ..config(k, vcs) });
+        for (i, y) in [0, 1, 2].into_iter().enumerate() {
+            let mut dests = vec![hot, mesh.node_at(3, 5)];
+            if y + 1 < 3 {
+                dests.insert(0, mesh.node_at(3, y + 1));
+            }
+            net.inject(WormSpec {
+                kind: WormKind::Multicast,
+                dests,
+                ..WormSpec::unicast(mesh.node_at(3, y), hot, VNet::Req, 8, i as u64)
+            });
+        }
+        let mut unicasts = 0;
+        for (x, y) in [(0, 3), (5, 3), (3, 0), (3, 5), (0, 0), (5, 5), (1, 4), (4, 1)] {
+            for vnet in [VNet::Req, VNet::Reply] {
+                net.inject(WormSpec::unicast(mesh.node_at(x, y), hot, vnet, 12, 10 + unicasts));
+                unicasts += 1;
+            }
+        }
+        tick_checked(&mut net, None);
+        assert_eq!(net.take_deliveries(hot).len(), 3 + unicasts as usize, "vcs_per_vnet {vcs}");
     }
 }
 

@@ -51,8 +51,10 @@ pub const SNAP_MAGIC: u32 = 0x4D53_4457;
 /// router FIFO's front ready time and each buffered flit's deposit cycle
 /// instead of each flit's ready time, and each live invalidation
 /// transaction's sharer actions as a (node, action) table with its gather
-/// worms held once, without the request worms already injected.
-pub const SNAP_VERSION: u32 = 10;
+/// worms held once, without the request worms already injected; version
+/// 11 drops the NICs' consumption-channel depth, a configuration field
+/// that never bound and is gone.
+pub const SNAP_VERSION: u32 = 11;
 
 /// FNV-1a 64-bit incremental hasher.
 ///

@@ -229,7 +229,7 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// codec change that moves one byte of any snapshot fails here. The runs
 /// cover the busy applications under MI-MA(col), gather deposits and
 /// parks under MI-MA(2ph), the link-load meter under MI-MA(ada), and
-/// lock state. The hashes were re-recorded six times since: once when
+/// lock state. The hashes were re-recorded seven times since: once when
 /// `MeshConfig` lost its `hierarchy` field (a snapshot opens with a
 /// fingerprint of the config's `Debug` text, and that fingerprint was the
 /// only byte range that moved), once for format version 6, which
@@ -250,7 +250,13 @@ fn synth(scheme: SchemeKind) -> Scenario {
 /// instead of each flit's ready time, and each live transaction's sharer
 /// actions as a (node, action) table with its gather worms held once and
 /// no request worms (a scratch build writing the version 9 encodings back
-/// reproduced the version 9 hashes).
+/// reproduced the version 9 hashes), and once for format version 11,
+/// which drops the NICs' consumption-channel depth along with the config
+/// field and its fingerprint entry, when the message table also began to
+/// store a message pushed again as the newest once, under one key (a
+/// scratch build writing the depth, the old fingerprint field list and
+/// one key per push back under version 10 reproduced the version 10
+/// hashes).
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mut got = Vec::new();
@@ -265,12 +271,12 @@ fn snapshot_bytes_are_pinned() {
     assert!(sys.metrics().sync_stall_cycles > 0, "the lock run contends for locks");
     got.push(("locks", h));
     let want = [
-        ("bh", 0xf059_998f_59fc_2e3a),
-        ("lu", 0x1db7_fe70_41c8_ee48),
-        ("apsp", 0xf81c_4866_31ab_720e),
-        ("synth 2ph", 0x4df3_0b0f_5faa_fc1a),
-        ("synth ada", 0xdfc2_2663_6344_152b),
-        ("locks", 0x107f_cdcd_f9b4_bb74),
+        ("bh", 0x5221_05a0_e603_dfba),
+        ("lu", 0x43c6_23c6_5d42_84f7),
+        ("apsp", 0x4ad3_ddd8_0d4c_15bb),
+        ("synth 2ph", 0x7cde_4d83_2836_d9e1),
+        ("synth ada", 0xdd30_a709_deb3_caaf),
+        ("locks", 0xe6c9_937e_7ea1_d235),
     ];
     let got_hex: Vec<String> = got.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
     assert_eq!(got, want, "snapshot format moved: {got_hex:?}");

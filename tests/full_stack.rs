@@ -221,27 +221,6 @@ fn check_golden(rows: impl Iterator<Item = &'static Golden>, arm: Arm) {
     }
 }
 
-/// `MeshConfig::cons_buf_flits` never binds: a consumption channel
-/// receives at most one flit a cycle and its NIC drains one in the same
-/// tick, so every channel is empty between ticks. Two golden rows, one
-/// of unicasts and one of multidestination worms, give identical
-/// simulated metrics with one-flit channels and with the default eight.
-#[test]
-fn consumption_channel_depth_never_changes_a_result() {
-    for g in [&GOLDEN[0], &GOLDEN[5]] {
-        let run = |depth: usize| {
-            let mut cfg = SystemConfig::for_scheme(4, g.scheme);
-            cfg.mesh.cons_buf_flits = depth;
-            let mut sys = DsmSystem::new(cfg, g.scheme.build());
-            let r = small_workload(g.app).run(&mut sys, 50_000_000).expect("run completes");
-            (r.cycles, metrics_fingerprint(&sys.export_metrics()))
-        };
-        let deep = run(8);
-        assert_eq!(deep.0, g.cycles, "{}/{}: the default depth is the golden run", g.app, g.scheme);
-        assert_eq!(run(1), deep, "{}/{}: one-flit channels", g.app, g.scheme);
-    }
-}
-
 /// Slots the message table may span in the 4x4 runs below, far fewer than
 /// the messages those runs send.
 const MSG_SLOT_BOUND: usize = 2048;
